@@ -394,8 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--primitive", default="key_write",
                      help="workload primitive (a repro bench primitive)")
     run.add_argument("--workers", type=int, default=2,
-                     help="stage threads / plan worker processes "
-                          "(0 = inline serial fallback)")
+                     help="0 = every stage inline in the submitting "
+                          "thread; --executor thread: any value >= 1 runs "
+                          "the one [encode link] [translate execute] "
+                          "thread pair; --executor process: the number "
+                          "of plan worker processes")
     run.add_argument("--executor", choices=("thread", "process"),
                      default="thread",
                      help="parallelism substrate of the streamed lane: "

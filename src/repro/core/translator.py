@@ -17,13 +17,17 @@ This is the system's centrepiece (Sections 3.1 and 4.2).  The translator
   and signalling congestion upstream when the collector saturates
   (Section 3.3).
 
-Two entry points drive the data plane: :meth:`Translator.handle_report`
-processes one wire-format DTA report, and
+Every primitive exists exactly twice here: one *scalar reference* (the
+``_batch_*`` column loops, which every digest gate anchors to) and one
+*vector fast path* (:meth:`Translator.plan_batch` -> :class:`VectorPlan`
+for Key-Write / Key-Increment, ``_vector_sketch`` for Sketch-Merge).
 :meth:`Translator.process_batch` consumes a whole
 :class:`~repro.core.batch.ReportBatch` — the hot path that amortises
 counter updates and posts RDMA verbs in bursts (the software analogue
-of Section 4.3's aggregation argument).  The two are differentially
-tested to be bit-identical in counters and collector memory.
+of Section 4.3's aggregation argument); :meth:`Translator.handle_report`
+processes one wire-format report by feeding a one-row column set
+through the same scalar code, so the two are bit-identical in counters
+and collector memory by construction as well as by differential test.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from repro.core.packets import (
     Append,
     CongestionSignal,
     DtaFlags,
+    DtaPrimitive,
     KeyIncrement,
     KeyWrite,
     Nack,
@@ -89,15 +94,61 @@ class TranslatorStats(obs.InstrumentedStats):
         return self.rdma_writes + self.rdma_atomics
 
 
-@dataclass
-class _KeyWriteBinding:
-    layout: KeyWriteLayout
+@dataclass(slots=True)
+class VectorPlan:
+    """One vector-eligible batch as a single array operation.
+
+    What :meth:`Translator.plan_batch` returns: the translator counters
+    are already charged for ``reports`` reports, and the plan is
+    committed — :meth:`apply` lands it exactly once, as one burst
+    kernel call or as the equivalent scalar burst.  Request ``i``
+    targets ``base + indices[i] * stride``; ``payload`` holds one
+    ``stride``-byte row per Key-Write request, one int64 addend per
+    Key-Increment request.
+    """
+
+    kind: DtaPrimitive
     rkey: int
+    base: int
+    stride: int
+    indices: object
+    payload: object
+    reports: int
+
+    def apply(self, client) -> None:
+        """Execute against ``client`` (the real RDMA client).
+
+        The burst target is re-resolved first: if the dynamic
+        conditions changed since planning (NIC stall, QP error,
+        revoked MR, full send window) the equivalent scalar burst goes
+        through :meth:`RdmaClient.post_burst`, so the reference fault
+        machinery (bounded retry, QP re-handshake) handles it.
+        """
+        from repro.kernels import burst as kburst
+
+        atomic = self.kind is DtaPrimitive.KEY_INCREMENT
+        kernel = kburst.fetch_add_many if atomic else kburst.write_rows
+        target = kburst.resolve_target(client, self.rkey, atomic=atomic)
+        if target is not None and kernel(target, client, self.indices,
+                                         self.payload) is not None:
+            return
+        base, stride, rkey = self.base, self.stride, self.rkey
+        if atomic:
+            wrs = [WorkRequest(opcode=Opcode.FETCH_ADD,
+                               remote_addr=base + int(index) * stride,
+                               rkey=rkey, swap=int(addend))
+                   for index, addend in zip(self.indices, self.payload)]
+        else:
+            wrs = [WorkRequest(opcode=Opcode.WRITE,
+                               remote_addr=base + int(index) * stride,
+                               rkey=rkey, data=row.tobytes())
+                   for index, row in zip(self.indices, self.payload)]
+        client.post_burst(wrs)
 
 
 @dataclass
-class _KeyIncrementBinding:
-    layout: KeyIncrementLayout
+class _HashedBinding:
+    layout: KeyWriteLayout | KeyIncrementLayout
     rkey: int
 
 
@@ -185,8 +236,8 @@ class Translator(Node):
         self.control_sink = None   # callable(src, raw) in direct mode
         self.cpu_backlog: deque = deque()
         self._crashed = False
-        self._kw: _KeyWriteBinding | None = None
-        self._ki: _KeyIncrementBinding | None = None
+        self._kw: _HashedBinding | None = None
+        self._ki: _HashedBinding | None = None
         self._pc: _PostcardingBinding | None = None
         self._ap: _AppendBinding | None = None
         self._sm: _SketchBinding | None = None
@@ -238,14 +289,14 @@ class Translator(Node):
         p = advert.params
         layout = KeyWriteLayout(base_addr=advert.addr, slots=p["slots"],
                                 data_bytes=p["data_bytes"])
-        self._kw = _KeyWriteBinding(layout=layout, rkey=advert.rkey)
+        self._kw = _HashedBinding(layout=layout, rkey=advert.rkey)
 
     def _configure_keyincrement(self, advert: ServiceAdvert) -> None:
         p = advert.params
         layout = KeyIncrementLayout(base_addr=advert.addr,
                                     slots_per_row=p["slots_per_row"],
                                     rows=p["rows"])
-        self._ki = _KeyIncrementBinding(layout=layout, rkey=advert.rkey)
+        self._ki = _HashedBinding(layout=layout, rkey=advert.rkey)
 
     def _configure_postcarding(self, advert: ServiceAdvert) -> None:
         p = advert.params
@@ -327,18 +378,27 @@ class Translator(Node):
 
     def handle_report(self, raw: bytes, *, src: str | None = None,
                       now: float | None = None) -> None:
-        """Process one DTA report end to end."""
+        """Process one DTA report end to end.
+
+        Everything per-report lives here — decode, ingress meter,
+        tenant quota, loss detection / NACK, the immediate flag — and
+        the report then runs through the scalar reference lanes as a
+        one-row column set, the same code :meth:`process_batch` runs
+        over N rows.
+        """
         if self._crashed:
             self.stats.dropped_while_crashed += 1
             return
         if now is not None:
             self.now = now
         header, op = packets.decode_report(raw)
-        self.stats.reports_in += 1
+        # A report shed, deferred or NACKed below was still received;
+        # every other report is counted by the lane that translates it.
 
         # Flow control: congestion shedding happens before any state
         # is touched, mirroring the ingress meter in hardware.
         if self._meter is not None and not self._admit(header, raw, src):
+            self.stats.reports_in += 1
             return
 
         # Tenant quotas: the keyspace partition's own trTCM meter,
@@ -347,6 +407,7 @@ class Translator(Node):
         # over-quota low-priority -> shed).
         if self.tenants is not None \
                 and not self._admit_tenant(header, op, raw, src):
+            self.stats.reports_in += 1
             return
 
         # Loss detection for essential reports.
@@ -355,6 +416,7 @@ class Translator(Node):
                 header.reporter_id, header.seq,
                 retransmit=bool(header.flags & DtaFlags.RETRANSMIT))
             if nack is not None:
+                self.stats.reports_in += 1
                 self.stats.nacks_sent += 1
                 obs.emit("translator", "nack_sent", node=self.name,
                          reporter=header.reporter_id,
@@ -370,26 +432,30 @@ class Translator(Node):
         if header.flags & DtaFlags.IMMEDIATE:
             self._pending_imm = (int(header.primitive) << 16) \
                 | header.reporter_id
-        else:
+        try:
+            if isinstance(op, KeyWrite):
+                self._batch_keywrite((op.key,), (op.data,), op.redundancy)
+            elif isinstance(op, KeyIncrement):
+                self._batch_keyincrement((op.key,), (op.value,),
+                                         op.redundancy)
+            elif isinstance(op, Postcard):
+                self._batch_postcard((op.key,), (op.hop,), (op.value,),
+                                     (op.path_length,), op.redundancy)
+            elif isinstance(op, Append):
+                self._batch_append((op.list_id,), (op.data,))
+                if self._pending_imm is not None:
+                    # Batching would defer the notification indefinitely;
+                    # flush so the interrupted CPU finds the data in place.
+                    wrs: list = []
+                    self._flush_list(op.list_id, wrs)
+                    self._post_burst(wrs)
+            elif isinstance(op, SketchColumn):
+                self._batch_sketch(op.sketch_id, (op.column,),
+                                   (op.counters,), header.reporter_id, src)
+            else:
+                raise ValueError(f"translator cannot process {op!r}")
+        finally:
             self._pending_imm = None
-
-        if isinstance(op, KeyWrite):
-            self._handle_keywrite(op)
-        elif isinstance(op, KeyIncrement):
-            self._handle_keyincrement(op)
-        elif isinstance(op, Postcard):
-            self._handle_postcard(op)
-        elif isinstance(op, Append):
-            self._handle_append(op)
-            if self._pending_imm is not None:
-                # Batching would defer the notification indefinitely;
-                # flush so the interrupted CPU finds the data in place.
-                self._flush_list(op.list_id)
-        elif isinstance(op, SketchColumn):
-            self._handle_sketch_column(op, header.reporter_id, src)
-        else:
-            raise ValueError(f"translator cannot process {op!r}")
-        self._pending_imm = None
 
     # ------------------------------------------------------------------
     # Batched data plane
@@ -403,203 +469,210 @@ class Translator(Node):
         verbs, with collector memory and every obs counter bit-identical
         to feeding the batch's reports through :meth:`handle_report`
         one by one (enforced by ``tests/core/test_batch_differential``).
+        A vector-eligible batch runs as one :class:`VectorPlan`
+        (:meth:`plan_batch` decides); every other batch takes the
+        scalar reference lane of its primitive.
 
-        Reports that involve per-report control-plane state — a
-        configured rate meter, essential sequence tracking, immediate
-        flags, or any primitive without a fast lane — take the
-        per-report path via :meth:`handle_report`, which keeps their
-        semantics (shedding order, NACK generation, WRITE_IMM
-        conversion) exactly as specified.  Unlike the per-report entry
-        point, a batch is validated whole, so a malformed batch raises
-        before any state changes.
+        Batches that involve per-report control-plane state — a
+        configured rate meter, tenant quotas, essential sequence
+        tracking, immediate flags — go through :meth:`handle_report`
+        report by report, which keeps their semantics (shedding order,
+        NACK generation, WRITE_IMM conversion) exactly as specified.
+        Unlike the per-report entry point, a batch is validated whole,
+        so a malformed batch raises before any state changes.
         """
         if self._crashed:
             self.stats.dropped_while_crashed += len(batch)
             return
         if now is not None:
             self.now = now
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return
         if (self._meter is not None or self.tenants is not None
                 or batch.essential or batch.immediate):
             for raw in batch.iter_raw():
                 self.handle_report(raw, src=src)
             return
-        # Each fast lane bumps reports_in itself, *after* its own
+        plan = self.plan_batch(batch)
+        if plan is not None:
+            plan.apply(self.client)
+            return
+        # Each scalar lane bumps reports_in itself, *after* its own
         # validation, so a rejected batch leaves every counter untouched.
         primitive = batch.primitive
-        if primitive is packets.DtaPrimitive.KEY_WRITE:
-            self._batch_keywrite(batch)
-        elif primitive is packets.DtaPrimitive.KEY_INCREMENT:
-            self._batch_keyincrement(batch)
-        elif primitive is packets.DtaPrimitive.POSTCARDING:
-            self._batch_postcard(batch)
-        elif primitive is packets.DtaPrimitive.APPEND:
-            self._batch_append(batch)
-        elif primitive is packets.DtaPrimitive.SKETCH_MERGE:
-            self._batch_sketch(batch, src)
+        if primitive is DtaPrimitive.KEY_WRITE:
+            self._batch_keywrite(batch.keys, batch.datas, batch.redundancy)
+        elif primitive is DtaPrimitive.KEY_INCREMENT:
+            self._batch_keyincrement(batch.keys, batch.values,
+                                     batch.redundancy)
+        elif primitive is DtaPrimitive.POSTCARDING:
+            self._batch_postcard(batch.keys, batch.hops, batch.values,
+                                 batch.path_lengths, batch.redundancy)
+        elif primitive is DtaPrimitive.APPEND:
+            self._batch_append(batch.list_ids, batch.datas)
+        elif primitive is DtaPrimitive.SKETCH_MERGE:
+            self._batch_sketch(batch.sketch_id, batch.columns,
+                               batch.counter_rows, batch.reporter_id, src)
         else:
             for raw in batch.iter_raw():
                 self.handle_report(raw, src=src)
 
-    def _batch_keywrite(self, batch) -> None:
-        """Key-Write fast lane: one burst of N x len(batch) writes."""
+    # -- vector fast path: Key-Write / Key-Increment ----------------------
+
+    def plan_batch(self, batch, client=None, *, arrays=None):
+        """The one vector-eligibility decision: a charged
+        :class:`VectorPlan`, or None (no state touched) for the scalar
+        lane.
+
+        Every lane asks here — :meth:`process_batch` (hence the serial
+        path and the socket daemons), the streaming engine's translate
+        stage, the process lane's parent side.  Eligible means
+        :meth:`_vector_target` resolves a burst target *and* the plan
+        kernel accepts the columns (Key-Write data fits the slot,
+        Key-Increment values fit int64, indices inside the region).
+        ``client`` defaults to the attached one (the engine passes the
+        real client while its verb recorder is attached); ``arrays`` is
+        ``(indices, payload)`` as a plan worker computed them from
+        :meth:`plan_request`.
+        """
+        hit = self._vector_target(batch, client)
+        if hit is None:
+            return None
+        binding, target = hit
+        kind = batch.primitive
+        if arrays is None:
+            planner = (self.plan_vector_keywrite
+                       if kind is DtaPrimitive.KEY_WRITE
+                       else self.plan_vector_keyincrement)
+            arrays = planner(batch, target)
+            if arrays is None:
+                return None
+        indices, payload = arrays
+        reports, count = len(batch), len(indices)
+        stats = self.stats
+        stats.reports_in += reports
+        if kind is DtaPrimitive.KEY_WRITE:
+            stride = binding.layout.slot_bytes
+            stats.keywrites += reports
+            stats.rdma_writes += count
+        else:
+            stride = 8
+            stats.keyincrements += reports
+            stats.rdma_atomics += count
+        stats.rdma_payload_bytes += count * stride
+        self._payload_hist.observe_repeated(stride, count)
+        return VectorPlan(kind, binding.rkey, binding.layout.base_addr,
+                          stride, indices, payload, reports)
+
+    def _vector_target(self, batch, client):
+        """``(binding, burst target)`` if ``batch`` may run as a plan:
+        vectorization on, ``MIN_VECTOR_BATCH`` reports or more, no
+        per-report control-plane state (essential / immediate flags,
+        meter, tenant quotas), translator up, the service configured,
+        and ``client`` resolving to a healthy direct-mode burst target
+        whose region is the one the layout describes.
+        """
+        if (not self.vectorized or len(batch) < MIN_VECTOR_BATCH
+                or batch.essential or batch.immediate
+                or self._meter is not None or self.tenants is not None
+                or self._crashed):
+            return None
+        kind = batch.primitive
+        if kind is DtaPrimitive.KEY_WRITE:
+            binding = self._kw
+        elif kind is DtaPrimitive.KEY_INCREMENT:
+            binding = self._ki
+        else:
+            return None
+        if binding is None:
+            return None
+        from repro.kernels import burst as kburst
+
+        target = kburst.resolve_target(
+            self.client if client is None else client, binding.rkey,
+            atomic=kind is DtaPrimitive.KEY_INCREMENT)
+        layout = binding.layout
+        if (target is None or layout.base_addr != target.region.addr
+                or layout.region_bytes > target.region.length):
+            return None
+        return binding, target
+
+    def plan_request(self, batch, client=None):
+        """What a plan worker needs to compute ``batch``'s arrays —
+        ``(kind, layout, region_length, packed, lengths, third,
+        fanout)``, the ``PLAN_KERNELS[kind]`` arguments — or None when
+        the batch is not worth shipping.  Touches no state: the arrays
+        come back through :meth:`plan_batch`, which still decides.
+        """
+        hit = self._vector_target(batch, client)
+        if hit is None:
+            return None
+        binding, target = hit
+        columns = _pack_columns(batch, binding.layout)
+        if columns is None:
+            return None
+        return (batch.primitive, binding.layout,
+                target.region.length) + columns
+
+    def plan_vector_keywrite(self, batch, target):
+        """A Key-Write scatter plan ``(row_indices, rows)`` — what
+        ``kernels.burst.write_rows`` takes — or None when the columns
+        are not vector-eligible.  Hashing, entry encoding and bounds
+        validation against ``target``'s region; no state touched.
+        """
+        return _plan_columns(self._kw.layout, batch, target)
+
+    def plan_vector_keyincrement(self, batch, target):
+        """A Key-Increment scatter-add plan ``(counter_indices,
+        addends)`` for ``kernels.burst.fetch_add_many``, likewise."""
+        return _plan_columns(self._ki.layout, batch, target)
+
+    # -- scalar reference lanes: one per primitive, over parallel columns
+    # (a batch's from process_batch, one-row tuples from handle_report) --
+
+    def _batch_keywrite(self, keys, datas, redundancy: int) -> None:
+        """Key-Write: one burst of N x len(keys) writes."""
         if self._kw is None:
             raise RuntimeError("Key-Write service not configured")
-        if (self.vectorized and len(batch.keys) >= MIN_VECTOR_BATCH
-                and self._vector_keywrite(batch)):
-            return
-        self.stats.reports_in += len(batch.keys)
-        self.stats.keywrites += len(batch.keys)
+        self.stats.reports_in += len(keys)
+        self.stats.keywrites += len(keys)
         layout = self._kw.layout
         rkey = self._kw.rkey
-        redundancy = batch.redundancy
         encode = layout.encode_entry
         slot_addrs = layout.slot_addrs
         wrs = []
         append = wrs.append
-        for key, data in zip(batch.keys, batch.datas):
+        # The multicast technique: one DTA report fans out into N
+        # identical writes at N hash locations.
+        for key, data in zip(keys, datas):
             entry = encode(key, data)
             for addr in slot_addrs(key, redundancy):
                 append(WorkRequest(opcode=Opcode.WRITE, remote_addr=addr,
                                    rkey=rkey, data=entry))
         self._post_burst(wrs)
 
-    def _vector_keywrite(self, batch) -> bool:
-        """Vectorized Key-Write: hash, encode, and scatter as arrays.
-
-        Returns False — with no state touched — whenever the burst is
-        not eligible for whole-array execution (see
-        :func:`repro.kernels.burst.resolve_target`); the scalar lane
-        then runs with its exact reference semantics.
-        """
-        from repro.kernels import burst as kburst
-
-        kw = self._kw
-        layout = kw.layout
-        target = kburst.resolve_target(self.client, kw.rkey)
-        if (target is None or layout.base_addr != target.region.addr
-                or layout.region_bytes > target.region.length):
-            return False
-        plan = self.plan_vector_keywrite(batch, target)
-        if plan is None:
-            return False
-        row_indices, rows = plan
-        count = kburst.write_rows(target, self.client, row_indices, rows)
-        if count is None:
-            return False
-        self.account_vector_keywrite(len(batch.keys), count)
-        return True
-
-    def plan_vector_keywrite(self, batch, target):
-        """Compute a Key-Write scatter plan: ``(row_indices, rows)``.
-
-        The plan half of the vector lane — hashing, entry encoding, and
-        bounds validation against ``target``'s region, with no state
-        touched.  Applying the plan (``kernels.burst.write_rows``) and
-        charging the translator counters
-        (:meth:`account_vector_keywrite`) are separate so the streaming
-        runtime can run plan and apply in different pipeline stages.
-        Returns None when the batch is not vector-eligible.
-        """
-        from repro.kernels import crc as kcrc
-
-        layout = self._kw.layout
-        for data in batch.datas:
-            if len(data) > layout.data_bytes:
-                return None  # oversize data: scalar lane raises for it
-        packed, lengths = kcrc.pack_keys(batch.keys)
-        packed_data, _ = kcrc.pack_keys(batch.datas,
-                                        pad_to=layout.data_bytes)
-        return plan_keywrite_packed(layout, packed, lengths, packed_data,
-                                    batch.redundancy, target.region.length)
-
-    def account_vector_keywrite(self, reports: int, count: int) -> None:
-        """Translator-side counters for an applied Key-Write plan."""
-        slot_bytes = self._kw.layout.slot_bytes
-        self.stats.reports_in += reports
-        self.stats.keywrites += reports
-        self.stats.rdma_writes += count
-        self.stats.rdma_payload_bytes += count * slot_bytes
-        self._payload_hist.observe_repeated(slot_bytes, count)
-
-    def _batch_keyincrement(self, batch) -> None:
-        """Key-Increment fast lane: one burst of Fetch-and-Adds."""
+    def _batch_keyincrement(self, keys, values, redundancy: int) -> None:
+        """Key-Increment: one burst of Fetch-and-Adds."""
         if self._ki is None:
             raise RuntimeError("Key-Increment service not configured")
-        if (self.vectorized and len(batch.keys) >= MIN_VECTOR_BATCH
-                and self._vector_keyincrement(batch)):
-            return
-        self.stats.reports_in += len(batch.keys)
-        self.stats.keyincrements += len(batch.keys)
+        self.stats.reports_in += len(keys)
+        self.stats.keyincrements += len(keys)
         layout = self._ki.layout
         rkey = self._ki.rkey
-        rows = min(batch.redundancy, layout.rows)
+        rows = min(redundancy, layout.rows)
         counter_addrs = layout.counter_addrs
         wrs = []
         append = wrs.append
-        for key, value in zip(batch.keys, batch.values):
+        for key, value in zip(keys, values):
             for addr in counter_addrs(key, rows):
                 append(WorkRequest(opcode=Opcode.FETCH_ADD,
                                    remote_addr=addr, rkey=rkey,
                                    swap=value))
         self._post_burst(wrs)
 
-    def _vector_keyincrement(self, batch) -> bool:
-        """Vectorized Key-Increment: one scatter-add of Fetch-and-Adds."""
-        from repro.kernels import burst as kburst
-
-        ki = self._ki
-        layout = ki.layout
-        target = kburst.resolve_target(self.client, ki.rkey, atomic=True)
-        if (target is None or layout.base_addr != target.region.addr
-                or layout.region_bytes > target.region.length):
-            return False
-        plan = self.plan_vector_keyincrement(batch, target)
-        if plan is None:
-            return False
-        counter_indices, addends = plan
-        count = kburst.fetch_add_many(target, self.client,
-                                      counter_indices, addends)
-        if count is None:
-            return False
-        self.account_vector_keyincrement(len(batch.keys), count)
-        return True
-
-    def plan_vector_keyincrement(self, batch, target):
-        """Compute a Key-Increment scatter-add plan:
-        ``(counter_indices, addends)``.
-
-        Plan half of the vector lane (see
-        :meth:`plan_vector_keywrite`): hashing plus bounds validation
-        against ``target``'s region, no state touched.  Returns None
-        when the batch is not vector-eligible.
-        """
-        import numpy as np
-
-        from repro.kernels import crc as kcrc
-
-        layout = self._ki.layout
-        rows = min(batch.redundancy, layout.rows)
-        try:
-            values = np.asarray(batch.values, dtype=np.int64)
-        except (OverflowError, ValueError):
-            return None      # beyond int64: scalar wrap semantics apply
-        packed, lengths = kcrc.pack_keys(batch.keys)
-        return plan_keyincrement_packed(layout, packed, lengths, values,
-                                        rows, target.region.length)
-
-    def account_vector_keyincrement(self, reports: int, count: int) -> None:
-        """Translator-side counters for an applied Key-Increment plan."""
-        self.stats.reports_in += reports
-        self.stats.keyincrements += reports
-        self.stats.rdma_atomics += count
-        self.stats.rdma_payload_bytes += count * 8
-        self._payload_hist.observe_repeated(8, count)
-
-    def _batch_postcard(self, batch) -> None:
-        """Postcarding fast lane: cache inserts, then one write burst.
+    def _batch_postcard(self, keys, hops, values, path_lengths,
+                        redundancy: int) -> None:
+        """Postcarding: cache inserts, then one write burst.
 
         Cache state transitions are inherently per-report (each insert
         may evict or complete a chunk), but every resulting chunk write
@@ -607,88 +680,87 @@ class Translator(Node):
         """
         if self._pc is None:
             raise RuntimeError("Postcarding service not configured")
-        self.stats.reports_in += len(batch.keys)
-        self.stats.postcards += len(batch.keys)
+        self.stats.reports_in += len(keys)
+        self.stats.postcards += len(keys)
         cache = self._pc.cache
-        redundancy = batch.redundancy
         wrs: list = []
-        for key, hop, value, path_len in zip(batch.keys, batch.hops,
-                                             batch.values,
-                                             batch.path_lengths):
+        for key, hop, value, path_len in zip(keys, hops, values,
+                                             path_lengths):
             emission = cache.insert(key, hop, value,
                                     path_len=path_len or None)
             if emission is not None:
-                self._emit_chunk(emission, redundancy, sink=wrs)
+                self._emit_chunk(emission, redundancy, wrs)
             while cache.pending_evicted:
                 self._emit_chunk(cache.pending_evicted.pop(), redundancy,
-                                 sink=wrs)
+                                 wrs)
         self._post_burst(wrs)
 
-    def _batch_append(self, batch) -> None:
-        """Append fast lane: same flush points, burst-posted writes.
+    def _batch_append(self, list_ids, datas) -> None:
+        """Append: per-entry flush points, burst-posted writes.
 
-        The per-report flush rule (flush when a list's pending batch
-        reaches the configured size or the ring-boundary room) is
-        evaluated after every entry so write boundaries — and therefore
-        ``append_batches``/histogram accounting — match the per-report
-        path exactly.
+        The flush rule (flush when a list's pending batch reaches the
+        configured size or the ring-boundary room) is evaluated after
+        every entry, so write boundaries — and therefore
+        ``append_batches``/histogram accounting — do not depend on how
+        the entries were batched on the way in.
         """
         if self._ap is None:
             raise RuntimeError("Append service not configured")
         ap = self._ap
         lists = ap.layout.lists
-        for list_id in batch.list_ids:
+        for list_id in list_ids:
             if list_id >= lists:
                 raise ValueError(f"list {list_id} not provisioned")
-        self.stats.reports_in += len(batch.list_ids)
-        self.stats.appends += len(batch.list_ids)
+        self.stats.reports_in += len(list_ids)
+        self.stats.appends += len(list_ids)
         capacity = ap.layout.capacity
         batch_size = ap.batch_size
         batches = ap.batches
         heads = ap.heads
         wrs: list = []
-        for list_id, data in zip(batch.list_ids, batch.datas):
+        for list_id, data in zip(list_ids, datas):
             pending = batches.setdefault(list_id, [])
             pending.append(data)
             room = capacity - (heads.get(list_id, 0) % capacity)
             if len(pending) >= batch_size or len(pending) >= room:
-                self._flush_list(list_id, sink=wrs)
+                self._flush_list(list_id, wrs)
         self._post_burst(wrs)
 
-    def _batch_sketch(self, batch, src: str | None) -> None:
-        """Sketch-Merge fast lane: batched merges, burst transfers.
+    def _batch_sketch(self, sketch_id: int, columns, counter_rows,
+                      reporter_id: int, src: str | None) -> None:
+        """Sketch-Merge: batched merges, burst transfers.
 
-        Validates the whole batch (fast-lane convention: a malformed
-        batch raises before any state changes), then replays the
-        per-report column state machine — in-order checks, NACKs,
-        merge, completion — with every resulting transfer write
-        collected into one burst.  Large in-order runs take the
-        vectorized merge when enabled.
+        Validates all columns first (a malformed batch raises before
+        any state changes), then runs the column state machine —
+        in-order checks, NACKs (Section 4.2: an out-of-order column is
+        NACKed back to the reporter and not merged), merge, completion
+        — with every resulting transfer write collected into one burst.
+        Large in-order runs take the vectorized merge when enabled.
         """
         if self._sm is None:
             raise RuntimeError("Sketch-Merge service not configured")
         sm = self._sm
-        if batch.sketch_id != sm.sketch_id:
+        if sketch_id != sm.sketch_id:
             raise ValueError(
-                f"sketch {batch.sketch_id} not served here (this translator "
+                f"sketch {sketch_id} not served here (this translator "
                 f"aggregates sketch {sm.sketch_id}; deploy one service "
                 "per sketch, Section 6: sketches all go to one collector)")
         depth = sm.layout.depth
-        for column, counters in zip(batch.columns, batch.counter_rows):
+        for column, counters in zip(columns, counter_rows):
             if column >= sm.layout.width:
                 raise ValueError("sketch column out of range")
             if len(counters) != depth:
                 raise ValueError("sketch column depth mismatch")
-        n = len(batch.columns)
+        n = len(columns)
         if (self.vectorized and n >= MIN_VECTOR_BATCH
-                and self._vector_sketch(batch)):
+                and self._vector_sketch(columns, counter_rows,
+                                        reporter_id)):
             return
         self.stats.reports_in += n
         self.stats.sketch_columns += n
-        reporter_id = batch.reporter_id
         is_max = sm.merge == "max"
         wrs: list = []
-        for column, counters in zip(batch.columns, batch.counter_rows):
+        for column, counters in zip(columns, counter_rows):
             expected = sm.next_column.get(reporter_id, 0)
             if column != expected:
                 self.stats.sketch_column_nacks += 1
@@ -707,14 +779,15 @@ class Translator(Node):
             sm.merged_count[column] += 1
             if sm.merged_count[column] >= sm.expected_reporters:
                 sm.completed[column] = True
-                self._transfer_completed_columns(sink=wrs)
+                self._transfer_completed_columns(wrs)
         self._post_burst(wrs)
 
-    def _vector_sketch(self, batch) -> bool:
+    def _vector_sketch(self, columns, counter_rows,
+                       reporter_id: int) -> bool:
         """Vectorized Sketch-Merge for an in-order column run.
 
         Only the clean case vectorizes — numpy-backed storage and a
-        batch that continues the reporter's expected column sequence
+        run that continues the reporter's expected column sequence
         exactly; anything else (out-of-order columns needing NACKs,
         list storage, counters beyond int64) returns False for the
         scalar lane.
@@ -724,14 +797,13 @@ class Translator(Node):
         sm = self._sm
         if isinstance(sm.columns, list):
             return False
-        reporter_id = batch.reporter_id
         expected = sm.next_column.get(reporter_id, 0)
-        n = len(batch.columns)
-        cols = np.asarray(batch.columns, dtype=np.int64)
+        n = len(columns)
+        cols = np.asarray(columns, dtype=np.int64)
         if not np.array_equal(cols, np.arange(expected, expected + n)):
             return False
         try:
-            counters = np.asarray(batch.counter_rows, dtype=np.int64)
+            counters = np.asarray(counter_rows, dtype=np.int64)
         except (OverflowError, ValueError):
             return False
         block = sm.columns[expected:expected + n]
@@ -748,7 +820,7 @@ class Translator(Node):
         self.stats.sketch_columns += n
         if done.any():
             wrs: list = []
-            self._transfer_completed_columns(sink=wrs)
+            self._transfer_completed_columns(wrs)
             self._post_burst(wrs)
         return True
 
@@ -872,41 +944,27 @@ class Translator(Node):
 
     # -- RDMA emission ---------------------------------------------------
 
-    def _post(self, wr: WorkRequest) -> None:
-        """Post one verb, with immediate-flag conversion and accounting."""
-        if self.client is None:
-            raise RuntimeError("translator has no RDMA connection")
-        if self._pending_imm is not None and wr.opcode == Opcode.WRITE:
-            wr.opcode = Opcode.WRITE_IMM
-            wr.imm = self._pending_imm
-            self._pending_imm = None
-            self.stats.immediate_writes += 1
-        self.client.post(wr)
-        if wr.opcode.is_atomic:
-            self.stats.rdma_atomics += 1
-        else:
-            self.stats.rdma_writes += 1
-        self.stats.rdma_payload_bytes += wr.payload_bytes
-        self._payload_hist.observe(wr.payload_bytes)
-
     def _post_burst(self, wrs: list) -> None:
         """Post a burst of verbs with one accounting pass.
 
-        Same counters and histogram observations as :meth:`_post` per
-        verb; the immediate-flag conversion is absent because immediate
-        batches take the per-report lane (see :meth:`process_batch`).
+        The only way a scalar lane reaches the RDMA client.  A pending
+        immediate (set by :meth:`handle_report`) converts the burst's
+        first WRITE into WRITE_WITH_IMM and is consumed by it.
         """
         if not wrs:
             return
         client = self.client
         if client is None:
             raise RuntimeError("translator has no RDMA connection")
-        post_burst = getattr(client, "post_burst", None)
-        if post_burst is None:
+        if self._pending_imm is not None:
             for wr in wrs:
-                self._post(wr)
-            return
-        post_burst(wrs)
+                if wr.opcode == Opcode.WRITE:
+                    wr.opcode = Opcode.WRITE_IMM
+                    wr.imm = self._pending_imm
+                    self._pending_imm = None
+                    self.stats.immediate_writes += 1
+                    break
+        client.post_burst(wrs)
         writes = 0
         atomics = 0
         sizes = []
@@ -926,52 +984,10 @@ class Translator(Node):
         self.stats.rdma_payload_bytes += payload
         self._payload_hist.observe_many(sizes)
 
-    # -- Key-Write -------------------------------------------------------
-
-    def _handle_keywrite(self, op: KeyWrite) -> None:
-        if self._kw is None:
-            raise RuntimeError("Key-Write service not configured")
-        self.stats.keywrites += 1
-        layout = self._kw.layout
-        entry = layout.encode_entry(op.key, op.data)
-        # The multicast technique: one DTA report fans out into N
-        # identical writes at N hash locations.
-        for n in range(op.redundancy):
-            self._post(WorkRequest(
-                opcode=Opcode.WRITE,
-                remote_addr=layout.slot_addr(n, op.key),
-                rkey=self._kw.rkey, data=entry))
-
-    # -- Key-Increment -----------------------------------------------------
-
-    def _handle_keyincrement(self, op: KeyIncrement) -> None:
-        if self._ki is None:
-            raise RuntimeError("Key-Increment service not configured")
-        self.stats.keyincrements += 1
-        layout = self._ki.layout
-        rows = min(op.redundancy, layout.rows)
-        for n in range(rows):
-            self._post(WorkRequest(
-                opcode=Opcode.FETCH_ADD,
-                remote_addr=layout.counter_addr(n, op.key),
-                rkey=self._ki.rkey, swap=op.value))
-
     # -- Postcarding ---------------------------------------------------------
 
-    def _handle_postcard(self, op: Postcard) -> None:
-        if self._pc is None:
-            raise RuntimeError("Postcarding service not configured")
-        self.stats.postcards += 1
-        cache = self._pc.cache
-        emission = cache.insert(op.key, op.hop, op.value,
-                                path_len=op.path_length or None)
-        if emission is not None:
-            self._emit_chunk(emission, op.redundancy)
-        while cache.pending_evicted:
-            self._emit_chunk(cache.pending_evicted.pop(), op.redundancy)
-
-    def _emit_chunk(self, emission, redundancy: int, sink=None) -> None:
-        """Write one postcard chunk (``sink`` collects into a burst)."""
+    def _emit_chunk(self, emission, redundancy: int, sink: list) -> None:
+        """Collect one postcard chunk's writes into the burst ``sink``."""
         assert self._pc is not None
         layout = self._pc.layout
         if emission.complete:
@@ -981,33 +997,15 @@ class Translator(Node):
         values = [BLANK if v is None else v for v in emission.values]
         payload = layout.encode_chunk(emission.key, values)
         for j in range(max(1, redundancy)):
-            wr = WorkRequest(
+            sink.append(WorkRequest(
                 opcode=Opcode.WRITE,
                 remote_addr=layout.chunk_addr(emission.key, j),
-                rkey=self._pc.rkey, data=payload)
-            if sink is None:
-                self._post(wr)
-            else:
-                sink.append(wr)
+                rkey=self._pc.rkey, data=payload))
 
     # -- Append ------------------------------------------------------------
 
-    def _handle_append(self, op: Append) -> None:
-        if self._ap is None:
-            raise RuntimeError("Append service not configured")
-        ap = self._ap
-        if op.list_id >= ap.layout.lists:
-            raise ValueError(f"list {op.list_id} not provisioned")
-        self.stats.appends += 1
-        batch = ap.batches.setdefault(op.list_id, [])
-        batch.append(op.data)
-        head = ap.heads.get(op.list_id, 0)
-        room = ap.layout.capacity - (head % ap.layout.capacity)
-        if len(batch) >= ap.batch_size or len(batch) >= room:
-            self._flush_list(op.list_id)
-
-    def _flush_list(self, list_id: int, sink=None) -> None:
-        """Flush a list's pending entries (``sink`` collects a burst)."""
+    def _flush_list(self, list_id: int, sink: list) -> None:
+        """Collect a list's pending entries into the burst ``sink``."""
         assert self._ap is not None
         ap = self._ap
         batch = ap.batches.get(list_id)
@@ -1020,14 +1018,10 @@ class Translator(Node):
             room = ap.layout.capacity - slot
             chunk, batch = batch[:room], batch[room:]
             payload = ap.layout.encode_batch(chunk, head)
-            wr = WorkRequest(
+            sink.append(WorkRequest(
                 opcode=Opcode.WRITE,
                 remote_addr=ap.layout.entry_addr(list_id, slot),
-                rkey=ap.rkey, data=payload)
-            if sink is None:
-                self._post(wr)
-            else:
-                sink.append(wr)
+                rkey=ap.rkey, data=payload))
             head += len(chunk)
             self.stats.append_batches += 1
             self._batch_hist.observe(len(chunk))
@@ -1038,8 +1032,10 @@ class Translator(Node):
         """Flush every partially-filled Append batch (epoch end)."""
         if self._ap is None:
             return
+        wrs: list = []
         for list_id in list(self._ap.batches):
-            self._flush_list(list_id)
+            self._flush_list(list_id, wrs)
+        self._post_burst(wrs)
 
     def append_head(self, list_id: int) -> int:
         """Entries committed to a list so far (for test/query helpers)."""
@@ -1048,45 +1044,6 @@ class Translator(Node):
         return self._ap.heads.get(list_id, 0)
 
     # -- Sketch-Merge ---------------------------------------------------------
-
-    def _handle_sketch_column(self, op: SketchColumn, reporter_id: int,
-                              src: str | None) -> None:
-        if self._sm is None:
-            raise RuntimeError("Sketch-Merge service not configured")
-        sm = self._sm
-        self.stats.sketch_columns += 1
-        if op.sketch_id != sm.sketch_id:
-            raise ValueError(
-                f"sketch {op.sketch_id} not served here (this translator "
-                f"aggregates sketch {sm.sketch_id}; deploy one service "
-                "per sketch, Section 6: sketches all go to one collector)")
-        if op.column >= sm.layout.width:
-            raise ValueError("sketch column out of range")
-        if len(op.counters) != sm.layout.depth:
-            raise ValueError("sketch column depth mismatch")
-
-        expected = sm.next_column.get(reporter_id, 0)
-        if op.column != expected:
-            # Out-of-order column: NACK back to the reporter, do not
-            # merge (Section 4.2).
-            self.stats.sketch_column_nacks += 1
-            self._send_control(src, reporter_id,
-                               Nack(expected_seq=expected, missing=1))
-            return
-        sm.next_column[reporter_id] = expected + 1
-
-        local = sm.columns[op.column]
-        if sm.merge == "max":
-            for i, value in enumerate(op.counters):
-                if value > local[i]:
-                    local[i] = value
-        else:
-            for i, value in enumerate(op.counters):
-                local[i] += value
-        sm.merged_count[op.column] += 1
-        if sm.merged_count[op.column] >= sm.expected_reporters:
-            sm.completed[op.column] = True
-            self._transfer_completed_columns()
 
     def reset_sketch_epoch(self) -> None:
         """Start a fresh sketch epoch (Section 3.2: sketches are
@@ -1102,13 +1059,8 @@ class Translator(Node):
                  sketch_id=sm.sketch_id)
         obs.get_registry().advance_epoch()
 
-    def _transfer_completed_columns(self, sink=None) -> None:
-        """Write batches of w contiguous completed columns.
-
-        ``sink`` collects the transfer writes into a burst (the batched
-        sketch lane); without it each batch is posted immediately (the
-        per-report path).
-        """
+    def _transfer_completed_columns(self, sink: list) -> None:
+        """Collect writes of w contiguous completed columns into ``sink``."""
         assert self._sm is not None
         sm = self._sm
         array_storage = not isinstance(sm.columns, list)
@@ -1129,14 +1081,10 @@ class Translator(Node):
                     sm.columns[start:end])
             else:
                 payload = sm.layout.encode_columns(sm.columns[start:end])
-            wr = WorkRequest(
+            sink.append(WorkRequest(
                 opcode=Opcode.WRITE,
                 remote_addr=sm.layout.column_addr(start),
-                rkey=sm.rkey, data=payload)
-            if sink is None:
-                self._post(wr)
-            else:
-                sink.append(wr)
+                rkey=sm.rkey, data=payload))
             self.stats.sketch_batches += 1
             sm.next_transfer = end
             if sm.next_transfer >= sm.layout.width:
@@ -1147,15 +1095,50 @@ class Translator(Node):
 # Pure plan kernels — shared with the shared-memory plan workers
 # ----------------------------------------------------------------------
 #
-# The ``plan_vector_*`` methods above delegate to these module-level
-# functions so the process-lane streaming runtime
-# (:mod:`repro.runtime.shm`) can run the exact same code in worker
-# processes: both sides call one implementation, which is what makes
-# the process lane digest-identical to the serial reference by
-# construction.  They take *packed* columns (what
+# ``plan_vector_*`` and the process-lane plan workers
+# (:mod:`repro.runtime.shm`) both end in ``PLAN_KERNELS[kind]``: one
+# implementation on either side of the ring, which is what makes the
+# process lane digest-identical to the serial reference by
+# construction.  The kernels take *packed* columns (what
 # :func:`repro.kernels.crc.pack_keys` produces) because that is the
 # form a batch crosses a shared-memory ring in — no per-report Python
 # objects, just matrices.
+
+
+def _pack_columns(batch, layout):
+    """A batch's columns in kernel form: ``(packed, lengths, third,
+    fanout)``, or None where only the scalar lane has the semantics.
+
+    ``third`` is the zero-padded data matrix and ``fanout`` the
+    redundancy for Key-Write; the int64 values and the redundancy
+    clamped to ``layout.rows`` for Key-Increment.
+    """
+    import numpy as np
+
+    from repro.kernels import crc as kcrc
+
+    if batch.primitive is DtaPrimitive.KEY_WRITE:
+        for data in batch.datas:
+            if len(data) > layout.data_bytes:
+                return None  # oversize data: scalar lane raises for it
+        third, _ = kcrc.pack_keys(batch.datas, pad_to=layout.data_bytes)
+        fanout = batch.redundancy
+    else:
+        try:
+            third = np.asarray(batch.values, dtype=np.int64)
+        except (OverflowError, ValueError):
+            return None      # beyond int64: scalar wrap semantics apply
+        fanout = min(batch.redundancy, layout.rows)
+    packed, lengths = kcrc.pack_keys(batch.keys)
+    return packed, lengths, third, fanout
+
+
+def _plan_columns(layout, batch, target):
+    columns = _pack_columns(batch, layout)
+    if columns is None:
+        return None
+    return PLAN_KERNELS[batch.primitive](layout, *columns,
+                                         target.region.length)
 
 
 def plan_keywrite_packed(layout, packed, lengths, packed_data,
@@ -1210,3 +1193,12 @@ def plan_keyincrement_packed(layout, packed, lengths, values, rows: int,
                                  or int(counter_indices.max()) >= slots):
         return None      # same bounds check fetch_add_many applies
     return counter_indices, addends
+
+
+#: Plan kernel and store layout per vector-capable primitive: all a
+#: plan worker needs to turn a :meth:`Translator.plan_request` into
+#: plan arrays.
+PLAN_KERNELS = {DtaPrimitive.KEY_WRITE: plan_keywrite_packed,
+                DtaPrimitive.KEY_INCREMENT: plan_keyincrement_packed}
+PLAN_LAYOUTS = {DtaPrimitive.KEY_WRITE: KeyWriteLayout,
+                DtaPrimitive.KEY_INCREMENT: KeyIncrementLayout}

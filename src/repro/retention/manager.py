@@ -166,12 +166,14 @@ class RetentionManager:
         resident = set(cache.resident())
         stale = sorted(resident & self._cache_resident_prev)
         aged = 0
+        wrs: list = []
         for index, key in stale:
             emission = cache.evict(index, reason="aged")
             if emission is None or emission.key != key:
                 continue
-            translator._emit_chunk(emission, 1)
+            translator._emit_chunk(emission, 1, wrs)
             aged += 1
+        translator._post_burst(wrs)
         self._cache_resident_prev = set(cache.resident())
         return aged
 

@@ -4,12 +4,12 @@
 pipeline of the paper's four dataflow stages, coupled by bounded
 credit queues whose blocking hand-off *is* the backpressure protocol
 (lossless-PFC semantics: pressure propagates, nothing drops).  Two
-parallelism substrates share that contract: thread stage groups over
-in-process :class:`CreditQueue` hand-offs, and plan worker *processes*
-over shared-memory rings (:mod:`repro.runtime.shm`).  See
+parallelism substrates share that contract: a FRONT/BACK thread pair
+over an in-process :class:`CreditQueue` hand-off, and plan worker
+*processes* over shared-memory rings (:mod:`repro.runtime.shm`).  See
 ``docs/CONCURRENCY.md`` for the full determinism-and-concurrency
-contract, ``docs/ARCHITECTURE.md`` ("Streaming runtime",
-"Process-parallel streaming") for the stage diagrams, and
+contract, ``docs/ARCHITECTURE.md`` ("One reference, one fast path")
+for the plan/apply pair and the stage diagram, and
 ``docs/BENCHMARKS.md`` for the soak lane recorded by ``repro run``.
 """
 
@@ -29,8 +29,7 @@ from repro.runtime.queues import (
     QueueStats,
 )
 from repro.runtime.shm import (
-    KeyIncrementPlanSpec,
-    KeyWritePlanSpec,
+    PlanSpec,
     PlanWorkerPool,
     RingPeerDead,
     ShmCreditQueue,
@@ -49,9 +48,8 @@ from repro.runtime.soak import (
 __all__ = [
     "CLOSED",
     "CreditQueue",
-    "KeyIncrementPlanSpec",
-    "KeyWritePlanSpec",
     "PROCESS_CELL_GATE",
+    "PlanSpec",
     "PlanWorkerPool",
     "QueueAborted",
     "QueueClosed",

@@ -4,20 +4,55 @@ DTA's pipeline — reporters encode, the wire carries, the translator
 converts, the collector NIC executes — is a dataflow of independent
 stages, and the paper's whole argument is that it sustains line rate
 because no stage ever waits on the one after it (Section 4, Fig. 6).
-This module gives the reproduction that execution mode: the four
-stages run concurrently over :class:`~repro.core.batch.ReportBatch`
-carriers, coupled by bounded :class:`~repro.runtime.queues.CreditQueue`
-credit queues whose blocking puts *are* the backpressure protocol.
+This module gives the reproduction that execution mode over
+:class:`~repro.core.batch.ReportBatch` carriers, coupled by bounded
+:class:`~repro.runtime.queues.CreditQueue` credit queues whose blocking
+puts *are* the backpressure protocol.
 
-Stage graph (``workers`` controls how many threads serve it)::
+Stage graph — one split, ``FRONT | BACK``, for every executor::
 
-    submit() --[submit]--> encode --> link --[wire]--> translate --[verbs]--> execute
-                 |                                             |
-                 |   workers=0  every stage inline in submit() |
-                 |   workers=1  [encode link translate execute]|
-                 |   workers=2  [encode link] [translate execute]
-                 |   workers=3  [encode link] [translate] [execute]
-                 |   workers>=4 [encode] [link] [translate] [execute]
+    submit() --> encode --> link --[wire]--> translate --> execute
+                 `------ FRONT ------'       `------- BACK -------'
+
+    workers=0            FRONT and BACK inline in submit()
+    executor="thread"    [FRONT thread] --wire--> [BACK thread]
+    executor="process"   FRONT inline in submit(), plan workers hash
+                         and encode in their own processes,
+                         --apply--> [BACK thread]
+
+BACK is always one thread: everything that touches translator, NIC or
+store state runs there, in submit order.  The thread executor has this
+one layout for any ``workers >= 1`` (the fused, three- and four-thread
+layouts of earlier revisions never beat it and were removed with the
+PR 12 lane-ladder numbers in hand; see CHANGES.md).
+
+One plan/apply pair
+-------------------
+The translate stage asks :meth:`Translator.plan_batch
+<repro.core.translator.Translator.plan_batch>` — the single
+vector-eligibility decision every lane shares — for a
+:class:`~repro.core.translator.VectorPlan`; a batch that gets none goes
+through ``Translator.process_batch``'s scalar reference lanes with a
+verb recorder attached in place of the RDMA client.  The execute stage
+lands both the same way: recorded bursts through the real
+``RdmaClient.post_burst``, plans through ``VectorPlan.apply``, which
+re-resolves the burst target and, if it has gone bad mid-stream (NIC
+stall, QP error, revoked MR), posts the equivalent scalar burst so the
+PR 3 fault machinery (bounded retry, QP re-handshake) handles it — a
+fault plan firing mid-stream triggers recovery, never a hang.  The
+engine itself contains no per-primitive code.
+
+Pure-Python stages share the GIL, so the speedup comes from the numpy
+kernels (:mod:`repro.kernels`), which release it.  ``executor="process"``
+moves the heavy half of planning off the GIL altogether: the submit
+thread ships each eligible batch's packed columns
+(``Translator.plan_request``) through a per-worker shared-memory ring
+(:mod:`repro.runtime.shm`), the workers run the same pure plan kernels
+``plan_batch`` would, and the BACK thread hands the returned arrays to
+``plan_batch(arrays=...)`` — in strict submit order.  A worker dying
+mid-stream surfaces as a translate-stage :class:`StageError` (the ring
+waits watch peer liveness), never a hang, and :meth:`StreamEngine.close`
+unlinks every shared segment.
 
 Determinism contract
 --------------------
@@ -36,49 +71,14 @@ execute); and (c) the wall-clock-dependent series — every
 by :func:`pipeline_digest`.  ``workers=0`` composes the same stage
 functions synchronously inside :meth:`StreamEngine.submit`, making it
 bit-identical to the threaded runs — and, on every shared series, to
-today's plain serial ``send_batch`` loop.
+the plain serial ``send_batch`` loop.
 
 The contract extends to readers: the execute stage is the *only* store
 writer, and it applies each burst under :attr:`StreamEngine.store_lock`.
 :meth:`StreamEngine.snapshot` takes the same lock, so every snapshot
 lands exactly on a batch boundary — a reader can never observe a
 partially applied burst, no matter how many reader threads run against
-a live stream.  The serving tier's ``queries.wall_ns`` histogram is
-wall-clock-dependent for the same reason the ``runtime.*`` series are,
-and :func:`pipeline_digest` excludes it alongside them.
-
-Vectorized overlap
-------------------
-Pure-Python stages share the GIL, so threading alone buys nothing; the
-speedup comes from the numpy kernels (:mod:`repro.kernels`), which
-release the GIL.  The translate stage runs the translator's *plan*
-halves (:meth:`~repro.core.translator.Translator.plan_vector_keywrite`
-/ ``plan_vector_keyincrement``) and the execute stage applies them
-(:func:`repro.kernels.burst.write_rows` / ``fetch_add_many``), so the
-two heavy array passes of consecutive batches overlap.  The execute
-stage re-resolves the burst target before applying; if the target has
-gone bad mid-stream (NIC stall, QP error, revoked MR) it rebuilds the
-equivalent scalar burst and posts it through the real
-:class:`~repro.core.transport.RdmaClient`, which is exactly the PR 3
-fault machinery (bounded retry, QP re-handshake) — a fault plan firing
-mid-stream triggers recovery, never a hang.
-
-Process executor
-----------------
-``executor="process"`` re-platforms the heavy half of translate onto
-worker *processes* (no shared GIL at all): the submit thread runs
-encode + link inline, ships each vector-eligible batch's packed
-columns through a per-worker shared-memory request ring
-(:mod:`repro.runtime.shm`), and a parent *apply* thread consumes the
-plan results — in strict submit order — doing the translator
-accounting and the store apply under :attr:`StreamEngine.store_lock`.
-Everything stateful stays in the parent with one writer per stats
-object, so the lane is digest-identical to ``workers=0`` by
-construction; non-eligible batches simply take the parent's scalar
-translate + execute path on the apply thread.  A worker dying
-mid-stream surfaces as a translate-stage :class:`StageError` (the ring
-waits watch peer liveness), never a hang, and :meth:`close` unlinks
-every shared segment.  The thread lane is untouched.
+a live stream.
 """
 
 from __future__ import annotations
@@ -87,23 +87,15 @@ import hashlib
 import threading
 
 from repro import obs
-from repro.core.packets import DtaPrimitive
 from repro.fabric.link import StreamLink
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
+from repro.kernels import HAVE_NUMPY
 from repro.runtime.queues import CLOSED, CreditQueue, QueueAborted
+from repro.runtime.shm import PlanWorkerPool, RingPeerDead
 
 STAGES = ("encode", "link", "translate", "execute")
 
-#: Thread layout per worker count (>= 4 is fully staged).
-_GROUPS = {
-    1: (("encode", "link", "translate", "execute"),),
-    2: (("encode", "link"), ("translate", "execute")),
-    3: (("encode", "link"), ("translate",), ("execute",)),
-    4: (("encode",), ("link",), ("translate",), ("execute",)),
-}
-
-#: Queue feeding each group boundary, named after what flows through it.
-_BOUNDARY_NAMES = {"encode": "encoded", "link": "wire", "translate": "verbs"}
+#: The one stage split (see the module docstring).
+FRONT, BACK = STAGES[:2], STAGES[2:]
 
 #: Sequence number used for end-of-stream finalizer work (epoch
 #: flushes), which belongs to no submitted batch.
@@ -133,14 +125,21 @@ class StageStats(obs.InstrumentedStats):
 
 
 class _Carrier:
-    """One submit's worth of in-flight reports between stages."""
+    """One submit's worth of in-flight reports between stages.
 
-    __slots__ = ("seq", "batch", "raws")
+    ``worker`` is the plan worker the batch's columns were shipped to
+    (process executor), ``arrays`` that worker's plan arrays once the
+    BACK thread has read them.
+    """
+
+    __slots__ = ("seq", "batch", "raws", "worker", "arrays")
 
     def __init__(self, seq, batch=None, raws=None):
         self.seq = seq
         self.batch = batch
         self.raws = raws
+        self.worker = None
+        self.arrays = None
 
     def __len__(self) -> int:
         if self.batch is not None:
@@ -149,7 +148,8 @@ class _Carrier:
 
 
 class _Burst:
-    """Ordered RDMA emission of one carrier, bound for execute."""
+    """Ordered RDMA emission of one carrier, bound for execute: verb
+    lists (recorded scalar bursts) and :class:`VectorPlan` objects."""
 
     __slots__ = ("seq", "ops")
 
@@ -161,9 +161,11 @@ class _Burst:
 class _DeferringClient:
     """Stands in for the RDMA client inside the translate stage.
 
-    Records verbs in emission order; the execute stage replays them
-    against the real client, so accounting and fault behaviour stay the
-    reference implementation's — just one stage later.
+    Records verb bursts in emission order; the execute stage replays
+    them against the real client, so accounting and fault behaviour
+    stay the reference implementation's — just one stage later.  It
+    has no queue pair, so nothing can be planned against it
+    (``kernels.burst.resolve_target`` declines).
     """
 
     __slots__ = ("ops",)
@@ -171,12 +173,9 @@ class _DeferringClient:
     def __init__(self) -> None:
         self.ops: list = []
 
-    def post(self, wr) -> None:
-        self.ops.append(("post", wr))
-
     def post_burst(self, wrs) -> None:
         if wrs:
-            self.ops.append(("burst", list(wrs)))
+            self.ops.append(list(wrs))
 
     def take(self) -> list:
         ops, self.ops = self.ops, []
@@ -193,19 +192,18 @@ class StreamEngine:
             and restores them in :meth:`close`.
         reporter: The reporter whose emissions feed the stream; its
             ``transmit``/``transmit_batch`` hooks are captured.
-        workers: Stage threads (or plan worker processes) — 0 runs
-            every stage inline in :meth:`submit` (the deterministic
-            serial fallback); 1..4 thread the stage groups as drawn in
-            the module docstring (values above 4 clamp to 4: there are
-            only four stages).
+        workers: 0 runs every stage inline in :meth:`submit` (the
+            deterministic serial fallback).  With ``executor="thread"``
+            any value >= 1 runs the one FRONT/BACK thread pair; with
+            ``executor="process"`` it is the number of plan worker
+            processes.
         queue_depth: Credit pool of every inter-stage queue.
-        vectorized: Plan/apply the Key-Write / Key-Increment numpy
-            split lanes (defaults to the translator's own
-            ``vectorized`` flag).  Scalar lanes are unaffected.
-        executor: ``"thread"`` (the PR 5 staged thread groups,
-            unchanged) or ``"process"`` (plan workers as processes over
-            shared-memory rings — see "Process executor" above).
-            Ignored when ``workers=0``.
+        vectorized: Whether the translator may plan Key-Write /
+            Key-Increment batches as array operations while streaming
+            (defaults to the translator's own ``vectorized`` flag).
+        executor: ``"thread"`` or ``"process"`` (plan workers as
+            processes over shared-memory rings); see the module
+            docstring.  Ignored when ``workers=0``.
         retention: Optional
             :class:`~repro.retention.manager.RetentionManager`; its
             ``on_batch`` hook runs in the execute stage under
@@ -236,7 +234,7 @@ class StreamEngine:
         self.collector = collector
         self.translator = translator
         self.reporter = reporter
-        self.workers = min(workers, 4)
+        self.workers = workers
         self.queue_depth = queue_depth
         self.executor = executor
         self.retention = retention
@@ -245,8 +243,6 @@ class StreamEngine:
         self._vectorized = bool(vectorized) and HAVE_NUMPY
         self._defer = _DeferringClient()
         self._real_client = None
-        self._kw_plan = None
-        self._ki_plan = None
         self._captured_batches: list = []
         self._captured_raws: list = []
         #: ``(src, raw)`` control frames (NACK/congestion) the translate
@@ -260,17 +256,13 @@ class StreamEngine:
                            "link": self._link_stage,
                            "translate": self._translate_stage,
                            "execute": self._execute_stage}
-        self._finalizers = {"translate": self._translate_finalize}
         #: Serializes store mutation (execute stage) against snapshot
         #: acquisition; see "Determinism contract" above.
         self.store_lock = threading.Lock()
         self._executed_seq: int | None = None
-        self._groups: tuple = ()
         self._queues: list = []
         self._threads: list = []
         self._pool = None
-        self._apply_queue: CreditQueue | None = None
-        self._apply_thread: threading.Thread | None = None
         self._rr = 0
         self._seq = 0
         self._error: StageError | None = None
@@ -300,29 +292,29 @@ class StreamEngine:
             "vectorized": translator.vectorized,
         }
         self._real_client = translator.client
-        self._resolve_vector_targets()
         reporter.transmit = self._captured_raws.append
         reporter.transmit_batch = self._captured_batches.append
         translator.client = self._defer
-        # The engine owns vectorization: the translator's own lanes run
-        # scalar (their output is deferred verbatim), while eligible
-        # batches take the engine's plan/apply split below.
-        translator.vectorized = False
+        translator.vectorized = self._vectorized
         translator.control_sink = self._sink_control
-        if self.workers > 0 and self.executor == "process":
-            self._start_process_lane()
-        elif self.workers > 0:
-            self._groups = _GROUPS[self.workers]
-            self._queues = [CreditQueue(self.queue_depth,
-                                        name=f"{self.name}.submit")]
-            for group in self._groups[:-1]:
-                boundary = _BOUNDARY_NAMES[group[-1]]
-                self._queues.append(CreditQueue(
-                    self.queue_depth, name=f"{self.name}.{boundary}"))
-            for index, group in enumerate(self._groups):
+        if self.workers > 0:
+            process = self.executor == "process"
+            if process and self._vectorized:
+                # Forked before any engine thread exists.
+                self._pool = PlanWorkerPool(
+                    self.workers, depth=min(self.queue_depth, 16),
+                    name=self.name)
+            self._queues = [
+                CreditQueue(self.queue_depth, name=f"{self.name}.{label}")
+                for label in (("apply",) if process
+                              else ("submit", "wire"))]
+            loops = [(BACK, self._run_back)]
+            if not process:
+                loops.insert(0, (FRONT, self._run_front))
+            for stages, target in loops:
                 thread = threading.Thread(
-                    target=self._run_group, args=(index,),
-                    name=f"{self.name}-{'+'.join(group)}", daemon=True)
+                    target=target, daemon=True,
+                    name=f"{self.name}-{'+'.join(stages)}")
                 self._threads.append(thread)
                 thread.start()
         self._started = True
@@ -346,47 +338,80 @@ class StreamEngine:
         seq = self._seq
         self._seq += 1
         carrier = _Carrier(seq, batch=batch)
-        if self.workers == 0:
-            self._run_inline(carrier)
-        elif self.executor == "process":
-            self._submit_process(carrier)
-        else:
+        items = [carrier]
+        if self.workers == 0 or self.executor == "process":
+            # Inline: every stage runs here.  Process executor: FRONT
+            # does (its stats keep a single writer); the thread
+            # executor's FRONT thread takes the carrier as submitted.
             try:
-                self._queues[0].put(carrier)
-            except QueueAborted as aborted:
-                error = self._error
-                if error is None:
-                    error = StageError("submit", seq, aborted)
-                raise error from error.__cause__
+                items = self._run_stages(
+                    STAGES if self.workers == 0 else FRONT, 0, items)
+            except BaseException as exc:
+                self._fail(getattr(exc, "_repro_stage", "encode"), seq, exc)
+                raise self._error from exc
+        try:
+            for item in items:
+                self._ship(item)
+                # Queue order IS submit order — shipped or not, every
+                # carrier reaches the BACK thread through this queue.
+                self._queues[0].put(item)
+        except QueueAborted as aborted:
+            error = self._error
+            if error is None:
+                error = StageError("submit", seq, aborted)
+            raise error from error.__cause__
+        except RingPeerDead as dead:
+            self._fail("translate", seq, dead)
+            raise self._error from dead
         return seq
+
+    def _ship(self, carrier: _Carrier) -> None:
+        """Process executor: send a batch's plan request to a worker.
+
+        Round-robin over the plan workers; ``carrier.worker`` tells the
+        BACK thread whose result ring to read.  A batch
+        ``plan_request`` declines, or whose columns do not fit a ring
+        slot, is simply not shipped — ``plan_batch`` still sees it.
+        """
+        pool = self._pool
+        if pool is None or carrier.batch is None:
+            return
+        request = self.translator.plan_request(carrier.batch,
+                                               self._real_client)
+        index = self._rr % pool.workers
+        if request is not None \
+                and pool.dispatch(index, carrier.seq, request):
+            carrier.worker = index
+            self._rr += 1
 
     def drain(self) -> None:
         """End the stream: flush, wait for every stage, surface errors.
 
-        Closes the submit queue, joins the stage threads (each group
-        runs its finalizers — the translator's end-of-epoch Append
-        flush — before closing its output), then delivers any pending
-        control frames to the deployment's original ``control_sink``.
-        Raises the first :class:`StageError` if a stage died; the
-        pipeline is fully unwound either way.  Idempotent.
+        Closes the submit queue and joins the stage threads (the BACK
+        thread runs the end-of-stream finalizer — the translator's
+        end-of-epoch Append flush — before it exits), then delivers any
+        pending control frames to the deployment's original
+        ``control_sink``.  Raises the first :class:`StageError` if a
+        stage died; the pipeline is fully unwound either way.
+        Idempotent.
         """
         if not self._started:
             raise RuntimeError("engine not started")
         if self.workers == 0:
             if not self._drained:
                 self._drained = True
-                self._finalize_inline()
-        elif self.executor == "process":
-            self._drained = True
-            self._apply_queue.close()
-            self._apply_thread.join()
-            if self._pool is not None:
-                self._pool.finish()
+                try:
+                    self._finalize()
+                except BaseException as exc:
+                    self._fail(getattr(exc, "_repro_stage", "translate"),
+                               FLUSH_SEQ, exc)
         else:
             self._drained = True
             self._queues[0].close()
             for thread in self._threads:
                 thread.join()
+            if self._pool is not None:
+                self._pool.finish()
         if self._error is not None:
             raise self._error
         self._deliver_controls()
@@ -408,8 +433,6 @@ class StreamEngine:
             self._pool.abort()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._apply_thread is not None:
-            self._apply_thread.join(timeout=5.0)
         if self._pool is not None:
             self._pool.shutdown()
         if self._saved is not None:
@@ -466,11 +489,18 @@ class StreamEngine:
         return carrier
 
     def _translate_stage(self, carrier: _Carrier):
-        """Report -> verb conversion; RDMA emission is deferred."""
+        """Report -> plan or verbs; RDMA emission is deferred.
+
+        ``plan_batch`` decides against the *real* client; a batch it
+        declines runs the translator's scalar lanes into the recorder.
+        """
         translator = self.translator
         if carrier.batch is not None:
-            ops = self._vector_translate(carrier.batch)
-            if ops is None:
+            plan = translator.plan_batch(carrier.batch, self._real_client,
+                                         arrays=carrier.arrays)
+            if plan is not None:
+                ops = [plan]
+            else:
                 translator.process_batch(carrier.batch)
                 ops = self._defer.take()
         else:
@@ -493,7 +523,7 @@ class StreamEngine:
         return [_Burst(FLUSH_SEQ, ops)]
 
     def _execute_stage(self, burst: _Burst) -> None:
-        """Replay the deferred verbs against the real RDMA client.
+        """Land the burst through the real RDMA client.
 
         The whole burst applies under :attr:`store_lock`: this stage is
         the only store writer, so holding the lock per burst makes
@@ -510,332 +540,21 @@ class StreamEngine:
             if self.retention is not None and burst.seq != FLUSH_SEQ:
                 self.retention.on_batch(burst.seq)
             for op in burst.ops:
-                kind = op[0]
-                if kind == "post":
-                    client.post(op[1])
-                elif kind == "burst":
-                    client.post_burst(op[1])
-                elif kind == "write_rows":
-                    self._apply_write_rows(client, op)
+                if isinstance(op, list):
+                    client.post_burst(op)
                 else:
-                    self._apply_fetch_add(client, op)
+                    op.apply(client)
             if burst.seq != FLUSH_SEQ:
                 self._executed_seq = burst.seq
         return None
 
     # ------------------------------------------------------------------
-    # Vector plan/apply split
-    # ------------------------------------------------------------------
-
-    def _resolve_vector_targets(self) -> None:
-        """Validate the static halves of vector eligibility once.
-
-        Burst targets in direct mode are fixed at deployment time, so
-        the (thread-sensitive) resolution runs once here instead of
-        per batch inside the translate stage; the execute stage still
-        re-resolves before *applying*, because the dynamic conditions
-        (stall, QP state) can change mid-stream.
-        """
-        self._kw_plan = None
-        self._ki_plan = None
-        if (not self._vectorized or self.translator._meter is not None
-                or getattr(self.translator, "tenants", None) is not None):
-            return
-        from repro.kernels import burst as kburst
-
-        client = self._real_client
-        kw = self.translator._kw
-        if kw is not None:
-            target = kburst.resolve_target(client, kw.rkey)
-            if (target is not None
-                    and kw.layout.base_addr == target.region.addr
-                    and kw.layout.region_bytes <= target.region.length):
-                self._kw_plan = (target, kw.rkey, kw.layout.base_addr,
-                                 kw.layout.slot_bytes)
-        ki = self.translator._ki
-        if ki is not None:
-            target = kburst.resolve_target(client, ki.rkey, atomic=True)
-            if (target is not None
-                    and ki.layout.base_addr == target.region.addr
-                    and ki.layout.region_bytes <= target.region.length):
-                self._ki_plan = (target, ki.rkey, ki.layout.base_addr)
-
-    def _plan_kind(self, batch):
-        """The vector plan a batch is eligible for, or None.
-
-        The shared eligibility predicate of the thread lane's
-        :meth:`_vector_translate` and the process lane's dispatch —
-        one decision procedure, so the two executors route every batch
-        the same way.
-        """
-        if batch.essential or batch.immediate or self.translator.crashed:
-            return None
-        if len(batch) < MIN_VECTOR_BATCH:
-            return None
-        primitive = batch.primitive
-        if primitive is DtaPrimitive.KEY_WRITE and self._kw_plan is not None:
-            return DtaPrimitive.KEY_WRITE
-        if primitive is DtaPrimitive.KEY_INCREMENT \
-                and self._ki_plan is not None:
-            return DtaPrimitive.KEY_INCREMENT
-        return None
-
-    def _vector_translate(self, batch):
-        """Plan an eligible batch as one array op; None -> scalar lane."""
-        primitive = self._plan_kind(batch)
-        if primitive is DtaPrimitive.KEY_WRITE:
-            target, rkey, base, slot_bytes = self._kw_plan
-            plan = self.translator.plan_vector_keywrite(batch, target)
-            if plan is None:
-                return None
-            row_indices, rows = plan
-            self.translator.account_vector_keywrite(len(batch.keys),
-                                                    len(row_indices))
-            return [("write_rows", rkey, base, slot_bytes,
-                     row_indices, rows)]
-        if primitive is DtaPrimitive.KEY_INCREMENT:
-            target, rkey, base = self._ki_plan
-            plan = self.translator.plan_vector_keyincrement(batch, target)
-            if plan is None:
-                return None
-            counter_indices, addends = plan
-            self.translator.account_vector_keyincrement(
-                len(batch.keys), len(counter_indices))
-            return [("fetch_add", rkey, base, counter_indices, addends)]
-        return None
-
-    def _apply_write_rows(self, client, op) -> None:
-        """Apply a Key-Write plan; scalar fallback if the target died."""
-        from repro.kernels import burst as kburst
-        from repro.rdma.verbs import Opcode, WorkRequest
-
-        _, rkey, base, slot_bytes, row_indices, rows = op
-        target = kburst.resolve_target(client, rkey)
-        if target is not None \
-                and kburst.write_rows(target, client, row_indices,
-                                      rows) is not None:
-            return
-        # Dynamic conditions changed since planning (NIC stall, QP
-        # error, revoked MR): rebuild the equivalent scalar burst so
-        # the reference fault machinery handles it.
-        client.post_burst([
-            WorkRequest(opcode=Opcode.WRITE,
-                        remote_addr=base + int(idx) * slot_bytes,
-                        rkey=rkey, data=rows[j].tobytes())
-            for j, idx in enumerate(row_indices)])
-
-    def _apply_fetch_add(self, client, op) -> None:
-        """Apply a Key-Increment plan; scalar fallback likewise."""
-        from repro.kernels import burst as kburst
-        from repro.rdma.verbs import Opcode, WorkRequest
-
-        _, rkey, base, counter_indices, addends = op
-        target = kburst.resolve_target(client, rkey, atomic=True)
-        if target is not None \
-                and kburst.fetch_add_many(target, client, counter_indices,
-                                          addends) is not None:
-            return
-        client.post_burst([
-            WorkRequest(opcode=Opcode.FETCH_ADD,
-                        remote_addr=base + int(idx) * 8,
-                        rkey=rkey, swap=int(addend))
-            for idx, addend in zip(counter_indices, addends)])
-
-    # ------------------------------------------------------------------
-    # Process lane (executor="process")
-    # ------------------------------------------------------------------
-
-    def _start_process_lane(self) -> None:
-        """Launch the plan worker pool and the parent apply thread.
-
-        The pool exists only when at least one vector plan target
-        resolved — a scalar deployment under ``executor="process"``
-        degenerates to a two-thread submit/apply split with no worker
-        processes, which is still digest-identical (the apply thread
-        runs the reference translate + execute stages).
-        """
-        from repro.runtime import shm as rshm
-
-        kw_spec = ki_spec = None
-        if self._kw_plan is not None:
-            target = self._kw_plan[0]
-            layout = self.translator._kw.layout
-            kw_spec = rshm.KeyWritePlanSpec(
-                layout.base_addr, layout.slots, layout.data_bytes,
-                target.region.length)
-        if self._ki_plan is not None:
-            target = self._ki_plan[0]
-            layout = self.translator._ki.layout
-            ki_spec = rshm.KeyIncrementPlanSpec(
-                layout.base_addr, layout.slots_per_row, layout.rows,
-                target.region.length)
-        if kw_spec is not None or ki_spec is not None:
-            self._pool = rshm.PlanWorkerPool(
-                self.workers, kw_spec=kw_spec, ki_spec=ki_spec,
-                depth=min(self.queue_depth, 16), name=self.name)
-        self._apply_queue = CreditQueue(self.queue_depth,
-                                        name=f"{self.name}.apply")
-        self._queues = [self._apply_queue]
-        self._apply_thread = threading.Thread(
-            target=self._run_apply, name=f"{self.name}-apply", daemon=True)
-        self._apply_thread.start()
-
-    def _submit_process(self, carrier: _Carrier) -> None:
-        """Encode + link inline, then dispatch plans / enqueue tokens.
-
-        Runs the same two front stages the thread lane's first group
-        runs, in the submitting thread (their stats keep a single
-        writer).  Vector-eligible batches go round-robin to the plan
-        workers; everything else becomes a ``local`` token the apply
-        thread pushes through the reference translate + execute path.
-        Token order on the apply queue IS submit order — that is the
-        whole ordering argument.
-        """
-        from repro.runtime.shm import RingPeerDead
-
-        try:
-            items = self._run_stages(("encode", "link"), 0, [carrier])
-        except BaseException as exc:
-            stage = getattr(exc, "_repro_stage", "encode")
-            self._fail(stage, carrier.seq, exc)
-            raise self._error from exc
-        for item in items:
-            token = None
-            batch = item.batch
-            if batch is not None and self._pool is not None:
-                kind = self._plan_kind(batch)
-                if kind is not None:
-                    index = self._rr % self._pool.workers
-                    try:
-                        if kind is DtaPrimitive.KEY_WRITE:
-                            shipped = self._pool.dispatch_keywrite(
-                                index, item.seq, batch)
-                        else:
-                            shipped = self._pool.dispatch_keyincrement(
-                                index, item.seq, batch)
-                    except QueueAborted as aborted:
-                        error = self._error
-                        if error is None:
-                            error = StageError("submit", item.seq, aborted)
-                        raise error from error.__cause__
-                    except RingPeerDead as dead:
-                        self._fail("translate", item.seq, dead)
-                        raise self._error from dead
-                    if shipped:
-                        self._rr += 1
-                        token = ("plan", kind, index, item)
-            if token is None:
-                token = ("local", None, None, item)
-            try:
-                self._apply_queue.put(token)
-            except QueueAborted as aborted:
-                error = self._error
-                if error is None:
-                    error = StageError("submit", item.seq, aborted)
-                raise error from error.__cause__
-
-    def _run_apply(self) -> None:
-        """The parent apply thread: all stateful work, in token order."""
-        seq = FLUSH_SEQ
-        stages = ("translate", "execute")
-        try:
-            while True:
-                token = self._apply_queue.get()
-                if token is CLOSED:
-                    break
-                kind, primitive, index, item = token
-                seq = item.seq
-                if kind == "local":
-                    self._run_stages(stages, 0, [item])
-                    continue
-                message = self._pool.result(index)
-                try:
-                    self._apply_plan(primitive, message, item)
-                finally:
-                    message.release()
-            # Input ended: end-of-stream finalizers, exactly as the
-            # thread lane's translate+execute group runs them.
-            seq = FLUSH_SEQ
-            for offset, name in enumerate(stages):
-                finalize = self._finalizers.get(name)
-                if finalize is None:
-                    continue
-                items = self._run_stages(stages, offset + 1, finalize())
-                assert not items
-        except QueueAborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - must reach caller
-            stage = getattr(exc, "_repro_stage", "translate")
-            self._fail(stage, seq, exc)
-
-    def _apply_plan(self, primitive, message, item: _Carrier) -> None:
-        """Account + apply one worker-planned batch (or its fallback).
-
-        The worker computed only the pure arrays; this thread charges
-        the translator counters (same calls, same order as the thread
-        lane) and applies the burst under :attr:`store_lock`.  The plan
-        arrays are zero-copy views over the worker's result slot —
-        valid until the caller releases the message.
-        """
-        from repro.runtime import shm as rshm
-
-        if message.kind == rshm.RES_ERROR:
-            exc = RuntimeError("plan worker failed: "
-                               + bytes(message.segments[1]).decode(
-                                   "utf-8", errors="replace"))
-            exc._repro_stage = "translate"
-            raise exc
-        if message.kind == rshm.RES_FALLBACK:
-            # Plan-ineligible after all (bounds, odd region): the
-            # reference scalar lane, exactly as the thread lane does.
-            self._run_stages(("translate", "execute"), 0, [item])
-            return
-        try:
-            meta = message.segments[0].view("<i8")
-            if int(meta[0]) != item.seq:
-                raise RuntimeError(
-                    f"result for batch {int(meta[0])} arrived at "
-                    f"batch {item.seq}: ring order violated")
-            batch = item.batch
-            stats = self._stage_stats["translate"]
-            stats.carriers += 1
-            stats.reports += len(item)
-            if message.kind == rshm.RES_KEYWRITE:
-                count, row_bytes = int(meta[2]), int(meta[3])
-                _target, rkey, base, slot_bytes = self._kw_plan
-                row_indices = message.segments[1].view("<i8")
-                rows = message.segments[2].reshape(count, row_bytes)
-                self.translator.account_vector_keywrite(
-                    len(batch.keys), count)
-                op = ("write_rows", rkey, base, slot_bytes,
-                      row_indices, rows)
-            else:
-                count = int(meta[2])
-                _target, rkey, base = self._ki_plan
-                counter_indices = message.segments[1].view("<i8")
-                addends = message.segments[2].view("<i8")
-                self.translator.account_vector_keyincrement(
-                    len(batch.keys), count)
-                op = ("fetch_add", rkey, base, counter_indices, addends)
-        except BaseException as exc:
-            exc._repro_stage = "translate"
-            raise
-        try:
-            self._execute_stage(_Burst(item.seq, [op]))
-        except BaseException as exc:
-            exc._repro_stage = "execute"
-            raise
-
-    # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
 
-    def _run_group(self, index: int) -> None:
-        stages = self._groups[index]
-        inq = self._queues[index]
-        outq = (self._queues[index + 1]
-                if index + 1 < len(self._queues) else None)
-        stage_name = stages[0]
+    def _run_front(self) -> None:
+        """Thread executor: submit queue -> FRONT stages -> wire queue."""
+        inq, outq = self._queues
         seq = FLUSH_SEQ
         try:
             while True:
@@ -843,29 +562,50 @@ class StreamEngine:
                 if item is CLOSED:
                     break
                 seq = item.seq
-                items = self._run_stages(stages, 0, [item])
-                if outq is not None:
-                    for it in items:
-                        outq.put(it)
-            # Input ended: run finalizers in stage order, feeding each
-            # one's output through the *later* stages of this group.
-            seq = FLUSH_SEQ
-            for offset, name in enumerate(stages):
-                finalize = self._finalizers.get(name)
-                if finalize is None:
-                    continue
-                stage_name = name
-                items = self._run_stages(stages, offset + 1, finalize())
-                if outq is not None:
-                    for it in items:
-                        outq.put(it)
-            if outq is not None:
-                outq.close()
+                for out in self._run_stages(FRONT, 0, [item]):
+                    outq.put(out)
+            outq.close()
         except QueueAborted:
             pass
         except BaseException as exc:  # noqa: BLE001 - must reach caller
-            stage_name = getattr(exc, "_repro_stage", stage_name)
-            self._fail(stage_name, seq, exc)
+            self._fail(getattr(exc, "_repro_stage", "encode"), seq, exc)
+
+    def _run_back(self) -> None:
+        """The BACK thread: all stateful work, in queue order."""
+        inq = self._queues[-1]
+        seq = FLUSH_SEQ
+        try:
+            while True:
+                item = inq.get()
+                if item is CLOSED:
+                    break
+                seq = item.seq
+                if item.worker is None:
+                    self._run_stages(BACK, 0, [item])
+                    continue
+                message = self._pool.result(item.worker)
+                try:
+                    item.arrays = self._pool.arrays(message, item.seq)
+                    self._run_stages(BACK, 0, [item])
+                finally:
+                    # The arrays are views over the result slot.
+                    item.arrays = None
+                    message.release()
+            seq = FLUSH_SEQ
+            self._finalize()
+        except QueueAborted:
+            pass
+        except BaseException as exc:  # noqa: BLE001 - must reach caller
+            self._fail(getattr(exc, "_repro_stage", "translate"), seq, exc)
+
+    def _finalize(self) -> None:
+        """Input ended: the translate finalizer, then execute."""
+        try:
+            bursts = self._translate_finalize()
+        except BaseException as exc:
+            exc._repro_stage = "translate"
+            raise
+        self._run_stages(BACK, 1, bursts)
 
     def _run_stages(self, stages, start: int, items: list) -> list:
         """Push ``items`` through ``stages[start:]`` synchronously."""
@@ -890,33 +630,6 @@ class StreamEngine:
                     next_items.append(out)
             items = next_items
         return items
-
-    def _run_inline(self, carrier: _Carrier) -> None:
-        """The ``workers=0`` fallback: all four stages, synchronously."""
-        try:
-            items = self._run_stages(STAGES, 0, [carrier])
-            assert not items
-        except BaseException as exc:
-            stage = getattr(exc, "_repro_stage", "encode")
-            error = StageError(stage, carrier.seq, exc)
-            error.__cause__ = exc
-            self._error = error
-            raise error from exc
-
-    def _finalize_inline(self) -> None:
-        try:
-            for offset, name in enumerate(STAGES):
-                finalize = self._finalizers.get(name)
-                if finalize is None:
-                    continue
-                items = self._run_stages(STAGES, offset + 1, finalize())
-                assert not items
-        except BaseException as exc:
-            stage = getattr(exc, "_repro_stage", "translate")
-            error = StageError(stage, FLUSH_SEQ, exc)
-            error.__cause__ = exc
-            self._error = error
-            raise error from exc
 
     def _fail(self, stage: str, seq: int, exc: BaseException) -> None:
         with self._error_lock:

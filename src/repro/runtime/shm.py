@@ -7,8 +7,8 @@ substrate for the ``executor="process"`` lane: fixed-slot
 struct-of-arrays ring buffers over :mod:`multiprocessing.shared_memory`
 (the Confluo/BTrDB ingest idiom — see PAPERS.md) and a pool of *plan
 worker* processes that run the translator's pure plan kernels
-(:func:`repro.core.translator.plan_keywrite_packed` /
-``plan_keyincrement_packed``) outside the parent interpreter.
+(:data:`repro.core.translator.PLAN_KERNELS`) outside the parent
+interpreter.
 
 Two pieces:
 
@@ -34,14 +34,14 @@ Two pieces:
 
 :class:`PlanWorkerPool`
     N worker processes, one request + one result ring each.  The
-    parent serializes a vector-eligible batch's columns (packed key
-    matrix, lengths, values/data matrix) into a request slot; the
-    worker computes the pure plan half — CRC hash lanes, entry
-    encoding, bounds checks, exactly the functions the thread lane
-    calls — and publishes ``(row_indices, rows)`` /
-    ``(counter_indices, addends)`` into its result ring, or a
-    ``FALLBACK`` marker when the plan is ineligible (the parent then
-    routes the batch through the scalar reference lane).  All
+    parent serializes a ``Translator.plan_request`` (a
+    :class:`PlanSpec` plus the packed key matrix, lengths and
+    values/data matrix) into a request slot; the worker computes the
+    pure plan half — CRC hash lanes, entry encoding, bounds checks,
+    exactly the kernel ``Translator.plan_batch`` calls — and publishes
+    ``(indices, payload)`` into its result ring, or a ``FALLBACK``
+    marker when there is no plan to return (the parent's
+    ``plan_batch`` then decides locally).  All
     *stateful* work — reporter/link/translator accounting, store
     mutation — stays in the parent, applied in submit order, which is
     what makes the process lane digest-identical to ``workers=0`` by
@@ -64,12 +64,14 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import astuple
+from typing import NamedTuple
 
 import multiprocessing
 from multiprocessing import shared_memory
 
 from repro import obs
+from repro.core.packets import DtaPrimitive
 from repro.runtime.queues import (
     CLOSED,
     QueueAborted,
@@ -88,9 +90,15 @@ except ImportError:          # pragma: no cover - process lane needs numpy
 #: bounds how late it notices close/abort/peer-death.
 _SPIN_S = 0.05
 
-# Control block (one per ring, at segment offset 0).
-_CTRL = struct.Struct("<5Q")           # enqueued, dequeued, closed,
-_CTRL_BYTES = 64                       # aborted, high_watermark (+pad)
+# Control block (one per ring, at segment offset 0): five uint64 words
+# — enqueued, dequeued, closed, aborted, high_watermark — padded to a
+# cache line.  Both ends read them without a lock (``len()`` right
+# after a semaphore wake-up, the depth gauges), so each word is only
+# ever published with one aligned 8-byte store through a numpy view;
+# ``struct.pack_into`` writes byte-wise and lets a reader see a
+# half-written counter.
+_ENQ, _DEQ, _CLOSED, _ABORTED, _HWM = range(5)
+_CTRL_BYTES = 64
 
 #: Most segments a message may carry.
 MAX_SEGMENTS = 6
@@ -218,6 +226,7 @@ class ShmCreditQueue:
             self._filled = filled
             self.stats = None
         self._mem = np.frombuffer(self._shm.buf, dtype=np.uint8)
+        self._ctrl = np.frombuffer(self._shm.buf, dtype=np.uint64, count=5)
         self._unlinked = False
 
     # ------------------------------------------------------------------
@@ -237,36 +246,25 @@ class ShmCreditQueue:
         return cls(capacity, payload_bytes, name, _attach=handles)
 
     # ------------------------------------------------------------------
-    # Control-block accessors (plain loads/stores; the semaphore ops
-    # around every hand-off are the cross-process memory fences)
+    # Control-block accessors (the semaphore ops around every hand-off
+    # are the cross-process memory fences)
     # ------------------------------------------------------------------
-
-    def _ctrl(self) -> tuple:
-        if self._mem is None:
-            # Detached: the last snapshot keeps depth/high-watermark
-            # introspection working after the segment is gone.
-            return self._final_ctrl
-        return _CTRL.unpack_from(self._shm.buf, 0)
-
-    def _set_ctrl(self, index: int, value: int) -> None:
-        struct.pack_into("<Q", self._shm.buf, index * 8, value)
 
     @property
     def closed(self) -> bool:
-        return self._ctrl()[2] != 0
+        return bool(self._ctrl[_CLOSED])
 
     @property
     def aborted(self) -> bool:
-        return self._ctrl()[3] != 0
+        return bool(self._ctrl[_ABORTED])
 
     @property
     def high_watermark(self) -> int:
         """Deepest occupancy seen so far."""
-        return self._ctrl()[4]
+        return int(self._ctrl[_HWM])
 
     def __len__(self) -> int:
-        enq, deq = self._ctrl()[:2]
-        return enq - deq
+        return int(self._ctrl[_ENQ]) - int(self._ctrl[_DEQ])
 
     # ------------------------------------------------------------------
 
@@ -298,7 +296,7 @@ class ShmCreditQueue:
             raise QueueAborted(self.name)
         if self.closed:
             raise QueueClosed(self.name)
-        enq, deq = self._ctrl()[:2]
+        enq, deq = int(self._ctrl[_ENQ]), int(self._ctrl[_DEQ])
         base = _CTRL_BYTES + (enq % self.capacity) * self._slot_stride
         # Seqlock-style publish: odd while writing, even when visible.
         struct.pack_into("<Q", self._shm.buf, base, 2 * enq + 1)
@@ -313,10 +311,10 @@ class ShmCreditQueue:
         lens += [0] * (MAX_SEGMENTS - len(lens))
         _SLOT_HDR.pack_into(self._shm.buf, base, 2 * enq + 2, kind,
                             len(raws), *lens)
-        self._set_ctrl(0, enq + 1)
+        self._ctrl[_ENQ] = enq + 1
         depth = enq + 1 - deq
         if depth > self.high_watermark:
-            self._set_ctrl(4, depth)
+            self._ctrl[_HWM] = depth
         if self.stats is not None:
             self.stats.enqueued += 1
         self._filled.release()
@@ -337,7 +335,7 @@ class ShmCreditQueue:
         if len(self) == 0:
             # Woken by close()'s over-release: the stream has ended.
             return CLOSED
-        enq, deq = self._ctrl()[:2]
+        deq = int(self._ctrl[_DEQ])
         base = _CTRL_BYTES + (deq % self.capacity) * self._slot_stride
         header = _SLOT_HDR.unpack_from(self._shm.buf, base)
         if header[0] != 2 * deq + 2:
@@ -351,7 +349,7 @@ class ShmCreditQueue:
             n = header[3 + i]
             segments.append(self._mem[offset:offset + n])
             offset += _align8(n)
-        self._set_ctrl(1, deq + 1)
+        self._ctrl[_DEQ] = deq + 1
         if self.stats is not None:
             self.stats.dequeued += 1
         return ShmMessage(kind, deq, segments, self)
@@ -408,7 +406,7 @@ class ShmCreditQueue:
         Idempotent.  Over-releases both semaphores so every blocked
         peer wakes and re-checks the shared flag.
         """
-        self._set_ctrl(2, 1)
+        self._ctrl[_CLOSED] = 1
         self._wake()
 
     def abort(self) -> None:
@@ -416,7 +414,7 @@ class ShmCreditQueue:
 
         Idempotent; pending slots are abandoned.
         """
-        self._set_ctrl(3, 1)
+        self._ctrl[_ABORTED] = 1
         self._wake()
 
     def _wake(self) -> None:
@@ -428,7 +426,9 @@ class ShmCreditQueue:
         """Drop this process's mapping (leaves the segment alive)."""
         if self._mem is None:
             return
-        self._final_ctrl = _CTRL.unpack_from(self._shm.buf, 0)
+        # A private copy keeps depth/high-watermark introspection
+        # working after the segment is gone.
+        self._ctrl = self._ctrl.copy()
         self._mem = None
         try:
             self._shm.close()
@@ -450,117 +450,81 @@ class ShmCreditQueue:
 # Plan worker pool
 # ----------------------------------------------------------------------
 
-#: Request/response message kinds.
-REQ_KEYWRITE = 1
-REQ_KEYINCREMENT = 2
-RES_KEYWRITE = 3
-RES_KEYINCREMENT = 4
-RES_FALLBACK = 5
-RES_ERROR = 6
+#: Message kinds: one request, one result, plus the two ways a worker
+#: says "no arrays" (nothing to plan / it failed).
+REQ_PLAN = 1
+RES_PLAN = 2
+RES_FALLBACK = 3
+RES_ERROR = 4
 
 _STATS_FIELDS = ("planned", "fallbacks", "errors", "busy_ns")
 
 
-@dataclass(frozen=True)
-class KeyWritePlanSpec:
-    """Static Key-Write plan parameters shipped to the workers."""
+class PlanSpec(NamedTuple):
+    """The static half of a plan request, as it rides in the request
+    header: which kernel, the store layout's three integers, and the
+    region length to bounds-check against."""
 
-    base_addr: int
-    slots: int
-    data_bytes: int
+    kind: int
+    layout: tuple
     region_length: int
 
 
-@dataclass(frozen=True)
-class KeyIncrementPlanSpec:
-    """Static Key-Increment plan parameters shipped to the workers."""
-
-    base_addr: int
-    slots_per_row: int
-    rows: int
-    region_length: int
-
-
-def _plan_request(msg: ShmMessage, kw_spec, ki_spec,
-                  kw_layout, ki_layout) -> tuple:
+def _plan_request(msg: ShmMessage, layouts: dict) -> tuple:
     """Compute one request's plan; returns ``(kind, segments)``.
 
     Isolated in its own frame so every zero-copy view over the request
     slot dies when it returns — the caller can then release the slot
     and, at stream end, detach the mapping without exported pointers.
     """
-    from repro.core.translator import (
-        plan_keyincrement_packed,
-        plan_keywrite_packed,
-    )
+    from repro.core.translator import PLAN_KERNELS, PLAN_LAYOUTS
 
     meta = msg.segments[0].view("<i8")
-    seq, n, maxlen, fanout = (int(meta[0]), int(meta[1]),
-                              int(meta[2]), int(meta[3]))
+    seq, n, fanout = int(meta[0]), int(meta[1]), int(meta[2])
+    head = np.asarray([seq, meta[3]], dtype="<i8")
     try:
-        if msg.kind == REQ_KEYWRITE:
-            packed = msg.segments[1].reshape(n, maxlen)
-            lengths = msg.segments[2].view("<i8")
-            data_packed = msg.segments[3].reshape(n, kw_spec.data_bytes)
-            plan = plan_keywrite_packed(
-                kw_layout, packed, lengths, data_packed, fanout,
-                kw_spec.region_length)
-            if plan is None:
-                return (RES_FALLBACK, [np.asarray([seq], dtype="<i8")])
-            row_indices, rows = plan
-            head = np.asarray(
-                [seq, n, len(row_indices), rows.shape[1]], dtype="<i8")
-            return (RES_KEYWRITE,
-                    [head, row_indices.astype("<i8", copy=False),
-                     np.ascontiguousarray(rows)])
-        if msg.kind == REQ_KEYINCREMENT:
-            packed = msg.segments[1].reshape(n, maxlen)
-            lengths = msg.segments[2].view("<i8")
-            values = msg.segments[3].view("<i8")
-            plan = plan_keyincrement_packed(
-                ki_layout, packed, lengths, values, fanout,
-                ki_spec.region_length)
-            if plan is None:
-                return (RES_FALLBACK, [np.asarray([seq], dtype="<i8")])
-            counter_indices, addends = plan
-            head = np.asarray(
-                [seq, n, len(counter_indices)], dtype="<i8")
-            return (RES_KEYINCREMENT,
-                    [head, counter_indices.astype("<i8", copy=False),
-                     np.ascontiguousarray(addends.astype("<i8",
-                                                         copy=False))])
-        raise ValueError(f"unknown request kind {msg.kind}")
+        spec = PlanSpec(DtaPrimitive(int(meta[3])),
+                        tuple(int(v) for v in meta[4:7]), int(meta[7]))
+        layout = layouts.get(spec[:2])
+        if layout is None:
+            layout = layouts[spec[:2]] = PLAN_LAYOUTS[spec.kind](*spec.layout)
+        packed = msg.segments[1].reshape(n, -1)
+        lengths = msg.segments[2].view("<i8")
+        if spec.kind is DtaPrimitive.KEY_WRITE:
+            third = msg.segments[3].reshape(n, -1)
+        else:
+            third = msg.segments[3].view("<i8")
+        plan = PLAN_KERNELS[spec.kind](layout, packed, lengths, third,
+                                       fanout, spec.region_length)
+        if plan is None:
+            return (RES_FALLBACK, [head])
+        indices, payload = plan
+        return (RES_PLAN, [head, indices.astype("<i8", copy=False),
+                           np.ascontiguousarray(payload)])
     except Exception as exc:  # noqa: BLE001 - forwarded upstream
-        return (RES_ERROR, [np.asarray([seq], dtype="<i8"),
-                            repr(exc).encode()])
+        return (RES_ERROR, [head, repr(exc).encode()])
 
 
 def _plan_worker_main(index: int, req_desc: tuple, res_desc: tuple,
-                      kw_spec, ki_spec, stats_name: str) -> None:
+                      stats_name: str) -> None:
     """Worker process body: pure plans in, plan arrays out.
 
     Touches no deployment state — it rebuilds the store *layouts* from
-    their scalar parameters (hash families are derived
-    deterministically, Section 3.2, so translator, collector, and this
-    worker all agree without coordination) and runs the same
-    ``plan_*_packed`` kernels the thread lane calls.  Every exception
-    is reported as a ``RES_ERROR`` message, never a silent exit.
+    the scalar parameters each request carries (hash families are
+    derived deterministically, Section 3.2, so translator, collector,
+    and this worker all agree without coordination) and runs the same
+    ``PLAN_KERNELS`` the parent's ``plan_batch`` would.  Every
+    exception is reported as a ``RES_ERROR`` message, never a silent
+    exit, and a plan too large for a result slot goes back as
+    ``RES_FALLBACK``.
     """
-    from repro.core.stores.keyincrement import KeyIncrementLayout
-    from repro.core.stores.keywrite import KeyWriteLayout
-
     req = ShmCreditQueue.attach(req_desc)
     res = ShmCreditQueue.attach(res_desc)
     stats_shm = shared_memory.SharedMemory(name=stats_name)
     _untrack(stats_shm)
     counters = np.frombuffer(stats_shm.buf, dtype=np.uint64)
     base = index * len(_STATS_FIELDS)
-    kw_layout = (KeyWriteLayout(kw_spec.base_addr, kw_spec.slots,
-                                kw_spec.data_bytes)
-                 if kw_spec is not None else None)
-    ki_layout = (KeyIncrementLayout(ki_spec.base_addr,
-                                    ki_spec.slots_per_row, ki_spec.rows)
-                 if ki_spec is not None else None)
+    layouts: dict = {}
     try:
         while True:
             try:
@@ -570,21 +534,20 @@ def _plan_worker_main(index: int, req_desc: tuple, res_desc: tuple,
             if msg is CLOSED:
                 break
             started = time.perf_counter_ns()
-            out = _plan_request(msg, kw_spec, ki_spec,
-                                kw_layout, ki_layout)
+            kind, segments = _plan_request(msg, layouts)
             msg.release()
             counters[base + 3] += time.perf_counter_ns() - started
-            if out[0] == RES_FALLBACK:
-                counters[base + 1] += 1
-            elif out[0] == RES_ERROR:
-                counters[base + 2] += 1
-            else:
-                counters[base] += 1
             try:
-                res.put(out[0], out[1])
+                try:
+                    res.put(kind, segments)
+                except ValueError:
+                    kind = RES_FALLBACK
+                    res.put(kind, segments[:1])
             except (QueueAborted, QueueClosed):
                 break
-            out = None
+            # planned / fallbacks / errors, in RES_* order.
+            counters[base + kind - RES_PLAN] += 1
+            segments = None
     finally:
         counters = None
         stats_shm.close()
@@ -599,20 +562,20 @@ class PlanWorkerPool:
     requests, one worker consumes them and produces results, the
     parent's apply side consumes those — in FIFO order on every ring,
     so results read back in dispatch order, which is all the apply
-    stage needs to preserve submit-order state mutation.
+    stage needs to preserve submit-order state mutation.  Workers are
+    stateless between requests (each carries its :class:`PlanSpec`),
+    so the pool needs no knowledge of the deployment.
 
     Args:
         workers: Process count (>= 1).
-        kw_spec / ki_spec: Static plan parameters, or None when the
-            deployment doesn't serve that primitive vectorized.
         depth: Credit pool of each ring.
         payload_bytes: Slot payload capacity; an over-size batch simply
-            fails :meth:`dispatch` and takes the parent's scalar lane.
+            fails :meth:`dispatch` and is planned by the parent.
         name: Metric/label prefix (the engine's name).
     """
 
-    def __init__(self, workers: int, *, kw_spec=None, ki_spec=None,
-                 depth: int = 8, payload_bytes: int = 1 << 18,
+    def __init__(self, workers: int, *, depth: int = 8,
+                 payload_bytes: int = 1 << 18,
                  name: str = "stream") -> None:
         if workers < 1:
             raise ValueError("a plan pool needs >= 1 worker")
@@ -620,8 +583,6 @@ class PlanWorkerPool:
             raise RuntimeError("the process lane requires numpy")
         self.workers = workers
         self.name = name
-        self.kw_spec = kw_spec
-        self.ki_spec = ki_spec
         self._shutdown = False
         self.requests = [
             ShmCreditQueue(depth, payload_bytes,
@@ -650,8 +611,7 @@ class PlanWorkerPool:
             process = ctx.Process(
                 target=_plan_worker_main,
                 args=(i, self.requests[i].descriptor,
-                      self.results[i].descriptor, kw_spec, ki_spec,
-                      self._stats_shm.name),
+                      self.results[i].descriptor, self._stats_shm.name),
                 name=f"{name}-plan{i}", daemon=True)
             process.start()
             self.processes.append(process)
@@ -668,50 +628,22 @@ class PlanWorkerPool:
         process = self.processes[index]
         return lambda: process.is_alive()
 
-    def dispatch_keywrite(self, index: int, seq: int, batch) -> bool:
-        """Serialize a Key-Write batch into worker ``index``'s ring.
+    def dispatch(self, index: int, seq: int, request: tuple) -> bool:
+        """Serialize a ``Translator.plan_request`` into worker
+        ``index``'s ring.
 
-        Returns False when the batch cannot take the shm lane (oversize
-        data — which the scalar lane must raise for — or a message too
-        large for a slot); the caller then routes it locally.
+        Returns False when the message is too large for a slot; the
+        caller then leaves the batch to the parent's ``plan_batch``.
         """
-        from repro.kernels import crc as kcrc
-
-        data_bytes = self.kw_spec.data_bytes
-        for data in batch.datas:
-            if len(data) > data_bytes:
-                return False
-        packed, lengths = kcrc.pack_keys(batch.keys)
-        data_packed, _ = kcrc.pack_keys(batch.datas, pad_to=data_bytes)
+        kind, layout, region_length, packed, lengths, third, fanout = request
+        spec = PlanSpec(int(kind), astuple(layout), region_length)
         meta = np.asarray(
-            [seq, packed.shape[0], packed.shape[1], batch.redundancy],
-            dtype="<i8")
+            [seq, packed.shape[0], fanout, spec.kind, *spec.layout,
+             spec.region_length], dtype="<i8")
         try:
             self.requests[index].put(
-                REQ_KEYWRITE,
-                [meta, packed, lengths.astype("<i8", copy=False),
-                 data_packed],
-                liveness=self._alive(index))
-        except ValueError:
-            return False
-        return True
-
-    def dispatch_keyincrement(self, index: int, seq: int, batch) -> bool:
-        """Serialize a Key-Increment batch; False -> parent scalar lane."""
-        from repro.kernels import crc as kcrc
-
-        try:
-            values = np.asarray(batch.values, dtype=np.int64)
-        except (OverflowError, ValueError):
-            return False     # beyond int64: scalar wrap semantics apply
-        rows = min(batch.redundancy, self.ki_spec.rows)
-        packed, lengths = kcrc.pack_keys(batch.keys)
-        meta = np.asarray(
-            [seq, packed.shape[0], packed.shape[1], rows], dtype="<i8")
-        try:
-            self.requests[index].put(
-                REQ_KEYINCREMENT,
-                [meta, packed, lengths.astype("<i8", copy=False), values],
+                REQ_PLAN,
+                [meta, packed, lengths.astype("<i8", copy=False), third],
                 liveness=self._alive(index))
         except ValueError:
             return False
@@ -730,6 +662,28 @@ class PlanWorkerPool:
                 f"worker {index} of pool '{self.name}' closed its "
                 "result ring mid-stream")
         return message
+
+    @staticmethod
+    def arrays(message: ShmMessage, seq: int):
+        """A result's ``(indices, payload)`` — zero-copy views, valid
+        until the caller releases ``message`` — or None for
+        ``RES_FALLBACK``.  Raises on ``RES_ERROR`` and on a result
+        that is not batch ``seq``'s (ring order violated)."""
+        if message.kind == RES_ERROR:
+            raise RuntimeError("plan worker failed: "
+                               + bytes(message.segments[1]).decode(
+                                   "utf-8", errors="replace"))
+        got, kind = (int(v) for v in message.segments[0].view("<i8"))
+        if got != seq:
+            raise RuntimeError(f"result for batch {got} arrived at "
+                               f"batch {seq}: ring order violated")
+        if message.kind == RES_FALLBACK:
+            return None
+        indices = message.segments[1].view("<i8")
+        payload = message.segments[2]
+        if kind == DtaPrimitive.KEY_WRITE:
+            return indices, payload.reshape(len(indices), -1)
+        return indices, payload.view("<i8")
 
     # ------------------------------------------------------------------
 
@@ -759,7 +713,13 @@ class PlanWorkerPool:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
-        self._counters = None
+            if not process.is_alive():
+                # Releases the sentinel-pipe fds now, not at the next GC.
+                process.close()
+        self.processes = []
+        # The plan_worker_* gauges outlive the segment: a private copy
+        # keeps them reading their last values.
+        self._counters = self._counters.copy()
         for ring in self.requests + self.results:
             ring.unlink()
         try:

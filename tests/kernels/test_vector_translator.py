@@ -147,9 +147,15 @@ class TestFallbackEligibility:
         registry, previous, collector, translator, reporter = deploy(True)
         try:
             hits = []
-            original = translator._vector_keywrite
-            translator._vector_keywrite = \
-                lambda batch: hits.append(1) or original(batch)
+            original = translator.plan_batch
+
+            def plan_batch(batch, *args, **kwargs):
+                plan = original(batch, *args, **kwargs)
+                if plan is not None:
+                    hits.append(plan)
+                return plan
+
+            translator.plan_batch = plan_batch
             rng = random.Random(7)
             keys = [rng.randbytes(8) for _ in range(64)]
             datas = [rng.randbytes(8) for _ in range(64)]
@@ -170,10 +176,12 @@ class TestFallbackEligibility:
             keys = [rng.randbytes(8) for _ in range(64)]
             datas = [rng.randbytes(8) for _ in range(64)]
             called = []
-            translator._vector_keywrite = \
-                lambda batch: called.append(1)
+            original = translator.plan_batch
+            translator.plan_batch = \
+                lambda batch, *a, **kw: called.append(
+                    original(batch, *a, **kw)) or called[-1]
             reporter.send_batch(ReportBatch.key_writes(keys, datas,
                                                        redundancy=2))
         finally:
             obs.set_registry(previous)
-        assert not called
+        assert called == [None]

@@ -29,7 +29,7 @@ def reference():
     return works, results, catalog.lane_digest(collector)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("workers", [2])
 def test_catalog_matches_serial_reference(reference, workers):
     works, serial_results, serial_digest = reference
     _registry, collector, _engine, zero_loss = catalog.stream_mixed(

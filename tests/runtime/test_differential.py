@@ -22,7 +22,7 @@ from repro.runtime.soak import _make_batch
 REPORTS = 480
 BATCH = 32
 SEED = 11
-WORKERS = (0, 1, 2, 4)
+WORKERS = (0, 2)
 DEPTHS = (1, 4, 64)
 
 

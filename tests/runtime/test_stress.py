@@ -171,8 +171,10 @@ def test_engine_backpressure_engages_and_drops_nothing():
 @pytest.mark.parametrize("workers", (0, 1, 2, 4))
 def test_stage_raising_mid_batch_surfaces_with_batch_id(workers):
     """A translate-stage explosion on the third batch surfaces as a
-    StageError carrying the stage name and failing batch seq, at every
-    worker layout, with a clean unwind (join + close, no hang)."""
+    StageError carrying the stage name and failing batch seq — inline
+    and on the thread executor, whose one layout serves any
+    ``workers >= 1`` alike — with a clean unwind (join + close, no
+    hang)."""
     work = bench._workload("key_write", REPORTS, SEED)
     _registry, previous, engine = _fresh_engine(workers=workers,
                                                 queue_depth=4,
