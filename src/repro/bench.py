@@ -1,209 +1,204 @@
-"""The perf-regression harness behind ``repro bench``.
+"""The gated-lane record, and the ``repro bench`` lane that fills it.
 
-Runs a fixed, seeded workload matrix — every batched DTA primitive in
-per-report, batched, and (optionally) vectorized mode — against a
-direct-mode deployment, and appends a machine-readable run record to
-``BENCH_HISTORY.jsonl`` so later changes have a throughput trajectory
-to regress against (see ``docs/BENCHMARKS.md`` for the schema and
-``tools/bench_trend.py`` for the reader).
+``repro bench``, ``run``, ``serve`` and ``retain`` each drive the
+seeded report workload (:mod:`repro.workloads.reports`) through one
+lane of the system and hold the result to correctness gates — digest
+equality with the scalar reference, conservation, zero loss.  They all
+produce, print and store the same record, built here:
 
-Measured quantities per (primitive, mode) cell:
+* :func:`cell` — one measured run: ``reports``, ``elapsed_s``,
+  ``reports_per_sec``, ``obs_digest``, ``store_digest`` (``None``
+  where a lane has no such digest) plus whatever the lane adds;
+* :func:`gate` — ``{gate, value, threshold, pass}``: a boolean must
+  equal its threshold, a number must reach it;
+* :func:`record` — ``{schema, lane, config, cells, gates, pass}``;
+* :func:`render` — the one human-readable view;
+* :func:`finish` — stamp date and commit, print, append the JSONL
+  history line, dump ``--out``, return the exit code;
+* :func:`deployment` — the fresh-registry direct-mode deployment every
+  in-process lane runs on.
 
-* ``reports_per_sec`` — wall-clock Python throughput of the pipeline
-  (the thing the batched hot path exists to raise).
-* ``verbs_per_sec`` — RDMA messages emitted per wall-clock second.
-* ``modelled_latency_ns`` — p50/p99 per-message service latency under
-  the calibrated NIC cost model (:mod:`repro.calibration`), derived
-  from the translator's payload-size histogram.  This is model output,
-  not wall-clock measurement: it tracks what the workload would cost on
-  the paper's hardware.
-* ``obs_digest`` — SHA-256 over the final obs-registry snapshot.  All
-  modes of a primitive must produce the same digest: the harness
-  doubles as an end-to-end check that batching and vectorization
-  change *speed* and nothing else.
+The drive loops stay with their lanes (:mod:`repro.runtime.soak`,
+:mod:`repro.transport.serve`, :mod:`repro.retention.smoke`).  The
+throughput trajectory and the regression gate are ``perf/``'s job
+(``perf/compare.py``); the ``reports_per_sec`` recorded here is
+context for the gates, see ``docs/BENCHMARKS.md``.
 
-Gates (any failure makes ``repro bench`` exit non-zero):
-
-* batched Key-Write throughput >= ``SPEEDUP_GATE`` (2x) per-report;
-* with ``--vectorized``, Key-Increment and Sketch-Merge >=
-  ``VECTOR_GATE`` (3x) their pre-kernel baselines — the scalar batched
-  lane for Key-Increment, the per-report loop for Sketch-Merge (which
-  is what the batched path used to fall through to before the sketch
-  fast lane existed);
-* every within-primitive digest pair matches;
-* with ``--cluster N``, the serial, parallel, and
-  parallel-vectorized cluster digests all match.
+The bench lane itself runs every primitive per-report, batched and
+(``--vectorized``) through the numpy kernels, one fresh deployment per
+cell.  All modes of a primitive must produce the same ``obs_digest``:
+batching and vectorization change speed and nothing else.  Its speed
+gates — batched Key-Write >= ``SPEEDUP_GATE`` x per-report;
+vectorized Key-Increment and Sketch-Merge >= ``VECTOR_GATE`` x their
+pre-kernel baselines — compare cells of one run on one host.
 """
 
 from __future__ import annotations
 
+import contextlib
+import datetime
 import hashlib
 import json
-import random
-import struct
 import subprocess
 import time
 
 from repro import calibration, obs
-from repro.core.batch import ReportBatch
-from repro.core.collector import Collector
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
+from repro.workloads import reports as workload
+
+SCHEMA = "repro-lane/1"
 
 SPEEDUP_GATE = 2.0
 VECTOR_GATE = 3.0
-SCHEMA = "repro-bench/2"
-HISTORY_FILE = "BENCH_HISTORY.jsonl"
-
-PRIMITIVES = ("key_write", "key_increment", "postcarding", "append",
-              "sketch_merge")
 # Lane the vector gate compares against: Key-Increment had a scalar
 # batched fast lane before the kernels (so that is the baseline);
 # batched Sketch-Merge used to fall through to the per-report handler.
 VECTOR_BASELINES = {"key_increment": "batched",
                     "sketch_merge": "unbatched"}
 
-# Deployment constants — sized so the quick and full workloads both fit
-# without ring wrap-around dominating the run.
-_KW_SLOTS = 1 << 16
-_KW_DATA_BYTES = 16
-_KI_SLOTS_PER_ROW = 1 << 12
-_KI_ROWS = 4
-_PC_CHUNKS = 1 << 14
-_PC_HOPS = 5
-_PC_VALUES = range(256)
-_AP_LISTS = 4
-_AP_CAPACITY = 1 << 15
-_AP_DATA_BYTES = 16
-_AP_BATCH = 16
-_SM_DEPTH = 4
-_SM_BATCH_COLUMNS = 16
+
+# ---------------------------------------------------------------------------
+# The record
+# ---------------------------------------------------------------------------
 
 
-def _deploy(*, vectorized: bool = False, sketch_width: int = 0) -> tuple:
-    """A fresh direct-mode deployment on a fresh registry."""
+def cell(reports: int, elapsed: float, *, obs_digest=None,
+         store_digest=None, **extras) -> dict:
+    """One measured run of a lane."""
+    return {
+        "reports": reports,
+        "elapsed_s": round(elapsed, 6),
+        "reports_per_sec": round(reports / elapsed, 1) if elapsed else None,
+        "obs_digest": obs_digest,
+        "store_digest": store_digest,
+        **extras,
+    }
+
+
+def set_speedup(fast: dict, baseline_name: str, baseline: dict):
+    """Stamp ``fast`` with its throughput ratio over ``baseline``."""
+    ratio = None
+    if fast["reports_per_sec"] and baseline["reports_per_sec"]:
+        ratio = round(fast["reports_per_sec"]
+                      / baseline["reports_per_sec"], 2)
+    fast["speedup"] = ratio
+    fast["baseline"] = baseline_name
+    return ratio
+
+
+def gate(name: str, value, threshold=True) -> dict:
+    """One enforced condition, with the value that decided it."""
+    if isinstance(threshold, bool):
+        ok = value is threshold
+    else:
+        ok = value is not None and value >= threshold
+    return {"gate": name, "value": value, "threshold": threshold,
+            "pass": ok}
+
+
+def record(lane: str, config: dict, cells: dict, gates: list) -> dict:
+    """The document a lane returns; :func:`finish` stamps and stores it."""
+    return {"schema": SCHEMA, "lane": lane, "config": config,
+            "cells": cells, "gates": gates,
+            "pass": all(g["pass"] for g in gates)}
+
+
+def gate_lines(gates: list) -> list:
+    return [f"  gate: {g['gate']} (value {g['value']}, "
+            f"need {g['threshold']}) -> {'pass' if g['pass'] else 'FAIL'}"
+            for g in gates]
+
+
+def render(document: dict) -> str:
+    """Human-readable summary of a lane record."""
+    lines = [f"lane {document['lane']}: "
+             + json.dumps(document["config"], sort_keys=True)]
+    header = (f"  {'cell':<26}{'reports':>10}{'elapsed_s':>11}"
+              f"{'reports/s':>14}  speedup")
+    lines += [header, "  " + "-" * (len(header) - 2)]
+    for name, c in document["cells"].items():
+        line = (f"  {name:<26}{c['reports']:>10}{c['elapsed_s']:>11.3f}"
+                f"{c['reports_per_sec'] or 0:>14,.0f}")
+        if c.get("speedup") is not None:
+            line += f"  {c['speedup']:.2f}x vs {c['baseline']}"
+        lines.append(line)
+        for key, value in c.items():
+            if key.endswith(("_digest", "_digests")) and value:
+                digests = value if isinstance(value, list) else [value]
+                lines += [f"    {key} {digest}" for digest in digests]
+    lines += gate_lines(document["gates"])
+    lines.append(f"overall: {'PASS' if document['pass'] else 'FAIL'}")
+    return "\n".join(lines)
+
+
+def git_commit() -> str:
+    """Short commit hash of the working tree, or "unknown"."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             capture_output=True, text=True, timeout=10)
+    except OSError:
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
+def finish(document: dict, history: str | None = None,
+           out: str | None = None) -> int:
+    """Stamp, print and store a lane record; returns the exit code.
+
+    History records accumulate — a run never overwrites past runs, so
+    ``tools/bench_trend.py`` can lay them side by side.
+    """
+    document["date"] = datetime.date.today().strftime("%Y%m%d")
+    document["commit"] = git_commit()
+    print(render(document))
+    if history:
+        with open(history, "a", encoding="utf-8") as handle:
+            json.dump(document, handle, sort_keys=True)
+            handle.write("\n")
+        print(f"appended {document['lane']} record {document['commit']} "
+              f"to {history}")
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {out}")
+    return 0 if document["pass"] else 1
+
+
+@contextlib.contextmanager
+def deployment(*, vectorized: bool = False, sketch_width: int = 0):
+    """A fresh direct-mode deployment on a fresh obs registry.
+
+    Yields ``(registry, collector, translator, reporter)``; the previous
+    registry is restored on exit.
+    """
     registry = obs.Registry()
     previous = obs.set_registry(registry)
-    collector = Collector()
-    collector.serve_keywrite(slots=_KW_SLOTS, data_bytes=_KW_DATA_BYTES)
-    collector.serve_keyincrement(slots_per_row=_KI_SLOTS_PER_ROW,
-                                 rows=_KI_ROWS)
-    collector.serve_postcarding(chunks=_PC_CHUNKS, value_set=_PC_VALUES,
-                                hops=_PC_HOPS)
-    collector.serve_append(lists=_AP_LISTS, capacity=_AP_CAPACITY,
-                           data_bytes=_AP_DATA_BYTES, batch_size=_AP_BATCH)
-    if sketch_width:
-        collector.serve_sketch(width=sketch_width, depth=_SM_DEPTH,
-                               expected_reporters=1,
-                               batch_columns=_SM_BATCH_COLUMNS)
-    translator = Translator(vectorized=vectorized)
-    collector.connect_translator(translator)
-    reporter = Reporter("bench", 1, transmit=translator.handle_report,
-                        transmit_batch=translator.process_batch)
-    return registry, previous, collector, translator, reporter
+    try:
+        collector = workload.provision_collector(
+            "collector", sketch_width=sketch_width)
+        translator = Translator(vectorized=vectorized)
+        collector.connect_translator(translator)
+        reporter = Reporter("bench", 1, transmit=translator.handle_report,
+                            transmit_batch=translator.process_batch)
+        yield registry, collector, translator, reporter
+    finally:
+        obs.set_registry(previous)
 
 
-def _workload(primitive: str, reports: int, seed: int) -> dict:
-    """Seeded struct-of-arrays columns for one primitive."""
-    rng = random.Random(seed)
-    if primitive == "key_write":
-        return {
-            "keys": [struct.pack(">I", rng.getrandbits(32))
-                     for _ in range(reports)],
-            "datas": [struct.pack(">QQ", i, rng.getrandbits(63))
-                      for i in range(reports)],
-        }
-    if primitive == "key_increment":
-        return {
-            "keys": [struct.pack(">I", rng.getrandbits(32))
-                     for _ in range(reports)],
-            "values": [rng.randrange(1, 100) for _ in range(reports)],
-        }
-    if primitive == "postcarding":
-        flows = max(1, reports // _PC_HOPS)
-        keys = []
-        hops = []
-        values = []
-        for i in range(reports):
-            keys.append(struct.pack(">I", (i // _PC_HOPS) % flows))
-            hops.append(i % _PC_HOPS)
-            values.append(rng.choice(_PC_VALUES))
-        return {"keys": keys, "hops": hops, "values": values,
-                "path_lengths": [_PC_HOPS] * reports}
-    if primitive == "append":
-        return {
-            "list_ids": [i % _AP_LISTS for i in range(reports)],
-            "datas": [struct.pack(">QQ", i, rng.getrandbits(63))
-                      for i in range(reports)],
-        }
-    if primitive == "sketch_merge":
-        return {
-            "columns": list(range(reports)),
-            "counter_rows": [tuple(rng.getrandbits(31)
-                                   for _ in range(_SM_DEPTH))
-                             for _ in range(reports)],
-        }
-    raise ValueError(f"unknown benchmark primitive '{primitive}'")
-
-
-def _run_unbatched(reporter: Reporter, translator: Translator,
-                   primitive: str, work: dict) -> float:
-    start = time.perf_counter()
-    if primitive == "key_write":
-        for key, data in zip(work["keys"], work["datas"]):
-            reporter.key_write(key, data, redundancy=2)
-    elif primitive == "key_increment":
-        for key, value in zip(work["keys"], work["values"]):
-            reporter.key_increment(key, value, redundancy=2)
-    elif primitive == "postcarding":
-        for key, hop, value in zip(work["keys"], work["hops"],
-                                   work["values"]):
-            reporter.postcard(key, hop, value, path_length=_PC_HOPS,
-                              redundancy=1)
-    elif primitive == "sketch_merge":
-        for column, counters in zip(work["columns"],
-                                    work["counter_rows"]):
-            reporter.sketch_column(0, column, counters)
-    else:
-        for list_id, data in zip(work["list_ids"], work["datas"]):
-            reporter.append(list_id, data)
-        translator.flush_appends()
-    return time.perf_counter() - start
-
-
-def _run_batched(reporter: Reporter, translator: Translator,
-                 primitive: str, work: dict, batch_size: int) -> float:
-    start = time.perf_counter()
-    n = len(next(iter(work.values())))
-    for s in range(0, n, batch_size):
-        e = s + batch_size
-        if primitive == "key_write":
-            batch = ReportBatch.key_writes(work["keys"][s:e],
-                                           work["datas"][s:e],
-                                           redundancy=2)
-        elif primitive == "key_increment":
-            batch = ReportBatch.key_increments(work["keys"][s:e],
-                                               work["values"][s:e],
-                                               redundancy=2)
-        elif primitive == "postcarding":
-            batch = ReportBatch.postcards(
-                work["keys"][s:e], work["hops"][s:e], work["values"][s:e],
-                path_lengths=work["path_lengths"][s:e], redundancy=1)
-        elif primitive == "sketch_merge":
-            batch = ReportBatch.sketch_columns(0, work["columns"][s:e],
-                                               work["counter_rows"][s:e])
-        else:
-            batch = ReportBatch.appends(work["list_ids"][s:e],
-                                        work["datas"][s:e])
-        reporter.send_batch(batch)
-    if primitive == "append":
-        translator.flush_appends()
-    return time.perf_counter() - start
+# ---------------------------------------------------------------------------
+# The bench lane
+# ---------------------------------------------------------------------------
 
 
 def _latency_percentiles(snapshot, model: calibration.NicModel,
                          atomic: bool) -> dict:
-    """p50/p99 modelled per-message latency from the payload histogram."""
+    """p50/p99 modelled per-message latency from the payload histogram.
+
+    Model output, not wall-clock measurement: what the workload would
+    cost on the paper's hardware (:mod:`repro.calibration`).
+    """
     sample = snapshot.value("translator.rdma_payload_hist",
                             node="translator")
     if not getattr(sample, "count", 0):
@@ -225,198 +220,65 @@ def _latency_percentiles(snapshot, model: calibration.NicModel,
     return out
 
 
-def _digest(snapshot) -> str:
-    return "sha256:" + hashlib.sha256(
-        obs.to_jsonl(snapshot).encode()).hexdigest()
-
-
-def _run_cell(primitive: str, mode: str, reports: int, batch_size: int,
-              seed: int) -> dict:
+def _run_cell(primitive: str, mode: str, work: dict,
+              batch_size: int) -> dict:
     """One (primitive, mode) cell on a fresh deployment."""
-    work = _workload(primitive, reports, seed)
-    sketch_width = reports if primitive == "sketch_merge" else 0
-    registry, previous, _collector, translator, reporter = _deploy(
-        vectorized=(mode == "vectorized"), sketch_width=sketch_width)
-    try:
+    n = workload.size(work)
+    with deployment(vectorized=(mode == "vectorized"),
+                    sketch_width=workload.sketch_width(primitive, n)) as (
+            registry, _collector, translator, reporter):
+        start = time.perf_counter()
         if mode == "unbatched":
-            elapsed = _run_unbatched(reporter, translator, primitive, work)
+            workload.emit(reporter, primitive, work)
         else:
-            elapsed = _run_batched(reporter, translator, primitive, work,
-                                   batch_size)
+            for s in range(0, n, batch_size):
+                reporter.send_batch(
+                    workload.batch(primitive, work, s, s + batch_size))
+        if primitive == "append":
+            translator.flush_appends()
+        elapsed = time.perf_counter() - start
         snapshot = registry.snapshot()
-    finally:
-        obs.set_registry(previous)
     verbs = translator.stats.rdma_messages
-    atomic = primitive == "key_increment"
-    return {
-        "mode": mode,
-        "reports": reports,
-        "elapsed_s": round(elapsed, 6),
-        "reports_per_sec": round(reports / elapsed, 1) if elapsed else None,
-        "rdma_messages": verbs,
-        "verbs_per_sec": round(verbs / elapsed, 1) if elapsed else None,
-        "modelled_latency_ns": _latency_percentiles(
-            snapshot, calibration.DEFAULT_NIC_MODEL, atomic),
-        "obs_digest": _digest(snapshot),
-    }
-
-
-def _run_cluster_check(reports: int, batch_size: int, seed: int,
-                       cluster: int) -> dict:
-    """Serial / parallel / parallel-vectorized digest agreement."""
-    from repro.kernels.parallel import ClusterSpec, run_cluster
-
-    lanes = {}
-    ok = True
-    for primitive in ("key_increment", "sketch_merge"):
-        spec = ClusterSpec(primitive=primitive,
-                           reports=min(reports, 2048), seed=seed,
-                           batch_size=batch_size, collectors=cluster)
-        vector_spec = ClusterSpec(primitive=primitive,
-                                  reports=min(reports, 2048), seed=seed,
-                                  batch_size=batch_size,
-                                  collectors=cluster, vectorized=True)
-        serial = run_cluster(spec, parallel=False)
-        parallel = run_cluster(spec, parallel=True)
-        vectorized = run_cluster(vector_spec, parallel=True)
-        digests = {"serial": serial["cluster_digest"],
-                   "parallel": parallel["cluster_digest"],
-                   "parallel_vectorized": vectorized["cluster_digest"]}
-        match = len(set(digests.values())) == 1
-        ok = ok and match
-        lanes[primitive] = {
-            "collectors": cluster,
-            "digests": digests,
-            "digest_match": match,
-            "elapsed_s": {"serial": serial["elapsed_s"],
-                          "parallel": parallel["elapsed_s"],
-                          "parallel_vectorized": vectorized["elapsed_s"]},
-        }
-    return {"lanes": lanes, "pass": ok}
+    return cell(
+        n, elapsed,
+        obs_digest="sha256:" + hashlib.sha256(
+            obs.to_jsonl(snapshot).encode()).hexdigest(),
+        rdma_messages=verbs,
+        verbs_per_sec=round(verbs / elapsed, 1) if elapsed else None,
+        modelled_latency_ns=_latency_percentiles(
+            snapshot, calibration.DEFAULT_NIC_MODEL,
+            atomic=primitive == "key_increment"))
 
 
 def run_bench(*, reports: int = 20000, batch_size: int = 64,
-              seed: int = 1, date: str = "unknown",
-              vectorized: bool = False, cluster: int = 0) -> dict:
-    """Run the full workload matrix; returns the BENCH document."""
-    results = {}
+              seed: int = 1, vectorized: bool = False) -> dict:
+    """Run the (primitive, mode) matrix; returns the lane record."""
+    modes = ("unbatched", "batched") + (("vectorized",) if vectorized
+                                        else ())
+    cells = {}
     gates = []
-    for primitive in PRIMITIVES:
-        unbatched = _run_cell(primitive, "unbatched", reports, batch_size,
-                              seed)
-        batched = _run_cell(primitive, "batched", reports, batch_size, seed)
-        cell = {"unbatched": unbatched, "batched": batched}
-        digests = {unbatched["obs_digest"], batched["obs_digest"]}
-        if vectorized:
-            vector = _run_cell(primitive, "vectorized", reports,
-                               batch_size, seed)
-            cell["vectorized"] = vector
-            digests.add(vector["obs_digest"])
-        speedup = None
-        if unbatched["elapsed_s"] and batched["elapsed_s"]:
-            speedup = round(unbatched["elapsed_s"] / batched["elapsed_s"], 2)
-        cell["speedup"] = speedup
-        cell["digest_match"] = len(digests) == 1
-        gates.append({"gate": f"{primitive} digests match",
-                      "value": cell["digest_match"], "threshold": True,
-                      "pass": cell["digest_match"]})
+    for primitive in workload.PRIMITIVES:
+        work = workload.columns(primitive, reports, seed)
+        by_mode = {mode: _run_cell(primitive, mode, work, batch_size)
+                   for mode in modes}
+        cells.update({f"{primitive}/{mode}": c
+                      for mode, c in by_mode.items()})
+        digests = {c["obs_digest"] for c in by_mode.values()}
+        gates.append(gate(f"{primitive} digests match", len(digests) == 1))
+        speedup = set_speedup(by_mode["batched"], f"{primitive}/unbatched",
+                              by_mode["unbatched"])
         if primitive == "key_write":
-            gates.append({"gate": "key_write batched speedup",
-                          "value": speedup, "threshold": SPEEDUP_GATE,
-                          "pass": (speedup is not None
-                                   and speedup >= SPEEDUP_GATE)})
-        if vectorized and primitive in VECTOR_BASELINES:
-            baseline = cell[VECTOR_BASELINES[primitive]]
-            vector_speedup = None
-            if baseline["elapsed_s"] and cell["vectorized"]["elapsed_s"]:
-                vector_speedup = round(
-                    baseline["elapsed_s"]
-                    / cell["vectorized"]["elapsed_s"], 2)
-            cell["vector_speedup"] = vector_speedup
-            cell["vector_baseline"] = VECTOR_BASELINES[primitive]
-            gates.append({"gate": f"{primitive} vectorized speedup",
-                          "value": vector_speedup,
-                          "threshold": VECTOR_GATE,
-                          "pass": (vector_speedup is not None
-                                   and vector_speedup >= VECTOR_GATE)})
-        results[primitive] = cell
-    document = {
-        "schema": SCHEMA,
-        "date": date,
-        "config": {"reports": reports, "batch_size": batch_size,
-                   "seed": seed, "speedup_gate": SPEEDUP_GATE,
-                   "vector_gate": VECTOR_GATE, "vectorized": vectorized,
-                   "cluster": cluster},
-        "results": results,
-        "gates": gates,
-    }
-    if cluster > 1:
-        check = _run_cluster_check(reports, batch_size, seed, cluster)
-        document["cluster"] = check
-        gates.append({"gate": f"cluster x{cluster} digests match",
-                      "value": check["pass"], "threshold": True,
-                      "pass": check["pass"]})
-    document["pass"] = all(gate["pass"] for gate in gates)
-    return document
-
-
-def git_commit() -> str:
-    """Short commit hash of the working tree, or "unknown"."""
-    try:
-        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                             capture_output=True, text=True, timeout=10)
-    except OSError:
-        return "unknown"
-    return out.stdout.strip() or "unknown"
-
-
-def append_history(document: dict, path: str = HISTORY_FILE) -> dict:
-    """Append one run record to the JSONL trajectory; returns the record.
-
-    Records accumulate — the harness never overwrites past runs, so
-    ``tools/bench_trend.py`` can plot throughput against history.
-    """
-    record = dict(document)
-    record["commit"] = git_commit()
-    with open(path, "a", encoding="utf-8") as handle:
-        json.dump(record, handle, sort_keys=True)
-        handle.write("\n")
-    return record
-
-
-def render_report(document: dict) -> str:
-    """Human-readable summary of a BENCH document."""
-    vectorized = document["config"].get("vectorized")
-    header = (f"{'primitive':<14}{'unbatched rps':>14}{'batched rps':>14}"
-              f"{'speedup':>9}")
-    if vectorized:
-        header += f"{'vector rps':>14}{'vec speedup':>12}"
-    header += "  digests"
-    lines = [header, "-" * len(header)]
-    for primitive, cell in document["results"].items():
-        unbatched = cell["unbatched"]
-        batched = cell["batched"]
-        line = (f"{primitive:<14}"
-                f"{unbatched['reports_per_sec'] or 0:>14,.0f}"
-                f"{batched['reports_per_sec'] or 0:>14,.0f}"
-                f"{cell['speedup'] or 0:>8.2f}x")
+            gates.append(gate("key_write batched speedup", speedup,
+                              SPEEDUP_GATE))
         if vectorized:
-            vector = cell.get("vectorized")
-            line += f"{(vector or {}).get('reports_per_sec') or 0:>14,.0f}"
-            vs = cell.get("vector_speedup")
-            line += f"{vs:>11.2f}x" if vs is not None else f"{'-':>12}"
-        line += f"  {'match' if cell['digest_match'] else 'MISMATCH'}"
-        lines.append(line)
-    for gate in document.get("gates", []):
-        verdict = "pass" if gate["pass"] else "FAIL"
-        lines.append(f"gate: {gate['gate']} "
-                     f"(value {gate['value']}, need {gate['threshold']}) "
-                     f"-> {verdict}")
-    lines.append(f"overall: {'PASS' if document['pass'] else 'FAIL'}")
-    return "\n".join(lines)
-
-
-def write_document(document: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+            baseline = VECTOR_BASELINES.get(primitive, "batched")
+            speedup = set_speedup(by_mode["vectorized"],
+                                  f"{primitive}/{baseline}",
+                                  by_mode[baseline])
+            if primitive in VECTOR_BASELINES:
+                gates.append(gate(f"{primitive} vectorized speedup",
+                                  speedup, VECTOR_GATE))
+    config = {"reports": reports, "batch_size": batch_size, "seed": seed,
+              "speedup_gate": SPEEDUP_GATE, "vector_gate": VECTOR_GATE,
+              "vectorized": vectorized}
+    return record("bench", config, cells, gates)

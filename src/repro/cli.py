@@ -201,54 +201,35 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the perf-regression matrix; non-zero exit if the gate fails."""
-    import datetime
-
+    """Run the bench lane matrix; non-zero exit if a gate fails."""
     from repro import bench
 
     reports = min(args.reports, 2000) if args.quick else args.reports
-    date = datetime.date.today().strftime("%Y%m%d")
     document = bench.run_bench(reports=reports, batch_size=args.batch_size,
-                               seed=args.seed, date=date,
-                               vectorized=args.vectorized,
-                               cluster=args.cluster)
-    record = bench.append_history(document, args.history)
-    print(bench.render_report(document))
-    print(f"appended run {record['commit']} to {args.history}")
-    if args.out:
-        bench.write_document(document, args.out)
-        print(f"wrote {args.out}")
-    return 0 if document["pass"] else 1
+                               seed=args.seed, vectorized=args.vectorized)
+    return bench.finish(document, args.history, args.out)
 
 
 def _cmd_run(args) -> int:
     """Soak the streaming runtime; non-zero exit if a gate fails."""
-    import datetime
-
     from repro import bench
-    from repro.runtime import render_soak, run_soak
+    from repro.runtime import run_soak
+    from repro.workloads.reports import PRIMITIVES
 
-    if args.primitive not in bench.PRIMITIVES:
+    if args.primitive not in PRIMITIVES:
         print(f"error: unknown primitive '{args.primitive}' "
-              f"(choose from {', '.join(bench.PRIMITIVES)})",
+              f"(choose from {', '.join(PRIMITIVES)})",
               file=sys.stderr)
         return 2
     reports = min(args.reports, 8000) if args.smoke else args.reports
-    date = datetime.date.today().strftime("%Y%m%d")
     document = run_soak(primitive=args.primitive, reports=reports,
                         batch_size=args.batch_size,
                         queue_depth=args.queue_depth,
                         workers=args.workers, seed=args.seed,
                         executor=args.executor,
                         duration=args.duration, rate=args.rate,
-                        smoke=args.smoke, date=date)
-    record = bench.append_history(document, args.history)
-    print(render_soak(document))
-    print(f"appended soak run {record['commit']} to {args.history}")
-    if args.out:
-        bench.write_document(document, args.out)
-        print(f"wrote {args.out}")
-    return 0 if document["pass"] else 1
+                        smoke=args.smoke)
+    return bench.finish(document, args.history, args.out)
 
 
 def _cmd_faults(args) -> int:
@@ -371,9 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--vectorized", action="store_true",
                        help="also run the numpy kernel path and gate "
                             "its speedup (>= 3x on KI and Sketch-Merge)")
-    bench.add_argument("--cluster", type=int, default=0, metavar="N",
-                       help="also check N-collector serial vs parallel "
-                            "digest agreement (needs N > 1)")
     bench.add_argument("--history", default="BENCH_HISTORY.jsonl",
                        metavar="PATH",
                        help="JSONL trajectory to append this run to")
@@ -392,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="workload size (streamed lane may stop early "
                           "under --duration)")
     run.add_argument("--primitive", default="key_write",
-                     help="workload primitive (a repro bench primitive)")
+                     help="workload primitive (see repro.workloads.reports)")
     run.add_argument("--workers", type=int, default=2,
                      help="0 = every stage inline in the submitting "
                           "thread; --executor thread: any value >= 1 runs "

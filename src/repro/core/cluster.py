@@ -63,43 +63,6 @@ class ClusterMap:
         """Sketch-Merge: a single aggregation point."""
         return self.sketch_home
 
-    # -- workload sharding -------------------------------------------------
-    #
-    # The same routing, applied offline to a struct-of-arrays workload:
-    # :mod:`repro.kernels.parallel` regenerates one seeded workload in
-    # every shard process and keeps only the rows this map routes there,
-    # so a parallel run is the same computation as a serial one merely
-    # cut along collector boundaries.
-
-    def route_rows(self, primitive: str, work: dict) -> list[int]:
-        """Per-row collector index for a struct-of-arrays workload."""
-        if primitive == "sketch_merge":
-            home = self.for_sketch(work.get("sketch_id", 0))
-            return [home] * len(work["columns"])
-        if primitive == "append":
-            return [self.for_list(list_id) for list_id in work["list_ids"]]
-        return [self.for_key(key) for key in work["keys"]]
-
-    def shard_workload(self, primitive: str, work: dict,
-                       shard: int) -> dict:
-        """Filter ``work`` down to the rows routed to collector ``shard``.
-
-        Row columns (lists matching the row count) are filtered;
-        scalar entries such as ``sketch_id`` pass through unchanged.
-        """
-        if not 0 <= shard < self.collectors:
-            raise ValueError("shard outside the cluster")
-        owners = self.route_rows(primitive, work)
-        n = len(owners)
-        out = {}
-        for name, column in work.items():
-            if isinstance(column, list) and len(column) == n:
-                out[name] = [value for value, owner in zip(column, owners)
-                             if owner == shard]
-            else:
-                out[name] = column
-        return out
-
 
 class ClusterReporter:
     """A reporter switch addressing a collector cluster.

@@ -359,6 +359,11 @@ _SUBHEADERS = {
 
 _PRIMITIVE_OF = {cls: prim for prim, cls in _SUBHEADERS.items()}
 
+#: Size of each primitive's fixed sub-header; the variable part (key,
+#: data, counters) starts ``BASE_HEADER_BYTES`` + this into a report.
+SUBHEADER_BYTES = {prim: struct.calcsize(cls._FMT)
+                   for prim, cls in _SUBHEADERS.items()}
+
 Operation = object  # any of the subheader dataclasses above
 
 

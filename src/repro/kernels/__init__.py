@@ -14,9 +14,6 @@ else.  The layout mirrors the hot path it accelerates:
 * :mod:`repro.kernels.burst` — whole-burst RDMA write/atomic execution
   against a direct-mode collector, with the full accounting mirror
   (client, both QP halves, NIC cost model, memory bytes).
-* :mod:`repro.kernels.parallel` — multi-collector scale-out: shard a
-  seeded workload by :class:`~repro.core.cluster.ClusterMap` across a
-  process pool and merge per-shard results deterministically.
 
 numpy is a declared dependency, but the kernels stay importable without
 it (``HAVE_NUMPY`` gates every entry point) so stripped-down

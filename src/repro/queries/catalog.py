@@ -8,26 +8,25 @@ every operator (filter, map, reduce, distinct, topk, join, union) and
 every primitive store, so "catalog results equal across lanes" means
 the whole algebra agrees with the serial reference.
 
-The mixed workload interleaves all five bench primitives through one
+The mixed workload interleaves all five workload primitives through one
 streaming engine — the closest thing the repo has to a production
 collector serving every service at once.
 """
 
 from __future__ import annotations
 
-from repro import bench, obs
+from repro import bench
 from repro.queries import algebra
 from repro.runtime.engine import StreamEngine, store_digest
-from repro.runtime.soak import _make_batch
+from repro.workloads import reports as workload
 
 #: Primitives of the mixed stream, in submission order.
-MIXED = ("key_write", "key_increment", "postcarding", "append",
-         "sketch_merge")
+MIXED = workload.PRIMITIVES
 
 
 def demo_workloads(reports: int, seed: int) -> dict:
     """Seeded per-primitive workload columns for the mixed stream."""
-    return {primitive: bench._workload(primitive, reports, seed + index)
+    return {primitive: workload.columns(primitive, reports, seed + index)
             for index, primitive in enumerate(MIXED)}
 
 
@@ -92,28 +91,27 @@ def stream_mixed(works: dict, *, workers: int, batch_size: int = 32,
     ``epochs`` equal submission slices, while the stream is live — the
     hook the serving loop uses to query mid-ingest.
     """
-    n = len(next(iter(works["key_write"].values())))
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False, sketch_width=n)
-    engine = StreamEngine(collector, translator, reporter,
-                          workers=workers, queue_depth=queue_depth,
-                          vectorized=True, name="query-feed")
-    try:
-        engine.start()
-        slice_len = max(batch_size, (n + epochs - 1) // epochs)
-        for start in range(0, n, slice_len):
-            stop = min(start + slice_len, n)
-            for primitive in MIXED:
-                work = works[primitive]
-                for s in range(start, stop, batch_size):
-                    e = min(s + batch_size, stop)
-                    engine.submit(_make_batch(primitive, work, s, e))
-            if on_epoch is not None:
-                on_epoch(engine, start // slice_len + 1)
-        engine.drain()
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+    n = workload.size(works["key_write"])
+    with bench.deployment(vectorized=False, sketch_width=n) as (
+            registry, collector, translator, reporter):
+        engine = StreamEngine(collector, translator, reporter,
+                              workers=workers, queue_depth=queue_depth,
+                              vectorized=True, name="query-feed")
+        try:
+            engine.start()
+            slice_len = max(batch_size, (n + epochs - 1) // epochs)
+            for start in range(0, n, slice_len):
+                stop = min(start + slice_len, n)
+                for primitive in MIXED:
+                    work = works[primitive]
+                    for s in range(start, stop, batch_size):
+                        e = min(s + batch_size, stop)
+                        engine.submit(workload.batch(primitive, work, s, e))
+                if on_epoch is not None:
+                    on_epoch(engine, start // slice_len + 1)
+            engine.drain()
+        finally:
+            engine.close()
     reporter_sent = reporter.stats.reports_sent
     translator_in = translator.stats.reports_in
     zero_loss = (reporter_sent == translator_in == n * len(MIXED)

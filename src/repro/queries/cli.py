@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 
+from repro import bench
 from repro.queries import catalog
 from repro.queries.serving import QueryServer
 
@@ -139,23 +140,22 @@ def _run_smoke(args, works) -> int:
     serial_digest = catalog.lane_digest(r_collector)
 
     gates = [
-        ("store digests match", streamed_digest == serial_digest),
-        ("zero report loss", s_zero and r_zero),
+        bench.gate("store digests match",
+                   streamed_digest == serial_digest),
+        bench.gate("zero report loss", s_zero and r_zero),
     ]
     for name in sorted(serial_results):
-        gates.append((f"plan '{name}' matches serial",
-                      streamed_results[name] == serial_results[name]))
-    for label, ok in gates:
-        print(f"  gate: {label} -> {'pass' if ok else 'FAIL'}")
-    passed = all(ok for _label, ok in gates)
+        gates.append(bench.gate(
+            f"plan '{name}' matches serial",
+            streamed_results[name] == serial_results[name]))
+    print("\n".join(bench.gate_lines(gates)))
+    passed = all(gate["pass"] for gate in gates)
     if args.cost_out:
         _write_cost_artifact(
             args.cost_out, streamed_cost,
             {"mode": "smoke", "seed": args.seed,
              "store_digest": streamed_digest,
-             "gates": [{"gate": label, "pass": ok}
-                       for label, ok in gates],
-             "pass": passed})
+             "gates": gates, "pass": passed})
     print(f"overall: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 

@@ -1,22 +1,18 @@
 """The ``repro retain`` command: the retention tier's CI gate.
 
 ``repro retain --smoke`` runs the seeded bounded-memory +
-checkpoint-round-trip lane (:mod:`repro.retention.smoke`), optionally
-appends its ``repro-retain/1`` document to ``BENCH_HISTORY.jsonl``
-(``--history``), writes the full document as a JSON artifact
-(``--out``), and leaves the checkpoint directory behind for artifact
-upload (``--ckpt-dir``).  Exit status is the gate verdict.
+checkpoint-round-trip lane (:mod:`repro.retention.smoke`), stores its
+lane record (``--history`` / ``--out``, :func:`repro.bench.finish`),
+and leaves the checkpoint directory behind for artifact upload
+(``--ckpt-dir``).  Exit status is the gate verdict.
 """
 
 from __future__ import annotations
 
-import datetime
-import json
-
 
 def _cmd_retain(args) -> int:
     from repro import bench
-    from repro.retention.smoke import render_retain, run_retain
+    from repro.retention.smoke import run_retain
 
     if args.smoke:
         # CI-scale parameters: a couple of seconds, deterministic.
@@ -31,17 +27,7 @@ def _cmd_retain(args) -> int:
                           window=args.window, seed=args.seed,
                           workers=args.workers,
                           ckpt_dir=args.ckpt_dir)
-    # Compact date, matching the bench/serve records in the history.
-    document["date"] = datetime.date.today().strftime("%Y%m%d")
-    print(render_retain(document))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-    if args.history:
-        bench.append_history(document, args.history)
-        print(f"appended {document['schema']} record to {args.history}")
-    return 0 if document["pass"] else 1
+    return bench.finish(document, args.history, args.out)
 
 
 def add_retain_parser(sub) -> None:
@@ -66,7 +52,7 @@ def add_retain_parser(sub) -> None:
     retain.add_argument("--ckpt-dir", default=None,
                         help="keep the end-of-run checkpoint here")
     retain.add_argument("--out", default=None, metavar="FILE",
-                        help="write the repro-retain/1 JSON document")
+                        help="write the lane record as JSON")
     retain.add_argument("--history", default=None, metavar="FILE",
-                        help="append the document to this JSONL history")
+                        help="append the lane record to this JSONL history")
     retain.set_defaults(fn=_cmd_retain)

@@ -7,10 +7,13 @@ that steady-state live state never exceeds two epochs' worth (the
 retention window plus the epoch currently accumulating).  A checkpoint
 round-trip gate writes a ``repro-ckpt/1`` directory at the end and
 restores it into a freshly provisioned collector, asserting bit-exact
-store digests.  The resulting ``repro-retain/1`` document lands in
-``BENCH_HISTORY.jsonl`` next to the bench and serve lanes, where
-``tools/bench_trend.py`` plots its throughput as the synthetic
-``repro-retain`` lane.
+store digests.  The result is one ``retain`` lane record
+(:mod:`repro.bench`) with a single cell.
+
+The stream is this lane's own, not :mod:`repro.workloads.reports`:
+every epoch writes a disjoint, epoch-tagged keyspace so that expiry is
+observable, and the stores are sized to the epoch, not to the shared
+workload geometry.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 import struct
 import time
 
+from repro import bench
 from repro.core.batch import ReportBatch
 from repro.core.collector import Collector
 from repro.core.reporter import Reporter
@@ -27,8 +31,6 @@ from repro.retention.checkpoint import restore_checkpoint
 from repro.retention.epochs import RetentionPolicy
 from repro.retention.manager import RetentionManager
 from repro.runtime.engine import StreamEngine, store_digest
-
-RETAIN_SCHEMA = "repro-retain/1"
 
 #: Rotations skipped before the bounded-memory gate samples live state
 #: (the window has to fill before steady state means anything), on top
@@ -48,7 +50,7 @@ def _serve(slots: int, lists: int, capacity: int) -> Collector:
 def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
                batch_size: int = 32, window: int = 1, seed: int = 11,
                workers: int = 0, ckpt_dir: str | None = None) -> dict:
-    """Run the retention smoke; returns the ``repro-retain/1`` document.
+    """Run the retention smoke; returns the lane record.
 
     Args:
         epochs: Sealed epochs to stream through.
@@ -149,48 +151,18 @@ def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
         manifest = None     # the artifact only outlives the run on disk
 
     gates = [
-        {"gate": "bounded memory (live <= 2 epochs' cells)",
-         "pass": bounded},
-        {"gate": "checkpoint round-trip bit-exact", "pass": roundtrip},
-        {"gate": f"rotation cadence ({epochs} epochs sealed)",
-         "pass": manager.epochs.rotations == epochs},
+        bench.gate("bounded memory (live <= 2 epochs' cells)", bounded),
+        bench.gate("checkpoint round-trip bit-exact", roundtrip),
+        bench.gate(f"rotation cadence ({epochs} epochs sealed)",
+                   manager.epochs.rotations == epochs),
     ]
-    return {
-        "schema": RETAIN_SCHEMA,
-        "config": {"epochs": epochs,
-                   "reports_per_epoch": reports_per_epoch,
-                   "batch_size": batch_size, "window": window,
-                   "seed": seed, "workers": workers,
-                   "slots": slots, "lists": lists, "capacity": capacity},
-        "retain": {
-            "reports_per_sec": total_reports / elapsed,
-            "reports": total_reports,
-            "rotations": manager.epochs.rotations,
-            "cells_expired": manager.stats.cells_expired,
-            "entries_expired": manager.stats.entries_expired,
-            "stores": per_store,
-        },
-        "checkpoint": {"path": manifest, "digest": digest_before},
-        "gates": gates,
-        "pass": all(gate["pass"] for gate in gates),
-    }
-
-
-def render_retain(document: dict) -> str:
-    """Human-readable summary of a ``repro-retain/1`` document."""
-    retain = document["retain"]
-    lines = [f"retention smoke: {retain['reports']} reports, "
-             f"{retain['rotations']} rotations, "
-             f"{retain['reports_per_sec']:,.0f} reports/s"]
-    header = (f"{'store':<14}{'epoch cells':>12}{'live max':>10}"
-              f"{'ratio':>7}  bounded")
-    lines += [header, "-" * len(header)]
-    for attr, cell in retain["stores"].items():
-        lines.append(f"{attr:<14}{cell['epoch_cells_max']:>12}"
-                     f"{cell['live_cells_max']:>10}"
-                     f"{cell['bound_ratio']:>7.2f}  "
-                     f"{'yes' if cell['bounded'] else 'NO'}")
-    for gate in document["gates"]:
-        lines.append(f"[{'PASS' if gate['pass'] else 'FAIL'}] "
-                     f"{gate['gate']}")
-    return "\n".join(lines)
+    config = {"epochs": epochs, "reports_per_epoch": reports_per_epoch,
+              "batch_size": batch_size, "window": window, "seed": seed,
+              "workers": workers, "slots": slots, "lists": lists,
+              "capacity": capacity}
+    cell = bench.cell(total_reports, elapsed, store_digest=digest_before,
+                      rotations=manager.epochs.rotations,
+                      cells_expired=manager.stats.cells_expired,
+                      entries_expired=manager.stats.entries_expired,
+                      stores=per_store, checkpoint=manifest)
+    return bench.record("retain", config, {"retain": cell}, gates)

@@ -10,7 +10,7 @@ over an in-process :class:`CreditQueue` hand-off, and plan worker
 ``docs/CONCURRENCY.md`` for the full determinism-and-concurrency
 contract, ``docs/ARCHITECTURE.md`` ("One reference, one fast path")
 for the plan/apply pair and the stage diagram, and
-``docs/BENCHMARKS.md`` for the soak lane recorded by ``repro run``.
+``docs/BENCHMARKS.md`` for the lane record ``repro run`` writes.
 """
 
 from repro.runtime.engine import (
@@ -35,27 +35,17 @@ from repro.runtime.shm import (
     ShmCreditQueue,
     ShmMessage,
 )
-from repro.runtime.soak import (
-    PROCESS_CELL_GATE,
-    SOAK_SCHEMA,
-    THROUGHPUT_GATE,
-    render_soak,
-    run_lane,
-    run_process_cell,
-    run_soak,
-)
+from repro.runtime.soak import THROUGHPUT_GATE, run_lane, run_soak
 
 __all__ = [
     "CLOSED",
     "CreditQueue",
-    "PROCESS_CELL_GATE",
     "PlanSpec",
     "PlanWorkerPool",
     "QueueAborted",
     "QueueClosed",
     "QueueStats",
     "RingPeerDead",
-    "SOAK_SCHEMA",
     "STAGES",
     "ShmCreditQueue",
     "ShmMessage",
@@ -64,9 +54,7 @@ __all__ = [
     "StreamEngine",
     "THROUGHPUT_GATE",
     "pipeline_digest",
-    "render_soak",
     "run_lane",
-    "run_process_cell",
     "run_soak",
     "store_digest",
 ]

@@ -13,8 +13,6 @@ from repro.transport.serve import (
     ServeError,
     ServeSpec,
     SocketLane,
-    encode_workload,
-    render_serve,
     run_reference,
     run_serve,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "ServeSpec",
     "SocketLane",
     "SocketReporter",
-    "encode_workload",
-    "render_serve",
     "run_reference",
     "run_serve",
 ]

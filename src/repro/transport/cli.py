@@ -1,33 +1,31 @@
-"""CLI verbs for the deployment lane: ``repro serve`` / ``repro deploy``.
+"""The ``repro serve`` verb: the deployment lane's differential gate.
 
-``serve`` runs the full differential — socket lane against the
-in-process reference — and exits non-zero unless every gate holds;
-``deploy`` runs the socket lane alone (no reference pass) for
-throughput measurement.  Both honour ``--smoke`` for a capped quick
-run and can append their document to the benchmark history.
+Runs the socket lane against the in-process reference and exits
+non-zero unless every gate holds.  ``--smoke`` caps the stream for CI;
+``--history`` / ``--out`` store the lane record (:mod:`repro.bench`).
 """
 
 from __future__ import annotations
 
-import datetime
-import json
-
 from repro import bench
 from repro.transport.loss import LossSpec
-from repro.transport.serve import (
-    ServeSpec,
-    render_serve,
-    run_serve,
-)
+from repro.transport.serve import ServeSpec, run_serve
+from repro.workloads.reports import PRIMITIVES
 
 _SMOKE_REPORTS = 4000
 
 
-def _add_common(parser, default_reports: int) -> None:
-    parser.add_argument("--primitive", choices=bench.PRIMITIVES,
+def add_transport_parsers(sub) -> None:
+    """Register ``serve`` on the main subparser set."""
+    parser = sub.add_parser(
+        "serve",
+        help="run the socket deployment lane against the in-process "
+             "reference and gate on digest equality")
+    parser.set_defaults(fn=_cmd_serve)
+    parser.add_argument("--primitive", choices=PRIMITIVES,
                         default="key_write",
                         help="workload primitive (default key_write)")
-    parser.add_argument("--reports", type=int, default=default_reports,
+    parser.add_argument("--reports", type=int, default=20000,
                         help="reports to stream")
     parser.add_argument("--collectors", type=int, default=2,
                         help="collector daemons (default 2)")
@@ -87,42 +85,6 @@ def _spec(args) -> ServeSpec:
     )
 
 
-def _finish(document, args) -> int:
-    print(render_serve(document))
-    if args.history:
-        bench.append_history(document, path=args.history)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-    return 0 if document["pass"] else 1
-
-
 def _cmd_serve(args) -> int:
-    date = datetime.date.today().strftime("%Y%m%d")
-    document = run_serve(_spec(args), date=date, reference=True,
-                         smoke=args.smoke)
-    return _finish(document, args)
-
-
-def _cmd_deploy(args) -> int:
-    date = datetime.date.today().strftime("%Y%m%d")
-    document = run_serve(_spec(args), date=date, reference=False,
-                         smoke=args.smoke)
-    return _finish(document, args)
-
-
-def add_transport_parsers(sub) -> None:
-    """Register ``serve`` and ``deploy`` on the main subparser set."""
-    serve = sub.add_parser(
-        "serve",
-        help="run the socket deployment lane against the in-process "
-             "reference and gate on digest equality")
-    _add_common(serve, default_reports=20000)
-    serve.set_defaults(fn=_cmd_serve)
-
-    deploy = sub.add_parser(
-        "deploy",
-        help="run the socket deployment lane alone (no reference pass)")
-    _add_common(deploy, default_reports=50000)
-    deploy.set_defaults(fn=_cmd_deploy)
+    document = run_serve(_spec(args), smoke=args.smoke)
+    return bench.finish(document, args.history, args.out)

@@ -19,8 +19,9 @@ them from :func:`segment_plan`, hands the names to both daemon kinds
 :mod:`repro.runtime.shm`), and unlinks them on teardown — so a crashed
 daemon can never leak a segment past the lane's context manager.
 
-Store sizing mirrors ``bench._deploy`` so socket-lane throughput cells
-are comparable with the in-process benchmark history.
+Store geometry and :func:`provision_collector` are the workload's own
+(:mod:`repro.workloads.reports`); this module only sizes the segments
+to match.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import socket
 
 from repro import calibration, obs
 from repro.core.cluster import ClusterMap
-from repro.core.collector import Collector
 from repro.core.stores.append import AppendLayout
 from repro.core.stores.keyincrement import KeyIncrementLayout
 from repro.core.stores.keywrite import KeyWriteLayout
@@ -50,22 +50,19 @@ from repro.transport.envelope import (
     wrap,
     wrap_ack,
 )
-
-# Deployment scale, mirroring bench._deploy so throughput numbers are
-# comparable across lanes.
-KW_SLOTS = 1 << 16
-KW_DATA_BYTES = 16
-KI_SLOTS_PER_ROW = 1 << 12
-KI_ROWS = 4
-PC_CHUNKS = 1 << 14
-PC_HOPS = 5
-PC_VALUES = range(256)
-AP_LISTS = 4
-AP_CAPACITY = 1 << 15
-AP_DATA_BYTES = 16
-AP_BATCH = 16
-SM_DEPTH = 4
-SM_BATCH_COLUMNS = 16
+from repro.workloads.reports import (
+    AP_CAPACITY,
+    AP_DATA_BYTES,
+    AP_LISTS,
+    KI_ROWS,
+    KI_SLOTS_PER_ROW,
+    KW_DATA_BYTES,
+    KW_SLOTS,
+    PC_CHUNKS,
+    PC_HOPS,
+    SM_DEPTH,
+    provision_collector,
+)
 
 #: Receiver re-acks at least this often while idle so a lost ACK can
 #: never wedge the reporter's send window.
@@ -111,41 +108,6 @@ def segment_plan(sketch_width: int = 0) -> list:
         plan.append(("sketch", SketchLayout(
             base_addr=0, width=sketch_width, depth=SM_DEPTH).region_bytes))
     return plan
-
-
-def provision_collector(name: str, *, sketch_width: int = 0,
-                        buffers=None) -> Collector:
-    """A bench-scale collector, optionally over supplied store buffers.
-
-    ``buffers`` (when given) must match :func:`segment_plan` — one
-    writable buffer per store, consumed in serve order through the
-    protection domain's ``buffer_factory`` seam.
-    """
-    collector = Collector(name)
-    if buffers is not None:
-        remaining = list(buffers)
-
-        def factory(length: int):
-            buf = remaining.pop(0)
-            if len(buf) != length:
-                raise ValueError(
-                    f"segment/store size mismatch: {len(buf)} != {length}")
-            return buf
-
-        collector.nic.pd.buffer_factory = factory
-    collector.serve_keywrite(slots=KW_SLOTS, data_bytes=KW_DATA_BYTES)
-    collector.serve_keyincrement(slots_per_row=KI_SLOTS_PER_ROW,
-                                 rows=KI_ROWS)
-    collector.serve_postcarding(chunks=PC_CHUNKS, value_set=PC_VALUES,
-                                hops=PC_HOPS)
-    collector.serve_append(lists=AP_LISTS, capacity=AP_CAPACITY,
-                           data_bytes=AP_DATA_BYTES, batch_size=AP_BATCH)
-    if sketch_width:
-        collector.serve_sketch(width=sketch_width, depth=SM_DEPTH,
-                               expected_reporters=1,
-                               batch_columns=SM_BATCH_COLUMNS)
-    collector.nic.pd.buffer_factory = None
-    return collector
 
 
 def _attach_segments(names, plan):

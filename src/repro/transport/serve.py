@@ -40,12 +40,12 @@ from dataclasses import asdict, dataclass, field
 from repro import bench, obs
 from repro.core import packets
 from repro.core.cluster import ClusterMap
+from repro.core.translator import Translator
 from repro.runtime.engine import store_digest
 from repro.runtime.queues import _clock
 from repro.transport.assembler import ReportAssembler
 from repro.transport.daemons import (
     ACK_EVERY,
-    PC_HOPS,
     collector_daemon_main,
     provision_collector,
     segment_plan,
@@ -53,9 +53,7 @@ from repro.transport.daemons import (
 )
 from repro.transport.loss import LossSpec
 from repro.transport.reporter import SocketReporter
-from repro.core.translator import Translator
-
-SERVE_SCHEMA = "repro-serve/2"
+from repro.workloads import reports as workload
 
 _READY_TIMEOUT_S = 30.0
 _DRAIN_TIMEOUT_S = 60.0
@@ -84,7 +82,7 @@ class ServeSpec:
     use_mmsg: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.primitive not in bench.PRIMITIVES:
+        if self.primitive not in workload.PRIMITIVES:
             raise ValueError(f"unknown primitive '{self.primitive}'")
         if self.reports <= 0:
             raise ValueError("reports must be positive")
@@ -101,60 +99,17 @@ class ServeSpec:
 
     @property
     def sketch_width(self) -> int:
-        return self.reports if self.primitive == "sketch_merge" else 0
+        return workload.sketch_width(self.primitive, self.reports)
 
 
-def encode_workload(spec: ServeSpec, *, reporter_id: int = 1) -> list:
-    """The run's report stream as DTA wire bytes, pre-impairment.
-
-    Reuses the seeded ``bench`` workload generator and the existing
-    wire codec (:func:`repro.core.packets.make_report`) so the stream
-    is byte-identical no matter which lane consumes it.  Non-essential
-    by construction: the differential gate must not depend on NACK
-    retransmission timing.
-    """
-    work = bench._workload(spec.primitive, spec.reports, spec.seed)
-    raws = []
-    if spec.primitive == "key_write":
-        for key, data in zip(work["keys"], work["datas"]):
-            raws.append(packets.make_report(
-                packets.KeyWrite(key=key, data=data, redundancy=2),
-                reporter_id=reporter_id))
-    elif spec.primitive == "key_increment":
-        for key, value in zip(work["keys"], work["values"]):
-            raws.append(packets.make_report(
-                packets.KeyIncrement(key=key, value=value, redundancy=2),
-                reporter_id=reporter_id))
-    elif spec.primitive == "postcarding":
-        for key, hop, value in zip(work["keys"], work["hops"],
-                                   work["values"]):
-            raws.append(packets.make_report(
-                packets.Postcard(key=key, hop=hop, value=value,
-                                 path_length=PC_HOPS, redundancy=1),
-                reporter_id=reporter_id))
-    elif spec.primitive == "append":
-        for list_id, data in zip(work["list_ids"], work["datas"]):
-            raws.append(packets.make_report(
-                packets.Append(list_id=list_id, data=data),
-                reporter_id=reporter_id))
-    else:
-        for column, counters in zip(work["columns"],
-                                    work["counter_rows"]):
-            raws.append(packets.make_report(
-                packets.SketchColumn(sketch_id=0, column=column,
-                                     counters=counters),
-                reporter_id=reporter_id))
-    return raws
-
-
-#: Absolute key offset per keyed primitive: base header (8) plus the
-#: fixed subheader (KW ">BBH"=4, KI ">BBq"=10, PC ">BBBBI"=8); the key
-#: length sits at byte 9 (second subheader byte) in all three layouts.
-_KEY_AT = {
-    int(packets.DtaPrimitive.KEY_WRITE): 12,
-    int(packets.DtaPrimitive.KEY_INCREMENT): 18,
-    int(packets.DtaPrimitive.POSTCARDING): 16,
-}
+_BASE = packets.BASE_HEADER_BYTES
+#: The keyed sub-headers all open ``(redundancy, key_len)``, one byte
+#: each, and the key starts right after the fixed sub-header.
+_KEY_LEN_AT = _BASE + 1
+_KEY_AT = {int(prim): _BASE + packets.SUBHEADER_BYTES[prim]
+           for prim in (packets.DtaPrimitive.KEY_WRITE,
+                        packets.DtaPrimitive.KEY_INCREMENT,
+                        packets.DtaPrimitive.POSTCARDING)}
 
 
 def route_report(cmap: ClusterMap, raw: bytes) -> int:
@@ -169,9 +124,10 @@ def route_report(cmap: ClusterMap, raw: bytes) -> int:
     prim = raw[0] & 0xF
     key_at = _KEY_AT.get(prim)
     if key_at is not None:
-        return cmap.for_key(raw[key_at:key_at + raw[9]])
+        return cmap.for_key(raw[key_at:key_at + raw[_KEY_LEN_AT]])
     if prim == int(packets.DtaPrimitive.APPEND):
-        return cmap.for_list((raw[8] << 8) | raw[9])
+        # The Append sub-header opens with the 16-bit list id.
+        return cmap.for_list(int.from_bytes(raw[_BASE:_BASE + 2], "big"))
     return cmap.for_sketch(0)
 
 
@@ -442,13 +398,12 @@ def run_reference(spec: ServeSpec, raws) -> list:
         obs.set_registry(previous)
 
 
-def run_serve(spec: ServeSpec, *, date: str,
-              reference: bool = True, smoke: bool = False) -> dict:
-    """Run the deployment lane end to end; returns the gated document."""
+def run_serve(spec: ServeSpec, *, smoke: bool = False) -> dict:
+    """Run the deployment lane end to end; returns the lane record."""
     registry = obs.Registry()
     previous = obs.set_registry(registry)
     try:
-        raws = encode_workload(spec)
+        raws = workload.wire(spec.primitive, spec.reports, spec.seed)
         cmap = ClusterMap(collectors=spec.collectors)
         shards = [route_report(cmap, raw) for raw in raws]
         with SocketLane(spec) as lane:
@@ -457,104 +412,46 @@ def run_serve(spec: ServeSpec, *, date: str,
             sent = lane.reporter.end_stream()
             stats = lane.drain()
             elapsed = _clock() - start
-            lane_digests = lane.digests()
             reporter = lane.reporter
-            shim = reporter.shim
-            datagrams = reporter.datagrams_sent
-            frames = reporter.frames_sent
-            lane_seqs = reporter.lane_seqs
-            acks = reporter.acks_received
-            ctrl_dgrams_recv = reporter.ctrl_datagrams_received
-            ctrl_bytes_recv = reporter.ctrl_bytes_received
-        ref_digests = run_reference(spec, raws) if reference else None
+            socket_cell = bench.cell(
+                stats["reports"], elapsed,
+                store_digests=lane.digests(),
+                reports_sent=sent,
+                datagrams_sent=reporter.datagrams_sent,
+                frames_sent=reporter.frames_sent,
+                lane_seqs=reporter.lane_seqs,
+                acks_received=reporter.acks_received,
+                ctrl_datagrams_received=reporter.ctrl_datagrams_received,
+                ctrl_bytes_received=reporter.ctrl_bytes_received,
+                shim={"dropped": reporter.shim.dropped,
+                      "reordered": reporter.shim.reordered,
+                      "passed": reporter.shim.passed},
+                translator=stats)
+        start = _clock()
+        ref_digests = run_reference(spec, raws)
+        reference_cell = bench.cell(sent, _clock() - start,
+                                    store_digests=ref_digests)
     finally:
         obs.set_registry(previous)
 
     gates = [
-        ["every surviving datagram delivered in order",
-         stats["delivered"] == sum(lane_seqs) and stats["waiting"] == 0],
-        ["every delivered report decoded",
-         stats["reports"] == sent and stats["malformed"] == 0],
+        bench.gate("every surviving datagram delivered in order",
+                   stats["delivered"] == sum(socket_cell["lane_seqs"])
+                   and stats["waiting"] == 0),
+        bench.gate("every delivered report decoded",
+                   stats["reports"] == sent and stats["malformed"] == 0),
         # Received ≤ sent, not ==: the daemons keep idle re-ACKing
         # after the reporter stops polling, and UDP may shed control
         # datagrams under pressure — neither may *create* bytes.
-        ["control channel conserved (ACK/NACK bytes accounted)",
-         ctrl_dgrams_recv <= stats["ctrl_datagrams_sent"]
-         and ctrl_bytes_recv <= stats["ctrl_bytes_sent"]],
+        bench.gate("control channel conserved (ACK/NACK bytes accounted)",
+                   socket_cell["ctrl_datagrams_received"]
+                   <= stats["ctrl_datagrams_sent"]
+                   and socket_cell["ctrl_bytes_received"]
+                   <= stats["ctrl_bytes_sent"]),
+        bench.gate("socket-lane store digests match in-process lane",
+                   socket_cell["store_digests"] == ref_digests),
     ]
-    if reference:
-        gates.append(["socket-lane store digests match in-process lane",
-                      lane_digests == ref_digests])
-    document = {
-        "schema": SERVE_SCHEMA,
-        "date": date,
-        "config": {
-            "primitive": spec.primitive,
-            "reports": spec.reports,
-            "collectors": spec.collectors,
-            "batch_size": spec.batch_size,
-            "seed": spec.seed,
-            "vectorized": spec.vectorized,
-            "window": spec.window,
-            "translators": spec.translators,
-            "frame_bytes": spec.frame_bytes,
-            "ack_every": spec.ack_every,
-            "use_mmsg": spec.use_mmsg,
-            "loss": asdict(spec.loss),
-            "smoke": smoke,
-        },
-        "socket": {
-            "reports_sent": sent,
-            "datagrams_sent": datagrams,
-            "frames_sent": frames,
-            "lane_seqs": lane_seqs,
-            "acks_received": acks,
-            "ctrl_datagrams_received": ctrl_dgrams_recv,
-            "ctrl_bytes_received": ctrl_bytes_recv,
-            "shim": {"dropped": shim.dropped,
-                     "reordered": shim.reordered,
-                     "passed": shim.passed},
-            "elapsed_s": round(elapsed, 6),
-            "reports_per_sec": round(stats["reports"] / elapsed, 1)
-            if elapsed > 0 else 0.0,
-            "translator": stats,
-            "store_digests": lane_digests,
-        },
-        "reference": ({"store_digests": ref_digests}
-                      if reference else None),
-        "gates": gates,
-    }
-    document["pass"] = all(ok for _name, ok in gates)
-    return document
-
-
-def render_serve(document: dict) -> str:
-    """Human-readable summary of a SERVE document."""
-    config = document["config"]
-    sock = document["socket"]
-    shim = sock["shim"]
-    lines = [
-        f"deployment lane: {config['primitive']} x {config['reports']} "
-        f"reports -> {config['collectors']} collector daemon(s) / "
-        f"{config['translators']} translator daemon(s) "
-        f"over UDP (seed {config['seed']})",
-        f"  shim: dropped {shim['dropped']}, reordered "
-        f"{shim['reordered']}, passed {shim['passed']} "
-        f"(drop {config['loss']['drop_rate']:.1%}, reorder "
-        f"{config['loss']['reorder_rate']:.1%})",
-        f"  socket lane: {sock['reports_sent']} reports in "
-        f"{sock['frames_sent']} frames / {sock['datagrams_sent']} "
-        f"datagrams, {sock['elapsed_s']:.3f}s = "
-        f"{sock['reports_per_sec']:,.0f} reports/s, "
-        f"{sock['translator']['rdma_messages']} RDMA msgs, "
-        f"{sock['translator']['batches']} batches",
-        f"  control: {sock['acks_received']} ACKs, "
-        f"{sock['ctrl_bytes_received']}B received / "
-        f"{sock['translator']['ctrl_bytes_sent']}B sent",
-    ]
-    for shard, digest in enumerate(sock["store_digests"]):
-        lines.append(f"  shard {shard}: {digest}")
-    for name, ok in document["gates"]:
-        lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-    lines.append(f"serve: {'PASS' if document['pass'] else 'FAIL'}")
-    return "\n".join(lines)
+    config = {**asdict(spec), "smoke": smoke}
+    return bench.record("serve", config,
+                        {"socket": socket_cell,
+                         "reference": reference_cell}, gates)

@@ -1,0 +1,206 @@
+"""The one seeded DTA report workload, and the stores it is sized for.
+
+The paper evaluates every primitive with one traffic source —
+TRex-generated DTA reports (§7) — against one collector set-up.  This
+module is that set-up for the reproduction: every gated lane
+(``repro bench`` / ``run`` / ``serve`` / ``query``) and every
+differential test draws its reports from :func:`columns` and lands
+them in stores provisioned by :func:`provision_collector`.
+
+One seeded stream, three views:
+
+* :func:`columns` — struct-of-arrays, one list per field;
+* :func:`batch` — a slice of the columns as a
+  :class:`~repro.core.batch.ReportBatch`;
+* :func:`wire` — the whole stream as DTA wire bytes
+  (``ReportBatch.iter_raw``, byte-identical to
+  :func:`repro.core.packets.make_report`).
+
+:func:`emit` is the per-report twin of :func:`batch`: the same columns
+through ``Reporter.key_write()`` and friends, one report per call.
+
+Recorded digests depend on the exact RNG draws of :func:`columns` and
+on the store geometry below; ``tests/workloads/test_reports.py`` pins
+both.
+"""
+
+from __future__ import annotations
+
+import random
+import struct
+
+from repro.core.batch import ReportBatch
+from repro.core.collector import Collector
+
+PRIMITIVES = ("key_write", "key_increment", "postcarding", "append",
+              "sketch_merge")
+
+# Store geometry — sized so quick (2 k) and full (200 k) streams both
+# fit without ring wrap-around dominating a run.  transport.daemons
+# sizes its shared-memory segments from the same constants.
+KW_SLOTS = 1 << 16
+KW_DATA_BYTES = 16
+KI_SLOTS_PER_ROW = 1 << 12
+KI_ROWS = 4
+PC_CHUNKS = 1 << 14
+PC_HOPS = 5
+PC_VALUES = range(256)
+AP_LISTS = 4
+AP_CAPACITY = 1 << 15
+AP_DATA_BYTES = 16
+AP_BATCH = 16
+SM_DEPTH = 4
+SM_BATCH_COLUMNS = 16
+
+
+def columns(primitive: str, reports: int, seed: int) -> dict:
+    """Seeded struct-of-arrays columns for one primitive.
+
+    Not prefix-stable across ``reports`` (the RNG is drained column by
+    column): take a prefix by slicing one generated workload, never by
+    generating a smaller one.
+    """
+    rng = random.Random(seed)
+    if primitive == "key_write":
+        return {
+            "keys": [struct.pack(">I", rng.getrandbits(32))
+                     for _ in range(reports)],
+            "datas": [struct.pack(">QQ", i, rng.getrandbits(63))
+                      for i in range(reports)],
+        }
+    if primitive == "key_increment":
+        return {
+            "keys": [struct.pack(">I", rng.getrandbits(32))
+                     for _ in range(reports)],
+            "values": [rng.randrange(1, 100) for _ in range(reports)],
+        }
+    if primitive == "postcarding":
+        flows = max(1, reports // PC_HOPS)
+        keys = []
+        hops = []
+        values = []
+        for i in range(reports):
+            keys.append(struct.pack(">I", (i // PC_HOPS) % flows))
+            hops.append(i % PC_HOPS)
+            values.append(rng.choice(PC_VALUES))
+        return {"keys": keys, "hops": hops, "values": values,
+                "path_lengths": [PC_HOPS] * reports}
+    if primitive == "append":
+        return {
+            "list_ids": [i % AP_LISTS for i in range(reports)],
+            "datas": [struct.pack(">QQ", i, rng.getrandbits(63))
+                      for i in range(reports)],
+        }
+    if primitive == "sketch_merge":
+        return {
+            "columns": list(range(reports)),
+            "counter_rows": [tuple(rng.getrandbits(31)
+                                   for _ in range(SM_DEPTH))
+                             for _ in range(reports)],
+        }
+    raise ValueError(f"unknown workload primitive '{primitive}'")
+
+
+def size(work: dict) -> int:
+    """Reports in a column set."""
+    return len(next(iter(work.values())))
+
+
+def sketch_width(primitive: str, reports: int) -> int:
+    """Sketch columns to provision: one per report of a Sketch-Merge
+    stream (it sweeps columns ``0..reports-1`` in order), else none."""
+    return reports if primitive == "sketch_merge" else 0
+
+
+def batch(primitive: str, work: dict, start: int, stop: int) -> ReportBatch:
+    """Rows ``start:stop`` of the columns as one batch."""
+    s = slice(start, stop)
+    if primitive == "key_write":
+        return ReportBatch.key_writes(work["keys"][s], work["datas"][s],
+                                      redundancy=2)
+    if primitive == "key_increment":
+        return ReportBatch.key_increments(work["keys"][s],
+                                          work["values"][s], redundancy=2)
+    if primitive == "postcarding":
+        return ReportBatch.postcards(
+            work["keys"][s], work["hops"][s], work["values"][s],
+            path_lengths=work["path_lengths"][s], redundancy=1)
+    if primitive == "append":
+        return ReportBatch.appends(work["list_ids"][s], work["datas"][s])
+    if primitive == "sketch_merge":
+        return ReportBatch.sketch_columns(0, work["columns"][s],
+                                          work["counter_rows"][s])
+    raise ValueError(f"unknown workload primitive '{primitive}'")
+
+
+def emit(reporter, primitive: str, work: dict) -> None:
+    """The columns through ``reporter``, one report per call."""
+    if primitive == "key_write":
+        for key, data in zip(work["keys"], work["datas"]):
+            reporter.key_write(key, data, redundancy=2)
+    elif primitive == "key_increment":
+        for key, value in zip(work["keys"], work["values"]):
+            reporter.key_increment(key, value, redundancy=2)
+    elif primitive == "postcarding":
+        for key, hop, value, path_length in zip(
+                work["keys"], work["hops"], work["values"],
+                work["path_lengths"]):
+            reporter.postcard(key, hop, value, path_length=path_length,
+                              redundancy=1)
+    elif primitive == "append":
+        for list_id, data in zip(work["list_ids"], work["datas"]):
+            reporter.append(list_id, data)
+    elif primitive == "sketch_merge":
+        for column, counters in zip(work["columns"], work["counter_rows"]):
+            reporter.sketch_column(0, column, counters)
+    else:
+        raise ValueError(f"unknown workload primitive '{primitive}'")
+
+
+def wire(primitive: str, reports: int, seed: int) -> list:
+    """The seeded stream as DTA wire bytes, one report per element.
+
+    Stamped with reporter id 1 (what every harness reporter uses) and
+    non-essential by construction: a differential gate over these
+    bytes must not depend on NACK retransmission timing.
+    """
+    work = columns(primitive, reports, seed)
+    whole = batch(primitive, work, 0, reports)
+    whole.reporter_id = 1
+    return list(whole.iter_raw())
+
+
+def provision_collector(name: str, *, sketch_width: int = 0,
+                        buffers=None) -> Collector:
+    """A collector serving every primitive at the workload's geometry.
+
+    ``buffers`` (when given) must match
+    :func:`repro.transport.daemons.segment_plan` — one writable buffer
+    per store, consumed in serve order through the protection domain's
+    ``buffer_factory`` seam.
+    """
+    collector = Collector(name)
+    if buffers is not None:
+        remaining = list(buffers)
+
+        def factory(length: int):
+            buf = remaining.pop(0)
+            if len(buf) != length:
+                raise ValueError(
+                    f"segment/store size mismatch: {len(buf)} != {length}")
+            return buf
+
+        collector.nic.pd.buffer_factory = factory
+    collector.serve_keywrite(slots=KW_SLOTS, data_bytes=KW_DATA_BYTES)
+    collector.serve_keyincrement(slots_per_row=KI_SLOTS_PER_ROW,
+                                 rows=KI_ROWS)
+    collector.serve_postcarding(chunks=PC_CHUNKS, value_set=PC_VALUES,
+                                hops=PC_HOPS)
+    collector.serve_append(lists=AP_LISTS, capacity=AP_CAPACITY,
+                           data_bytes=AP_DATA_BYTES, batch_size=AP_BATCH)
+    if sketch_width:
+        collector.serve_sketch(width=sketch_width, depth=SM_DEPTH,
+                               expected_reporters=1,
+                               batch_columns=SM_BATCH_COLUMNS)
+    collector.nic.pd.buffer_factory = None
+    return collector

@@ -81,28 +81,28 @@ class TestCollectorEntryPoint:
 
 class TestEngineSnapshots:
     def _streamed(self, workers):
-        from repro import bench, obs
+        from repro import bench
         from repro.runtime.engine import StreamEngine
-        from repro.runtime.soak import _make_batch
+        from repro.workloads import reports
 
-        work = bench._workload("key_write", 256, 11)
-        registry, previous, collector, translator, reporter = \
-            bench._deploy(vectorized=False)
-        engine = StreamEngine(collector, translator, reporter,
-                              workers=workers, vectorized=False)
+        work = reports.columns("key_write", 256, 11)
         snaps = []
-        try:
-            engine.start()
-            n = len(work["keys"])
-            for s in range(0, n, 32):
-                engine.submit(_make_batch("key_write", work, s, s + 32))
-                if s == n // 2:
-                    snaps.append(engine.snapshot())
-            engine.drain()
-            snaps.append(engine.snapshot())
-        finally:
-            engine.close()
-            obs.set_registry(previous)
+        with bench.deployment(vectorized=False) as (
+                _registry, collector, translator, reporter):
+            engine = StreamEngine(collector, translator, reporter,
+                                  workers=workers, vectorized=False)
+            try:
+                engine.start()
+                n = len(work["keys"])
+                for s in range(0, n, 32):
+                    engine.submit(reports.batch("key_write", work,
+                                                s, s + 32))
+                    if s == n // 2:
+                        snaps.append(engine.snapshot())
+                engine.drain()
+                snaps.append(engine.snapshot())
+            finally:
+                engine.close()
         return work, collector, engine, snaps
 
     def test_snapshot_lands_on_batch_boundaries(self):

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import bench, obs
+from repro import bench
 from repro.kernels import HAVE_NUMPY
 from repro.runtime import StreamEngine, run_lane, store_digest
-from repro.runtime.soak import _make_batch
+from repro.workloads import reports
 
 REPORTS = 480
 BATCH = 32
@@ -30,10 +30,10 @@ def _sketch_width(primitive: str) -> int:
     return REPORTS if primitive == "sketch_merge" else 0
 
 
-@pytest.mark.parametrize("primitive", bench.PRIMITIVES)
+@pytest.mark.parametrize("primitive", reports.PRIMITIVES)
 def test_streamed_matches_serial_across_workers_and_depths(primitive):
     """Store bytes + obs digests agree at every (workers, depth)."""
-    work = bench._workload(primitive, REPORTS, SEED)
+    work = reports.columns(primitive, REPORTS, SEED)
     reference = None
     for workers in WORKERS:
         for depth in DEPTHS:
@@ -51,37 +51,38 @@ def test_streamed_matches_serial_across_workers_and_depths(primitive):
 
 def _engine_snapshot(primitive: str, work: dict, **engine_kw):
     """Run one engine over the workload; return (snapshot, store)."""
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False, sketch_width=_sketch_width(primitive))
-    engine = StreamEngine(collector, translator, reporter, **engine_kw)
-    try:
-        engine.start()
-        n = len(next(iter(work.values())))
-        for s in range(0, n, BATCH):
-            engine.submit(_make_batch(primitive, work, s,
-                                      min(s + BATCH, n)))
-        engine.drain()
-        snapshot = registry.snapshot()
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+    with bench.deployment(vectorized=False,
+                          sketch_width=_sketch_width(primitive)) as (
+            registry, collector, translator, reporter):
+        engine = StreamEngine(collector, translator, reporter, **engine_kw)
+        try:
+            engine.start()
+            n = len(next(iter(work.values())))
+            for s in range(0, n, BATCH):
+                engine.submit(reports.batch(primitive, work, s,
+                                            min(s + BATCH, n)))
+            engine.drain()
+            snapshot = registry.snapshot()
+        finally:
+            engine.close()
     return snapshot, store_digest(collector)
 
 
-@pytest.mark.parametrize("primitive", bench.PRIMITIVES)
+@pytest.mark.parametrize("primitive", reports.PRIMITIVES)
 def test_workers0_engine_equals_plain_serial_loop(primitive):
     """The inline fallback adds link/runtime series and changes nothing
     else: every series the plain ``send_batch`` loop produces has the
     identical value under the engine, and the stores are byte-equal."""
-    work = bench._workload(primitive, REPORTS, SEED)
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False, sketch_width=_sketch_width(primitive))
-    try:
-        bench._run_batched(reporter, translator, primitive, work, BATCH)
+    work = reports.columns(primitive, REPORTS, SEED)
+    with bench.deployment(vectorized=False,
+                          sketch_width=_sketch_width(primitive)) as (
+            registry, collector, translator, reporter):
+        for s in range(0, REPORTS, BATCH):
+            reporter.send_batch(reports.batch(primitive, work, s, s + BATCH))
+        if primitive == "append":
+            translator.flush_appends()
         plain_snapshot = registry.snapshot()
         plain_store = store_digest(collector)
-    finally:
-        obs.set_registry(previous)
 
     snapshot, store = _engine_snapshot(primitive, work, workers=0,
                                        vectorized=False)
@@ -100,7 +101,7 @@ def test_vectorized_plan_apply_split_matches_scalar(primitive):
     arrays, execute scatters them) digests identically to the scalar
     reference — the PR 4 vectorization guarantee, preserved across the
     stage boundary."""
-    work = bench._workload(primitive, REPORTS, SEED)
+    work = reports.columns(primitive, REPORTS, SEED)
     scalar = run_lane(primitive, work, workers=0, vectorized=False,
                       batch_size=BATCH)
     vector = run_lane(primitive, work, workers=2, vectorized=True,
@@ -113,7 +114,7 @@ def test_queue_metrics_register_and_exclude_from_digest():
     """Queue depth/stall series exist under ``runtime.*`` (so they are
     observable) and are excluded from the pipeline digest (so they do
     not break determinism)."""
-    work = bench._workload("key_write", REPORTS, SEED)
+    work = reports.columns("key_write", REPORTS, SEED)
     snapshot, _store = _engine_snapshot("key_write", work, workers=2,
                                         queue_depth=4, vectorized=False)
     names = {name for name, _labels in snapshot.samples}

@@ -31,7 +31,7 @@ from repro.runtime import (
     StreamEngine,
     run_lane,
 )
-from repro.runtime.soak import _make_batch
+from repro.workloads import reports
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
                                 reason="the process lane needs numpy")
@@ -158,10 +158,10 @@ def _sketch_width(primitive: str) -> int:
     return REPORTS if primitive == "sketch_merge" else 0
 
 
-@pytest.mark.parametrize("primitive", bench.PRIMITIVES)
+@pytest.mark.parametrize("primitive", reports.PRIMITIVES)
 def test_process_lane_matches_serial_across_workers(primitive):
     """Store bytes + obs digests at workers 1/2 equal workers=0."""
-    work = bench._workload(primitive, REPORTS, SEED)
+    work = reports.columns(primitive, REPORTS, SEED)
     serial = run_lane(primitive, work, workers=0, vectorized=False,
                       batch_size=BATCH,
                       sketch_width=_sketch_width(primitive))
@@ -178,20 +178,19 @@ def test_process_lane_matches_serial_across_workers(primitive):
 
 def test_process_lane_exposes_ring_metrics():
     """Plan rings surface under ``runtime.*`` (digest-excluded)."""
-    work = bench._workload("key_increment", REPORTS, SEED)
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False)
-    engine = StreamEngine(collector, translator, reporter, workers=2,
-                          executor="process", vectorized=True,
-                          name="ringmetrics")
-    try:
-        engine.start()
-        engine.submit(_make_batch("key_increment", work, 0, BATCH))
-        engine.drain()
-        snapshot = registry.snapshot()
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+    work = reports.columns("key_increment", REPORTS, SEED)
+    with bench.deployment(vectorized=False) as (
+            registry, collector, translator, reporter):
+        engine = StreamEngine(collector, translator, reporter, workers=2,
+                              executor="process", vectorized=True,
+                              name="ringmetrics")
+        try:
+            engine.start()
+            engine.submit(reports.batch("key_increment", work, 0, BATCH))
+            engine.drain()
+            snapshot = registry.snapshot()
+        finally:
+            engine.close()
     names = {name for name, _labels in snapshot.samples}
     assert "runtime.plan_worker_planned" in names
     assert "runtime.queue_depth" in names
@@ -210,31 +209,30 @@ def test_worker_crash_mid_stream_surfaces_stage_error():
     """Killing a plan worker yields a first-wins StageError and a clean
     unwind: close() restores the deployment wiring and unlinks every
     shared segment."""
-    work = bench._workload("key_increment", 4096, SEED)
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False)
-    engine = StreamEngine(collector, translator, reporter, workers=2,
-                          queue_depth=4, executor="process",
-                          vectorized=True, name="crash")
-    try:
-        engine.start()
-        segments = [ring._shm.name for ring
-                    in engine._pool.requests + engine._pool.results]
-        for process in engine._pool.processes:
-            process.kill()
-        for process in engine._pool.processes:
-            process.join(5.0)
-        with pytest.raises(StageError) as excinfo:
-            for s in range(0, 4096, 64):
-                engine.submit(_make_batch("key_increment", work,
-                                          s, s + 64))
-            engine.drain()
-        assert excinfo.value.stage in ("submit", "translate")
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+    work = reports.columns("key_increment", 4096, SEED)
+    with bench.deployment(vectorized=False) as (
+            registry, collector, translator, reporter):
+        engine = StreamEngine(collector, translator, reporter, workers=2,
+                              queue_depth=4, executor="process",
+                              vectorized=True, name="crash")
+        try:
+            engine.start()
+            segments = [ring._shm.name for ring
+                        in engine._pool.requests + engine._pool.results]
+            for process in engine._pool.processes:
+                process.kill()
+            for process in engine._pool.processes:
+                process.join(5.0)
+            with pytest.raises(StageError) as excinfo:
+                for s in range(0, 4096, 64):
+                    engine.submit(reports.batch("key_increment", work,
+                                                s, s + 64))
+                engine.drain()
+            assert excinfo.value.stage in ("submit", "translate")
+        finally:
+            engine.close()
     # wiring restored: the deployment works normally again
-    reporter.send_batch(_make_batch("key_increment", work, 0, 64))
+    reporter.send_batch(reports.batch("key_increment", work, 0, 64))
     # and no segment leaked
     for name in segments:
         with pytest.raises(FileNotFoundError):
@@ -248,25 +246,24 @@ def test_worker_crash_mid_stream_surfaces_stage_error():
 
 def test_engine_close_unlinks_every_segment():
     """After a normal run + close, re-attach by name must fail."""
-    work = bench._workload("key_write", REPORTS, SEED)
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False)
-    engine = StreamEngine(collector, translator, reporter, workers=2,
-                          executor="process", vectorized=True,
-                          name="leakcheck")
-    try:
-        engine.start()
-        pool = engine._pool
-        segments = [ring._shm.name
-                    for ring in pool.requests + pool.results]
-        segments.append(pool._stats_shm.name)
-        for s in range(0, REPORTS, BATCH):
-            engine.submit(_make_batch("key_write", work, s,
-                                      min(s + BATCH, REPORTS)))
-        engine.drain()
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+    work = reports.columns("key_write", REPORTS, SEED)
+    with bench.deployment(vectorized=False) as (
+            registry, collector, translator, reporter):
+        engine = StreamEngine(collector, translator, reporter, workers=2,
+                              executor="process", vectorized=True,
+                              name="leakcheck")
+        try:
+            engine.start()
+            pool = engine._pool
+            segments = [ring._shm.name
+                        for ring in pool.requests + pool.results]
+            segments.append(pool._stats_shm.name)
+            for s in range(0, REPORTS, BATCH):
+                engine.submit(reports.batch("key_write", work, s,
+                                            min(s + BATCH, REPORTS)))
+            engine.drain()
+        finally:
+            engine.close()
     for name in segments:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)

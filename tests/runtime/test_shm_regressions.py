@@ -24,10 +24,11 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro import bench, obs
+from repro import bench
 from repro.core.batch import ReportBatch
 from repro.runtime import StreamEngine, run_lane, store_digest
 from repro.runtime.shm import PlanWorkerPool, RES_FALLBACK, RES_PLAN
+from repro.workloads import reports
 
 
 def test_control_words_survive_two_slots_in_flight():
@@ -35,49 +36,48 @@ def test_control_words_survive_two_slots_in_flight():
     attached: every request comes back planned — no ``RingPeerDead``,
     no ``ValueError`` out of ``__len__``."""
     rounds = 20_000
-    registry, previous, collector, translator, _reporter = bench._deploy(
-        vectorized=True)
-    pool = PlanWorkerPool(1, depth=2, name="ctrlwords")
-    rng = random.Random(2)
-    keys = [struct.pack(">I", rng.getrandbits(32)) for _ in range(8)]
-    request = translator.plan_request(
-        ReportBatch.key_increments(keys, [1] * 8, redundancy=2))
-    assert request is not None
-    errors: list = []
+    with bench.deployment(vectorized=True) as (
+            _registry, _collector, translator, _reporter):
+        pool = PlanWorkerPool(1, depth=2, name="ctrlwords")
+        rng = random.Random(2)
+        keys = [struct.pack(">I", rng.getrandbits(32)) for _ in range(8)]
+        request = translator.plan_request(
+            ReportBatch.key_increments(keys, [1] * 8, redundancy=2))
+        assert request is not None
+        errors: list = []
 
-    def produce():
-        try:
-            for seq in range(rounds):
-                assert pool.dispatch(0, seq, request)
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
-            pool.abort()
-
-    producer = threading.Thread(target=produce, daemon=True)
-    try:
-        producer.start()
-        for seq in range(rounds):
-            message = pool.result(0)
+        def produce():
             try:
-                assert message.kind == RES_PLAN
-                indices, _addends = pool.arrays(message, seq)
-                assert len(indices) == 16
-            finally:
-                message.release()
-        producer.join(30.0)
-        assert not producer.is_alive()
-        assert not errors, errors
-        pool.finish()           # the worker counts a plan after sending it
-        assert pool.worker_stats(0)["planned"] == rounds
-    finally:
-        pool.shutdown()
-        obs.set_registry(previous)
+                for seq in range(rounds):
+                    assert pool.dispatch(0, seq, request)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                pool.abort()
+
+        producer = threading.Thread(target=produce, daemon=True)
+        try:
+            producer.start()
+            for seq in range(rounds):
+                message = pool.result(0)
+                try:
+                    assert message.kind == RES_PLAN
+                    indices, _addends = pool.arrays(message, seq)
+                    assert len(indices) == 16
+                finally:
+                    message.release()
+            producer.join(30.0)
+            assert not producer.is_alive()
+            assert not errors, errors
+            pool.finish()           # the worker counts a plan after sending it
+            assert pool.worker_stats(0)["planned"] == rounds
+        finally:
+            pool.shutdown()
 
 
 def test_oversize_plan_result_falls_back_instead_of_killing_worker():
     """Key-Increment batch 8192 x redundancy 2 fits a request slot but
     not a result slot: the parent plans it itself, digests unchanged."""
-    work = bench._workload("key_increment", 8192, 9)
+    work = reports.columns("key_increment", 8192, 9)
     serial = run_lane("key_increment", work, workers=0, vectorized=False,
                       batch_size=8192)
     lane = run_lane("key_increment", work, workers=1, executor="process",
@@ -88,29 +88,28 @@ def test_oversize_plan_result_falls_back_instead_of_killing_worker():
 
 
 def test_oversize_plan_result_is_a_fallback_message():
-    registry, previous, _collector, translator, _reporter = bench._deploy(
-        vectorized=True)
-    pool = PlanWorkerPool(1, depth=2, name="oversize")
-    try:
-        rng = random.Random(3)
-        keys = [struct.pack(">I", rng.getrandbits(32))
-                for _ in range(8192)]
-        request = translator.plan_request(
-            ReportBatch.key_increments(keys, [1] * 8192, redundancy=2))
-        assert pool.dispatch(0, 0, request)
-        message = pool.result(0)
+    with bench.deployment(vectorized=True) as (
+            _registry, _collector, translator, _reporter):
+        pool = PlanWorkerPool(1, depth=2, name="oversize")
         try:
-            assert message.kind == RES_FALLBACK
-            assert pool.arrays(message, 0) is None
+            rng = random.Random(3)
+            keys = [struct.pack(">I", rng.getrandbits(32))
+                    for _ in range(8192)]
+            request = translator.plan_request(
+                ReportBatch.key_increments(keys, [1] * 8192, redundancy=2))
+            assert pool.dispatch(0, 0, request)
+            message = pool.result(0)
+            try:
+                assert message.kind == RES_FALLBACK
+                assert pool.arrays(message, 0) is None
+            finally:
+                message.release()
+            pool.finish()
+            stats = pool.worker_stats(0)
+            assert (stats["planned"], stats["fallbacks"],
+                    stats["errors"]) == (0, 1, 0)
         finally:
-            message.release()
-        pool.finish()
-        stats = pool.worker_stats(0)
-        assert (stats["planned"], stats["fallbacks"],
-                stats["errors"]) == (0, 1, 0)
-    finally:
-        pool.shutdown()
-        obs.set_registry(previous)
+            pool.shutdown()
 
 
 def _open_fds() -> int:
@@ -126,30 +125,29 @@ def test_closed_process_engine_leaves_gauges_readable_and_no_fds():
     warm.close()
     warm.unlink()
 
-    work = bench._workload("key_increment", 256, 4)
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False)
-    gc.collect()
-    gc.disable()            # the fds must go at close(), not at a GC
-    try:
-        before = _open_fds()
-        engine = StreamEngine(collector, translator, reporter, workers=2,
-                              executor="process", vectorized=True,
-                              name="fdcheck")
-        engine.start()
-        pids = [process.pid for process in engine._pool.processes]
-        for s in range(0, 256, 64):
-            engine.submit(ReportBatch.key_increments(
-                work["keys"][s:s + 64], work["values"][s:s + 64],
-                redundancy=2))
-        engine.drain()
-        live = registry.snapshot()
-        engine.close()
-        after = _open_fds()
-        closed = registry.snapshot()        # defect 3: raised TypeError
-    finally:
-        gc.enable()
-        obs.set_registry(previous)
+    work = reports.columns("key_increment", 256, 4)
+    with bench.deployment(vectorized=False) as (
+            registry, collector, translator, reporter):
+        gc.collect()
+        gc.disable()            # the fds must go at close(), not at a GC
+        try:
+            before = _open_fds()
+            engine = StreamEngine(collector, translator, reporter, workers=2,
+                                  executor="process", vectorized=True,
+                                  name="fdcheck")
+            engine.start()
+            pids = [process.pid for process in engine._pool.processes]
+            for s in range(0, 256, 64):
+                engine.submit(ReportBatch.key_increments(
+                    work["keys"][s:s + 64], work["values"][s:s + 64],
+                    redundancy=2))
+            engine.drain()
+            live = registry.snapshot()
+            engine.close()
+            after = _open_fds()
+            closed = registry.snapshot()        # defect 3: raised TypeError
+        finally:
+            gc.enable()
     assert after == before
 
     def planned(snapshot):

@@ -14,43 +14,38 @@ from __future__ import annotations
 
 import struct
 
-from repro import bench, obs
+from repro import bench
 from repro.core.batch import ReportBatch
 from repro.faults import recover_stream
 from repro.runtime import StreamEngine
-from repro.runtime.soak import _make_batch
+from repro.workloads import reports
 
 BATCH = 16
 SEED = 3
-
-
-def _deployment():
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False)
-    return registry, previous, collector, translator, reporter
 
 
 def test_translator_crash_mid_stream_drains_without_hang():
     """Crash/restart while carriers are in flight: the stream drains,
     and every submitted report is either processed or counted dropped —
     conservation, not silence."""
-    work = bench._workload("key_write", 480, SEED)
-    _registry, previous, collector, translator, reporter = _deployment()
-    engine = StreamEngine(collector, translator, reporter, workers=2,
-                          queue_depth=4, vectorized=False)
-    try:
-        engine.start()
-        n = len(work["keys"])
-        for s in range(0, n, BATCH):
-            if s == n // 3:
-                translator.crash()
-            if s == 2 * n // 3:
-                translator.restart()
-            engine.submit(_make_batch("key_write", work, s, s + BATCH))
-        engine.drain()
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+    work = reports.columns("key_write", 480, SEED)
+    with bench.deployment(vectorized=False) as (
+            _registry, collector, translator, reporter):
+        engine = StreamEngine(collector, translator, reporter, workers=2,
+                              queue_depth=4, vectorized=False)
+        try:
+            engine.start()
+            n = len(work["keys"])
+            for s in range(0, n, BATCH):
+                if s == n // 3:
+                    translator.crash()
+                if s == 2 * n // 3:
+                    translator.restart()
+                engine.submit(reports.batch("key_write", work, s,
+                                            s + BATCH))
+            engine.drain()
+        finally:
+            engine.close()
     stats = translator.stats
     assert reporter.stats.reports_sent == n
     assert stats.dropped_while_crashed > 0
@@ -63,25 +58,26 @@ def test_link_blackout_drops_whole_carriers_deterministically():
     """A StreamLink fault window (the injector's blackout hook) drops
     carriers between encode and translate; with ``workers=0`` the
     window boundaries are exact, so the counts are too."""
-    work = bench._workload("key_write", 320, SEED)
-    _registry, previous, collector, translator, reporter = _deployment()
-    engine = StreamEngine(collector, translator, reporter, workers=0,
-                          vectorized=False)
+    work = reports.columns("key_write", 320, SEED)
     n = len(work["keys"])
     blacked_out = 0
-    try:
-        engine.start()
-        for s in range(0, n, BATCH):
-            if n // 4 <= s < n // 2:
-                engine.link.begin_fault()
-                blacked_out += BATCH
-            else:
-                engine.link.end_fault()
-            engine.submit(_make_batch("key_write", work, s, s + BATCH))
-        engine.drain()
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+    with bench.deployment(vectorized=False) as (
+            _registry, collector, translator, reporter):
+        engine = StreamEngine(collector, translator, reporter, workers=0,
+                              vectorized=False)
+        try:
+            engine.start()
+            for s in range(0, n, BATCH):
+                if n // 4 <= s < n // 2:
+                    engine.link.begin_fault()
+                    blacked_out += BATCH
+                else:
+                    engine.link.end_fault()
+                engine.submit(reports.batch("key_write", work, s,
+                                            s + BATCH))
+            engine.drain()
+        finally:
+            engine.close()
     link = engine.link.stats
     assert blacked_out > 0
     assert link.fault_drops == blacked_out
@@ -100,28 +96,28 @@ def _essential_run(*, crash_window=None):
     n = 96
     keys = [struct.pack(">I", 0xABC00000 | i) for i in range(n)]
     datas = [struct.pack(">QQ", i, i * 7) for i in range(n)]
-    _registry, previous, collector, translator, reporter = _deployment()
-    engine = StreamEngine(collector, translator, reporter, workers=0,
-                          vectorized=False)
-    try:
-        engine.start()
-        for s in range(0, n, BATCH):
-            if crash_window and crash_window[0] <= s < crash_window[1]:
-                translator.crash()
-            elif crash_window:
+    with bench.deployment(vectorized=False) as (
+            _registry, collector, translator, reporter):
+        engine = StreamEngine(collector, translator, reporter, workers=0,
+                              vectorized=False)
+        try:
+            engine.start()
+            for s in range(0, n, BATCH):
+                if crash_window and crash_window[0] <= s < crash_window[1]:
+                    translator.crash()
+                elif crash_window:
+                    translator.restart()
+                engine.submit(ReportBatch.key_writes(
+                    keys[s:s + BATCH], datas[s:s + BATCH], redundancy=2,
+                    essential=True))
+            engine.drain()
+            engine.close()
+            if crash_window:
                 translator.restart()
-            engine.submit(ReportBatch.key_writes(
-                keys[s:s + BATCH], datas[s:s + BATCH], redundancy=2,
-                essential=True))
-        engine.drain()
-        engine.close()
-        if crash_window:
-            translator.restart()
-            resent = recover_stream(engine, [reporter])
-            assert resent > 0, "the sweep had losses to repair"
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+                resent = recover_stream(engine, [reporter])
+                assert resent > 0, "the sweep had losses to repair"
+        finally:
+            engine.close()
     hits = sum(
         collector.query_value(key, redundancy=2).value == data
         for key, data in zip(keys, datas))

@@ -11,12 +11,13 @@ idempotent.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
 import pytest
 
-from repro import bench, obs
+from repro import bench
 from repro.runtime import (
     CLOSED,
     CreditQueue,
@@ -26,25 +27,26 @@ from repro.runtime import (
     StreamEngine,
     run_lane,
 )
-from repro.runtime.soak import _make_batch
+from repro.workloads import reports
 
 REPORTS = 320
 BATCH = 32
 SEED = 5
 
 
+@contextlib.contextmanager
 def _fresh_engine(**engine_kw):
-    """A started engine on a fresh small deployment (plus its context)."""
-    registry, previous, collector, translator, reporter = bench._deploy(
-        vectorized=False)
-    engine = StreamEngine(collector, translator, reporter, **engine_kw)
-    return registry, previous, engine
+    """An engine on a fresh deployment; yields ``(registry, engine)``."""
+    with bench.deployment(vectorized=False) as (
+            registry, collector, translator, reporter):
+        yield registry, StreamEngine(collector, translator, reporter,
+                                     **engine_kw)
 
 
 def _submit_all(engine, work, primitive="key_write"):
     n = len(next(iter(work.values())))
     for s in range(0, n, BATCH):
-        engine.submit(_make_batch(primitive, work, s, min(s + BATCH, n)))
+        engine.submit(reports.batch(primitive, work, s, min(s + BATCH, n)))
 
 
 # ----------------------------------------------------------------------
@@ -133,34 +135,32 @@ def test_engine_backpressure_engages_and_drops_nothing():
     """Depth-1 queues + a slowed execute stage: submit stalls, yet the
     run stays lossless and digests identically to the unthrottled
     serial reference."""
-    work = bench._workload("key_write", REPORTS, SEED)
+    work = reports.columns("key_write", REPORTS, SEED)
     serial = run_lane("key_write", work, workers=0, vectorized=False,
                       batch_size=BATCH)
     # Same engine name as run_lane's: the link series carry it as a
     # label, and the digests must be comparing like with like.
-    registry, previous, engine = _fresh_engine(workers=2, queue_depth=1,
-                                               vectorized=False,
-                                               name="soak")
-    real_execute = engine._stage_fns["execute"]
+    with _fresh_engine(workers=2, queue_depth=1, vectorized=False,
+                       name="soak") as (registry, engine):
+        real_execute = engine._stage_fns["execute"]
 
-    def slow_execute(burst):
-        time.sleep(0.001)
-        return real_execute(burst)
+        def slow_execute(burst):
+            time.sleep(0.001)
+            return real_execute(burst)
 
-    engine._stage_fns["execute"] = slow_execute
-    try:
-        engine.start()
-        _submit_all(engine, work)
-        engine.drain()
-        snapshot = registry.snapshot()
-        stalled = sum(q.stats.put_stalls for q in engine.queues)
-    finally:
-        engine.close()
-        obs.set_registry(previous)
-    assert stalled > 0, "expected the credit pool to run dry"
-    from repro.runtime import pipeline_digest
-    assert pipeline_digest(snapshot) == serial["obs_digest"]
-    assert engine.link.stats.drops == 0
+        engine._stage_fns["execute"] = slow_execute
+        try:
+            engine.start()
+            _submit_all(engine, work)
+            engine.drain()
+            snapshot = registry.snapshot()
+            stalled = sum(q.stats.put_stalls for q in engine.queues)
+        finally:
+            engine.close()
+        assert stalled > 0, "expected the credit pool to run dry"
+        from repro.runtime import pipeline_digest
+        assert pipeline_digest(snapshot) == serial["obs_digest"]
+        assert engine.link.stats.drops == 0
 
 
 # ----------------------------------------------------------------------
@@ -175,63 +175,58 @@ def test_stage_raising_mid_batch_surfaces_with_batch_id(workers):
     and on the thread executor, whose one layout serves any
     ``workers >= 1`` alike — with a clean unwind (join + close, no
     hang)."""
-    work = bench._workload("key_write", REPORTS, SEED)
-    _registry, previous, engine = _fresh_engine(workers=workers,
-                                                queue_depth=4,
-                                                vectorized=False)
-    translator = engine.translator
-    real = translator.process_batch
-    calls = {"n": 0}
+    work = reports.columns("key_write", REPORTS, SEED)
+    with _fresh_engine(workers=workers, queue_depth=4,
+                       vectorized=False) as (_registry, engine):
+        translator = engine.translator
+        real = translator.process_batch
+        calls = {"n": 0}
 
-    def exploding(batch, **kw):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise RuntimeError("synthetic mid-batch failure")
-        return real(batch, **kw)
+        def exploding(batch, **kw):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise RuntimeError("synthetic mid-batch failure")
+            return real(batch, **kw)
 
-    translator.process_batch = exploding
-    try:
-        engine.start()
-        with pytest.raises(StageError) as excinfo:
-            _submit_all(engine, work)
-            engine.drain()
-        error = excinfo.value
-        assert error.stage == "translate"
-        assert error.batch_seq == 2
-        assert "batch 2" in str(error)
-        assert isinstance(error.__cause__, RuntimeError)
-        assert engine.error is error
-        # A drained-on-error pipeline reports the same error again
-        # rather than pretending the stream completed.
-        if workers:
-            with pytest.raises(StageError):
+        translator.process_batch = exploding
+        try:
+            engine.start()
+            with pytest.raises(StageError) as excinfo:
+                _submit_all(engine, work)
                 engine.drain()
-    finally:
-        engine.close()
-        obs.set_registry(previous)
-    for thread in engine._threads:
-        assert not thread.is_alive()
+            error = excinfo.value
+            assert error.stage == "translate"
+            assert error.batch_seq == 2
+            assert "batch 2" in str(error)
+            assert isinstance(error.__cause__, RuntimeError)
+            assert engine.error is error
+            # A drained-on-error pipeline reports the same error again
+            # rather than pretending the stream completed.
+            if workers:
+                with pytest.raises(StageError):
+                    engine.drain()
+        finally:
+            engine.close()
+        for thread in engine._threads:
+            assert not thread.is_alive()
 
 
 def test_submit_after_error_raises_immediately():
-    work = bench._workload("key_write", REPORTS, SEED)
-    _registry, previous, engine = _fresh_engine(workers=0,
-                                                vectorized=False)
+    work = reports.columns("key_write", REPORTS, SEED)
+    with _fresh_engine(workers=0, vectorized=False) as (_registry, engine):
+        def explode(batch, **kw):
+            raise ValueError("dead on arrival")
 
-    def explode(batch, **kw):
-        raise ValueError("dead on arrival")
-
-    engine.translator.process_batch = explode
-    try:
-        engine.start()
-        batch = _make_batch("key_write", work, 0, BATCH)
-        with pytest.raises(StageError):
-            engine.submit(batch)
-        with pytest.raises(StageError):
-            engine.submit(batch)
-    finally:
-        engine.close()
-        obs.set_registry(previous)
+        engine.translator.process_batch = explode
+        try:
+            engine.start()
+            batch = reports.batch("key_write", work, 0, BATCH)
+            with pytest.raises(StageError):
+                engine.submit(batch)
+            with pytest.raises(StageError):
+                engine.submit(batch)
+        finally:
+            engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -241,41 +236,36 @@ def test_submit_after_error_raises_immediately():
 
 @pytest.mark.parametrize("workers", (0, 2))
 def test_double_drain_and_double_close_are_idempotent(workers):
-    work = bench._workload("key_write", REPORTS, SEED)
-    _registry, previous, engine = _fresh_engine(workers=workers,
-                                                queue_depth=4,
-                                                vectorized=False)
-    saved_transmit = engine.reporter.transmit
-    try:
-        engine.start()
-        _submit_all(engine, work)
-        engine.drain()
-        engine.drain()          # second drain: no-op, no error
-        with pytest.raises(RuntimeError):
-            engine.submit(_make_batch("key_write", work, 0, BATCH))
-    finally:
-        engine.close()
-        engine.close()          # second close: no-op
-        obs.set_registry(previous)
-    # close() restored the original wiring
-    assert engine.reporter.transmit is saved_transmit
-    assert engine.translator.client is not None
+    work = reports.columns("key_write", REPORTS, SEED)
+    with _fresh_engine(workers=workers, queue_depth=4,
+                       vectorized=False) as (_registry, engine):
+        saved_transmit = engine.reporter.transmit
+        try:
+            engine.start()
+            _submit_all(engine, work)
+            engine.drain()
+            engine.drain()          # second drain: no-op, no error
+            with pytest.raises(RuntimeError):
+                engine.submit(reports.batch("key_write", work, 0, BATCH))
+        finally:
+            engine.close()
+            engine.close()          # second close: no-op
+        # close() restored the original wiring
+        assert engine.reporter.transmit is saved_transmit
+        assert engine.translator.client is not None
 
 
 def test_context_manager_restores_wiring_on_error():
-    work = bench._workload("key_write", REPORTS, SEED)
-    registry, previous, engine = _fresh_engine(workers=2, queue_depth=4,
-                                               vectorized=False)
-    transmit = engine.reporter.transmit
-    client = engine.translator.client
-    try:
+    work = reports.columns("key_write", REPORTS, SEED)
+    with _fresh_engine(workers=2, queue_depth=4,
+                       vectorized=False) as (_registry, engine):
+        transmit = engine.reporter.transmit
+        client = engine.translator.client
         with pytest.raises(StageError):
             with engine:
                 engine.translator.process_batch = lambda *a, **k: (
                     (_ for _ in ()).throw(RuntimeError("boom")))
                 _submit_all(engine, work)
                 engine.drain()
-    finally:
-        obs.set_registry(previous)
-    assert engine.reporter.transmit is transmit
-    assert engine.translator.client is client
+        assert engine.reporter.transmit is transmit
+        assert engine.translator.client is client

@@ -1,9 +1,10 @@
-"""``repro serve`` / ``repro deploy`` end to end through the real CLI."""
+"""``repro serve`` end to end through the real CLI."""
 
 from __future__ import annotations
 
 import json
 
+from repro import bench
 from repro.cli import main
 
 
@@ -16,15 +17,16 @@ def test_serve_smoke_writes_history_and_document(tmp_path, capsys):
     rendered = capsys.readouterr().out
     assert "PASS" in rendered
     document = json.loads(out.read_text())
-    assert document["schema"] == "repro-serve/2"
+    assert (document["schema"], document["lane"]) == (bench.SCHEMA, "serve")
     assert document["pass"] is True
     assert document["config"]["smoke"] is True
     assert document["config"]["reports"] == 200
     assert document["config"]["vectorized"] is True
-    assert document["socket"]["frames_sent"] >= 1
+    assert document["cells"]["socket"]["frames_sent"] >= 1
     records = [json.loads(line) for line in
                history.read_text().splitlines()]
-    assert [r["schema"] for r in records] == ["repro-serve/2"]
+    assert [r["lane"] for r in records] == ["serve"]
+    assert records[0]["commit"] == document["commit"]
 
 
 def test_serve_smoke_multi_translator_scalar_fallbacks(tmp_path):
@@ -38,22 +40,14 @@ def test_serve_smoke_multi_translator_scalar_fallbacks(tmp_path):
     assert document["pass"] is True
     assert document["config"]["translators"] == 2
     assert document["config"]["use_mmsg"] is False
-    assert len(document["socket"]["lane_seqs"]) == 2
-    assert len(document["socket"]["translator"]["per_lane"]) == 2
-
-
-def test_deploy_skips_reference_pass(tmp_path):
-    out = tmp_path / "deploy.json"
-    assert main(["deploy", "--smoke", "--reports", "200",
-                 "--collectors", "1", "--out", str(out)]) == 0
-    document = json.loads(out.read_text())
-    assert document["reference"] is None
-    assert document["socket"]["reports_per_sec"] > 0
+    sock = document["cells"]["socket"]
+    assert len(sock["lane_seqs"]) == 2
+    assert len(sock["translator"]["per_lane"]) == 2
 
 
 def test_smoke_caps_reports():
     from repro.transport.cli import _SMOKE_REPORTS, _spec
     from repro.cli import build_parser
 
-    args = build_parser().parse_args(["deploy", "--smoke"])
+    args = build_parser().parse_args(["serve", "--smoke"])
     assert _spec(args).reports == _SMOKE_REPORTS

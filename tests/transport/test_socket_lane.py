@@ -17,6 +17,7 @@ import struct
 
 import pytest
 
+from repro import bench
 from repro.core import packets
 from repro.core.cluster import ClusterMap
 from repro.transport.envelope import (
@@ -35,10 +36,10 @@ from repro.transport.serve import (
     ServeError,
     ServeSpec,
     SocketLane,
-    encode_workload,
     run_reference,
     run_serve,
 )
+from repro.workloads import reports
 
 REPORTS = 600
 BATCH = 32
@@ -60,68 +61,66 @@ class TestDifferentialGate:
     @pytest.mark.parametrize("primitive", ["key_write", "postcarding",
                                            "sketch_merge"])
     def test_lossless_digests_match(self, primitive):
-        doc = run_serve(_spec(primitive=primitive), date="test")
+        doc = run_serve(_spec(primitive=primitive))
         assert doc["pass"], doc["gates"]
-        assert (doc["socket"]["store_digests"]
-                == doc["reference"]["store_digests"])
+        assert (doc["cells"]["socket"]["store_digests"]
+                == doc["cells"]["reference"]["store_digests"])
 
     def test_seeded_loss_and_reorder_digests_match(self):
         loss = LossSpec(seed=21, drop_rate=0.08, reorder_rate=0.08,
                         reorder_span=5)
-        doc = run_serve(_spec(loss=loss), date="test")
+        doc = run_serve(_spec(loss=loss))
         assert doc["pass"], doc["gates"]
-        assert doc["socket"]["shim"]["dropped"] > 0
-        assert doc["socket"]["shim"]["reordered"] > 0
+        assert doc["cells"]["socket"]["shim"]["dropped"] > 0
+        assert doc["cells"]["socket"]["shim"]["reordered"] > 0
 
     def test_single_collector_with_loss(self):
         loss = LossSpec(seed=3, drop_rate=0.05)
         doc = run_serve(_spec(primitive="append", collectors=1,
-                              loss=loss), date="test")
+                              loss=loss))
         assert doc["pass"], doc["gates"]
 
     def test_delivery_conservation_recorded(self):
-        doc = run_serve(_spec(), date="test")
-        socket_stats = doc["socket"]["translator"]
-        assert socket_stats["reports"] == doc["socket"]["reports_sent"]
+        doc = run_serve(_spec())
+        sock = doc["cells"]["socket"]
+        socket_stats = sock["translator"]
+        assert socket_stats["reports"] == sock["reports_sent"]
         assert socket_stats["malformed"] == 0
         assert socket_stats["waiting"] == 0
 
     def test_document_shape(self):
-        doc = run_serve(_spec(reports=200), date="test")
-        assert doc["schema"] == "repro-serve/2"
+        doc = run_serve(_spec(reports=200))
+        assert (doc["schema"], doc["lane"]) == (bench.SCHEMA, "serve")
         assert doc["config"]["primitive"] == "key_write"
-        assert doc["socket"]["reports_per_sec"] > 0
-        assert doc["socket"]["frames_sent"] >= 1
-        assert doc["socket"]["datagrams_sent"] < 200    # coalescing bites
-        assert len(doc["socket"]["store_digests"]) == 2
-        assert doc["socket"]["translator"]["ctrl_bytes_sent"] > 0
+        sock = doc["cells"]["socket"]
+        assert sock["reports_per_sec"] > 0
+        assert sock["frames_sent"] >= 1
+        assert sock["datagrams_sent"] < 200    # coalescing bites
+        assert len(sock["store_digests"]) == 2
+        assert sock["translator"]["ctrl_bytes_sent"] > 0
 
     def test_multi_translator_digests_match(self):
         loss = LossSpec(seed=17, drop_rate=0.05, reorder_rate=0.05)
-        doc = run_serve(_spec(collectors=3, loss=loss, translators=2),
-                        date="test")
+        doc = run_serve(_spec(collectors=3, loss=loss, translators=2))
         assert doc["pass"], doc["gates"]
-        assert len(doc["socket"]["lane_seqs"]) == 2
+        assert len(doc["cells"]["socket"]["lane_seqs"]) == 2
         # Both daemons actually carried traffic (shards 0+2 vs shard 1).
-        per_lane = doc["socket"]["translator"]["per_lane"]
+        per_lane = doc["cells"]["socket"]["translator"]["per_lane"]
         assert all(stats["reports"] > 0 for stats in per_lane)
 
     def test_mmsg_fallback_digests_identical(self):
         """Forcing the plain send loop + recvmsg_into fallback must not
         change a single store byte relative to the sendmmsg path."""
         loss = LossSpec(seed=9, drop_rate=0.04, reorder_rate=0.04)
-        fast = run_serve(_spec(loss=loss, reports=400, use_mmsg=None),
-                         date="test")
-        slow = run_serve(_spec(loss=loss, reports=400, use_mmsg=False),
-                         date="test")
+        fast = run_serve(_spec(loss=loss, reports=400, use_mmsg=None))
+        slow = run_serve(_spec(loss=loss, reports=400, use_mmsg=False))
         assert fast["pass"], fast["gates"]
         assert slow["pass"], slow["gates"]
-        assert (fast["socket"]["store_digests"]
-                == slow["socket"]["store_digests"])
+        assert (fast["cells"]["socket"]["store_digests"]
+                == slow["cells"]["socket"]["store_digests"])
 
     def test_scalar_translate_digests_match(self):
-        doc = run_serve(_spec(reports=300, vectorized=False),
-                        date="test")
+        doc = run_serve(_spec(reports=300, vectorized=False))
         assert doc["pass"], doc["gates"]
 
 
@@ -250,7 +249,7 @@ class TestFramePacking:
 class TestCrashContainment:
     def test_dead_collector_daemon_is_a_clean_error(self):
         spec = _spec(reports=200)
-        raws = encode_workload(spec)
+        raws = reports.wire(spec.primitive, spec.reports, spec.seed)
         with SocketLane(spec) as lane:
             names = [shm.name for shm in lane._segments]
             lane.send(raws[:50])
@@ -278,7 +277,7 @@ class TestCrashContainment:
 
     def test_clean_run_leaves_no_segments(self):
         spec = _spec(reports=100)
-        raws = encode_workload(spec)
+        raws = reports.wire(spec.primitive, spec.reports, spec.seed)
         with SocketLane(spec) as lane:
             names = [shm.name for shm in lane._segments]
             lane.send(raws)
@@ -297,7 +296,7 @@ class TestCrashContainment:
 class TestDatagramFuzz:
     def test_garbage_datagrams_do_not_kill_the_daemon(self):
         spec = _spec(reports=300)
-        raws = encode_workload(spec)
+        raws = reports.wire(spec.primitive, spec.reports, spec.seed)
         garbage = 0
         with SocketLane(spec) as lane:
             for i, raw in enumerate(raws):
@@ -329,7 +328,7 @@ class TestDatagramFuzz:
 
     def test_truncated_dta_reports_counted_not_fatal(self):
         spec = _spec(reports=200)
-        raws = encode_workload(spec)
+        raws = reports.wire(spec.primitive, spec.reports, spec.seed)
         with SocketLane(spec) as lane:
             for i, raw in enumerate(raws):
                 lane.reporter.transmit(raw)

@@ -1,24 +1,18 @@
 #!/usr/bin/env python
-"""Throughput trajectory reader for ``BENCH_HISTORY.jsonl``.
+"""Side-by-side reader for ``BENCH_HISTORY.jsonl``.
 
-``repro bench`` appends one JSON record per run (config, git commit,
-per-lane results); this tool renders the trajectory per lane so a perf
-regression shows up as a dip against history rather than a single
-number with no context.
-
-``repro serve``/``repro deploy`` documents (schema ``repro-serve/*``)
-land in the same history file; their socket-lane throughput shows up
-as the synthetic ``repro-serve`` lane in every mode.  ``repro retain``
-documents (schema ``repro-retain/*``) likewise surface as the
-synthetic ``repro-retain`` lane (rotation-smoke ingest throughput).
+``repro bench`` / ``run`` / ``serve`` / ``retain`` each append one lane
+record per run (see ``docs/BENCHMARKS.md``, "The lane record").  This
+tool lays a lane's runs next to each other — one row per cell, one
+column per run — so a slowdown shows up as a dip against history
+rather than a single number with no context.  It is informational: the
+regression gate is ``perf/compare.py``.
 
 Usage::
 
-    python tools/bench_trend.py                      # all lanes
-    python tools/bench_trend.py --lane key_increment
-    python tools/bench_trend.py --lane repro-serve   # deployment lane
-    python tools/bench_trend.py --lane repro-retain  # retention lane
-    python tools/bench_trend.py --mode vectorized --last 10
+    python tools/bench_trend.py                 # every lane
+    python tools/bench_trend.py --lane serve    # one lane
+    python tools/bench_trend.py --last 4        # most recent 4 runs per lane
 """
 
 from __future__ import annotations
@@ -26,12 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-#: Synthetic lane name for deployment-lane (``repro serve``) records.
-SERVE_LANE = "repro-serve"
-
-#: Synthetic lane name for retention-smoke (``repro retain``) records.
-RETAIN_LANE = "repro-retain"
 
 
 def load_history(path: str) -> list[dict]:
@@ -53,86 +41,61 @@ def load_history(path: str) -> list[dict]:
     return records
 
 
-def _is_serve(record: dict) -> bool:
-    return str(record.get("schema", "")).startswith("repro-serve")
-
-
-def _is_retain(record: dict) -> bool:
-    return str(record.get("schema", "")).startswith("repro-retain")
-
-
-def _cell_rps(record: dict, lane: str, mode: str):
-    if lane == SERVE_LANE:
-        if _is_serve(record):
-            return record.get("socket", {}).get("reports_per_sec")
-        return None
-    if lane == RETAIN_LANE:
-        if _is_retain(record):
-            return record.get("retain", {}).get("reports_per_sec")
-        return None
-    cell = record.get("results", {}).get(lane, {}).get(mode)
-    return cell.get("reports_per_sec") if cell else None
-
-
 def render_trend(records: list[dict], *, lane: str | None = None,
-                 mode: str = "batched", last: int = 0) -> str:
-    if last > 0:
-        records = records[-last:]
-    lanes = sorted({name for record in records
-                    for name in record.get("results", {})})
-    if any(_is_serve(record) for record in records):
-        lanes.append(SERVE_LANE)
-    if any(_is_retain(record) for record in records):
-        lanes.append(RETAIN_LANE)
-    if lane:
-        if lane not in lanes:
-            return (f"lane '{lane}' not in history "
-                    f"(have: {', '.join(lanes) or 'none'})")
-        lanes = [lane]
-    header = f"{'date':<10}{'commit':<10}"
-    for name in lanes:
-        header += f"{name:>16}"
-    lines = [f"{mode} reports/sec", header, "-" * len(header)]
-    previous: dict = {}
+                 last: int = 0) -> str:
+    by_lane: dict = {}
     for record in records:
-        line = (f"{record.get('date', '?'):<10}"
-                f"{record.get('commit', '?'):<10}")
-        for name in lanes:
-            rps = _cell_rps(record, name, mode)
-            if rps is None:
-                line += f"{'-':>16}"
-                continue
-            marker = ""
-            if name in previous and previous[name]:
-                delta = (rps - previous[name]) / previous[name]
-                if delta <= -0.10:
-                    marker = "!"  # >=10% regression vs previous run
-            previous[name] = rps
-            line += f"{rps:>15,.0f}{marker or ' '}"
-        lines.append(line)
-    if len(records) >= 2:
-        lines.append("(! marks a >=10% drop from the previous record)")
+        by_lane.setdefault(record["lane"], []).append(record)
+    if lane:
+        if lane not in by_lane:
+            return (f"lane '{lane}' not in history "
+                    f"(have: {', '.join(sorted(by_lane)) or 'none'})")
+        by_lane = {lane: by_lane[lane]}
+    lines = []
+    for name, runs in sorted(by_lane.items()):
+        if last > 0:
+            runs = runs[-last:]
+        cells = list(dict.fromkeys(cell for run in runs
+                                   for cell in run["cells"]))
+        lines.append(f"lane {name}: reports/sec")
+        header = f"  {'cell':<26}"
+        for run in runs:
+            stamp = f"{run.get('date', '?')} {run.get('commit', '?')}"
+            header += f"{stamp:>18}"
+        lines += [header, "  " + "-" * (len(header) - 2)]
+        for cell in cells:
+            line = f"  {cell:<26}"
+            previous = None
+            for run in runs:
+                rps = run["cells"].get(cell, {}).get("reports_per_sec")
+                if rps is None:
+                    line += f"{'-':>18}"
+                    continue
+                # >=10% drop from the previous run of this cell
+                dropped = previous and (rps - previous) / previous <= -0.10
+                previous = rps
+                line += f"{rps:>17,.0f}{'!' if dropped else ' '}"
+            lines.append(line)
+        lines.append("")
+    lines.append("(! marks a >=10% drop from the previous run)")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="render the repro bench throughput trajectory")
+        description="lay the lane records of a history file side by side")
     parser.add_argument("--history", default="BENCH_HISTORY.jsonl",
-                        help="JSONL file written by `repro bench`")
+                        help="JSONL file the repro lanes append to")
     parser.add_argument("--lane", default=None,
-                        help="single primitive to show")
-    parser.add_argument("--mode", default="batched",
-                        choices=("unbatched", "batched", "vectorized"),
-                        help="which cell's throughput to plot")
+                        help="single lane to show (bench, run, serve, "
+                             "retain)")
     parser.add_argument("--last", type=int, default=0, metavar="N",
-                        help="only the most recent N records")
+                        help="only the most recent N runs of each lane")
     args = parser.parse_args(argv)
     records = load_history(args.history)
     if not records:
         return 1
-    print(render_trend(records, lane=args.lane, mode=args.mode,
-                       last=args.last))
+    print(render_trend(records, lane=args.lane, last=args.last))
     return 0
 
 
