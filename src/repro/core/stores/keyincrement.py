@@ -12,6 +12,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.kernels import crc as kcrc
 from repro.rdma.memory import MemoryRegion
 from repro.switch.crc import hash_family
 
@@ -72,10 +75,6 @@ class KeyIncrementLayout:
         :meth:`counter_index` per key (``rows`` already clamped to
         ``self.rows``).
         """
-        import numpy as np
-
-        from repro.kernels import crc as kcrc
-
         lanes = kcrc.hash_lanes(rows, packed, lengths)
         cols = (lanes % np.uint32(self.slots_per_row)).astype(np.int64)
         offsets = np.arange(rows, dtype=np.int64) * self.slots_per_row

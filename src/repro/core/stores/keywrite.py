@@ -15,7 +15,10 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import calibration
+from repro.kernels import crc as kcrc
 from repro.rdma.memory import MemoryRegion
 from repro.switch.crc import hash_family
 
@@ -107,17 +110,11 @@ class KeyWriteLayout:
         vectorized Key-Write lane lands entries in exactly the slots the
         scalar path would.
         """
-        import numpy as np
-
-        from repro.kernels import crc as kcrc
-
         lanes = kcrc.hash_lanes(redundancy, packed, lengths)
         return (lanes % np.uint32(self.slots)).astype(np.int64)
 
     def checksums_many(self, packed, lengths):
         """Per-key 32-bit checksums (lane ``MAX_REDUNDANCY``), uint32."""
-        from repro.kernels import crc as kcrc
-
         return kcrc.hash_lane_many(MAX_REDUNDANCY, packed, lengths)
 
     def encode_entries_many(self, packed, lengths, datas):
@@ -127,8 +124,6 @@ class KeyWriteLayout:
         datas[i])`` — big-endian checksum followed by the zero-padded
         value.
         """
-        from repro.kernels import crc as kcrc
-
         for data in datas:
             if len(data) > self.data_bytes:
                 raise ValueError(
@@ -147,8 +142,6 @@ class KeyWriteLayout:
         consume — the data column crosses the process boundary as one
         matrix, no per-value Python objects.
         """
-        import numpy as np
-
         n = packed.shape[0]
         entries = np.zeros((n, self.slot_bytes), dtype=np.uint8)
         entries[:, :CHECKSUM_BYTES] = (

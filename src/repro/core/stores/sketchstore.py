@@ -15,6 +15,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.rdma.memory import MemoryRegion
 
 COUNTER_BYTES = 4
@@ -58,8 +60,6 @@ class SketchLayout:
     def encode_columns_array(self, columns) -> bytes:
         """Array twin of :meth:`encode_columns` for a ``(w, depth)``
         integer matrix — same masked big-endian byte stream."""
-        import numpy as np
-
         cols = np.asarray(columns)
         if cols.ndim != 2 or cols.shape[1] != self.depth:
             raise ValueError("column depth mismatch")

@@ -35,6 +35,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import calibration, obs
 from repro.core import packets
 from repro.core.flow_control import LossDetector
@@ -57,7 +59,7 @@ from repro.core.stores.postcarding import BLANK, PostcardingLayout
 from repro.core.stores.sketchstore import SketchLayout
 from repro.core.transport import CtrlFrame, DtaFrame, RdmaClient, RoceFrame
 from repro.fabric.topology import Node
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
+from repro.kernels import MIN_VECTOR_BATCH, burst as kburst, crc as kcrc
 from repro.rdma.cm import ServiceAdvert
 from repro.rdma.verbs import Opcode, WorkRequest
 from repro.switch.meters import Meter, MeterConfig
@@ -124,8 +126,6 @@ class VectorPlan:
         through :meth:`RdmaClient.post_burst`, so the reference fault
         machinery (bounded retry, QP re-handshake) handles it.
         """
-        from repro.kernels import burst as kburst
-
         atomic = self.kind is DtaPrimitive.KEY_INCREMENT
         kernel = kburst.fetch_add_many if atomic else kburst.write_rows
         target = kburst.resolve_target(client, self.rkey, atomic=atomic)
@@ -197,8 +197,6 @@ class _SketchBinding:
         """
         width, depth = self.layout.width, self.layout.depth
         if self.vectorized:
-            import numpy as np
-
             self.columns = np.zeros((width, depth), dtype=np.int64)
             self.merged_count = np.zeros(width, dtype=np.int64)
             self.completed = np.zeros(width, dtype=bool)
@@ -229,7 +227,7 @@ class Translator(Node):
         #: case — tiny batches, fault-prone targets, per-report-lane
         #: triggers — falls back to the scalar reference path, which the
         #: kernels are differentially tested bit-exact against.
-        self.vectorized = bool(vectorized) and HAVE_NUMPY
+        self.vectorized = bool(vectorized)
         self.client: RdmaClient | None = None
         self.stats = TranslatorStats(labels={"node": name})
         self.loss = LossDetector(max_reporters, labels={"node": name})
@@ -586,8 +584,6 @@ class Translator(Node):
             return None
         if binding is None:
             return None
-        from repro.kernels import burst as kburst
-
         target = kburst.resolve_target(
             self.client if client is None else client, binding.rkey,
             atomic=kind is DtaPrimitive.KEY_INCREMENT)
@@ -792,8 +788,6 @@ class Translator(Node):
         list storage, counters beyond int64) returns False for the
         scalar lane.
         """
-        import numpy as np
-
         sm = self._sm
         if isinstance(sm.columns, list):
             return False
@@ -1113,10 +1107,6 @@ def _pack_columns(batch, layout):
     redundancy for Key-Write; the int64 values and the redundancy
     clamped to ``layout.rows`` for Key-Increment.
     """
-    import numpy as np
-
-    from repro.kernels import crc as kcrc
-
     if batch.primitive is DtaPrimitive.KEY_WRITE:
         for data in batch.datas:
             if len(data) > layout.data_bytes:
@@ -1152,8 +1142,6 @@ def plan_keywrite_packed(layout, packed, lengths, packed_data,
     RDMA region the plan will be bounds-checked against.  Touches no
     translator or store state.
     """
-    import numpy as np
-
     entries = layout.encode_entries_packed(packed, lengths, packed_data)
     slot_idx = layout.slot_indices_many(packed, lengths, redundancy)
     # Key-major flattening preserves arrival order, which the
@@ -1181,8 +1169,6 @@ def plan_keyincrement_packed(layout, packed, lengths, values, rows: int,
     overflow fallback); ``rows`` already clamped to ``layout.rows``.
     Touches no translator or store state.
     """
-    import numpy as np
-
     idx = layout.counter_indices_many(packed, lengths, rows)
     counter_indices = idx.T.reshape(-1)
     addends = np.repeat(values, rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.obs.registry import emit
 from repro.rdma.cm import reestablish
 from repro.rdma.nic import Nic
-from repro.rdma.qp import QpError, QpState, QueuePair
+from repro.rdma.qp import PSN_MOD, QpError, QpState, QueuePair
 from repro.rdma.verbs import WorkRequest
 
 
@@ -190,9 +190,13 @@ class RdmaClient:
             if not self._try_recover():
                 raise
             raw = self.qp.post_send(wr)
-        self.posted += 1
-        self.payload_bytes += wr.payload_bytes
+        self.note_posted(1, wr.payload_bytes)
         self.send_fn(raw)
+
+    def note_posted(self, count: int, payload_bytes: int) -> None:
+        """Client bookkeeping for ``count`` requests handed to the QP."""
+        self.posted += count
+        self.payload_bytes += payload_bytes
 
     def post_burst(self, wrs: list) -> None:
         """Post a burst of verbs with per-burst bookkeeping.
@@ -223,15 +227,19 @@ class RdmaClient:
 
     def _post_burst_once(self, wrs: list) -> None:
         execute = getattr(self.send_fn, "execute_burst", None)
-        if execute is None or not execute(self.qp, wrs):
-            for wr in wrs:
-                self.post(wr)
-            return
-        payload = 0
+        first_psn = self.qp.send_psn
+        try:
+            if execute is not None and execute(self.qp, wrs):
+                return
+        finally:
+            # Posted means "consumed a PSN", as in :meth:`post`: the
+            # whole burst, or — when it died mid-flight — the executed
+            # prefix plus the offender; none if the transport declined.
+            handed = (self.qp.send_psn - first_psn) % PSN_MOD
+            self.note_posted(handed, sum(wr.payload_bytes
+                                         for wr in wrs[:handed]))
         for wr in wrs:
-            payload += wr.payload_bytes
-        self.posted += len(wrs)
-        self.payload_bytes += payload
+            self.post(wr)
 
     def deliver_response(self, raw: bytes) -> None:
         """Feed an ACK/NAK back in; retransmits on go-back-N rewind."""
@@ -278,6 +286,24 @@ class DirectRdmaTransport:
         if response is not None and self._client is not None:
             self._client.deliver_response(response)
 
+    def burst_responder(self, qp: QueuePair) -> QueuePair | None:
+        """The responder QP a burst from ``qp`` may execute on directly.
+
+        None when a burst must not bypass the wire: the destination QP
+        is not a live responder on this NIC (per-packet traffic to such
+        a QP is silently dropped, and a burst must not invent a
+        different outcome), or the NIC is stalled (its per-packet
+        behaviour is dropping everything unanswered).  The one test
+        both burst tiers — :meth:`execute_burst` and
+        :func:`repro.kernels.burst.resolve_target` — ask.
+        """
+        if self.nic.stalled:
+            return None
+        server = self.nic.qps.get(qp.dest_qpn)
+        if server is None or server.state not in (QpState.RTR, QpState.RTS):
+            return None
+        return server
+
     def execute_burst(self, qp: QueuePair, wrs: list) -> bool:
         """Execute a verb burst without touching the wire format.
 
@@ -286,16 +312,10 @@ class DirectRdmaTransport:
         committed in one pass — the per-report path's encode/decode
         round trip per verb is skipped while every counter, PSN, and
         memory byte ends up identical.  Returns False (caller falls
-        back to per-packet posts) when the destination QP is not a
-        live responder on this NIC, since per-packet traffic to such a
-        QP is silently dropped and the burst path must not invent a
-        different outcome — likewise a stalled NIC, whose per-packet
-        behaviour is dropping everything unanswered.
+        back to per-packet posts) when :meth:`burst_responder` declines.
         """
-        if self.nic.stalled:
-            return False
-        server = self.nic.qps.get(qp.dest_qpn)
-        if server is None or server.state not in (QpState.RTR, QpState.RTS):
+        server = self.burst_responder(qp)
+        if server is None:
             return False
         qp.requester_begin_burst(len(wrs))
         responses, fault = self.nic.execute_burst(server, wrs)

@@ -12,27 +12,15 @@ else.  The layout mirrors the hot path it accelerates:
 * :mod:`repro.kernels.sketch` — batched sketch updates (CMS/CountSketch
   scatter-adds, HyperLogLog register maxima) on vectorized hash lanes.
 * :mod:`repro.kernels.burst` — whole-burst RDMA write/atomic execution
-  against a direct-mode collector, with the full accounting mirror
-  (client, both QP halves, NIC cost model, memory bytes).
-
-numpy is a declared dependency, but the kernels stay importable without
-it (``HAVE_NUMPY`` gates every entry point) so stripped-down
-environments degrade to the scalar reference paths instead of failing
-at import time.
+  against a direct-mode collector: one numpy scatter, accounted through
+  :mod:`repro.rdma`'s own charge and commit methods.
 """
 
 from __future__ import annotations
-
-try:  # pragma: no cover - exercised implicitly by every kernel test
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
 
 #: Below this batch size the scalar reference path is used even when
 #: vectorization is enabled: per-call numpy overhead (array creation,
 #: dtype promotion) exceeds the per-report savings for tiny batches.
 MIN_VECTOR_BATCH = 4
 
-__all__ = ["HAVE_NUMPY", "MIN_VECTOR_BATCH"]
+__all__ = ["MIN_VECTOR_BATCH"]

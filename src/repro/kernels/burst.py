@@ -1,14 +1,13 @@
 """Whole-burst RDMA execution for the vectorized translator lanes.
 
-A scalar burst walks four accounting layers per work request (client,
-requester QP, NIC cost model, responder QP) plus a ``WorkRequest``
-allocation each.  For the homogeneous bursts the vectorized lanes emit
-— N identical-size writes, or N fetch-and-adds — every one of those
-layers reduces to closed-form counter bumps, and the memory effect
-reduces to one numpy scatter.  This module performs exactly that,
-keeping every obs-visible value (QP counters, NIC stats incl. the
-sequentially-accumulated ``busy_ns`` float, PSN/MSN state, client
-bookkeeping) bit-identical to :meth:`RdmaClient.post_burst` over the
+A scalar burst applies each work request's memory effect one verb at a
+time.  For the homogeneous bursts the vectorized lanes emit — N
+identical-size writes, or N fetch-and-adds — the memory effect reduces
+to one numpy scatter, which is all this module adds: the accounting of
+the N executed messages goes through the same :meth:`Nic.charge`,
+:meth:`QueuePair.responder_commit` / :meth:`~QueuePair.requester_commit`
+and :meth:`RdmaClient.note_posted` that :meth:`RdmaClient.post_burst`
+reaches, so every obs-visible value equals the scalar burst's over the
 equivalent request list.
 
 Two deliberate divergences, neither obs-visible:
@@ -31,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.transport import DirectRdmaTransport
 from repro.rdma.memory import AccessFlags, MemoryRegion, RemoteAccessError
 from repro.rdma.nic import Nic
-from repro.rdma.qp import PSN_MOD, QpState, QueuePair
+from repro.rdma.qp import QpError, QueuePair
 
 
 @dataclass
@@ -49,62 +49,45 @@ def resolve_target(client, rkey: int, *,
                    atomic: bool = False) -> BurstTarget | None:
     """Validate that a vectorized burst may run; None means fall back.
 
-    Mirrors the checks the scalar path performs piecemeal
-    (:meth:`DirectRdmaTransport.execute_burst`,
-    :meth:`QueuePair.requester_begin_burst`, the responder's region
-    lookup/rights check).  Any condition whose scalar outcome is a
-    drop, an error, or a NAK declines the fast path instead of
+    Asks what the scalar burst asks — the requester may send
+    (:meth:`QueuePair.requester_begin_burst`), the transport may bypass
+    the wire (:meth:`DirectRdmaTransport.burst_responder`), the region
+    is registered with the needed right — and declines wherever the
+    scalar outcome is a drop, an error, or a NAK instead of
     re-implementing the fault machinery.
     """
-    from repro.core.transport import DirectRdmaTransport
-
     qp = getattr(client, "qp", None)
     if qp is None:      # no client, or a verb recorder standing in for one
         return None
-    if qp.state is not QpState.RTS or qp.dest_qpn is None:
-        return None
-    if len(qp._unacked) >= qp.max_outstanding:
-        return None
     transport = client.send_fn
     if not isinstance(transport, DirectRdmaTransport):
-        return None
-    nic = transport.nic
-    if nic.stalled:
-        return None
-    server = nic.qps.get(qp.dest_qpn)
-    if server is None or server.state not in (QpState.RTR, QpState.RTS):
-        return None
+        return None     # fabric mode: every message crosses the wire
     try:
-        region = nic.pd.lookup(rkey)
-    except RemoteAccessError:
+        qp.requester_begin_burst(0)
+        region = transport.nic.pd.lookup(rkey)
+    except (QpError, RemoteAccessError):
         return None
+    server = transport.burst_responder(qp)
     needed = AccessFlags.REMOTE_ATOMIC if atomic else AccessFlags.REMOTE_WRITE
-    if not (region.access & needed):
+    if server is None or not (region.access & needed):
         return None
-    return BurstTarget(nic=nic, server_qp=server, region=region)
+    return BurstTarget(nic=transport.nic, server_qp=server, region=region)
 
 
-def _advance(target: BurstTarget, client, count: int,
-             client_payload: int) -> None:
-    """Shared PSN/client bookkeeping for an executed burst."""
-    server = target.server_qp
-    server.expected_psn = (server.expected_psn + count) % PSN_MOD
-    server.msn = (server.msn + count) % PSN_MOD
-    qp = client.qp
-    qp.send_psn = (qp.send_psn + count) % PSN_MOD
-    client.posted += count
-    client.payload_bytes += client_payload
+def _commit(target: BurstTarget, client, count: int, payload: int, *,
+            atomic: bool = False) -> None:
+    """Account ``count`` executed messages of ``payload`` requester bytes.
 
-
-def _charge_uniform(nic: Nic, count: int, payload: int, *,
-                    atomic: bool = False) -> None:
-    """NIC cost-model charge for ``count`` identical messages.
-
-    Delegates to :meth:`Nic.charge_uniform` so the sequential
-    ``busy_ns`` float accumulation lives next to the per-packet model
-    it must stay bit-identical to.
+    An atomic's requester-visible payload is its operand width
+    (``WorkRequest.payload_bytes``); on the wire the NIC sees none.
     """
-    nic.charge_uniform(count, payload, atomic=atomic)
+    target.nic.charge(count, 0 if atomic else payload, atomic=atomic)
+    if atomic:
+        target.server_qp.responder_commit(count, atomics=count)
+    else:
+        target.server_qp.responder_commit(count, written=count * payload)
+    client.qp.requester_commit(count)
+    client.note_posted(count, count * payload)
 
 
 def write_rows(target: BurstTarget, client, row_indices: np.ndarray,
@@ -139,13 +122,7 @@ def write_rows(target: BurstTarget, client, row_indices: np.ndarray,
     winners = order[keep]
     view[row_indices[winners]] = rows[winners]
 
-    payload = count * row_bytes
-    counters = target.server_qp.counters
-    counters.requests_executed += count
-    counters.acks_sent += count
-    counters.bytes_written += payload
-    _charge_uniform(target.nic, count, row_bytes)
-    _advance(target, client, count, payload)
+    _commit(target, client, count, row_bytes)
     return count
 
 
@@ -173,13 +150,5 @@ def fetch_add_many(target: BurstTarget, client,
         return None
     view = np.frombuffer(region.buf, dtype="<u8", count=slots)
     np.add.at(view, counter_indices, addends.astype(np.uint64))
-
-    counters = target.server_qp.counters
-    counters.requests_executed += count
-    counters.acks_sent += count
-    counters.atomics += count
-    _charge_uniform(target.nic, count, 0, atomic=True)
-    # The requester-visible payload of an atomic is its operand width
-    # (WorkRequest.payload_bytes); on the wire the NIC sees none.
-    _advance(target, client, count, count * 8)
+    _commit(target, client, count, 8, atomic=True)
     return count

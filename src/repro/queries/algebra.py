@@ -62,13 +62,6 @@ def canon(value):
     return (7, repr(value))
 
 
-def row_canon(row) -> tuple:
-    """Canonical key for a whole row (field-order independent)."""
-    if isinstance(row, dict):
-        return canon(row)
-    return canon(row)
-
-
 def _getter(spec):
     """Field access: a string names a row column, a callable is used
     as-is (the escape hatch for computed keys)."""
@@ -333,7 +326,7 @@ class Distinct(Operator):
     key: object = None
 
     def apply(self, rows, ctx):
-        key_fn = _getter(self.key) if self.key is not None else row_canon
+        key_fn = _getter(self.key) if self.key is not None else canon
         seen = {}
         for row in rows:
             seen.setdefault(canon(key_fn(row)), row)
@@ -411,7 +404,7 @@ class TopK(Operator):
     def apply(self, rows, ctx):
         by_fn = _getter(self.by)
         ordered = sorted(rows, key=lambda row: (canon(by_fn(row)),
-                                                row_canon(row)),
+                                                canon(row)),
                          reverse=self.reverse)
         if self.k is None:
             return ordered

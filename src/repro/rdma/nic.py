@@ -17,11 +17,13 @@ Two concerns live here:
   recovers the paper's throughput figures (Figs. 8, 10, 11) without
   100G hardware.
 
-Both concerns have a batched entry point (:meth:`Nic.execute_burst` /
-:meth:`Nic.charge_burst`): the struct-of-arrays hot path executes verbs
-straight from work requests, skipping wire (de)serialisation, while
-producing bit-identical memory contents and counters to per-packet
-:meth:`Nic.receive`.
+Busy time accumulates as an exact integer count of femtoseconds, so the
+three tiers that execute messages — per-packet :meth:`Nic.receive`, the
+work-request burst :meth:`Nic.execute_burst`, and the array kernels of
+:mod:`repro.kernels.burst` — all account through the one
+:meth:`Nic.charge` and agree by arithmetic (integer addition is
+associative: ``count`` identical messages cost ``count * cost``),
+whatever order or grouping they charge in.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ from repro.rdma.memory import AccessFlags, MemoryRegion, ProtectionDomain
 from repro.rdma.qp import QpState, QueuePair
 from repro.rdma.verbs import Opcode
 
+FS_PER_NS = 1_000_000
+"""Busy-time accumulator resolution.  Each message's cost is rounded to
+a whole femtosecond once: at most 0.5 fs on >= ``t_msg`` = 9.52e6 fs,
+so no modelled rate moves by more than 5.3e-8 relative (picoseconds
+would allow 5.3e-5)."""
+
 
 class NicStats(InstrumentedStats):
     """Aggregate counters + modelled busy time for one NIC."""
@@ -45,7 +53,16 @@ class NicStats(InstrumentedStats):
     atomics = counter_field()
     drops = counter_field()
     stall_drops = counter_field()
-    busy_ns = counter_field(0.0)
+    busy_fs = counter_field()
+
+    @property
+    def busy_ns(self) -> float:
+        """Modelled busy time in nanoseconds (stored exactly, in fs)."""
+        return self.busy_fs / FS_PER_NS
+
+    @busy_ns.setter
+    def busy_ns(self, ns: float) -> None:
+        self.busy_fs = round(ns * FS_PER_NS)
 
     def message_rate(self) -> float:
         """Achieved messages/s implied by the cost model."""
@@ -164,94 +181,33 @@ class Nic:
             # NICs do for traffic addressing a dead connection.
             self.stats.drops += 1
             return None
-        self._charge(pkt)
+        self.charge(1, len(pkt.payload),
+                    atomic=pkt.verb is not None and pkt.verb.is_atomic)
         return qp.responder_receive(raw)
 
-    def _charge(self, pkt: roce.RocePacket) -> None:
-        """Account one message against the performance model."""
-        payload = len(pkt.payload)
-        atomic = pkt.verb is not None and pkt.verb.is_atomic
-        t = self.model.t_msg_ns + payload * self.model.t_byte_ns
-        if atomic:
-            t *= self.model.fetch_add_penalty
-            self.stats.atomics += 1
-        t *= self.model.qp_degradation(self.active_qps)
-        self.stats.messages += 1
-        self.stats.payload_bytes += payload
-        self.stats.busy_ns += t
+    def charge(self, count: int, payload_bytes: int, *,
+               atomic: bool = False,
+               degradation: float | None = None) -> None:
+        """Account ``count`` identical executed messages.
 
-    def charge_burst(self, wrs, degradation: float | None = None) -> None:
-        """Account a burst of work requests in one stats transaction.
-
-        Equivalent to :meth:`_charge` per message — the busy-time
-        accumulator is read once, advanced in the same per-message
-        order (so the float result is bit-identical to sequential
-        ``+=``), and written once.  ``degradation`` pins the QP-count
-        factor sampled before the burst started, matching the per-packet
-        path where every packet of a burst sees the same QP census.
-
-        On-wire payload per message mirrors :mod:`repro.rdma.roce`
-        framing: writes carry their data, atomics carry operands in the
-        AtomicETH (zero BTH payload), READ requests carry nothing.
+        ``payload_bytes`` is the on-wire request payload per message
+        (:mod:`repro.rdma.roce` framing: writes and sends carry their
+        data; READ requests and atomics, whose operands ride in the
+        AtomicETH, carry none).  ``degradation`` pins a QP-count factor
+        sampled earlier — a burst samples the census once, before any
+        of its requests can error a QP out of it.
         """
         model = self.model
         if degradation is None:
             degradation = model.qp_degradation(self.active_qps)
+        t = model.t_msg_ns + payload_bytes * model.t_byte_ns
         stats = self.stats
-        busy = stats.busy_ns
-        messages = 0
-        payload_total = 0
-        atomics = 0
-        for wr in wrs:
-            opcode = wr.opcode
-            if opcode.is_atomic:
-                payload = 0
-                t = model.t_msg_ns * model.fetch_add_penalty
-                atomics += 1
-            else:
-                payload = 0 if opcode == Opcode.READ else len(wr.data)
-                t = model.t_msg_ns + payload * model.t_byte_ns
-            t *= degradation
-            messages += 1
-            payload_total += payload
-            busy += t
-        if atomics:
-            stats.atomics += atomics
-        stats.messages += messages
-        stats.payload_bytes += payload_total
-        stats.busy_ns = busy
-
-    def charge_uniform(self, count: int, payload_bytes: int, *,
-                       atomic: bool = False,
-                       degradation: float | None = None) -> None:
-        """Account ``count`` identical messages against the cost model.
-
-        Closed-form twin of :meth:`charge_burst` for the homogeneous
-        bursts the vectorized lanes emit.  The per-message cost is
-        computed once with the exact scalar operation order, then the
-        busy-time float is advanced by the same sequence of ``+=``
-        steps — repeated float addition does not distribute, so the
-        loop is what keeps ``busy_ns`` bit-identical to the per-packet
-        path.
-        """
-        if count <= 0:
-            return
-        model = self.model
-        if degradation is None:
-            degradation = model.qp_degradation(self.active_qps)
         if atomic:
-            t = model.t_msg_ns * model.fetch_add_penalty
-            self.stats.atomics += count
-        else:
-            t = model.t_msg_ns + payload_bytes * model.t_byte_ns
-        t *= degradation
-        stats = self.stats
-        busy = stats.busy_ns
-        for _ in range(count):
-            busy += t
+            t *= model.fetch_add_penalty
+            stats.atomics += count
         stats.messages += count
         stats.payload_bytes += count * payload_bytes
-        stats.busy_ns = busy
+        stats.busy_fs += count * round(t * degradation * FS_PER_NS)
 
     def execute_burst(self, qp: QueuePair, wrs) -> tuple[list, bool]:
         """Charge and execute a burst on a resident responder QP.
@@ -260,24 +216,23 @@ class Nic:
         can error the QP out of the census), then the responder executes
         the burst; every executed message — plus the one that faulted,
         which the per-packet path also charges before NAKing — is
-        charged.  Returns the responder's ``(responses, fault)`` pair.
+        charged, one :meth:`charge` per distinct message shape.
+        Returns the responder's ``(responses, fault)`` pair.
         """
         degradation = self.model.qp_degradation(self.active_qps)
         responses, fault = qp.responder_execute_burst(wrs)
-        charged = len(responses) + (1 if fault else 0)
-        self.charge_burst(wrs[:charged] if charged < len(wrs) else wrs,
-                          degradation)
+        charged = len(responses) + fault
+        shapes: dict = {}
+        for wr in wrs if charged == len(wrs) else wrs[:charged]:
+            opcode = wr.opcode
+            atomic = opcode.is_atomic
+            shape = (0 if atomic or opcode is Opcode.READ else len(wr.data),
+                     atomic)
+            shapes[shape] = shapes.get(shape, 0) + 1
+        for (payload, atomic), count in shapes.items():
+            self.charge(count, payload, atomic=atomic,
+                        degradation=degradation)
         return responses, fault
-
-    # ------------------------------------------------------------------
-    # Pure performance-model queries (used by the benchmark harness)
-    # ------------------------------------------------------------------
-
-    def modelled_message_rate(self, payload_bytes: int, *,
-                              atomic: bool = False) -> float:
-        """Messages/s for a payload size at the current QP count."""
-        return self.model.message_rate(payload_bytes, atomic=atomic,
-                                       active_qps=max(1, self.active_qps))
 
     def reset_stats(self) -> None:
         self.stats = NicStats(labels={"nic": self.name})

@@ -60,9 +60,9 @@ class QueuePair:
     """One RC queue pair: requester and responder halves.
 
     The responder half (:meth:`responder_receive`) is driven by the NIC
-    with decoded RoCE packets and executes verbs against the protection
+    with raw RoCE packets and executes verbs against the protection
     domain.  The requester half (:meth:`post_send` /
-    :meth:`requester_receive_ack`) is used by translator/benchmark code
+    :meth:`requester_receive`) is used by translator/benchmark code
     that talks *to* a remote NIC; it numbers packets, holds an unacked
     window, and rewinds on NAK.
     """
@@ -166,12 +166,7 @@ class QueuePair:
         Returns the raw packet for the caller to hand to the fabric.
         The request is retained in the unacked window for go-back-N.
         """
-        if self.state != QpState.RTS:
-            raise QpError(f"post_send in state {self.state}")
-        if self.dest_qpn is None:
-            raise QpError("QP not connected (no destination QPN)")
-        if len(self._unacked) >= self.max_outstanding:
-            raise QpError("send queue full (outstanding window exceeded)")
+        self.requester_begin_burst(1)       # a post is a burst of one
         psn = self.send_psn
         raw = roce.encode_request(
             wr.opcode, dest_qp=self.dest_qpn, psn=psn,
@@ -255,10 +250,12 @@ class QueuePair:
     # records) is identical to posting and acking each request alone.
 
     def requester_begin_burst(self, count: int) -> None:
-        """Validate once that ``count`` requests may be sent now.
+        """Validate that the next request(s) may be sent now.
 
-        Same checks (and error messages) as :meth:`post_send`, hoisted
-        out of the per-request loop.
+        :meth:`post_send`'s admission check, paid once per burst.
+        ``count`` is not weighed against the window: a direct-mode
+        burst is acknowledged synchronously, request by request, so the
+        window cannot fill mid-burst.
         """
         if self.state != QpState.RTS:
             raise QpError(f"post_send in state {self.state}")
@@ -266,6 +263,10 @@ class QueuePair:
             raise QpError("QP not connected (no destination QPN)")
         if len(self._unacked) >= self.max_outstanding:
             raise QpError("send queue full (outstanding window exceeded)")
+
+    def requester_commit(self, count: int) -> None:
+        """Consume ``count`` PSNs for requests executed synchronously."""
+        self.send_psn = (self.send_psn + count) % PSN_MOD
 
     def requester_complete_burst(self, wrs, responses,
                                  fault: bool = False) -> None:
@@ -280,8 +281,7 @@ class QueuePair:
         it (they could never have been posted on an errored QP).
         """
         n_ok = len(responses)
-        self.send_psn = (self.send_psn + n_ok + (1 if fault else 0)) \
-            % PSN_MOD
+        self.requester_commit(n_ok + fault)
         completions = self.completions
         for wr, resp in zip(wrs, responses):
             completions.append(WorkCompletion(
@@ -338,22 +338,18 @@ class QueuePair:
                                    msn=self.msn)
 
         try:
-            response_payload, atomic = self._execute(pkt)
+            response, written, read, atomics = self._execute(
+                pkt.verb, pkt.rkey, pkt.remote_addr, pkt.payload,
+                pkt.dma_length, pkt.compare, pkt.swap, pkt.imm)
         except RemoteAccessError:
-            self.counters.access_errors += 1
-            self.counters.naks_sent += 1
-            self.state = QpState.ERROR
+            self.responder_commit(0, fault=True)
             return roce.encode_ack(dest_qp=pkt.bth.dest_qp, psn=psn,
                                    syndrome=NAK_REMOTE_ACCESS_ERROR,
                                    msn=self.msn)
-
-        self.expected_psn = (self.expected_psn + 1) % PSN_MOD
-        self.msn = (self.msn + 1) % PSN_MOD
-        self.counters.requests_executed += 1
-        self.counters.acks_sent += 1
+        self.responder_commit(1, written, read, atomics)
         return roce.encode_ack(dest_qp=pkt.bth.dest_qp, psn=psn, syndrome=0,
-                               msn=self.msn, payload=response_payload,
-                               atomic=atomic)
+                               msn=self.msn, payload=response,
+                               atomic=bool(atomics))
 
     def responder_execute_burst(self, wrs) -> tuple[list[bytes], bool]:
         """Execute a burst of requests without wire (de)serialisation.
@@ -368,100 +364,84 @@ class QueuePair:
         """
         if self.state not in (QpState.RTR, QpState.RTS):
             raise QpError(f"responder_receive in state {self.state}")
-        counters = self.counters
+        execute = self._execute
         responses: list[bytes] = []
-        executed = 0
-        bytes_written = 0
-        bytes_read = 0
-        atomics = 0
+        written = read = atomics = 0
         fault = False
-        pd = self.pd
         for wr in wrs:
-            verb = wr.opcode
             try:
-                if verb in (Opcode.WRITE, Opcode.WRITE_IMM):
-                    region = pd.lookup(wr.rkey)
-                    region.write(wr.remote_addr, wr.data)
-                    bytes_written += len(wr.data)
-                    if verb == Opcode.WRITE_IMM:
-                        self.completions.append(WorkCompletion(
-                            wr_id=0, opcode=verb, status=WcStatus.SUCCESS,
-                            byte_len=len(wr.data), imm=wr.imm))
-                    responses.append(b"")
-                elif verb == Opcode.READ:
-                    region = pd.lookup(wr.rkey)
-                    data = region.read(wr.remote_addr, wr.length)
-                    bytes_read += len(data)
-                    responses.append(data)
-                elif verb == Opcode.FETCH_ADD:
-                    region = pd.lookup(wr.rkey)
-                    old = region.fetch_add(wr.remote_addr, wr.swap)
-                    atomics += 1
-                    responses.append(old.to_bytes(8, "little"))
-                elif verb == Opcode.CMP_SWAP:
-                    region = pd.lookup(wr.rkey)
-                    old = region.compare_swap(wr.remote_addr, wr.compare,
-                                              wr.swap)
-                    atomics += 1
-                    responses.append(old.to_bytes(8, "little"))
-                elif verb == Opcode.SEND:
-                    self.completions.append(WorkCompletion(
-                        wr_id=0, opcode=verb, status=WcStatus.SUCCESS,
-                        byte_len=len(wr.data), data=wr.data, imm=wr.imm))
-                    responses.append(b"")
-                else:
-                    raise QpError(f"unsupported verb {verb}")
+                response, w, r, a = execute(
+                    wr.opcode, wr.rkey, wr.remote_addr, wr.data, wr.length,
+                    wr.compare, wr.swap, wr.imm)
             except RemoteAccessError:
                 fault = True
                 break
-            executed += 1
+            responses.append(response)
+            written += w
+            read += r
+            atomics += a
+        self.responder_commit(len(responses), written, read, atomics,
+                              fault=fault)
+        return responses, fault
+
+    def responder_commit(self, executed: int, written: int = 0,
+                         read: int = 0, atomics: int = 0, *,
+                         fault: bool = False) -> None:
+        """Account ``executed`` in-order requests in one transaction.
+
+        Advances ``expected_psn``/``msn`` and the responder counters by
+        what the requests did (``written``/``read`` bytes, ``atomics``
+        executed); ``fault`` records that the next request drew a
+        remote access error, which NAKs and errors the QP.
+        """
         self.expected_psn = (self.expected_psn + executed) % PSN_MOD
         self.msn = (self.msn + executed) % PSN_MOD
+        counters = self.counters
         if executed:
             counters.requests_executed += executed
             counters.acks_sent += executed
-        if bytes_written:
-            counters.bytes_written += bytes_written
-        if bytes_read:
-            counters.bytes_read += bytes_read
+        if written:
+            counters.bytes_written += written
+        if read:
+            counters.bytes_read += read
         if atomics:
             counters.atomics += atomics
         if fault:
             counters.access_errors += 1
             counters.naks_sent += 1
             self.state = QpState.ERROR
-        return responses, fault
 
-    def _execute(self, pkt: roce.RocePacket) -> tuple[bytes, bool]:
-        """Apply the verb to registered memory; returns (response, atomic)."""
-        verb = pkt.verb
+    def _execute(self, verb: Opcode, rkey: int, addr: int, data: bytes,
+                 length: int, compare: int, swap: int,
+                 imm: int | None) -> tuple[bytes, int, int, int]:
+        """Apply one verb to registered memory.
+
+        Returns ``(response, bytes_written, bytes_read, atomics)`` — the
+        payload to send back and the deltas :meth:`responder_commit`
+        accounts.  Raises :class:`RemoteAccessError` (nothing applied)
+        on a bad rkey, missing rights, or out-of-bounds access.
+        """
         if verb in (Opcode.WRITE, Opcode.WRITE_IMM):
-            region = self.pd.lookup(pkt.rkey)
-            region.write(pkt.remote_addr, pkt.payload)
-            self.counters.bytes_written += len(pkt.payload)
+            region = self.pd.lookup(rkey)
+            region.write(addr, data)
             if verb == Opcode.WRITE_IMM:
                 self.completions.append(WorkCompletion(
                     wr_id=0, opcode=verb, status=WcStatus.SUCCESS,
-                    byte_len=len(pkt.payload), imm=pkt.imm))
-            return b"", False
+                    byte_len=len(data), imm=imm))
+            return b"", len(data), 0, 0
         if verb == Opcode.READ:
-            region = self.pd.lookup(pkt.rkey)
-            data = region.read(pkt.remote_addr, pkt.dma_length)
-            self.counters.bytes_read += len(data)
-            return data, False
-        if verb == Opcode.FETCH_ADD:
-            region = self.pd.lookup(pkt.rkey)
-            old = region.fetch_add(pkt.remote_addr, pkt.swap)
-            self.counters.atomics += 1
-            return old.to_bytes(8, "little"), True
-        if verb == Opcode.CMP_SWAP:
-            region = self.pd.lookup(pkt.rkey)
-            old = region.compare_swap(pkt.remote_addr, pkt.compare, pkt.swap)
-            self.counters.atomics += 1
-            return old.to_bytes(8, "little"), True
+            out = self.pd.lookup(rkey).read(addr, length)
+            return out, 0, len(out), 0
+        if verb in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
+            region = self.pd.lookup(rkey)
+            if verb == Opcode.FETCH_ADD:
+                old = region.fetch_add(addr, swap)
+            else:
+                old = region.compare_swap(addr, compare, swap)
+            return old.to_bytes(8, "little"), 0, 0, 1
         if verb == Opcode.SEND:
             self.completions.append(WorkCompletion(
                 wr_id=0, opcode=verb, status=WcStatus.SUCCESS,
-                byte_len=len(pkt.payload), data=pkt.payload, imm=pkt.imm))
-            return b"", False
+                byte_len=len(data), data=data, imm=imm))
+            return b"", 0, 0, 0
         raise QpError(f"unsupported verb {verb}")

@@ -66,11 +66,9 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.stores.append import lap_tag
-from repro.kernels import HAVE_NUMPY
+import numpy as np
 
-if HAVE_NUMPY:
-    import numpy as np
+from repro.core.stores.append import lap_tag
 
 #: Rotation reports kept for introspection (`repro retain`, tests).
 MAX_REPORTS = 256
@@ -137,16 +135,10 @@ class _SlotTracker:
         return len(changed)
 
     def _changed_cells(self, cur: bytes) -> list:
-        if HAVE_NUMPY:
-            shape = (self.cells, self.cell_bytes)
-            a = np.frombuffer(cur, dtype=np.uint8).reshape(shape)
-            b = np.frombuffer(self._prev, dtype=np.uint8).reshape(shape)
-            return np.nonzero((a != b).any(axis=1))[0].tolist()
-        width = self.cell_bytes
-        prev = self._prev
-        return [i for i in range(self.cells)
-                if cur[i * width:(i + 1) * width]
-                != prev[i * width:(i + 1) * width]]
+        shape = (self.cells, self.cell_bytes)
+        a = np.frombuffer(cur, dtype=np.uint8).reshape(shape)
+        b = np.frombuffer(self._prev, dtype=np.uint8).reshape(shape)
+        return np.nonzero((a != b).any(axis=1))[0].tolist()
 
     def expire(self, cutoff: int) -> int:
         """Zero every cell whose generation fell out of the window."""

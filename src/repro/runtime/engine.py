@@ -64,8 +64,7 @@ because (a) queues are FIFO, so carriers reach each stage in submit
 order; (b) every stats object has exactly one writer stage (reporter
 stats in encode, :class:`~repro.fabric.link.StreamLink` stats in link,
 translator stats + loss detector in translate, NIC/QP/client
-bookkeeping — including the order-sensitive ``busy_ns`` float — in
-execute); and (c) the wall-clock-dependent series — every
+bookkeeping in execute); and (c) the wall-clock-dependent series — every
 ``runtime.*`` queue/stall/worker series plus the serving tier's
 ``queries.wall_ns`` histogram — are excluded from digest comparisons
 by :func:`pipeline_digest`.  ``workers=0`` composes the same stage
@@ -88,7 +87,6 @@ import threading
 
 from repro import obs
 from repro.fabric.link import StreamLink
-from repro.kernels import HAVE_NUMPY
 from repro.runtime.queues import CLOSED, CreditQueue, QueueAborted
 from repro.runtime.shm import PlanWorkerPool, RingPeerDead
 
@@ -227,8 +225,6 @@ class StreamEngine:
         if executor not in ("thread", "process"):
             raise ValueError(
                 f"executor must be 'thread' or 'process' (got {executor!r})")
-        if executor == "process" and workers > 0 and not HAVE_NUMPY:
-            raise RuntimeError("the process executor requires numpy")
         if vectorized is None:
             vectorized = translator.vectorized
         self.collector = collector
@@ -240,7 +236,7 @@ class StreamEngine:
         self.retention = retention
         self.name = name
         self.link = StreamLink(name=name)
-        self._vectorized = bool(vectorized) and HAVE_NUMPY
+        self._vectorized = bool(vectorized)
         self._defer = _DeferringClient()
         self._real_client = None
         self._captured_batches: list = []
@@ -677,9 +673,6 @@ class StreamEngine:
             return (list(self._queues) + list(self._pool.requests)
                     + list(self._pool.results))
         return list(self._queues)
-
-    def stage_stats(self, stage: str) -> StageStats:
-        return self._stage_stats[stage]
 
     @property
     def executed_seq(self) -> int | None:

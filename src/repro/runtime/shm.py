@@ -70,6 +70,8 @@ from typing import NamedTuple
 import multiprocessing
 from multiprocessing import shared_memory
 
+import numpy as np
+
 from repro import obs
 from repro.core.packets import DtaPrimitive
 from repro.runtime.queues import (
@@ -79,11 +81,6 @@ from repro.runtime.queues import (
     QueueStats,
     _clock,
 )
-
-try:
-    import numpy as np
-except ImportError:          # pragma: no cover - process lane needs numpy
-    np = None
 
 #: How long a blocked peer sleeps between shared-flag re-checks.  The
 #: semaphore wakes it immediately on a normal hand-off; the spin only
@@ -192,8 +189,6 @@ class ShmCreditQueue:
 
     def __init__(self, capacity: int, payload_bytes: int = 1 << 18,
                  name: str = "shmq", *, _attach: tuple | None = None) -> None:
-        if np is None:
-            raise RuntimeError("shared-memory rings require numpy")
         if _attach is None and capacity < 1:
             raise ValueError(
                 f"queue '{name}' capacity must be >= 1 (got {capacity}): "
@@ -579,8 +574,6 @@ class PlanWorkerPool:
                  name: str = "stream") -> None:
         if workers < 1:
             raise ValueError("a plan pool needs >= 1 worker")
-        if np is None:
-            raise RuntimeError("the process lane requires numpy")
         self.workers = workers
         self.name = name
         self._shutdown = False

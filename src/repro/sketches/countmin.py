@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
+import numpy as np
+
+from repro.kernels import MIN_VECTOR_BATCH, crc as kcrc, sketch as ksketch
 from repro.sketches.base import MergeError, Sketch
 from repro.switch.crc import hash_family
 
@@ -32,10 +34,8 @@ class CountMinSketch(Sketch):
             raise ValueError("width and depth must be positive")
         self.width = width
         self.depth = depth
-        self._vectorized = vectorized and HAVE_NUMPY
+        self._vectorized = vectorized
         if self._vectorized:
-            import numpy as np
-
             # Same values, numpy storage: every scalar method indexes
             # an int64 matrix exactly like the list-of-lists reference.
             self._rows = np.zeros((depth, width), dtype=np.int64)
@@ -69,14 +69,9 @@ class CountMinSketch(Sketch):
         fall back to the reference loop.
         """
         n = len(keys)
-        if not HAVE_NUMPY or n < MIN_VECTOR_BATCH:
+        if n < MIN_VECTOR_BATCH:
             super().update_many(keys, weights)
             return
-        import numpy as np
-
-        from repro.kernels import crc as kcrc
-        from repro.kernels import sketch as ksketch
-
         if weights is None:
             addends = np.ones(n, dtype=np.int64)
             total_delta = n

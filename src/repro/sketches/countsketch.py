@@ -11,7 +11,9 @@ from __future__ import annotations
 import statistics
 from typing import Iterable
 
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
+import numpy as np
+
+from repro.kernels import MIN_VECTOR_BATCH, crc as kcrc, sketch as ksketch
 from repro.sketches.base import MergeError, Sketch
 from repro.switch.crc import hash_family
 
@@ -25,10 +27,8 @@ class CountSketch(Sketch):
             raise ValueError("width and depth must be positive")
         self.width = width
         self.depth = depth
-        self._vectorized = vectorized and HAVE_NUMPY
+        self._vectorized = vectorized
         if self._vectorized:
-            import numpy as np
-
             self._rows = np.zeros((depth, width), dtype=np.int64)
         else:
             self._rows = [[0] * width for _ in range(depth)]
@@ -53,14 +53,9 @@ class CountSketch(Sketch):
         fallback rules (small batches, weights past the int64 guard).
         """
         n = len(keys)
-        if not HAVE_NUMPY or n < MIN_VECTOR_BATCH:
+        if n < MIN_VECTOR_BATCH:
             super().update_many(keys, weights)
             return
-        import numpy as np
-
-        from repro.kernels import crc as kcrc
-        from repro.kernels import sketch as ksketch
-
         if weights is None:
             addends = np.ones(n, dtype=np.int64)
             total_delta = n

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
+import numpy as np
+
+from repro.kernels import MIN_VECTOR_BATCH, crc as kcrc, sketch as ksketch
 from repro.sketches.base import MergeError, Sketch
 from repro.switch.crc import hash_family
 
@@ -44,10 +46,8 @@ class HyperLogLog(Sketch):
             raise ValueError("precision must be in [4, 18]")
         self.precision = precision
         self.m = 1 << precision
-        self._vectorized = vectorized and HAVE_NUMPY
+        self._vectorized = vectorized
         if self._vectorized:
-            import numpy as np
-
             self.registers = np.zeros(self.m, dtype=np.int64)
         else:
             self.registers = [0] * self.m
@@ -73,14 +73,9 @@ class HyperLogLog(Sketch):
         either way); small batches fall back to it.
         """
         n = len(keys)
-        if not HAVE_NUMPY or n < MIN_VECTOR_BATCH:
+        if n < MIN_VECTOR_BATCH:
             super().update_many(keys, weights)
             return
-        import numpy as np
-
-        from repro.kernels import crc as kcrc
-        from repro.kernels import sketch as ksketch
-
         packed, lengths = kcrc.pack_keys(keys)
         index, rho = ksketch.hll_observations(packed, lengths,
                                               self.precision,
@@ -106,8 +101,6 @@ class HyperLogLog(Sketch):
         if self.precision != other.precision:
             raise MergeError("HLL precisions differ")
         if self._vectorized:
-            import numpy as np
-
             self.registers = np.maximum(self.registers,
                                         np.asarray(other.registers))
         else:

@@ -148,16 +148,16 @@ class CrcEngine:
         return self.compute(data)
 
     def compute_many(self, keys) -> list:
-        """CRCs of many keys; vectorized when numpy is available.
+        """CRCs of many keys; vectorized past ``MIN_VECTOR_BATCH``.
 
         Same results as ``[self.compute(k) for k in keys]`` — the
         vectorized path (:func:`repro.kernels.crc.crc_many`) walks the
         identical lookup table and is differentially tested bit-exact,
         so callers may treat the two paths as interchangeable.
         """
-        from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
+        from repro.kernels import MIN_VECTOR_BATCH
 
-        if HAVE_NUMPY and len(keys) >= MIN_VECTOR_BATCH:
+        if len(keys) >= MIN_VECTOR_BATCH:
             from repro.kernels import crc as kcrc
 
             packed, lengths = kcrc.pack_keys(keys)

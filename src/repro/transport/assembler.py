@@ -22,8 +22,8 @@ Two ingest paths share one pending-run state:
 
 * :meth:`feed` — the scalar reference: one ``KIND_REPORT`` payload
   through ``packets.decode_report``.
-* :meth:`feed_frame` — the coalesced hot path: one ``KIND_FRAME``
-  payload decoded wholesale by :mod:`repro.kernels.wire` into column
+* :meth:`feed_frames` — the coalesced hot path: ``KIND_FRAME``
+  payloads decoded wholesale by :mod:`repro.kernels.wire` into column
   arrays, with runs extended and flushed in slices instead of one
   report at a time.  Feeding a frame is *defined* to behave exactly
   like feeding its sub-frames through :meth:`feed` one by one — same
@@ -35,6 +35,8 @@ Two ingest paths share one pending-run state:
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core import packets
 from repro.core.batch import ReportBatch
@@ -48,13 +50,7 @@ from repro.core.packets import (
     Postcard,
     SketchColumn,
 )
-from repro.kernels import HAVE_NUMPY, MIN_VECTOR_BATCH
-from repro.transport.envelope import unwrap_frame
-
-if HAVE_NUMPY:
-    import numpy as np
-
-    from repro.kernels import wire
+from repro.kernels import MIN_VECTOR_BATCH, wire
 
 #: Flags that force a report through the per-report lane: essential
 #: reports feed the loss detector, immediates must convert their write,
@@ -149,47 +145,21 @@ class ReportAssembler:
     def feed_frame(self, payload: bytes) -> None:
         """Consume one ``KIND_FRAME`` payload (many coalesced reports).
 
-        Decodes the whole frame through the vectorized wire kernels
-        when numpy is available and the frame is big enough to pay for
-        the array setup; otherwise falls back to the scalar splitter
-        plus :meth:`feed` per sub-frame.  A structurally truncated
-        frame counts as one malformed unit either way.
+        A receive burst of one: see :meth:`feed_frames`.
         """
-        if HAVE_NUMPY:
-            parts = wire.split_frame(payload)
-            if parts is None:
-                self.malformed += 1
-                return
-            if len(parts[1]) >= MIN_VECTOR_BATCH:
-                self._feed_frame_vector(payload, *parts)
-                return
-            for off, length in zip(parts[1].tolist(), parts[2].tolist()):
-                self.feed(payload[off:off + length])
-            return
-        try:
-            raws = unwrap_frame(payload)
-        except ValueError:
-            self.malformed += 1
-            return
-        for raw in raws:
-            self.feed(raw)
+        self.feed_frames((payload,))
 
     def feed_frames(self, payloads) -> None:
         """Consume many ``KIND_FRAME`` payloads in one vectorized pass.
 
-        Defined to behave exactly like :meth:`feed_frame` on each
-        payload in order — same counts, same batches, same per-report
-        diversions — but the sub-frames of *all* structurally valid
-        frames are concatenated into a single column decode, so the
-        fixed array-setup cost is paid once per receive burst instead
-        of once per datagram.  Sub-report arrival order is preserved:
-        frames are spliced in delivered order and row indices stay
-        ascending across the join.
+        A structurally truncated frame counts as one malformed unit;
+        the sub-frames of all the others are concatenated into a single
+        column decode, so the fixed array-setup cost is paid once per
+        receive burst instead of once per datagram (too few sub-frames
+        to pay for it go through :meth:`feed` one by one).  Sub-report
+        arrival order is preserved: frames are spliced in delivered
+        order and row indices stay ascending across the join.
         """
-        if not HAVE_NUMPY:
-            for payload in payloads:
-                self.feed_frame(payload)
-            return
         chunks = []
         offs = []
         lens = []
@@ -414,11 +384,10 @@ class ReportAssembler:
         self.translators[shard].process_batch(batch)
 
 
-if HAVE_NUMPY:
-    _DECODERS = {
-        int(DtaPrimitive.KEY_WRITE): wire.decode_keywrite,
-        int(DtaPrimitive.KEY_INCREMENT): wire.decode_keyincrement,
-        int(DtaPrimitive.POSTCARDING): wire.decode_postcard,
-        int(DtaPrimitive.APPEND): wire.decode_append,
-        int(DtaPrimitive.SKETCH_MERGE): wire.decode_sketch,
-    }
+_DECODERS = {
+    int(DtaPrimitive.KEY_WRITE): wire.decode_keywrite,
+    int(DtaPrimitive.KEY_INCREMENT): wire.decode_keyincrement,
+    int(DtaPrimitive.POSTCARDING): wire.decode_postcard,
+    int(DtaPrimitive.APPEND): wire.decode_append,
+    int(DtaPrimitive.SKETCH_MERGE): wire.decode_sketch,
+}

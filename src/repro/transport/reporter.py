@@ -37,9 +37,10 @@ from __future__ import annotations
 import socket
 import time
 
+import numpy as np
+
 from repro.core import packets
 from repro.core.cluster import ClusterMap, ClusterReporter
-from repro.kernels import HAVE_NUMPY
 from repro.core.packets import DtaFlags
 from repro.core.transport import CtrlFrame
 from repro.transport import mmsg
@@ -57,14 +58,20 @@ from repro.transport.envelope import (
 )
 from repro.transport.loss import LossSpec
 
-if HAVE_NUMPY:
-    import numpy as np
-
 #: Finalized envelopes buffered per lane before a send burst; matches
 #: the receiver's recvmmsg ring (4 sendmmsg batches) so one flush can
 #: fill one receive burst — and the receive burst is the translator's
 #: vectorized decode width.
 _OUTBOX_FRAMES = 4 * mmsg.BATCH_MSGS
+
+#: Longest a full send window may go without its lane's cumulative ACK
+#: advancing.  A live translator acknowledges within milliseconds, so
+#: only a dead or wedged daemon ever gets near this.
+_WINDOW_STALL_S = 10.0
+
+
+class WindowStalled(RuntimeError):
+    """A lane's send window stayed full with no ACK progress."""
 
 
 class _Lane:
@@ -100,8 +107,8 @@ class SocketReporter:
     Args:
         name: Reporter node name.
         reporter_id: 16-bit DTA identity.
-        data_addr: ``(host, port)`` of the single translator daemon
-            (legacy single-lane form; use ``set_data_addrs`` for more).
+        data_addr: ``(host, port)`` of the translator daemon when
+            there is one lane; use ``set_data_addrs`` for more.
         shards: Collector count (sizes the per-shard seq streams).
         translators: Lane count; shard ``s`` transmits on ``s % N``.
         loss: The seeded impairment applied to first-transmissions.
@@ -191,7 +198,7 @@ class SocketReporter:
     # ------------------------------------------------------------------
 
     def transmit(self, raw: bytes) -> None:
-        """Shim, pack, and send one DTA report (shard-0 legacy form)."""
+        """Shim, pack, and send one DTA report bound for shard 0."""
         self._transmit_shard(0, raw)
 
     def transmit_to(self, shard: int, raw: bytes) -> None:
@@ -243,10 +250,6 @@ class SocketReporter:
         pending and leaving the final partial frame pending.
         """
         if not reports:
-            return
-        if not HAVE_NUMPY:
-            for raw in reports:
-                self._enqueue_lane(lane, raw)
             return
         budget = self._frame_budget
         n = len(reports)
@@ -320,8 +323,17 @@ class SocketReporter:
         outbox = lane.outbox
         sent = 0
         while sent < len(outbox):
+            progress = time.monotonic()
             while lane.sent - lane.acked >= self.window:
+                acked = lane.acked
                 self.poll_control(timeout=0.5)
+                if lane.acked > acked:
+                    progress = time.monotonic()
+                elif time.monotonic() - progress >= _WINDOW_STALL_S:
+                    raise WindowStalled(
+                        f"lane to {lane.addr} acknowledged nothing for "
+                        f"{_WINDOW_STALL_S:.0f}s with {self.window} "
+                        "envelopes in flight")
             room = min(self.window - (lane.sent - lane.acked),
                        len(outbox) - sent)
             mmsg.send_many(lane.sock, outbox[sent:sent + room],

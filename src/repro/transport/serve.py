@@ -52,7 +52,7 @@ from repro.transport.daemons import (
     translator_daemon_main,
 )
 from repro.transport.loss import LossSpec
-from repro.transport.reporter import SocketReporter
+from repro.transport.reporter import SocketReporter, WindowStalled
 from repro.workloads import reports as workload
 
 _READY_TIMEOUT_S = 30.0
@@ -239,15 +239,21 @@ class SocketLane:
         """Transmit pre-encoded reports through shim + frame packer.
 
         ``shards`` (from :func:`route_report`) steers each report to
-        the lane owning its collector; without it everything rides the
-        legacy shard-0 lane (fine for single-translator runs).
+        the lane owning its collector; without it everything rides
+        shard 0's lane (fine for single-translator runs).  Raises
+        :class:`ServeError` when a daemon died, or stopped
+        acknowledging, with the send window full.
         """
-        if shards is None:
-            transmit = self.reporter.transmit
-            for raw in raws:
-                transmit(raw)
-        else:
-            self.reporter.transmit_many(shards, raws)
+        try:
+            if shards is None:
+                transmit = self.reporter.transmit
+                for raw in raws:
+                    transmit(raw)
+            else:
+                self.reporter.transmit_many(shards, raws)
+        except WindowStalled as stall:
+            self._check_alive()
+            raise ServeError(str(stall)) from stall
 
     def drain(self, timeout: float = _DRAIN_TIMEOUT_S) -> dict:
         """End-of-stream handshake: one ``drained`` per translator.

@@ -38,6 +38,7 @@ def _fresh_globals():
     depending on which test ran first.
     """
     import repro.retention
+    from repro.kernels import crc as kernel_crc
     from repro.switch import crc as switch_crc
 
     previous = obs.set_registry(obs.Registry())
@@ -46,13 +47,8 @@ def _fresh_globals():
     # Retention/epoch module state (checkpoint temp-name sequence):
     # reset so checkpoint directory names are order-independent.
     repro.retention.reset_state()
-    try:
-        from repro.kernels import crc as kernel_crc
-    except ImportError:        # numpy-less environment: nothing cached
-        pass
-    else:
-        kernel_crc._NP_TABLE_CACHE.clear()
-        kernel_crc._lane_state.cache_clear()
+    kernel_crc._NP_TABLE_CACHE.clear()
+    kernel_crc._lane_state.cache_clear()
     try:
         yield
     finally:

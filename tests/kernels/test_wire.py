@@ -22,7 +22,6 @@ np = pytest.importorskip("numpy")
 from repro.core import packets
 from repro.core.cluster import ClusterMap
 from repro.kernels import MIN_VECTOR_BATCH, wire
-from repro.transport import assembler as assembler_mod
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import unwrap, unwrap_frame, wrap_frame
 
@@ -228,11 +227,6 @@ class TestFrameDifferential:
         asm = run_both(frames, collectors=1, batch_size=2)
         assert asm.reports == MIN_VECTOR_BATCH
         assert asm.malformed == 0
-
-    def test_no_numpy_fallback_matches_scalar(self, monkeypatch):
-        monkeypatch.setattr(assembler_mod, "HAVE_NUMPY", False)
-        rng = random.Random(3)
-        run_both(_frames(rng, _corpus(rng, 200)))
 
 
 class TestFrameStructure:

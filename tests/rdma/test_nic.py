@@ -106,6 +106,28 @@ class TestCostModel:
         assert nic.stats.message_rate() == pytest.approx(
             10e9 / expected_ns)
 
+    @pytest.mark.parametrize("payload,atomic,active_qps",
+                             [(0, False, 1), (20, False, 40), (0, True, 40)])
+    def test_charge_of_count_equals_count_charges_of_one(
+            self, payload, atomic, active_qps):
+        one_by_one, at_once = Nic(), Nic()
+        degradation = at_once.model.qp_degradation(active_qps)
+        assert (degradation > 1.0) == (active_qps > 1)
+        for count in (1, 7, 100_000):
+            for _ in range(count):
+                one_by_one.charge(1, payload, atomic=atomic,
+                                  degradation=degradation)
+            at_once.charge(count, payload, atomic=atomic,
+                           degradation=degradation)
+            assert at_once.stats == one_by_one.stats
+
+    def test_charge_cost_does_not_grow_with_count(self):
+        nic = Nic()
+        nic.charge(10 ** 15, 8)             # a per-message loop never ends
+        assert nic.stats.messages == 10 ** 15
+        assert nic.stats.busy_fs == 10 ** 15 * 10_224_000
+        assert nic.stats.message_rate() == pytest.approx(1e9 / 10.224)
+
     def test_goodput_matches_payload(self):
         nic = Nic()
         nic.stats.payload_bytes = 1000

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro import bench
-from repro.kernels import HAVE_NUMPY
 from repro.runtime import StreamEngine, run_lane, store_digest
 from repro.workloads import reports
 
@@ -94,7 +93,6 @@ def test_workers0_engine_equals_plain_serial_loop(primitive):
                for name, _labels in extra), sorted(extra)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector lanes need numpy")
 @pytest.mark.parametrize("primitive", ("key_write", "key_increment"))
 def test_vectorized_plan_apply_split_matches_scalar(primitive):
     """The engine's cross-stage plan/apply split (translate plans the

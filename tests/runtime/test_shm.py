@@ -22,7 +22,6 @@ import time
 import pytest
 
 from repro import bench, obs
-from repro.kernels import HAVE_NUMPY
 from repro.runtime import (
     CLOSED,
     QueueAborted,
@@ -32,9 +31,6 @@ from repro.runtime import (
     run_lane,
 )
 from repro.workloads import reports
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY,
-                                reason="the process lane needs numpy")
 
 REPORTS = 480
 BATCH = 32

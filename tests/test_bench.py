@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro import bench
 from repro.cli import main
-from repro.kernels import HAVE_NUMPY
 from repro.workloads import reports
 
 CELL_KEYS = {"reports", "elapsed_s", "reports_per_sec", "obs_digest",
@@ -67,7 +64,6 @@ def test_finish_fails_on_a_failed_gate(tmp_path, capsys):
     assert line["pass"] is False and line["date"] and line["commit"]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector lanes need numpy")
 def test_cli_bench_record_gates_and_history(tmp_path, capsys):
     history = tmp_path / "hist.jsonl"
     out = tmp_path / "bench.json"

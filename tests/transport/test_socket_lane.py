@@ -14,6 +14,7 @@ import multiprocessing.shared_memory as shared_memory
 import random
 import socket as socket_mod
 import struct
+import time
 
 import pytest
 
@@ -271,6 +272,30 @@ class TestCrashContainment:
             lane._translator_procs[0].join(timeout=5)
             with pytest.raises(ServeError, match="died"):
                 lane.drain()
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_send_into_dead_translator_raises_instead_of_hanging(
+            self, monkeypatch):
+        """A full send window whose daemon is gone must not wait forever.
+
+        Small frames and a small window, so ``send`` itself fills the
+        window (the tests above only observe death at ``drain``).
+        """
+        from repro.transport import reporter as reporter_mod
+
+        monkeypatch.setattr(reporter_mod, "_WINDOW_STALL_S", 1.0)
+        spec = _spec(reports=2000, window=8, frame_bytes=64)
+        raws = reports.wire(spec.primitive, spec.reports, spec.seed)
+        with SocketLane(spec) as lane:
+            names = [shm.name for shm in lane._segments]
+            lane._translator_procs[0].terminate()
+            lane._translator_procs[0].join(timeout=5)
+            start = time.monotonic()
+            with pytest.raises(ServeError, match=r"died .*exitcode"):
+                lane.send(raws)
+            assert time.monotonic() - start < 5.0
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
