@@ -518,35 +518,64 @@ class Translator(Node):
     # -- vector fast path: Key-Write / Key-Increment ----------------------
 
     def plan_batch(self, batch, client=None, *, arrays=None):
-        """The one vector-eligibility decision: a charged
+        """:meth:`plan_columns` for a batch object: a charged
         :class:`VectorPlan`, or None (no state touched) for the scalar
         lane.
 
-        Every lane asks here — :meth:`process_batch` (hence the serial
-        path and the socket daemons), the streaming engine's translate
-        stage, the process lane's parent side.  Eligible means
-        :meth:`_vector_target` resolves a burst target *and* the plan
-        kernel accepts the columns (Key-Write data fits the slot,
-        Key-Increment values fit int64, indices inside the region).
-        ``client`` defaults to the attached one (the engine passes the
-        real client while its verb recorder is attached); ``arrays`` is
-        ``(indices, payload)`` as a plan worker computed them from
-        :meth:`plan_request`.
+        :meth:`process_batch` (hence the serial path), the streaming
+        engine's translate stage and the process lane's parent side ask
+        here.  A batch carrying essential / immediate flags is never
+        planned; any other is packed (``plan_vector_*``) only once the
+        decision went its way, so a declined batch costs a few
+        attribute reads.  ``client`` defaults to the attached one (the
+        engine passes the real client while its verb recorder is
+        attached); ``arrays`` is ``(indices, payload)`` as a plan
+        worker computed them from :meth:`plan_request`.
         """
-        hit = self._vector_target(batch, client)
+        if batch.essential or batch.immediate:
+            return None
+        kind = batch.primitive
+        planner = (self.plan_vector_keywrite
+                   if kind is DtaPrimitive.KEY_WRITE
+                   else self.plan_vector_keyincrement)
+        return self._plan(kind, len(batch), client, arrays, planner, batch)
+
+    def plan_columns(self, kind, reports: int, packed, lengths, third,
+                     redundancy: int, client=None):
+        """The one vector-eligibility decision, over columns: a charged
+        :class:`VectorPlan`, or None (no state touched) for the scalar
+        lane.
+
+        ``packed`` / ``lengths`` are the ``reports`` keys as a packed
+        matrix; ``third`` the Key-Write data matrix (zero-padded to any
+        width — one wider than the slot declines, as the scalar lane
+        raises for it) or the Key-Increment int64 addends.  Eligible
+        means :meth:`_vector_target` resolves a burst target *and*
+        ``PLAN_KERNELS[kind]`` accepts the columns (indices inside the
+        region).  Nothing here depends on how many reports one call
+        carries beyond ``MIN_VECTOR_BATCH``: every series a plan
+        charges is a sum, so the socket lane hands over whatever a
+        receive burst delivered for the shard (``docs/CONCURRENCY.md``,
+        "Plan width is not observable").
+        """
+        return self._plan(kind, reports, client, None, self._plan_vector,
+                          kind, packed, lengths, third, redundancy)
+
+    def _plan(self, kind, reports: int, client, arrays, planner, *source):
+        """Decide, then compute, then charge — the body both
+        :meth:`plan_columns` and :meth:`plan_batch` are entries to.
+        ``planner(*source, target)`` yields the plan arrays, or None;
+        it runs only once the decision went its way."""
+        hit = self._vector_target(kind, reports, client)
         if hit is None:
             return None
         binding, target = hit
-        kind = batch.primitive
         if arrays is None:
-            planner = (self.plan_vector_keywrite
-                       if kind is DtaPrimitive.KEY_WRITE
-                       else self.plan_vector_keyincrement)
-            arrays = planner(batch, target)
+            arrays = planner(*source, target)
             if arrays is None:
                 return None
         indices, payload = arrays
-        reports, count = len(batch), len(indices)
+        count = len(indices)
         stats = self.stats
         stats.reports_in += reports
         if kind is DtaPrimitive.KEY_WRITE:
@@ -562,20 +591,18 @@ class Translator(Node):
         return VectorPlan(kind, binding.rkey, binding.layout.base_addr,
                           stride, indices, payload, reports)
 
-    def _vector_target(self, batch, client):
-        """``(binding, burst target)`` if ``batch`` may run as a plan:
-        vectorization on, ``MIN_VECTOR_BATCH`` reports or more, no
-        per-report control-plane state (essential / immediate flags,
-        meter, tenant quotas), translator up, the service configured,
-        and ``client`` resolving to a healthy direct-mode burst target
-        whose region is the one the layout describes.
+    def _vector_target(self, kind, reports: int, client):
+        """``(binding, burst target)`` if ``reports`` plain reports of
+        ``kind`` may run as a plan: vectorization on,
+        ``MIN_VECTOR_BATCH`` reports or more, no meter or tenant
+        quotas, translator up, the service configured, and ``client``
+        resolving to a healthy direct-mode burst target whose region is
+        the one the layout describes.
         """
-        if (not self.vectorized or len(batch) < MIN_VECTOR_BATCH
-                or batch.essential or batch.immediate
+        if (not self.vectorized or reports < MIN_VECTOR_BATCH
                 or self._meter is not None or self.tenants is not None
                 or self._crashed):
             return None
-        kind = batch.primitive
         if kind is DtaPrimitive.KEY_WRITE:
             binding = self._kw
         elif kind is DtaPrimitive.KEY_INCREMENT:
@@ -600,7 +627,9 @@ class Translator(Node):
         the batch is not worth shipping.  Touches no state: the arrays
         come back through :meth:`plan_batch`, which still decides.
         """
-        hit = self._vector_target(batch, client)
+        if batch.essential or batch.immediate:
+            return None
+        hit = self._vector_target(batch.primitive, len(batch), client)
         if hit is None:
             return None
         binding, target = hit
@@ -616,12 +645,32 @@ class Translator(Node):
         are not vector-eligible.  Hashing, entry encoding and bounds
         validation against ``target``'s region; no state touched.
         """
-        return _plan_columns(self._kw.layout, batch, target)
+        return _batch_arrays(self._kw.layout, batch, target)
 
     def plan_vector_keyincrement(self, batch, target):
         """A Key-Increment scatter-add plan ``(counter_indices,
         addends)`` for ``kernels.burst.fetch_add_many``, likewise."""
-        return _plan_columns(self._ki.layout, batch, target)
+        return _batch_arrays(self._ki.layout, batch, target)
+
+    def _plan_vector(self, kind, packed, lengths, third, redundancy,
+                     target):
+        """``plan_vector_*`` for columns that are already matrices:
+        pad the Key-Write data to the slot (wider declines — the scalar
+        lane raises for it), clamp the Key-Increment fan-out."""
+        if kind is DtaPrimitive.KEY_WRITE:
+            layout = self._kw.layout
+            rows, width = third.shape
+            if width > layout.data_bytes:
+                return None
+            if width < layout.data_bytes:
+                padded = np.zeros((rows, layout.data_bytes), dtype=np.uint8)
+                padded[:, :width] = third
+                third = padded
+        else:
+            layout = self._ki.layout
+            redundancy = min(redundancy, layout.rows)
+        return PLAN_KERNELS[kind](layout, packed, lengths, third,
+                                  redundancy, target.region.length)
 
     # -- scalar reference lanes: one per primitive, over parallel columns
     # (a batch's from process_batch, one-row tuples from handle_report) --
@@ -1123,7 +1172,7 @@ def _pack_columns(batch, layout):
     return packed, lengths, third, fanout
 
 
-def _plan_columns(layout, batch, target):
+def _batch_arrays(layout, batch, target):
     columns = _pack_columns(batch, layout)
     if columns is None:
         return None

@@ -9,8 +9,9 @@ measured at PR 8's 22.9k reports/s, that per-report Python work *is*
 the socket lane's bottleneck.  This module decodes a whole frame as
 numpy arrays instead:
 
-* :func:`split_frame` — the frame layout (count, length table,
-  offsets) in two ``frombuffer`` calls and a ``cumsum``;
+* :func:`split_frames` — the frame layout (count, length table,
+  offsets) of a whole receive burst in one pass (:func:`split_frame`
+  is the burst of one);
 * :func:`parse_headers` — every report's DTA base header fields as
   parallel arrays, with a validity mask that reproduces exactly the
   scalar decoder's accept/reject set;
@@ -62,15 +63,58 @@ PER_REPORT_MASK = int(packets.DtaFlags.ESSENTIAL
 _ROUTE_STATE = np.uint32(zlib.crc32(b"\x43\x4C") ^ 0xFFFFFFFF)
 
 
-def split_frame(payload: bytes):
-    """Decode a frame payload's report boundaries.
+def split_frames(payloads):
+    """Decode the report boundaries of a whole receive burst in one pass.
 
-    Returns ``(buf, offsets, lengths)`` — ``buf`` a uint8 view of the
-    whole payload, ``offsets``/``lengths`` int64 arrays locating each
-    report — or None when the frame structure itself is truncated
-    (count or length table incomplete, body shorter than the table
-    claims), which the caller counts as one malformed unit exactly
-    like the scalar :func:`repro.transport.envelope.unwrap_frame`.
+    Returns ``(joined, buf, offsets, lengths, truncated)``: the
+    payloads concatenated, a uint8 view of that, int64 arrays locating
+    every report of every structurally sound frame in delivery order,
+    and how many frames were truncated (count or length table
+    incomplete, body shorter than the table claims) — each of those
+    contributes no rows and the caller counts it as one malformed unit,
+    exactly like the scalar :func:`repro.transport.envelope.unwrap_frame`.
+    """
+    frames = len(payloads)
+    joined = payloads[0] if frames == 1 else b"".join(payloads)
+    buf = np.frombuffer(joined, dtype=np.uint8)
+    if not joined:
+        none = np.zeros(0, dtype=np.int64)
+        return joined, buf, none, none, frames
+    totals = np.fromiter(map(len, payloads), dtype=np.int64, count=frames)
+    starts = np.cumsum(totals) - totals
+    # A frame too short to hold its count, or its table, has no rows.
+    counts = _be(buf, starts, 2).astype(np.int64)
+    sound = (totals >= 2) & (totals >= 2 + 2 * counts)
+    counts = np.where(sound, counts, 0)
+    table_end = 2 + 2 * counts
+    # One row per report: the frame it sits in, its length-table entry,
+    # and the body bytes of that frame that come before it.
+    frame = np.repeat(np.arange(frames), counts)
+    first = np.cumsum(counts) - counts
+    entry = starts[frame] + 2 * (np.arange(len(frame)) - first[frame] + 1)
+    lengths = _be(buf, entry, 2).astype(np.int64)
+    ends = np.concatenate(([0], np.cumsum(lengths)))
+    body = ends[first + counts] - ends[first]
+    sound &= table_end + body <= totals
+    offsets = (starts + table_end - ends[first])[frame] + ends[:-1]
+    truncated = frames - int(sound.sum())
+    if truncated:
+        keep = sound[frame]
+        offsets, lengths = offsets[keep], lengths[keep]
+    return joined, buf, offsets, lengths, truncated
+
+
+def split_frame(payload: bytes):
+    """Decode one frame payload's report boundaries.
+
+    :func:`split_frames` for a burst of one, without the cross-frame
+    index arithmetic.  Returns ``(buf, offsets, lengths)`` — ``buf`` a
+    uint8 view of the whole payload, ``offsets``/``lengths`` int64
+    arrays locating each report — or None when the frame structure
+    itself is truncated (count or length table incomplete, body shorter
+    than the table claims), which the caller counts as one malformed
+    unit exactly like the scalar
+    :func:`repro.transport.envelope.unwrap_frame`.
     """
     total = len(payload)
     if total < 2:
@@ -215,8 +259,9 @@ def gather_counters(buf, counters_off, depth: int) -> np.ndarray:
 def slice_column(payload: bytes, offsets, lengths) -> list:
     """Materialise per-report byte strings from a span column.
 
-    One C-level slice per report — the only remaining per-report work
-    on the frame fast path (ReportBatch columns carry Python ``bytes``).
+    One C-level slice per report: the list lane's cost (ReportBatch
+    columns carry Python ``bytes``).  Segments the translator plans
+    never come here — they stay matrices (:func:`pack_column`).
     """
     return [payload[a:b] for a, b in
             zip(offsets.tolist(), (offsets + lengths).tolist())]

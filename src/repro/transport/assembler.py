@@ -22,16 +22,28 @@ Two ingest paths share one pending-run state:
 
 * :meth:`feed` — the scalar reference: one ``KIND_REPORT`` payload
   through ``packets.decode_report``.
-* :meth:`feed_frames` — the coalesced hot path: ``KIND_FRAME``
-  payloads decoded wholesale by :mod:`repro.kernels.wire` into column
-  arrays, with runs extended and flushed in slices instead of one
-  report at a time.  Feeding a frame is *defined* to behave exactly
-  like feeding its sub-frames through :meth:`feed` one by one — same
-  batches, same per-report diversions, same ``reports`` / ``malformed``
-  counts — except that a frame whose own structure (count, length
-  table, body) is truncated counts as a single malformed unit.  The
-  pending state is columnar (parallel lists per run) so both paths
-  produce literally the same :class:`ReportBatch` objects.
+* :meth:`feed_frames` — the coalesced hot path: a receive burst of
+  ``KIND_FRAME`` payloads decoded wholesale by :mod:`repro.kernels.wire`
+  into column arrays.  Feeding a frame is *defined* to leave what
+  feeding its sub-frames through :meth:`feed` one by one leaves — same
+  stores, same obs series, same per-report diversions, same ``reports``
+  / ``malformed`` counts — except that a frame whose own structure
+  (count, length table, body) is truncated counts as a single malformed
+  unit.  Each shard's rows then take one of two lanes:
+
+  - **plan** — a plain Key-Write / Key-Increment segment is offered to
+    the translator as columns (:meth:`Translator.plan_columns
+    <repro.core.translator.Translator.plan_columns>`, the one
+    eligibility decision): the key matrix routing already gathered, the
+    data gathered once more, no ``bytes`` objects, no
+    :class:`ReportBatch`, and the whole segment in one plan whatever
+    its width (plan width is not observable — docs/CONCURRENCY.md).
+  - **list** — everything the translator declines, and Postcarding /
+    Append / Sketch-Merge: the pending state is columnar (parallel
+    lists per run), extended and flushed in ``batch_size`` slices, so
+    this lane produces literally the :class:`ReportBatch` objects the
+    scalar path does.  It is what the wire differential compares the
+    plan lane against.
 """
 
 from __future__ import annotations
@@ -58,18 +70,12 @@ from repro.kernels import MIN_VECTOR_BATCH, wire
 _PER_REPORT_FLAGS = (DtaFlags.ESSENTIAL | DtaFlags.IMMEDIATE
                      | DtaFlags.RETRANSMIT)
 
-#: Pending-run column order per primitive (the ReportBatch fields the
-#: run carries, in the order the scalar path appends them).
-_COLUMNS = {
-    DtaPrimitive.KEY_WRITE: ("keys", "datas"),
-    DtaPrimitive.KEY_INCREMENT: ("keys", "values"),
-    DtaPrimitive.POSTCARDING: ("keys", "hops", "values", "path_lengths"),
-    DtaPrimitive.APPEND: ("list_ids", "datas"),
-    DtaPrimitive.SKETCH_MERGE: ("columns", "counter_rows"),
-}
-
 _KEYED_PRIMS = (int(DtaPrimitive.KEY_WRITE), int(DtaPrimitive.KEY_INCREMENT),
                 int(DtaPrimitive.POSTCARDING))
+
+#: The primitives with a vector plan (``translator.PLAN_KERNELS``).
+_PLANNED_PRIMS = (int(DtaPrimitive.KEY_WRITE),
+                  int(DtaPrimitive.KEY_INCREMENT))
 
 
 class ReportAssembler:
@@ -79,10 +85,11 @@ class ReportAssembler:
         translators: One :class:`~repro.core.translator.Translator` per
             collector shard, ordered by cluster index.
         cluster_map: The shared stateless routing.
-        batch_size: Coalescing limit — a pending run is flushed once it
-            holds this many reports (and whenever the run's identity
-            changes or a per-report-lane report lands on the shard,
-            which preserves arrival order).
+        batch_size: Coalescing limit of the list lane — a pending run
+            is flushed once it holds this many reports (and whenever
+            the run's identity changes, or a per-report-lane report or
+            a plan lands on the shard, which preserves arrival order).
+            Plans are not cut to it.
     """
 
     def __init__(self, translators, cluster_map, *,
@@ -153,34 +160,20 @@ class ReportAssembler:
         """Consume many ``KIND_FRAME`` payloads in one vectorized pass.
 
         A structurally truncated frame counts as one malformed unit;
-        the sub-frames of all the others are concatenated into a single
-        column decode, so the fixed array-setup cost is paid once per
-        receive burst instead of once per datagram (too few sub-frames
-        to pay for it go through :meth:`feed` one by one).  Sub-report
-        arrival order is preserved: frames are spliced in delivered
-        order and row indices stay ascending across the join.
+        the sub-frames of all the others are located in one pass
+        (:func:`repro.kernels.wire.split_frames`) and decoded as a
+        single set of columns, so the fixed array-setup cost is paid
+        once per receive burst instead of once per datagram (too few
+        sub-frames to pay for it go through :meth:`feed` one by one).
+        Sub-report arrival order is preserved: frames are spliced in
+        delivered order and row indices stay ascending across the join.
+        The burst is also the plan width: each shard's plain Key-Write
+        / Key-Increment segment becomes one plan.
         """
-        chunks = []
-        offs = []
-        lens = []
-        base = 0
-        for payload in payloads:
-            parts = wire.split_frame(payload)
-            if parts is None:
-                self.malformed += 1
-                continue
-            _buf, offsets, lengths = parts
-            chunks.append(payload)
-            offs.append(offsets + base)
-            lens.append(lengths)
-            base += len(payload)
-        if not chunks:
-            return
-        joined = chunks[0] if len(chunks) == 1 else b"".join(chunks)
-        offsets = offs[0] if len(offs) == 1 else np.concatenate(offs)
-        lengths = lens[0] if len(lens) == 1 else np.concatenate(lens)
+        joined, buf, offsets, lengths, truncated = \
+            wire.split_frames(payloads)
+        self.malformed += truncated
         if len(offsets) >= MIN_VECTOR_BATCH:
-            buf = np.frombuffer(joined, dtype=np.uint8)
             self._feed_frame_vector(joined, buf, offsets, lengths)
             return
         for off, length in zip(offsets.tolist(), lengths.tolist()):
@@ -233,11 +226,17 @@ class ReportAssembler:
             else:
                 shards[mask] = self.cluster_map.sketch_home
                 extras[mask] = cols["sketch_id"][mask]
+        routed = None
         if keyed.any():
             rows = np.flatnonzero(keyed)
             packed, lens = wire.pack_column(buf, key_off[rows],
                                             key_len[rows])
             shards[rows] = wire.shards_for_keys(packed, lens, collectors)
+            # Gathered once: the matrix that routed the burst is the
+            # matrix its plans hash (row -> position in ``packed``).
+            at = np.zeros(n, dtype=np.int64)
+            at[rows] = np.arange(len(rows))
+            routed = (packed, lens, at)
 
         per_report = valid & ((flags & int(_PER_REPORT_FLAGS)) != 0)
         rows = np.flatnonzero(valid)
@@ -245,13 +244,16 @@ class ReportAssembler:
             self._ingest_shard_rows(
                 shard, rows[shards[rows] == shard], payload,
                 buf, prims, rids, extras, per_report, offsets, lengths,
-                sub)
+                sub, routed)
 
     def _ingest_shard_rows(self, shard, rows, payload, buf, prims, rids,
                            extras, per_report, offsets, lengths,
-                           sub) -> None:
+                           sub, routed) -> None:
         """Replay one shard's valid rows: per-report diversions flush
-        and divert individually; plain runs extend in column slices.
+        and divert individually; a plain Key-Write / Key-Increment run
+        the translator will plan is applied whole, straight from the
+        burst's columns; every other plain run extends the pending
+        list run in column slices.
 
         Only rows routed to ``shard`` touch ``self._pending[shard]``,
         so replaying shard by shard is observably identical to the
@@ -274,6 +276,10 @@ class ReportAssembler:
             primitive = DtaPrimitive(prim)
             rid = int(rids[first])
             cols = sub[prim]
+            if prim in _PLANNED_PRIMS and self._plan_segment(
+                    shard, primitive, seg, buf, cols, int(extras[first]),
+                    routed):
+                continue
             if prim in _KEYED_PRIMS:
                 run_key = (primitive, rid, int(extras[first]))
                 keys = wire.slice_column(payload, cols["key_off"][seg],
@@ -308,6 +314,40 @@ class ReportAssembler:
                         for r in seg.tolist()]
                 new = [cols["column"][seg].tolist(), counter_rows]
             self._extend_run(shard, run_key, new)
+
+    def _plan_segment(self, shard, primitive, seg, buf, cols, redundancy,
+                      routed) -> bool:
+        """Offer one plain Key-Write / Key-Increment segment to the
+        shard's translator as columns; True when it ran as one plan.
+
+        The translator decides (:meth:`Translator.plan_columns
+        <repro.core.translator.Translator.plan_columns>`); a decline
+        touches nothing and the caller's list path takes the segment.
+        The segment is planned at the width the receive burst delivered
+        it — ``batch_size`` bounds list-path runs only.
+        """
+        translator = self.translators[shard]
+        plan_columns = getattr(translator, "plan_columns", None)
+        if plan_columns is None:        # a sink that offers no plan
+            return False
+        packed, lens, at = routed
+        pos = at[seg]
+        lens = lens[pos]
+        packed = packed[pos, :int(lens.max())]
+        if primitive is DtaPrimitive.KEY_WRITE:
+            third, _ = wire.pack_column(buf, cols["data_off"][seg],
+                                        cols["data_len"][seg])
+        else:
+            third = cols["value"][seg]
+        plan = plan_columns(primitive, len(seg), packed, lens, third,
+                            redundancy)
+        if plan is None:
+            return False
+        # Shard-local arrival order: what was pending came first.
+        self._flush_shard(shard)
+        self.batches += 1
+        plan.apply(translator.client)
+        return True
 
     # ------------------------------------------------------------------
     # Shared pending-run state

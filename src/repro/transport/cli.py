@@ -30,7 +30,8 @@ def add_transport_parsers(sub) -> None:
     parser.add_argument("--collectors", type=int, default=2,
                         help="collector daemons (default 2)")
     parser.add_argument("--batch-size", type=int, default=256,
-                        help="assembler coalescing limit (default 256)")
+                        help="assembler list-lane coalescing limit; planned "
+                             "segments are burst-wide (default 256)")
     parser.add_argument("--seed", type=int, default=1,
                         help="workload seed (default 1)")
     parser.add_argument("--drop", type=float, default=0.0,

@@ -73,7 +73,8 @@ _MAX_DGRAM = 65535
 #: Datagrams drained per receive burst.  Wider than the sender's
 #: sendmmsg batch on purpose: every frame in a burst lands in a single
 #: vectorized :meth:`ReportAssembler.feed_frames` pass, so burst width
-#: is the decode batch width.
+#: is the decode width *and* the plan width — each shard's share of a
+#: burst is one ``Translator.plan_columns`` call.
 _RECV_BURST = 4 * mmsg.BATCH_MSGS
 
 #: Default cumulative-ACK cadence: one ACK per this many in-order

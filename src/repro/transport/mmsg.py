@@ -137,7 +137,9 @@ class _RecvRing:
             if err in (errno.EAGAIN, errno.EWOULDBLOCK, errno.EINTR):
                 return []
             raise OSError(err, "recvmmsg failed")
-        return [self._bufs[i].raw[:self._hdrs[i].msg_len]
+        # string_at copies msg_len bytes; ``.raw`` would materialise the
+        # whole 64 KiB buffer per datagram before slicing it.
+        return [ctypes.string_at(self._bufs[i], self._hdrs[i].msg_len)
                 for i in range(rc)]
 
 

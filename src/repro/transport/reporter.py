@@ -61,8 +61,13 @@ from repro.transport.loss import LossSpec
 #: Finalized envelopes buffered per lane before a send burst; matches
 #: the receiver's recvmmsg ring (4 sendmmsg batches) so one flush can
 #: fill one receive burst — and the receive burst is the translator's
-#: vectorized decode width.
+#: vectorized decode width and its plan width.
 _OUTBOX_FRAMES = 4 * mmsg.BATCH_MSGS
+
+#: Reports a bulk transmit takes through shim, packer and socket at a
+#: time: about one receive burst of ~40-report frames, so the first
+#: datagrams leave after one slice instead of after the whole stream.
+_TRANSMIT_SLICE = 8192
 
 #: Longest a full send window may go without its lane's cumulative ACK
 #: advancing.  A live translator acknowledges within milliseconds, so
@@ -217,28 +222,39 @@ class SocketReporter:
 
         Semantically identical to :meth:`transmit_to` over
         ``zip(shards, raws)`` — same shim decisions, same frame
-        boundaries — but the shim runs one hoisted pass and the frame
-        packer finds boundaries by cumulative-size search instead of a
-        per-report budget check.  Callers must not pass
+        boundaries, the same envelope bytes — but the shim runs a
+        hoisted pass and the frame packer finds boundaries by
+        cumulative-size search instead of a per-report budget check.
+        The input is streamed: shim, packer and socket take it a slice
+        (``_TRANSMIT_SLICE`` reports) at a time, shim holds and the
+        open frame carrying over, so the translator is decoding the
+        first slice while the rest is still here.  Callers must not pass
         ``RETRANSMIT``-flagged reports (retransmissions originate
         inside the control machinery and take :meth:`_transmit_shard`'s
         flush-first path); workload streams are first transmissions by
         construction.
         """
         lanes = self._lanes
+        n_lanes = len(lanes)
         # The shim stream stays (shard, raw) tuples throughout so bulk
         # and per-report transmits interleave on one shim (reordered
         # holds and ``end_stream``'s flush see one shape).
-        survivors = self.shim.step_many(list(zip(shards, raws)))
-        if len(lanes) == 1:
-            self._pack_lane(lanes[0], [raw for _shard, raw in survivors])
-            return
-        n_lanes = len(lanes)
-        per_lane: list = [[] for _ in lanes]
-        for shard, survivor in survivors:
-            per_lane[shard % n_lanes].append(survivor)
-        for lane, survivors in zip(lanes, per_lane):
-            self._pack_lane(lane, survivors)
+        stream = list(zip(shards, raws))
+        for start in range(0, len(stream), _TRANSMIT_SLICE):
+            survivors = self.shim.step_many(
+                stream[start:start + _TRANSMIT_SLICE])
+            if n_lanes == 1:
+                per_lane = [[raw for _shard, raw in survivors]]
+            else:
+                per_lane = [[] for _ in lanes]
+                for shard, survivor in survivors:
+                    per_lane[shard % n_lanes].append(survivor)
+            for lane, reports in zip(lanes, per_lane):
+                self._pack_lane(lane, reports)
+                # Sealed envelopes leave now (the open frame stays
+                # open), so the translator works while the next slice
+                # is still in the shim.
+                self._flush_outbox(lane)
 
     def _pack_lane(self, lane: _Lane, reports) -> None:
         """Greedy-pack ``reports`` into ``lane``'s frames in order.
@@ -253,8 +269,7 @@ class SocketReporter:
             return
         budget = self._frame_budget
         n = len(reports)
-        sizes = np.fromiter((len(raw) for raw in reports),
-                            dtype=np.int64, count=n)
+        sizes = np.fromiter(map(len, reports), dtype=np.int64, count=n)
         cum = np.cumsum(sizes + 2)
         start = 0
         while start < n:

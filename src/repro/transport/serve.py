@@ -35,6 +35,7 @@ by the reporter never exceed bytes the daemons sent.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from repro import bench, obs
@@ -66,7 +67,13 @@ class ServeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ServeSpec:
-    """Everything that determines a deployment-lane run."""
+    """Everything that determines a deployment-lane run.
+
+    ``batch_size`` bounds the assembler's list-lane runs (Postcarding,
+    Append, Sketch-Merge, and whatever the translator declines to
+    plan); a planned Key-Write / Key-Increment segment is as wide as
+    the receive burst delivered it, whatever this says.
+    """
 
     primitive: str = "key_write"
     reports: int = 20000
@@ -244,13 +251,30 @@ class SocketLane:
         :class:`ServeError` when a daemon died, or stopped
         acknowledging, with the send window full.
         """
-        try:
+        with self._window_guard():
             if shards is None:
                 transmit = self.reporter.transmit
                 for raw in raws:
                     transmit(raw)
             else:
                 self.reporter.transmit_many(shards, raws)
+
+    def end_stream(self) -> int:
+        """:meth:`SocketReporter.end_stream` — flush the shim, mark
+        end-of-stream on every lane, return the reports emitted — with
+        :meth:`send`'s failure contract: the flush goes through the
+        same send window, so a dead or silent translator raises
+        :class:`ServeError` instead of leaking ``WindowStalled``.
+        """
+        with self._window_guard():
+            return self.reporter.end_stream()
+
+    @contextmanager
+    def _window_guard(self):
+        """A stalled send window is a lane failure: name the daemon
+        that died if one did, else report the stall itself."""
+        try:
+            yield
         except WindowStalled as stall:
             self._check_alive()
             raise ServeError(str(stall)) from stall
@@ -260,8 +284,9 @@ class SocketLane:
 
         Aggregates the per-daemon stats (summed counters, with the raw
         per-lane list under ``"per_lane"``).  Raises
-        :class:`ServeError` if any daemon dies or the drain does not
-        complete in ``timeout`` seconds.
+        :class:`ServeError` if any daemon dies, the drain does not
+        complete in ``timeout`` seconds, or a retransmission served
+        while waiting stalls on the send window.
         """
         deadline = _clock() + timeout
         pending = dict(enumerate(self._translator_conns))
@@ -277,7 +302,8 @@ class SocketLane:
                     drained[index] = payload
                     del pending[index]
             # Keep the window/control machinery moving while we wait.
-            self.reporter.poll_control()
+            with self._window_guard():
+                self.reporter.poll_control()
             if pending and _clock() >= deadline:
                 raise ServeError(
                     f"translators {sorted(pending)} did not drain "
@@ -415,7 +441,7 @@ def run_serve(spec: ServeSpec, *, smoke: bool = False) -> dict:
         with SocketLane(spec) as lane:
             start = _clock()
             lane.send(raws, shards)
-            sent = lane.reporter.end_stream()
+            sent = lane.end_stream()
             stats = lane.drain()
             elapsed = _clock() - start
             reporter = lane.reporter

@@ -1,16 +1,20 @@
-"""One eligibility decision, five lanes, every way to be ineligible.
+"""One eligibility decision, six lanes, every way to be ineligible.
 
-``Translator.plan_batch`` is the only place a batch is declared
-vector-eligible, and ``VectorPlan.apply`` the only other place a
-fallback can happen (``docs/CONCURRENCY.md``, "The
+The body behind ``Translator.plan_batch`` (batch objects) and
+``Translator.plan_columns`` (receive-burst columns) is the only place
+reports are declared vector-eligible, and ``VectorPlan.apply`` the only
+other place a fallback can happen (``docs/CONCURRENCY.md``, "The
 one-eligibility-point rule").  This drives the same batch through every
 lane that reaches them — the serial translator, the streaming engine
 inline / threaded / with plan worker processes, and the socket lane's
-``ReportAssembler`` — under each ineligible condition, and holds every
+``ReportAssembler`` fed per report (``assembler``) and as one coalesced
+frame (``frames``, the daemon's path: columns straight to
+``plan_columns``) — under each ineligible condition, and holds every
 lane to two things: no burst kernel ran (the scalar fallback was
 taken), and store bytes + obs digest equal the ``workers=0,
 vectorized=False`` reference.  The ``eligible`` condition is the
-positive control: there the kernels must run, in every lane.
+positive control: there the kernels must run, in every lane — and the
+``frames`` lane must get there without building a ``ReportBatch``.
 """
 
 from __future__ import annotations
@@ -32,11 +36,13 @@ from repro.obs.registry import Snapshot
 from repro.retention.tenants import TenantTable
 from repro.runtime import StageError, StreamEngine, pipeline_digest, \
     store_digest
+from repro.transport import assembler as assembler_mod
 from repro.transport.assembler import ReportAssembler
+from repro.transport.envelope import unwrap, wrap_frame
 
 DATA_BYTES = 16
 
-LANES = ("serial", "inline", "thread", "process", "assembler")
+LANES = ("serial", "inline", "thread", "process", "assembler", "frames")
 INELIGIBLE = ("essential", "immediate", "meter", "tenants", "tiny",
               "oversize", "ki_overflow", "stall")
 
@@ -105,17 +111,21 @@ def _run(lane: str, condition: str, monkeypatch) -> dict:
             translator.tenants = TenantTable([])     # admits every key
         if condition == "stall":
             # The NIC stalls after the plan is made, before it applies.
-            plan_batch = translator.plan_batch
+            for entry in ("plan_batch", "plan_columns"):
+                def stalling(*args, _plan=getattr(translator, entry),
+                             **kwargs):
+                    plan = _plan(*args, **kwargs)
+                    collector.nic.stall()
+                    return plan
 
-            def stalling(batch, *args, **kwargs):
-                plan = plan_batch(batch, *args, **kwargs)
-                collector.nic.stall()
-                return plan
+                setattr(translator, entry, stalling)
 
-            translator.plan_batch = stalling
-
+        batches_built = []
+        monkeypatch.setattr(
+            assembler_mod, "ReportBatch",
+            lambda *a, **kw: batches_built.append(1) or ReportBatch(*a, **kw))
         raws: list = []
-        if lane == "assembler":
+        if lane in ("assembler", "frames"):
             reporter = Reporter("elig", 1, transmit=raws.append)
         else:
             reporter = Reporter("elig", 1,
@@ -131,6 +141,11 @@ def _run(lane: str, condition: str, monkeypatch) -> dict:
                 assembler = ReportAssembler([translator], ClusterMap(1))
                 for raw in raws:
                     assembler.feed(raw)
+                assembler.finish()
+            elif lane == "frames":
+                reporter.send_batch(batch)
+                assembler = ReportAssembler([translator], ClusterMap(1))
+                assembler.feed_frames([unwrap(wrap_frame(0, raws))[2]])
                 assembler.finish()
             else:
                 engine = StreamEngine(collector, translator, reporter,
@@ -150,13 +165,14 @@ def _run(lane: str, condition: str, monkeypatch) -> dict:
     return {"store": store_digest(collector), "raised": raised,
             "obs": pipeline_digest(snapshot),
             "shared_obs": _shared_digest(snapshot),
-            "kernel_calls": len(kernel_calls)}
+            "kernel_calls": len(kernel_calls),
+            "batches_built": len(batches_built)}
 
 
 @pytest.mark.parametrize("condition", INELIGIBLE + ("eligible",))
 @pytest.mark.parametrize("lane", LANES)
 def test_every_lane_routes_like_the_reference(lane, condition, monkeypatch):
-    if lane == "assembler" and condition == "ki_overflow":
+    if lane in ("assembler", "frames") and condition == "ki_overflow":
         pytest.skip("the wire format cannot carry a value beyond int64")
     reference = _run("reference", condition, monkeypatch)
     assert reference["kernel_calls"] == 0
@@ -169,5 +185,7 @@ def test_every_lane_routes_like_the_reference(lane, condition, monkeypatch):
         assert got["obs"] == reference["obs"]
     if condition == "eligible":
         assert got["kernel_calls"] == 1, "the vector path never ran"
+        if lane == "frames":
+            assert got["batches_built"] == 0, "columns went via a batch"
     else:
         assert got["kernel_calls"] == 0, "scalar fallback not taken"

@@ -19,9 +19,13 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro import obs
 from repro.core import packets
 from repro.core.cluster import ClusterMap
+from repro.core.collector import Collector
+from repro.core.translator import Translator
 from repro.kernels import MIN_VECTOR_BATCH, wire
+from repro.runtime import pipeline_digest, store_digest
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import unwrap, unwrap_frame, wrap_frame
 
@@ -259,6 +263,151 @@ class TestFrameStructure:
         assert unwrap_frame(payload) == reports
         _buf, offsets, lengths = wire.split_frame(payload)
         assert len(offsets) == len(reports)
+
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_burst_split_matches_per_frame_split(self, seed):
+        """One pass over a burst == ``split_frame`` per payload, rebased
+        — truncated frames included, each one malformed unit."""
+        rng = random.Random(seed)
+        payloads = [_frame_payload(frame)
+                    for frame in _frames(rng, _corpus(rng, 300))]
+        payloads[2] = payloads[2][:-1]              # truncated body
+        payloads[5] = payloads[5][:3]               # truncated table
+        payloads.insert(7, b"\x00")                 # truncated count
+        payloads.insert(9, b"")
+        payloads.append(_frame_payload([]))         # sound, no rows
+        for burst in (payloads, payloads[:1], payloads[7:8], [b""], []):
+            joined, buf, offsets, lengths, truncated = \
+                wire.split_frames(burst)
+            assert joined == b"".join(burst)
+            assert buf.tobytes() == joined
+            want_off, want_len, bad, base = [], [], 0, 0
+            for payload in burst:
+                parts = wire.split_frame(payload)
+                if parts is None:
+                    bad += 1
+                else:
+                    want_off.extend((parts[1] + base).tolist())
+                    want_len.extend(parts[2].tolist())
+                base += len(payload)
+            assert truncated == bad
+            assert offsets.tolist() == want_off
+            assert lengths.tolist() == want_len
+
+
+# ----------------------------------------------------------------------
+# Plan width is not observable: the daemon plans a Key-Write /
+# Key-Increment segment at whatever width the receive burst delivered,
+# so every width — including per-report ``feed``, whose runs are cut at
+# ``batch_size`` — must leave the same stores and the same obs series.
+# ----------------------------------------------------------------------
+
+WIDTH_DATA_BYTES = 16
+
+
+def _width_stream(primitive, seed):
+    """``(frames, tail)``: a seeded plain stream with duplicate keys in
+    every burst and one ESSENTIAL report in the middle, cut into
+    frames of 2 to 40 reports; Key-Increment adds that wrap a counter;
+    and, for
+    Key-Write, a last frame whose run (own redundancy, so it never
+    joins another) holds one report with data wider than the slot."""
+    rng = random.Random(seed)
+    pool = [rng.randbytes(rng.randrange(3, 9)) for _ in range(150)]
+
+    def report(i, flags=packets.DtaFlags.NONE):
+        key = rng.choice(pool)
+        if primitive == "key_write":
+            op = packets.KeyWrite(
+                key=key, data=rng.randbytes(rng.randrange(0, 17)),
+                redundancy=2)
+        elif i % 500 < 3:
+            # Three of these in one frame carry a counter past 2**64.
+            op = packets.KeyIncrement(key=pool[0], value=(1 << 63) - 1,
+                                      redundancy=2)
+        else:
+            op = packets.KeyIncrement(
+                key=key, value=rng.randrange(-2**40, 2**40), redundancy=2)
+        return packets.make_report(op, reporter_id=1, seq=0, flags=flags)
+
+    raws = [report(i) for i in range(3000)]
+    raws[1500] = report(1500, packets.DtaFlags.ESSENTIAL)
+    # Frames of 2 or 3 reports stay below the vector threshold at
+    # narrow widths and leave a pending list run the next plan must
+    # not overtake.
+    frames, at = [], 0
+    while at < len(raws):
+        size = rng.choice((2, 3, 24, 24, 40))
+        frames.append(raws[at:at + size])
+        at += size
+    tail = []
+    if primitive == "key_write":
+        tail = [packets.make_report(packets.KeyWrite(
+            key=rng.choice(pool), redundancy=3,
+            data=bytes(WIDTH_DATA_BYTES + 4 if i == 5 else 8)),
+            reporter_id=1) for i in range(8)]
+    return frames, tail
+
+
+def _run_width(frames, tail, width, vectorized=True):
+    """Feed the stream at one burst width (None: report by report)."""
+    previous = obs.set_registry(obs.Registry())
+    try:
+        collectors, translators = [], []
+        for shard in range(2):
+            collector = Collector(f"width-c{shard}")
+            collector.serve_keywrite(slots=256,
+                                     data_bytes=WIDTH_DATA_BYTES)
+            collector.serve_keyincrement(slots_per_row=64, rows=4)
+            translator = Translator(f"width-t{shard}",
+                                    vectorized=vectorized)
+            collector.connect_translator(translator)
+            collectors.append(collector)
+            translators.append(translator)
+        asm = ReportAssembler(translators, ClusterMap(collectors=2),
+                              batch_size=256)
+        frames = frames + ([tail] if tail else [])
+        if width is None:
+            for frame in frames:
+                for raw in frame:
+                    asm.feed(raw)
+        else:
+            payloads = [_frame_payload(frame) for frame in frames]
+            for i in range(0, len(payloads), width):
+                asm.feed_frames(payloads[i:i + width])
+        if tail:
+            # The oversize run is pending alone in every lane; its
+            # flush raises like any scalar Key-Write would, and a
+            # second finish() completes the end-of-stream work.
+            with pytest.raises(ValueError, match="exceeds slot"):
+                asm.finish()
+        asm.finish()
+        return {"stores": [store_digest(c) for c in collectors],
+                "obs": pipeline_digest(obs.get_registry().snapshot()),
+                "counts": (asm.reports, asm.malformed, asm.per_report),
+                "batches": asm.batches}
+    finally:
+        obs.set_registry(previous)
+
+
+class TestPlanWidthIndependence:
+    @pytest.mark.parametrize("primitive", ["key_write", "key_increment"])
+    def test_any_burst_width_leaves_the_same_stores_and_series(
+            self, primitive):
+        frames, tail = _width_stream(primitive, seed=12)
+        per_report = _run_width(frames, tail, None)
+        assert per_report["counts"] == (3000 + len(tail), 0, 1)
+        scalar = _run_width(frames, tail, None, vectorized=False)
+        widths = {w: _run_width(frames, tail, w) for w in (1, 3, 64, 256)}
+        for lane in [scalar, *widths.values()]:
+            assert lane["stores"] == per_report["stores"]
+            assert lane["obs"] == per_report["obs"]
+            assert lane["counts"] == per_report["counts"]
+        # The widths really differed: a wide burst is a few plans.
+        assert widths[256]["batches"] < widths[3]["batches"] \
+            < widths[1]["batches"]
+        assert widths[256]["batches"] < per_report["batches"]
 
 
 class TestRoutingKernel:

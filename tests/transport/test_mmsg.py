@@ -23,24 +23,39 @@ def _pair():
     return a, b
 
 
-@pytest.mark.parametrize("use_mmsg", [None, False])
-def test_roundtrip_fast_and_fallback(use_mmsg):
+def _roundtrip(payloads, use_mmsg, max_msgs):
     a, b = _pair()
     try:
-        payloads = [bytes([i % 256]) * (i % 60 + 1) for i in range(150)]
-        receiver = mmsg.DatagramReceiver(b, use_mmsg=use_mmsg)
-        assert mmsg.send_many(a, payloads, use_mmsg=use_mmsg) == 150
+        b.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+        receiver = mmsg.DatagramReceiver(b, max_msgs=max_msgs,
+                                         use_mmsg=use_mmsg)
+        assert mmsg.send_many(a, payloads,
+                              use_mmsg=use_mmsg) == len(payloads)
         got = []
-        while len(got) < 150:
+        while len(got) < len(payloads):
             burst = receiver.recv_burst(2.0)
             if not burst:
                 break
-            assert len(burst) <= mmsg.BATCH_MSGS
+            assert len(burst) <= max_msgs
             got.extend(burst)
-        assert got == payloads
+        return got
     finally:
         a.close()
         b.close()
+
+
+@pytest.mark.parametrize("use_mmsg", [None, False])
+def test_roundtrip_fast_and_fallback(use_mmsg):
+    payloads = [bytes([i % 256]) * (i % 60 + 1) for i in range(150)]
+    assert _roundtrip(payloads, use_mmsg, mmsg.BATCH_MSGS) == payloads
+    # The daemon's ring width, and every size class a ring slot can
+    # hold: empty, one byte, a full frame, the largest UDP payload —
+    # each datagram comes back at exactly its own length.
+    sizes = (0, 1, 1400, 65507)
+    payloads = [bytes([65 + i]) * size for i, size in enumerate(sizes * 3)]
+    got = _roundtrip(payloads, use_mmsg, 256)
+    assert [len(p) for p in got] == list(sizes * 3)
+    assert got == payloads
 
 
 def test_recv_burst_timeout_returns_empty():

@@ -134,6 +134,7 @@ class TestFramePacking:
     def _reporter_and_sink(self, **kwargs):
         sink = socket_mod.socket(socket_mod.AF_INET,
                                  socket_mod.SOCK_DGRAM)
+        sink.setsockopt(socket_mod.SOL_SOCKET, socket_mod.SO_RCVBUF, 1 << 22)
         sink.bind(("127.0.0.1", 0))
         sink.settimeout(2.0)
         reporter = SocketReporter("pack-test", 1, shards=1, **kwargs)
@@ -241,6 +242,54 @@ class TestFramePacking:
                 sink.close()
         assert datagrams[0] == datagrams[1]
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 512, 513, 769])
+    def test_sliced_bulk_transmit_streams_the_same_envelopes(
+            self, n, monkeypatch):
+        """``transmit_many`` works through its input a slice at a time;
+        shim holds and the open frame carry across slices, so the
+        envelope bytes are those of per-report ``transmit_to`` — and
+        sealed envelopes leave between slices, not after the last."""
+        from repro.transport import reporter as reporter_mod
+
+        monkeypatch.setattr(reporter_mod, "_TRANSMIT_SLICE", 256)
+        slices = -(-n // 256)
+        loss = LossSpec(seed=13, drop_rate=0.02, reorder_rate=0.02)
+        rng = random.Random(n)
+        raws = [packets.make_report(
+            packets.KeyWrite(key=struct.pack(">I", i),
+                             data=bytes(rng.randrange(1, 40))),
+            reporter_id=1) for i in range(n)]
+        datagrams = []
+        for use_bulk in (False, True):
+            reporter, sink = self._reporter_and_sink(
+                frame_bytes=160, loss=loss, window=1 << 20)
+            sent_before_slice = []
+            step_many = reporter.shim.step_many
+
+            def spy(stream):
+                sent_before_slice.append(reporter.datagrams_sent)
+                return step_many(stream)
+
+            reporter.shim.step_many = spy
+            try:
+                if use_bulk:
+                    reporter.transmit_many([0] * n, raws)
+                    assert len(sent_before_slice) == slices
+                    if slices > 1:
+                        # On the socket before the last slice has been
+                        # through the shim.
+                        assert sent_before_slice[-1] > 0
+                else:
+                    for raw in raws:
+                        reporter.transmit_to(0, raw)
+                reporter.end_stream()
+                assert reporter.shim.dropped + reporter.shim.reordered > 0
+                datagrams.append(self._drain(sink, reporter.lane_seqs[0]))
+            finally:
+                reporter.close()
+                sink.close()
+        assert datagrams[0] == datagrams[1]
+
 
 # ----------------------------------------------------------------------
 # Crash containment
@@ -296,6 +345,35 @@ class TestCrashContainment:
             with pytest.raises(ServeError, match=r"died .*exitcode"):
                 lane.send(raws)
             assert time.monotonic() - start < 5.0
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_end_stream_into_dead_translator_raises_serve_error(
+            self, monkeypatch):
+        """``end_stream`` flushes through the same window wait as
+        ``send``: with the window full and the daemon gone it must
+        raise the lane's error, not leak the reporter's
+        ``WindowStalled`` (nor wait out the stream).
+        """
+        from repro.transport import reporter as reporter_mod
+
+        monkeypatch.setattr(reporter_mod, "_WINDOW_STALL_S", 1.0)
+        spec = _spec(reports=2000, window=8, frame_bytes=64)
+        raws = reports.wire(spec.primitive, spec.reports, spec.seed)
+        with SocketLane(spec) as lane:
+            names = [shm.name for shm in lane._segments]
+            lane._translator_procs[0].terminate()
+            lane._translator_procs[0].join(timeout=5)
+            # Per-report sends only fill the outbox: nothing has met
+            # the window yet when end_stream starts flushing.
+            lane.send(raws[:40])
+            assert lane.reporter.datagrams_sent == 0
+            start = time.monotonic()
+            with pytest.raises(ServeError, match=r"died .*exitcode"):
+                lane.end_stream()
+            assert time.monotonic() - start < 5.0
+            assert lane.reporter.datagrams_sent == spec.window
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
