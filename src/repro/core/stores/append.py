@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.rdma.memory import MemoryRegion
 
 LAP_TAG_BYTES = 1
@@ -111,28 +113,108 @@ class AppendStore:
         raw = self.region.local_read(offset, layout.entry_bytes)
         return raw[0], raw[1:]
 
+    # -- the read kernel -------------------------------------------------
+    #
+    # Every reader below is one array compare over the tag column of
+    # ``region.buf``; :meth:`read_entry` is the scalar walk they are
+    # tested against.  The arrays are built per call and never kept: a
+    # cached view would pin a shared-memory segment past its unlink.
+
+    def _ring(self, list_id: int) -> np.ndarray:
+        """One list's ring as a ``(capacity, entry_bytes)`` byte view."""
+        layout = self.layout
+        return np.frombuffer(
+            self.region.buf, dtype=np.uint8, count=layout.list_bytes,
+            offset=layout.list_base(list_id) - layout.base_addr,
+        ).reshape(layout.capacity, layout.entry_bytes)
+
+    def _tag_hits(self, ring: np.ndarray, start: int,
+                  stop: int) -> np.ndarray:
+        """Per position of ``[start, stop)``: does its slot hold the
+        tag its lap expects?  One contiguous compare per lap touched."""
+        capacity = self.layout.capacity
+        tags = ring[:, 0]
+        hits = np.empty(max(stop - start, 0), dtype=bool)
+        position = start
+        while position < stop:
+            lap, slot = divmod(position, capacity)
+            end = min(stop, (lap + 1) * capacity)
+            np.equal(tags[slot:slot + end - position], lap_tag(lap),
+                     out=hits[position - start:end - start])
+            position = end
+        return hits
+
+    def published(self, list_id: int, start: int = 0,
+                  limit: int | None = None) -> np.ndarray:
+        """The run of published entries from absolute position ``start``.
+
+        The poller protocol as one compare: the run ends at the first
+        slot whose tag is not the one its lap expects, or after
+        ``limit`` entries.  It can never exceed ``capacity`` —
+        positions ``p`` and ``p + capacity`` share a slot and expect
+        different tags.  Returns the run as a ``(count, entry_bytes)``
+        uint8 array of tag + payload rows: a view of the region unless
+        the run wraps the ring.
+        """
+        layout = self.layout
+        capacity = layout.capacity
+        span = capacity if limit is None else min(limit, capacity)
+        lap, slot = divmod(start, capacity)
+        first = layout.entry_addr(list_id, slot) - layout.base_addr
+        # An idle list costs one byte compare, as the scalar walk did.
+        if span <= 0 or self.region.buf[first] != lap_tag(lap):
+            return np.empty((0, layout.entry_bytes), dtype=np.uint8)
+        ring = self._ring(list_id)
+        hits = self._tag_hits(ring, start, start + span)
+        miss = int(hits.argmin())       # first mismatch, 0 if none
+        end = slot + (span if hits[miss] else miss)
+        if end <= capacity:
+            return ring[slot:end]
+        return np.concatenate((ring[slot:], ring[:end - capacity]))
+
+    def published_in(self, list_id: int, start: int,
+                     stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The published entries among positions ``[start, stop)``.
+
+        The mask form of :meth:`published`: a position whose tag
+        mismatches (a later lap overwrote it, expiry scrubbed it, it
+        never landed) is *skipped*, not a stop.  Returns ``(positions,
+        entries)`` — the surviving absolute positions and their
+        ``(len(positions), entry_bytes)`` rows (a copy).
+        """
+        ring = self._ring(list_id)
+        positions = start + np.flatnonzero(
+            self._tag_hits(ring, start, stop))
+        return positions, ring[positions % self.layout.capacity]
+
     def recent(self, list_id: int, count: int, head: int) -> list:
         """The last ``count`` entries given the absolute head position.
 
         Used by queries like Marple Lossy-Flows: "retrieve the most
         recently reported network flows" (Section 5.1).
         """
-        layout = self.layout
-        count = min(count, head, layout.capacity)
-        out = []
-        for i in range(head - count, head):
-            tag, data = self.read_entry(list_id, i % layout.capacity)
-            if tag == lap_tag(i // layout.capacity):
-                out.append(data)
-        return out
+        count = min(count, head, self.layout.capacity)
+        _positions, entries = self.published_in(list_id, head - count,
+                                                head)
+        return entry_data(entries)
+
+
+def entry_data(entries: np.ndarray) -> list:
+    """The payloads of ``(n, entry_bytes)`` entry rows, as ``bytes``."""
+    payload = entries[:, LAP_TAG_BYTES:]
+    width = payload.shape[1]
+    blob = payload.tobytes()
+    return [blob[at:at + width] for at in range(0, len(blob), width)]
 
 
 class ListPoller:
-    """Drains one Append list in order, entry by entry.
+    """Drains one Append list in order.
 
     Tracks its absolute position; :meth:`poll` returns all entries that
-    have landed since the previous call.  Fig. 12's polling-rate model
-    charges :data:`repro.calibration.POLL_T_ENTRY_NS` per entry.
+    have landed since the previous call — one
+    :meth:`AppendStore.published` compare, then ``bytes`` per entry.
+    Fig. 12's polling-rate model charges
+    :data:`repro.calibration.POLL_T_ENTRY_NS` per entry.
     """
 
     def __init__(self, store: AppendStore, list_id: int) -> None:
@@ -143,18 +225,11 @@ class ListPoller:
 
     def poll(self, max_entries: int | None = None) -> list:
         """Read forward until the next entry is not yet published."""
-        out = []
-        layout = self.store.layout
-        while max_entries is None or len(out) < max_entries:
-            slot = self.position % layout.capacity
-            expected = lap_tag(self.position // layout.capacity)
-            tag, data = self.store.read_entry(self.list_id, slot)
-            if tag != expected:
-                break
-            out.append(data)
-            self.position += 1
-        self.entries_read += len(out)
-        return out
+        entries = self.store.published(self.list_id, self.position,
+                                       max_entries)
+        self.position += len(entries)
+        self.entries_read += len(entries)
+        return entry_data(entries)
 
     def modelled_drain_rate(self, cores: int = 1) -> float:
         """Entries/s the cost model allows (Fig. 12b)."""

@@ -83,16 +83,25 @@ class SketchStore:
         raw = self.region.local_read(offset, self.layout.column_bytes)
         return struct.unpack(f">{self.layout.depth}I", raw)
 
+    def counters(self) -> np.ndarray:
+        """The region as a ``(width, depth)`` big-endian ``uint32``
+        view — ``counters()[j, r]`` is row ``r`` of column ``j``.
+
+        Built per call and not kept (a cached view would pin a
+        shared-memory segment); index it and let it go.
+        """
+        layout = self.layout
+        return np.frombuffer(
+            self.region.buf, dtype=">u4", count=layout.width * layout.depth,
+        ).reshape(layout.width, layout.depth)
+
     def matrix(self) -> list:
         """The full counter matrix as rows (depth lists of width ints)."""
-        rows: list[list[int]] = [[] for _ in range(self.layout.depth)]
-        for j in range(self.layout.width):
-            for r, value in enumerate(self.column(j)):
-                rows[r].append(value)
-        return rows
+        return self.counters().T.tolist()
 
     def point_query(self, key: bytes, hashes) -> int:
         """CMS-style min-row estimate using the provided hash family."""
-        rows = self.matrix()
-        return min(row[h(key) % self.layout.width]
-                   for row, h in zip(rows, hashes))
+        counters = self.counters()
+        width = self.layout.width
+        return min(int(counters[h(key) % width, r])
+                   for r, h in zip(range(self.layout.depth), hashes))

@@ -15,6 +15,7 @@ from RoCE from control messages without sniffing bytes.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -272,19 +273,27 @@ class DirectRdmaTransport:
     Every posted packet is executed by the collector NIC immediately and
     the response fed straight back to the client QP, so callers never
     see outstanding requests.
+
+    The client owns the transport (``RdmaClient.transport``), so the
+    back-reference for responses is weak: a strong one is a cycle that
+    pins the collector NIC, its protection domain and every registered
+    store region until the cycle collector next runs, and a closed
+    deployment must be reclaimed when its last name goes.
     """
 
     def __init__(self, nic: Nic) -> None:
         self.nic = nic
-        self._client: RdmaClient | None = None
+        self._client = lambda: None     # a weakref.ref once bound
 
     def bind(self, client: RdmaClient) -> None:
-        self._client = client
+        self._client = weakref.ref(client)
 
     def __call__(self, raw: bytes) -> None:
         response = self.nic.receive(raw)
-        if response is not None and self._client is not None:
-            self._client.deliver_response(response)
+        if response is not None:
+            client = self._client()
+            if client is not None:
+                client.deliver_response(response)
 
     def burst_responder(self, qp: QueuePair) -> QueuePair | None:
         """The responder QP a burst from ``qp`` may execute on directly.

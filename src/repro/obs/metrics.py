@@ -105,6 +105,17 @@ class Gauge(Metric):
             return self.fn()
         return self.value
 
+    def freeze(self) -> None:
+        """Keep the callback's current reading and drop the callback.
+
+        For a source that is going away (a ring being unlinked): the
+        gauge keeps its last value, and the registry no longer keeps
+        the source alive through the callable.
+        """
+        if self.fn is not None:
+            self.value = self.fn()
+            self.fn = None
+
 
 class Histogram(Metric):
     """Fixed log2-bucket histogram for non-negative sizes/counts.

@@ -10,7 +10,13 @@ distinct / topk / join / union`` operators, evaluated lazily against a
 :class:`~repro.queries.snapshot.CollectorSnapshot` (or a quiesced live
 collector — the two expose the same store attributes).
 
-Rows are plain dicts.  Every operator that changes cardinality
+Rows are plain dicts — that is what every operator callable sees and
+what :func:`run_plan` returns.  The one exception lives between
+operators: :class:`AppendRows`, the published entries of Append lists
+kept as byte columns until something iterates them, which ``union``
+and ``reduce(key="list_id", how="count")`` pass along and fold without
+materialising a dict (see "Read kernels" in ``docs/ARCHITECTURE.md``).
+Every operator that changes cardinality
 (``reduce``, ``distinct``, ``topk``) emits its rows in a *canonical
 order* (see :func:`canon`), which is what makes the algebra's
 determinism claims checkable:
@@ -30,7 +36,10 @@ receive: every store probe records rows scanned and bytes touched, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
+from repro.core.stores.append import entry_data
 from repro.switch.crc import hash_family
 
 # ----------------------------------------------------------------------
@@ -102,7 +111,8 @@ class ExecContext:
 
 
 class Source:
-    """Produces the root rows of a plan from a snapshot."""
+    """Produces the root rows of a plan from a snapshot: a list of
+    dicts, or anything that iterates as one (:class:`AppendRows`)."""
 
     def rows(self, ctx: ExecContext) -> list:
         raise NotImplementedError
@@ -185,9 +195,14 @@ class CounterEstimates(Source):
 class SketchEstimates(Source):
     """Merged-sketch CMS estimates for a candidate key set.
 
-    Rows: ``{"key", "estimate"}``.  The counter matrix is read once per
-    execution (one contiguous region scan), then probed per key — the
-    pattern :class:`~repro.queries.library.HeavyHitterScan` always used.
+    Rows: ``{"key", "estimate"}``.  Each key is one
+    :meth:`SketchStore.point_query
+    <repro.core.stores.sketchstore.SketchStore.point_query>` — its
+    ``depth`` cells read through an array view of the region; nothing
+    is unpacked.  The *accounted* cost is still one full region scan
+    (``width * depth`` cells): the modelled collector reads the sketch
+    it was sent, and the digest-covered ``queries.*`` series keep that
+    meaning.
     """
 
     keys: tuple
@@ -196,15 +211,10 @@ class SketchEstimates(Source):
     def rows(self, ctx: ExecContext) -> list:
         store = ctx.store("sketch")
         layout = store.layout
-        rows = store.matrix()
         ctx.scanned(layout.width * layout.depth, layout.region_bytes)
         hashes = hash_family(self.depth or layout.depth)
-        out = []
-        for key in self.keys:
-            estimate = min(row[h(key) % layout.width]
-                           for row, h in zip(rows, hashes))
-            out.append({"key": key, "estimate": estimate})
-        return out
+        return [{"key": key, "estimate": store.point_query(key, hashes)}
+                for key in self.keys]
 
     def describe(self) -> str:
         return f"sketch[{len(self.keys)}]"
@@ -237,6 +247,32 @@ class PostcardPaths(Source):
         return f"postcards[{len(self.keys)}]"
 
 
+class AppendRows:
+    """Published Append entries as columns; dicts only on iteration.
+
+    ``parts`` is a tuple of ``(list_id, start, entries)``: ``entries``
+    the ``(n, entry_bytes)`` array :meth:`AppendStore.published
+    <repro.core.stores.append.AppendStore.published>` returned for the
+    run starting at absolute position ``start``.  Iterating yields the
+    ``{"list_id", "index", "data"}`` rows an operator expects, fresh
+    dicts each time; :class:`Union` and a ``list_id`` count in
+    :class:`Reduce` read ``parts`` instead and never build them.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return sum(len(entries) for _list_id, _start, entries in self.parts)
+
+    def __iter__(self):
+        for list_id, start, entries in self.parts:
+            for index, data in enumerate(entry_data(entries), start):
+                yield {"list_id": list_id, "index": index, "data": data}
+
+
 @dataclass(frozen=True)
 class AppendEntries(Source):
     """Published entries of one Append list, in landing order.
@@ -244,7 +280,14 @@ class AppendEntries(Source):
     Rows: ``{"list_id", "index", "data"}``; ``index`` is the absolute
     position (head count) of the entry.  Scanning starts at ``start``
     and ends at the first unpublished slot (lap-tag mismatch) or after
-    ``limit`` rows — the poller protocol, expressed as a source.
+    ``limit`` rows — the poller protocol, which
+    :meth:`AppendStore.published` runs as one compare.  Returns
+    :class:`AppendRows`; with ``decode`` set the rows are materialised
+    here (``decode`` may raise, so it must run whether or not a later
+    operator looks at ``data``) and come back as a plain list.
+
+    The charge is the scalar walk's: one entry read per row plus the
+    mismatching one that ended the run, or exactly ``limit``.
     """
 
     list_id: int
@@ -252,23 +295,19 @@ class AppendEntries(Source):
     limit: int | None = None
     decode: object = None     # optional callable: raw bytes -> value
 
-    def rows(self, ctx: ExecContext) -> list:
-        from repro.core.stores.append import lap_tag
-
+    def rows(self, ctx: ExecContext):
         store = ctx.store("append")
-        layout = store.layout
-        out = []
-        position = self.start
-        while self.limit is None or len(out) < self.limit:
-            slot = position % layout.capacity
-            tag, data = store.read_entry(self.list_id, slot)
-            ctx.scanned(1, layout.entry_bytes)
-            if tag != lap_tag(position // layout.capacity):
-                break
-            value = self.decode(data) if self.decode is not None else data
-            out.append({"list_id": self.list_id, "index": position,
-                        "data": value})
-            position += 1
+        entries = store.published(self.list_id, self.start, self.limit)
+        count = len(entries)
+        capped = self.limit is not None and count >= self.limit
+        reads = count if capped else count + 1
+        ctx.scanned(reads, reads * store.layout.entry_bytes)
+        rows = AppendRows(((self.list_id, self.start, entries),))
+        if self.decode is None:
+            return rows
+        out = list(rows)
+        for row in out:
+            row["data"] = self.decode(row["data"])
         return out
 
     def describe(self) -> str:
@@ -352,7 +391,9 @@ class Reduce(Operator):
     Emits ``{"key": group, "value": aggregate}`` rows sorted by the
     canonical group order.  ``how`` must be commutative/associative
     (sum, min, max, count) — that is the operator's order-insensitivity
-    contract, and the property suite holds it to that.
+    contract, and the property suite holds it to that.  Counting
+    :class:`AppendRows` by ``"list_id"`` folds part lengths instead of
+    rows; every other key, value or ``how`` iterates.
     """
 
     key: object
@@ -371,6 +412,15 @@ class Reduce(Operator):
                     else lambda row: 1)
         fold = _REDUCERS[self.how]
         groups: dict = {}
+        if (isinstance(rows, AppendRows) and self.how == "count"
+                and self.key == "list_id" and self.value is None):
+            # ``list_id`` is constant per part: fold lengths, not rows.
+            for list_id, _start, entries in rows.parts:
+                if len(entries):
+                    slot = canon(list_id)
+                    _group, count = groups.get(slot, (list_id, 0))
+                    groups[slot] = (list_id, count + len(entries))
+            rows = ()
         for row in rows:
             group = key_fn(row)
             value = value_fn(row)
@@ -403,9 +453,18 @@ class TopK(Operator):
 
     def apply(self, rows, ctx):
         by_fn = _getter(self.by)
-        ordered = sorted(rows, key=lambda row: (canon(by_fn(row)),
-                                                canon(row)),
-                         reverse=self.reverse)
+        keyed = sorted(((canon(by_fn(row)), row) for row in rows),
+                       key=itemgetter(0), reverse=self.reverse)
+        # canon(row) — a sorted tuple of every field — only breaks ties,
+        # so it is computed only inside groups tied on the metric.
+        ordered = []
+        for _metric, tied in groupby(keyed, key=itemgetter(0)):
+            if self.k is not None and len(ordered) >= self.k:
+                break
+            group = [row for _metric, row in tied]
+            if len(group) > 1:
+                group.sort(key=canon, reverse=self.reverse)
+            ordered += group
         if self.k is None:
             return ordered
         return ordered[:self.k]
@@ -457,12 +516,18 @@ class Join(Operator):
 
 @dataclass(frozen=True)
 class Union(Operator):
-    """Concatenate another plan's rows (bag union, left rows first)."""
+    """Concatenate another plan's rows (bag union, left rows first).
+
+    Two :class:`AppendRows` concatenate their parts and stay columns.
+    """
 
     other: object            # Plan
 
     def apply(self, rows, ctx):
-        return list(rows) + _run(self.other, ctx)
+        other = _run(self.other, ctx)
+        if isinstance(rows, AppendRows) and isinstance(other, AppendRows):
+            return AppendRows(rows.parts + other.parts)
+        return [*rows, *other]
 
     def describe(self) -> str:
         return f"union({self.other.describe()})"
@@ -517,7 +582,8 @@ class Plan:
         return chain
 
 
-def _run(plan: Plan, ctx: ExecContext) -> list:
+def _run(plan: Plan, ctx: ExecContext):
+    """Rows of ``plan``: a list, or :class:`AppendRows` still columnar."""
     rows = plan.source.rows(ctx)
     for op in plan.ops:
         rows = op.apply(rows, ctx)
@@ -534,7 +600,8 @@ def run_plan(plan: Plan, snapshot, ctx: ExecContext | None = None) -> list:
     """
     if ctx is None:
         ctx = ExecContext(snapshot)
-    return _run(plan, ctx)
+    rows = _run(plan, ctx)
+    return rows if isinstance(rows, list) else list(rows)
 
 
 # ----------------------------------------------------------------------

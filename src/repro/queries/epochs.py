@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import calibration
+from repro.core.stores.append import entry_data
 from repro.queries.algebra import (ExecContext, LiteralRows, Plan, Source)
 
 
@@ -33,7 +34,9 @@ class EpochAppendEntries(Source):
     Rows: ``{"list_id", "index", "epoch", "data"}``.  The sealed
     ``(start, end)`` head ranges are frozen at build time; entries a
     later lap already overwrote (or expiry scrubbed) are skipped by
-    the lap-tag check, exactly like the poller protocol.
+    the lap-tag check (:meth:`AppendStore.published_in
+    <repro.core.stores.append.AppendStore.published_in>`, one compare
+    per range); every position of a range is charged as read.
     """
 
     list_id: int
@@ -42,18 +45,16 @@ class EpochAppendEntries(Source):
     decode: object = None
 
     def rows(self, ctx: ExecContext) -> list:
-        from repro.core.stores.append import lap_tag
-
         store = ctx.store("append")
-        layout = store.layout
+        entry_bytes = store.layout.entry_bytes
         out = []
         for start, end in self.ranges:
-            for position in range(start, end):
-                slot = position % layout.capacity
-                tag, data = store.read_entry(self.list_id, slot)
-                ctx.scanned(1, layout.entry_bytes)
-                if tag != lap_tag(position // layout.capacity):
-                    continue
+            positions, entries = store.published_in(self.list_id, start,
+                                                    end)
+            span = max(end - start, 0)
+            ctx.scanned(span, span * entry_bytes)
+            for position, data in zip(positions.tolist(),
+                                      entry_data(entries)):
                 value = (self.decode(data) if self.decode is not None
                          else data)
                 out.append({"list_id": self.list_id, "index": position,

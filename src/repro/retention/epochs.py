@@ -271,11 +271,12 @@ class _SegmentTracker:
 
     kind = "segments"
 
-    def __init__(self, region, layout) -> None:
-        self.region = region
-        self.layout = layout
-        self.heads = [0] * layout.lists
-        self.segments: list[list] = [[] for _ in range(layout.lists)]
+    def __init__(self, store) -> None:
+        self.store = store
+        self.region = store.region
+        self.layout = store.layout
+        self.heads = [0] * self.layout.lists
+        self.segments: list[list] = [[] for _ in range(self.layout.lists)]
 
     def _published_head(self, list_id: int) -> int:
         """Advance past entries whose lap tag matches their position.
@@ -287,19 +288,9 @@ class _SegmentTracker:
         rotation cadence by more than ``capacity`` entries per list
         had those entries overwritten in-ring anyway.
         """
-        layout = self.layout
         head = self.heads[list_id]
-        base = layout.list_base(list_id) - layout.base_addr
-        entry_bytes = layout.entry_bytes
-        capacity = layout.capacity
-        buf = self.region.buf
-        limit = head + capacity
-        while head < limit:
-            slot = head % capacity
-            if buf[base + slot * entry_bytes] != lap_tag(head // capacity):
-                break
-            head += 1
-        return head
+        return head + len(self.store.published(
+            list_id, head, limit=self.layout.capacity))
 
     def observe(self, epoch: int) -> int:
         sealed = 0
@@ -403,7 +394,7 @@ class EpochManager:
                 reset_stream=True)
         ap = collector.append
         if ap is not None:
-            self.trackers["append"] = _SegmentTracker(ap.region, ap.layout)
+            self.trackers["append"] = _SegmentTracker(ap)
 
     # ------------------------------------------------------------------
     # Rotation

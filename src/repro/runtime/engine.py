@@ -331,6 +331,8 @@ class StreamEngine:
             raise RuntimeError("engine already drained")
         if self._error is not None:
             raise self._error
+        if self._closed:
+            raise RuntimeError("engine already closed")
         seq = self._seq
         self._seq += 1
         carrier = _Carrier(seq, batch=batch)
@@ -438,6 +440,10 @@ class StreamEngine:
             self.translator.control_sink = self._saved["control_sink"]
             self.translator.vectorized = self._saved["vectorized"]
             self._saved = None
+        # The stage table holds bound methods of ``self``: dropped here,
+        # a closed engine (and the deployment it names) is reclaimed by
+        # reference count, not whenever the cycle collector next runs.
+        self._stage_fns = {}
 
     def __enter__(self) -> "StreamEngine":
         return self.start()

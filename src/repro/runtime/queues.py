@@ -93,8 +93,10 @@ class CreditQueue:
         self._aborted = False
         self.stats = QueueStats(labels={"queue": name})
         registry = obs.get_registry()
+        # Bound to the deque, not to ``self``: registry -> gauge ->
+        # queue -> stats -> registry would be a cycle.
         self._depth_gauge = registry.declare_gauge(
-            "runtime.queue_depth", fn=lambda: len(self._items), queue=name)
+            "runtime.queue_depth", fn=self._items.__len__, queue=name)
         self._hwm_gauge = registry.declare_gauge(
             "runtime.queue_high_watermark", queue=name)
         self._high_watermark = 0

@@ -435,6 +435,9 @@ class ShmCreditQueue:
         if not self._unlinked:
             self._unlinked = True
             self.detach()
+            if self.stats is not None:
+                self._depth_gauge.freeze()
+                self._hwm_gauge.freeze()
             try:
                 self._shm.unlink()
             except FileNotFoundError:
@@ -591,13 +594,14 @@ class PlanWorkerPool:
         self._counters = np.frombuffer(self._stats_shm.buf,
                                        dtype=np.uint64)
         registry = obs.get_registry()
-        for i in range(workers):
-            for j, field_name in enumerate(_STATS_FIELDS):
-                registry.declare_gauge(
-                    f"runtime.plan_worker_{field_name}",
-                    fn=(lambda i=i, j=j:
-                        int(self._counters[i * len(_STATS_FIELDS) + j])),
-                    engine=name, worker=str(i))
+        self._gauges = [
+            registry.declare_gauge(
+                f"runtime.plan_worker_{field_name}",
+                fn=(lambda i=i, j=j:
+                    int(self._counters[i * len(_STATS_FIELDS) + j])),
+                engine=name, worker=str(i))
+            for i in range(workers)
+            for j, field_name in enumerate(_STATS_FIELDS)]
         ctx = multiprocessing.get_context()
         self.processes = []
         for i in range(workers):
@@ -710,9 +714,12 @@ class PlanWorkerPool:
                 # Releases the sentinel-pipe fds now, not at the next GC.
                 process.close()
         self.processes = []
-        # The plan_worker_* gauges outlive the segment: a private copy
-        # keeps them reading their last values.
+        # The plan_worker_* gauges and worker_stats() outlive the
+        # segment: they keep their last values, and the frozen gauges
+        # no longer hold the pool.
         self._counters = self._counters.copy()
+        for gauge in self._gauges:
+            gauge.freeze()
         for ring in self.requests + self.results:
             ring.unlink()
         try:

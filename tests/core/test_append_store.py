@@ -1,11 +1,16 @@
 """Append store: ring layout, lap tags, pollers, recent()."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rdma.memory import ProtectionDomain
 from repro.core.stores.append import (
     AppendLayout,
     AppendStore,
+    entry_data,
     lap_tag,
 )
 
@@ -159,3 +164,175 @@ class TestRecent:
         direct_write(store, 0, [b"\x09"], head=4)
         recent = store.recent(0, count=2, head=5)
         assert [e[0] for e in recent] == [3, 9]
+
+
+# ----------------------------------------------------------------------
+# The read kernel against the scalar walk
+# ----------------------------------------------------------------------
+
+
+def land(store, list_id, head):
+    """Leave the ring as a writer that has appended ``head`` entries
+    would: each slot holds the newest position that maps to it."""
+    capacity = store.layout.capacity
+    for position in range(max(0, head - capacity), head):
+        direct_write(store, list_id, [position.to_bytes(4, "big")],
+                     head=position)
+
+
+def scrub(store, list_id, position):
+    """Zero one entry, as ``retention.epochs`` expiry does."""
+    layout = store.layout
+    offset = (layout.list_base(list_id) - layout.base_addr
+              + (position % layout.capacity) * layout.entry_bytes)
+    store.region.local_write(offset, b"\x00" * layout.entry_bytes)
+
+
+def walk_run(store, list_id, start, limit):
+    """The poller loop every reader used to spell out: ``(payloads,
+    entry reads made)``."""
+    capacity = store.layout.capacity
+    out, reads, position = [], 0, start
+    while limit is None or len(out) < limit:
+        tag, data = store.read_entry(list_id, position % capacity)
+        reads += 1
+        if tag != lap_tag(position // capacity):
+            break
+        out.append(data)
+        position += 1
+    return out, reads
+
+
+def walk_mask(store, list_id, start, stop):
+    """The skip-on-mismatch loop of ``recent`` / epoch-scoped reads."""
+    capacity = store.layout.capacity
+    out = []
+    for position in range(start, stop):
+        tag, data = store.read_entry(list_id, position % capacity)
+        if tag == lap_tag(position // capacity):
+            out.append((position, data))
+    return out
+
+
+#: Laps the ring was last written on: fresh, one lap in, and around the
+#: tag period (lap 250 carries lap 0's tag again).
+LAPS = (0, 1, 249, 250, 251, 500)
+
+
+@st.composite
+def ring_states(draw):
+    """A store plus the absolute positions worth reading from.
+
+    Per list: a head anywhere in a drawn lap (empty, partly filled,
+    exactly full, wrapped mid-lap leaving a stale previous-lap tail)
+    and a few scrubbed holes among the resident entries.
+    """
+    capacity = draw(st.integers(1, 9))
+    lists = draw(st.integers(1, 3))
+    store = make_store(lists=lists, capacity=capacity)
+    heads = []
+    for list_id in range(lists):
+        lap = draw(st.sampled_from(LAPS))
+        head = lap * capacity + draw(st.integers(0, capacity))
+        land(store, list_id, head)
+        resident = range(max(0, head - capacity), head)
+        for position in draw(st.sets(st.sampled_from(resident), max_size=2)
+                             if resident else st.just(())):
+            scrub(store, list_id, position)
+        heads.append(head)
+    return store, heads
+
+
+def read_grid(capacity, head):
+    """``start`` x ``limit``: 0, 1, mid-ring, capacity - 1, capacity,
+    past capacity, None — starts also relative to the lap last written
+    and to the lap 250 later whose tags alias it."""
+    offsets = (0, 1, capacity // 2, capacity - 1, capacity, capacity + 3)
+    lap_start = max(0, head - capacity) // capacity * capacity
+    starts = {base + offset
+              for base in (0, lap_start, lap_start + 250 * capacity)
+              for offset in offsets}
+    return sorted(starts), offsets + (None,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_states())
+def test_published_equals_the_scalar_walk(state):
+    """Run form: equal count, equal entry bytes, equal charged reads."""
+    from repro.queries.algebra import (ExecContext, append_entries,
+                                       run_plan)
+
+    store, heads = state
+    entry_bytes = store.layout.entry_bytes
+    for list_id, head in enumerate(heads):
+        starts, limits = read_grid(store.layout.capacity, head)
+        for start in starts:
+            for limit in limits:
+                expected, reads = walk_run(store, list_id, start, limit)
+                entries = store.published(list_id, start, limit)
+                count = len(entries)
+                assert count == len(expected)
+                assert entries.shape == (count, entry_bytes)
+                assert entry_data(entries) == expected
+                assert entries[:, 0].tolist() == [
+                    lap_tag((start + i) // store.layout.capacity)
+                    for i in range(count)]
+                # What the query source charges is what the loop read.
+                ctx = ExecContext(SimpleNamespace(append=store))
+                rows = run_plan(append_entries(list_id, start=start,
+                                               limit=limit), None, ctx)
+                assert rows == [
+                    {"list_id": list_id, "index": start + i, "data": data}
+                    for i, data in enumerate(expected)]
+                assert (ctx.rows_scanned, ctx.bytes_touched) \
+                    == (reads, reads * entry_bytes)
+                # The poller is the same run, with a cursor.
+                poller = store.poller(list_id)
+                poller.position = start
+                assert poller.poll(limit) == expected
+                assert poller.position == start + count
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_states())
+def test_published_in_equals_the_scalar_mask(state):
+    """Mask form: a mismatching position is skipped, not a stop."""
+    store, heads = state
+    capacity = store.layout.capacity
+    for list_id, head in enumerate(heads):
+        starts, spans = read_grid(capacity, head)
+        for start in starts:
+            for span in spans[:-1] + (2 * capacity + 1,):
+                expected = walk_mask(store, list_id, start, start + span)
+                positions, entries = store.published_in(
+                    list_id, start, start + span)
+                assert positions.tolist() == [p for p, _ in expected]
+                assert entry_data(entries) == [d for _, d in expected]
+        for count in (0, 1, capacity, capacity + 3):
+            assert store.recent(list_id, count, head) == [
+                data for _, data in walk_mask(
+                    store, list_id,
+                    head - min(count, head, capacity), head)]
+
+
+def test_published_run_is_a_view_unless_it_wraps():
+    store = make_store(capacity=4)
+    whole = np.frombuffer(store.region.buf, dtype=np.uint8)
+    land(store, 0, 6)            # slots 0-1 on lap 1, 2-3 on lap 0
+    entries = store.published(0, start=4)
+    assert len(entries) == 2 and np.shares_memory(entries, whole)
+    entries = store.published(0, start=2)
+    assert len(entries) == 4 and not np.shares_memory(entries, whole)
+    assert entry_data(entries) == [p.to_bytes(4, "big")
+                                   for p in (2, 3, 4, 5)]
+
+
+def test_idle_list_is_answered_from_its_first_tag(monkeypatch):
+    """An empty list must stay as cheap as the scalar walk made it: no
+    array is built over the ring."""
+    store = make_store()
+    monkeypatch.setattr(
+        store, "_ring",
+        lambda list_id: pytest.fail("built an array for an idle list"))
+    assert len(store.published(0)) == 0
+    assert store.poller(1).poll() == []

@@ -66,3 +66,42 @@ class TestReads:
             store.region.local_write(offset,
                                      value.to_bytes(4, "big"))
         assert store.point_query(key, hashes) == 3
+
+    def test_counters_view_equals_the_per_column_unpack(self):
+        """``counters()`` is the region seen through a dtype; the loop
+        over :meth:`column` is what ``matrix()`` used to be."""
+        import random
+
+        store = make_store(width=37, depth=5)
+        rng = random.Random(7)
+        store.region.local_write(
+            0, bytes(rng.randrange(256)
+                     for _ in range(store.layout.region_bytes)))
+        unpacked = [[] for _ in range(store.layout.depth)]
+        for j in range(store.layout.width):
+            for r, value in enumerate(store.column(j)):
+                unpacked[r].append(value)
+        counters = store.counters()
+        assert counters.shape == (37, 5)
+        assert counters.T.tolist() == unpacked == store.matrix()
+        assert all(type(value) is int
+                   for row in store.matrix() for value in row)
+        # A view, not a copy: a later write shows through.
+        store.region.local_write(0, (0xDEADBEEF).to_bytes(4, "big"))
+        assert int(counters[0, 0]) == 0xDEADBEEF
+
+    def test_point_query_reads_cells_not_the_matrix(self, monkeypatch):
+        store = make_store(width=8, depth=3)
+        hashes = hash_family(3)
+        key = b"flow"
+        for row, value in enumerate((9, 4, 6)):
+            offset = ((hashes[row](key) % 8) * store.layout.column_bytes
+                      + row * 4)
+            store.region.local_write(offset, value.to_bytes(4, "big"))
+        monkeypatch.setattr(
+            store, "matrix",
+            lambda: pytest.fail("point_query rebuilt the matrix"))
+        estimate = store.point_query(key, hashes)
+        assert estimate == 4 and type(estimate) is int
+        # A shorter family probes only its rows, as zip always did.
+        assert store.point_query(key, hashes[:1]) == 9

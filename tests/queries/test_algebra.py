@@ -175,3 +175,105 @@ class TestSources:
             rep.sketch_column(0, index, column)
         rows = run_plan(algebra.sketch_estimates([b"elephant"]), col)
         assert rows[0]["estimate"] >= 11   # CMS never underestimates
+
+
+class TestAppendColumnRows:
+    """Append rows stay columns through ``union`` -> ``reduce(count)``
+    and are ordinary dict rows everywhere else."""
+
+    @staticmethod
+    def _landed(rig, per_list=(5, 3)):
+        col, tr, rep = rig
+        for list_id, count in enumerate(per_list):
+            for i in range(count):
+                rep.append(list_id, bytes([list_id, i]) * 9)
+        tr.flush_appends()
+        return col
+
+    def test_run_plan_hands_back_a_list_of_dicts(self, rig):
+        col = self._landed(rig)
+        for view in (col, col.snapshot()):
+            rows = run_plan(algebra.append_entries(0), view)
+            assert type(rows) is list and len(rows) == 5
+            assert all(type(row) is dict for row in rows)
+            assert rows[2] == {"list_id": 0, "index": 2,
+                               "data": bytes([0, 2]) * 9}
+            assert type(rows[2]["data"]) is bytes
+
+    def test_union_count_never_builds_a_row(self, rig, monkeypatch):
+        col = self._landed(rig)
+        monkeypatch.setattr(
+            algebra.AppendRows, "__iter__",
+            lambda self: pytest.fail("materialised Append rows"))
+        plan = (algebra.append_entries(0)
+                .union(algebra.append_entries(1))
+                .union(algebra.append_entries(0, start=4))
+                .reduce(key="list_id", how="count"))
+        ctx = ExecContext(col)
+        assert run_plan(plan, col, ctx) == [{"key": 0, "value": 6},
+                                            {"key": 1, "value": 3}]
+        # 5 + 3 + 1 rows, and the mismatching read that ended each run.
+        entry_bytes = col.append.layout.entry_bytes
+        assert (ctx.rows_scanned, ctx.bytes_touched) \
+            == (12, 12 * entry_bytes)
+
+    def test_an_idle_list_contributes_no_group(self, rig):
+        col = self._landed(rig, per_list=(4, 0))
+        plan = (algebra.append_entries(0)
+                .union(algebra.append_entries(1))
+                .reduce(key="list_id", how="count"))
+        assert run_plan(plan, col) == [{"key": 0, "value": 4}]
+
+    def test_decode_runs_even_when_only_counted(self, rig):
+        col = self._landed(rig)
+
+        def boom(data):
+            raise ValueError("undecodable entry")
+
+        plan = (algebra.append_entries(0, decode=boom)
+                .reduce(key="list_id", how="count"))
+        with pytest.raises(ValueError, match="undecodable"):
+            run_plan(plan, col)
+
+
+#: sha256 over ``repr(rows)`` of every shipped plan at ten tick points
+#: of a 5 k-each mixed stream (seed 1, batch 64), and over the
+#: ``(name, rows_scanned, bytes_touched, rows_out)`` of the same
+#: executions — computed with the per-entry loops this file's parent
+#: commit still had (PR 16, 59f1987).
+CATALOG_ROWS_SHA256 = \
+    "a61f3eccac144b34ef93b84966a00c924773655a3c49af38321f1f35d0c86c04"
+CATALOG_COST_SHA256 = \
+    "8241c526efcfebb570ac95ea67a4f83ad5c29e624de3f81c3e1e714b596cff80"
+
+
+def test_catalog_rows_and_costs_match_the_scalar_golden():
+    import hashlib
+
+    from repro.queries import catalog
+    from repro.queries.serving import QueryServer
+
+    works = catalog.demo_workloads(5000, 1)
+    plans = catalog.shipped_plans(works)
+    rows_hash, cost_hash = hashlib.sha256(), hashlib.sha256()
+    ticks = []
+
+    def tick(engine, epoch):
+        server = QueryServer(engine)
+        for name, plan in plans.items():
+            server.register(name, plan)
+        results = server.tick().results
+        ticks.append(epoch)
+        for name in sorted(results):
+            result = results[name]
+            assert type(result.rows) is list
+            rows_hash.update(repr(result.rows).encode())
+            cost_hash.update(repr(
+                (name, result.cost.rows_scanned, result.cost.bytes_touched,
+                 result.cost.rows_out)).encode())
+
+    _registry, _collector, _engine, zero_loss = catalog.stream_mixed(
+        works, workers=0, batch_size=64, on_epoch=tick, epochs=10)
+    assert zero_loss and ticks == list(range(1, 11))
+    assert rows_hash.hexdigest() == CATALOG_ROWS_SHA256
+    assert cost_hash.hexdigest() == CATALOG_COST_SHA256

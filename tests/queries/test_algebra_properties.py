@@ -7,6 +7,8 @@ over generated row bags and permutations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from hypothesis import given, settings, strategies as st
 
 from repro.queries import algebra
@@ -154,3 +156,116 @@ def test_store_plans_are_deterministic_per_snapshot(keys, salt):
     assert first == second
     assert (first_ctx.rows_scanned, first_ctx.bytes_touched) \
         == (second_ctx.rows_scanned, second_ctx.bytes_touched)
+
+
+# ----------------------------------------------------------------------
+# Column rows are rows: AppendRows behind every operator
+# ----------------------------------------------------------------------
+
+
+def _append_view(heads, capacity=8):
+    """A snapshot stand-in serving one Append store with ``heads[i]``
+    entries landed on list ``i`` (wrapping when past ``capacity``)."""
+    from types import SimpleNamespace
+
+    from repro.core.stores.append import AppendLayout, AppendStore
+    from repro.rdma.memory import ProtectionDomain
+
+    lists = len(heads)
+    size = AppendLayout(0, lists, capacity, 4).region_bytes
+    region = ProtectionDomain().register(size)
+    store = AppendStore(region, AppendLayout(region.addr, lists,
+                                             capacity, 4))
+    for list_id, head in enumerate(heads):
+        for position in range(max(0, head - capacity), head):
+            store.region.local_write(
+                store.layout.entry_addr(list_id, position % capacity)
+                - region.addr,
+                store.layout.encode_batch(
+                    [(position * 7 % 5).to_bytes(4, "big")], position))
+    return SimpleNamespace(append=store)
+
+
+_WATCH = algebra.literal_rows(
+    [{"list_id": 0, "index": 2, "data": b"lit!", "owner": "x"},
+     {"list_id": 9, "index": 3, "data": b"lit?", "owner": "y"}])
+
+#: Every operator chained after Append sources ``a`` and ``b``.
+CHAINS = {
+    "source": lambda a, b: a,
+    "filter": lambda a, b: a.filter(lambda r: r["index"] % 2 == 0),
+    "map": lambda a, b: a.map(lambda r: {"i": r["index"],
+                                         "d": r["data"][::-1]}),
+    "distinct-column": lambda a, b: a.union(b).distinct(key="list_id"),
+    "distinct-data": lambda a, b: a.union(b).distinct(key="data"),
+    "distinct-row": lambda a, b: a.union(a).distinct(),
+    "count": lambda a, b: a.union(b).reduce(key="list_id", how="count"),
+    "count-one-list": lambda a, b: a.reduce(key="list_id", how="count"),
+    "count-same-list-twice": lambda a, b: a.union(b).union(a).reduce(
+        key="list_id", how="count"),
+    "count-by-data": lambda a, b: a.union(b).reduce(key="data",
+                                                    how="count"),
+    "count-callable-key": lambda a, b: a.union(b).reduce(
+        key=lambda r: r["list_id"], how="count"),
+    "count-with-value": lambda a, b: a.union(b).reduce(
+        key="list_id", value="index", how="count"),
+    "sum": lambda a, b: a.union(b).reduce(key="list_id", value="index"),
+    "min": lambda a, b: a.union(b).reduce(key="list_id", value="index",
+                                          how="min"),
+    "max": lambda a, b: a.union(b).reduce(key="list_id", value="data",
+                                          how="max"),
+    "topk": lambda a, b: a.union(b).topk(3, by="data"),
+    "topk-all": lambda a, b: a.union(b).topk(None, by="data",
+                                             reverse=False),
+    "join-left-side": lambda a, b: a.join(b, on="index", how="left"),
+    "join-right-side": lambda a, b: _WATCH.join(a, on="index"),
+    "union-literal": lambda a, b: a.union(_WATCH).reduce(
+        key="list_id", how="count"),
+    "literal-union": lambda a, b: _WATCH.union(a).union(b),
+    "union-of-unions": lambda a, b: a.union(b).union(b.union(a)),
+    "union-of-unions-count": lambda a, b: a.union(b).union(
+        b.union(a)).reduce(key="list_id", how="count"),
+}
+
+_window = st.tuples(st.integers(0, 12),
+                    st.one_of(st.none(), st.integers(0, 10)))
+
+
+@dataclass(frozen=True)
+class _Materialised(algebra.Source):
+    """The same source, its rows forced into a plain list of dicts
+    before any operator sees them (the charge is the source's own)."""
+
+    inner: algebra.Source
+
+    def rows(self, ctx):
+        return list(self.inner.rows(ctx))
+
+
+def _as_dicts(plan):
+    return algebra.Plan(_Materialised(plan.source))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(0, 12), st.integers(0, 12)), _window,
+       _window, st.sampled_from([None, bytes.hex]))
+def test_append_rows_behave_as_the_dict_rows_they_stand_for(
+        heads, window_a, window_b, decode):
+    """Whatever follows ``append_entries`` returns the rows — and
+    charges the context — it would over a list of the same dicts."""
+    from repro.queries.algebra import ExecContext
+
+    view = _append_view(heads)
+    sources = [algebra.append_entries(list_id, start=start, limit=limit,
+                                      decode=decode)
+               for list_id, (start, limit) in enumerate((window_a,
+                                                         window_b))]
+    for name, chain in CHAINS.items():
+        columns, dicts = ExecContext(view), ExecContext(view)
+        got = run_plan(chain(*sources), view, columns)
+        want = run_plan(chain(*map(_as_dicts, sources)), view, dicts)
+        assert got == want, name
+        assert type(got) is list, name
+        assert [type(row) for row in got] == [dict] * len(got), name
+        assert (columns.rows_scanned, columns.bytes_touched) \
+            == (dicts.rows_scanned, dicts.bytes_touched), name
