@@ -105,6 +105,26 @@ class KeyIncrementStore:
             values.append(struct.unpack("<Q", raw)[0])
         return min(values)
 
+    def query_many(self, keys, *, redundancy: int | None = None,
+                   packed=None) -> list:
+        """:meth:`query` for a whole key batch.
+
+        Returns ``[query(key, ...) for key in keys]`` as Python ints
+        and counts as many :attr:`queries`: the N row lanes hash the
+        packed batch once (``packed`` is an optional
+        ``kernels.crc.pack_keys(keys)`` pair), one fancy index reads
+        the N x n counters, ``min`` folds the rows.
+        """
+        self.queries += len(keys)
+        layout = self.layout
+        n_rows = min(redundancy or layout.rows, layout.rows)
+        matrix, lengths = packed if packed is not None \
+            else kcrc.pack_keys(keys)
+        counters = np.frombuffer(self.region.buf, dtype="<u8",
+                                 count=layout.rows * layout.slots_per_row)
+        indices = layout.counter_indices_many(matrix, lengths, n_rows)
+        return counters[indices].min(axis=0).tolist()
+
     def local_increment(self, key: bytes, value: int = 1, *,
                         redundancy: int | None = None) -> None:
         """Testing/analysis helper: increment without the RDMA path."""

@@ -117,6 +117,14 @@ class KeyWriteLayout:
         """Per-key 32-bit checksums (lane ``MAX_REDUNDANCY``), uint32."""
         return kcrc.hash_lane_many(MAX_REDUNDANCY, packed, lengths)
 
+    def probes_many(self, packed, lengths, redundancy: int):
+        """What a query needs of a packed key batch, in one hash pass:
+        ``(slot_indices_many(...), checksums_many(...))``."""
+        lanes = kcrc.hash_lanes_at((*range(redundancy), MAX_REDUNDANCY),
+                                   packed, lengths)
+        slots = (lanes[:-1] % np.uint32(self.slots)).astype(np.int64)
+        return slots, lanes[-1]
+
     def encode_entries_many(self, packed, lengths, datas):
         """Encode a whole batch of slot entries: ``(n, slot_bytes)`` uint8.
 
@@ -268,6 +276,72 @@ class KeyWriteStore:
         else:
             stats.empty_returns += 1
         return result
+
+    def query_many(self, keys, *, redundancy: int | None = None,
+                   consensus: int = 1, packed=None) -> list:
+        """:meth:`query` for a whole key batch: one hash pass, one gather.
+
+        Returns ``[query(key, ...) for key in keys]`` — equal
+        :class:`QueryResult` objects, in order — and charges
+        :attr:`stats` exactly what that loop would.  The N slot lanes
+        and the checksum lane run once over the packed batch
+        (``packed`` is an optional ``kernels.crc.pack_keys(keys)`` pair
+        for callers that probe the same keys repeatedly), the N x n
+        slots are read with one fancy index, and the plurality vote is
+        array arithmetic for any N and consensus T.
+        """
+        n_slots = redundancy or calibration.DEFAULT_REDUNDANCY
+        if not 0 < n_slots <= MAX_REDUNDANCY:
+            raise ValueError(f"redundancy {n_slots} outside "
+                             f"1..{MAX_REDUNDANCY}")
+        count = len(keys)
+        layout = self.layout
+        matrix, lengths = packed if packed is not None \
+            else kcrc.pack_keys(keys)
+        indices, expected = layout.probes_many(matrix, lengths, n_slots)
+        table = np.frombuffer(self.region.buf, count=layout.slots, dtype=[
+            ("checksum", ">u4"), ("value", f"V{layout.data_bytes}")])
+        slots = table[indices]                      # (N, n), a copy
+        value = slots["value"]
+        matched = slots["checksum"] == expected
+        # same[a, b, k]: slots a and b of key k are both candidates
+        # and hold the same value; summed over b that is the count
+        # ``Counter(candidates)`` gives slot a's value.
+        same = np.empty((n_slots, n_slots, count), dtype=bool)
+        for a in range(n_slots):
+            same[a, a] = matched[a]
+            for b in range(a + 1, n_slots):
+                same[a, b] = same[b, a] = (matched[a] & matched[b]
+                                           & (value[a] == value[b]))
+        votes = same.sum(axis=1)
+        best = votes.max(axis=0)
+        # A plurality of ``best`` equal values is exactly ``best`` slots
+        # voting ``best``; more of them means another value ties it.
+        found = ((best >= max(consensus, 1))
+                 & ((votes == best).sum(axis=0) == best))
+        winner = votes.argmax(axis=0)       # first slot of the plurality
+
+        # Each key's candidates are a run of the matched values taken
+        # key-major, in slot order.
+        hits = matched.sum(axis=0)
+        sizes = hits.tolist()
+        landed = value.T[matched.T].tolist()
+        candidates = [landed[end - size:end]
+                      for end, size in zip(hits.cumsum().tolist(), sizes)]
+        answers = value[winner, np.arange(count)].tolist()
+        for k in np.flatnonzero(~found).tolist():
+            answers[k] = None
+        results = list(map(QueryResult, keys, answers, candidates, sizes))
+
+        stats = self.stats
+        answered = int(found.sum())
+        stats.queries += count
+        stats.checksum_hashes += count
+        stats.slot_hashes += count * n_slots
+        stats.memory_reads += count * n_slots
+        stats.hits += answered
+        stats.empty_returns += count - answered
+        return results
 
     def local_insert(self, key: bytes, data: bytes,
                      redundancy: int = calibration.DEFAULT_REDUNDANCY

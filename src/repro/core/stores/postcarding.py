@@ -15,7 +15,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import calibration
+from repro.kernels import crc as kcrc
 from repro.rdma.memory import MemoryRegion
 from repro.switch.crc import hash_family
 
@@ -23,6 +26,10 @@ BLANK = None
 """The "⊔" value marking hops that were not collected."""
 
 _BLANK_TOKEN = b"\xff\xfe__dta_blank__"
+
+#: ``hash_family`` lanes ``0 .. _CHUNK_LANES-1`` pick the chunks; the
+#: per-hop checksum lanes follow them.
+_CHUNK_LANES = 8
 
 
 @dataclass(frozen=True)
@@ -52,12 +59,14 @@ class PostcardingLayout:
             raise ValueError("slot_bits must be a byte multiple in [8,64]")
         if self.pad_to < self.hops * self.slot_bytes_per_slot:
             raise ValueError("pad_to smaller than the chunk payload")
-        object.__setattr__(self, "_chunk_hashes", tuple(hash_family(8)))
+        object.__setattr__(self, "_chunk_hashes",
+                           tuple(hash_family(_CHUNK_LANES)))
         # Per-(key, hop) checksums: "hop-specific checksums ... through
         # custom CRC polynomials" — one derived function per hop.
         object.__setattr__(self, "_hop_csums",
-                           tuple(hash_family(8 + self.hops,
-                                             width_bits=self.slot_bits)[8:]))
+                           tuple(hash_family(
+                               _CHUNK_LANES + self.hops,
+                               width_bits=self.slot_bits)[_CHUNK_LANES:]))
         object.__setattr__(self, "_value_hash",
                            hash_family(100, width_bits=self.slot_bits)[-1])
 
@@ -135,6 +144,32 @@ class PostcardingLayout:
                 path.append(item)
         return path
 
+    # -- vectorized twin (numpy-gated; see repro.kernels) ----------------
+
+    def probes_many(self, packed, lengths, redundancy: int):
+        """What a query needs of a packed key batch: ``(chunks,
+        checksums)`` — ``chunks[j]`` each key's :meth:`chunk_index` at
+        ``j`` (``(redundancy, n)`` int64), ``checksums[i]`` its
+        :meth:`hop_checksum` at hop ``i`` (``(hops, n)``; uint64 when
+        b > 32).  Slots of at most 32 bits share the chunk lanes'
+        CRC-32 pass.
+        """
+        if redundancy > _CHUNK_LANES:
+            raise IndexError("redundancy beyond the chunk hash family")
+        chunk_lanes = range(redundancy)
+        hop_lanes = range(_CHUNK_LANES, _CHUNK_LANES + self.hops)
+        if self.slot_bits <= 32:
+            lanes = kcrc.hash_lanes_at((*chunk_lanes, *hop_lanes),
+                                       packed, lengths)
+            chunks = lanes[:redundancy]
+            checksums = lanes[redundancy:] \
+                & np.uint32((1 << self.slot_bits) - 1)
+        else:
+            chunks = kcrc.hash_lanes_at(chunk_lanes, packed, lengths)
+            checksums = kcrc.hash_lanes_at(hop_lanes, packed, lengths,
+                                           self.slot_bits)
+        return (chunks % np.uint32(self.chunks)).astype(np.int64), checksums
+
 
 class _Invalid:
     __slots__ = ()
@@ -170,6 +205,15 @@ class PostcardingStore:
         if len(self.lut) != len(set(value_set)) + 1:
             raise ValueError(
                 "g() collides within the value set; increase slot_bits")
+        # The same table as two parallel arrays sorted by g(v), for
+        # the batched probe's one ``searchsorted`` pass (⊔ is -1; the
+        # values are unsigned 32-bit, ``g`` packs them as ``>I``).
+        encoded = np.fromiter(self.lut, dtype=np.uint64,
+                              count=len(self.lut))
+        values = np.array([-1 if value is BLANK else value
+                           for value in self.lut.values()], dtype=np.int64)
+        order = encoded.argsort()
+        self._lut_keys, self._lut_values = encoded[order], values[order]
         self.queries = 0
         self.hits = 0
         self.chunk_reads = 0
@@ -216,6 +260,58 @@ class PostcardingStore:
             return None
         self.hits += 1
         return list(results[0])
+
+    def query_many(self, keys, *, redundancy: int = 1,
+                   packed=None) -> list:
+        """:meth:`query` for a whole key batch.
+
+        Returns ``[query(key, ...) for key in keys]`` and charges the
+        four counters what that loop would.  The chunk lanes and the B
+        hop-checksum lanes hash the packed batch once (``packed`` is an
+        optional ``kernels.crc.pack_keys(keys)`` pair), the N x n
+        chunks are read with one fancy index and XORed, one sorted
+        lookup decodes every slot, and "values then blanks, all valid
+        chunks agree" is array arithmetic.
+        """
+        layout = self.layout
+        count, hops = len(keys), layout.hops
+        if redundancy < 1:          # no chunk read: every return is empty
+            self.queries += count
+            return [None] * count
+        matrix, lengths = packed if packed is not None \
+            else kcrc.pack_keys(keys)
+        chunk, checksums = layout.probes_many(matrix, lengths, redundancy)
+        table = np.frombuffer(
+            self.region.buf, dtype=np.uint8, count=layout.region_bytes,
+        ).reshape(layout.chunks, layout.pad_to)
+        raw = table[chunk][:, :, :layout.chunk_payload_bytes]
+        stored = np.ascontiguousarray(raw).view(
+            f">u{layout.slot_bytes_per_slot}")    # (N, n, hops)
+        encoded = stored.astype(np.uint64) ^ checksums.T.astype(np.uint64)
+
+        lut_keys = self._lut_keys
+        at = np.minimum(np.searchsorted(lut_keys, encoded),
+                        len(lut_keys) - 1)
+        known = lut_keys[at] == encoded
+        decoded = self._lut_values[at]             # -1 where blank
+        blank = decoded < 0
+        valid = (known.all(axis=2)
+                 & ~(blank[:, :, :-1] & ~blank[:, :, 1:]).any(axis=2))
+        # All valid chunks of a key must decode alike; compare each to
+        # the first valid one.
+        pick = valid.argmax(axis=0), np.arange(count)
+        first = decoded[pick]                               # (n, hops)
+        conflict = (valid & (decoded != first).any(axis=2)).any(axis=0)
+        found = valid.any(axis=0) & ~conflict
+        path_lengths = hops - blank[pick].sum(axis=1)
+
+        self.queries += count
+        self.chunk_reads += count * redundancy
+        self.hop_checksums += count * redundancy * hops
+        self.hits += int(found.sum())
+        return [path[:length] if ok else None for path, length, ok
+                in zip(first.tolist(), path_lengths.tolist(),
+                       found.tolist())]
 
     def local_insert(self, key: bytes, values: list, *,
                      redundancy: int = 1) -> None:

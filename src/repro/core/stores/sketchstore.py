@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels import crc as kcrc
 from repro.rdma.memory import MemoryRegion
 
 COUNTER_BYTES = 4
@@ -105,3 +106,23 @@ class SketchStore:
         width = self.layout.width
         return min(int(counters[h(key) % width, r])
                    for r, h in zip(range(self.layout.depth), hashes))
+
+    def point_query_many(self, keys, *, rows: int | None = None,
+                         packed=None) -> list:
+        """:meth:`point_query` for a whole key batch under the global
+        hash family: ``[point_query(key, hash_family(rows)) for key in
+        keys]`` with ``rows`` defaulting to (and capped at) the
+        sketch's depth.
+
+        The counter view is built once and each of the ``rows`` hash
+        lanes runs once over the packed batch (``packed`` is an
+        optional ``kernels.crc.pack_keys(keys)`` pair).
+        """
+        layout = self.layout
+        rows = min(rows or layout.depth, layout.depth)
+        matrix, lengths = packed if packed is not None \
+            else kcrc.pack_keys(keys)
+        columns = kcrc.hash_lanes(rows, matrix, lengths) \
+            % np.uint32(layout.width)
+        cells = self.counters()[columns, np.arange(rows)[:, None]]
+        return cells.min(axis=0).tolist()

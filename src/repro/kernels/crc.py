@@ -160,50 +160,61 @@ def _lane_state(index: int, marked: bool) -> int:
     return zlib.crc32(prefix) ^ 0xFFFFFFFF
 
 
-def _crc32_resume(state: int, packed: np.ndarray,
-                  lengths: np.ndarray, uniform: bool) -> np.ndarray:
+def _crc32_resume(states, packed: np.ndarray, lengths: np.ndarray,
+                  uniform: bool) -> np.ndarray:
+    """Resume CRC-32 from each of ``states`` over every packed key.
+
+    Returns ``(len(states), n)``: the lanes advance together, one
+    column step for all of them, so a family of L lanes costs the
+    numpy calls of one.
+    """
     n, maxlen = packed.shape
-    reg = np.full(n, state, dtype=np.uint32)
+    reg = np.empty((len(states), n), dtype=np.uint32)
+    reg[:] = np.asarray(states, dtype=np.uint32)[:, None]
     for j in range(maxlen):
-        byte = packed[:, j].astype(np.uint32)
-        step = (reg >> np.uint32(8)) ^ _CRC32_TABLE[(reg ^ byte)
-                                                    & np.uint32(0xFF)]
+        # Table index = low register byte ^ key byte, kept in uint8.
+        low = reg.astype(np.uint8) ^ packed[:, j]
+        step = (reg >> np.uint32(8)) ^ _CRC32_TABLE[low]
         reg = step if uniform else np.where(j < lengths, step, reg)
     return reg ^ _MASK32
 
 
-def hash_lane_many(index: int, packed: np.ndarray, lengths: np.ndarray,
-                   width_bits: int = 32) -> np.ndarray:
-    """One hash-family lane over a packed key batch.
+def hash_lanes_at(indices, packed: np.ndarray, lengths: np.ndarray,
+                  width_bits: int = 32) -> np.ndarray:
+    """The hash-family lanes named by ``indices``, one row each.
 
-    Bit-exact against ``hash_family(index + 1, width_bits)[-1](key)``
-    per key: narrow lanes are a prefix-seeded CRC-32, wide lanes are
-    the two-pass CRC + splitmix64 construction (see
-    :func:`repro.switch.crc._hash_lane`).
+    Row ``r`` is bit-exact against ``hash_family(indices[r] + 1,
+    width_bits)[-1](key)`` per key: narrow lanes are a prefix-seeded
+    CRC-32, wide lanes are the two-pass CRC + splitmix64 construction
+    (see :func:`repro.switch.crc._hash_lane`).  All rows step through
+    the key columns together.
     """
     n, maxlen = packed.shape
     uniform = n == 0 or int(lengths.min()) == maxlen
+    count = len(indices)
     if width_bits > 32:
-        full = _crc32_resume(_lane_state(index, False), packed, lengths,
-                             uniform).astype(np.uint64)
-        hi = _crc32_resume(_lane_state(index, True), packed, lengths,
-                           uniform).astype(np.uint64)
-        mixed = splitmix64_many((hi << np.uint64(32)) | full)
+        both = _crc32_resume(
+            [_lane_state(i, False) for i in indices]
+            + [_lane_state(i, True) for i in indices],
+            packed, lengths, uniform).astype(np.uint64)
+        mixed = splitmix64_many((both[count:] << np.uint64(32))
+                                | both[:count])
         return mixed & np.uint64((1 << width_bits) - 1)
-    out = _crc32_resume(_lane_state(index, False), packed, lengths,
-                        uniform)
+    out = _crc32_resume([_lane_state(i, False) for i in indices],
+                        packed, lengths, uniform)
     if width_bits < 32:
         out = out & np.uint32((1 << width_bits) - 1)
     return out
 
 
+def hash_lane_many(index: int, packed: np.ndarray, lengths: np.ndarray,
+                   width_bits: int = 32) -> np.ndarray:
+    """One hash-family lane over a packed key batch (``(n,)``)."""
+    return hash_lanes_at((index,), packed, lengths, width_bits)[0]
+
+
 def hash_lanes(count: int, packed: np.ndarray, lengths: np.ndarray,
                width_bits: int = 32, start: int = 0) -> np.ndarray:
-    """Stack lanes ``start .. start+count-1`` into a ``(count, n)`` array."""
-    n = packed.shape[0]
-    dtype = np.uint64 if width_bits > 32 else np.uint32
-    out = np.empty((count, n), dtype=dtype)
-    for row in range(count):
-        out[row] = hash_lane_many(start + row, packed, lengths,
-                                  width_bits=width_bits)
-    return out
+    """Lanes ``start .. start+count-1`` as a ``(count, n)`` array."""
+    return hash_lanes_at(range(start, start + count), packed, lengths,
+                         width_bits)

@@ -36,11 +36,14 @@ receive: every store probe records rows scanned and bytes touched, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
+from repro import calibration
 from repro.core.stores.append import entry_data
-from repro.switch.crc import hash_family
+from repro.core.stores.keyincrement import COUNTER_BYTES
+from repro.kernels.crc import pack_keys
 
 # ----------------------------------------------------------------------
 # Canonical ordering — mixed-type, total, deterministic
@@ -53,6 +56,19 @@ def canon(value):
     Rows mix bytes keys, int counters, str labels, and list paths; a
     plain ``sorted`` would raise on the first cross-type comparison.
     """
+    kind = type(value)
+    if kind is bytes:           # what most row values are, by exact type
+        return (3, value)
+    if kind is int:
+        return (2, value)
+    # The containers first: they recurse, so every check ahead of them
+    # is paid once per nested value.  The classes are disjoint but for
+    # bool < int, which keeps its order.
+    if isinstance(value, (tuple, list)):
+        return (5, tuple(map(canon, value)))
+    if isinstance(value, dict):
+        return (6, tuple(sorted([(str(k), canon(v))
+                                 for k, v in value.items()])))
     if value is None:
         return (0,)
     if isinstance(value, bool):
@@ -63,11 +79,6 @@ def canon(value):
         return (3, bytes(value))
     if isinstance(value, str):
         return (4, value)
-    if isinstance(value, (tuple, list)):
-        return (5, tuple(canon(item) for item in value))
-    if isinstance(value, dict):
-        return (6, tuple(sorted((str(k), canon(v))
-                                for k, v in value.items())))
     return (7, repr(value))
 
 
@@ -134,8 +145,26 @@ class LiteralRows(Source):
         return f"literal[{len(self.items)}]"
 
 
+class KeyedSource(Source):
+    """A source probing one store for a fixed candidate key set.
+
+    The probe is the store's batched one (``query_many`` /
+    ``point_query_many``): the keys are packed into a byte matrix once
+    per source — plans are immutable and re-run every tick — and each
+    execution is one hash pass and one gather, whatever the key count.
+    The accounted cost stays the modelled per-key scan.
+    """
+
+    keys: tuple
+
+    @cached_property
+    def packed(self) -> tuple:
+        """``kernels.crc.pack_keys(keys)``, built on first use."""
+        return pack_keys(self.keys)
+
+
 @dataclass(frozen=True)
-class KeyWriteValues(Source):
+class KeyWriteValues(KeyedSource):
     """Key-Write lookups for a candidate key set.
 
     Rows: ``{"key", "value", "found", "matched_slots"}`` — ``value`` is
@@ -147,26 +176,24 @@ class KeyWriteValues(Source):
     consensus: int = 1
 
     def rows(self, ctx: ExecContext) -> list:
-        from repro import calibration
-
         store = ctx.store("keywrite")
-        n = self.redundancy or calibration.DEFAULT_REDUNDANCY
-        out = []
-        for key in self.keys:
-            result = store.query(key, redundancy=self.redundancy,
-                                 consensus=self.consensus)
-            ctx.scanned(n, n * store.layout.slot_bytes)
-            out.append({"key": key, "value": result.value,
-                        "found": result.found,
-                        "matched_slots": result.matched_slots})
-        return out
+        results = store.query_many(self.keys, redundancy=self.redundancy,
+                                   consensus=self.consensus,
+                                   packed=self.packed)
+        reads = len(self.keys) * (self.redundancy
+                                  or calibration.DEFAULT_REDUNDANCY)
+        ctx.scanned(reads, reads * store.layout.slot_bytes)
+        return [{"key": result.key, "value": result.value,
+                 "found": result.value is not None,
+                 "matched_slots": result.matched_slots}
+                for result in results]
 
     def describe(self) -> str:
         return f"keywrite[{len(self.keys)}]"
 
 
 @dataclass(frozen=True)
-class CounterEstimates(Source):
+class CounterEstimates(KeyedSource):
     """Key-Increment CMS point estimates for a candidate key set.
 
     Rows: ``{"key", "count"}``.
@@ -176,33 +203,31 @@ class CounterEstimates(Source):
     redundancy: int | None = None
 
     def rows(self, ctx: ExecContext) -> list:
-        from repro.core.stores.keyincrement import COUNTER_BYTES
-
         store = ctx.store("keyincrement")
-        n = min(self.redundancy or store.layout.rows, store.layout.rows)
-        out = []
-        for key in self.keys:
-            count = store.query(key, redundancy=self.redundancy)
-            ctx.scanned(n, n * COUNTER_BYTES)
-            out.append({"key": key, "count": count})
-        return out
+        counts = store.query_many(self.keys, redundancy=self.redundancy,
+                                  packed=self.packed)
+        reads = len(self.keys) * min(self.redundancy or store.layout.rows,
+                                     store.layout.rows)
+        ctx.scanned(reads, reads * COUNTER_BYTES)
+        return [{"key": key, "count": count}
+                for key, count in zip(self.keys, counts)]
 
     def describe(self) -> str:
         return f"counters[{len(self.keys)}]"
 
 
 @dataclass(frozen=True)
-class SketchEstimates(Source):
+class SketchEstimates(KeyedSource):
     """Merged-sketch CMS estimates for a candidate key set.
 
-    Rows: ``{"key", "estimate"}``.  Each key is one
-    :meth:`SketchStore.point_query
-    <repro.core.stores.sketchstore.SketchStore.point_query>` — its
-    ``depth`` cells read through an array view of the region; nothing
-    is unpacked.  The *accounted* cost is still one full region scan
-    (``width * depth`` cells): the modelled collector reads the sketch
-    it was sent, and the digest-covered ``queries.*`` series keep that
-    meaning.
+    Rows: ``{"key", "estimate"}``, from one
+    :meth:`SketchStore.point_query_many
+    <repro.core.stores.sketchstore.SketchStore.point_query_many>` —
+    each key's ``depth`` cells read through an array view of the
+    region; nothing is unpacked.  The *accounted* cost is still one
+    full region scan (``width * depth`` cells): the modelled collector
+    reads the sketch it was sent, and the digest-covered ``queries.*``
+    series keep that meaning.
     """
 
     keys: tuple
@@ -212,16 +237,17 @@ class SketchEstimates(Source):
         store = ctx.store("sketch")
         layout = store.layout
         ctx.scanned(layout.width * layout.depth, layout.region_bytes)
-        hashes = hash_family(self.depth or layout.depth)
-        return [{"key": key, "estimate": store.point_query(key, hashes)}
-                for key in self.keys]
+        estimates = store.point_query_many(self.keys, rows=self.depth,
+                                           packed=self.packed)
+        return [{"key": key, "estimate": estimate}
+                for key, estimate in zip(self.keys, estimates)]
 
     def describe(self) -> str:
         return f"sketch[{len(self.keys)}]"
 
 
 @dataclass(frozen=True)
-class PostcardPaths(Source):
+class PostcardPaths(KeyedSource):
     """Postcarding path lookups for a candidate key set.
 
     Rows: ``{"key", "path", "found"}`` — ``path`` is ``None`` when the
@@ -233,15 +259,12 @@ class PostcardPaths(Source):
 
     def rows(self, ctx: ExecContext) -> list:
         store = ctx.store("postcarding")
-        layout = store.layout
-        out = []
-        for key in self.keys:
-            path = store.query(key, redundancy=self.redundancy)
-            ctx.scanned(self.redundancy,
-                        self.redundancy * layout.chunk_payload_bytes)
-            out.append({"key": key, "path": path,
-                        "found": path is not None})
-        return out
+        paths = store.query_many(self.keys, redundancy=self.redundancy,
+                                 packed=self.packed)
+        reads = len(self.keys) * self.redundancy
+        ctx.scanned(reads, reads * store.layout.chunk_payload_bytes)
+        return [{"key": key, "path": path, "found": path is not None}
+                for key, path in zip(self.keys, paths)]
 
     def describe(self) -> str:
         return f"postcards[{len(self.keys)}]"

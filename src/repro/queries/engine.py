@@ -65,8 +65,14 @@ class QueryEngine:
               quiescence — the serial deployments' mode), or against a
               per-execution snapshot with ``isolate=True``;
             * a running :class:`~repro.runtime.engine.StreamEngine`:
-              every execution takes a batch-boundary snapshot via the
-              engine's store lock — always isolated.
+              every execution reads a batch-boundary snapshot taken
+              under the engine's store lock — always isolated.  The
+              engine keeps that one snapshot and refreshes it in place
+              each time, so a view it hands out (``QueryServer.tick``'s,
+              or a result's provenance) is valid until its next
+              execution or tick; :meth:`snapshot` is the copy to keep.
+              One reader thread per engine, for the same reason:
+              concurrent readers each build their own.
         isolate: Force a fresh snapshot per execution even for a plain
             collector target.
     """
@@ -74,6 +80,9 @@ class QueryEngine:
     def __init__(self, target, *, isolate: bool = False) -> None:
         self.target = target
         self.isolate = isolate
+        #: The snapshot of a stream-engine target this engine owns and
+        #: refreshes; never handed to :meth:`snapshot` callers.
+        self._kept: CollectorSnapshot | None = None
 
     # -- views -----------------------------------------------------------
 
@@ -102,7 +111,10 @@ class QueryEngine:
         target = self.target
         if isinstance(target, CollectorSnapshot):
             return target
-        if hasattr(target, "store_lock") or self.isolate:
+        if hasattr(target, "store_lock"):          # StreamEngine
+            self._kept = target.snapshot(into=self._kept)
+            return self._kept
+        if self.isolate:
             return self.snapshot()
         return target                               # quiesced collector
 

@@ -82,15 +82,15 @@ class EpochKeyWriteValues(Source):
 
     def rows(self, ctx: ExecContext) -> list:
         store = ctx.store("keywrite")
-        n = self.redundancy or calibration.DEFAULT_REDUNDANCY
-        out = []
-        for key, epoch in self.keys_epochs:
-            result = store.query(key, redundancy=self.redundancy,
-                                 consensus=self.consensus)
-            ctx.scanned(n, n * store.layout.slot_bytes)
-            out.append({"key": key, "value": result.value,
-                        "found": result.found, "epoch": epoch})
-        return out
+        results = store.query_many(
+            [key for key, _epoch in self.keys_epochs],
+            redundancy=self.redundancy, consensus=self.consensus)
+        reads = len(results) * (self.redundancy
+                                or calibration.DEFAULT_REDUNDANCY)
+        ctx.scanned(reads, reads * store.layout.slot_bytes)
+        return [{"key": key, "value": result.value,
+                 "found": result.found, "epoch": epoch}
+                for (key, epoch), result in zip(self.keys_epochs, results)]
 
     def describe(self) -> str:
         return f"keywrite_epoch[{len(self.keys_epochs)}]"

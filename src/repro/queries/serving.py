@@ -37,6 +37,13 @@ class QueryServer:
         target: What the engine reads — a collector, a running
             :class:`~repro.runtime.engine.StreamEngine` (snapshot per
             tick, at a batch boundary), or a frozen snapshot.
+
+    Attributes:
+        view: What the last :meth:`tick` read.  Over a stream engine it
+            is the server's own snapshot, refreshed in place by the
+            next tick: a reader that keeps it must compare its
+            ``batch_seq`` with the one the tick reported, and take
+            ``engine.snapshot()`` for a copy that stays put.
     """
 
     def __init__(self, target) -> None:
@@ -45,6 +52,7 @@ class QueryServer:
         self.epoch = 0
         self._plans: dict = {}
         self.last: EpochResults | None = None
+        self.view = None
 
     # -- registration ----------------------------------------------------
 
@@ -64,7 +72,7 @@ class QueryServer:
 
     def tick(self) -> EpochResults:
         """Evaluate every registered plan against one fresh view."""
-        view = self.engine._view()
+        view = self.view = self.engine._view()
         self.epoch += 1
         results = {}
         for name in sorted(self._plans):

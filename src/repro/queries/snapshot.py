@@ -11,17 +11,28 @@ exposes it only at *batch boundaries* (see
 :meth:`repro.runtime.engine.StreamEngine.snapshot`), so a snapshot is
 always the state after some prefix of fully applied bursts.
 
-The copy is cheap — one ``bytearray`` memcpy per served region, no
-re-hashing, no decode — and the snapshot reuses the live store
-*classes* over the frozen regions, so every query the collector can
-answer, the snapshot answers identically.  Thousands of readers can
-then run plans against their snapshots with zero coordination: nothing
-they hold is ever mutated again.
+The copy is cheap — one memcpy per served region, no re-hashing, no
+decode — and the snapshot reuses the live store *classes* over the
+frozen regions, so every query the collector can answer, the snapshot
+answers identically.  Thousands of readers can then run plans against
+their snapshots with zero coordination: nothing they hold is ever
+mutated again.
+
+One snapshot *is* mutated again, by its owner: a
+:class:`~repro.queries.engine.QueryEngine` over a stream engine keeps
+the snapshot it took and hands it back as ``into=`` every tick, and
+:func:`snapshot_of` refreshes it in place — same buffers, new bytes,
+under the same store lock.  That view is valid until the next refresh;
+its ``batch_seq`` moves when its bytes do.  The buffers are anonymous
+mappings the kernel hands over already faulted in, so the first copy
+and every later one cost the memcpy and nothing that depends on what
+the allocator did with the previous tick's memory.
 """
 
 from __future__ import annotations
 
 import copy
+import mmap
 from dataclasses import dataclass, field
 
 from repro.rdma.memory import MemoryRegion
@@ -32,26 +43,49 @@ STORE_ATTRS = ("keywrite", "keyincrement", "postcarding", "append",
                "sketch")
 
 
-def _freeze_region(region: MemoryRegion) -> MemoryRegion:
+def _resident_buffer(length: int):
+    """``length`` writable bytes whose pages are already mapped in.
+
+    ``MAP_POPULATE`` faults the whole mapping in one call; where the
+    platform lacks it the first copy into a plain anonymous mapping
+    does, a page at a time.
+    """
+    if hasattr(mmap, "MAP_POPULATE"):
+        return mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE
+                         | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE)
+    return mmap.mmap(-1, length)
+
+
+def _freeze_region(region: MemoryRegion,
+                   into: MemoryRegion | None = None) -> MemoryRegion:
     """An immutable-by-convention copy of a registered region.
 
     Same address/keys/rights (layout arithmetic and digests stay
-    valid), fresh backing buffer — the one memcpy a snapshot costs.
+    valid), own backing buffer — the one memcpy a snapshot costs.
+    ``into`` is an earlier copy of the same region to overwrite.
     """
-    return MemoryRegion(addr=region.addr, length=region.length,
-                        access=region.access, lkey=region.lkey,
-                        rkey=region.rkey, buf=bytearray(region.buf))
+    if into is None or (into.addr, into.length) != (region.addr,
+                                                    region.length):
+        into = MemoryRegion(addr=region.addr, length=region.length,
+                            access=region.access, lkey=region.lkey,
+                            rkey=region.rkey,
+                            buf=_resident_buffer(region.length))
+    into.buf[:] = region.buf
+    return into
 
 
-def _freeze_store(store):
+def _freeze_store(store, into=None):
     """Clone a store object onto a frozen copy of its region.
 
     Shallow-copies the store (layout objects are immutable and shared),
-    swaps in the frozen region, and resets per-store query counters so
-    reads against the snapshot never race the live store's accounting.
+    swaps in the frozen region — the one ``into``, an earlier clone of
+    this store, already holds, when there is one — and resets per-store
+    query counters so reads against the snapshot never race the live
+    store's accounting.
     """
     frozen = copy.copy(store)
-    frozen.region = _freeze_region(store.region)
+    frozen.region = _freeze_region(store.region,
+                                   getattr(into, "region", None))
     if hasattr(frozen, "reset_stats"):          # KeyWriteStore
         frozen.reset_stats()
     if hasattr(frozen, "queries"):              # KI / Postcarding counters
@@ -62,9 +96,12 @@ def _freeze_store(store):
     return frozen
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CollectorSnapshot:
     """A frozen, queryable view of one collector's served stores.
+
+    Nothing assigns to a snapshot except :func:`snapshot_of` refreshing
+    the one its caller passed back as ``into``.
 
     Attributes:
         name: The collector the snapshot was taken from.
@@ -118,7 +155,7 @@ class CollectorSnapshot:
 
         A snapshot taken from a quiesced deployment digests identically
         to the live collector — the property the differential suite
-        leans on.  Memoized: the regions can never change again.
+        leans on.  Memoized until the snapshot is refreshed, if it ever is.
         """
         from repro.runtime.engine import store_digest
 
@@ -127,7 +164,8 @@ class CollectorSnapshot:
         return self._digest[0]
 
 
-def snapshot_of(collector, *, batch_seq: int | None = None
+def snapshot_of(collector, *, batch_seq: int | None = None,
+                into: CollectorSnapshot | None = None
                 ) -> CollectorSnapshot:
     """Capture a :class:`CollectorSnapshot` of every served store.
 
@@ -135,11 +173,25 @@ def snapshot_of(collector, *, batch_seq: int | None = None
     running (serial deployments between sends), or the streaming
     engine's store lock is held (what
     :meth:`~repro.runtime.engine.StreamEngine.snapshot` does).
+
+    ``into`` is a snapshot this function returned for the same
+    collector and the caller alone still reads: it is refreshed in
+    place — region bytes copied over the buffers it already owns,
+    counters reset, ``batch_seq`` advanced, digest memo cleared — and
+    returned.  Every array view of its regions shows the new bytes
+    from then on.
     """
-    frozen = {}
+    frozen = dict.fromkeys(STORE_ATTRS)
     for attr in STORE_ATTRS:
         store = getattr(collector, attr, None)
         if store is not None and getattr(store, "region", None) is not None:
-            frozen[attr] = _freeze_store(store)
-    return CollectorSnapshot(name=getattr(collector, "name", "collector"),
-                             batch_seq=batch_seq, **frozen)
+            frozen[attr] = _freeze_store(store, getattr(into, attr, None))
+    if into is None:
+        return CollectorSnapshot(
+            name=getattr(collector, "name", "collector"),
+            batch_seq=batch_seq, **frozen)
+    for attr, store in frozen.items():
+        setattr(into, attr, store)
+    into.batch_seq = batch_seq
+    into._digest.clear()
+    return into

@@ -16,6 +16,7 @@ for the plan/apply pair and the stage diagram, and
 from repro.runtime.engine import (
     STAGES,
     StageError,
+    StageStalled,
     StageStats,
     StreamEngine,
     pipeline_digest,
@@ -50,6 +51,7 @@ __all__ = [
     "ShmCreditQueue",
     "ShmMessage",
     "StageError",
+    "StageStalled",
     "StageStats",
     "StreamEngine",
     "THROUGHPUT_GATE",

@@ -99,6 +99,12 @@ FRONT, BACK = STAGES[:2], STAGES[2:]
 #: flushes), which belongs to no submitted batch.
 FLUSH_SEQ = -1
 
+#: :meth:`StreamEngine.drain` waits for its stage threads as long as
+#: they keep finishing carriers; a thread still alive after this many
+#: seconds in which no stage finished one is wedged, and drain raises
+#: :class:`StageStalled` instead of hanging.
+DRAIN_STALL_S = 30.0
+
 
 class StageError(RuntimeError):
     """A stage raised mid-stream; carries the failing batch identity."""
@@ -111,6 +117,22 @@ class StageError(RuntimeError):
                   else f"batch {batch_seq}")
         super().__init__(
             f"stage '{stage}' failed on {detail}: {cause!r}")
+
+
+class StageStalled(StageError):
+    """A stage thread stopped making progress and :meth:`drain
+    <StreamEngine.drain>` gave up on it — the stream did not complete."""
+
+    def __init__(self, stage: str, batch_seq: int,
+                 stalled_s: float) -> None:
+        self.stage = stage
+        self.batch_seq = batch_seq
+        applied = ("no batch" if batch_seq == FLUSH_SEQ
+                   else f"batch {batch_seq}")
+        RuntimeError.__init__(
+            self, f"stage '{stage}' finished no carrier for "
+                  f"{stalled_s:g} s during drain ({applied} was the "
+                  "last one applied)")
 
 
 class StageStats(obs.InstrumentedStats):
@@ -390,8 +412,10 @@ class StreamEngine:
         end-of-epoch Append flush — before it exits), then delivers any
         pending control frames to the deployment's original
         ``control_sink``.  Raises the first :class:`StageError` if a
-        stage died; the pipeline is fully unwound either way.
-        Idempotent.
+        stage died; the pipeline is fully unwound either way.  A stage
+        thread that stops finishing carriers for :data:`DRAIN_STALL_S`
+        is a :class:`StageStalled`: the queues are aborted, the thread
+        is left to :meth:`close`.  Idempotent.
         """
         if not self._started:
             raise RuntimeError("engine not started")
@@ -406,13 +430,30 @@ class StreamEngine:
         else:
             self._drained = True
             self._queues[0].close()
-            for thread in self._threads:
-                thread.join()
+            self._join_stages()
             if self._pool is not None:
                 self._pool.finish()
         if self._error is not None:
             raise self._error
         self._deliver_controls()
+
+    def _join_stages(self) -> None:
+        """Join every stage thread, for as long as the stages progress."""
+        def finished() -> tuple:
+            return tuple(stats.carriers
+                         for stats in self._stage_stats.values())
+
+        for thread in self._threads:
+            while thread.is_alive():
+                before = finished()
+                thread.join(timeout=DRAIN_STALL_S)
+                if thread.is_alive() and finished() == before:
+                    applied = self._executed_seq
+                    self._abort(StageStalled(
+                        thread.name.rpartition("-")[2],
+                        FLUSH_SEQ if applied is None else applied,
+                        DRAIN_STALL_S))
+                    return
 
     def close(self) -> None:
         """Restore the deployment's wiring; abort any leftover stream.
@@ -634,13 +675,17 @@ class StreamEngine:
         return items
 
     def _fail(self, stage: str, seq: int, exc: BaseException) -> None:
+        error = StageError(stage, seq, exc)
+        error.__cause__ = exc
+        self._abort(error)
+
+    def _abort(self, error: StageError) -> None:
+        """Keep the first failure and wake everything blocked on a queue."""
         with self._error_lock:
             if self._error is None:
-                error = StageError(stage, seq, exc)
-                error.__cause__ = exc
                 self._error = error
                 obs.emit("runtime", "stage_error", engine=self.name,
-                         stage=stage, batch_seq=seq)
+                         stage=error.stage, batch_seq=error.batch_seq)
         for queue in self._queues:
             queue.abort()
         if self._pool is not None:
@@ -685,7 +730,7 @@ class StreamEngine:
         """Sequence of the last fully applied burst (None before any)."""
         return self._executed_seq
 
-    def snapshot(self):
+    def snapshot(self, into=None):
         """Freeze the collector's stores at a batch boundary.
 
         Takes :attr:`store_lock`, so the copy happens strictly between
@@ -694,12 +739,18 @@ class StreamEngine:
         every submitted batch up to ``snapshot.batch_seq`` and nothing
         of any later one.  Cheap (a memcpy per store region), so
         thousands of readers can snapshot while the stream ingests.
+
+        With no argument the result is a fresh copy nothing will touch
+        again.  ``into`` is a snapshot this engine returned and the
+        caller alone still reads: it is refreshed in place under the
+        same lock (see :func:`~repro.queries.snapshot.snapshot_of`) and
+        returned, valid until the caller's next refresh.
         """
         from repro.queries.snapshot import snapshot_of
 
         with self.store_lock:
             return snapshot_of(self.collector,
-                               batch_seq=self._executed_seq)
+                               batch_seq=self._executed_seq, into=into)
 
     def checkpoint(self, path: str, *, extra: dict | None = None,
                    overwrite: bool = False) -> str:

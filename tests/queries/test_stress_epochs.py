@@ -18,6 +18,7 @@ written atomically in one batch and expired atomically under
 from __future__ import annotations
 
 import struct
+import sys
 import threading
 
 from repro.core.batch import ReportBatch
@@ -57,9 +58,17 @@ class _EpochReader(threading.Thread):
         self.violations: list = []
 
     def run(self) -> None:
+        kept = None
         while not self.stop_event.is_set():
             results = self.server.tick()
             self.ticks += 1
+            # One view per server, refreshed in place under store_lock:
+            # the checks below are what a torn refresh would trip.
+            view = self.server.view
+            if kept not in (None, view) \
+                    or view.batch_seq != results.batch_seq:
+                self.violations.append(("view", results.batch_seq))
+            kept = view
             present = []
             for epoch in range(1, EPOCHS + 1):
                 rows = results.results[f"epoch-{epoch}"].rows
@@ -91,6 +100,10 @@ def test_query_servers_never_observe_torn_epochs_across_rotations():
 
     stop = threading.Event()
     readers = [_EpochReader(engine, stop) for _ in range(READERS)]
+    # Switch threads every few bytecodes: a refresh or an expiry outside
+    # store_lock then interleaves with a reader many times a run.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
         engine.start()
         for reader in readers:
@@ -106,6 +119,7 @@ def test_query_servers_never_observe_torn_epochs_across_rotations():
         for reader in readers:
             reader.join(timeout=10.0)
         engine.close()
+        sys.setswitchinterval(interval)
 
     for reader in readers:
         assert not reader.is_alive()

@@ -24,6 +24,7 @@ from repro.runtime import (
     QueueAborted,
     QueueClosed,
     StageError,
+    StageStalled,
     StreamEngine,
     run_lane,
 )
@@ -225,6 +226,74 @@ def test_submit_after_error_raises_immediately():
                 engine.submit(batch)
             with pytest.raises(StageError):
                 engine.submit(batch)
+        finally:
+            engine.close()
+
+
+def test_drain_gives_up_on_a_wedged_stage(monkeypatch):
+    """A stage that blocks forever must not hang ``drain()``: once no
+    stage has finished a carrier for ``DRAIN_STALL_S`` it raises a
+    StageStalled naming the wedged thread's stages, and the engine
+    still closes."""
+    from repro.runtime import engine as engine_module
+
+    monkeypatch.setattr(engine_module, "DRAIN_STALL_S", 0.2)
+    work = reports.columns("key_write", REPORTS, SEED)
+    release = threading.Event()
+    with _fresh_engine(workers=2, queue_depth=4,
+                       vectorized=False) as (_registry, engine):
+        real = engine.translator.process_batch
+        calls = {"n": 0}
+
+        def wedging(batch, **kw):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                release.wait(timeout=30.0)
+            return real(batch, **kw)
+
+        engine.translator.process_batch = wedging
+        try:
+            engine.start()
+            for s in range(0, 3 * BATCH, BATCH):
+                engine.submit(reports.batch("key_write", work, s, s + BATCH))
+            start = time.monotonic()
+            with pytest.raises(StageStalled) as excinfo:
+                engine.drain()
+            assert time.monotonic() - start < 10.0
+            error = excinfo.value
+            assert isinstance(error, StageError)
+            assert error.stage == "translate+execute"
+            assert error.batch_seq == 0          # the last batch applied
+            assert "during drain" in str(error)
+            assert engine.error is error
+        finally:
+            release.set()
+            engine.close()
+        for thread in engine._threads:
+            assert not thread.is_alive()
+
+
+def test_drain_outwaits_a_slow_stage_that_keeps_progressing(monkeypatch):
+    """The deadline is on progress, not on the drain: batches that each
+    take longer than a third of ``DRAIN_STALL_S`` still all land."""
+    from repro.runtime import engine as engine_module
+
+    monkeypatch.setattr(engine_module, "DRAIN_STALL_S", 0.3)
+    work = reports.columns("key_write", REPORTS, SEED)
+    with _fresh_engine(workers=2, queue_depth=8,
+                       vectorized=False) as (_registry, engine):
+        real = engine.translator.process_batch
+
+        def slow(batch, **kw):
+            time.sleep(0.1)
+            return real(batch, **kw)
+
+        engine.translator.process_batch = slow
+        try:
+            engine.start()
+            _submit_all(engine, work)
+            engine.drain()
+            assert engine.executed_seq == REPORTS // BATCH - 1
         finally:
             engine.close()
 
