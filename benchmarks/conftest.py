@@ -52,3 +52,37 @@ def fmt_rate(rate: float) -> str:
     if rate >= 1e6:
         return f"{rate / 1e6:.1f}M/s"
     return f"{rate / 1e3:.0f}K/s"
+
+
+def measured_lane_rates(primitive: str, reports: int = 20_000,
+                        batch: int = 64) -> dict:
+    """Reports/s this host sustains through the translator, per lane:
+    per report, the scalar batched lane, and the plan (best of 3, one
+    core, fresh deployment each; the three must agree on store bytes).
+    """
+    import time
+
+    from repro import bench
+    from repro.runtime import store_digest
+    from repro.workloads import reports as workload
+
+    work = workload.columns(primitive, reports, seed=1)
+    rates, digests = {}, set()
+    for lane in ("per report", "scalar batched", "plan"):
+        best = float("inf")
+        for _ in range(3):
+            with bench.deployment(vectorized=lane == "plan") as (
+                    _registry, collector, translator, reporter):
+                start = time.perf_counter()
+                if lane == "per report":
+                    workload.emit(reporter, primitive, work)
+                else:
+                    for s in range(0, reports, batch):
+                        reporter.send_batch(workload.batch(
+                            primitive, work, s, s + batch))
+                translator.flush_appends()
+                best = min(best, time.perf_counter() - start)
+                digests.add(store_digest(collector))
+        rates[lane] = reports / best
+    assert len(digests) == 1, "lanes disagree on store bytes"
+    return rates

@@ -10,7 +10,7 @@ import struct
 
 import pytest
 
-from conftest import fmt_rate, format_table
+from conftest import fmt_rate, format_table, measured_lane_rates
 from repro.core.collector import Collector
 from repro.core.packets import Append, make_report
 from repro.core.translator import Translator
@@ -107,3 +107,17 @@ def test_fig11_many_parallel_lists(benchmark, record):
     # Every list flushed exactly one full batch.
     assert tr.stats.append_batches == 255
     assert tr.stats.rdma_writes == 255
+
+
+def test_fig11_measured_write_rate(benchmark, record):
+    """What this host's translator sustains in Append reports/s at
+    batch 16 — next to, not instead of, the modelled rate above."""
+    rates = benchmark.pedantic(lambda: measured_lane_rates("append"),
+                               rounds=1, iterations=1)
+    record("fig11_append_measured", format_table(
+        ["Lane", "Reports/s"],
+        [(lane, fmt_rate(rate)) for lane, rate in rates.items()])
+        + "\n\n20 000 16 B entries round-robin over 4 lists, Append "
+        "batch 16, submitted 64 at a time, one core, CPython + numpy; "
+        "best of 3.")
+    assert rates["plan"] > rates["scalar batched"] > rates["per report"]

@@ -28,9 +28,11 @@ The bench lane itself runs every primitive per-report, batched and
 (``--vectorized``) through the numpy kernels, one fresh deployment per
 cell.  All modes of a primitive must produce the same ``obs_digest``:
 batching and vectorization change speed and nothing else.  Its speed
-gates — batched Key-Write >= ``SPEEDUP_GATE`` x per-report;
-vectorized Key-Increment and Sketch-Merge >= ``VECTOR_GATE`` x their
-pre-kernel baselines — compare cells of one run on one host.
+gates — batched Key-Write >= ``SPEEDUP_GATE`` x per-report; each
+vectorized cell in ``VECTOR_GATES`` >= its factor x its pre-kernel
+baseline — compare cells of one run on one host.  The vector gates
+are also what notices a plan silently not being taken: the digests
+would still match, the cell would just read ~1x.
 """
 
 from __future__ import annotations
@@ -51,11 +53,23 @@ SCHEMA = "repro-lane/1"
 
 SPEEDUP_GATE = 2.0
 VECTOR_GATE = 3.0
-# Lane the vector gate compares against: Key-Increment had a scalar
-# batched fast lane before the kernels (so that is the baseline);
-# batched Sketch-Merge used to fall through to the per-report handler.
-VECTOR_BASELINES = {"key_increment": "batched",
-                    "sketch_merge": "unbatched"}
+#: Vectorized cell -> (baseline lane, required factor).  Key-Increment
+#: had a scalar batched fast lane before the kernels (so that is the
+#: baseline); batched Sketch-Merge used to fall through to the
+#: per-report handler.  The Postcarding and Append scalar lanes already
+#: aggregate (one chunk per path, one write per 16 entries), so their
+#: plans have less left to win: measured 1.8-2.0x and 1.55-1.7x at
+#: batch 64.  A plan that is not taken reads 1.0-1.15x, so each factor
+#: sits midway between that and the measured ratio.
+VECTOR_GATES = {"key_increment": ("batched", VECTOR_GATE),
+                "sketch_merge": ("unbatched", VECTOR_GATE),
+                "postcarding": ("batched", 1.5),
+                "append": ("batched", 1.3)}
+#: The batched and vectorized cells take milliseconds at ``--quick``
+#: size, where one scheduler hiccup is a 1.5x: each is the fastest of
+#: this many runs on fresh deployments (interference only ever slows a
+#: run down; the digests of every run must agree).
+FAST_CELL_RUNS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +236,18 @@ def _latency_percentiles(snapshot, model: calibration.NicModel,
 
 def _run_cell(primitive: str, mode: str, work: dict,
               batch_size: int) -> dict:
-    """One (primitive, mode) cell on a fresh deployment."""
+    """One (primitive, mode) cell: the fastest of its runs."""
+    runs = [_run_once(primitive, mode, work, batch_size)
+            for _ in range(1 if mode == "unbatched" else FAST_CELL_RUNS)]
+    if len({run["obs_digest"] for run in runs}) != 1:
+        raise RuntimeError(f"{primitive}/{mode}: runs of one cell "
+                           "disagree on the obs digest")
+    return min(runs, key=lambda run: run["elapsed_s"])
+
+
+def _run_once(primitive: str, mode: str, work: dict,
+              batch_size: int) -> dict:
+    """One run of a (primitive, mode) cell on a fresh deployment."""
     n = workload.size(work)
     with deployment(vectorized=(mode == "vectorized"),
                     sketch_width=workload.sketch_width(primitive, n)) as (
@@ -271,13 +296,13 @@ def run_bench(*, reports: int = 20000, batch_size: int = 64,
             gates.append(gate("key_write batched speedup", speedup,
                               SPEEDUP_GATE))
         if vectorized:
-            baseline = VECTOR_BASELINES.get(primitive, "batched")
+            baseline, factor = VECTOR_GATES.get(primitive, ("batched", None))
             speedup = set_speedup(by_mode["vectorized"],
                                   f"{primitive}/{baseline}",
                                   by_mode[baseline])
-            if primitive in VECTOR_BASELINES:
+            if factor is not None:
                 gates.append(gate(f"{primitive} vectorized speedup",
-                                  speedup, VECTOR_GATE))
+                                  speedup, factor))
     config = {"reports": reports, "batch_size": batch_size, "seed": seed,
               "speedup_gate": SPEEDUP_GATE, "vector_gate": VECTOR_GATE,
               "vectorized": vectorized}

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import struct
 
+from repro import calibration
 from repro.core import packets
 from repro.core.packets import (
     MAX_DATA_BYTES,
@@ -42,11 +43,42 @@ _PC_SUB = struct.Struct(">BBBBI")  # redundancy, key_len, hop, path_len, value
 _AP_SUB = struct.Struct(">HH")     # list_id, data_len
 _SM_SUB = struct.Struct(">HHB")    # sketch_id, column, depth
 
+_SUBHEADERS = {DtaPrimitive.KEY_WRITE: _KW_SUB,
+               DtaPrimitive.KEY_INCREMENT: _KI_SUB,
+               DtaPrimitive.POSTCARDING: _PC_SUB,
+               DtaPrimitive.APPEND: _AP_SUB,
+               DtaPrimitive.SKETCH_MERGE: _SM_SUB}
 
-def _check_keys(keys) -> None:
-    for key in keys:
-        if not key or len(key) > MAX_KEY_BYTES:
-            raise ValueError(f"key must be 1..{MAX_KEY_BYTES} bytes")
+#: Per-report framing: Eth + IPv4 + UDP + the DTA base header.
+_FRAMING_BYTES = (calibration.ETH_HDR_BYTES + calibration.IPV4_HDR_BYTES
+                  + calibration.UDP_HDR_BYTES + packets.BASE_HEADER_BYTES)
+
+
+def _total_bytes(column, sizes: set) -> int:
+    """Bytes in ``column``, whose distinct item sizes are ``sizes``."""
+    if len(sizes) == 1:
+        (size,) = sizes
+        return size * len(column)
+    return sum(map(len, column))
+
+
+def _check_keys(keys) -> int:
+    """Validate the key column; returns its total byte count."""
+    sizes = set(map(len, keys))
+    if sizes and not 0 < min(sizes) <= max(sizes) <= MAX_KEY_BYTES:
+        raise ValueError(f"key must be 1..{MAX_KEY_BYTES} bytes")
+    return _total_bytes(keys, sizes)
+
+
+def _check_datas(datas, *, allow_empty: bool) -> int:
+    """Validate a data column; returns its total byte count."""
+    sizes = set(map(len, datas))
+    if sizes:
+        if not allow_empty and not min(sizes):
+            raise ValueError("append data must be non-empty")
+        if max(sizes) > MAX_DATA_BYTES:
+            raise ValueError(f"data exceeds {MAX_DATA_BYTES} bytes")
+    return _total_bytes(datas, sizes)
 
 
 def _check_redundancy(redundancy: int) -> None:
@@ -82,7 +114,7 @@ class ReportBatch:
     __slots__ = ("primitive", "reporter_id", "essential", "immediate",
                  "redundancy", "keys", "datas", "values", "hops",
                  "path_lengths", "list_ids", "seqs", "sketch_id",
-                 "columns", "counter_rows")
+                 "columns", "counter_rows", "_column_bytes")
 
     def __init__(self, primitive: DtaPrimitive, *, redundancy: int = 1,
                  essential: bool = False, immediate: bool = False) -> None:
@@ -101,6 +133,10 @@ class ReportBatch:
         self.sketch_id = 0
         self.columns: list = []
         self.counter_rows: list = []
+        #: Bytes of the variable-length columns (keys, datas, sketch
+        #: counters) as a constructor summed them while validating;
+        #: None for a batch whose columns were filled in directly.
+        self._column_bytes: int | None = None
 
     # ------------------------------------------------------------------
     # Constructors — one per batched primitive
@@ -114,14 +150,13 @@ class ReportBatch:
         if len(keys) != len(datas):
             raise ValueError("keys and datas must be the same length")
         _check_redundancy(redundancy)
-        _check_keys(keys)
-        for data in datas:
-            if len(data) > MAX_DATA_BYTES:
-                raise ValueError(f"data exceeds {MAX_DATA_BYTES} bytes")
+        column_bytes = _check_keys(keys) + _check_datas(datas,
+                                                        allow_empty=True)
         batch = cls(DtaPrimitive.KEY_WRITE, redundancy=redundancy,
                     essential=essential, immediate=immediate)
         batch.keys = list(keys)
         batch.datas = list(datas)
+        batch._column_bytes = column_bytes
         return batch
 
     @classmethod
@@ -132,11 +167,12 @@ class ReportBatch:
         if len(keys) != len(values):
             raise ValueError("keys and values must be the same length")
         _check_redundancy(redundancy)
-        _check_keys(keys)
+        column_bytes = _check_keys(keys)
         batch = cls(DtaPrimitive.KEY_INCREMENT, redundancy=redundancy,
                     essential=essential, immediate=immediate)
         batch.keys = list(keys)
         batch.values = list(values)
+        batch._column_bytes = column_bytes
         return batch
 
     @classmethod
@@ -147,7 +183,7 @@ class ReportBatch:
         if not len(keys) == len(hops) == len(values):
             raise ValueError("keys/hops/values must be the same length")
         _check_redundancy(redundancy)
-        _check_keys(keys)
+        column_bytes = _check_keys(keys)
         for hop in hops:
             if not 0 <= hop < 32:
                 raise ValueError("hop must be in [0, 32)")
@@ -163,6 +199,7 @@ class ReportBatch:
                               else list(path_lengths))
         if len(batch.path_lengths) != len(batch.keys):
             raise ValueError("path_lengths must match keys in length")
+        batch._column_bytes = column_bytes
         return batch
 
     @classmethod
@@ -174,15 +211,12 @@ class ReportBatch:
         for list_id in list_ids:
             if not 0 <= list_id < (1 << 16):
                 raise ValueError("list_id must fit 16 bits")
-        for data in datas:
-            if not data:
-                raise ValueError("append data must be non-empty")
-            if len(data) > MAX_DATA_BYTES:
-                raise ValueError(f"data exceeds {MAX_DATA_BYTES} bytes")
+        column_bytes = _check_datas(datas, allow_empty=False)
         batch = cls(DtaPrimitive.APPEND, essential=essential,
                     immediate=immediate)
         batch.list_ids = list(list_ids)
         batch.datas = list(datas)
+        batch._column_bytes = column_bytes
         return batch
 
     @classmethod
@@ -203,16 +237,20 @@ class ReportBatch:
         for column in columns:
             if not 0 <= column < (1 << 16):
                 raise ValueError("column index must fit 16 bits")
+        counters_total = 0
         for counters in counter_rows:
-            if not counters:
+            depth = len(counters)
+            if not depth:
                 raise ValueError("a sketch column carries >= 1 counter")
-            if len(counters) > 255:
+            if depth > 255:
                 raise ValueError("at most 255 counters per column")
+            counters_total += depth
         batch = cls(DtaPrimitive.SKETCH_MERGE, essential=essential,
                     immediate=immediate)
         batch.sketch_id = sketch_id
         batch.columns = list(columns)
         batch.counter_rows = [tuple(counters) for counters in counter_rows]
+        batch._column_bytes = 4 * counters_total
         return batch
 
     # ------------------------------------------------------------------
@@ -240,30 +278,22 @@ class ReportBatch:
         exactly ``sum(packets.report_wire_bytes(op))`` over the batch's
         operations, computed from the column lengths without
         serialising anything.  The streaming runtime's link stage
-        charges byte accounting from this.
+        charges byte accounting from this.  The constructors summed the
+        variable-length columns while validating them; a batch filled
+        in directly is summed here.
         """
-        from repro import calibration
-
-        framing = (calibration.ETH_HDR_BYTES + calibration.IPV4_HDR_BYTES
-                   + calibration.UDP_HDR_BYTES + packets.BASE_HEADER_BYTES)
-        n = len(self)
         prim = self.primitive
-        if prim is DtaPrimitive.KEY_WRITE:
-            body = (_KW_SUB.size * n
-                    + sum(len(k) for k in self.keys)
-                    + sum(len(d) for d in self.datas))
-        elif prim is DtaPrimitive.KEY_INCREMENT:
-            body = _KI_SUB.size * n + sum(len(k) for k in self.keys)
-        elif prim is DtaPrimitive.POSTCARDING:
-            body = _PC_SUB.size * n + sum(len(k) for k in self.keys)
-        elif prim is DtaPrimitive.APPEND:
-            body = _AP_SUB.size * n + sum(len(d) for d in self.datas)
-        elif prim is DtaPrimitive.SKETCH_MERGE:
-            body = (_SM_SUB.size * n
-                    + 4 * sum(len(c) for c in self.counter_rows))
-        else:
+        sub = _SUBHEADERS.get(prim)
+        if sub is None:
             raise ValueError(f"cannot size a {prim.name} batch")
-        return framing * n + body
+        column_bytes = self._column_bytes
+        if column_bytes is None:
+            if prim is DtaPrimitive.SKETCH_MERGE:
+                column_bytes = 4 * sum(map(len, self.counter_rows))
+            else:
+                column_bytes = (sum(map(len, self.keys))
+                                + sum(map(len, self.datas)))
+        return (_FRAMING_BYTES + sub.size) * len(self) + column_bytes
 
     def _headers(self):
         """Per-report packed DTA base headers.

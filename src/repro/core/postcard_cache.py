@@ -15,11 +15,16 @@ packet codec in the loop; the translator wraps it with real flow keys.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
-import zlib
-
 from repro.obs.views import InstrumentedStats, counter_field
+from repro.switch.crc import _splitmix64
+
+
+#: ``crc32(b"PC" + key)`` is ``crc32(key, _BYTES_SEED)``: flow keys get
+#: a cache-row hash of their own, apart from the store's hash family.
+_BYTES_SEED = zlib.crc32(b"\x50\x43")
 
 
 @dataclass
@@ -79,14 +84,12 @@ class PostcardCache:
         self.pending_evicted: list[Emission] = []
 
     def _index(self, key) -> int:
+        if isinstance(key, bytes):
+            return zlib.crc32(key, _BYTES_SEED) % self.slots
         if isinstance(key, int):
             # Mix the bits: sequential flow ids must spread like the
             # hardware CRC does, not fall into consecutive rows.
-            from repro.switch.crc import _splitmix64
-
             return _splitmix64(key) % self.slots
-        if isinstance(key, bytes):
-            return zlib.crc32(b"\x50\x43" + key) % self.slots
         return hash(key) % self.slots
 
     def insert(self, key, hop: int, value, *,
@@ -130,6 +133,73 @@ class PostcardCache:
                 self.pending_evicted.append(evicted)
             return completed
         return evicted
+
+    def insert_many(self, keys, hops, values, path_lens) -> list:
+        """:meth:`insert` over parallel columns, in order.
+
+        Returns every emission the loop ``insert(keys[i], hops[i],
+        values[i], path_len=path_lens[i] or None)`` would have produced
+        — each insert's returned emission, then whatever it left in
+        :attr:`pending_evicted` — and leaves rows and counters as that
+        loop would.  A flow whose postcards all sit in this batch and
+        complete its path exactly once, on a row that is free and that
+        no other flow of the batch hashes to, never meets another
+        flow's state, so it is assembled without entering the table;
+        every other postcard (a collision, a resident or straddling
+        flow, a repeated hop) goes through :meth:`insert`.  A hop out
+        of range raises before anything changes.
+        """
+        if not keys:
+            return []
+        limit = self.hops
+        if min(hops) < 0 or max(hops) >= limit:
+            raise IndexError(f"hop outside [0, {limit})")
+        flows: dict = {}
+        for at, key in enumerate(keys):
+            seen = flows.get(key)
+            if seen is None:
+                flows[key] = [at]
+            else:
+                seen.append(at)
+        homes = list(map(self._index, flows))
+        claimed: set = set()
+        shared = {home for home in homes
+                  if home in claimed or claimed.add(home)}
+        rows = self._rows
+        # Emissions a caller left undrained go out with the first
+        # insert, so no flow may be assembled ahead of it.
+        isolated = not self.pending_evicted
+        out = []        # (arrival of the trigger, order of emission, it)
+        rest = []
+        for (key, ats), home in zip(flows.items(), homes):
+            path_len = path_lens[ats[0]]
+            need = min(path_len, limit) if path_len > 0 else limit
+            if (isolated and len(ats) == need and path_len >= 0
+                    and rows[home] is None and home not in shared
+                    and all(path_lens[at] == path_len for at in ats)):
+                chunk = [None] * limit
+                for at in ats:
+                    chunk[hops[at]] = values[at]
+                if chunk.count(None) == limit - need:   # no hop twice
+                    out.append((ats[-1], len(out),
+                                Emission(key, chunk, True, "complete")))
+                    continue
+            rest.extend(ats)
+        whole = len(out)
+        self.stats.postcards += len(keys) - len(rest)
+        self.stats.emissions_complete += whole
+        if rest:
+            rest.sort()
+            insert, pending = self.insert, self.pending_evicted
+            for at in rest:
+                emission = insert(keys[at], hops[at], values[at],
+                                  path_len=path_lens[at] or None)
+                if emission is not None:
+                    out.append((at, len(out), emission))
+                while pending:
+                    out.append((at, len(out), pending.pop()))
+        out.sort()
+        return [emission for _at, _order, emission in out]
 
     def _emit(self, index: int, reason: str) -> Emission:
         row = self._rows[index]

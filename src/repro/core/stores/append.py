@@ -89,6 +89,19 @@ class AppendLayout:
         lap = head // self.capacity
         return b"".join(self.encode_entry(e, lap) for e in entries)
 
+    def encode_run(self, entries: list, head: int) -> bytes:
+        """:meth:`encode_batch` in one join where there is nothing to
+        pad: entries that all fill their slot are ``tag.join``-ed, the
+        lap tag being the separator too.  Anything else (a narrower
+        entry, one too wide, a run that would wrap) is
+        :meth:`encode_batch`'s, errors included.
+        """
+        if (set(map(len, entries)) != {self.data_bytes}
+                or head % self.capacity + len(entries) > self.capacity):
+            return self.encode_batch(entries, head)
+        tag = bytes((lap_tag(head // self.capacity),))
+        return tag + tag.join(entries)
+
 
 class AppendStore:
     """Collector-side Append helpers: pollers and direct reads."""

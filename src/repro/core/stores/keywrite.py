@@ -102,59 +102,36 @@ class KeyWriteLayout:
 
     # -- vectorized twins (numpy-gated; see repro.kernels) ---------------
 
-    def slot_indices_many(self, packed, lengths, redundancy: int):
-        """Slot indices of a packed key batch: ``(redundancy, n)`` int64.
-
-        Row ``r`` holds each key's redundancy-``r`` slot — the same hash
-        lanes as :meth:`slot_index` (``hash_family`` lane ``r``), so the
-        vectorized Key-Write lane lands entries in exactly the slots the
-        scalar path would.
-        """
-        lanes = kcrc.hash_lanes(redundancy, packed, lengths)
-        return (lanes % np.uint32(self.slots)).astype(np.int64)
-
-    def checksums_many(self, packed, lengths):
-        """Per-key 32-bit checksums (lane ``MAX_REDUNDANCY``), uint32."""
-        return kcrc.hash_lane_many(MAX_REDUNDANCY, packed, lengths)
-
     def probes_many(self, packed, lengths, redundancy: int):
-        """What a query needs of a packed key batch, in one hash pass:
-        ``(slot_indices_many(...), checksums_many(...))``."""
+        """What a query — or a write plan — needs of a packed key
+        batch, in one hash pass: ``(slots, checksums)``.
+
+        ``slots`` is ``(redundancy, n)`` int64, row ``r`` each key's
+        :meth:`slot_index` at ``r`` (``hash_family`` lane ``r``);
+        ``checksums`` the keys' :meth:`checksum` (lane
+        ``MAX_REDUNDANCY``), uint32.
+        """
         lanes = kcrc.hash_lanes_at((*range(redundancy), MAX_REDUNDANCY),
                                    packed, lengths)
         slots = (lanes[:-1] % np.uint32(self.slots)).astype(np.int64)
         return slots, lanes[-1]
 
-    def encode_entries_many(self, packed, lengths, datas):
+    def encode_entries_packed(self, packed_data, checksums):
         """Encode a whole batch of slot entries: ``(n, slot_bytes)`` uint8.
 
         Row ``i`` is byte-identical to ``encode_entry(keys[i],
         datas[i])`` — big-endian checksum followed by the zero-padded
-        value.
+        value.  ``checksums`` is :meth:`probes_many`'s; ``packed_data``
+        must be ``(n, data_bytes)`` uint8 with values zero-padded on
+        the right (length validation is the caller's job).  This is the
+        form the shared-memory plan workers consume — the data column
+        crosses the process boundary as one matrix, no per-value Python
+        objects.
         """
-        for data in datas:
-            if len(data) > self.data_bytes:
-                raise ValueError(
-                    f"data ({len(data)}B) exceeds slot value width "
-                    f"({self.data_bytes}B)")
-        packed_data, _ = kcrc.pack_keys(datas, pad_to=self.data_bytes)
-        return self.encode_entries_packed(packed, lengths, packed_data)
-
-    def encode_entries_packed(self, packed, lengths, packed_data):
-        """:meth:`encode_entries_many` from an already-padded data matrix.
-
-        ``packed_data`` must be ``(n, data_bytes)`` uint8 with values
-        zero-padded on the right (what ``kernels.crc.pack_keys`` with
-        ``pad_to=data_bytes`` produces); length validation is the
-        caller's job.  This is the form the shared-memory plan workers
-        consume — the data column crosses the process boundary as one
-        matrix, no per-value Python objects.
-        """
-        n = packed.shape[0]
-        entries = np.zeros((n, self.slot_bytes), dtype=np.uint8)
+        n = len(checksums)
+        entries = np.empty((n, self.slot_bytes), dtype=np.uint8)
         entries[:, :CHECKSUM_BYTES] = (
-            self.checksums_many(packed, lengths).astype(">u4")
-            .view(np.uint8).reshape(n, CHECKSUM_BYTES))
+            checksums.astype(">u4").view(np.uint8).reshape(n, CHECKSUM_BYTES))
         entries[:, CHECKSUM_BYTES:] = packed_data
         return entries
 

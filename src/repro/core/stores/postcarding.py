@@ -27,9 +27,9 @@ BLANK = None
 
 _BLANK_TOKEN = b"\xff\xfe__dta_blank__"
 
-#: ``hash_family`` lanes ``0 .. _CHUNK_LANES-1`` pick the chunks; the
+#: ``hash_family`` lanes ``0 .. CHUNK_LANES-1`` pick the chunks; the
 #: per-hop checksum lanes follow them.
-_CHUNK_LANES = 8
+CHUNK_LANES = 8
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,13 @@ class PostcardingLayout:
         if self.pad_to < self.hops * self.slot_bytes_per_slot:
             raise ValueError("pad_to smaller than the chunk payload")
         object.__setattr__(self, "_chunk_hashes",
-                           tuple(hash_family(_CHUNK_LANES)))
+                           tuple(hash_family(CHUNK_LANES)))
         # Per-(key, hop) checksums: "hop-specific checksums ... through
         # custom CRC polynomials" — one derived function per hop.
         object.__setattr__(self, "_hop_csums",
                            tuple(hash_family(
-                               _CHUNK_LANES + self.hops,
-                               width_bits=self.slot_bits)[_CHUNK_LANES:]))
+                               CHUNK_LANES + self.hops,
+                               width_bits=self.slot_bits)[CHUNK_LANES:]))
         object.__setattr__(self, "_value_hash",
                            hash_family(100, width_bits=self.slot_bits)[-1])
 
@@ -154,10 +154,10 @@ class PostcardingLayout:
         b > 32).  Slots of at most 32 bits share the chunk lanes'
         CRC-32 pass.
         """
-        if redundancy > _CHUNK_LANES:
+        if redundancy > CHUNK_LANES:
             raise IndexError("redundancy beyond the chunk hash family")
         chunk_lanes = range(redundancy)
-        hop_lanes = range(_CHUNK_LANES, _CHUNK_LANES + self.hops)
+        hop_lanes = range(CHUNK_LANES, CHUNK_LANES + self.hops)
         if self.slot_bits <= 32:
             lanes = kcrc.hash_lanes_at((*chunk_lanes, *hop_lanes),
                                        packed, lengths)

@@ -19,8 +19,11 @@ This is the system's centrepiece (Sections 3.1 and 4.2).  The translator
 
 Every primitive exists exactly twice here: one *scalar reference* (the
 ``_batch_*`` column loops, which every digest gate anchors to) and one
-*vector fast path* (:meth:`Translator.plan_batch` -> :class:`VectorPlan`
-for Key-Write / Key-Increment, ``_vector_sketch`` for Sketch-Merge).
+*vector fast path* (:meth:`Translator.plan_batch` -> :class:`VectorPlan`).
+Key-Write and Key-Increment plans are pure functions of the reports;
+Postcarding, Append and Sketch-Merge plans also advance translator
+state (cache rows, pending lists and heads, column cursors), so they
+validate first and touch nothing unless they will return a plan.
 :meth:`Translator.process_batch` consumes a whole
 :class:`~repro.core.batch.ReportBatch` — the hot path that amortises
 counter updates and posts RDMA verbs in bursts (the software analogue
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -55,7 +59,11 @@ from repro.core.postcard_cache import PostcardCache
 from repro.core.stores.append import AppendLayout
 from repro.core.stores.keyincrement import KeyIncrementLayout
 from repro.core.stores.keywrite import KeyWriteLayout
-from repro.core.stores.postcarding import BLANK, PostcardingLayout
+from repro.core.stores.postcarding import (
+    BLANK,
+    CHUNK_LANES,
+    PostcardingLayout,
+)
 from repro.core.stores.sketchstore import SketchLayout
 from repro.core.transport import CtrlFrame, DtaFrame, RdmaClient, RoceFrame
 from repro.fabric.topology import Node
@@ -98,15 +106,19 @@ class TranslatorStats(obs.InstrumentedStats):
 
 @dataclass(slots=True)
 class VectorPlan:
-    """One vector-eligible batch as a single array operation.
+    """One vector-eligible batch as a single burst-kernel call.
 
     What :meth:`Translator.plan_batch` returns: the translator counters
-    are already charged for ``reports`` reports, and the plan is
-    committed — :meth:`apply` lands it exactly once, as one burst
-    kernel call or as the equivalent scalar burst.  Request ``i``
-    targets ``base + indices[i] * stride``; ``payload`` holds one
-    ``stride``-byte row per Key-Write request, one int64 addend per
-    Key-Increment request.
+    are already charged for ``reports`` reports (and any translator
+    state the batch advances is advanced), and the plan is committed —
+    :meth:`apply` lands it exactly once, as one burst kernel call or as
+    the equivalent scalar burst.  Request ``i`` targets ``base +
+    indices[i] * stride``.  ``payload`` is an int64 array of addends
+    (Key-Increment), a uint8 matrix of one row per write, at most
+    ``stride`` bytes wide (Key-Write, Postcarding), or a list of
+    ``bytes``, one contiguous write each, a whole number of slots long
+    (Append flushes, Sketch-Merge transfers).  A batch with nothing to
+    emit is a plan with zero requests.
     """
 
     kind: DtaPrimitive
@@ -127,23 +139,40 @@ class VectorPlan:
         machinery (bounded retry, QP re-handshake) handles it.
         """
         atomic = self.kind is DtaPrimitive.KEY_INCREMENT
-        kernel = kburst.fetch_add_many if atomic else kburst.write_rows
         target = kburst.resolve_target(client, self.rkey, atomic=atomic)
-        if target is not None and kernel(target, client, self.indices,
-                                         self.payload) is not None:
-            return
+        if target is not None:
+            if atomic:
+                landed = kburst.fetch_add_many(target, client, self.indices,
+                                               self.payload)
+            elif isinstance(self.payload, list):
+                landed = kburst.write_spans(target, client, self.indices,
+                                            self.payload, self.stride)
+            else:
+                landed = kburst.write_rows(target, client, self.indices,
+                                           self.payload, self.stride)
+            if landed is not None:
+                return
+        client.post_burst(self.scalar_burst())
+
+    def scalar_burst(self) -> list:
+        """The plan as the work requests the scalar lane would post."""
         base, stride, rkey = self.base, self.stride, self.rkey
-        if atomic:
-            wrs = [WorkRequest(opcode=Opcode.FETCH_ADD,
-                               remote_addr=base + int(index) * stride,
-                               rkey=rkey, swap=int(addend))
-                   for index, addend in zip(self.indices, self.payload)]
-        else:
-            wrs = [WorkRequest(opcode=Opcode.WRITE,
-                               remote_addr=base + int(index) * stride,
-                               rkey=rkey, data=row.tobytes())
-                   for index, row in zip(self.indices, self.payload)]
-        client.post_burst(wrs)
+        payload = self.payload
+        if isinstance(payload, list):
+            return [WorkRequest(opcode=Opcode.WRITE,
+                                remote_addr=base + slot * stride,
+                                rkey=rkey, data=data)
+                    for slot, data in zip(self.indices, payload)]
+        indices = self.indices.tolist()
+        if self.kind is DtaPrimitive.KEY_INCREMENT:
+            return [WorkRequest(opcode=Opcode.FETCH_ADD,
+                                remote_addr=base + index * stride,
+                                rkey=rkey, swap=addend)
+                    for index, addend in zip(indices, payload.tolist())]
+        return [WorkRequest(opcode=Opcode.WRITE,
+                            remote_addr=base + index * stride,
+                            rkey=rkey, data=row.tobytes())
+                for index, row in zip(indices, payload)]
 
 
 @dataclass
@@ -152,11 +181,32 @@ class _HashedBinding:
     rkey: int
 
 
+class _ValueCodes(dict):
+    """``{v: g(v)}`` for the postcard values (and ⊔) a translator has
+    encoded, filled as they first appear — the writer's half of the
+    table the collector pre-populates for V.  Values are 32-bit, so a
+    stream that never repeats one would grow it without bound: it
+    starts over at ``LIMIT`` entries."""
+
+    __slots__ = ("_g",)
+    LIMIT = 1 << 16
+
+    def __init__(self, g) -> None:
+        self._g = g
+
+    def __missing__(self, value) -> int:
+        if len(self) >= self.LIMIT:
+            self.clear()
+        code = self[value] = self._g(value)
+        return code
+
+
 @dataclass
 class _PostcardingBinding:
     layout: PostcardingLayout
     rkey: int
     cache: PostcardCache
+    codes: _ValueCodes | None = None        # built by the first plan
 
 
 @dataclass
@@ -176,27 +226,25 @@ class _SketchBinding:
     batch_columns: int
     merge: str = "sum"                      # "sum" | "max"
     sketch_id: int = 0
-    vectorized: bool = False                # numpy counter storage
-    columns: list = field(default_factory=list)       # width x depth ints
-    merged_count: list = field(default_factory=list)  # per-column reporters
+    # Counter storage is allocated by the first report that needs it
+    # (width x depth zeros cost more than the rest of a deployment's
+    # set-up), in the form of the lane that report runs on.
+    columns: object = None                  # width x depth ints
+    merged_count: object = None             # per-column reporters
+    completed: object = None                # per-column bool
     next_column: dict = field(default_factory=dict)   # reporter -> expected
-    completed: list = field(default_factory=list)     # per-column bool
     next_transfer: int = 0
 
-    def __post_init__(self) -> None:
-        if isinstance(self.columns, list) and not self.columns:
-            self.alloc_storage()
+    def alloc_storage(self, *, arrays: bool) -> None:
+        """Allocate zeroed counter storage for a fresh epoch.
 
-    def alloc_storage(self) -> None:
-        """(Re)allocate zeroed counter storage for a fresh epoch.
-
-        List storage is the reference semantics; the vectorized binding
-        holds the same values in int64 arrays, which every scalar code
-        path indexes identically (the per-report lane works unchanged on
-        either).
+        List storage is the scalar lane's and the reference semantics
+        (unbounded Python ints); ``arrays`` is the plan's: the same
+        values in int64 arrays, which every scalar code path indexes
+        identically (the scalar lane works unchanged on either).
         """
         width, depth = self.layout.width, self.layout.depth
-        if self.vectorized:
+        if arrays:
             self.columns = np.zeros((width, depth), dtype=np.int64)
             self.merged_count = np.zeros(width, dtype=np.int64)
             self.completed = np.zeros(width, dtype=bool)
@@ -204,6 +252,21 @@ class _SketchBinding:
             self.columns = [[0] * depth for _ in range(width)]
             self.merged_count = [0] * width
             self.completed = [False] * width
+
+    def array_storage(self) -> bool:
+        """Make the storage arrays (allocating, or converting what the
+        scalar lane built); False if a counter no longer fits int64."""
+        if self.columns is None:
+            self.alloc_storage(arrays=True)
+        elif isinstance(self.columns, list):
+            try:
+                columns = np.array(self.columns, dtype=np.int64)
+            except OverflowError:
+                return False
+            self.columns = columns
+            self.merged_count = np.array(self.merged_count, dtype=np.int64)
+            self.completed = np.array(self.completed, dtype=bool)
+        return True
 
 
 class Translator(Node):
@@ -351,8 +414,7 @@ class Translator(Node):
                                   expected_reporters=p["expected_reporters"],
                                   batch_columns=p.get("batch_columns", 8),
                                   merge=p.get("merge", "sum"),
-                                  sketch_id=p.get("sketch_id", 0),
-                                  vectorized=self.vectorized)
+                                  sketch_id=p.get("sketch_id", 0))
 
     # ------------------------------------------------------------------
     # Fabric-mode entry point
@@ -467,9 +529,9 @@ class Translator(Node):
         verbs, with collector memory and every obs counter bit-identical
         to feeding the batch's reports through :meth:`handle_report`
         one by one (enforced by ``tests/core/test_batch_differential``).
-        A vector-eligible batch runs as one :class:`VectorPlan`
-        (:meth:`plan_batch` decides); every other batch takes the
-        scalar reference lane of its primitive.
+        A vector-eligible batch of any primitive runs as one
+        :class:`VectorPlan` (:meth:`plan_batch` decides); every other
+        batch takes the scalar reference lane of its primitive.
 
         Batches that involve per-report control-plane state — a
         configured rate meter, tenant quotas, essential sequence
@@ -515,7 +577,7 @@ class Translator(Node):
             for raw in batch.iter_raw():
                 self.handle_report(raw, src=src)
 
-    # -- vector fast path: Key-Write / Key-Increment ----------------------
+    # -- vector fast path: one plan per primitive --------------------------
 
     def plan_batch(self, batch, client=None, *, arrays=None):
         """:meth:`plan_columns` for a batch object: a charged
@@ -527,7 +589,11 @@ class Translator(Node):
         here.  A batch carrying essential / immediate flags is never
         planned; any other is packed (``plan_vector_*``) only once the
         decision went its way, so a declined batch costs a few
-        attribute reads.  ``client`` defaults to the attached one (the
+        attribute reads.  A Postcarding, Append or Sketch-Merge plan
+        also advances the state its scalar lane would (cache rows,
+        pending lists and heads, column cursors): its planner validates
+        the whole batch first and declines with nothing touched.
+        ``client`` defaults to the attached one (the
         engine passes the real client while its verb recorder is
         attached); ``arrays`` is ``(indices, payload)`` as a plan
         worker computed them from :meth:`plan_request`.
@@ -535,9 +601,16 @@ class Translator(Node):
         if batch.essential or batch.immediate:
             return None
         kind = batch.primitive
-        planner = (self.plan_vector_keywrite
-                   if kind is DtaPrimitive.KEY_WRITE
-                   else self.plan_vector_keyincrement)
+        if kind is DtaPrimitive.KEY_WRITE:
+            planner = self.plan_vector_keywrite
+        elif kind is DtaPrimitive.KEY_INCREMENT:
+            planner = self.plan_vector_keyincrement
+        elif kind is DtaPrimitive.POSTCARDING:
+            planner = self._plan_postcard
+        elif kind is DtaPrimitive.APPEND:
+            planner = self._plan_append
+        else:
+            planner = self._plan_sketch
         return self._plan(kind, len(batch), client, arrays, planner, batch)
 
     def plan_columns(self, kind, reports: int, packed, lengths, third,
@@ -558,14 +631,17 @@ class Translator(Node):
         receive burst delivered for the shard (``docs/CONCURRENCY.md``,
         "Plan width is not observable").
         """
+        if kind not in PLAN_KERNELS:
+            return None     # no plan from columns: its runs come as batches
         return self._plan(kind, reports, client, None, self._plan_vector,
                           kind, packed, lengths, third, redundancy)
 
     def _plan(self, kind, reports: int, client, arrays, planner, *source):
         """Decide, then compute, then charge — the body both
         :meth:`plan_columns` and :meth:`plan_batch` are entries to.
-        ``planner(*source, target)`` yields the plan arrays, or None;
-        it runs only once the decision went its way."""
+        ``planner(*source, target)`` yields the plan's ``(indices,
+        payload)``, or None having touched nothing; it runs only once
+        the decision went its way."""
         hit = self._vector_target(kind, reports, client)
         if hit is None:
             return None
@@ -575,21 +651,38 @@ class Translator(Node):
             if arrays is None:
                 return None
         indices, payload = arrays
-        count = len(indices)
+        layout = binding.layout
         stats = self.stats
         stats.reports_in += reports
         if kind is DtaPrimitive.KEY_WRITE:
-            stride = binding.layout.slot_bytes
+            stride = layout.slot_bytes
             stats.keywrites += reports
-            stats.rdma_writes += count
-        else:
+        elif kind is DtaPrimitive.KEY_INCREMENT:
             stride = 8
             stats.keyincrements += reports
-            stats.rdma_atomics += count
-        stats.rdma_payload_bytes += count * stride
-        self._payload_hist.observe_repeated(stride, count)
-        return VectorPlan(kind, binding.rkey, binding.layout.base_addr,
-                          stride, indices, payload, reports)
+        elif kind is DtaPrimitive.POSTCARDING:
+            stride = layout.pad_to
+            stats.postcards += reports
+        elif kind is DtaPrimitive.APPEND:
+            stride = layout.entry_bytes
+            stats.appends += reports
+        else:
+            stride = layout.column_bytes
+            stats.sketch_columns += reports
+        requests = len(indices)
+        if kind is DtaPrimitive.KEY_INCREMENT:
+            stats.rdma_atomics += requests
+            sizes = {8: requests}
+        else:
+            stats.rdma_writes += requests
+            sizes = (kburst.write_sizes(payload)
+                     if isinstance(payload, list)
+                     else {payload.shape[1]: requests})
+        for size, count in sizes.items():
+            stats.rdma_payload_bytes += size * count
+            self._payload_hist.observe_repeated(size, count)
+        return VectorPlan(kind, binding.rkey, layout.base_addr, stride,
+                          indices, payload, reports)
 
     def _vector_target(self, kind, reports: int, client):
         """``(binding, burst target)`` if ``reports`` plain reports of
@@ -607,6 +700,12 @@ class Translator(Node):
             binding = self._kw
         elif kind is DtaPrimitive.KEY_INCREMENT:
             binding = self._ki
+        elif kind is DtaPrimitive.POSTCARDING:
+            binding = self._pc
+        elif kind is DtaPrimitive.APPEND:
+            binding = self._ap
+        elif kind is DtaPrimitive.SKETCH_MERGE:
+            binding = self._sm
         else:
             return None
         if binding is None:
@@ -627,17 +726,18 @@ class Translator(Node):
         the batch is not worth shipping.  Touches no state: the arrays
         come back through :meth:`plan_batch`, which still decides.
         """
-        if batch.essential or batch.immediate:
-            return None
+        if (batch.essential or batch.immediate
+                or batch.primitive not in PLAN_KERNELS):
+            return None     # the stateful plans are made where they apply
         hit = self._vector_target(batch.primitive, len(batch), client)
         if hit is None:
             return None
         binding, target = hit
-        columns = _pack_columns(batch, binding.layout)
+        columns = _value_columns(batch, binding.layout)
         if columns is None:
             return None
-        return (batch.primitive, binding.layout,
-                target.region.length) + columns
+        return (batch.primitive, binding.layout, target.region.length,
+                *kcrc.pack_keys(batch.keys), *columns)
 
     def plan_vector_keywrite(self, batch, target):
         """A Key-Write scatter plan ``(row_indices, rows)`` — what
@@ -659,18 +759,186 @@ class Translator(Node):
         lane raises for it), clamp the Key-Increment fan-out."""
         if kind is DtaPrimitive.KEY_WRITE:
             layout = self._kw.layout
-            rows, width = third.shape
+            width = third.shape[1]
             if width > layout.data_bytes:
                 return None
             if width < layout.data_bytes:
-                padded = np.zeros((rows, layout.data_bytes), dtype=np.uint8)
-                padded[:, :width] = third
-                third = padded
+                third = _pad_columns(third, layout.data_bytes)
         else:
             layout = self._ki.layout
             redundancy = min(redundancy, layout.rows)
         return PLAN_KERNELS[kind](layout, packed, lengths, third,
                                   redundancy, target.region.length)
+
+    # -- the stateful plans: decide and validate before touching anything,
+    # return None with nothing touched -----------------------------------
+
+    def _plan_postcard(self, batch, target):
+        """A Postcarding plan: the cache takes the whole batch
+        (:meth:`PostcardCache.insert_many`), and every chunk that left
+        it — in the order the scalar lane would have collected them —
+        is hashed and encoded in one pass over the emitted keys.  Rows
+        are ``chunk_payload_bytes`` wide on a ``pad_to`` stride.
+        """
+        pc = self._pc
+        layout = pc.layout
+        copies = max(1, batch.redundancy)
+        values = batch.values
+        if copies > CHUNK_LANES or min(values) < 0 \
+                or max(values) > 0xFFFFFFFF:
+            return None         # the scalar lane raises for these
+        try:
+            emissions = pc.cache.insert_many(batch.keys, batch.hops, values,
+                                             batch.path_lengths)
+        except IndexError:
+            return None         # a hop out of range: nothing was touched
+        count = len(emissions)
+        complete = sum(emission.complete for emission in emissions)
+        self.stats.postcard_chunks_complete += complete
+        self.stats.postcard_chunks_early += count - complete
+        if not count:
+            return [], []
+        codes = pc.codes
+        if codes is None:
+            codes = pc.codes = _ValueCodes(layout.g)
+        encoded = np.fromiter(
+            map(codes.__getitem__, chain.from_iterable(
+                emission.values for emission in emissions)),
+            dtype=np.uint64, count=count * layout.hops,
+        ).reshape(count, layout.hops)
+        chunks, checksums = layout.probes_many(
+            *kcrc.hash_input([emission.key for emission in emissions]),
+            copies)
+        encoded ^= checksums.T
+        rows = encoded.astype(f">u{layout.slot_bytes_per_slot}").view(
+            np.uint8).reshape(count, layout.chunk_payload_bytes)
+        if copies > 1:
+            rows = np.repeat(rows, copies, axis=0)
+        # Emission-major: all copies of one chunk, then the next chunk.
+        return chunks.T.reshape(-1), rows
+
+    def _plan_append(self, batch, target):
+        """An Append plan: every flush the batch triggers, as one
+        contiguous write each.
+
+        Per list the batch's entries join the pending carry and the
+        sequence is cut exactly where :meth:`_batch_append` flushes —
+        when the pending count reaches ``batch_size`` or the room left
+        before the ring boundary, and again at the boundary inside a
+        flush — with the writes ordered by the arrival of the entry
+        that triggered them.  The tail stays pending.
+        """
+        ap = self._ap
+        layout = ap.layout
+        list_ids, datas = batch.list_ids, batch.datas
+        arrivals: dict = {}     # list -> [arrival of each new entry]
+        for at, list_id in enumerate(list_ids):
+            seen = arrivals.get(list_id)
+            if seen is None:
+                arrivals[list_id] = [at]
+            else:
+                seen.append(at)
+        if (min(arrivals) < 0 or max(arrivals) >= layout.lists
+                or max(map(len, datas)) > layout.data_bytes):
+            return None         # the scalar lane raises
+        pending, heads = ap.batches, ap.heads
+        capacity, batch_size = layout.capacity, ap.batch_size
+
+        writes = []     # (trigger arrival, order, first slot, payload)
+        tails = {}
+        new_heads = {}
+        for list_id, ats in arrivals.items():
+            carry = pending.get(list_id) or ()
+            carried = len(carry)
+            entries = [*carry, *(datas[at] for at in ats)]
+            head = heads.get(list_id, 0)
+            waiting = carried
+            done = 0
+            while True:
+                # The pending count at which the next entry flushes.
+                waiting = max(waiting + 1,
+                              min(batch_size, capacity - head % capacity))
+                if done + waiting > len(entries):
+                    break
+                trigger = ats[done + waiting - 1 - carried]
+                while waiting:      # never wrap within one write
+                    slot = head % capacity
+                    span = min(waiting, capacity - slot)
+                    writes.append((trigger, len(writes),
+                                   list_id * capacity + slot,
+                                   layout.encode_run(
+                                       entries[done:done + span], head)))
+                    head += span
+                    done += span
+                    waiting -= span
+            new_heads[list_id] = head
+            tails[list_id] = entries[done:]
+        writes.sort()
+
+        pending.update(tails)
+        heads.update(new_heads)
+        self.stats.append_batches += len(writes)
+        entry_bytes = layout.entry_bytes
+        payloads = [write[3] for write in writes]
+        for payload in payloads:
+            self._batch_hist.observe(len(payload) // entry_bytes)
+        return [write[2] for write in writes], payloads
+
+    def _plan_sketch(self, batch, target):
+        """A Sketch-Merge plan for a run that continues the reporter's
+        column sequence: one block merge, and every transfer the merge
+        completes — ``batch_columns`` columns to a write, the tail
+        fewer.  Anything else — an out-of-order column owed a NACK,
+        counters beyond int64 — is the scalar lane's.
+        """
+        sm = self._sm
+        layout = sm.layout
+        columns = batch.columns
+        n = len(columns)
+        reporter_id = batch.reporter_id
+        start = sm.next_column.get(reporter_id, 0)
+        if (batch.sketch_id != sm.sketch_id or start + n > layout.width
+                or columns != list(range(start, start + n))):
+            return None
+        counter_rows = batch.counter_rows
+        if set(map(len, counter_rows)) != {layout.depth}:
+            return None         # the scalar lane raises
+        try:
+            counters = np.fromiter(
+                chain.from_iterable(counter_rows), dtype=np.int64,
+                count=n * layout.depth).reshape(n, layout.depth)
+        except OverflowError:
+            return None
+        if not sm.array_storage():
+            return None
+
+        block = sm.columns[start:start + n]
+        if sm.merge == "max":
+            np.maximum(block, counters, out=block)
+        else:
+            block += counters
+        sm.next_column[reporter_id] = start + n
+        merged = sm.merged_count[start:start + n]
+        merged += 1
+        np.greater_equal(merged, sm.expected_reporters,
+                         out=sm.completed[start:start + n])
+
+        # Transfers: whole batches of completed columns from the
+        # cursor, and the short tail once the last column is done.
+        first = sm.next_transfer
+        rest = sm.completed[first:]
+        through = layout.width if rest.all() else first + int(rest.argmin())
+        starts = list(range(first, through - sm.batch_columns + 1,
+                            sm.batch_columns))
+        end = first + sm.batch_columns * len(starts)
+        if through == layout.width and end < through:
+            starts.append(end)
+            end = through
+        sm.next_transfer = end
+        self.stats.sketch_batches += len(starts)
+        blob = layout.encode_columns_array(sm.columns[first:end])
+        cuts = [(at - first) * layout.column_bytes for at in (*starts, end)]
+        return starts, [blob[a:b] for a, b in zip(cuts, cuts[1:])]
 
     # -- scalar reference lanes: one per primitive, over parallel columns
     # (a batch's from process_batch, one-row tuples from handle_report) --
@@ -725,9 +993,12 @@ class Translator(Node):
         """
         if self._pc is None:
             raise RuntimeError("Postcarding service not configured")
+        cache = self._pc.cache
+        for hop in hops:
+            if not 0 <= hop < cache.hops:
+                raise IndexError(f"hop {hop} outside [0, {cache.hops})")
         self.stats.reports_in += len(keys)
         self.stats.postcards += len(keys)
-        cache = self._pc.cache
         wrs: list = []
         for key, hop, value, path_len in zip(keys, hops, values,
                                              path_lengths):
@@ -756,6 +1027,10 @@ class Translator(Node):
         for list_id in list_ids:
             if list_id >= lists:
                 raise ValueError(f"list {list_id} not provisioned")
+        data_bytes = ap.layout.data_bytes
+        for data in datas:
+            if len(data) > data_bytes:
+                raise ValueError("entry data too wide for this layout")
         self.stats.reports_in += len(list_ids)
         self.stats.appends += len(list_ids)
         capacity = ap.layout.capacity
@@ -780,7 +1055,6 @@ class Translator(Node):
         in-order checks, NACKs (Section 4.2: an out-of-order column is
         NACKed back to the reporter and not merged), merge, completion
         — with every resulting transfer write collected into one burst.
-        Large in-order runs take the vectorized merge when enabled.
         """
         if self._sm is None:
             raise RuntimeError("Sketch-Merge service not configured")
@@ -796,11 +1070,9 @@ class Translator(Node):
                 raise ValueError("sketch column out of range")
             if len(counters) != depth:
                 raise ValueError("sketch column depth mismatch")
+        if sm.columns is None:
+            sm.alloc_storage(arrays=False)
         n = len(columns)
-        if (self.vectorized and n >= MIN_VECTOR_BATCH
-                and self._vector_sketch(columns, counter_rows,
-                                        reporter_id)):
-            return
         self.stats.reports_in += n
         self.stats.sketch_columns += n
         is_max = sm.merge == "max"
@@ -826,46 +1098,6 @@ class Translator(Node):
                 sm.completed[column] = True
                 self._transfer_completed_columns(wrs)
         self._post_burst(wrs)
-
-    def _vector_sketch(self, columns, counter_rows,
-                       reporter_id: int) -> bool:
-        """Vectorized Sketch-Merge for an in-order column run.
-
-        Only the clean case vectorizes — numpy-backed storage and a
-        run that continues the reporter's expected column sequence
-        exactly; anything else (out-of-order columns needing NACKs,
-        list storage, counters beyond int64) returns False for the
-        scalar lane.
-        """
-        sm = self._sm
-        if isinstance(sm.columns, list):
-            return False
-        expected = sm.next_column.get(reporter_id, 0)
-        n = len(columns)
-        cols = np.asarray(columns, dtype=np.int64)
-        if not np.array_equal(cols, np.arange(expected, expected + n)):
-            return False
-        try:
-            counters = np.asarray(counter_rows, dtype=np.int64)
-        except (OverflowError, ValueError):
-            return False
-        block = sm.columns[expected:expected + n]
-        if sm.merge == "max":
-            np.maximum(block, counters, out=block)
-        else:
-            block += counters
-        sm.next_column[reporter_id] = expected + n
-        sm.merged_count[expected:expected + n] += 1
-        done = sm.merged_count[expected:expected + n] \
-            >= sm.expected_reporters
-        sm.completed[expected:expected + n] = done
-        self.stats.reports_in += n
-        self.stats.sketch_columns += n
-        if done.any():
-            wrs: list = []
-            self._transfer_completed_columns(wrs)
-            self._post_burst(wrs)
-        return True
 
     # -- flow control --------------------------------------------------
 
@@ -1095,7 +1327,7 @@ class Translator(Node):
         if self._sm is None:
             raise RuntimeError("Sketch-Merge service not configured")
         sm = self._sm
-        sm.alloc_storage()
+        sm.columns = sm.merged_count = sm.completed = None
         sm.next_column.clear()
         sm.next_transfer = 0
         obs.emit("translator", "sketch_epoch_reset", node=self.name,
@@ -1145,39 +1377,49 @@ class Translator(Node):
 # construction.  The kernels take *packed* columns (what
 # :func:`repro.kernels.crc.pack_keys` produces) because that is the
 # form a batch crosses a shared-memory ring in — no per-report Python
-# objects, just matrices.
+# objects, just matrices.  A small batch planned where it is held
+# passes its keys as they are (``lengths`` None,
+# :func:`repro.kernels.crc.hash_input`): the same lanes, hashed without
+# the packing.
 
 
-def _pack_columns(batch, layout):
-    """A batch's columns in kernel form: ``(packed, lengths, third,
-    fanout)``, or None where only the scalar lane has the semantics.
+def _pad_columns(matrix, width: int):
+    """``matrix`` zero-padded on the right to ``width`` columns."""
+    padded = np.zeros((matrix.shape[0], width), dtype=np.uint8)
+    padded[:, :matrix.shape[1]] = matrix
+    return padded
+
+
+def _value_columns(batch, layout):
+    """A batch's non-key columns in kernel form: ``(third, fanout)``,
+    or None where only the scalar lane has the semantics.
 
     ``third`` is the zero-padded data matrix and ``fanout`` the
     redundancy for Key-Write; the int64 values and the redundancy
     clamped to ``layout.rows`` for Key-Increment.
     """
     if batch.primitive is DtaPrimitive.KEY_WRITE:
-        for data in batch.datas:
-            if len(data) > layout.data_bytes:
-                return None  # oversize data: scalar lane raises for it
-        third, _ = kcrc.pack_keys(batch.datas, pad_to=layout.data_bytes)
-        fanout = batch.redundancy
-    else:
-        try:
-            third = np.asarray(batch.values, dtype=np.int64)
-        except (OverflowError, ValueError):
-            return None      # beyond int64: scalar wrap semantics apply
-        fanout = min(batch.redundancy, layout.rows)
-    packed, lengths = kcrc.pack_keys(batch.keys)
-    return packed, lengths, third, fanout
+        third, _ = kcrc.pack_keys(batch.datas)
+        width = third.shape[1]
+        if width > layout.data_bytes:
+            return None  # oversize data: scalar lane raises for it
+        if width < layout.data_bytes:
+            third = _pad_columns(third, layout.data_bytes)
+        return third, batch.redundancy
+    try:
+        third = np.array(batch.values, dtype=np.int64)
+    except (OverflowError, ValueError):
+        return None      # beyond int64: scalar wrap semantics apply
+    return third, min(batch.redundancy, layout.rows)
 
 
 def _batch_arrays(layout, batch, target):
-    columns = _pack_columns(batch, layout)
+    columns = _value_columns(batch, layout)
     if columns is None:
         return None
-    return PLAN_KERNELS[batch.primitive](layout, *columns,
-                                         target.region.length)
+    return PLAN_KERNELS[batch.primitive](
+        layout, *kcrc.hash_input(batch.keys), *columns,
+        target.region.length)
 
 
 def plan_keywrite_packed(layout, packed, lengths, packed_data,
@@ -1185,26 +1427,21 @@ def plan_keywrite_packed(layout, packed, lengths, packed_data,
     """Pure Key-Write scatter plan: ``(row_indices, rows)`` or None.
 
     ``layout`` is a :class:`~repro.core.stores.keywrite.KeyWriteLayout`;
-    ``packed``/``lengths`` the packed key matrix; ``packed_data`` the
+    ``packed``/``lengths`` the packed key matrix (or the keys and
+    None); ``packed_data`` the
     ``(n, data_bytes)`` zero-padded value matrix (lengths already
     validated by the caller); ``region_length`` the byte length of the
     RDMA region the plan will be bounds-checked against.  Touches no
     translator or store state.
     """
-    entries = layout.encode_entries_packed(packed, lengths, packed_data)
-    slot_idx = layout.slot_indices_many(packed, lengths, redundancy)
+    if layout.region_bytes > region_length:
+        return None      # same bounds check write_rows would fail
+    # One hash pass: the N slot lanes and the checksum lane together.
+    slot_idx, checksums = layout.probes_many(packed, lengths, redundancy)
+    entries = layout.encode_entries_packed(packed_data, checksums)
     # Key-major flattening preserves arrival order, which the
     # scatter's last-write-wins dedup relies on.
-    row_indices = slot_idx.T.reshape(-1)
-    rows = np.repeat(entries, redundancy, axis=0)
-    row_bytes = rows.shape[1]
-    if row_bytes == 0:
-        return None
-    slots = region_length // row_bytes
-    if len(row_indices) and (int(row_indices.min()) < 0
-                             or int(row_indices.max()) >= slots):
-        return None      # same bounds check write_rows would fail
-    return row_indices, rows
+    return slot_idx.T.reshape(-1), entries.repeat(redundancy, axis=0)
 
 
 def plan_keyincrement_packed(layout, packed, lengths, values, rows: int,
@@ -1218,16 +1455,10 @@ def plan_keyincrement_packed(layout, packed, lengths, values, rows: int,
     overflow fallback); ``rows`` already clamped to ``layout.rows``.
     Touches no translator or store state.
     """
-    idx = layout.counter_indices_many(packed, lengths, rows)
-    counter_indices = idx.T.reshape(-1)
-    addends = np.repeat(values, rows)
-    if region_length % 8:
-        return None
-    slots = region_length // 8
-    if len(counter_indices) and (int(counter_indices.min()) < 0
-                                 or int(counter_indices.max()) >= slots):
+    if region_length % 8 or layout.region_bytes > region_length:
         return None      # same bounds check fetch_add_many applies
-    return counter_indices, addends
+    idx = layout.counter_indices_many(packed, lengths, rows)
+    return idx.T.reshape(-1), values.repeat(rows)
 
 
 #: Plan kernel and store layout per vector-capable primitive: all a

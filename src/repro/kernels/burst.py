@@ -69,7 +69,7 @@ def resolve_target(client, rkey: int, *,
         return None
     server = transport.burst_responder(qp)
     needed = AccessFlags.REMOTE_ATOMIC if atomic else AccessFlags.REMOTE_WRITE
-    if server is None or not (region.access & needed):
+    if server is None or needed not in region.access:
         return None
     return BurstTarget(nic=transport.nic, server_qp=server, region=region)
 
@@ -91,15 +91,16 @@ def _commit(target: BurstTarget, client, count: int, payload: int, *,
 
 
 def write_rows(target: BurstTarget, client, row_indices: np.ndarray,
-               rows: np.ndarray) -> int | None:
+               rows: np.ndarray, stride: int | None = None) -> int | None:
     """Execute N uniform-size RDMA writes as one scatter.
 
     ``rows`` is an ``(n, row_bytes)`` uint8 matrix; request ``i``
     writes row ``i`` at slot ``row_indices[i]`` (region-relative,
-    stride ``row_bytes``).  Duplicate slots resolve last-write-wins in
-    arrival order — the deterministic outcome of executing the burst
-    sequentially — via a stable sort instead of relying on numpy's
-    unspecified duplicate-index assignment order.
+    ``stride`` bytes apart — ``row_bytes`` by default; a wider stride
+    leaves each slot's padding alone).  Duplicate slots resolve
+    last-write-wins in arrival order — the deterministic outcome of
+    executing the burst sequentially — via a stable sort instead of
+    relying on numpy's unspecified duplicate-index assignment order.
 
     Returns the message count, or None (nothing touched) when the
     burst does not fit the region — the caller's scalar lane then
@@ -108,22 +109,70 @@ def write_rows(target: BurstTarget, client, row_indices: np.ndarray,
     count, row_bytes = rows.shape
     if count == 0:
         return 0
+    if stride is None:
+        stride = row_bytes
     region = target.region
-    slots = region.length // row_bytes
-    if int(row_indices.min()) < 0 or int(row_indices.max()) >= slots:
+    slots = region.length // stride
+    order = row_indices.argsort(kind="stable")
+    sorted_idx = row_indices[order]
+    if row_bytes > stride or sorted_idx[0] < 0 or sorted_idx[-1] >= slots:
         return None
     view = np.frombuffer(region.buf, dtype=np.uint8,
-                         count=slots * row_bytes).reshape(slots, row_bytes)
-    order = np.argsort(row_indices, kind="stable")
-    sorted_idx = row_indices[order]
+                         count=slots * stride).reshape(slots, stride)
+    if stride != row_bytes:
+        view = view[:, :row_bytes]
     keep = np.empty(count, dtype=bool)
     keep[-1] = True
-    keep[:-1] = sorted_idx[1:] != sorted_idx[:-1]
-    winners = order[keep]
-    view[row_indices[winners]] = rows[winners]
-
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=keep[:-1])
+    if keep.all():
+        view[row_indices] = rows
+    else:
+        winners = order[keep]
+        view[row_indices[winners]] = rows[winners]
     _commit(target, client, count, row_bytes)
     return count
+
+
+def write_spans(target: BurstTarget, client, slots, payloads,
+                stride: int) -> int | None:
+    """Execute a few contiguous RDMA writes of differing sizes.
+
+    Write ``i`` lands ``payloads[i]`` (bytes, a whole number of
+    ``stride``-byte slots) at slot ``slots[i]``, in order, so a later
+    write over the same slots wins as it would in a sequential burst;
+    the messages are accounted once per distinct size.  What an Append
+    flush or a Sketch-Merge transfer is: too few, too long writes for a
+    row scatter to pay.
+
+    Returns the message count, or None (nothing touched) when a write
+    does not fit the region.
+    """
+    region = target.region
+    length = region.length
+    spans = []
+    for slot, payload in zip(slots, payloads):
+        start = slot * stride
+        end = start + len(payload)
+        if start < 0 or end > length:
+            return None
+        spans.append((start, end))
+    buf = region.buf
+    for (start, end), payload in zip(spans, payloads):
+        buf[start:end] = payload
+    for size, count in write_sizes(payloads).items():
+        _commit(target, client, count, size)
+    return len(payloads)
+
+
+def write_sizes(payloads) -> dict:
+    """``{payload bytes: writes}`` of a :func:`write_spans` burst — the
+    distinct message shapes it is accounted by (a handful of writes:
+    a plain loop beats building a ``Counter``)."""
+    sizes: dict = {}
+    for payload in payloads:
+        size = len(payload)
+        sizes[size] = sizes.get(size, 0) + 1
+    return sizes
 
 
 def fetch_add_many(target: BurstTarget, client,

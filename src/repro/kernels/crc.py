@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import zlib
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -54,21 +55,44 @@ def pack_keys(keys, pad_to: int | None = None
     flow-key widths) skip the per-key padding entirely.
     """
     n = len(keys)
+    sizes = set(map(len, keys))
+    if len(sizes) == 1 and (pad_to is None or pad_to in sizes):
+        (maxlen,) = sizes
+        lengths = np.full(n, maxlen, dtype=np.intp)
+        if maxlen == 0:
+            return np.zeros((n, 0), dtype=np.uint8), lengths
+        return np.frombuffer(b"".join(keys),
+                             dtype=np.uint8).reshape(n, maxlen), lengths
     lengths = np.fromiter(map(len, keys), dtype=np.intp, count=n)
-    maxlen = int(lengths.max()) if n else 0
+    maxlen = max(sizes, default=0)
     if pad_to is not None:
         if pad_to < maxlen:
             raise ValueError("pad_to smaller than the longest key")
         maxlen = pad_to
     if n == 0 or maxlen == 0:
         return np.zeros((n, maxlen), dtype=np.uint8), lengths
-    if int(lengths.min()) == maxlen:
-        buf = b"".join(keys)
-    else:
-        pad = bytes(maxlen)
-        buf = b"".join((key + pad)[:maxlen] for key in keys)
+    pad = bytes(maxlen)
+    buf = b"".join((key + pad)[:maxlen] for key in keys)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(n, maxlen)
     return packed, lengths
+
+
+#: Up to this many keys a ``zlib.crc32`` call per key beats one pass of
+#: the column kernel over the packed matrix (packing included) at any
+#: key width: measured 13 against 27 us at 64 four-byte keys, 33
+#: against 43 us at 256.  Four-byte keys cross near 800 (392 against
+#: 345 us at 4096) and wider keys later, so a large batch keeps the
+#: packed form the rings, the socket columns and the probes hash.
+PACK_ABOVE = 256
+
+
+def hash_input(keys) -> tuple:
+    """``keys`` (a list of ``bytes``) in the form :func:`hash_lanes_at`
+    hashes fastest: ``(keys, None)`` as they are for a small batch,
+    the :func:`pack_keys` pair for a large one."""
+    if len(keys) <= PACK_ABOVE:
+        return keys, None
+    return pack_keys(keys)
 
 
 def _reflect_many(values: np.ndarray, bits: int) -> np.ndarray:
@@ -169,8 +193,8 @@ def _crc32_resume(states, packed: np.ndarray, lengths: np.ndarray,
     numpy calls of one.
     """
     n, maxlen = packed.shape
-    reg = np.empty((len(states), n), dtype=np.uint32)
-    reg[:] = np.asarray(states, dtype=np.uint32)[:, None]
+    reg = np.asarray(states, dtype=np.uint32).repeat(n).reshape(
+        len(states), n)
     for j in range(maxlen):
         # Table index = low register byte ^ key byte, kept in uint8.
         low = reg.astype(np.uint8) ^ packed[:, j]
@@ -179,41 +203,69 @@ def _crc32_resume(states, packed: np.ndarray, lengths: np.ndarray,
     return reg ^ _MASK32
 
 
-def hash_lanes_at(indices, packed: np.ndarray, lengths: np.ndarray,
+def _crc32_resume_keys(states, keys) -> np.ndarray:
+    """:func:`_crc32_resume` over the keys as byte strings.
+
+    One ``zlib.crc32`` per key continues the first state; every other
+    lane follows from it, because the CRC register is linear in its
+    starting state: two lanes over the same ``len`` message bytes
+    differ by what their starting states differ by after ``len`` zero
+    bytes — a constant per lane and key length.
+    """
+    seed = states[0] ^ 0xFFFFFFFF
+    first = np.fromiter(map(zlib.crc32, keys, repeat(seed)),
+                        dtype=np.uint32, count=len(keys))
+    sizes = sorted(set(map(len, keys)))
+    zeros = [bytes(size) for size in sizes]
+    shifts = np.array([[zlib.crc32(zero, state ^ 0xFFFFFFFF)
+                        ^ zlib.crc32(zero, seed) for zero in zeros]
+                       for state in states], dtype=np.uint32)
+    if len(sizes) <= 1:
+        return first ^ shifts
+    return first ^ shifts[:, np.searchsorted(
+        sizes, np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)))]
+
+
+def hash_lanes_at(indices, packed, lengths: np.ndarray | None = None,
                   width_bits: int = 32) -> np.ndarray:
     """The hash-family lanes named by ``indices``, one row each.
 
     Row ``r`` is bit-exact against ``hash_family(indices[r] + 1,
     width_bits)[-1](key)`` per key: narrow lanes are a prefix-seeded
     CRC-32, wide lanes are the two-pass CRC + splitmix64 construction
-    (see :func:`repro.switch.crc._hash_lane`).  All rows step through
-    the key columns together.
+    (see :func:`repro.switch.crc._hash_lane`).  ``packed`` /
+    ``lengths`` are a :func:`pack_keys` pair — all rows then step
+    through the key columns together — or, with ``lengths`` None, the
+    keys themselves (a sequence of ``bytes``), hashed where they lie:
+    a caller holding byte strings need not pack them to hash them.
     """
-    n, maxlen = packed.shape
-    uniform = n == 0 or int(lengths.min()) == maxlen
     count = len(indices)
+    states = [_lane_state(i, False) for i in indices]
     if width_bits > 32:
-        both = _crc32_resume(
-            [_lane_state(i, False) for i in indices]
-            + [_lane_state(i, True) for i in indices],
-            packed, lengths, uniform).astype(np.uint64)
+        states += [_lane_state(i, True) for i in indices]
+    if lengths is None:
+        out = _crc32_resume_keys(states, packed)
+    else:
+        n, maxlen = packed.shape
+        out = _crc32_resume(states, packed, lengths,
+                            n == 0 or int(lengths.min()) == maxlen)
+    if width_bits > 32:
+        both = out.astype(np.uint64)
         mixed = splitmix64_many((both[count:] << np.uint64(32))
                                 | both[:count])
         return mixed & np.uint64((1 << width_bits) - 1)
-    out = _crc32_resume([_lane_state(i, False) for i in indices],
-                        packed, lengths, uniform)
     if width_bits < 32:
         out = out & np.uint32((1 << width_bits) - 1)
     return out
 
 
-def hash_lane_many(index: int, packed: np.ndarray, lengths: np.ndarray,
+def hash_lane_many(index: int, packed, lengths: np.ndarray | None = None,
                    width_bits: int = 32) -> np.ndarray:
     """One hash-family lane over a packed key batch (``(n,)``)."""
     return hash_lanes_at((index,), packed, lengths, width_bits)[0]
 
 
-def hash_lanes(count: int, packed: np.ndarray, lengths: np.ndarray,
+def hash_lanes(count: int, packed, lengths: np.ndarray | None = None,
                width_bits: int = 32, start: int = 0) -> np.ndarray:
     """Lanes ``start .. start+count-1`` as a ``(count, n)`` array."""
     return hash_lanes_at(range(start, start + count), packed, lengths,

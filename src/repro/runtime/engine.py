@@ -45,11 +45,13 @@ engine itself contains no per-primitive code.
 Pure-Python stages share the GIL, so the speedup comes from the numpy
 kernels (:mod:`repro.kernels`), which release it.  ``executor="process"``
 moves the heavy half of planning off the GIL altogether: the submit
-thread ships each eligible batch's packed columns
-(``Translator.plan_request``) through a per-worker shared-memory ring
-(:mod:`repro.runtime.shm`), the workers run the same pure plan kernels
-``plan_batch`` would, and the BACK thread hands the returned arrays to
-``plan_batch(arrays=...)`` — in strict submit order.  A worker dying
+thread ships each eligible Key-Write / Key-Increment batch's packed
+columns (``Translator.plan_request``) through a per-worker
+shared-memory ring (:mod:`repro.runtime.shm`), the workers run the same
+pure plan kernels ``plan_batch`` would, and the BACK thread hands the
+returned arrays to ``plan_batch(arrays=...)`` — in strict submit order
+(the stateful plans — Postcarding, Append, Sketch-Merge — are made in
+the BACK thread itself, where their state lives).  A worker dying
 mid-stream surfaces as a translate-stage :class:`StageError` (the ring
 waits watch peer liveness), never a hang, and :meth:`StreamEngine.close`
 unlinks every shared segment.
@@ -218,8 +220,8 @@ class StreamEngine:
             ``executor="process"`` it is the number of plan worker
             processes.
         queue_depth: Credit pool of every inter-stage queue.
-        vectorized: Whether the translator may plan Key-Write /
-            Key-Increment batches as array operations while streaming
+        vectorized: Whether the translator may plan batches (any of
+            the five primitives) as burst-kernel calls while streaming
             (defaults to the translator's own ``vectorized`` flag).
         executor: ``"thread"`` or ``"process"`` (plan workers as
             processes over shared-memory rings); see the module

@@ -228,6 +228,63 @@ class TestBatchSemantics:
             obs.set_registry(previous)
 
 
+class TestMalformedReportsTouchNothing:
+    """A hop the cache has no slot for, or an Append datum wider than
+    the list's entries, raises before any counter or state moves —
+    batched (the whole batch) and per report (that report)."""
+
+    @staticmethod
+    def _deploy():
+        collector = Collector()
+        collector.serve_postcarding(chunks=1 << 6, value_set=range(16),
+                                    hops=5)
+        collector.serve_append(lists=2, capacity=64, data_bytes=4,
+                               batch_size=16)
+        translator = Translator()
+        collector.connect_translator(translator)
+        reporter = Reporter("bad", 1, transmit=translator.handle_report,
+                            transmit_batch=translator.process_batch)
+        return collector, translator, reporter
+
+    def test_hop_beyond_the_cache(self):
+        keys = [struct.pack(">I", 1)] * 3
+        collector, translator, reporter = self._deploy()
+        cache = translator._pc.cache
+        with pytest.raises(IndexError):
+            translator.process_batch(ReportBatch.postcards(
+                keys, [0, 7, 1], [3, 4, 5], path_lengths=[5] * 3))
+        assert translator.stats.reports_in == 0
+        assert translator.stats.postcards == 0
+        assert cache.stats.postcards == 0 and cache.occupancy == 0
+
+        reporter.postcard(keys[0], 0, 3, path_length=5)
+        with pytest.raises(IndexError):
+            reporter.postcard(keys[0], 7, 4, path_length=5)
+        reporter.postcard(keys[0], 1, 5, path_length=5)
+        assert translator.stats.postcards == 2
+        assert cache.stats.postcards == 2 and cache.occupancy == 1
+
+    def test_append_datum_wider_than_the_entries(self):
+        good = [struct.pack(">I", i) for i in range(40)]
+        collector, translator, reporter = self._deploy()
+        with pytest.raises(ValueError, match="too wide"):
+            translator.process_batch(ReportBatch.appends(
+                [0] * 3, [good[0], b"12345", good[1]]))
+        assert translator.stats.reports_in == 0
+        assert translator.stats.appends == 0
+        assert not translator._ap.batches.get(0)
+
+        reporter.append(0, good[0])
+        with pytest.raises(ValueError, match="too wide"):
+            reporter.append(0, b"12345")
+        # The list is not poisoned: it fills, flushes and drains.
+        for data in good[1:]:
+            reporter.append(0, data)
+        translator.flush_appends()
+        assert translator.append_head(0) == 40
+        assert collector.append.poller(0).poll() == good
+
+
 class TestLinkBatchDeterminism:
     def test_send_batch_matches_send_sequence(self):
         # Same seed, same packets: identical delivery set, identical

@@ -106,6 +106,44 @@ class TestHashLanes:
         assert [int(v) for v in got] == [fn(key) for key in batch]
 
 
+    @pytest.mark.parametrize("width_bits", [16, 32, 64])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 16])
+    def test_equal_length_keys_of_any_width(self, width_bits, length):
+        # Equal-length batches skip the per-key length mask; the scalar
+        # family is the oracle.
+        rng = np.random.default_rng(length)
+        batch = [bytes(rng.integers(0, 256, size=length, dtype=np.uint8))
+                 for _ in range(33)]
+        lanes = kcrc.hash_lanes_at((0, 3, 17), *kcrc.pack_keys(batch),
+                                   width_bits)
+        for lane, index in zip(lanes, (0, 3, 17)):
+            fn = scrc.hash_family(index + 1, width_bits=width_bits)[index]
+            assert lane.tolist() == [fn(key) for key in batch]
+
+    @given(key_lists, st.sampled_from([8, 32, 48]),
+           st.lists(st.integers(0, 120), min_size=1, max_size=7,
+                    unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_strings_hash_like_the_packed_matrix(self, batch,
+                                                      width_bits, indices):
+        # ``lengths=None``: the keys themselves, one zlib call each and
+        # the other lanes by linearity — ragged and equal lengths alike.
+        packed = kcrc.hash_lanes_at(indices, *kcrc.pack_keys(batch),
+                                    width_bits)
+        direct = kcrc.hash_lanes_at(indices, batch, None, width_bits)
+        assert direct.dtype == packed.dtype
+        assert direct.tolist() == packed.tolist()
+
+    def test_hash_input_packs_only_large_batches(self):
+        few = [bytes([i]) * 4 for i in range(kcrc.PACK_ABOVE)]
+        assert kcrc.hash_input(few) == (few, None)
+        many = few + [b"more"]
+        packed, lengths = kcrc.hash_input(many)
+        assert packed.shape == (len(many), 4)
+        assert kcrc.hash_lanes(2, packed, lengths).tolist() \
+            == kcrc.hash_lanes(2, many).tolist()
+
+
 class TestPackKeys:
     def test_pad_to_shorter_than_longest_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,13 @@ taken), and store bytes + obs digest equal the ``workers=0,
 vectorized=False`` reference.  The ``eligible`` condition is the
 positive control: there the kernels must run, in every lane — and the
 ``frames`` lane must get there without building a ``ReportBatch``.
+
+The second matrix does the same for the three stateful plans —
+Postcarding, Append, Sketch-Merge — which reach the decision through
+``plan_batch`` on every lane (the socket lane plans only Key-Write and
+Key-Increment from columns; its other runs arrive as batches), adding
+the conditions that bite between plan and apply: a crashed translator,
+an MR revoked after the plan was made.
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ DATA_BYTES = 16
 LANES = ("serial", "inline", "thread", "process", "assembler", "frames")
 INELIGIBLE = ("essential", "immediate", "meter", "tenants", "tiny",
               "oversize", "ki_overflow", "stall")
+STATEFUL = ("postcarding", "append", "sketch_merge")
+STATEFUL_INELIGIBLE = ("essential", "immediate", "meter", "tenants", "tiny",
+                       "oversize", "crashed", "stall", "revoked")
+PC_HOPS = 3
+_STORE = {"key_write": "keywrite", "postcarding": "postcarding",
+          "append": "append", "sketch_merge": "sketch"}
 
 _ENGINE_KW = {
     "reference": {"workers": 0, "vectorized": False},
@@ -54,7 +67,37 @@ _ENGINE_KW = {
 }
 
 
-def _batch(condition: str) -> ReportBatch:
+def _stateful_batch(condition: str, primitive: str) -> ReportBatch:
+    """Eight reports that make the plan emit; ``oversize`` is what each
+    scalar lane raises for (a hop the cache has no slot for, a datum
+    wider than the entries, a column of the wrong depth)."""
+    rng = random.Random(6)
+    n = MIN_VECTOR_BATCH - 1 if condition == "tiny" else 8
+    flags = {"essential": condition == "essential",
+             "immediate": condition == "immediate"}
+    bad = condition == "oversize"
+    if primitive == "postcarding":
+        # Two whole 3-hop paths, then the start of a third.
+        keys = [bytes([flow]) * 4 for flow in (1, 1, 1, 2, 2, 2, 3, 3)][:n]
+        hops = [0, 1, 2, 0, 1, 2, 0, PC_HOPS + 1 if bad else 1][:n]
+        return ReportBatch.postcards(
+            keys, hops, [rng.randrange(16) for _ in range(n)],
+            path_lengths=[PC_HOPS] * n, redundancy=2, **flags)
+    if primitive == "append":
+        datas = [rng.randbytes(DATA_BYTES) for _ in range(n)]
+        if bad:
+            datas[2] = b"x" * (DATA_BYTES + 8)
+        return ReportBatch.appends([i % 2 for i in range(n)], datas,
+                                   **flags)
+    rows = [tuple(rng.getrandbits(31) for _ in range(4)) for _ in range(n)]
+    if bad:
+        rows[2] = rows[2][:3]
+    return ReportBatch.sketch_columns(0, list(range(n)), rows, **flags)
+
+
+def _batch(condition: str, primitive: str = "key_write") -> ReportBatch:
+    if primitive in STATEFUL:
+        return _stateful_batch(condition, primitive)
     rng = random.Random(5)
     n = MIN_VECTOR_BATCH - 1 if condition == "tiny" else 8
     keys = [rng.randbytes(6) for _ in range(n)]
@@ -85,11 +128,12 @@ def _shared_digest(snapshot) -> str:
         kinds={k: v for k, v in snapshot.kinds.items() if keep(k)}))
 
 
-def _run(lane: str, condition: str, monkeypatch) -> dict:
+def _run(lane: str, condition: str, monkeypatch,
+         primitive: str = "key_write") -> dict:
     """Drive the condition's batch through one lane on a fresh
     deployment; returns what the lanes are compared on."""
     kernel_calls = []
-    for name in ("write_rows", "fetch_add_many"):
+    for name in ("write_rows", "write_spans", "fetch_add_many"):
         real = getattr(kburst, name)
         monkeypatch.setattr(
             kburst, name,
@@ -102,6 +146,12 @@ def _run(lane: str, condition: str, monkeypatch) -> dict:
         collector = Collector()
         collector.serve_keywrite(slots=256, data_bytes=DATA_BYTES)
         collector.serve_keyincrement(slots_per_row=128, rows=4)
+        collector.serve_postcarding(chunks=64, value_set=range(16),
+                                    hops=PC_HOPS)
+        collector.serve_append(lists=2, capacity=32, data_bytes=DATA_BYTES,
+                               batch_size=2)
+        collector.serve_sketch(width=32, depth=4, expected_reporters=1,
+                               batch_columns=4)
         translator = Translator(
             vectorized=lane != "reference",
             # A meter nothing ever exceeds: all GREEN, but configured.
@@ -109,16 +159,27 @@ def _run(lane: str, condition: str, monkeypatch) -> dict:
         collector.connect_translator(translator)
         if condition == "tenants":
             translator.tenants = TenantTable([])     # admits every key
-        if condition == "stall":
-            # The NIC stalls after the plan is made, before it applies.
+        if condition == "crashed":
+            translator.crash()
+        revoked = []
+        if condition in ("stall", "revoked"):
+            # The fault fires after the plan is made, before it applies.
+            region = getattr(collector, _STORE[primitive]).region
+
+            def fault() -> None:
+                if condition == "stall":
+                    collector.nic.stall()
+                elif not revoked:
+                    revoked.append(region.invalidate())
+
             for entry in ("plan_batch", "plan_columns"):
-                def stalling(*args, _plan=getattr(translator, entry),
+                def faulting(*args, _plan=getattr(translator, entry),
                              **kwargs):
                     plan = _plan(*args, **kwargs)
-                    collector.nic.stall()
+                    fault()
                     return plan
 
-                setattr(translator, entry, stalling)
+                setattr(translator, entry, faulting)
 
         batches_built = []
         monkeypatch.setattr(
@@ -131,11 +192,12 @@ def _run(lane: str, condition: str, monkeypatch) -> dict:
             reporter = Reporter("elig", 1,
                                 transmit=translator.handle_report,
                                 transmit_batch=translator.process_batch)
-        batch = _batch(condition)
+        batch = _batch(condition, primitive)
         raised = False
         try:
             if lane == "serial":
                 reporter.send_batch(batch)
+                translator.flush_appends()     # what drain()/finish() do
             elif lane == "assembler":
                 reporter.send_batch(batch)
                 assembler = ReportAssembler([translator], ClusterMap(1))
@@ -153,12 +215,14 @@ def _run(lane: str, condition: str, monkeypatch) -> dict:
                 with engine:
                     engine.submit(batch)
                     engine.drain()
-        except (ValueError, StageError):
+        except (ValueError, IndexError, StageError):
             raised = True
         if condition == "stall":
             # Timeout-driven go-back-N lands what the stall swallowed.
             collector.nic.resume()
             translator.client.resend_outstanding()
+        if revoked:
+            region.restore(revoked[0])
         snapshot = registry.snapshot()
     finally:
         obs.set_registry(previous)
@@ -169,14 +233,10 @@ def _run(lane: str, condition: str, monkeypatch) -> dict:
             "batches_built": len(batches_built)}
 
 
-@pytest.mark.parametrize("condition", INELIGIBLE + ("eligible",))
-@pytest.mark.parametrize("lane", LANES)
-def test_every_lane_routes_like_the_reference(lane, condition, monkeypatch):
-    if lane in ("assembler", "frames") and condition == "ki_overflow":
-        pytest.skip("the wire format cannot carry a value beyond int64")
-    reference = _run("reference", condition, monkeypatch)
+def _routes_like_the_reference(lane, condition, primitive, monkeypatch):
+    reference = _run("reference", condition, monkeypatch, primitive)
     assert reference["kernel_calls"] == 0
-    got = _run(lane, condition, monkeypatch)
+    got = _run(lane, condition, monkeypatch, primitive)
 
     assert got["raised"] == reference["raised"] == (condition == "oversize")
     assert got["store"] == reference["store"]
@@ -185,7 +245,28 @@ def test_every_lane_routes_like_the_reference(lane, condition, monkeypatch):
         assert got["obs"] == reference["obs"]
     if condition == "eligible":
         assert got["kernel_calls"] == 1, "the vector path never ran"
-        if lane == "frames":
-            assert got["batches_built"] == 0, "columns went via a batch"
     else:
         assert got["kernel_calls"] == 0, "scalar fallback not taken"
+    return got
+
+
+@pytest.mark.parametrize("condition", INELIGIBLE + ("eligible",))
+@pytest.mark.parametrize("lane", LANES)
+def test_every_lane_routes_like_the_reference(lane, condition, monkeypatch):
+    if lane in ("assembler", "frames") and condition == "ki_overflow":
+        pytest.skip("the wire format cannot carry a value beyond int64")
+    got = _routes_like_the_reference(lane, condition, "key_write",
+                                     monkeypatch)
+    if condition == "eligible" and lane == "frames":
+        assert got["batches_built"] == 0, "columns went via a batch"
+
+
+@pytest.mark.parametrize("primitive", STATEFUL)
+@pytest.mark.parametrize("condition", STATEFUL_INELIGIBLE + ("eligible",))
+@pytest.mark.parametrize("lane", LANES)
+def test_stateful_plans_route_like_the_reference(lane, condition, primitive,
+                                                 monkeypatch):
+    if lane == "process" and condition not in ("eligible", "stall"):
+        pytest.skip("plan workers never see these primitives: the BACK "
+                    "thread plans them as the thread lane does")
+    _routes_like_the_reference(lane, condition, primitive, monkeypatch)

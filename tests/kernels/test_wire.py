@@ -318,7 +318,28 @@ def _width_stream(primitive, seed):
 
     def report(i, flags=packets.DtaFlags.NONE):
         key = rng.choice(pool)
-        if primitive == "key_write":
+        if primitive == "postcarding":
+            # Five-hop flows, four in flight at a time over sixteen
+            # cache rows: collisions, and now and then a repeated hop.
+            flow = 4 * (i // 20) + i % 4
+            op = packets.Postcard(
+                key=struct.pack(">I", flow),
+                hop=(i % 20) // 4 if i % 97 else 0,
+                value=rng.randrange(64), path_length=5, redundancy=2)
+        elif primitive == "append":
+            op = packets.Append(
+                list_id=rng.choice((0, 1, 1, 2, 3)),
+                data=rng.randbytes(rng.randrange(1, WIDTH_DATA_BYTES + 1)))
+        elif primitive == "sketch_merge":
+            # One in-order sweep in which three columns arrive twice
+            # (the repeat is NACKed, not merged): most runs are clean
+            # and planned, a few go to the scalar lane for the NACK.
+            repeats = (700, 1400, 2100)
+            op = packets.SketchColumn(
+                sketch_id=0,
+                column=i - sum(at < i for at in repeats) - (i in repeats),
+                counters=tuple(rng.getrandbits(31) for _ in range(4)))
+        elif primitive == "key_write":
             op = packets.KeyWrite(
                 key=key, data=rng.randbytes(rng.randrange(0, 17)),
                 redundancy=2)
@@ -360,6 +381,12 @@ def _run_width(frames, tail, width, vectorized=True):
             collector.serve_keywrite(slots=256,
                                      data_bytes=WIDTH_DATA_BYTES)
             collector.serve_keyincrement(slots_per_row=64, rows=4)
+            collector.serve_postcarding(chunks=128, value_set=range(64),
+                                        cache_slots=16)
+            collector.serve_append(lists=4, capacity=100,
+                                   data_bytes=WIDTH_DATA_BYTES, batch_size=8)
+            collector.serve_sketch(width=3000, depth=4,
+                                   expected_reporters=1, batch_columns=16)
             translator = Translator(f"width-t{shard}",
                                     vectorized=vectorized)
             collector.connect_translator(translator)
@@ -408,6 +435,23 @@ class TestPlanWidthIndependence:
         assert widths[256]["batches"] < widths[3]["batches"] \
             < widths[1]["batches"]
         assert widths[256]["batches"] < per_report["batches"]
+
+    @pytest.mark.parametrize("primitive", ["postcarding", "append",
+                                           "sketch_merge"])
+    def test_stateful_plans_at_any_burst_width(self, primitive):
+        # These reach the translator as batches cut from the pending
+        # run, at whatever the burst and ``batch_size`` make of it; the
+        # plans advance cache rows, pending lists and column cursors,
+        # and must leave them where the per-report lane does.
+        frames, tail = _width_stream(primitive, seed=13)
+        per_report = _run_width(frames, tail, None)
+        assert per_report["counts"] == (3000, 0, 1)
+        scalar = _run_width(frames, tail, None, vectorized=False)
+        for lane in [scalar, *(_run_width(frames, tail, w)
+                               for w in (1, 3, 64, 256))]:
+            assert lane["stores"] == per_report["stores"]
+            assert lane["obs"] == per_report["obs"]
+            assert lane["counts"] == per_report["counts"]
 
 
 class TestRoutingKernel:

@@ -163,6 +163,63 @@ def test_three_tiers_agree_on_uniform_bursts(census):
         24 * round(t * degradation * FS_PER_NS) for t in per_message)
 
 
+@pytest.mark.parametrize("census", CENSUSES)
+def test_strided_rows_and_span_writes_agree_with_the_wr_burst(census):
+    """The two shapes the stateful plans add: rows narrower than their
+    stride (Postcarding: 20 B chunks on 32 B slots — the padding stays
+    untouched) and a few contiguous writes of differing sizes (Append
+    flushes, Sketch-Merge transfers), one of which overwrites another."""
+    rng = random.Random(census)
+    burst, array = Deployment(census), Deployment(census)
+    for dep in (burst, array):
+        dep.region.buf[:] = bytes(range(256)) * 2       # visible padding
+    slots = [3, 9, 3, 0, 15]                            # slot 3 twice
+    rows = [rng.randbytes(20) for _ in slots]
+    spans = [(2, rng.randbytes(48)), (10, rng.randbytes(16)),
+             (4, rng.randbytes(48)), (3, rng.randbytes(32))]
+
+    region = burst.region
+    burst.client.post_burst(
+        [WorkRequest(Opcode.WRITE, region.addr + 32 * slot, region.rkey,
+                     data=row) for slot, row in zip(slots, rows)])
+    burst.client.post_burst(
+        [WorkRequest(Opcode.WRITE, region.addr + 16 * slot, region.rkey,
+                     data=data) for slot, data in spans])
+
+    target = kburst.resolve_target(array.client, array.region.rkey)
+    assert kburst.write_rows(
+        target, array.client, np.asarray(slots, dtype=np.int64),
+        np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(5, 20),
+        32) == 5
+    assert kburst.write_spans(
+        target, array.client, [slot for slot, _ in spans],
+        [data for _, data in spans], 16) == 4
+
+    assert array.state() == burst.state()
+    memory = array.state()["memory"]
+    assert memory[32 * 15:32 * 15 + 20] == rows[4]
+    assert memory[32 * 15 + 20:32 * 16] == bytes(range(244, 256))
+    assert memory[16 * 3:16 * 5] == spans[3][1]     # the later write won
+
+
+def test_array_tiers_decline_out_of_bounds_with_nothing_touched():
+    dep = Deployment(1)
+    before = dep.state()
+    target = kburst.resolve_target(dep.client, dep.region.rkey)
+    rows = np.zeros((2, 20), dtype=np.uint8)
+    for indices in ([0, REGION_BYTES // 32], [-1, 0]):
+        assert kburst.write_rows(target, dep.client,
+                                 np.asarray(indices, dtype=np.int64),
+                                 rows, 32) is None
+    assert kburst.write_rows(target, dep.client,
+                             np.asarray([0, 1], dtype=np.int64),
+                             rows, 16) is None          # row wider than stride
+    for slots in ([0, REGION_BYTES // 16 - 1], [-1, 0]):
+        assert kburst.write_spans(target, dep.client, slots,
+                                  [bytes(16), bytes(32)], 16) is None
+    assert dep.state() == before
+
+
 def test_revoked_region_mid_burst_faults_both_scalar_tiers_alike():
     """Writes, then a write to a revoked region, with more queued
     behind it: both tiers commit the prefix, charge and NAK the

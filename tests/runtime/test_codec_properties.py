@@ -138,6 +138,36 @@ def test_append_batch_iter_raw_matches_per_report_encoding(entries):
     assert list(batch.iter_raw()) == expected
 
 
+def _every_batch_kind(rng):
+    keys = [rng.randbytes(rng.randrange(1, 17)) for _ in range(9)]
+    datas = [rng.randbytes(rng.randrange(1, 33)) for _ in range(9)]
+    yield ReportBatch.key_writes(keys, datas, redundancy=3)
+    yield ReportBatch.key_writes(keys, [b"four"] * 9)      # equal widths
+    yield ReportBatch.key_increments(keys, list(range(9)))
+    yield ReportBatch.postcards(keys, [i % 5 for i in range(9)],
+                                list(range(9)), path_lengths=[5] * 9)
+    yield ReportBatch.appends([i % 3 for i in range(9)], datas)
+    yield ReportBatch.sketch_columns(
+        2, list(range(9)), [(1,) * rng.randrange(1, 9) for _ in range(9)])
+
+
+def test_batch_wire_bytes_is_the_sum_over_its_reports():
+    """``wire_bytes`` reads the totals the constructors summed while
+    validating; a batch whose columns were filled in directly (the
+    socket lane's) is summed on the spot.  Both equal framing + the
+    encoded length of every report."""
+    import random
+    for batch in _every_batch_kind(random.Random(4)):
+        expected = sum(42 + len(raw) for raw in batch.iter_raw())
+        assert batch.wire_bytes() == expected
+        bare = ReportBatch(batch.primitive, redundancy=batch.redundancy)
+        for column in ("keys", "datas", "values", "hops", "path_lengths",
+                       "list_ids", "columns", "counter_rows"):
+            setattr(bare, column, getattr(batch, column))
+        bare.sketch_id = batch.sketch_id
+        assert bare.wire_bytes() == expected
+
+
 def test_header_length_constant_matches_format():
     assert BASE_HEADER_BYTES == 8
     header = packets.DtaHeader(primitive=packets.DtaPrimitive.KEY_WRITE)

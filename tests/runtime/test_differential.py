@@ -108,6 +108,56 @@ def test_vectorized_plan_apply_split_matches_scalar(primitive):
     assert vector["store_digest"] == scalar["store_digest"]
 
 
+def test_a_clean_mixed_stream_never_reaches_the_scalar_burst():
+    """Five primitives 4:4:4:4:1 at batch 64 through the inline engine
+    with ``vectorized=True``, on a translator *built*
+    ``vectorized=False`` (the engine flips the flag later — what the
+    repo benchmark's wiring does): every batch is a plan, so
+    ``RdmaClient.post_burst`` is reached by the end-of-stream Append
+    flush and by nothing before it — and the digests are the scalar
+    reference's."""
+    each, batch = 1000, 64
+    sizes = {p: each // 4 if p == "sketch_merge" else each
+             for p in reports.PRIMITIVES}
+    works = {p: reports.columns(p, n, SEED) for p, n in sizes.items()}
+    schedule = []       # one batch per primitive per round, sketch every 4th
+    for turn, start in enumerate(range(0, each, batch)):
+        for primitive in reports.PRIMITIVES:
+            if primitive != "sketch_merge":
+                schedule.append((primitive, start))
+            elif turn % 4 == 0 and turn // 4 * batch < sizes[primitive]:
+                schedule.append((primitive, turn // 4 * batch))
+
+    def run(vectorized: bool):
+        from repro.runtime import pipeline_digest
+        with bench.deployment(vectorized=False,
+                              sketch_width=sizes["sketch_merge"]) as (
+                registry, collector, translator, reporter):
+            client = translator.client
+            bursts = []
+            post_burst = client.post_burst
+            client.post_burst = \
+                lambda wrs: bursts.append(len(wrs)) or post_burst(wrs)
+            engine = StreamEngine(collector, translator, reporter,
+                                  workers=0, vectorized=vectorized)
+            with engine:
+                for primitive, s in schedule:
+                    engine.submit(reports.batch(
+                        primitive, works[primitive], s,
+                        min(s + batch, sizes[primitive])))
+                before_drain = len(bursts)
+                engine.drain()
+            return (before_drain, len(bursts), store_digest(collector),
+                    pipeline_digest(registry.snapshot()))
+
+    before_drain, total, store, digest = run(vectorized=True)
+    assert before_drain == 0, "a batch fell back to the scalar burst"
+    assert total == 1, "only the end-of-stream Append flush posts a burst"
+    scalar = run(vectorized=False)
+    assert scalar[0] > 0
+    assert (store, digest) == scalar[2:]
+
+
 def test_queue_metrics_register_and_exclude_from_digest():
     """Queue depth/stall series exist under ``runtime.*`` (so they are
     observable) and are excluded from the pipeline digest (so they do

@@ -90,6 +90,8 @@ def test_cli_bench_record_gates_and_history(tmp_path, capsys):
     assert gates["key_write batched speedup"]["threshold"] == 2.0
     assert gates["key_increment vectorized speedup"]["threshold"] == 3.0
     assert gates["sketch_merge vectorized speedup"]["threshold"] == 3.0
+    assert gates["postcarding vectorized speedup"]["threshold"] == 1.5
+    assert gates["append vectorized speedup"]["threshold"] == 1.3
     assert (document["cells"]["sketch_merge/vectorized"]["baseline"]
             == "sketch_merge/unbatched")
     assert code == (0 if document["pass"] else 1)
