@@ -4,6 +4,10 @@ The pieces mirror Figure 1's data flow:
 
 * :mod:`repro.core.packets` — the DTA wire protocol (base header +
   per-primitive subheaders, NACK and congestion-signal messages).
+* :mod:`repro.core.primitives` — the registry: one record per
+  primitive (wire table, batch columns, routing, counters, store) that
+  every layer of the write path reads, and the lane protocol a
+  primitive's translator half implements next to its store.
 * :mod:`repro.core.reporter` — telemetry-generating switches: wrap
   monitoring-system output in DTA reports, keep backups of essential
   reports, honour NACKs and congestion signals.

@@ -26,64 +26,32 @@ batches.
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 
 from repro import calibration
-from repro.core import packets
-from repro.core.packets import (
-    MAX_DATA_BYTES,
-    MAX_KEY_BYTES,
-    DtaFlags,
-    DtaPrimitive,
-)
+from repro.core import packets, primitives
+from repro.core.packets import DtaFlags, DtaPrimitive
 
 _HDR = struct.Struct(packets._BASE_FMT)
-_KW_SUB = struct.Struct(">BBH")    # redundancy, key_len, data_len
-_KI_SUB = struct.Struct(">BBq")    # redundancy, key_len, value
-_PC_SUB = struct.Struct(">BBBBI")  # redundancy, key_len, hop, path_len, value
-_AP_SUB = struct.Struct(">HH")     # list_id, data_len
-_SM_SUB = struct.Struct(">HHB")    # sketch_id, column, depth
-
-_SUBHEADERS = {DtaPrimitive.KEY_WRITE: _KW_SUB,
-               DtaPrimitive.KEY_INCREMENT: _KI_SUB,
-               DtaPrimitive.POSTCARDING: _PC_SUB,
-               DtaPrimitive.APPEND: _AP_SUB,
-               DtaPrimitive.SKETCH_MERGE: _SM_SUB}
 
 #: Per-report framing: Eth + IPv4 + UDP + the DTA base header.
 _FRAMING_BYTES = (calibration.ETH_HDR_BYTES + calibration.IPV4_HDR_BYTES
                   + calibration.UDP_HDR_BYTES + packets.BASE_HEADER_BYTES)
 
 
-def _total_bytes(column, sizes: set) -> int:
-    """Bytes in ``column``, whose distinct item sizes are ``sizes``."""
+def _check_sizes(column, tail) -> int:
+    """Validate a column of byte strings (or counter tuples) against
+    its wire tail's item-count range; returns its total item count.
+    Works on the *set* of sizes: a telemetry column has one or two,
+    whatever its length."""
+    sizes = set(map(len, column))
+    lo, hi = tail.accept
+    if sizes and not lo <= min(sizes) <= max(sizes) <= hi:
+        raise ValueError(f"len({tail.name}) must be in [{lo}, {hi}]")
     if len(sizes) == 1:
         (size,) = sizes
         return size * len(column)
     return sum(map(len, column))
-
-
-def _check_keys(keys) -> int:
-    """Validate the key column; returns its total byte count."""
-    sizes = set(map(len, keys))
-    if sizes and not 0 < min(sizes) <= max(sizes) <= MAX_KEY_BYTES:
-        raise ValueError(f"key must be 1..{MAX_KEY_BYTES} bytes")
-    return _total_bytes(keys, sizes)
-
-
-def _check_datas(datas, *, allow_empty: bool) -> int:
-    """Validate a data column; returns its total byte count."""
-    sizes = set(map(len, datas))
-    if sizes:
-        if not allow_empty and not min(sizes):
-            raise ValueError("append data must be non-empty")
-        if max(sizes) > MAX_DATA_BYTES:
-            raise ValueError(f"data exceeds {MAX_DATA_BYTES} bytes")
-    return _total_bytes(datas, sizes)
-
-
-def _check_redundancy(redundancy: int) -> None:
-    if not 1 <= redundancy <= 16:
-        raise ValueError("redundancy must be in [1, 16]")
 
 
 class ReportBatch:
@@ -114,11 +82,13 @@ class ReportBatch:
     __slots__ = ("primitive", "reporter_id", "essential", "immediate",
                  "redundancy", "keys", "datas", "values", "hops",
                  "path_lengths", "list_ids", "seqs", "sketch_id",
-                 "columns", "counter_rows", "_column_bytes")
+                 "columns", "counter_rows", "_column_bytes", "_first")
 
     def __init__(self, primitive: DtaPrimitive, *, redundancy: int = 1,
                  essential: bool = False, immediate: bool = False) -> None:
         self.primitive = primitive
+        #: The column ``len()`` counts (the primitive's first).
+        self._first = primitives.BY_CODE[primitive].columns[0]
         self.reporter_id = 0
         self.essential = essential
         self.immediate = immediate
@@ -143,81 +113,83 @@ class ReportBatch:
     # ------------------------------------------------------------------
 
     @classmethod
+    def from_columns(cls, primitive, columns, extra=None, *,
+                     essential: bool = False,
+                     immediate: bool = False) -> "ReportBatch":
+        """A validated batch of ``primitive`` (a
+        :class:`~repro.core.primitives.Primitive`) from its columns, in
+        ``primitive.fields`` order, and its run-wide ``extra``.
+
+        What the named constructors below call: every range comes from
+        the primitive's wire table (``primitive.batch_accept`` where a
+        batch is held to a narrower one).
+        """
+        batch = cls(primitive.code, essential=essential, immediate=immediate)
+        if primitive.extra is not None:
+            accept = primitive.extra_accept
+            if accept is not None and not accept[0] <= extra <= accept[1]:
+                raise ValueError(f"{primitive.extra} must be in "
+                                 f"[{accept[0]}, {accept[1]}]")
+            setattr(batch, primitive.extra, extra)
+        reports = len(columns[0])
+        items = 0
+        for (name, attr, tail, accept), column in zip(
+                primitive.column_specs, columns):
+            if len(column) != reports:
+                raise ValueError(f"{'/'.join(primitive.columns)} must be "
+                                 "the same length")
+            if tail is None:
+                column = list(column)
+                if accept is not None:
+                    lo, hi = accept
+                    for value in column:
+                        if not lo <= value <= hi:
+                            raise ValueError(
+                                f"{name} must be in [{lo}, {hi}]")
+            else:
+                column = list(column if tail.item == 1
+                              else map(tuple, column))
+                items += tail.item * _check_sizes(column, tail)
+            setattr(batch, attr, column)
+        batch._column_bytes = items
+        return batch
+
+    @classmethod
     def key_writes(cls, keys, datas, *, redundancy: int = 2,
                    essential: bool = False,
                    immediate: bool = False) -> "ReportBatch":
         """A batch of Key-Write reports (parallel ``keys``/``datas``)."""
-        if len(keys) != len(datas):
-            raise ValueError("keys and datas must be the same length")
-        _check_redundancy(redundancy)
-        column_bytes = _check_keys(keys) + _check_datas(datas,
-                                                        allow_empty=True)
-        batch = cls(DtaPrimitive.KEY_WRITE, redundancy=redundancy,
-                    essential=essential, immediate=immediate)
-        batch.keys = list(keys)
-        batch.datas = list(datas)
-        batch._column_bytes = column_bytes
-        return batch
+        return cls.from_columns(primitives.KEY_WRITE, (keys, datas),
+                                redundancy, essential=essential,
+                                immediate=immediate)
 
     @classmethod
     def key_increments(cls, keys, values, *, redundancy: int = 2,
                        essential: bool = False,
                        immediate: bool = False) -> "ReportBatch":
         """A batch of Key-Increment reports."""
-        if len(keys) != len(values):
-            raise ValueError("keys and values must be the same length")
-        _check_redundancy(redundancy)
-        column_bytes = _check_keys(keys)
-        batch = cls(DtaPrimitive.KEY_INCREMENT, redundancy=redundancy,
-                    essential=essential, immediate=immediate)
-        batch.keys = list(keys)
-        batch.values = list(values)
-        batch._column_bytes = column_bytes
-        return batch
+        return cls.from_columns(primitives.KEY_INCREMENT, (keys, values),
+                                redundancy, essential=essential,
+                                immediate=immediate)
 
     @classmethod
     def postcards(cls, keys, hops, values, *, path_lengths=None,
                   redundancy: int = 1, essential: bool = False,
                   immediate: bool = False) -> "ReportBatch":
         """A batch of Postcarding reports (one hop observation each)."""
-        if not len(keys) == len(hops) == len(values):
-            raise ValueError("keys/hops/values must be the same length")
-        _check_redundancy(redundancy)
-        column_bytes = _check_keys(keys)
-        for hop in hops:
-            if not 0 <= hop < 32:
-                raise ValueError("hop must be in [0, 32)")
-        for value in values:
-            if not 0 <= value < (1 << 32):
-                raise ValueError("postcard value must fit 32 bits")
-        batch = cls(DtaPrimitive.POSTCARDING, redundancy=redundancy,
-                    essential=essential, immediate=immediate)
-        batch.keys = list(keys)
-        batch.hops = list(hops)
-        batch.values = list(values)
-        batch.path_lengths = ([0] * len(batch.keys) if path_lengths is None
-                              else list(path_lengths))
-        if len(batch.path_lengths) != len(batch.keys):
-            raise ValueError("path_lengths must match keys in length")
-        batch._column_bytes = column_bytes
-        return batch
+        if path_lengths is None:
+            path_lengths = [0] * len(keys)
+        return cls.from_columns(primitives.POSTCARDING,
+                                (keys, hops, values, path_lengths),
+                                redundancy, essential=essential,
+                                immediate=immediate)
 
     @classmethod
     def appends(cls, list_ids, datas, *, essential: bool = False,
                 immediate: bool = False) -> "ReportBatch":
         """A batch of Append reports."""
-        if len(list_ids) != len(datas):
-            raise ValueError("list_ids and datas must be the same length")
-        for list_id in list_ids:
-            if not 0 <= list_id < (1 << 16):
-                raise ValueError("list_id must fit 16 bits")
-        column_bytes = _check_datas(datas, allow_empty=False)
-        batch = cls(DtaPrimitive.APPEND, essential=essential,
-                    immediate=immediate)
-        batch.list_ids = list(list_ids)
-        batch.datas = list(datas)
-        batch._column_bytes = column_bytes
-        return batch
+        return cls.from_columns(primitives.APPEND, (list_ids, datas),
+                                essential=essential, immediate=immediate)
 
     @classmethod
     def sketch_columns(cls, sketch_id: int, columns, counter_rows, *,
@@ -229,38 +201,14 @@ class ReportBatch:
         sketch row) of sketch ``sketch_id`` — a run of the in-order
         column stream one reporter emits per epoch (Section 4.2).
         """
-        if len(columns) != len(counter_rows):
-            raise ValueError("columns and counter_rows must be the "
-                             "same length")
-        if not 0 <= sketch_id < (1 << 16):
-            raise ValueError("sketch_id must fit 16 bits")
-        for column in columns:
-            if not 0 <= column < (1 << 16):
-                raise ValueError("column index must fit 16 bits")
-        counters_total = 0
-        for counters in counter_rows:
-            depth = len(counters)
-            if not depth:
-                raise ValueError("a sketch column carries >= 1 counter")
-            if depth > 255:
-                raise ValueError("at most 255 counters per column")
-            counters_total += depth
-        batch = cls(DtaPrimitive.SKETCH_MERGE, essential=essential,
-                    immediate=immediate)
-        batch.sketch_id = sketch_id
-        batch.columns = list(columns)
-        batch.counter_rows = [tuple(counters) for counters in counter_rows]
-        batch._column_bytes = 4 * counters_total
-        return batch
+        return cls.from_columns(primitives.SKETCH_MERGE,
+                                (columns, counter_rows), sketch_id,
+                                essential=essential, immediate=immediate)
 
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self.primitive is DtaPrimitive.APPEND:
-            return len(self.list_ids)
-        if self.primitive is DtaPrimitive.SKETCH_MERGE:
-            return len(self.columns)
-        return len(self.keys)
+        return len(getattr(self, self._first))
 
     @property
     def flags(self) -> DtaFlags:
@@ -282,18 +230,14 @@ class ReportBatch:
         variable-length columns while validating them; a batch filled
         in directly is summed here.
         """
-        prim = self.primitive
-        sub = _SUBHEADERS.get(prim)
-        if sub is None:
-            raise ValueError(f"cannot size a {prim.name} batch")
+        spec = primitives.BY_CODE[self.primitive]
         column_bytes = self._column_bytes
         if column_bytes is None:
-            if prim is DtaPrimitive.SKETCH_MERGE:
-                column_bytes = 4 * sum(map(len, self.counter_rows))
-            else:
-                column_bytes = (sum(map(len, self.keys))
-                                + sum(map(len, self.datas)))
-        return (_FRAMING_BYTES + sub.size) * len(self) + column_bytes
+            column_bytes = sum(
+                tail.item * sum(map(len, getattr(self, column)))
+                for tail, column in spec.tail_columns)
+        return ((_FRAMING_BYTES + spec.wire.size) * len(self)
+                + column_bytes)
 
     def _headers(self):
         """Per-report packed DTA base headers.
@@ -322,35 +266,18 @@ class ReportBatch:
         equivalent per-report operation — this is what the per-report
         fallback lanes and the fabric path transmit.
         """
-        prim = self.primitive
-        headers = self._headers()
-        if prim is DtaPrimitive.KEY_WRITE:
-            red = self.redundancy
-            for header, key, data in zip(headers, self.keys, self.datas):
-                yield (header + _KW_SUB.pack(red, len(key), len(data))
-                       + key + data)
-        elif prim is DtaPrimitive.KEY_INCREMENT:
-            red = self.redundancy
-            for header, key, value in zip(headers, self.keys, self.values):
-                yield header + _KI_SUB.pack(red, len(key), value) + key
-        elif prim is DtaPrimitive.POSTCARDING:
-            red = self.redundancy
-            for header, key, hop, value, plen in zip(
-                    headers, self.keys, self.hops, self.values,
-                    self.path_lengths):
-                yield (header + _PC_SUB.pack(red, len(key), hop, plen, value)
-                       + key)
-        elif prim is DtaPrimitive.APPEND:
-            for header, list_id, data in zip(headers, self.list_ids,
-                                             self.datas):
-                yield header + _AP_SUB.pack(list_id, len(data)) + data
-        elif prim is DtaPrimitive.SKETCH_MERGE:
-            sketch_id = self.sketch_id
-            for header, column, counters in zip(headers, self.columns,
-                                                self.counter_rows):
-                depth = len(counters)
-                yield (header + _SM_SUB.pack(sketch_id, column, depth)
-                       + struct.pack(f">{depth}I",
-                                     *[c & 0xFFFFFFFF for c in counters]))
-        else:
-            raise ValueError(f"cannot serialise a {prim.name} batch")
+        spec = primitives.BY_CODE[self.primitive]
+        wire, column = spec.wire, spec.column_of
+        # One value stream per fixed field, in wire order: a tail's
+        # item count, a per-report column, or the run-wide extra.
+        fixed = map(wire.struct.pack, *(
+            map(len, getattr(self, column[field.sizes])) if field.sizes
+            else getattr(self, column[field.name]) if field.name in column
+            else repeat(getattr(self, field.name))
+            for field in wire.fields))
+        tails = [getattr(self, name) if tail.item == 1
+                 else map(packets.pack_counters, getattr(self, name))
+                 for tail, name in spec.tail_columns]
+        body = tails[0] if len(tails) == 1 else map(b"".join, zip(*tails))
+        for header, sub, tail in zip(self._headers(), fixed, body):
+            yield header + sub + tail

@@ -96,25 +96,160 @@ class DtaHeader:
 
 
 # ---------------------------------------------------------------------------
-# Primitive subheaders.  Each knows its own pack/unpack; `decode_report`
-# dispatches on the base header.
+# Primitive subheaders.  Each operation declares its sub-header once, as
+# a field table (``WIRE``); ``pack`` / ``unpack`` / the range checks here,
+# ``ReportBatch.iter_raw`` and ``kernels.wire.decode`` all derive from
+# it, and ``repro.core.primitives`` hangs the rest of a primitive's
+# description off it.  `decode_report` dispatches on the base header.
 # ---------------------------------------------------------------------------
 
 
-def _check_key(key: bytes) -> bytes:
-    if not key or len(key) > MAX_KEY_BYTES:
-        raise ValueError(f"key must be 1..{MAX_KEY_BYTES} bytes")
-    return key
+@dataclass(frozen=True)
+class Field:
+    """One fixed-width sub-header field.
 
+    Attributes:
+        name: The operation attribute it carries (and the column name
+            :func:`repro.kernels.wire.decode` returns it under).
+        code: ``struct`` format character — width and signedness.
+        accept: Inclusive ``(lo, hi)`` the operation's constructor and
+            the wire decoders hold it to; None accepts whatever the
+            width can carry.
+        sizes: Name of the variable tail whose item count this field
+            is (it then takes the tail's ``accept``, not its own).
+    """
 
-def _check_data(data: bytes) -> bytes:
-    if len(data) > MAX_DATA_BYTES:
-        raise ValueError(f"data exceeds {MAX_DATA_BYTES} bytes")
-    return data
+    name: str
+    code: str
+    accept: tuple | None = None
+    sizes: str | None = None
+
+    @property
+    def width(self) -> int:
+        return struct.calcsize(self.code)
+
+    @property
+    def natural(self) -> tuple:
+        """The range the width itself holds."""
+        bits = 8 * self.width
+        if self.code.islower():
+            return -(1 << bits - 1), (1 << bits - 1) - 1
+        return 0, (1 << bits) - 1
 
 
 @dataclass(frozen=True)
-class KeyWrite:
+class Tail:
+    """A variable-length part after the fixed sub-header: ``accept``
+    bounds its item count, ``item`` is bytes per item (1: a byte
+    string; 4: a tuple of big-endian ``u32``, masked on the way out)."""
+
+    name: str
+    accept: tuple
+    item: int = 1
+
+
+def pack_counters(counters) -> bytes:
+    """A 4-byte-item tail on the wire."""
+    return struct.pack(f">{len(counters)}I",
+                       *[c & 0xFFFFFFFF for c in counters])
+
+
+class SubHeader:
+    """A sub-header format: fixed ``fields``, then ``tails`` in order."""
+
+    def __init__(self, label: str, *fields: Field, tails=()) -> None:
+        self.label = label
+        self.fields = fields
+        self.tails = tuple(tails)
+        self.struct = struct.Struct(">" + "".join(f.code for f in fields))
+        self.size = self.struct.size
+        #: tail name -> the tail; tail name -> its count field's name.
+        self.tail_of = {tail.name: tail for tail in self.tails}
+        self.counts = {f.sizes: f.name for f in fields if f.sizes}
+        #: Every range a report must satisfy, as ``(field, lo, hi)``; a
+        #: count field's is its tail's, checked as the tail's length.
+        self.ranges = tuple(
+            (f, *(self.tail_of[f.sizes].accept if f.sizes else f.accept))
+            for f in fields if f.sizes or f.accept)
+        #: Where :meth:`peek` finds a field (or a tail's count) in a
+        #: whole report: ``(offset, width, signed, is_count)``.
+        self.spans = {}
+        at = BASE_HEADER_BYTES
+        for f in fields:
+            self.spans[f.sizes or f.name] = (at, f.width, f.code.islower(),
+                                             bool(f.sizes))
+            at += f.width
+        self._compile()
+
+    def _compile(self) -> None:
+        """Generate this table's ``validate(op)``, ``pack(op)`` and
+        ``unpack(cls, raw)`` as straight-line code — what one would
+        write by hand for the format (the way ``dataclass`` generates
+        ``__init__``), not an interpretation of the table per report:
+        this is the per-report lane's codec."""
+        label, size = self.label, self.size
+        value = {f: f"len(op.{f.sizes})" if f.sizes else f"op.{f.name}"
+                 for f in self.fields}
+        body = "".join(f" + op.{t.name}" if t.item == 1
+                       else f" + _counters(op.{t.name})" for t in self.tails)
+        lines = [f"def pack(op): return _pack({', '.join(value.values())})"
+                 + body, "def validate(op):"]
+        for f, lo, hi in self.ranges:
+            what = value[f].replace("op.", "")
+            lines.append(
+                f"    if not {lo} <= {value[f]} <= {hi}: raise ValueError("
+                f"{f'{label}: {what} must be in [{lo}, {hi}]'!r})")
+        lines += ["    return None", "def unpack(cls, raw):",
+                  f"    if len(raw) < {size}: raise Short("
+                  f"{f'truncated {label} subheader'!r})",
+                  f"    {', '.join(f.name for f in self.fields)}, = "
+                  "_unpack(raw)", f"    at = {size}"]
+        for t in self.tails:
+            lines += [f"    end = at + {self.counts[t.name]} * {t.item}",
+                      f"    if len(raw) < end: raise Short("
+                      f"{f'truncated {label} {t.name}'!r})",
+                      f"    {t.name} = " + (
+                          "bytes(raw[at:end])" if t.item == 1 else
+                          f"_ints('>%dI' % {self.counts[t.name]}, raw, at)"),
+                      "    at = end"]
+        kept = [f.name for f in self.fields if not f.sizes] \
+            + [t.name for t in self.tails]
+        lines.append(f"    return cls({', '.join(f'{n}={n}' for n in kept)})")
+        scope = {"_pack": self.struct.pack, "_unpack": self.struct.unpack_from,
+                 "_counters": pack_counters, "_ints": struct.unpack_from,
+                 "Short": PacketDecodeError}
+        exec("\n".join(lines), scope)
+        self.validate, self.pack, self.unpack = (
+            scope["validate"], scope["pack"], scope["unpack"])
+
+    def peek(self, raw: bytes, name: str):
+        """Field ``name`` (an int) or the *first* tail (bytes) of a
+        whole report ``raw``, by byte slicing — no validation."""
+        at, width, signed, is_count = self.spans[name]
+        value = int.from_bytes(raw[at:at + width], "big", signed=signed)
+        if not is_count:
+            return value
+        body = BASE_HEADER_BYTES + self.size
+        return raw[body:body + value]
+
+
+class _Operation:
+    """What every sub-header dataclass derives from its ``WIRE`` table:
+    ``pack()``, ``unpack(raw)`` and the constructor's range checks."""
+
+    WIRE: SubHeader
+
+    def __init_subclass__(cls) -> None:
+        cls.pack, cls.__post_init__ = cls.WIRE.pack, cls.WIRE.validate
+        cls.unpack = classmethod(cls.WIRE.unpack)
+
+
+_KEY = Tail("key", (1, MAX_KEY_BYTES))
+_REDUNDANCY = Field("redundancy", "B", (1, 16))
+
+
+@dataclass(frozen=True)
+class KeyWrite(_Operation):
     """Key-Write: store ``data`` under ``key`` with ``redundancy`` copies.
 
     Section 3.2: the redundancy field lets switches state per-key
@@ -125,66 +260,27 @@ class KeyWrite:
     data: bytes
     redundancy: int = 2
 
-    _FMT = ">BBH"
-
-    def __post_init__(self) -> None:
-        _check_key(self.key)
-        _check_data(self.data)
-        if not 1 <= self.redundancy <= 16:
-            raise ValueError("redundancy must be in [1, 16]")
-
-    def pack(self) -> bytes:
-        return struct.pack(self._FMT, self.redundancy, len(self.key),
-                           len(self.data)) + self.key + self.data
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "KeyWrite":
-        size = struct.calcsize(cls._FMT)
-        if len(raw) < size:
-            raise PacketDecodeError("truncated Key-Write subheader")
-        redundancy, key_len, data_len = struct.unpack_from(cls._FMT, raw)
-        body = raw[size:]
-        if len(body) < key_len + data_len:
-            raise PacketDecodeError("truncated Key-Write body")
-        return cls(key=bytes(body[:key_len]),
-                   data=bytes(body[key_len:key_len + data_len]),
-                   redundancy=redundancy)
+    WIRE = SubHeader("Key-Write", _REDUNDANCY,
+                     Field("key_len", "B", sizes="key"),
+                     Field("data_len", "H", sizes="data"),
+                     tails=(_KEY, Tail("data", (0, MAX_DATA_BYTES))))
 
 
 @dataclass(frozen=True)
-class KeyIncrement:
+class KeyIncrement(_Operation):
     """Key-Increment: add ``value`` to the counter stored under ``key``."""
 
     key: bytes
     value: int
     redundancy: int = 2
 
-    _FMT = ">BBq"
-
-    def __post_init__(self) -> None:
-        _check_key(self.key)
-        if not 1 <= self.redundancy <= 16:
-            raise ValueError("redundancy must be in [1, 16]")
-
-    def pack(self) -> bytes:
-        return struct.pack(self._FMT, self.redundancy, len(self.key),
-                           self.value) + self.key
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "KeyIncrement":
-        size = struct.calcsize(cls._FMT)
-        if len(raw) < size:
-            raise PacketDecodeError("truncated Key-Increment subheader")
-        redundancy, key_len, value = struct.unpack_from(cls._FMT, raw)
-        body = raw[size:]
-        if len(body) < key_len:
-            raise PacketDecodeError("truncated Key-Increment key")
-        return cls(key=bytes(body[:key_len]), value=value,
-                   redundancy=redundancy)
+    WIRE = SubHeader("Key-Increment", _REDUNDANCY,
+                     Field("key_len", "B", sizes="key"),
+                     Field("value", "q"), tails=(_KEY,))
 
 
 @dataclass(frozen=True)
-class Postcard:
+class Postcard(_Operation):
     """Postcarding: the ``hop``'th postcard of flow/packet ``key``.
 
     ``path_length`` lets egress switches announce the true hop count so
@@ -197,68 +293,30 @@ class Postcard:
     path_length: int = 0   # 0 = unknown
     redundancy: int = 1
 
-    _FMT = ">BBBBI"
-
-    def __post_init__(self) -> None:
-        _check_key(self.key)
-        if not 0 <= self.hop < 32:
-            raise ValueError("hop must be in [0, 32)")
-        if not 0 <= self.value < (1 << 32):
-            raise ValueError("postcard value must fit 32 bits")
-
-    def pack(self) -> bytes:
-        return struct.pack(self._FMT, self.redundancy, len(self.key),
-                           self.hop, self.path_length,
-                           self.value) + self.key
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "Postcard":
-        size = struct.calcsize(cls._FMT)
-        if len(raw) < size:
-            raise PacketDecodeError("truncated Postcarding subheader")
-        redundancy, key_len, hop, path_length, value = struct.unpack_from(
-            cls._FMT, raw)
-        body = raw[size:]
-        if len(body) < key_len:
-            raise PacketDecodeError("truncated Postcarding key")
-        return cls(key=bytes(body[:key_len]), hop=hop, value=value,
-                   path_length=path_length, redundancy=redundancy)
+    # Redundancy is any byte here (0 means one copy); only
+    # ``ReportBatch.postcards`` narrows it — see
+    # ``primitives.POSTCARDING.batch_accept``.
+    WIRE = SubHeader("Postcarding", Field("redundancy", "B"),
+                     Field("key_len", "B", sizes="key"),
+                     Field("hop", "B", (0, 31)),
+                     Field("path_length", "B"),
+                     Field("value", "I", (0, 0xFFFFFFFF)), tails=(_KEY,))
 
 
 @dataclass(frozen=True)
-class Append:
+class Append(_Operation):
     """Append: push ``data`` onto list ``list_id`` at the collector."""
 
     list_id: int
     data: bytes
 
-    _FMT = ">HH"
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.list_id < (1 << 16):
-            raise ValueError("list_id must fit 16 bits")
-        if not self.data:
-            raise ValueError("append data must be non-empty")
-        _check_data(self.data)
-
-    def pack(self) -> bytes:
-        return struct.pack(self._FMT, self.list_id,
-                           len(self.data)) + self.data
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "Append":
-        size = struct.calcsize(cls._FMT)
-        if len(raw) < size:
-            raise PacketDecodeError("truncated Append subheader")
-        list_id, data_len = struct.unpack_from(cls._FMT, raw)
-        body = raw[size:]
-        if len(body) < data_len:
-            raise PacketDecodeError("truncated Append data")
-        return cls(list_id=list_id, data=bytes(body[:data_len]))
+    WIRE = SubHeader("Append", Field("list_id", "H", (0, 0xFFFF)),
+                     Field("data_len", "H", sizes="data"),
+                     tails=(Tail("data", (1, MAX_DATA_BYTES)),))
 
 
 @dataclass(frozen=True)
-class SketchColumn:
+class SketchColumn(_Operation):
     """Sketch-Merge: one column of a reporter's sketch.
 
     Columns must arrive in order per reporter (Section 4.2); the
@@ -269,37 +327,14 @@ class SketchColumn:
     column: int
     counters: tuple
 
-    _FMT = ">HHB"
-
-    def __post_init__(self) -> None:
-        if not self.counters:
-            raise ValueError("a sketch column carries >= 1 counter")
-        if len(self.counters) > 255:
-            raise ValueError("at most 255 counters per column")
-
-    def pack(self) -> bytes:
-        head = struct.pack(self._FMT, self.sketch_id, self.column,
-                           len(self.counters))
-        body = struct.pack(f">{len(self.counters)}I",
-                           *[c & 0xFFFFFFFF for c in self.counters])
-        return head + body
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "SketchColumn":
-        size = struct.calcsize(cls._FMT)
-        if len(raw) < size:
-            raise PacketDecodeError("truncated Sketch-Merge subheader")
-        sketch_id, column, depth = struct.unpack_from(cls._FMT, raw)
-        body = raw[size:]
-        need = 4 * depth
-        if len(body) < need:
-            raise PacketDecodeError("truncated sketch column")
-        counters = struct.unpack_from(f">{depth}I", body)
-        return cls(sketch_id=sketch_id, column=column, counters=counters)
+    WIRE = SubHeader("Sketch-Merge", Field("sketch_id", "H", (0, 0xFFFF)),
+                     Field("column", "H", (0, 0xFFFF)),
+                     Field("depth", "B", sizes="counters"),
+                     tails=(Tail("counters", (1, 255), item=4),))
 
 
 @dataclass(frozen=True)
-class Nack:
+class Nack(_Operation):
     """Translator -> reporter: essential reports were lost; re-send.
 
     Carries the first missing sequence number and how many are missing
@@ -309,22 +344,12 @@ class Nack:
     expected_seq: int
     missing: int = 1
 
-    _FMT = ">II"
-
-    def pack(self) -> bytes:
-        return struct.pack(self._FMT, self.expected_seq, self.missing)
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "Nack":
-        size = struct.calcsize(cls._FMT)
-        if len(raw) < size:
-            raise PacketDecodeError("truncated NACK")
-        expected_seq, missing = struct.unpack_from(cls._FMT, raw)
-        return cls(expected_seq=expected_seq, missing=missing)
+    WIRE = SubHeader("NACK", Field("expected_seq", "I"),
+                     Field("missing", "I"))
 
 
 @dataclass(frozen=True)
-class CongestionSignal:
+class CongestionSignal(_Operation):
     """Translator -> reporter: reduce telemetry generation rate.
 
     ``level`` grades the backpressure (1 = shed low priority,
@@ -334,17 +359,7 @@ class CongestionSignal:
 
     level: int = 1
 
-    _FMT = ">B"
-
-    def pack(self) -> bytes:
-        return struct.pack(self._FMT, self.level)
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "CongestionSignal":
-        if len(raw) < 1:
-            raise PacketDecodeError("truncated congestion signal")
-        (level,) = struct.unpack_from(cls._FMT, raw)
-        return cls(level=level)
+    WIRE = SubHeader("congestion signal", Field("level", "B"))
 
 
 _SUBHEADERS = {
@@ -358,11 +373,6 @@ _SUBHEADERS = {
 }
 
 _PRIMITIVE_OF = {cls: prim for prim, cls in _SUBHEADERS.items()}
-
-#: Size of each primitive's fixed sub-header; the variable part (key,
-#: data, counters) starts ``BASE_HEADER_BYTES`` + this into a report.
-SUBHEADER_BYTES = {prim: struct.calcsize(cls._FMT)
-                   for prim, cls in _SUBHEADERS.items()}
 
 Operation = object  # any of the subheader dataclasses above
 

@@ -1,0 +1,249 @@
+"""The five DTA primitives, one record each — the write path's one table.
+
+DTA's whole interface is five reporting primitives (Sections 3.2 and
+4).  Everything the write path needs to know *about* a primitive —
+as opposed to what it does with one — is a row of :data:`REGISTRY`:
+its wire sub-header (the field table its operation class declares in
+:mod:`repro.core.packets`), its :class:`~repro.core.batch.ReportBatch`
+columns, how a report is routed to a collector, what identifies a run
+of reports that may share a batch, which ``TranslatorStats`` counter
+and which collector store it feeds.  The codecs (``packets``,
+``ReportBatch.iter_raw``, ``kernels.wire.decode``), the routing
+(``transport.serve.route_report``, ``ReportAssembler``) and the
+translator's dispatch all read this table instead of naming primitives.
+
+What a primitive *does* at the translator is its lane class
+(:class:`Lane`), which lives next to its store in
+``core/stores/<primitive>.py``.  Adding a sixth primitive is one
+operation class, one row here and one store module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
+
+from repro.core import packets
+from repro.core.packets import DtaPrimitive
+from repro.kernels import crc as kcrc
+
+
+@dataclass(frozen=True, eq=False)
+class Primitive:
+    """Everything table-shaped about one DTA primitive.
+
+    Attributes:
+        code: The wire operation code.
+        service: Its name in CM adverts, workloads and fault plans.
+        op: The operation dataclass; ``op.WIRE`` is the sub-header
+            (also reachable as ``wire``).
+        fields: The operation attributes that vary per report, in
+            :class:`~repro.core.batch.ReportBatch` constructor order.
+        columns: The batch attribute holding each of ``fields``.
+        extra: The operation attribute a batch carries once — and that
+            a run of reports must therefore share, next to primitive
+            and reporter — or None.
+        route: Routing kind: ``ClusterMap.for_<route>`` of the
+            ``routed_by`` attribute picks the collector.
+        reporter: The :class:`~repro.core.reporter.Reporter` method
+            that sends one.
+        stat: The ``TranslatorStats`` counter of translated reports.
+        store: The :class:`~repro.core.collector.Collector` attribute
+            of the store it lands in.
+        value: The field a plan made straight from wire columns takes
+            beside the keys, for the primitives whose lane has one
+            (:attr:`Lane.plan_columns`).
+        atomic: Lands as RDMA Fetch-and-Add rather than Write.
+        batch_accept: Ranges the ``ReportBatch`` constructors hold a
+            field to where they are *narrower* than the wire's (the
+            sub-header's ``accept``, which the operation constructors
+            and ``kernels.wire.decode`` enforce).
+    """
+
+    code: DtaPrimitive
+    service: str
+    op: type
+    fields: tuple
+    columns: tuple
+    extra: str | None
+    route: str
+    routed_by: str
+    reporter: str
+    stat: str
+    store: str
+    value: str | None = None
+    atomic: bool = False
+    batch_accept: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        derive = partial(object.__setattr__, self)
+        derive("columns_of", attrgetter(*self.columns))
+        derive("_fields_of", attrgetter(*self.fields))
+        wire = self.op.WIRE
+        derive("wire", wire)
+        accept = {f.name: f.accept for f in wire.fields if f.accept}
+        accept.update(self.batch_accept)
+        #: field -> the batch attribute that holds it.
+        column = dict(zip(self.fields, self.columns))
+        derive("column_of", column)
+        #: Per column ``(field, batch attribute, wire tail or None,
+        #: batch accept range or None)`` — what ``ReportBatch`` checks.
+        derive("column_specs", tuple(
+            (name, column[name], wire.tail_of.get(name), accept.get(name))
+            for name in self.fields))
+        derive("extra_accept", accept.get(self.extra))
+        #: ``(wire tail, batch attribute)`` in wire order.
+        derive("tail_columns", tuple(
+            (tail, column[tail.name]) for tail in wire.tails))
+
+    def row(self, op) -> list:
+        """One operation as one-row columns."""
+        return list(zip(self._fields_of(op)))
+
+    def extra_of(self, source):
+        """The run-wide ``extra`` of an operation or a batch."""
+        return getattr(source, self.extra) if self.extra else None
+
+    def shard(self, cluster_map, routed) -> int:
+        """The collector a report whose ``routed_by`` is ``routed``
+        belongs to."""
+        return getattr(cluster_map, "for_" + self.route)(routed)
+
+
+KEY_WRITE = Primitive(
+    DtaPrimitive.KEY_WRITE, "key_write", packets.KeyWrite,
+    fields=("key", "data"), columns=("keys", "datas"), extra="redundancy",
+    route="key", routed_by="key", reporter="key_write",
+    stat="keywrites", store="keywrite", value="data")
+KEY_INCREMENT = Primitive(
+    DtaPrimitive.KEY_INCREMENT, "key_increment", packets.KeyIncrement,
+    fields=("key", "value"), columns=("keys", "values"), extra="redundancy",
+    route="key", routed_by="key", reporter="key_increment",
+    stat="keyincrements", store="keyincrement", value="value", atomic=True)
+POSTCARDING = Primitive(
+    DtaPrimitive.POSTCARDING, "postcarding", packets.Postcard,
+    fields=("key", "hop", "value", "path_length"),
+    columns=("keys", "hops", "values", "path_lengths"), extra="redundancy",
+    route="key", routed_by="key", reporter="postcard",
+    stat="postcards", store="postcarding",
+    # The wire takes any redundancy byte (0 means one copy, and what
+    # the provisioned layout cannot hold is the lane's ``check`` to
+    # reject); a batch built here is held to the documented 1..16.
+    batch_accept={"redundancy": (1, 16)})
+APPEND = Primitive(
+    DtaPrimitive.APPEND, "append", packets.Append,
+    fields=("list_id", "data"), columns=("list_ids", "datas"), extra=None,
+    route="list", routed_by="list_id", reporter="append",
+    stat="appends", store="append")
+SKETCH_MERGE = Primitive(
+    DtaPrimitive.SKETCH_MERGE, "sketch_merge", packets.SketchColumn,
+    fields=("column", "counters"), columns=("columns", "counter_rows"),
+    extra="sketch_id", route="sketch", routed_by="sketch_id",
+    reporter="sketch_column", stat="sketch_columns", store="sketch")
+
+#: Every primitive, in store-digest order (load-bearing:
+#: ``runtime.engine.store_digest``, snapshots, checkpoints and the
+#: socket lane's shared segments all walk the stores in this order).
+REGISTRY = (KEY_WRITE, KEY_INCREMENT, POSTCARDING, APPEND, SKETCH_MERGE)
+BY_CODE = {primitive.code: primitive for primitive in REGISTRY}
+BY_SERVICE = {primitive.service: primitive for primitive in REGISTRY}
+STORES = tuple(primitive.store for primitive in REGISTRY)
+
+
+class Lane:
+    """What one primitive does at a translator: built by
+    ``Translator.configure`` from the service's CM advert, holding the
+    store layout, the rkey and whatever state the primitive aggregates.
+
+    ``cols`` is always the primitive's per-report columns
+    (:attr:`Primitive.fields` order: a batch's lists, or one-row tuples
+    for a single report) and ``extra`` its run-wide field.  Every lane
+    has exactly one of each:
+
+    * :meth:`check` — the one validation: the exception the service
+      rejects these reports with, unraised, or None.  Depends on the
+      layout only, never on lane state, and touches nothing.
+    * :meth:`scalar` — the reference semantics every digest gate
+      anchors to: run checked reports through the lane's state one by
+      one and return the work requests to post.
+    * :meth:`plan` — the same state transitions and RDMA effects as
+      :meth:`scalar` over the same columns, as burst-kernel arrays
+      ``(indices, payload)`` (see ``kernels.burst.VectorPlan``;
+      index ``i`` is ``stride`` bytes times ``i`` into the region), or
+      None *having touched nothing* where only the scalar lane has
+      the semantics; it declines whatever :meth:`check` rejects.
+
+    ``scalar(cols, extra, reporter_id, control)`` — ``control(message)``
+    sends a control message back to the reporter — and ``plan(cols,
+    extra, reporter_id, target)`` are each lane's own; so is ``stride``.
+    """
+
+    __slots__ = ("stats", "node", "rkey", "layout")
+    primitive: Primitive
+    #: ``plan_columns(packed, lengths, third, redundancy, target)``
+    #: for the lanes that can plan straight from wire columns.
+    plan_columns = None
+
+    def __init__(self, translator, rkey: int, layout) -> None:
+        # Not the translator itself: it owns its lanes, and a closed
+        # deployment must be reclaimed by reference count alone.
+        self.stats = translator.stats
+        self.node = translator.name
+        self.rkey = rkey
+        self.layout = layout
+
+    def check(self, cols, extra):
+        return None
+
+    def immediate(self, cols) -> list:
+        """Work requests that must go out now because the report was
+        immediate-flagged and its notification found no write to ride."""
+        return []
+
+
+class ColumnLane(Lane):
+    """A lane whose plan is a pure function of the report columns
+    (Key-Write, Key-Increment): ``kernel(layout, packed, lengths,
+    third, fanout, region_length)``, which the shared-memory plan
+    workers (:mod:`repro.runtime.shm`) run from ``layout_class`` and
+    the columns alone, and the socket lane feeds straight from a
+    receive burst.  ``value_dtype`` is how ``third`` (and the plan's
+    payload) crosses a ring: ``"u1"`` a byte matrix, ``"<i8"`` a
+    vector.  Each such lane says how its value column becomes
+    ``third``: ``matrix(values)`` from a batch's list (None where only
+    the scalar lane has the semantics), then ``normalise(third,
+    redundancy)`` to the ``(third, fanout)`` the kernel wants (None
+    for what :meth:`check` rejects).
+    """
+
+    __slots__ = ()
+    layout_class: type
+    value_dtype: str
+    kernel = None
+
+    def request(self, cols, extra):
+        """The kernel's column arguments ``(packed, lengths, third,
+        fanout)`` for a plan worker, or None."""
+        keys, values = cols
+        third = self.matrix(values)
+        columns = None if third is None else self.normalise(third, extra)
+        if columns is None:
+            return None
+        return (*kcrc.pack_keys(keys), *columns)
+
+    def plan(self, cols, extra, reporter_id: int, target):
+        keys, values = cols
+        third = self.matrix(values)
+        if third is None:
+            return None
+        return self.plan_columns(*kcrc.hash_input(keys), third, extra,
+                                 target)
+
+    def plan_columns(self, packed, lengths, third, redundancy: int, target):
+        """:meth:`plan` for columns that are already matrices."""
+        columns = self.normalise(third, redundancy)
+        if columns is None:
+            return None
+        return self.kernel(self.layout, packed, lengths, *columns,
+                           target.region.length)

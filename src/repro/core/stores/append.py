@@ -19,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import calibration
+from repro.core import primitives
 from repro.rdma.memory import MemoryRegion
+from repro.rdma.verbs import Opcode, WorkRequest
 
 LAP_TAG_BYTES = 1
 _LAP_MOD = 250
@@ -249,3 +252,153 @@ class ListPoller:
         from repro import calibration
 
         return cores * 1e9 / calibration.POLL_T_ENTRY_NS
+
+
+class AppendLane(primitives.Lane):
+    """Append at the translator: reports are batched B at a time into
+    single contiguous writes (state: each list's pending entries and
+    its head, the total entries ever written to it)."""
+
+    __slots__ = ("batch_hist", "batch_size", "batches", "heads")
+    primitive = primitives.APPEND
+
+    def __init__(self, translator, advert) -> None:
+        p = advert.params
+        super().__init__(translator, advert.rkey, AppendLayout(
+            base_addr=advert.addr, lists=p["lists"],
+            capacity=p["capacity"], data_bytes=p["data_bytes"]))
+        self.batch_hist = translator.append_batch_hist
+        self.batch_size = p.get("batch_size", calibration.DEFAULT_BATCH_SIZE)
+        self.batches: dict = {}     # list_id -> [data, ...]
+        self.heads: dict = {}       # list_id -> total entries
+
+    @property
+    def stride(self) -> int:
+        return self.layout.entry_bytes
+
+    def check(self, cols, extra):
+        list_ids, datas = cols
+        ids = set(list_ids)
+        if min(ids) < 0 or max(ids) >= self.layout.lists:
+            return ValueError(f"list {max(ids)} not provisioned")
+        if max(map(len, datas)) > self.layout.data_bytes:
+            return ValueError("entry data too wide for this layout")
+        return None
+
+    def scalar(self, cols, extra, reporter_id, control) -> list:
+        """The flush rule (flush when a list's pending batch reaches
+        the configured size or the ring-boundary room) is evaluated
+        after every entry, so write boundaries — and therefore
+        ``append_batches``/histogram accounting — do not depend on how
+        the entries were batched on the way in."""
+        capacity = self.layout.capacity
+        batch_size = self.batch_size
+        batches, heads = self.batches, self.heads
+        wrs: list = []
+        for list_id, data in zip(*cols):
+            pending = batches.setdefault(list_id, [])
+            pending.append(data)
+            room = capacity - (heads.get(list_id, 0) % capacity)
+            if len(pending) >= batch_size or len(pending) >= room:
+                self.flush_list(list_id, wrs)
+        return wrs
+
+    def immediate(self, cols) -> list:
+        # Batching would defer the notification indefinitely; flush so
+        # the interrupted CPU finds the data in place.
+        wrs: list = []
+        self.flush_list(cols[0][0], wrs)
+        return wrs
+
+    def flush_list(self, list_id: int, sink: list) -> None:
+        """Collect a list's pending entries into the burst ``sink``."""
+        batch = self.batches.get(list_id)
+        if not batch:
+            return
+        layout = self.layout
+        head = self.heads.get(list_id, 0)
+        # Never wrap within one write: split at the ring boundary.
+        while batch:
+            slot = head % layout.capacity
+            room = layout.capacity - slot
+            chunk, batch = batch[:room], batch[room:]
+            sink.append(WorkRequest(
+                opcode=Opcode.WRITE,
+                remote_addr=layout.entry_addr(list_id, slot),
+                rkey=self.rkey, data=layout.encode_batch(chunk, head)))
+            head += len(chunk)
+            self.stats.append_batches += 1
+            self.batch_hist.observe(len(chunk))
+        self.heads[list_id] = head
+        self.batches[list_id] = []
+
+    def flush(self) -> list:
+        """Every partially-filled batch, flushed (epoch end)."""
+        wrs: list = []
+        for list_id in list(self.batches):
+            self.flush_list(list_id, wrs)
+        return wrs
+
+    def plan(self, cols, extra, reporter_id, target):
+        """Every flush the batch triggers, as one contiguous write each.
+
+        Per list the batch's entries join the pending carry and the
+        sequence is cut exactly where :meth:`scalar` flushes — when the
+        pending count reaches ``batch_size`` or the room left before
+        the ring boundary, and again at the boundary inside a flush —
+        with the writes ordered by the arrival of the entry that
+        triggered them.  The tail stays pending.
+        """
+        if self.check(cols, extra) is not None:
+            return None
+        layout = self.layout
+        list_ids, datas = cols
+        arrivals: dict = {}     # list -> [arrival of each new entry]
+        for at, list_id in enumerate(list_ids):
+            seen = arrivals.get(list_id)
+            if seen is None:
+                arrivals[list_id] = [at]
+            else:
+                seen.append(at)
+        pending, heads = self.batches, self.heads
+        capacity, batch_size = layout.capacity, self.batch_size
+
+        writes = []     # (trigger arrival, order, first slot, payload)
+        tails = {}
+        new_heads = {}
+        for list_id, ats in arrivals.items():
+            carry = pending.get(list_id) or ()
+            carried = len(carry)
+            entries = [*carry, *(datas[at] for at in ats)]
+            head = heads.get(list_id, 0)
+            waiting = carried
+            done = 0
+            while True:
+                # The pending count at which the next entry flushes.
+                waiting = max(waiting + 1,
+                              min(batch_size, capacity - head % capacity))
+                if done + waiting > len(entries):
+                    break
+                trigger = ats[done + waiting - 1 - carried]
+                while waiting:      # never wrap within one write
+                    slot = head % capacity
+                    span = min(waiting, capacity - slot)
+                    writes.append((trigger, len(writes),
+                                   list_id * capacity + slot,
+                                   layout.encode_run(
+                                       entries[done:done + span], head)))
+                    head += span
+                    done += span
+                    waiting -= span
+            new_heads[list_id] = head
+            tails[list_id] = entries[done:]
+        writes.sort()
+
+        pending.update(tails)
+        heads.update(new_heads)
+        self.stats.append_batches += len(writes)
+        entry_bytes = layout.entry_bytes
+        payloads = [write[3] for write in writes]
+        for payload in payloads:
+            self.batch_hist.observe(len(payload) // entry_bytes)
+        return [write[2] for write in writes], payloads

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import primitives
 from repro.kernels import crc as kcrc
 from repro.rdma.memory import MemoryRegion
+from repro.rdma.verbs import Opcode, WorkRequest
 from repro.switch.crc import hash_family
 
 COUNTER_BYTES = 8  # RDMA atomics operate on 64-bit words
@@ -139,3 +141,60 @@ class KeyIncrementStore:
     def reset(self) -> None:
         """Zero the counters ("memory may be reset periodically")."""
         self.region.local_write(0, b"\x00" * self.layout.region_bytes)
+
+
+def plan_keyincrement_packed(layout, packed, lengths, values, rows: int,
+                             region_length: int):
+    """Pure Key-Increment scatter-add plan:
+    ``(counter_indices, addends)`` or None.
+
+    ``layout`` is a :class:`KeyIncrementLayout`; ``values`` an int64
+    array (the caller handles the beyond-int64 overflow fallback);
+    ``rows`` already clamped to ``layout.rows``.  Touches no translator
+    or store state.
+    """
+    if region_length % 8 or layout.region_bytes > region_length:
+        return None      # same bounds check fetch_add_many applies
+    idx = layout.counter_indices_many(packed, lengths, rows)
+    return idx.T.reshape(-1), values.repeat(rows)
+
+
+class KeyIncrementLane(primitives.ColumnLane):
+    """Key-Increment at the translator: stateless fan-out into one
+    Fetch-and-Add per CMS row.  Any addend the wire can carry is
+    acceptable, so :meth:`check` is the base's."""
+
+    __slots__ = ()
+    primitive = primitives.KEY_INCREMENT
+    layout_class = KeyIncrementLayout
+    value_dtype = "<i8"
+    kernel = staticmethod(plan_keyincrement_packed)
+    stride = COUNTER_BYTES
+
+    def __init__(self, translator, advert) -> None:
+        p = advert.params
+        super().__init__(translator, advert.rkey, KeyIncrementLayout(
+            base_addr=advert.addr, slots_per_row=p["slots_per_row"],
+            rows=p["rows"]))
+
+    def scalar(self, cols, redundancy, reporter_id, control) -> list:
+        rkey = self.rkey
+        rows = min(redundancy, self.layout.rows)
+        counter_addrs = self.layout.counter_addrs
+        wrs = []
+        append = wrs.append
+        for key, value in zip(*cols):
+            for addr in counter_addrs(key, rows):
+                append(WorkRequest(opcode=Opcode.FETCH_ADD,
+                                   remote_addr=addr, rkey=rkey,
+                                   swap=value))
+        return wrs
+
+    def matrix(self, values):
+        try:
+            return np.array(values, dtype=np.int64)
+        except (OverflowError, ValueError):
+            return None      # beyond int64: scalar wrap semantics apply
+
+    def normalise(self, third, redundancy: int):
+        return third, min(redundancy, self.layout.rows)

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import calibration
+from repro.core import primitives
 from repro.kernels import crc as kcrc
 from repro.rdma.memory import MemoryRegion
+from repro.rdma.verbs import Opcode, WorkRequest
 from repro.switch.crc import hash_family
 
 CHECKSUM_BYTES = calibration.DEFAULT_CHECKSUM_BITS // 8
@@ -331,3 +333,82 @@ class KeyWriteStore:
 
     def reset_stats(self) -> None:
         self.stats = QueryStats()
+
+
+def plan_keywrite_packed(layout, packed, lengths, packed_data,
+                         redundancy: int, region_length: int):
+    """Pure Key-Write scatter plan: ``(row_indices, rows)`` or None.
+
+    ``layout`` is a :class:`KeyWriteLayout`; ``packed``/``lengths`` the
+    packed key matrix (or the keys and None); ``packed_data`` the
+    ``(n, data_bytes)`` zero-padded value matrix (lengths already
+    validated by the caller); ``region_length`` the byte length of the
+    RDMA region the plan will be bounds-checked against.  Touches no
+    translator or store state.
+    """
+    if layout.region_bytes > region_length:
+        return None      # same bounds check write_rows would fail
+    # One hash pass: the N slot lanes and the checksum lane together.
+    slot_idx, checksums = layout.probes_many(packed, lengths, redundancy)
+    entries = layout.encode_entries_packed(packed_data, checksums)
+    # Key-major flattening preserves arrival order, which the
+    # scatter's last-write-wins dedup relies on.
+    return slot_idx.T.reshape(-1), entries.repeat(redundancy, axis=0)
+
+
+class KeyWriteLane(primitives.ColumnLane):
+    """Key-Write at the translator: stateless N-way fan-out (the
+    multicast technique: one report becomes N identical writes at N
+    hash locations)."""
+
+    __slots__ = ()
+    primitive = primitives.KEY_WRITE
+    layout_class = KeyWriteLayout
+    value_dtype = "u1"
+    kernel = staticmethod(plan_keywrite_packed)
+
+    def __init__(self, translator, advert) -> None:
+        p = advert.params
+        super().__init__(translator, advert.rkey, KeyWriteLayout(
+            base_addr=advert.addr, slots=p["slots"],
+            data_bytes=p["data_bytes"]))
+
+    @property
+    def stride(self) -> int:
+        return self.layout.slot_bytes
+
+    def _too_wide(self, width: int):
+        if width > self.layout.data_bytes:
+            return ValueError(f"data ({width}B) exceeds slot value width "
+                              f"({self.layout.data_bytes}B)")
+        return None
+
+    def check(self, cols, extra):
+        return self._too_wide(max(map(len, cols[1])))
+
+    def scalar(self, cols, redundancy, reporter_id, control) -> list:
+        layout, rkey = self.layout, self.rkey
+        encode = layout.encode_entry
+        slot_addrs = layout.slot_addrs
+        wrs = []
+        append = wrs.append
+        for key, data in zip(*cols):
+            entry = encode(key, data)
+            for addr in slot_addrs(key, redundancy):
+                append(WorkRequest(opcode=Opcode.WRITE, remote_addr=addr,
+                                   rkey=rkey, data=entry))
+        return wrs
+
+    def matrix(self, datas):
+        return kcrc.pack_keys(datas)[0]
+
+    def normalise(self, third, redundancy: int):
+        width = third.shape[1]
+        if self._too_wide(width) is not None:
+            return None
+        if width < self.layout.data_bytes:
+            padded = np.zeros((len(third), self.layout.data_bytes),
+                              dtype=np.uint8)
+            padded[:, :width] = third
+            third = padded
+        return third, redundancy

@@ -17,9 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from itertools import chain
+
 from repro import calibration
+from repro.core import primitives
+from repro.core.postcard_cache import PostcardCache
 from repro.kernels import crc as kcrc
 from repro.rdma.memory import MemoryRegion
+from repro.rdma.verbs import Opcode, WorkRequest
 from repro.switch.crc import hash_family
 
 BLANK = None
@@ -320,3 +325,129 @@ class PostcardingStore:
         for j in range(redundancy):
             offset = self.layout.chunk_index(key, j) * self.layout.pad_to
             self.region.local_write(offset, payload)
+
+
+class _ValueCodes(dict):
+    """``{v: g(v)}`` for the postcard values (and ⊔) a translator has
+    encoded, filled as they first appear — the writer's half of the
+    table the collector pre-populates for V.  Values are 32-bit, so a
+    stream that never repeats one would grow it without bound: it
+    starts over at ``LIMIT`` entries."""
+
+    __slots__ = ("_g",)
+    LIMIT = 1 << 16
+
+    def __init__(self, g) -> None:
+        self._g = g
+
+    def __missing__(self, value) -> int:
+        if len(self) >= self.LIMIT:
+            self.clear()
+        code = self[value] = self._g(value)
+        return code
+
+
+class PostcardingLane(primitives.Lane):
+    """Postcarding at the translator: an SRAM cache aggregates a
+    flow's postcards so a full path costs one chunk write instead of B
+    (state: the cache rows, and the value codes the plan has seen)."""
+
+    __slots__ = ("cache", "codes")
+    primitive = primitives.POSTCARDING
+
+    def __init__(self, translator, advert) -> None:
+        p = advert.params
+        super().__init__(translator, advert.rkey, PostcardingLayout(
+            base_addr=advert.addr, chunks=p["chunks"], hops=p["hops"],
+            slot_bits=p.get("slot_bits", 32),
+            pad_to=p.get("pad_to", calibration.POSTCARDING_SLOT_PAD_BYTES)))
+        self.cache = PostcardCache(
+            slots=p.get("cache_slots", calibration.POSTCARDING_CACHE_SLOTS),
+            hops=p["hops"], labels={"node": self.node})
+        self.codes: _ValueCodes | None = None    # built by the first plan
+
+    @property
+    def stride(self) -> int:
+        return self.layout.pad_to
+
+    def check(self, cols, redundancy):
+        _keys, hops, values, _path_lengths = cols
+        limit = self.cache.hops
+        if min(hops) < 0 or max(hops) >= limit:
+            return IndexError(f"hop outside [0, {limit})")
+        if redundancy > CHUNK_LANES:
+            return ValueError(f"redundancy {redundancy} beyond the "
+                              f"{CHUNK_LANES} chunk hash lanes")
+        if min(values) < 0 or max(values) > 0xFFFFFFFF:
+            return ValueError("postcard value must fit 32 bits")
+        return None
+
+    def scalar(self, cols, redundancy, reporter_id, control) -> list:
+        """Cache state transitions are inherently per-report (each
+        insert may evict or complete a chunk); every resulting chunk
+        write is collected into the one burst."""
+        cache = self.cache
+        wrs: list = []
+        for key, hop, value, path_len in zip(*cols):
+            emission = cache.insert(key, hop, value,
+                                    path_len=path_len or None)
+            if emission is not None:
+                self.emit_chunk(emission, redundancy, wrs)
+            while cache.pending_evicted:
+                self.emit_chunk(cache.pending_evicted.pop(), redundancy,
+                                wrs)
+        return wrs
+
+    def emit_chunk(self, emission, redundancy: int, sink: list) -> None:
+        """Collect one postcard chunk's writes into the burst ``sink``."""
+        layout = self.layout
+        stats = self.stats
+        if emission.complete:
+            stats.postcard_chunks_complete += 1
+        else:
+            stats.postcard_chunks_early += 1
+        values = [BLANK if v is None else v for v in emission.values]
+        payload = layout.encode_chunk(emission.key, values)
+        for j in range(max(1, redundancy)):
+            sink.append(WorkRequest(
+                opcode=Opcode.WRITE,
+                remote_addr=layout.chunk_addr(emission.key, j),
+                rkey=self.rkey, data=payload))
+
+    def plan(self, cols, redundancy, reporter_id, target):
+        """The cache takes the whole batch
+        (:meth:`PostcardCache.insert_many`), and every chunk that left
+        it — in the order the scalar lane would have collected them —
+        is hashed and encoded in one pass over the emitted keys.  Rows
+        are ``chunk_payload_bytes`` wide on a ``pad_to`` stride.
+        """
+        if self.check(cols, redundancy) is not None:
+            return None
+        layout = self.layout
+        copies = max(1, redundancy)
+        emissions = self.cache.insert_many(*cols)
+        count = len(emissions)
+        complete = sum(emission.complete for emission in emissions)
+        stats = self.stats
+        stats.postcard_chunks_complete += complete
+        stats.postcard_chunks_early += count - complete
+        if not count:
+            return [], []
+        codes = self.codes
+        if codes is None:
+            codes = self.codes = _ValueCodes(layout.g)
+        encoded = np.fromiter(
+            map(codes.__getitem__, chain.from_iterable(
+                emission.values for emission in emissions)),
+            dtype=np.uint64, count=count * layout.hops,
+        ).reshape(count, layout.hops)
+        chunks, checksums = layout.probes_many(
+            *kcrc.hash_input([emission.key for emission in emissions]),
+            copies)
+        encoded ^= checksums.T
+        rows = encoded.astype(f">u{layout.slot_bytes_per_slot}").view(
+            np.uint8).reshape(count, layout.chunk_payload_bytes)
+        if copies > 1:
+            rows = np.repeat(rows, copies, axis=0)
+        # Emission-major: all copies of one chunk, then the next chunk.
+        return chunks.T.reshape(-1), rows

@@ -13,6 +13,7 @@ Direct-mode tests can skip the simulator and drive
 from __future__ import annotations
 
 from repro import obs
+from repro.core.primitives import REGISTRY
 from repro.core.translator import Translator
 from repro.fabric.link import Link
 from repro.fabric.simulator import Simulator
@@ -69,14 +70,10 @@ class FaultInjector:
         (``"key_write"``, ``"append"``, ...).
         """
         regions = {}
-        for attr, key in (("keywrite", "key_write"),
-                          ("keyincrement", "key_increment"),
-                          ("postcarding", "postcarding"),
-                          ("append", "append"),
-                          ("sketch", "sketch_merge")):
-            store = getattr(collector, attr, None)
+        for primitive in REGISTRY:
+            store = getattr(collector, primitive.store, None)
             if store is not None:
-                regions[key] = store.region
+                regions[primitive.service] = store.region
         return cls(plan, sim=topo.sim,
                    links={link.name: link for link in topo.links},
                    translators={t.name: t for t in translators},

@@ -34,6 +34,7 @@ from repro.core.transport import DirectRdmaTransport
 from repro.rdma.memory import AccessFlags, MemoryRegion, RemoteAccessError
 from repro.rdma.nic import Nic
 from repro.rdma.qp import QpError, QueuePair
+from repro.rdma.verbs import Opcode, WorkRequest
 
 
 @dataclass
@@ -201,3 +202,74 @@ def fetch_add_many(target: BurstTarget, client,
     np.add.at(view, counter_indices, addends.astype(np.uint64))
     _commit(target, client, count, 8, atomic=True)
     return count
+
+
+@dataclass(slots=True)
+class VectorPlan:
+    """One vector-eligible batch as a single burst-kernel call.
+
+    What :meth:`Translator.plan_batch` returns: the translator counters
+    are already charged for ``reports`` reports (and any translator
+    state the batch advances is advanced), and the plan is committed —
+    :meth:`apply` lands it exactly once, as one burst kernel call or as
+    the equivalent scalar burst.  Request ``i`` targets ``base +
+    indices[i] * stride``.  ``payload`` is an int64 array of addends
+    (``atomic``: Key-Increment), a uint8 matrix of one row per write, at most
+    ``stride`` bytes wide (Key-Write, Postcarding), or a list of
+    ``bytes``, one contiguous write each, a whole number of slots long
+    (Append flushes, Sketch-Merge transfers).  A batch with nothing to
+    emit is a plan with zero requests.
+    """
+
+    atomic: bool
+    rkey: int
+    base: int
+    stride: int
+    indices: object
+    payload: object
+    reports: int
+
+    def apply(self, client) -> None:
+        """Execute against ``client`` (the real RDMA client).
+
+        The burst target is re-resolved first: if the dynamic
+        conditions changed since planning (NIC stall, QP error,
+        revoked MR, full send window) the equivalent scalar burst goes
+        through :meth:`RdmaClient.post_burst`, so the reference fault
+        machinery (bounded retry, QP re-handshake) handles it.
+        """
+        atomic = self.atomic
+        target = resolve_target(client, self.rkey, atomic=atomic)
+        if target is not None:
+            if atomic:
+                landed = fetch_add_many(target, client, self.indices,
+                                               self.payload)
+            elif isinstance(self.payload, list):
+                landed = write_spans(target, client, self.indices,
+                                            self.payload, self.stride)
+            else:
+                landed = write_rows(target, client, self.indices,
+                                           self.payload, self.stride)
+            if landed is not None:
+                return
+        client.post_burst(self.scalar_burst())
+
+    def scalar_burst(self) -> list:
+        """The plan as the work requests the scalar lane would post."""
+        base, stride, rkey = self.base, self.stride, self.rkey
+        payload = self.payload
+        if isinstance(payload, list):
+            return [WorkRequest(opcode=Opcode.WRITE,
+                                remote_addr=base + slot * stride,
+                                rkey=rkey, data=data)
+                    for slot, data in zip(self.indices, payload)]
+        indices = self.indices.tolist()
+        if self.atomic:
+            return [WorkRequest(opcode=Opcode.FETCH_ADD,
+                                remote_addr=base + index * stride,
+                                rkey=rkey, swap=addend)
+                    for index, addend in zip(indices, payload.tolist())]
+        return [WorkRequest(opcode=Opcode.WRITE,
+                            remote_addr=base + index * stride,
+                            rkey=rkey, data=row.tobytes())
+                for index, row in zip(indices, payload)]

@@ -15,10 +15,10 @@ numpy arrays instead:
 * :func:`parse_headers` — every report's DTA base header fields as
   parallel arrays, with a validity mask that reproduces exactly the
   scalar decoder's accept/reject set;
-* per-primitive ``decode_*`` functions — subheader fields and body
-  slices as columns, each with its own validity mask matching the
-  ``unpack`` + ``__post_init__`` checks of
-  :mod:`repro.core.packets` byte for byte;
+* :func:`decode` — one primitive's subheader fields and body spans
+  as columns, read off its wire field table, with a validity mask
+  matching the ``unpack`` + ``__post_init__`` checks
+  :mod:`repro.core.packets` derives from the same table;
 * :func:`shards_for_keys` — the :class:`~repro.core.cluster.ClusterMap`
   key hash (``crc32(b"CL" + key)``) as a resumed table-driven CRC over
   the packed key matrix, bit-exact with ``zlib.crc32``.
@@ -35,22 +35,17 @@ datagram fuzz corpus.
 from __future__ import annotations
 
 import zlib
+from functools import partial
 
 import numpy as np
 
-from repro.core import packets
+from repro.core import packets, primitives
 from repro.kernels.crc import _CRC32_TABLE
 
 BASE = packets.BASE_HEADER_BYTES          # 8: version/prim, flags, rid, seq
 
 #: Primitive codes with a batched decode lane (plain telemetry).
-_BATCHED_PRIMS = frozenset(int(p) for p in (
-    packets.DtaPrimitive.KEY_WRITE,
-    packets.DtaPrimitive.KEY_INCREMENT,
-    packets.DtaPrimitive.POSTCARDING,
-    packets.DtaPrimitive.APPEND,
-    packets.DtaPrimitive.SKETCH_MERGE,
-))
+_BATCHED_PRIMS = tuple(int(p.code) for p in primitives.REGISTRY)
 
 #: Flags that force a report onto the scalar per-report lane.
 PER_REPORT_MASK = int(packets.DtaFlags.ESSENTIAL
@@ -166,84 +161,79 @@ def parse_headers(buf: np.ndarray, offsets: np.ndarray,
     rids = _be(buf, off + 2, 2).astype(np.int64)
     prims = ver_prim & 0xF
     valid = (ok & (ver_prim >> 4 == packets.DTA_VERSION)
-             & np.isin(prims, tuple(_BATCHED_PRIMS)))
+             & np.isin(prims, _BATCHED_PRIMS))
     return prims, flags, rids, valid
 
 
-# ---------------------------------------------------------------------------
-# Per-primitive subheader decodes.  Each returns a dict of columns plus
-# a validity mask reproducing the scalar decoder's accept set; offsets
-# in the returned dict are absolute positions in ``buf``.
-# ---------------------------------------------------------------------------
+def decode(primitive, buf, offsets, lengths) -> dict:
+    """One primitive's sub-header as columns, read off its wire table.
 
-
-def decode_keywrite(buf, offsets, lengths):
-    """Key-Write columns: redundancy, key/data offsets + lengths."""
+    Every fixed field under its own name (int64; a ``q`` field is
+    two's complement), every tail as ``<tail>_off`` — its absolute
+    position in ``buf`` — beside its count field, and ``valid``: the
+    mask of rows the scalar ``unpack`` + ``__post_init__`` accept.  A
+    field whose ``accept`` is what its width holds anyway costs no
+    mask, which is how Postcarding takes any redundancy byte.
+    """
+    wire = primitive.wire
     sub = offsets + BASE
-    red = _gather(buf, sub).astype(np.int64)
-    key_len = _gather(buf, sub + 1).astype(np.int64)
-    data_len = _be(buf, sub + 2, 2).astype(np.int64)
-    valid = ((lengths >= BASE + 4 + key_len + data_len)
-             & (key_len >= 1) & (key_len <= packets.MAX_KEY_BYTES)
-             & (data_len <= packets.MAX_DATA_BYTES)
-             & (red >= 1) & (red <= 16))
-    key_off = sub + 4
-    return {"redundancy": red, "key_off": key_off, "key_len": key_len,
-            "data_off": key_off + key_len, "data_len": data_len,
-            "valid": valid}
+    cols = {}
+    at = 0
+    for field in wire.fields:
+        off = sub + at if at else sub
+        cols[field.name] = (_gather(buf, off) if field.width == 1
+                            else _be(buf, off, field.width)).astype(np.int64)
+        at += field.width
+    tail_off = sub + wire.size
+    need = BASE + wire.size
+    for tail in wire.tails:
+        span = cols[wire.counts[tail.name]] * tail.item
+        cols[tail.name + "_off"] = tail_off
+        tail_off = tail_off + span
+        need = need + span
+    valid = lengths >= need
+    for field, lo, hi in wire.ranges:
+        natural_lo, natural_hi = field.natural
+        if lo > natural_lo:
+            valid &= cols[field.name] >= lo
+        if hi < natural_hi:
+            valid &= cols[field.name] <= hi
+    cols["valid"] = valid
+    return cols
 
 
-def decode_keyincrement(buf, offsets, lengths):
-    """Key-Increment columns: redundancy, key span, int64 value."""
-    sub = offsets + BASE
-    red = _gather(buf, sub).astype(np.int64)
-    key_len = _gather(buf, sub + 1).astype(np.int64)
-    value = _be(buf, sub + 2, 8).astype(np.int64)     # two's complement
-    valid = ((lengths >= BASE + 10 + key_len)
-             & (key_len >= 1) & (key_len <= packets.MAX_KEY_BYTES)
-             & (red >= 1) & (red <= 16))
-    return {"redundancy": red, "key_off": sub + 10, "key_len": key_len,
-            "value": value, "valid": valid}
+(decode_keywrite, decode_keyincrement, decode_postcard, decode_append,
+ decode_sketch) = (partial(decode, primitive)
+                   for primitive in primitives.REGISTRY)
 
 
-def decode_postcard(buf, offsets, lengths):
-    """Postcarding columns: redundancy, key span, hop, path_len, value."""
-    sub = offsets + BASE
-    red = _gather(buf, sub).astype(np.int64)
-    key_len = _gather(buf, sub + 1).astype(np.int64)
-    hop = _gather(buf, sub + 2).astype(np.int64)
-    path_len = _gather(buf, sub + 3).astype(np.int64)
-    value = _be(buf, sub + 4, 4).astype(np.int64)
-    # Postcard.__post_init__ checks key and hop only; redundancy is
-    # accepted unchecked, and the mask must match that exactly.
-    valid = ((lengths >= BASE + 8 + key_len)
-             & (key_len >= 1) & (key_len <= packets.MAX_KEY_BYTES)
-             & (hop < 32))
-    return {"redundancy": red, "key_off": sub + 8, "key_len": key_len,
-            "hop": hop, "path_length": path_len, "value": value,
-            "valid": valid}
+def column(primitive, name: str, payload: bytes, buf, cols, rows) -> list:
+    """Field ``name`` of ``rows`` as a :class:`ReportBatch` column:
+    plain ints for a fixed field, ``bytes`` per report for a byte
+    tail, a tuple of counters per report for a 4-byte-item tail."""
+    tail = primitive.wire.tail_of.get(name)
+    if tail is None:
+        return cols[name][rows].tolist()
+    offsets = cols[name + "_off"][rows]
+    count = cols[primitive.wire.counts[name]][rows]
+    if tail.item == 1:
+        return slice_column(payload, offsets, count)
+    if int(count.min()) == int(count.max()):
+        matrix = gather_counters(buf, offsets, int(count[0]))
+        return [tuple(row) for row in matrix.tolist()]
+    # Mixed depths in one run: rare, decode per row.
+    return [tuple(gather_counters(buf, offsets[i:i + 1],
+                                  int(count[i]))[0].tolist())
+            for i in range(len(rows))]
 
 
-def decode_append(buf, offsets, lengths):
-    """Append columns: list id, data span."""
-    sub = offsets + BASE
-    list_id = _be(buf, sub, 2).astype(np.int64)
-    data_len = _be(buf, sub + 2, 2).astype(np.int64)
-    valid = ((lengths >= BASE + 4 + data_len)
-             & (data_len >= 1) & (data_len <= packets.MAX_DATA_BYTES))
-    return {"list_id": list_id, "data_off": sub + 4, "data_len": data_len,
-            "valid": valid}
-
-
-def decode_sketch(buf, offsets, lengths):
-    """Sketch-Merge columns: sketch id, column index, counter span."""
-    sub = offsets + BASE
-    sketch_id = _be(buf, sub, 2).astype(np.int64)
-    column = _be(buf, sub + 2, 2).astype(np.int64)
-    depth = _gather(buf, sub + 4).astype(np.int64)
-    valid = (lengths >= BASE + 5 + 4 * depth) & (depth >= 1)
-    return {"sketch_id": sketch_id, "column": column, "depth": depth,
-            "counters_off": sub + 5, "valid": valid}
+def matrix(primitive, name: str, buf, cols, rows):
+    """Field ``name`` of ``rows`` as a plan kernel takes it: a packed
+    byte matrix for a byte tail, the int64 column for a fixed field."""
+    if name not in primitive.wire.tail_of:
+        return cols[name][rows]
+    return pack_column(buf, cols[name + "_off"][rows],
+                       cols[primitive.wire.counts[name]][rows])[0]
 
 
 def gather_counters(buf, counters_off, depth: int) -> np.ndarray:

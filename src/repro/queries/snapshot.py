@@ -35,12 +35,11 @@ import copy
 import mmap
 from dataclasses import dataclass, field
 
+from repro.core.primitives import STORES
 from repro.rdma.memory import MemoryRegion
 
-#: Served-store attributes captured by a snapshot, in digest order
-#: (must match ``repro.runtime.engine._STORE_ATTRS``).
-STORE_ATTRS = ("keywrite", "keyincrement", "postcarding", "append",
-               "sketch")
+#: Served-store attributes captured by a snapshot, in digest order.
+STORE_ATTRS = STORES
 
 
 def _resident_buffer(length: int):

@@ -35,6 +35,7 @@ independence.
 from __future__ import annotations
 
 from repro import obs
+from repro.core import primitives
 from repro.retention.checkpoint import (CheckpointError, restore_checkpoint,
                                         write_checkpoint)
 from repro.retention.epochs import (EpochManager, RetentionPolicy,
@@ -129,7 +130,7 @@ class RetentionManager:
             age_cache = self.translator is not None
         aged = self._age_cache() if age_cache else 0
         report = self.epochs.rotate()
-        if age_cache and getattr(self.translator, "_sm", None) is not None:
+        if age_cache and self._lane(primitives.SKETCH_MERGE) is not None:
             self.translator.reset_sketch_epoch()
         stats = self.stats
         stats.rotations += 1
@@ -149,6 +150,10 @@ class RetentionManager:
                  expired=sum(report.expired.values()))
         return report
 
+    def _lane(self, primitive):
+        """The attached translator's lane for ``primitive``, if any."""
+        return getattr(self.translator, "_lanes", {}).get(primitive.code)
+
     def _age_cache(self) -> int:
         """Flush postcard-cache rows resident across two rotations.
 
@@ -159,10 +164,10 @@ class RetentionManager:
         in collector memory exactly like a collision eviction would.
         """
         translator = self.translator
-        binding = getattr(translator, "_pc", None)
-        if binding is None:
+        lane = self._lane(primitives.POSTCARDING)
+        if lane is None:
             return 0
-        cache = binding.cache
+        cache = lane.cache
         resident = set(cache.resident())
         stale = sorted(resident & self._cache_resident_prev)
         aged = 0
@@ -171,7 +176,7 @@ class RetentionManager:
             emission = cache.evict(index, reason="aged")
             if emission is None or emission.key != key:
                 continue
-            translator._emit_chunk(emission, 1, wrs)
+            lane.emit_chunk(emission, 1, wrs)
             aged += 1
         translator._post_burst(wrs)
         self._cache_resident_prev = set(cache.resident())

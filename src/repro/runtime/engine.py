@@ -88,6 +88,7 @@ import hashlib
 import threading
 
 from repro import obs
+from repro.core.primitives import STORES
 from repro.fabric.link import StreamLink
 from repro.runtime.queues import CLOSED, CreditQueue, QueueAborted
 from repro.runtime.shm import PlanWorkerPool, RingPeerDead
@@ -802,14 +803,10 @@ def pipeline_digest(snapshot) -> str:
         obs.to_jsonl(filtered).encode()).hexdigest()
 
 
-_STORE_ATTRS = ("keywrite", "keyincrement", "postcarding", "append",
-                "sketch")
-
-
 def store_digest(collector) -> str:
     """SHA-256 over every served store's memory region, in fixed order."""
     digest = hashlib.sha256()
-    for attr in _STORE_ATTRS:
+    for attr in STORES:
         store = getattr(collector, attr, None)
         region = getattr(store, "region", None)
         if region is None:

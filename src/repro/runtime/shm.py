@@ -7,7 +7,8 @@ substrate for the ``executor="process"`` lane: fixed-slot
 struct-of-arrays ring buffers over :mod:`multiprocessing.shared_memory`
 (the Confluo/BTrDB ingest idiom — see PAPERS.md) and a pool of *plan
 worker* processes that run the translator's pure plan kernels
-(:data:`repro.core.translator.PLAN_KERNELS`) outside the parent
+(the ``kernel`` of each :data:`repro.core.translator.LANES` entry
+that has one) outside the parent
 interpreter.
 
 Two pieces:
@@ -73,7 +74,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro import obs
-from repro.core.packets import DtaPrimitive
+from repro.core.primitives import BY_CODE
 from repro.runtime.queues import (
     CLOSED,
     QueueAborted,
@@ -468,6 +469,13 @@ class PlanSpec(NamedTuple):
     region_length: int
 
 
+def _ring_values(flat, dtype: str, rows: int):
+    """A value column (or plan payload) as it left the ring: a
+    ``ColumnLane.value_dtype`` ``"u1"`` is a ``rows``-row byte matrix,
+    anything else a vector of that type."""
+    return flat.reshape(rows, -1) if dtype == "u1" else flat.view(dtype)
+
+
 def _plan_request(msg: ShmMessage, layouts: dict) -> tuple:
     """Compute one request's plan; returns ``(kind, segments)``.
 
@@ -475,25 +483,23 @@ def _plan_request(msg: ShmMessage, layouts: dict) -> tuple:
     slot dies when it returns — the caller can then release the slot
     and, at stream end, detach the mapping without exported pointers.
     """
-    from repro.core.translator import PLAN_KERNELS, PLAN_LAYOUTS
+    from repro.core.translator import LANES
 
     meta = msg.segments[0].view("<i8")
     seq, n, fanout = int(meta[0]), int(meta[1]), int(meta[2])
     head = np.asarray([seq, meta[3]], dtype="<i8")
     try:
-        spec = PlanSpec(DtaPrimitive(int(meta[3])),
-                        tuple(int(v) for v in meta[4:7]), int(meta[7]))
+        spec = PlanSpec(int(meta[3]), tuple(int(v) for v in meta[4:7]),
+                        int(meta[7]))
+        lane = LANES[BY_CODE[spec.kind].service]
         layout = layouts.get(spec[:2])
         if layout is None:
-            layout = layouts[spec[:2]] = PLAN_LAYOUTS[spec.kind](*spec.layout)
+            layout = layouts[spec[:2]] = lane.layout_class(*spec.layout)
         packed = msg.segments[1].reshape(n, -1)
         lengths = msg.segments[2].view("<i8")
-        if spec.kind is DtaPrimitive.KEY_WRITE:
-            third = msg.segments[3].reshape(n, -1)
-        else:
-            third = msg.segments[3].view("<i8")
-        plan = PLAN_KERNELS[spec.kind](layout, packed, lengths, third,
-                                       fanout, spec.region_length)
+        third = _ring_values(msg.segments[3], lane.value_dtype, n)
+        plan = lane.kernel(layout, packed, lengths, third, fanout,
+                           spec.region_length)
         if plan is None:
             return (RES_FALLBACK, [head])
         indices, payload = plan
@@ -511,7 +517,7 @@ def _plan_worker_main(index: int, req_desc: tuple, res_desc: tuple,
     the scalar parameters each request carries (hash families are
     derived deterministically, Section 3.2, so translator, collector,
     and this worker all agree without coordination) and runs the same
-    ``PLAN_KERNELS`` the parent's ``plan_batch`` would.  Every
+    lane ``kernel`` the parent's ``plan_batch`` would.  Every
     exception is reported as a ``RES_ERROR`` message, never a silent
     exit, and a plan too large for a result slot goes back as
     ``RES_FALLBACK``.
@@ -676,11 +682,12 @@ class PlanWorkerPool:
                                f"batch {seq}: ring order violated")
         if message.kind == RES_FALLBACK:
             return None
+        from repro.core.translator import LANES
+
         indices = message.segments[1].view("<i8")
-        payload = message.segments[2]
-        if kind == DtaPrimitive.KEY_WRITE:
-            return indices, payload.reshape(len(indices), -1)
-        return indices, payload.view("<i8")
+        return indices, _ring_values(
+            message.segments[2], LANES[BY_CODE[kind].service].value_dtype,
+            len(indices))
 
     # ------------------------------------------------------------------
 

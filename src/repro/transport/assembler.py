@@ -31,19 +31,26 @@ Two ingest paths share one pending-run state:
   (count, length table, body) is truncated counts as a single malformed
   unit.  Each shard's rows then take one of two lanes:
 
-  - **plan** — a plain Key-Write / Key-Increment segment is offered to
-    the translator as columns (:meth:`Translator.plan_columns
+  - **plan** — a plain segment of a primitive whose lane plans from
+    columns (``Primitive.value``: Key-Write, Key-Increment) is offered
+    to the translator as columns (:meth:`Translator.plan_columns
     <repro.core.translator.Translator.plan_columns>`, the one
     eligibility decision): the key matrix routing already gathered, the
-    data gathered once more, no ``bytes`` objects, no
+    value column gathered once more, no ``bytes`` objects, no
     :class:`ReportBatch`, and the whole segment in one plan whatever
     its width (plan width is not observable — docs/CONCURRENCY.md).
-  - **list** — everything the translator declines, and Postcarding /
-    Append / Sketch-Merge: the pending state is columnar (parallel
-    lists per run), extended and flushed in ``batch_size`` slices, so
-    this lane produces literally the :class:`ReportBatch` objects the
-    scalar path does.  It is what the wire differential compares the
-    plan lane against.
+  - **list** — everything the translator declines, and every other
+    primitive: the pending state is columnar (parallel lists per run),
+    extended and flushed in ``batch_size`` slices, so this lane
+    produces literally the :class:`ReportBatch` objects the scalar
+    path does.  It is what the wire differential compares the plan
+    lane against.
+
+Nothing a datagram carries may raise through here: bytes that do not
+decode count as ``malformed``; a report that decodes but that the
+provisioned service cannot hold (``Translator.check`` — a list that
+was never provisioned, data wider than the slot, a sketch nobody
+serves) is dropped alone and counts as ``rejected``.
 """
 
 from __future__ import annotations
@@ -52,30 +59,9 @@ import numpy as np
 
 from repro.core import packets
 from repro.core.batch import ReportBatch
-from repro.core.packets import (
-    Append,
-    DtaFlags,
-    DtaPrimitive,
-    KeyIncrement,
-    KeyWrite,
-    PacketDecodeError,
-    Postcard,
-    SketchColumn,
-)
+from repro.core.packets import PacketDecodeError
+from repro.core.primitives import BY_CODE
 from repro.kernels import MIN_VECTOR_BATCH, wire
-
-#: Flags that force a report through the per-report lane: essential
-#: reports feed the loss detector, immediates must convert their write,
-#: and retransmits must bypass loss detection.
-_PER_REPORT_FLAGS = (DtaFlags.ESSENTIAL | DtaFlags.IMMEDIATE
-                     | DtaFlags.RETRANSMIT)
-
-_KEYED_PRIMS = (int(DtaPrimitive.KEY_WRITE), int(DtaPrimitive.KEY_INCREMENT),
-                int(DtaPrimitive.POSTCARDING))
-
-#: The primitives with a vector plan (``translator.PLAN_KERNELS``).
-_PLANNED_PRIMS = (int(DtaPrimitive.KEY_WRITE),
-                  int(DtaPrimitive.KEY_INCREMENT))
 
 
 class ReportAssembler:
@@ -101,6 +87,9 @@ class ReportAssembler:
         self.batch_size = batch_size
         self.reports = 0
         self.malformed = 0
+        #: Reports that decoded but that the shard's service cannot
+        #: hold; ``reports`` counts them too.
+        self.rejected = 0
         self.batches = 0
         self.per_report = 0
         # shard -> (run_key, [column lists]) of not-yet-flushed reports
@@ -114,47 +103,35 @@ class ReportAssembler:
         """Consume one DTA report in wire form."""
         try:
             header, op = packets.decode_report(raw)
+            # KeyError: a control message has no business on the
+            # report socket.
+            primitive = BY_CODE[header.primitive]
         except (PacketDecodeError, ValueError, KeyError):
             self.malformed += 1
             return
-        if header.primitive in (DtaPrimitive.NACK, DtaPrimitive.CONGESTION):
-            # Control messages have no business on the report socket.
-            self.malformed += 1
-            return
         self.reports += 1
-
-        if isinstance(op, Append):
-            shard = self.cluster_map.for_list(op.list_id)
-        elif isinstance(op, SketchColumn):
-            shard = self.cluster_map.for_sketch(op.sketch_id)
-        else:
-            shard = self.cluster_map.for_key(op.key)
-
-        if header.flags & _PER_REPORT_FLAGS:
-            # Keep shard-local order: everything batched so far happened
-            # before this report, so it must reach the translator first.
-            self._flush_shard(shard)
-            self.per_report += 1
-            self.translators[shard].handle_report(raw)
+        shard = primitive.shard(self.cluster_map,
+                                getattr(op, primitive.routed_by))
+        if header.flags & wire.PER_REPORT_MASK:
+            self._divert(shard, raw, header, op)
             return
+        self._extend_run(shard, (header.primitive, header.reporter_id,
+                                 primitive.extra_of(op)), primitive.row(op))
 
-        run_key = self._run_key(header, op)
-        if isinstance(op, (KeyWrite, KeyIncrement, Postcard)):
-            row = ((op.key, op.data) if isinstance(op, KeyWrite)
-                   else (op.key, op.value) if isinstance(op, KeyIncrement)
-                   else (op.key, op.hop, op.value, op.path_length))
-        elif isinstance(op, Append):
-            row = (op.list_id, op.data)
-        else:
-            row = (op.column, op.counters)
-        self._extend_run(shard, run_key, [[value] for value in row])
-
-    def feed_frame(self, payload: bytes) -> None:
-        """Consume one ``KIND_FRAME`` payload (many coalesced reports).
-
-        A receive burst of one: see :meth:`feed_frames`.
-        """
-        self.feed_frames((payload,))
+    def _divert(self, shard: int, raw: bytes, header, op) -> None:
+        """The per-report lane: a report carrying control-plane state
+        goes through ``handle_report`` alone.  Everything batched so
+        far happened before it, so that reaches the translator first
+        (shard-local order)."""
+        self._flush_shard(shard)
+        translator = self.translators[shard]
+        primitive = BY_CODE[header.primitive]
+        if translator.check(header.primitive, primitive.row(op),
+                            primitive.extra_of(op)) is not None:
+            self.rejected += 1
+            return
+        self.per_report += 1
+        translator.handle_report(raw)
 
     def feed_frames(self, payloads) -> None:
         """Consume many ``KIND_FRAME`` payloads in one vectorized pass.
@@ -167,11 +144,8 @@ class ReportAssembler:
         sub-frames to pay for it go through :meth:`feed` one by one).
         Sub-report arrival order is preserved: frames are spliced in
         delivered order and row indices stay ascending across the join.
-        The burst is also the plan width: each shard's plain Key-Write
-        / Key-Increment segment becomes one plan.
         """
-        joined, buf, offsets, lengths, truncated = \
-            wire.split_frames(payloads)
+        joined, buf, offsets, lengths, truncated = wire.split_frames(payloads)
         self.malformed += truncated
         if len(offsets) >= MIN_VECTOR_BATCH:
             self._feed_frame_vector(joined, buf, offsets, lengths)
@@ -192,133 +166,89 @@ class ReportAssembler:
 
     def _feed_frame_vector(self, payload, buf, offsets, lengths) -> None:
         n = len(offsets)
-        prims, flags, rids, valid = wire.parse_headers(buf, offsets,
-                                                       lengths)
-        sub = {}
-        for prim in np.unique(prims[valid]).tolist():
-            decoder = _DECODERS[prim]
-            cols = decoder(buf, offsets, lengths)
-            sub[prim] = cols
-            mask = prims == prim
-            valid &= ~mask | cols["valid"]
-
-        self.malformed += int(n - int(valid.sum()))
-        self.reports += int(valid.sum())
-        if not valid.any():
-            return
-
-        # Routing and run identity, one column each.
+        prims, flags, rids, valid = wire.parse_headers(buf, offsets, lengths)
+        # Decode per primitive; routing and run identity, a column each.
         collectors = self.cluster_map.collectors
         shards = np.zeros(n, dtype=np.int64)
         extras = np.zeros(n, dtype=np.int64)
         key_off = np.zeros(n, dtype=np.int64)
         key_len = np.zeros(n, dtype=np.int64)
         keyed = np.zeros(n, dtype=bool)
-        for prim, cols in sub.items():
-            mask = (prims == prim) & valid
-            if prim in _KEYED_PRIMS:
+        sub = {}
+        for prim in np.unique(prims[valid]).tolist():
+            primitive = BY_CODE[prim]
+            cols = sub[prim] = wire.decode(primitive, buf, offsets, lengths)
+            mask = prims == prim
+            valid &= ~mask | cols["valid"]
+            mask &= valid
+            if primitive.extra is not None:
+                extras[mask] = cols[primitive.extra][mask]
+            if primitive.route == "key":
                 keyed |= mask
                 key_off[mask] = cols["key_off"][mask]
                 key_len[mask] = cols["key_len"][mask]
-                extras[mask] = cols["redundancy"][mask]
-            elif prim == int(DtaPrimitive.APPEND):
-                shards[mask] = cols["list_id"][mask] % collectors
+            elif primitive.route == "list":
+                shards[mask] = cols[primitive.routed_by][mask] % collectors
             else:
                 shards[mask] = self.cluster_map.sketch_home
-                extras[mask] = cols["sketch_id"][mask]
+        rows = np.flatnonzero(valid)
+        self.malformed += n - len(rows)
+        self.reports += len(rows)
         routed = None
         if keyed.any():
-            rows = np.flatnonzero(keyed)
-            packed, lens = wire.pack_column(buf, key_off[rows],
-                                            key_len[rows])
-            shards[rows] = wire.shards_for_keys(packed, lens, collectors)
+            at = np.flatnonzero(keyed)
+            packed, lens = wire.pack_column(buf, key_off[at], key_len[at])
+            shards[at] = wire.shards_for_keys(packed, lens, collectors)
             # Gathered once: the matrix that routed the burst is the
             # matrix its plans hash (row -> position in ``packed``).
-            at = np.zeros(n, dtype=np.int64)
-            at[rows] = np.arange(len(rows))
-            routed = (packed, lens, at)
-
-        per_report = valid & ((flags & int(_PER_REPORT_FLAGS)) != 0)
-        rows = np.flatnonzero(valid)
+            position = np.zeros(n, dtype=np.int64)
+            position[at] = np.arange(len(at))
+            routed = (packed, lens, position)
+        per_report = (flags & wire.PER_REPORT_MASK) != 0
+        burst = (payload, buf, offsets, lengths, sub, routed)
         for shard in np.unique(shards[rows]).tolist():
-            self._ingest_shard_rows(
-                shard, rows[shards[rows] == shard], payload,
-                buf, prims, rids, extras, per_report, offsets, lengths,
-                sub, routed)
+            self._ingest_shard_rows(shard, rows[shards[rows] == shard],
+                                    prims, rids, extras, per_report, burst)
 
-    def _ingest_shard_rows(self, shard, rows, payload, buf, prims, rids,
-                           extras, per_report, offsets, lengths,
-                           sub, routed) -> None:
+    def _ingest_shard_rows(self, shard, rows, prims, rids, extras,
+                           per_report, burst) -> None:
         """Replay one shard's valid rows: per-report diversions flush
-        and divert individually; a plain Key-Write / Key-Increment run
-        the translator will plan is applied whole, straight from the
-        burst's columns; every other plain run extends the pending
-        list run in column slices.
+        and divert individually; a plain run of a primitive whose lane
+        plans from columns, if the translator will plan it, is applied
+        whole, straight from the burst's columns; every other plain
+        run extends the pending list run in column slices.
 
         Only rows routed to ``shard`` touch ``self._pending[shard]``,
         so replaying shard by shard is observably identical to the
         scalar interleaved order (per-shard arrival order preserved)."""
+        payload, buf, offsets, lengths, sub, _routed = burst
         ident = np.stack((prims[rows], rids[rows], extras[rows],
                           per_report[rows]), axis=1)
         bounds = np.flatnonzero(np.any(ident[1:] != ident[:-1],
                                        axis=1)) + 1
         for seg in np.split(rows, bounds):
             first = int(seg[0])
-            prim = int(prims[first])
             if per_report[first]:
                 for row in seg.tolist():
-                    self._flush_shard(shard)
-                    self.per_report += 1
                     off = int(offsets[row])
                     raw = payload[off:off + int(lengths[row])]
-                    self.translators[shard].handle_report(raw)
+                    self._divert(shard, raw, *packets.decode_report(raw))
                 continue
-            primitive = DtaPrimitive(prim)
-            rid = int(rids[first])
-            cols = sub[prim]
-            if prim in _PLANNED_PRIMS and self._plan_segment(
-                    shard, primitive, seg, buf, cols, int(extras[first]),
-                    routed):
+            primitive = BY_CODE[int(prims[first])]
+            cols = sub[primitive.code]
+            extra = int(extras[first]) if primitive.extra else None
+            if primitive.value is not None and self._plan_segment(
+                    shard, primitive, seg, cols, extra, burst):
                 continue
-            if prim in _KEYED_PRIMS:
-                run_key = (primitive, rid, int(extras[first]))
-                keys = wire.slice_column(payload, cols["key_off"][seg],
-                                         cols["key_len"][seg])
-                if primitive is DtaPrimitive.KEY_WRITE:
-                    new = [keys,
-                           wire.slice_column(payload, cols["data_off"][seg],
-                                             cols["data_len"][seg])]
-                elif primitive is DtaPrimitive.KEY_INCREMENT:
-                    new = [keys, cols["value"][seg].tolist()]
-                else:
-                    new = [keys, cols["hop"][seg].tolist(),
-                           cols["value"][seg].tolist(),
-                           cols["path_length"][seg].tolist()]
-            elif primitive is DtaPrimitive.APPEND:
-                run_key = (primitive, rid)
-                new = [cols["list_id"][seg].tolist(),
-                       wire.slice_column(payload, cols["data_off"][seg],
-                                         cols["data_len"][seg])]
-            else:
-                run_key = (primitive, rid, int(extras[first]))
-                depth = cols["depth"][seg]
-                if int(depth.min()) == int(depth.max()):
-                    matrix = wire.gather_counters(
-                        buf, cols["counters_off"][seg], int(depth[0]))
-                    counter_rows = [tuple(r) for r in matrix.tolist()]
-                else:   # mixed depths in one run: rare, decode per row
-                    counter_rows = [
-                        tuple(int(c) for c in wire.gather_counters(
-                            buf, cols["counters_off"][r:r + 1],
-                            int(cols["depth"][r]))[0].tolist())
-                        for r in seg.tolist()]
-                new = [cols["column"][seg].tolist(), counter_rows]
-            self._extend_run(shard, run_key, new)
+            self._extend_run(
+                shard, (primitive.code, int(rids[first]), extra),
+                [wire.column(primitive, name, payload, buf, cols, seg)
+                 for name in primitive.fields])
 
-    def _plan_segment(self, shard, primitive, seg, buf, cols, redundancy,
-                      routed) -> bool:
-        """Offer one plain Key-Write / Key-Increment segment to the
-        shard's translator as columns; True when it ran as one plan.
+    def _plan_segment(self, shard, primitive, seg, cols, redundancy,
+                      burst) -> bool:
+        """Offer one plain segment to the shard's translator as
+        columns; True when it ran as one plan.
 
         The translator decides (:meth:`Translator.plan_columns
         <repro.core.translator.Translator.plan_columns>`); a decline
@@ -327,20 +257,14 @@ class ReportAssembler:
         it — ``batch_size`` bounds list-path runs only.
         """
         translator = self.translators[shard]
-        plan_columns = getattr(translator, "plan_columns", None)
-        if plan_columns is None:        # a sink that offers no plan
-            return False
-        packed, lens, at = routed
+        _payload, buf, _offsets, _lengths, _sub, (packed, lens, at) = burst
         pos = at[seg]
         lens = lens[pos]
         packed = packed[pos, :int(lens.max())]
-        if primitive is DtaPrimitive.KEY_WRITE:
-            third, _ = wire.pack_column(buf, cols["data_off"][seg],
-                                        cols["data_len"][seg])
-        else:
-            third = cols["value"][seg]
-        plan = plan_columns(primitive, len(seg), packed, lens, third,
-                            redundancy)
+        plan = translator.plan_columns(
+            primitive.code, len(seg), packed, lens,
+            wire.matrix(primitive, primitive.value, buf, cols, seg),
+            redundancy)
         if plan is None:
             return False
         # Shard-local arrival order: what was pending came first.
@@ -353,24 +277,16 @@ class ReportAssembler:
     # Shared pending-run state
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _run_key(header, op) -> tuple:
-        """Identity a report must share with its run to coalesce.
-
-        ``reporter_id`` is part of the identity because Sketch-Merge
-        tracks per-reporter column cursors and
-        :attr:`ReportBatch.reporter_id` is batch-wide; including it for
-        every primitive keeps the rule uniform.
-        """
-        if isinstance(op, (KeyWrite, KeyIncrement, Postcard)):
-            return (header.primitive, header.reporter_id, op.redundancy)
-        if isinstance(op, SketchColumn):
-            return (header.primitive, header.reporter_id, op.sketch_id)
-        return (header.primitive, header.reporter_id)
-
     def _extend_run(self, shard: int, run_key: tuple, new_cols) -> None:
         """Append column slices to a shard's run, flushing in exact
-        ``batch_size`` chunks as the scalar per-report path would."""
+        ``batch_size`` chunks as the scalar per-report path would.
+
+        ``run_key`` is the identity a report must share with its run
+        to coalesce: ``(primitive, reporter_id, extra)``.
+        ``reporter_id`` is part of it because Sketch-Merge tracks
+        per-reporter column cursors and :attr:`ReportBatch.reporter_id`
+        is batch-wide; including it for every primitive keeps the rule
+        uniform."""
         pending = self._pending.get(shard)
         if pending is not None and pending[0] != run_key:
             self._flush_shard(shard)
@@ -392,42 +308,33 @@ class ReportAssembler:
 
     def _flush_shard(self, shard: int) -> None:
         pending = self._pending.pop(shard, None)
-        if pending is None:
-            return
-        self._emit(shard, pending[0], pending[1])
+        if pending is not None:
+            self._emit(shard, *pending)
 
     def _emit(self, shard: int, run_key: tuple, cols) -> None:
         """Build a :class:`ReportBatch` straight from run columns.
 
         Every value already passed the wire validity checks (which
         mirror the batch constructors'), so columns are assigned
-        directly instead of re-validated one report at a time.
+        directly instead of re-validated one report at a time.  What
+        the shard's *service* cannot hold is dropped here, report by
+        report, so the translator never raises for outside input.
         """
-        (primitive, reporter_id, *rest) = run_key
-        batch = ReportBatch(primitive)
-        if primitive is DtaPrimitive.KEY_WRITE:
-            batch.redundancy = rest[0]
-            batch.keys, batch.datas = cols
-        elif primitive is DtaPrimitive.KEY_INCREMENT:
-            batch.redundancy = rest[0]
-            batch.keys, batch.values = cols
-        elif primitive is DtaPrimitive.POSTCARDING:
-            batch.redundancy = rest[0]
-            batch.keys, batch.hops, batch.values, batch.path_lengths = cols
-        elif primitive is DtaPrimitive.APPEND:
-            batch.list_ids, batch.datas = cols
-        else:
-            batch.sketch_id = rest[0]
-            batch.columns, batch.counter_rows = cols
+        code, reporter_id, extra = run_key
+        translator = self.translators[shard]
+        if translator.check(code, cols, extra) is not None:
+            keep = [i for i in range(len(cols[0])) if translator.check(
+                code, [col[i:i + 1] for col in cols], extra) is None]
+            self.rejected += len(cols[0]) - len(keep)
+            if not keep:
+                return
+            cols = [[col[i] for i in keep] for col in cols]
+        primitive = BY_CODE[code]
+        batch = ReportBatch(code)
+        if primitive.extra is not None:
+            setattr(batch, primitive.extra, extra)
+        for name, col in zip(primitive.columns, cols):
+            setattr(batch, name, col)
         batch.reporter_id = reporter_id
         self.batches += 1
-        self.translators[shard].process_batch(batch)
-
-
-_DECODERS = {
-    int(DtaPrimitive.KEY_WRITE): wire.decode_keywrite,
-    int(DtaPrimitive.KEY_INCREMENT): wire.decode_keyincrement,
-    int(DtaPrimitive.POSTCARDING): wire.decode_postcard,
-    int(DtaPrimitive.APPEND): wire.decode_append,
-    int(DtaPrimitive.SKETCH_MERGE): wire.decode_sketch,
-}
+        translator.process_batch(batch)

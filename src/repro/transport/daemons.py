@@ -30,6 +30,7 @@ import socket
 
 from repro import calibration, obs
 from repro.core.cluster import ClusterMap
+from repro.core.primitives import STORES
 from repro.core.stores.append import AppendLayout
 from repro.core.stores.keyincrement import KeyIncrementLayout
 from repro.core.stores.keywrite import KeyWriteLayout
@@ -92,23 +93,21 @@ def segment_plan(sketch_width: int = 0) -> list:
     store on every process that maps the plan.
     """
     pc_pad = max(calibration.POSTCARDING_SLOT_PAD_BYTES, PC_HOPS * 4)
-    plan = [
-        ("keywrite", KeyWriteLayout(base_addr=0, slots=KW_SLOTS,
-                                    data_bytes=KW_DATA_BYTES).region_bytes),
-        ("keyincrement", KeyIncrementLayout(
-            base_addr=0, slots_per_row=KI_SLOTS_PER_ROW,
-            rows=KI_ROWS).region_bytes),
-        ("postcarding", PostcardingLayout(
-            base_addr=0, chunks=PC_CHUNKS, hops=PC_HOPS,
-            slot_bits=32, pad_to=pc_pad).region_bytes),
-        ("append", AppendLayout(base_addr=0, lists=AP_LISTS,
-                                capacity=AP_CAPACITY,
-                                data_bytes=AP_DATA_BYTES).region_bytes),
+    layouts = [
+        KeyWriteLayout(base_addr=0, slots=KW_SLOTS,
+                       data_bytes=KW_DATA_BYTES),
+        KeyIncrementLayout(base_addr=0, slots_per_row=KI_SLOTS_PER_ROW,
+                           rows=KI_ROWS),
+        PostcardingLayout(base_addr=0, chunks=PC_CHUNKS, hops=PC_HOPS,
+                          slot_bits=32, pad_to=pc_pad),
+        AppendLayout(base_addr=0, lists=AP_LISTS, capacity=AP_CAPACITY,
+                     data_bytes=AP_DATA_BYTES),
     ]
     if sketch_width:
-        plan.append(("sketch", SketchLayout(
-            base_addr=0, width=sketch_width, depth=SM_DEPTH).region_bytes))
-    return plan
+        layouts.append(SketchLayout(base_addr=0, width=sketch_width,
+                                    depth=SM_DEPTH))
+    return [(store, layout.region_bytes)
+            for store, layout in zip(STORES, layouts)]
 
 
 def _attach_segments(names, plan):
@@ -376,6 +375,7 @@ def _drain_stats(assembler, reassembler, translators) -> dict:
         "batches": assembler.batches,
         "per_report": assembler.per_report,
         "malformed": assembler.malformed + reassembler.malformed,
+        "rejected": assembler.rejected,
         "delivered": reassembler.delivered,
         "duplicates": reassembler.duplicates,
         "waiting": reassembler.waiting,

@@ -39,8 +39,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from repro import bench, obs
-from repro.core import packets
 from repro.core.cluster import ClusterMap
+from repro.core.primitives import BY_CODE
 from repro.core.translator import Translator
 from repro.runtime.engine import store_digest
 from repro.runtime.queues import _clock
@@ -109,33 +109,20 @@ class ServeSpec:
         return workload.sketch_width(self.primitive, self.reports)
 
 
-_BASE = packets.BASE_HEADER_BYTES
-#: The keyed sub-headers all open ``(redundancy, key_len)``, one byte
-#: each, and the key starts right after the fixed sub-header.
-_KEY_LEN_AT = _BASE + 1
-_KEY_AT = {int(prim): _BASE + packets.SUBHEADER_BYTES[prim]
-           for prim in (packets.DtaPrimitive.KEY_WRITE,
-                        packets.DtaPrimitive.KEY_INCREMENT,
-                        packets.DtaPrimitive.POSTCARDING)}
-
-
 def route_report(cmap: ClusterMap, raw: bytes) -> int:
     """Shard a pre-encoded report exactly as the assembler will.
 
-    Light byte slicing instead of a full ``decode_report`` — this runs
-    per report on the transmit path and only needs the routing
-    identity, not validation.  Must agree with
+    Light byte slicing (``SubHeader.peek``) instead of a full
+    ``decode_report`` — this runs per report on the transmit path and
+    only needs the routing identity, not validation.  Must agree with
     :meth:`ReportAssembler.feed`'s routing so that lane selection
     (shard → translator daemon) matches the daemon-side store writes.
     """
-    prim = raw[0] & 0xF
-    key_at = _KEY_AT.get(prim)
-    if key_at is not None:
-        return cmap.for_key(raw[key_at:key_at + raw[_KEY_LEN_AT]])
-    if prim == int(packets.DtaPrimitive.APPEND):
-        # The Append sub-header opens with the 16-bit list id.
-        return cmap.for_list(int.from_bytes(raw[_BASE:_BASE + 2], "big"))
-    return cmap.for_sketch(0)
+    primitive = BY_CODE.get(raw[0] & 0xF)
+    if primitive is None:
+        return cmap.for_sketch(0)
+    return primitive.shard(cmap,
+                           primitive.wire.peek(raw, primitive.routed_by))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ import struct
 
 from repro.core.batch import ReportBatch
 from repro.core.collector import Collector
+from repro.core.primitives import BY_SERVICE
 
-PRIMITIVES = ("key_write", "key_increment", "postcarding", "append",
-              "sketch_merge")
+PRIMITIVES = tuple(BY_SERVICE)
 
 # Store geometry — sized so quick (2 k) and full (200 k) streams both
 # fit without ring wrap-around dominating a run.  transport.daemons
@@ -51,6 +51,11 @@ AP_DATA_BYTES = 16
 AP_BATCH = 16
 SM_DEPTH = 4
 SM_BATCH_COLUMNS = 16
+
+#: The run-wide field every report of a stream carries: redundancy N
+#: for the keyed primitives, the sketch id for Sketch-Merge.
+EXTRA = {"key_write": 2, "key_increment": 2, "postcarding": 1,
+         "sketch_merge": 0}
 
 
 def columns(primitive: str, reports: int, seed: int) -> dict:
@@ -112,49 +117,28 @@ def sketch_width(primitive: str, reports: int) -> int:
     return reports if primitive == "sketch_merge" else 0
 
 
+def _primitive(name: str):
+    try:
+        return BY_SERVICE[name]
+    except KeyError:
+        raise ValueError(f"unknown workload primitive '{name}'") from None
+
+
 def batch(primitive: str, work: dict, start: int, stop: int) -> ReportBatch:
     """Rows ``start:stop`` of the columns as one batch."""
-    s = slice(start, stop)
-    if primitive == "key_write":
-        return ReportBatch.key_writes(work["keys"][s], work["datas"][s],
-                                      redundancy=2)
-    if primitive == "key_increment":
-        return ReportBatch.key_increments(work["keys"][s],
-                                          work["values"][s], redundancy=2)
-    if primitive == "postcarding":
-        return ReportBatch.postcards(
-            work["keys"][s], work["hops"][s], work["values"][s],
-            path_lengths=work["path_lengths"][s], redundancy=1)
-    if primitive == "append":
-        return ReportBatch.appends(work["list_ids"][s], work["datas"][s])
-    if primitive == "sketch_merge":
-        return ReportBatch.sketch_columns(0, work["columns"][s],
-                                          work["counter_rows"][s])
-    raise ValueError(f"unknown workload primitive '{primitive}'")
+    spec = _primitive(primitive)
+    return ReportBatch.from_columns(
+        spec, [work[column][start:stop] for column in spec.columns],
+        EXTRA.get(primitive))
 
 
 def emit(reporter, primitive: str, work: dict) -> None:
     """The columns through ``reporter``, one report per call."""
-    if primitive == "key_write":
-        for key, data in zip(work["keys"], work["datas"]):
-            reporter.key_write(key, data, redundancy=2)
-    elif primitive == "key_increment":
-        for key, value in zip(work["keys"], work["values"]):
-            reporter.key_increment(key, value, redundancy=2)
-    elif primitive == "postcarding":
-        for key, hop, value, path_length in zip(
-                work["keys"], work["hops"], work["values"],
-                work["path_lengths"]):
-            reporter.postcard(key, hop, value, path_length=path_length,
-                              redundancy=1)
-    elif primitive == "append":
-        for list_id, data in zip(work["list_ids"], work["datas"]):
-            reporter.append(list_id, data)
-    elif primitive == "sketch_merge":
-        for column, counters in zip(work["columns"], work["counter_rows"]):
-            reporter.sketch_column(0, column, counters)
-    else:
-        raise ValueError(f"unknown workload primitive '{primitive}'")
+    spec = _primitive(primitive)
+    send = getattr(reporter, spec.reporter)
+    extra = {spec.extra: EXTRA[primitive]} if spec.extra else {}
+    for row in zip(*(work[column] for column in spec.columns)):
+        send(**dict(zip(spec.fields, row)), **extra)
 
 
 def wire(primitive: str, reports: int, seed: int) -> list:

@@ -18,10 +18,13 @@ import pytest
 from repro import obs
 from repro.core.batch import ReportBatch
 from repro.core.collector import Collector
+from repro.core.packets import DtaPrimitive
+from repro.core.primitives import BY_CODE
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
 from repro.fabric.link import Link
 from repro.fabric.simulator import Simulator
+from repro.runtime import store_digest
 
 REPORTS = 320
 BATCH_SIZES = [1, 7, 64]
@@ -249,7 +252,7 @@ class TestMalformedReportsTouchNothing:
     def test_hop_beyond_the_cache(self):
         keys = [struct.pack(">I", 1)] * 3
         collector, translator, reporter = self._deploy()
-        cache = translator._pc.cache
+        cache = translator._lanes[DtaPrimitive.POSTCARDING].cache
         with pytest.raises(IndexError):
             translator.process_batch(ReportBatch.postcards(
                 keys, [0, 7, 1], [3, 4, 5], path_lengths=[5] * 3))
@@ -272,7 +275,7 @@ class TestMalformedReportsTouchNothing:
                 [0] * 3, [good[0], b"12345", good[1]]))
         assert translator.stats.reports_in == 0
         assert translator.stats.appends == 0
-        assert not translator._ap.batches.get(0)
+        assert not translator._lanes[DtaPrimitive.APPEND].batches.get(0)
 
         reporter.append(0, good[0])
         with pytest.raises(ValueError, match="too wide"):
@@ -283,6 +286,74 @@ class TestMalformedReportsTouchNothing:
         translator.flush_appends()
         assert translator.append_head(0) == 40
         assert collector.append.poller(0).poll() == good
+
+
+    # Every lane's ``check``: eight reports, the third of which the
+    # provisioned service cannot hold.
+    _REJECTED = {
+        "key_write wide data": (ValueError, lambda: ReportBatch.key_writes(
+            [b"k%d" % i for i in range(8)],
+            [b"1234", b"1234", b"12345"] + [b"12"] * 5)),
+        "postcarding redundancy beyond the chunk lanes": (
+            ValueError, lambda: ReportBatch.postcards(
+                [b"flow"] * 8, [i % 5 for i in range(8)], [1] * 8,
+                redundancy=9)),
+        "append list not provisioned": (
+            ValueError, lambda: ReportBatch.appends(
+                [0, 1, 2] + [0] * 5, [b"abcd"] * 8)),
+        "sketch_merge foreign sketch id": (
+            ValueError, lambda: ReportBatch.sketch_columns(
+                9, list(range(8)), [(1, 2, 3, 4)] * 8)),
+        "sketch_merge wrong depth": (
+            ValueError, lambda: ReportBatch.sketch_columns(
+                0, list(range(8)),
+                [(1, 2, 3, 4)] * 2 + [(1, 2, 3)] + [(1, 2, 3, 4)] * 5)),
+        "sketch_merge column out of range": (
+            ValueError, lambda: ReportBatch.sketch_columns(
+                0, [0, 1, 64] + list(range(2, 7)), [(1, 2, 3, 4)] * 8)),
+    }
+
+    @pytest.mark.parametrize("case", _REJECTED)
+    @pytest.mark.parametrize("vectorized", [False, True],
+                             ids=["scalar", "vectorized"])
+    def test_every_check_rejects_before_anything_moves(self, case,
+                                                       vectorized):
+        error, build = self._REJECTED[case]
+        collector = Collector()
+        collector.serve_keywrite(slots=64, data_bytes=4)
+        collector.serve_postcarding(chunks=64, value_set=range(16), hops=5)
+        collector.serve_append(lists=2, capacity=64, data_bytes=4)
+        collector.serve_sketch(width=16, depth=4, expected_reporters=1)
+        translator = Translator(vectorized=vectorized)
+        collector.connect_translator(translator)
+        batch = build()
+
+        def state():
+            lanes = translator._lanes
+            return (translator.stats.as_dict(), store_digest(collector),
+                    lanes[DtaPrimitive.POSTCARDING].cache.occupancy,
+                    dict(lanes[DtaPrimitive.APPEND].batches),
+                    lanes[DtaPrimitive.SKETCH_MERGE].columns,
+                    dict(lanes[DtaPrimitive.SKETCH_MERGE].next_column))
+
+        before = state()
+        assert translator.plan_batch(batch) is None      # declines
+        with pytest.raises(error):
+            translator.process_batch(batch)              # scalar raises
+        spec = BY_CODE[batch.primitive]
+        assert isinstance(translator.check(
+            batch.primitive, spec.columns_of(batch), spec.extra_of(batch)),
+            error)
+        assert state() == before
+        # Report by report, only the offending ones raise.
+        raised = 0
+        for raw in batch.iter_raw():
+            try:
+                translator.handle_report(raw)
+            except error:
+                raised += 1
+        assert 1 <= raised
+        assert translator.stats.reports_in == len(batch) - raised
 
 
 class TestLinkBatchDeterminism:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.collector import Collector
+from repro.core.packets import DtaPrimitive
 from repro.core.translator import Translator
 
 
@@ -56,8 +57,8 @@ class TestConnection:
         col.serve_append(lists=1, capacity=8, data_bytes=4)
         tr = Translator()
         col.connect_translator(tr)
-        assert tr._kw is not None
-        assert tr._ap is not None
+        assert DtaPrimitive.KEY_WRITE in tr._lanes
+        assert DtaPrimitive.APPEND in tr._lanes
 
     def test_single_qp_for_all_services(self):
         """Section 3.1(2): the translator is one RDMA writer."""
@@ -74,8 +75,8 @@ class TestConnection:
         col.serve_keywrite(slots=512, data_bytes=4)
         tr = Translator()
         col.connect_translator(tr)
-        assert tr._kw.layout.slots == col.keywrite.layout.slots
-        assert tr._kw.layout.base_addr == col.keywrite.layout.base_addr
+        assert tr._lanes[DtaPrimitive.KEY_WRITE].layout.slots == col.keywrite.layout.slots
+        assert tr._lanes[DtaPrimitive.KEY_WRITE].layout.base_addr == col.keywrite.layout.base_addr
 
     def test_unknown_advert_primitive_rejected(self):
         from repro.rdma.cm import ServiceAdvert

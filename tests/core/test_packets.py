@@ -1,5 +1,7 @@
 """DTA wire protocol: round-trips, validation, malformed input."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from repro.core.packets import (
     encode_report,
     make_report,
 )
+from tests import registry_cases
 
 
 class TestHeader:
@@ -56,6 +59,37 @@ class TestHeader:
 
 
 class TestSubheaders:
+    """The named cases below pin one hand-picked example each; the two
+    parametrised ones walk every operation's wire field table
+    (``tests/registry_cases.py``), so a field added to a table is
+    round-tripped at both ends of its range, and rejected just outside
+    them, without a new test."""
+
+    @pytest.mark.parametrize("op_class", registry_cases.OPERATIONS,
+                             ids=lambda op: op.__name__)
+    def test_every_field_roundtrips_at_its_bounds(self, op_class):
+        rng = random.Random(op_class.__name__)
+        for op in registry_cases.boundaries(op_class) \
+                + [registry_cases.sample(op_class, rng) for _ in range(20)]:
+            header, decoded = decode_report(make_report(op, reporter_id=7))
+            assert decoded == op and type(decoded) is op_class
+            assert header.primitive == packets._PRIMITIVE_OF[op_class]
+            assert len(op.pack()) == op_class.WIRE.size + sum(
+                len(getattr(op, tail.name)) * tail.item
+                for tail in op_class.WIRE.tails)
+
+    @pytest.mark.parametrize("op_class", registry_cases.OPERATIONS,
+                             ids=lambda op: op.__name__)
+    def test_every_range_is_enforced_just_outside(self, op_class):
+        for name, kwargs in registry_cases.out_of_range(op_class):
+            with pytest.raises(ValueError, match=name):
+                op_class(**kwargs)
+            # ... and the same bytes, put on the wire anyway, are
+            # rejected by the decoder.
+            raw = make_report(registry_cases.unchecked(op_class, **kwargs))
+            with pytest.raises((ValueError, PacketDecodeError)):
+                decode_report(raw)
+
     def test_keywrite_roundtrip(self):
         op = KeyWrite(key=b"5-tuple-bytes", data=b"\x01\x02\x03\x04",
                       redundancy=3)

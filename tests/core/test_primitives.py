@@ -1,0 +1,123 @@
+"""The primitive registry: one table, and everything that must agree
+with it.
+
+The codec properties a registry row implies are held by the suites
+that draw from ``tests/registry_cases.py``; this file holds what is
+about the table itself — its load-bearing order, the lane every row
+has, the names other modules bind to it, the generated documentation,
+and the locality rule that keeps primitives out of every other module.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import subprocess
+import sys
+
+from repro.core import primitives
+from repro.core.collector import Collector
+from repro.core.primitives import BY_CODE, BY_SERVICE, REGISTRY, STORES
+from repro.core.translator import LANES, Translator, TranslatorStats
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.kernels import wire
+from repro.queries import snapshot
+from repro.runtime.engine import store_digest
+from repro.transport.daemons import segment_plan
+from repro.workloads import reports
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def test_store_order_is_the_digest_order():
+    # Recorded store digests, checkpoints and the socket lane's shared
+    # segments all depend on this exact sequence.
+    assert STORES == ("keywrite", "keyincrement", "postcarding", "append",
+                      "sketch")
+    assert snapshot.STORE_ATTRS is STORES
+    assert [name for name, _ in segment_plan(8)] == list(STORES)
+    assert [name for name, _ in segment_plan()] == list(STORES[:-1])
+    assert reports.PRIMITIVES == tuple(BY_SERVICE)
+
+
+def test_store_digest_walks_the_registry_order():
+    import hashlib
+
+    collector = reports.provision_collector("order", sketch_width=8)
+    digest = hashlib.sha256()
+    for attr in STORES:
+        digest.update(attr.encode())
+        digest.update(bytes(getattr(collector, attr).region.buf))
+    assert store_digest(collector) == "sha256:" + digest.hexdigest()
+
+
+def test_fault_regions_are_named_by_service():
+    collector = reports.provision_collector("faults", sketch_width=8)
+    injector = FaultInjector.for_star(
+        FaultPlan(events=[]), type("Topo", (), {"sim": None, "links": []}),
+        collector, [])
+    assert set(injector.regions) == set(BY_SERVICE)
+    for primitive in REGISTRY:
+        assert injector.regions[primitive.service] is getattr(
+            collector, primitive.store).region
+
+
+def test_every_primitive_has_exactly_one_lane():
+    assert set(LANES) == set(BY_SERVICE)
+    for primitive in REGISTRY:
+        lane = LANES[primitive.service]
+        assert lane.primitive is primitive
+        assert BY_CODE[primitive.code] is primitive
+        # One check, one scalar lane, one plan — and a plan from wire
+        # columns exactly where the table names its value column.
+        for name in ("check", "scalar", "plan", "stride"):
+            assert hasattr(lane, name), (primitive.service, name)
+        assert (lane.plan_columns is not None) == (primitive.value is not None)
+        assert primitive.stat in TranslatorStats.fields()
+        assert hasattr(Collector, f"serve_{primitive.store}")
+        assert set(primitive.fields) | {primitive.extra} - {None} <= {
+            f.name for f in primitive.wire.fields} | set(
+            primitive.wire.tail_of)
+
+
+def test_configure_builds_lanes_from_adverts():
+    collector = reports.provision_collector("lanes", sketch_width=8)
+    translator = Translator()
+    collector.connect_translator(translator)
+    assert set(translator._lanes) == set(BY_CODE)
+    for primitive in REGISTRY:
+        lane = translator._lanes[primitive.code]
+        assert type(lane) is LANES[primitive.service]
+        assert lane.layout == getattr(collector, primitive.store).layout
+    # Sketch storage and the postcard value codes stay lazy: configure
+    # allocates nothing a report has not asked for.
+    assert translator._lanes[primitives.SKETCH_MERGE.code].columns is None
+    assert translator._lanes[primitives.POSTCARDING.code].codes is None
+    assert translator._cuckoo is None
+
+
+def test_pinned_decoder_names_are_the_one_decoder():
+    for name, primitive in zip(
+            ("decode_keywrite", "decode_keyincrement", "decode_postcard",
+             "decode_append", "decode_sketch"), REGISTRY):
+        bound = getattr(wire, name)
+        assert bound.func is wire.decode and bound.args == (primitive,)
+
+
+def test_architecture_table_is_generated_from_the_registry():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import primitive_table
+    finally:
+        sys.path.pop(0)
+    text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    table = text.split(primitive_table.BEGIN)[1].split(primitive_table.END)[0]
+    assert table.strip() == primitive_table.render(), \
+        "stale: run PYTHONPATH=src python tools/primitive_table.py --write"
+
+
+def test_no_module_outside_a_primitives_own_names_one():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "check_primitive_locality.py")],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr

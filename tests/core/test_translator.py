@@ -7,6 +7,7 @@ from repro.core.collector import Collector
 from repro.core.packets import (
     Append,
     DtaFlags,
+    DtaPrimitive,
     KeyIncrement,
     KeyWrite,
     Postcard,
@@ -205,7 +206,7 @@ class TestSketchMergePath:
         (header, nack), = nacks
         assert nack.expected_seq == 0
         # Column 2 was not merged.
-        assert tr._sm.merged_count[2] == 0
+        assert tr._lanes[DtaPrimitive.SKETCH_MERGE].merged_count[2] == 0
 
     def test_incomplete_columns_not_transferred(self):
         col, tr = deploy()
@@ -337,4 +338,4 @@ class TestSketchIdRouting:
         tr.handle_report(make_report(
             SketchColumn(sketch_id=3, column=0, counters=(4, 4)),
             reporter_id=1))
-        assert tr._sm.merged_count[0] == 1
+        assert tr._lanes[DtaPrimitive.SKETCH_MERGE].merged_count[0] == 1

@@ -10,6 +10,7 @@ union merge.
 import pytest
 
 from repro.core.collector import Collector
+from repro.core.packets import DtaPrimitive
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
 from repro.sketches.hyperloglog import HyperLogLog
@@ -71,4 +72,4 @@ class TestHllOverSketchMerge:
         rep.sketch_column(0, 0, tuple([3] * COLUMN))
         rep.sketch_column(0, 0, tuple([9] * COLUMN))  # replay: rejected
         assert tr.stats.sketch_column_nacks == 1
-        assert tr._sm.columns[0] == [3] * COLUMN
+        assert tr._lanes[DtaPrimitive.SKETCH_MERGE].columns[0] == [3] * COLUMN

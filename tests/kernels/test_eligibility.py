@@ -36,6 +36,7 @@ from repro import obs
 from repro.core.batch import ReportBatch
 from repro.core.cluster import ClusterMap
 from repro.core.collector import Collector
+from repro.core.primitives import BY_SERVICE
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
 from repro.kernels import MIN_VECTOR_BATCH, burst as kburst
@@ -70,12 +71,20 @@ _ENGINE_KW = {
 def _stateful_batch(condition: str, primitive: str) -> ReportBatch:
     """Eight reports that make the plan emit; ``oversize`` is what each
     scalar lane raises for (a hop the cache has no slot for, a datum
-    wider than the entries, a column of the wrong depth)."""
+    wider than the entries, a column of the wrong depth);
+    ``oversize_dropped`` is that batch without the offending report."""
     rng = random.Random(6)
     n = MIN_VECTOR_BATCH - 1 if condition == "tiny" else 8
     flags = {"essential": condition == "essential",
              "immediate": condition == "immediate"}
     bad = condition == "oversize"
+    if condition == "oversize_dropped":
+        whole = _stateful_batch("oversize", primitive)
+        at = 7 if primitive == "postcarding" else 2
+        spec = BY_SERVICE[primitive]
+        return ReportBatch.from_columns(
+            spec, [col[:at] + col[at + 1:] for col in spec.columns_of(whole)],
+            spec.extra_of(whole))
     if primitive == "postcarding":
         # Two whole 3-hop paths, then the start of a third.
         keys = [bytes([flow]) * 4 for flow in (1, 1, 1, 2, 2, 2, 3, 3)][:n]
@@ -108,6 +117,8 @@ def _batch(condition: str, primitive: str = "key_write") -> ReportBatch:
     datas = [rng.randbytes(8) for _ in range(n)]
     if condition == "oversize":
         datas[2] = b"x" * (DATA_BYTES + 8)      # the scalar lane raises
+    elif condition == "oversize_dropped":
+        del keys[2], datas[2]
     return ReportBatch.key_writes(keys, datas, redundancy=2,
                                   essential=condition == "essential",
                                   immediate=condition == "immediate")
@@ -194,6 +205,7 @@ def _run(lane: str, condition: str, monkeypatch,
                                 transmit_batch=translator.process_batch)
         batch = _batch(condition, primitive)
         raised = False
+        assembler = None
         try:
             if lane == "serial":
                 reporter.send_batch(batch)
@@ -230,7 +242,8 @@ def _run(lane: str, condition: str, monkeypatch,
             "obs": pipeline_digest(snapshot),
             "shared_obs": _shared_digest(snapshot),
             "kernel_calls": len(kernel_calls),
-            "batches_built": len(batches_built)}
+            "batches_built": len(batches_built),
+            "rejected": assembler.rejected if assembler else 0}
 
 
 def _routes_like_the_reference(lane, condition, primitive, monkeypatch):
@@ -238,7 +251,16 @@ def _routes_like_the_reference(lane, condition, primitive, monkeypatch):
     assert reference["kernel_calls"] == 0
     got = _run(lane, condition, monkeypatch, primitive)
 
-    assert got["raised"] == reference["raised"] == (condition == "oversize")
+    assert reference["raised"] == (condition == "oversize")
+    if lane in ("assembler", "frames") and condition == "oversize":
+        # Outside input: the socket lane drops what the service cannot
+        # hold, alone, and lands the rest like a stream without it.
+        assert not got["raised"] and got["rejected"] == 1
+        clean = _run("reference", "oversize_dropped", monkeypatch, primitive)
+        assert got["store"] == clean["store"]
+        assert got["shared_obs"] == clean["shared_obs"]
+        return got
+    assert got["raised"] == reference["raised"] and not got["rejected"]
     assert got["store"] == reference["store"]
     assert got["shared_obs"] == reference["shared_obs"]
     if lane in _ENGINE_KW:

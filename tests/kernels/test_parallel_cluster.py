@@ -83,6 +83,8 @@ class _Sink:
     def flush_appends(self) -> None:
         pass
 
+    check = plan_columns = staticmethod(lambda *args: None)
+
 
 def _shard(cluster_map: ClusterMap, primitive: str, reports_: int):
     """Feed the stream through the assembler into per-shard sinks."""

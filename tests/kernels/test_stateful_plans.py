@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.core.batch import ReportBatch
 from repro.core.collector import Collector
+from repro.core.packets import DtaPrimitive
 from repro.core.postcard_cache import PostcardCache
 from repro.core.translator import Translator
 from repro.kernels import MIN_VECTOR_BATCH
@@ -163,8 +164,8 @@ class TestAppendPlan:
         carry = _entries(35, seed=6)
 
         def drive(translator, send):
-            translator._ap.batches[2] = list(carry)
-            translator._ap.heads[2] = 30
+            translator._lanes[DtaPrimitive.APPEND].batches[2] = list(carry)
+            translator._lanes[DtaPrimitive.APPEND].heads[2] = 30
             send(ReportBatch.appends([2, 0, 2, 2] * 16, datas))
             translator.flush_appends()
 
@@ -552,7 +553,7 @@ class TestSketchMergePlan:
         def drive(translator, send):
             vectorized, translator.vectorized = translator.vectorized, False
             _sweep(send, rows[:10], 5)
-            assert isinstance(translator._sm.columns, list)
+            assert isinstance(translator._lanes[DtaPrimitive.SKETCH_MERGE].columns, list)
             translator.vectorized = vectorized
             _sweep(send, rows, 27, order=list(range(10, 64)))
 
@@ -575,13 +576,13 @@ def test_sketch_storage_is_allocated_by_the_first_column():
         collector.serve_sketch(width=64, depth=4, expected_reporters=1)
         translator = Translator()
         collector.connect_translator(translator)
-        assert translator._sm.columns is None
+        assert translator._lanes[DtaPrimitive.SKETCH_MERGE].columns is None
         batch = ReportBatch.sketch_columns(0, [0], [(1, 2, 3, 4)])
         batch.reporter_id = 1
         translator.process_batch(batch)
-        assert translator._sm.columns[0] == [1, 2, 3, 4]
+        assert translator._lanes[DtaPrimitive.SKETCH_MERGE].columns[0] == [1, 2, 3, 4]
         translator.reset_sketch_epoch()
-        assert translator._sm.columns is None
+        assert translator._lanes[DtaPrimitive.SKETCH_MERGE].columns is None
     finally:
         obs.set_registry(previous)
 

@@ -1,7 +1,7 @@
 """Vectorized wire codecs vs the scalar decode path, differentially.
 
 The contract under test (see ``kernels/wire.py``): feeding a
-``KIND_FRAME`` payload through :meth:`ReportAssembler.feed_frame` must
+``KIND_FRAME`` payload through :meth:`ReportAssembler.feed_frames` must
 be observably identical — per-shard batch stream, per-report
 diversions, ``reports``/``malformed``/``per_report``/``batches``
 counters — to feeding each sub-frame through the scalar
@@ -12,10 +12,12 @@ control-plane flags, in arbitrary interleavings.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -23,11 +25,13 @@ from repro import obs
 from repro.core import packets
 from repro.core.cluster import ClusterMap
 from repro.core.collector import Collector
+from repro.core.primitives import REGISTRY
 from repro.core.translator import Translator
 from repro.kernels import MIN_VECTOR_BATCH, wire
 from repro.runtime import pipeline_digest, store_digest
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import unwrap, unwrap_frame, wrap_frame
+from tests import registry_cases
 
 
 class Sink:
@@ -49,6 +53,8 @@ class Sink:
 
     def flush_appends(self):
         self.events.append(("flush",))
+
+    check = plan_columns = staticmethod(lambda *args: None)
 
 
 def _assembler(collectors, batch_size):
@@ -74,7 +80,7 @@ def run_both(frames, collectors=3, batch_size=5):
         payload = _frame_payload(reports)
         for raw in reports:
             scalar_asm.feed(raw)
-        vector_asm.feed_frame(payload)
+        vector_asm.feed_frames((payload,))
     scalar_asm.finish()
     vector_asm.finish()
     assert _counters(vector_asm) == _counters(scalar_asm)
@@ -98,32 +104,14 @@ def _valid_report(rng):
     flags = rng.choice([packets.DtaFlags.NONE] * 6 + [
         packets.DtaFlags.ESSENTIAL, packets.DtaFlags.IMMEDIATE,
         packets.DtaFlags.RETRANSMIT])
-    key = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 9)))
-    kind = rng.randrange(5)
-    if kind == 0:
-        op = packets.KeyWrite(
-            key=key,
-            data=bytes(rng.randrange(256)
-                       for _ in range(rng.randrange(0, 17))),
-            redundancy=rng.choice([1, 2, 2, 3]))
-    elif kind == 1:
-        op = packets.KeyIncrement(
-            key=key, value=rng.randrange(-2**40, 2**40),
-            redundancy=rng.choice([1, 2, 2]))
-    elif kind == 2:
-        op = packets.Postcard(
-            key=key, hop=rng.randrange(32), value=rng.randrange(2**32),
-            path_length=rng.randrange(8), redundancy=rng.choice([1, 1, 2]))
-    elif kind == 3:
-        op = packets.Append(
-            list_id=rng.randrange(8),
-            data=bytes(rng.randrange(256)
-                       for _ in range(rng.randrange(1, 17))))
-    else:
-        op = packets.SketchColumn(
-            sketch_id=rng.randrange(2), column=rng.randrange(16),
-            counters=tuple(rng.randrange(2**32)
-                           for _ in range(rng.randrange(1, 5))))
+    # Any primitive of the registry, every field from its accept set;
+    # the run-wide extra is drawn from three values so runs coalesce.
+    primitive = rng.choice(REGISTRY)
+    op = registry_cases.sample(primitive.op, rng)
+    if primitive.extra:
+        op = dataclasses.replace(op, **{primitive.extra: rng.choice(
+            [getattr(registry_cases.boundaries(primitive.op)[0],
+                     primitive.extra) + i for i in (0, 1, 1)])})
     raw = packets.make_report(op, reporter_id=rid,
                               seq=rng.randrange(1000), flags=flags)
     if rng.random() < 0.1:
@@ -221,6 +209,25 @@ class TestFrameDifferential:
     def test_empty_frame_is_a_noop(self):
         run_both([[]])
 
+    @pytest.mark.parametrize("primitive", REGISTRY,
+                             ids=registry_cases.PRIMITIVE_IDS)
+    def test_accept_sets_over_the_registry(self, primitive):
+        # Every field at both ends of its range (accepted), one step
+        # outside (malformed), and every accepted report cut short at
+        # each tail boundary (malformed) — the same verdicts and the
+        # same batches from both decoders, read off the field table.
+        good = registry_cases.boundaries(primitive.op)
+        bad = [registry_cases.unchecked(primitive.op, **kwargs)
+               for _name, kwargs in registry_cases.out_of_range(primitive.op)]
+        raws = [packets.make_report(op, reporter_id=1) for op in good + bad]
+        cut = [raw[:-1] for raw in raws[:len(good)]] \
+            + [raw[:wire.BASE + primitive.wire.size - 1]
+               for raw in raws[:len(good)]]
+        frames = [raws, cut, (raws + cut)[::-1]]
+        asm = run_both(frames, collectors=2, batch_size=4)
+        assert asm.reports == 2 * len(good)
+        assert asm.malformed == 2 * (len(bad) + len(cut))
+
     def test_postcard_redundancy_zero_is_accepted(self):
         # Postcard.__post_init__ validates key/hop/value but NOT
         # redundancy, so the scalar decoder accepts red=0 — the
@@ -231,6 +238,70 @@ class TestFrameDifferential:
         asm = run_both(frames, collectors=1, batch_size=2)
         assert asm.reports == MIN_VECTOR_BATCH
         assert asm.malformed == 0
+
+
+def _mutated(draw, primitive) -> bytes:
+    """A report of ``primitive``: valid, or damaged in one of the ways
+    the decoders must agree on (cut short, a byte overwritten, junk
+    appended), or noise behind a well-formed first byte."""
+    op = draw(registry_cases.operations(primitive.op))
+    raw = bytearray(packets.make_report(
+        op, reporter_id=draw(st.integers(0, 0xFFFF)),
+        flags=draw(st.sampled_from(list(packets.DtaFlags)))))
+    how = draw(st.sampled_from(["valid", "cut", "poke", "poke", "junk",
+                                "noise"]))
+    if how == "cut":
+        del raw[draw(st.integers(0, len(raw) - 1)):]
+    elif how == "poke":
+        raw[draw(st.integers(1, len(raw) - 1))] = draw(st.integers(0, 255))
+    elif how == "junk":
+        raw += draw(st.binary(min_size=1, max_size=6))
+    elif how == "noise":
+        raw[1:] = draw(st.binary(max_size=40))
+    return bytes(raw)
+
+
+class TestDecodersAgreeOnAnyBytes:
+    """``packets.decode_report`` and ``wire.decode`` read the same field
+    table: on any bytes they accept or reject together, and where they
+    accept they agree on every field and every tail."""
+
+    @pytest.mark.parametrize("primitive", REGISTRY,
+                             ids=registry_cases.PRIMITIVE_IDS)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_same_verdict_and_same_fields(self, primitive, data):
+        raws = [_mutated(data.draw, primitive)
+                for _ in range(data.draw(st.integers(1, 6)))]
+        joined = b"".join(raws)
+        lengths = np.array([len(raw) for raw in raws], dtype=np.int64)
+        offsets = np.cumsum(lengths) - lengths
+        if not joined:
+            return
+        buf = np.frombuffer(joined, dtype=np.uint8)
+        prims, flags, rids, valid = wire.parse_headers(buf, offsets, lengths)
+        cols = wire.decode(primitive, buf, offsets, lengths)
+        rows = np.arange(len(raws))
+        columns = {name: wire.column(primitive, name, joined, buf, cols, rows)
+                   for name in primitive.fields}
+        for i, raw in enumerate(raws):
+            try:
+                header, op = packets.decode_report(raw)
+            except (packets.PacketDecodeError, ValueError, KeyError):
+                header = None
+            accepted = bool(valid[i] and cols["valid"][i]
+                            and prims[i] == primitive.code)
+            assert accepted == (header is not None
+                                and header.primitive == primitive.code), raw
+            if not accepted:
+                continue
+            assert (int(flags[i]), int(rids[i])) == (int(header.flags),
+                                                     header.reporter_id)
+            for name in primitive.fields:
+                assert columns[name][i] == getattr(op, name), (name, raw)
+            if primitive.extra:
+                assert int(cols[primitive.extra][i]) == getattr(
+                    op, primitive.extra)
 
 
 class TestFrameStructure:
@@ -244,7 +315,7 @@ class TestFrameStructure:
                 unwrap_frame(broken)
             assert wire.split_frame(broken) is None
             _sinks, asm = _assembler(2, 8)
-            asm.feed_frame(broken)
+            asm.feed_frames((broken,))
             assert (asm.reports, asm.malformed) == (0, 1)
 
     def test_split_frame_boundaries_match_scalar_unwrap(self):
@@ -403,16 +474,14 @@ def _run_width(frames, tail, width, vectorized=True):
             payloads = [_frame_payload(frame) for frame in frames]
             for i in range(0, len(payloads), width):
                 asm.feed_frames(payloads[i:i + width])
-        if tail:
-            # The oversize run is pending alone in every lane; its
-            # flush raises like any scalar Key-Write would, and a
-            # second finish() completes the end-of-stream work.
-            with pytest.raises(ValueError, match="exceeds slot"):
-                asm.finish()
+        # The tail's oversize report is pending in a run of its own in
+        # every lane; the flush drops it alone (``rejected``) and lands
+        # the other seven.
         asm.finish()
         return {"stores": [store_digest(c) for c in collectors],
                 "obs": pipeline_digest(obs.get_registry().snapshot()),
-                "counts": (asm.reports, asm.malformed, asm.per_report),
+                "counts": (asm.reports, asm.malformed, asm.per_report,
+                           asm.rejected),
                 "batches": asm.batches}
     finally:
         obs.set_registry(previous)
@@ -424,7 +493,7 @@ class TestPlanWidthIndependence:
             self, primitive):
         frames, tail = _width_stream(primitive, seed=12)
         per_report = _run_width(frames, tail, None)
-        assert per_report["counts"] == (3000 + len(tail), 0, 1)
+        assert per_report["counts"] == (3000 + len(tail), 0, 1, bool(tail))
         scalar = _run_width(frames, tail, None, vectorized=False)
         widths = {w: _run_width(frames, tail, w) for w in (1, 3, 64, 256)}
         for lane in [scalar, *widths.values()]:
@@ -445,7 +514,7 @@ class TestPlanWidthIndependence:
         # and must leave them where the per-report lane does.
         frames, tail = _width_stream(primitive, seed=13)
         per_report = _run_width(frames, tail, None)
-        assert per_report["counts"] == (3000, 0, 1)
+        assert per_report["counts"] == (3000, 0, 1, 0)
         scalar = _run_width(frames, tail, None, vectorized=False)
         for lane in [scalar, *(_run_width(frames, tail, w)
                                for w in (1, 3, 64, 256))]:

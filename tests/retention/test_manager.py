@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.batch import ReportBatch
 from repro.core.collector import Collector
+from repro.core.packets import DtaPrimitive
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
 from repro.retention.epochs import RetentionPolicy
@@ -138,7 +139,7 @@ def test_quiesced_rotation_ages_stale_postcard_cache_rows():
     # A flow that reports one hop of a longer path, then goes silent.
     rep.send_batch(ReportBatch.postcards(
         [b"stale-flow"], [0], [7], path_lengths=[4]))
-    cache = tr._pc.cache
+    cache = tr._lanes[DtaPrimitive.POSTCARDING].cache
     assert cache.occupancy == 1
     manager.rotate()                        # first sighting: still fresh
     assert cache.occupancy == 1

@@ -23,41 +23,23 @@ from repro.core.packets import (
     BASE_HEADER_BYTES,
     DTA_VERSION,
     Append,
-    CongestionSignal,
     DtaFlags,
-    KeyIncrement,
     KeyWrite,
-    Nack,
     PacketDecodeError,
-    Postcard,
-    SketchColumn,
 )
+from repro.core.primitives import REGISTRY
+from tests import registry_cases
 
 keys = st.binary(min_size=1, max_size=packets.MAX_KEY_BYTES)
 datas = st.binary(max_size=packets.MAX_DATA_BYTES)
 redundancies = st.integers(min_value=1, max_value=16)
 u16 = st.integers(min_value=0, max_value=0xFFFF)
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
-i64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
 
-operations = st.one_of(
-    st.builds(KeyWrite, key=keys, data=datas, redundancy=redundancies),
-    st.builds(KeyIncrement, key=keys, value=i64, redundancy=redundancies),
-    st.builds(Postcard, key=keys,
-              hop=st.integers(min_value=0, max_value=31), value=u32,
-              path_length=st.integers(min_value=0, max_value=255),
-              redundancy=st.integers(min_value=0, max_value=255)),
-    st.builds(Append, list_id=u16,
-              data=st.binary(min_size=1,
-                             max_size=packets.MAX_DATA_BYTES)),
-    st.builds(SketchColumn, sketch_id=u16, column=u16,
-              counters=st.lists(u32, min_size=1,
-                                max_size=255).map(tuple)),
-    st.builds(Nack, expected_seq=u32,
-              missing=st.integers(min_value=1, max_value=0xFFFFFFFF)),
-    st.builds(CongestionSignal,
-              level=st.integers(min_value=0, max_value=255)),
-)
+# Every report type, each field drawn from its wire table's accept set
+# (tests/registry_cases.py): nothing here names a primitive.
+operations = st.one_of(*map(registry_cases.operations,
+                            registry_cases.OPERATIONS))
 
 flag_values = st.sampled_from([
     DtaFlags.NONE, DtaFlags.ESSENTIAL, DtaFlags.IMMEDIATE,
@@ -136,6 +118,40 @@ def test_append_batch_iter_raw_matches_per_report_encoding(entries):
     expected = [packets.make_report(Append(list_id=i, data=d))
                 for i, d in entries]
     assert list(batch.iter_raw()) == expected
+
+
+@pytest.mark.parametrize("primitive", REGISTRY,
+                         ids=registry_cases.PRIMITIVE_IDS)
+def test_iter_raw_matches_make_report_for_every_primitive(primitive):
+    """The same property for every registry row, at both ends of every
+    field's range — for a batch built by the validating constructor
+    and for one whose columns were filled in directly."""
+    import random
+    rng = random.Random(primitive.service)
+    ops = registry_cases.boundaries(primitive.op) + [
+        registry_cases.sample(primitive.op, rng) for _ in range(30)]
+    runs: dict = {}
+    for op in ops:      # a batch shares its run-wide extra
+        runs.setdefault(primitive.extra_of(op), []).append(op)
+    for extra, run in runs.items():
+        expected = [packets.make_report(op, reporter_id=3) for op in run]
+        direct = registry_cases.batch_of(primitive, run)
+        direct.reporter_id = 3
+        assert list(direct.iter_raw()) == expected
+        assert len(direct) == len(run)
+        assert direct.wire_bytes() == sum(42 + len(raw) for raw in expected)
+        if primitive.extra in primitive.batch_accept and not (
+                primitive.batch_accept[primitive.extra][0] <= extra
+                <= primitive.batch_accept[primitive.extra][1]):
+            with pytest.raises(ValueError, match=primitive.extra):
+                ReportBatch.from_columns(
+                    primitive, primitive.columns_of(direct), extra)
+            continue
+        built = ReportBatch.from_columns(
+            primitive, primitive.columns_of(direct), extra)
+        built.reporter_id = 3
+        assert list(built.iter_raw()) == expected
+        assert built.wire_bytes() == direct.wire_bytes()
 
 
 def _every_batch_kind(rng):

@@ -37,6 +37,7 @@ from repro.transport.serve import (
     ServeError,
     ServeSpec,
     SocketLane,
+    route_report,
     run_reference,
     run_serve,
 )
@@ -441,6 +442,38 @@ class TestDatagramFuzz:
             stats = lane.drain()
             digests = lane.digests()
         assert stats["malformed"] > 0
+        assert digests == run_reference(spec, raws)
+
+
+    @pytest.mark.parametrize("primitive", ["key_write", "sketch_merge"])
+    def test_reports_the_service_cannot_hold_are_rejected_not_fatal(
+            self, primitive):
+        """Five reports that *decode* but that the provisioned stores
+        cannot hold (each used to raise straight out of the daemon's
+        receive loop): dropped alone, counted, everything else lands
+        exactly as in the reference fed the same bytes.  Sketch 9 is
+        "no sketch served" under the Key-Write workload and a foreign
+        sketch id under the Sketch-Merge one."""
+        spec = _spec(primitive, reports=400, translators=2)
+        wide = bytes(reports.KW_DATA_BYTES + 16)
+        bad = [packets.make_report(op, reporter_id=1) for op in (
+            packets.Postcard(key=b"flow", hop=1, value=7, redundancy=200),
+            packets.Append(list_id=reports.AP_LISTS + 5, data=b"x" * 8),
+            packets.Append(list_id=1, data=wide),
+            packets.KeyWrite(key=b"wide", data=wide),
+            packets.SketchColumn(sketch_id=9, column=0,
+                                 counters=(1,) * reports.SM_DEPTH))]
+        raws = reports.wire(spec.primitive, spec.reports, spec.seed)
+        for at, raw in zip((390, 301, 200, 77, 3), bad):
+            raws.insert(at, raw)
+        cmap = ClusterMap(collectors=spec.collectors)
+        with SocketLane(spec) as lane:
+            lane.send(raws, [route_report(cmap, raw) for raw in raws])
+            lane.end_stream()
+            stats = lane.drain()
+            digests = lane.digests()
+        assert stats["reports"] == len(raws)
+        assert stats["rejected"] == len(bad) and stats["malformed"] == 0
         assert digests == run_reference(spec, raws)
 
 
