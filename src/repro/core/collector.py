@@ -12,18 +12,12 @@ is (a) provision services, and (b) answer queries against the stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import calibration
+from repro.core import primitives
+from repro.core.stores.append import ListPoller
 from repro.obs.views import InstrumentedStats, counter_field
-from repro.core.stores.append import AppendLayout, AppendStore, ListPoller
-from repro.core.stores.keyincrement import (
-    KeyIncrementLayout,
-    KeyIncrementStore,
-)
-from repro.core.stores.keywrite import KeyWriteLayout, KeyWriteStore
-from repro.core.stores.postcarding import PostcardingLayout, PostcardingStore
-from repro.core.stores.sketchstore import SketchLayout, SketchStore
 from repro.core.transport import RoceFrame, make_direct_client
 from repro.fabric.topology import Node
 from repro.rdma.cm import CmListener, ServiceAdvert
@@ -83,11 +77,9 @@ class Collector(Node):
         self.stats = CollectorStats(labels={"node": name})
         self.nic = nic or Nic(f"{name}-nic")
         self.cm = CmListener(self.nic)
-        self.keywrite: KeyWriteStore | None = None
-        self.postcarding: PostcardingStore | None = None
-        self.append: AppendStore | None = None
-        self.keyincrement: KeyIncrementStore | None = None
-        self.sketch: SketchStore | None = None
+        # One store attribute per primitive, None until served.
+        for primitive in primitives.REGISTRY:
+            setattr(self, primitive.store, None)
         self.cuckoo = None  # CuckooStore, provisioned on demand
         self._server_qps: list = []
 
@@ -95,21 +87,29 @@ class Collector(Node):
     # Service provisioning
     # ------------------------------------------------------------------
 
+    def _serve(self, primitive, params: dict, port: int,
+               *store_args) -> ServiceAdvert:
+        """Provision one primitive's service from its store module:
+        size the layout ``params`` describe, register its region, build
+        the store, advertise and listen.  The advert carries the
+        layout's whole geometry, then the rest of ``params``."""
+        probe = primitive.layout(0, params)
+        region = self.nic.register_memory(probe.region_bytes)
+        layout = primitive.layout(region.addr, params)
+        setattr(self, primitive.store,
+                primitive.home.STORE(region, layout, *store_args))
+        advert = ServiceAdvert(
+            primitive=primitive.service, addr=region.addr, rkey=region.rkey,
+            length=region.length,
+            params={**primitives.geometry(layout), **params})
+        self.cm.listen(port, advert)
+        return advert
+
     def serve_keywrite(self, *, slots: int, data_bytes: int,
                        port: int = PORT_KEY_WRITE) -> ServiceAdvert:
         """Provision a Key-Write store of ``slots`` x ``data_bytes``."""
-        layout_probe = KeyWriteLayout(base_addr=0, slots=slots,
-                                      data_bytes=data_bytes)
-        region = self.nic.register_memory(layout_probe.region_bytes)
-        layout = KeyWriteLayout(base_addr=region.addr, slots=slots,
-                                data_bytes=data_bytes)
-        self.keywrite = KeyWriteStore(region, layout)
-        advert = ServiceAdvert(
-            primitive="key_write", addr=region.addr, rkey=region.rkey,
-            length=region.length,
-            params={"slots": slots, "data_bytes": data_bytes})
-        self.cm.listen(port, advert)
-        return advert
+        return self._serve(primitives.KEY_WRITE, {
+            "slots": slots, "data_bytes": data_bytes}, port)
 
     def serve_postcarding(self, *, chunks: int, value_set,
                           hops: int = calibration.POSTCARDING_MAX_HOPS,
@@ -118,56 +118,23 @@ class Collector(Node):
                           calibration.POSTCARDING_CACHE_SLOTS,
                           port: int = PORT_POSTCARDING) -> ServiceAdvert:
         """Provision a Postcarding store of ``chunks`` B-hop chunks."""
-        pad_to = max(calibration.POSTCARDING_SLOT_PAD_BYTES,
-                     hops * (slot_bits // 8))
-        probe = PostcardingLayout(base_addr=0, chunks=chunks, hops=hops,
-                                  slot_bits=slot_bits, pad_to=pad_to)
-        region = self.nic.register_memory(probe.region_bytes)
-        layout = PostcardingLayout(base_addr=region.addr, chunks=chunks,
-                                   hops=hops, slot_bits=slot_bits,
-                                   pad_to=pad_to)
-        self.postcarding = PostcardingStore(region, layout, value_set)
-        advert = ServiceAdvert(
-            primitive="postcarding", addr=region.addr, rkey=region.rkey,
-            length=region.length,
-            params={"chunks": chunks, "hops": hops, "slot_bits": slot_bits,
-                    "pad_to": pad_to, "cache_slots": cache_slots})
-        self.cm.listen(port, advert)
-        return advert
+        return self._serve(primitives.POSTCARDING, {
+            "chunks": chunks, "hops": hops, "slot_bits": slot_bits,
+            "cache_slots": cache_slots}, port, value_set)
 
     def serve_append(self, *, lists: int, capacity: int, data_bytes: int,
                      batch_size: int = calibration.DEFAULT_BATCH_SIZE,
                      port: int = PORT_APPEND) -> ServiceAdvert:
         """Provision ``lists`` ring buffers of ``capacity`` entries."""
-        probe = AppendLayout(base_addr=0, lists=lists, capacity=capacity,
-                             data_bytes=data_bytes)
-        region = self.nic.register_memory(probe.region_bytes)
-        layout = AppendLayout(base_addr=region.addr, lists=lists,
-                              capacity=capacity, data_bytes=data_bytes)
-        self.append = AppendStore(region, layout)
-        advert = ServiceAdvert(
-            primitive="append", addr=region.addr, rkey=region.rkey,
-            length=region.length,
-            params={"lists": lists, "capacity": capacity,
-                    "data_bytes": data_bytes, "batch_size": batch_size})
-        self.cm.listen(port, advert)
-        return advert
+        return self._serve(primitives.APPEND, {
+            "lists": lists, "capacity": capacity, "data_bytes": data_bytes,
+            "batch_size": batch_size}, port)
 
     def serve_keyincrement(self, *, slots_per_row: int, rows: int = 4,
                            port: int = PORT_KEY_INCREMENT) -> ServiceAdvert:
         """Provision a Key-Increment CMS of rows x slots counters."""
-        probe = KeyIncrementLayout(base_addr=0, slots_per_row=slots_per_row,
-                                   rows=rows)
-        region = self.nic.register_memory(probe.region_bytes)
-        layout = KeyIncrementLayout(base_addr=region.addr,
-                                    slots_per_row=slots_per_row, rows=rows)
-        self.keyincrement = KeyIncrementStore(region, layout)
-        advert = ServiceAdvert(
-            primitive="key_increment", addr=region.addr, rkey=region.rkey,
-            length=region.length,
-            params={"slots_per_row": slots_per_row, "rows": rows})
-        self.cm.listen(port, advert)
-        return advert
+        return self._serve(primitives.KEY_INCREMENT, {
+            "slots_per_row": slots_per_row, "rows": rows}, port)
 
     def serve_sketch(self, *, width: int, depth: int,
                      expected_reporters: int, batch_columns: int = 8,
@@ -179,20 +146,11 @@ class Collector(Node):
         services (distinct ports/collectors) for additional sketches —
         Section 6 routes each sketch to a single aggregation point.
         """
-        probe = SketchLayout(base_addr=0, width=width, depth=depth)
-        region = self.nic.register_memory(probe.region_bytes)
-        layout = SketchLayout(base_addr=region.addr, width=width,
-                              depth=depth)
-        self.sketch = SketchStore(region, layout)
-        advert = ServiceAdvert(
-            primitive="sketch_merge", addr=region.addr, rkey=region.rkey,
-            length=region.length,
-            params={"width": width, "depth": depth,
-                    "expected_reporters": expected_reporters,
-                    "batch_columns": batch_columns, "merge": merge,
-                    "sketch_id": sketch_id})
-        self.cm.listen(port, advert)
-        return advert
+        return self._serve(primitives.SKETCH_MERGE, {
+            "width": width, "depth": depth,
+            "expected_reporters": expected_reporters,
+            "batch_columns": batch_columns, "merge": merge,
+            "sketch_id": sketch_id}, port)
 
     def serve_cuckoo(self, *, buckets: int, key_bytes: int,
                      value_bytes: int,
@@ -206,18 +164,13 @@ class Collector(Node):
         """
         from repro.core.stores.cuckoo import CuckooLayout, CuckooStore
 
-        probe = CuckooLayout(base_addr=0, buckets=buckets,
-                             key_bytes=key_bytes, value_bytes=value_bytes)
+        probe = CuckooLayout(0, buckets, key_bytes, value_bytes)
         region = self.nic.register_memory(probe.region_bytes)
-        layout = CuckooLayout(base_addr=region.addr, buckets=buckets,
-                              key_bytes=key_bytes,
-                              value_bytes=value_bytes)
-        self.cuckoo = CuckooStore(region, layout)
+        self.cuckoo = CuckooStore(region,
+                                  replace(probe, base_addr=region.addr))
         advert = ServiceAdvert(
             primitive="cuckoo", addr=region.addr, rkey=region.rkey,
-            length=region.length,
-            params={"buckets": buckets, "key_bytes": key_bytes,
-                    "value_bytes": value_bytes})
+            length=region.length, params=primitives.geometry(probe))
         self.cm.listen(port, advert)
         return advert
 

@@ -12,16 +12,19 @@ and which collector store it feeds.  The codecs (``packets``,
 (``transport.serve.route_report``, ``ReportAssembler``) and the
 translator's dispatch all read this table instead of naming primitives.
 
-What a primitive *does* at the translator is its lane class
-(:class:`Lane`), which lives next to its store in
-``core/stores/<primitive>.py``.  Adding a sixth primitive is one
+The rest is stated once, in the store module the row names: what a
+primitive *does* at the translator (its :class:`Lane`) and its
+collector side — ``LAYOUT``, ``STORE`` (a :class:`Store`) and
+``TRACKER`` (a :class:`Tracker`).  Adding a sixth primitive is one
 operation class, one row here and one store module.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, cached_property, partial
 from operator import attrgetter
 
 from repro.core import packets
@@ -51,6 +54,7 @@ class Primitive:
         stat: The ``TranslatorStats`` counter of translated reports.
         store: The :class:`~repro.core.collector.Collector` attribute
             of the store it lands in.
+        module: The store module (:attr:`home`).
         value: The field a plan made straight from wire columns takes
             beside the keys, for the primitives whose lane has one
             (:attr:`Lane.plan_columns`).
@@ -72,6 +76,7 @@ class Primitive:
     reporter: str
     stat: str
     store: str
+    module: str
     value: str | None = None
     atomic: bool = False
     batch_accept: dict = field(default_factory=dict)
@@ -110,23 +115,62 @@ class Primitive:
         belongs to."""
         return getattr(cluster_map, "for_" + self.route)(routed)
 
+    @cached_property
+    def home(self):
+        """The store module, declaring ``LAYOUT``, ``STORE`` and
+        ``TRACKER``."""
+        return importlib.import_module(self.module)
+
+    def layout(self, addr: int, params: dict):
+        """The store layout at ``addr`` for a service's ``params``: the
+        geometry fields ``params`` holds, the others at their defaults."""
+        layout_class = self.home.LAYOUT
+        return layout_class(addr, **{
+            name: params[name] for name in geometry_fields(layout_class)
+            if name in params})
+
+
+@cache
+def geometry_fields(layout_class) -> tuple:
+    """A layout class's geometry: its dataclass fields but
+    ``base_addr``."""
+    return tuple(f.name for f in dataclasses.fields(layout_class)
+                 if f.name != "base_addr")
+
+
+def geometry(layout) -> dict:
+    """``{field: value}`` of a layout's geometry, as adverts and
+    checkpoint manifests record it."""
+    return {name: getattr(layout, name)
+            for name in geometry_fields(type(layout))}
+
+
+def served(holder) -> list:
+    """``(primitive, store)`` per store a collector — or a snapshot of
+    one — serves, in registry order."""
+    return [(primitive, store) for primitive in REGISTRY
+            if (store := getattr(holder, primitive.store, None)) is not None]
+
 
 KEY_WRITE = Primitive(
     DtaPrimitive.KEY_WRITE, "key_write", packets.KeyWrite,
     fields=("key", "data"), columns=("keys", "datas"), extra="redundancy",
     route="key", routed_by="key", reporter="key_write",
-    stat="keywrites", store="keywrite", value="data")
+    stat="keywrites", store="keywrite",
+    module="repro.core.stores.keywrite", value="data")
 KEY_INCREMENT = Primitive(
     DtaPrimitive.KEY_INCREMENT, "key_increment", packets.KeyIncrement,
     fields=("key", "value"), columns=("keys", "values"), extra="redundancy",
     route="key", routed_by="key", reporter="key_increment",
-    stat="keyincrements", store="keyincrement", value="value", atomic=True)
+    stat="keyincrements", store="keyincrement",
+    module="repro.core.stores.keyincrement", value="value", atomic=True)
 POSTCARDING = Primitive(
     DtaPrimitive.POSTCARDING, "postcarding", packets.Postcard,
     fields=("key", "hop", "value", "path_length"),
     columns=("keys", "hops", "values", "path_lengths"), extra="redundancy",
     route="key", routed_by="key", reporter="postcard",
     stat="postcards", store="postcarding",
+    module="repro.core.stores.postcarding",
     # The wire takes any redundancy byte (0 means one copy, and what
     # the provisioned layout cannot hold is the lane's ``check`` to
     # reject); a batch built here is held to the documented 1..16.
@@ -135,20 +179,58 @@ APPEND = Primitive(
     DtaPrimitive.APPEND, "append", packets.Append,
     fields=("list_id", "data"), columns=("list_ids", "datas"), extra=None,
     route="list", routed_by="list_id", reporter="append",
-    stat="appends", store="append")
+    stat="appends", store="append", module="repro.core.stores.append")
 SKETCH_MERGE = Primitive(
     DtaPrimitive.SKETCH_MERGE, "sketch_merge", packets.SketchColumn,
     fields=("column", "counters"), columns=("columns", "counter_rows"),
     extra="sketch_id", route="sketch", routed_by="sketch_id",
-    reporter="sketch_column", stat="sketch_columns", store="sketch")
+    reporter="sketch_column", stat="sketch_columns", store="sketch",
+    module="repro.core.stores.sketchstore")
 
 #: Every primitive, in store-digest order (load-bearing:
 #: ``runtime.engine.store_digest``, snapshots, checkpoints and the
 #: socket lane's shared segments all walk the stores in this order).
+#: Read these at call time, never into a module-level copy.
 REGISTRY = (KEY_WRITE, KEY_INCREMENT, POSTCARDING, APPEND, SKETCH_MERGE)
 BY_CODE = {primitive.code: primitive for primitive in REGISTRY}
 BY_SERVICE = {primitive.service: primitive for primitive in REGISTRY}
 STORES = tuple(primitive.store for primitive in REGISTRY)
+
+
+class Store:
+    """A primitive's collector side: queries over the registered region
+    the translator writes into — all of its state but the query
+    counters :meth:`reset_stats` zeroes."""
+
+    def __init__(self, region, layout) -> None:
+        if layout.region_bytes > region.length:
+            raise ValueError("layout does not fit the memory region")
+        if layout.base_addr != region.addr:
+            raise ValueError("layout base address must match the region")
+        self.region = region
+        self.layout = layout
+        self.reset_stats()
+
+    def reset_stats(self) -> None:
+        """Zero the query counters, if the store keeps any."""
+
+
+@dataclass(frozen=True)
+class Tracker:
+    """Which :mod:`repro.retention.epochs` tracker rotates a store, with
+    its geometry (``cells`` and ``cell_bytes`` name layout attributes):
+    ``"slots"`` tags each of ``cells`` cells of ``cell_bytes`` bytes
+    with a generation; ``"deltas"`` keeps per-epoch deltas of ``cells``
+    counters of struct code ``counter`` — of the whole region where
+    each epoch re-streams it (``reset``); ``"segments"`` seals head
+    ranges per ring list.
+    """
+
+    kind: str
+    cells: str | None = None
+    cell_bytes: str | None = None
+    counter: str | None = None
+    reset: bool = False
 
 
 class Lane:
@@ -185,13 +267,13 @@ class Lane:
     #: for the lanes that can plan straight from wire columns.
     plan_columns = None
 
-    def __init__(self, translator, rkey: int, layout) -> None:
+    def __init__(self, translator, advert) -> None:
         # Not the translator itself: it owns its lanes, and a closed
         # deployment must be reclaimed by reference count alone.
         self.stats = translator.stats
         self.node = translator.name
-        self.rkey = rkey
-        self.layout = layout
+        self.rkey = advert.rkey
+        self.layout = self.primitive.layout(advert.addr, advert.params)
 
     def check(self, cols, extra):
         return None
@@ -206,7 +288,7 @@ class ColumnLane(Lane):
     """A lane whose plan is a pure function of the report columns
     (Key-Write, Key-Increment): ``kernel(layout, packed, lengths,
     third, fanout, region_length)``, which the shared-memory plan
-    workers (:mod:`repro.runtime.shm`) run from ``layout_class`` and
+    workers (:mod:`repro.runtime.shm`) run from the layout's fields and
     the columns alone, and the socket lane feeds straight from a
     receive burst.  ``value_dtype`` is how ``third`` (and the plan's
     payload) crosses a ring: ``"u1"`` a byte matrix, ``"<i8"`` a
@@ -218,7 +300,6 @@ class ColumnLane(Lane):
     """
 
     __slots__ = ()
-    layout_class: type
     value_dtype: str
     kernel = None
 

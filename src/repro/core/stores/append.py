@@ -21,7 +21,6 @@ import numpy as np
 
 from repro import calibration
 from repro.core import primitives
-from repro.rdma.memory import MemoryRegion
 from repro.rdma.verbs import Opcode, WorkRequest
 
 LAP_TAG_BYTES = 1
@@ -106,16 +105,8 @@ class AppendLayout:
         return tag + tag.join(entries)
 
 
-class AppendStore:
+class AppendStore(primitives.Store):
     """Collector-side Append helpers: pollers and direct reads."""
-
-    def __init__(self, region: MemoryRegion, layout: AppendLayout) -> None:
-        if layout.region_bytes > region.length:
-            raise ValueError("layout does not fit the memory region")
-        if layout.base_addr != region.addr:
-            raise ValueError("layout base address must match the region")
-        self.region = region
-        self.layout = layout
 
     def poller(self, list_id: int) -> "ListPoller":
         """A sequential reader for one list (one CPU core's work)."""
@@ -215,6 +206,11 @@ class AppendStore:
         return entry_data(entries)
 
 
+#: The collector side (``primitives.Primitive.home``).
+LAYOUT, STORE = AppendLayout, AppendStore
+TRACKER = primitives.Tracker("segments")
+
+
 def entry_data(entries: np.ndarray) -> list:
     """The payloads of ``(n, entry_bytes)`` entry rows, as ``bytes``."""
     payload = entries[:, LAP_TAG_BYTES:]
@@ -263,12 +259,10 @@ class AppendLane(primitives.Lane):
     primitive = primitives.APPEND
 
     def __init__(self, translator, advert) -> None:
-        p = advert.params
-        super().__init__(translator, advert.rkey, AppendLayout(
-            base_addr=advert.addr, lists=p["lists"],
-            capacity=p["capacity"], data_bytes=p["data_bytes"]))
+        super().__init__(translator, advert)
         self.batch_hist = translator.append_batch_hist
-        self.batch_size = p.get("batch_size", calibration.DEFAULT_BATCH_SIZE)
+        self.batch_size = advert.params.get("batch_size",
+                                            calibration.DEFAULT_BATCH_SIZE)
         self.batches: dict = {}     # list_id -> [data, ...]
         self.heads: dict = {}       # list_id -> total entries
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.rdma.memory import MemoryRegion
+from repro.core import primitives
 from repro.rdma.verbs import Opcode, WorkRequest
 from repro.switch.crc import hash_family
 
@@ -95,16 +95,8 @@ class CuckooLayout:
         return b"\x00" * self.slot_bytes
 
 
-class CuckooStore:
+class CuckooStore(primitives.Store):
     """Collector-side exact-match queries over the cuckoo region."""
-
-    def __init__(self, region: MemoryRegion, layout: CuckooLayout) -> None:
-        if layout.region_bytes > region.length:
-            raise ValueError("layout does not fit the memory region")
-        if layout.base_addr != region.addr:
-            raise ValueError("layout base address must match the region")
-        self.region = region
-        self.layout = layout
 
     def query(self, key: bytes) -> bytes | None:
         """Exact lookup: at most two bucket reads, no false positives."""

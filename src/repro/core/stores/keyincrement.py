@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core import primitives
 from repro.kernels import crc as kcrc
-from repro.rdma.memory import MemoryRegion
 from repro.rdma.verbs import Opcode, WorkRequest
 from repro.switch.crc import hash_family
 
@@ -43,8 +42,12 @@ class KeyIncrementLayout:
                            tuple(hash_family(self.rows)))
 
     @property
+    def counters(self) -> int:
+        return self.rows * self.slots_per_row
+
+    @property
     def region_bytes(self) -> int:
-        return self.rows * self.slots_per_row * COUNTER_BYTES
+        return self.counters * COUNTER_BYTES
 
     def counter_index(self, n: int, key: bytes) -> int:
         """Flat index of the key's counter in row ``n``."""
@@ -83,17 +86,10 @@ class KeyIncrementLayout:
         return cols + offsets[:, None]
 
 
-class KeyIncrementStore:
+class KeyIncrementStore(primitives.Store):
     """Collector-side Key-Increment queries (CMS point estimates)."""
 
-    def __init__(self, region: MemoryRegion,
-                 layout: KeyIncrementLayout) -> None:
-        if layout.region_bytes > region.length:
-            raise ValueError("layout does not fit the memory region")
-        if layout.base_addr != region.addr:
-            raise ValueError("layout base address must match the region")
-        self.region = region
-        self.layout = layout
+    def reset_stats(self) -> None:
         self.queries = 0
 
     def query(self, key: bytes, *, redundancy: int | None = None) -> int:
@@ -123,7 +119,7 @@ class KeyIncrementStore:
         matrix, lengths = packed if packed is not None \
             else kcrc.pack_keys(keys)
         counters = np.frombuffer(self.region.buf, dtype="<u8",
-                                 count=layout.rows * layout.slots_per_row)
+                                 count=layout.counters)
         indices = layout.counter_indices_many(matrix, lengths, n_rows)
         return counters[indices].min(axis=0).tolist()
 
@@ -141,6 +137,11 @@ class KeyIncrementStore:
     def reset(self) -> None:
         """Zero the counters ("memory may be reset periodically")."""
         self.region.local_write(0, b"\x00" * self.layout.region_bytes)
+
+
+#: The collector side (``primitives.Primitive.home``).
+LAYOUT, STORE = KeyIncrementLayout, KeyIncrementStore
+TRACKER = primitives.Tracker("deltas", cells="counters", counter="<Q")
 
 
 def plan_keyincrement_packed(layout, packed, lengths, values, rows: int,
@@ -166,16 +167,9 @@ class KeyIncrementLane(primitives.ColumnLane):
 
     __slots__ = ()
     primitive = primitives.KEY_INCREMENT
-    layout_class = KeyIncrementLayout
     value_dtype = "<i8"
     kernel = staticmethod(plan_keyincrement_packed)
     stride = COUNTER_BYTES
-
-    def __init__(self, translator, advert) -> None:
-        p = advert.params
-        super().__init__(translator, advert.rkey, KeyIncrementLayout(
-            base_addr=advert.addr, slots_per_row=p["slots_per_row"],
-            rows=p["rows"]))
 
     def scalar(self, cols, redundancy, reporter_id, control) -> list:
         rkey = self.rkey

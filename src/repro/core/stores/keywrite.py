@@ -20,7 +20,6 @@ import numpy as np
 from repro import calibration
 from repro.core import primitives
 from repro.kernels import crc as kcrc
-from repro.rdma.memory import MemoryRegion
 from repro.rdma.verbs import Opcode, WorkRequest
 from repro.switch.crc import hash_family
 
@@ -194,7 +193,7 @@ class QueryResult:
         return self.value is not None
 
 
-class KeyWriteStore:
+class KeyWriteStore(primitives.Store):
     """Collector-side view of a Key-Write region: queries only.
 
     The store never writes telemetry itself — inserts arrive via the
@@ -202,15 +201,6 @@ class KeyWriteStore:
     helper exists for unit tests and analysis runs that bypass the
     transport.)
     """
-
-    def __init__(self, region: MemoryRegion, layout: KeyWriteLayout) -> None:
-        if layout.region_bytes > region.length:
-            raise ValueError("layout does not fit the memory region")
-        if layout.base_addr != region.addr:
-            raise ValueError("layout base address must match the region")
-        self.region = region
-        self.layout = layout
-        self.stats = QueryStats()
 
     def query(self, key: bytes, *, redundancy: int | None = None,
               consensus: int = 1) -> QueryResult:
@@ -335,6 +325,11 @@ class KeyWriteStore:
         self.stats = QueryStats()
 
 
+#: The collector side (``primitives.Primitive.home``).
+LAYOUT, STORE = KeyWriteLayout, KeyWriteStore
+TRACKER = primitives.Tracker("slots", cells="slots", cell_bytes="slot_bytes")
+
+
 def plan_keywrite_packed(layout, packed, lengths, packed_data,
                          redundancy: int, region_length: int):
     """Pure Key-Write scatter plan: ``(row_indices, rows)`` or None.
@@ -363,15 +358,8 @@ class KeyWriteLane(primitives.ColumnLane):
 
     __slots__ = ()
     primitive = primitives.KEY_WRITE
-    layout_class = KeyWriteLayout
     value_dtype = "u1"
     kernel = staticmethod(plan_keywrite_packed)
-
-    def __init__(self, translator, advert) -> None:
-        p = advert.params
-        super().__init__(translator, advert.rkey, KeyWriteLayout(
-            base_addr=advert.addr, slots=p["slots"],
-            data_bytes=p["data_bytes"]))
 
     @property
     def stride(self) -> int:

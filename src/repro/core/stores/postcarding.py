@@ -48,21 +48,26 @@ class PostcardingLayout:
         slot_bits: b, the encoded width per slot (32 in the hardware
             implementation; smaller b trades memory for collision rate).
         pad_to: Chunk stride in bytes — the hardware pads 20B chunks to
-            32B for power-of-two addressing (Section 4.2).
+            32B for power-of-two addressing (Section 4.2).  By default
+            the larger of that and the chunk payload.
     """
 
     base_addr: int
     chunks: int
     hops: int = calibration.POSTCARDING_MAX_HOPS
     slot_bits: int = 32
-    pad_to: int = calibration.POSTCARDING_SLOT_PAD_BYTES
+    pad_to: int | None = None
 
     def __post_init__(self) -> None:
         if self.chunks <= 0 or self.hops <= 0:
             raise ValueError("chunks and hops must be positive")
         if self.slot_bits % 8 or not 8 <= self.slot_bits <= 64:
             raise ValueError("slot_bits must be a byte multiple in [8,64]")
-        if self.pad_to < self.hops * self.slot_bytes_per_slot:
+        if self.pad_to is None:
+            object.__setattr__(self, "pad_to", max(
+                calibration.POSTCARDING_SLOT_PAD_BYTES,
+                self.chunk_payload_bytes))
+        if self.pad_to < self.chunk_payload_bytes:
             raise ValueError("pad_to smaller than the chunk payload")
         object.__setattr__(self, "_chunk_hashes",
                            tuple(hash_family(CHUNK_LANES)))
@@ -186,7 +191,7 @@ class _Invalid:
 _INVALID = _Invalid()
 
 
-class PostcardingStore:
+class PostcardingStore(primitives.Store):
     """Collector-side Postcarding queries.
 
     Args:
@@ -199,12 +204,7 @@ class PostcardingStore:
 
     def __init__(self, region: MemoryRegion, layout: PostcardingLayout,
                  value_set) -> None:
-        if layout.region_bytes > region.length:
-            raise ValueError("layout does not fit the memory region")
-        if layout.base_addr != region.addr:
-            raise ValueError("layout base address must match the region")
-        self.region = region
-        self.layout = layout
+        super().__init__(region, layout)
         self.lut = {layout.g(v): v for v in value_set}
         self.lut[layout.g(BLANK)] = BLANK
         if len(self.lut) != len(set(value_set)) + 1:
@@ -219,10 +219,9 @@ class PostcardingStore:
                            for value in self.lut.values()], dtype=np.int64)
         order = encoded.argsort()
         self._lut_keys, self._lut_values = encoded[order], values[order]
-        self.queries = 0
-        self.hits = 0
-        self.chunk_reads = 0
-        self.hop_checksums = 0
+
+    def reset_stats(self) -> None:
+        self.queries = self.hits = self.chunk_reads = self.hop_checksums = 0
 
     def modelled_query_time_ns(self) -> float:
         """Per-query CPU time implied by the Fig. 9 cost constants.
@@ -327,6 +326,11 @@ class PostcardingStore:
             self.region.local_write(offset, payload)
 
 
+#: The collector side (``primitives.Primitive.home``).
+LAYOUT, STORE = PostcardingLayout, PostcardingStore
+TRACKER = primitives.Tracker("slots", cells="chunks", cell_bytes="pad_to")
+
+
 class _ValueCodes(dict):
     """``{v: g(v)}`` for the postcard values (and ⊔) a translator has
     encoded, filled as they first appear — the writer's half of the
@@ -356,14 +360,11 @@ class PostcardingLane(primitives.Lane):
     primitive = primitives.POSTCARDING
 
     def __init__(self, translator, advert) -> None:
-        p = advert.params
-        super().__init__(translator, advert.rkey, PostcardingLayout(
-            base_addr=advert.addr, chunks=p["chunks"], hops=p["hops"],
-            slot_bits=p.get("slot_bits", 32),
-            pad_to=p.get("pad_to", calibration.POSTCARDING_SLOT_PAD_BYTES)))
+        super().__init__(translator, advert)
         self.cache = PostcardCache(
-            slots=p.get("cache_slots", calibration.POSTCARDING_CACHE_SLOTS),
-            hops=p["hops"], labels={"node": self.node})
+            slots=advert.params.get("cache_slots",
+                                    calibration.POSTCARDING_CACHE_SLOTS),
+            hops=self.layout.hops, labels={"node": self.node})
         self.codes: _ValueCodes | None = None    # built by the first plan
 
     @property

@@ -23,7 +23,6 @@ from repro import obs
 from repro.core import primitives
 from repro.core.packets import Nack
 from repro.kernels import crc as kcrc
-from repro.rdma.memory import MemoryRegion
 from repro.rdma.verbs import Opcode, WorkRequest
 
 COUNTER_BYTES = 4
@@ -40,6 +39,10 @@ class SketchLayout:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.depth <= 0:
             raise ValueError("width and depth must be positive")
+
+    @property
+    def counters(self) -> int:
+        return self.width * self.depth
 
     @property
     def column_bytes(self) -> int:
@@ -73,16 +76,8 @@ class SketchLayout:
         return (cols & 0xFFFFFFFF).astype(">u4").tobytes()
 
 
-class SketchStore:
+class SketchStore(primitives.Store):
     """Collector-side reads of the merged network-wide sketch."""
-
-    def __init__(self, region: MemoryRegion, layout: SketchLayout) -> None:
-        if layout.region_bytes > region.length:
-            raise ValueError("layout does not fit the memory region")
-        if layout.base_addr != region.addr:
-            raise ValueError("layout base address must match the region")
-        self.region = region
-        self.layout = layout
 
     def column(self, index: int) -> tuple:
         """The depth counters of one column."""
@@ -99,7 +94,7 @@ class SketchStore:
         """
         layout = self.layout
         return np.frombuffer(
-            self.region.buf, dtype=">u4", count=layout.width * layout.depth,
+            self.region.buf, dtype=">u4", count=layout.counters,
         ).reshape(layout.width, layout.depth)
 
     def matrix(self) -> list:
@@ -120,18 +115,30 @@ class SketchStore:
         keys]`` with ``rows`` defaulting to (and capped at) the
         sketch's depth.
 
-        The counter view is built once and each of the ``rows`` hash
-        lanes runs once over the packed batch (``packed`` is an
-        optional ``kernels.crc.pack_keys(keys)`` pair).
+        The counter view is built once (:func:`point_estimates` does
+        the rest).
         """
-        layout = self.layout
-        rows = min(rows or layout.depth, layout.depth)
-        matrix, lengths = packed if packed is not None \
-            else kcrc.pack_keys(keys)
-        columns = kcrc.hash_lanes(rows, matrix, lengths) \
-            % np.uint32(layout.width)
-        cells = self.counters()[columns, np.arange(rows)[:, None]]
-        return cells.min(axis=0).tolist()
+        depth = self.layout.depth
+        return point_estimates(self.counters(), keys,
+                               min(rows or depth, depth), packed)
+
+
+def point_estimates(counters, keys, rows: int, packed=None) -> list:
+    """CMS min-row estimates of ``keys`` over a ``(width, depth)``
+    counter matrix — rows ``0..rows-1`` of the global hash family, each
+    lane run once over the packed batch (``packed`` is an optional
+    ``kernels.crc.pack_keys(keys)`` pair)."""
+    matrix, lengths = packed if packed is not None else kcrc.pack_keys(keys)
+    columns = kcrc.hash_lanes(rows, matrix, lengths) \
+        % np.uint32(counters.shape[0])
+    return counters[columns, np.arange(rows)[:, None]].min(axis=0).tolist()
+
+
+#: The collector side (``primitives.Primitive.home``).  Every epoch
+#: re-streams the sketch (Section 3.2), so the region holds one epoch.
+LAYOUT, STORE = SketchLayout, SketchStore
+TRACKER = primitives.Tracker("deltas", cells="counters", counter=">I",
+                             reset=True)
 
 
 class SketchMergeLane(primitives.Lane):
@@ -146,9 +153,8 @@ class SketchMergeLane(primitives.Lane):
     primitive = primitives.SKETCH_MERGE
 
     def __init__(self, translator, advert) -> None:
+        super().__init__(translator, advert)
         p = advert.params
-        super().__init__(translator, advert.rkey, SketchLayout(
-            base_addr=advert.addr, width=p["width"], depth=p["depth"]))
         self.expected_reporters = p["expected_reporters"]
         self.batch_columns = p.get("batch_columns", 8)
         self.merge = p.get("merge", "sum")          # "sum" | "max"

@@ -153,11 +153,7 @@ class Translator(Node):
         if advert.primitive == "cuckoo":
             from repro.core.stores.cuckoo import CuckooLayout
 
-            p = advert.params
-            self._cuckoo = (CuckooLayout(base_addr=advert.addr,
-                                         buckets=p["buckets"],
-                                         key_bytes=p["key_bytes"],
-                                         value_bytes=p["value_bytes"]),
+            self._cuckoo = (CuckooLayout(advert.addr, **advert.params),
                             advert.rkey)
             return
         try:

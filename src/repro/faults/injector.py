@@ -13,7 +13,7 @@ Direct-mode tests can skip the simulator and drive
 from __future__ import annotations
 
 from repro import obs
-from repro.core.primitives import REGISTRY
+from repro.core.primitives import served
 from repro.core.translator import Translator
 from repro.fabric.link import Link
 from repro.fabric.simulator import Simulator
@@ -69,11 +69,8 @@ class FaultInjector:
         provisioned store's region by its primitive name
         (``"key_write"``, ``"append"``, ...).
         """
-        regions = {}
-        for primitive in REGISTRY:
-            store = getattr(collector, primitive.store, None)
-            if store is not None:
-                regions[primitive.service] = store.region
+        regions = {primitive.service: store.region
+                   for primitive, store in served(collector)}
         return cls(plan, sim=topo.sim,
                    links={link.name: link for link in topo.links},
                    translators={t.name: t for t in translators},

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import calibration
 from repro.core.stores.append import entry_data
+from repro.core.stores.sketchstore import point_estimates
 from repro.queries.algebra import (ExecContext, LiteralRows, Plan, Source)
 
 
@@ -136,27 +139,25 @@ def append_epoch_entries(manager, list_id: int, *, epoch: int,
 def epoch_catalog(manager) -> Plan:
     """One row per retained epoch: what each store still holds of it.
 
-    Rows: ``{"epoch", "current", "keywrite_cells", "postcarding_cells",
-    "append_entries"}`` (store columns only when served).  Sealed at
-    build time; feed it to joins against other epoch-scoped plans.
+    Rows: ``{"epoch", "current"}`` plus, per served store in registry
+    order, ``<store>_cells`` (generation-tagged cells: Key-Write,
+    Postcarding) or ``<store>_entries`` (sealed segments: Append).
+    Sealed at build time; feed it to joins against other epoch-scoped
+    plans.
     """
-    epochs = manager.retained_epochs()
-    trackers = manager.trackers
     rows = []
-    for epoch in epochs:
+    for epoch in manager.retained_epochs():
         row = {"epoch": epoch,
                "current": epoch == manager.current_epoch}
-        for attr in ("keywrite", "postcarding"):
-            tracker = trackers.get(attr)
-            if tracker is not None:
+        for attr, tracker in manager.trackers.items():
+            if tracker.kind == "slots":
                 row[f"{attr}_cells"] = sum(
                     1 for gen in tracker.gens if gen == epoch)
-        tracker = trackers.get("append")
-        if tracker is not None:
-            row["append_entries"] = sum(
-                end - start
-                for per_list in tracker.segments
-                for held, start, end in per_list if held == epoch)
+            elif tracker.kind == "segments":
+                row[f"{attr}_entries"] = sum(
+                    end - start
+                    for per_list in tracker.segments
+                    for held, start, end in per_list if held == epoch)
         rows.append(row)
     return Plan(LiteralRows(items=tuple(rows)))
 
@@ -184,16 +185,14 @@ def sketch_epoch_estimates(manager, keys, *, epoch: int | None = None,
         if epoch is None:
             raise ValueError("need an epoch (or merged=True)")
         counters = manager.epoch_delta("sketch", epoch) or \
-            (0,) * (layout.width * layout.depth)
+            (0,) * layout.counters
         label = epoch
-    from repro.switch.crc import hash_family
-
-    hashes = hash_family(layout.depth)
-    rows = []
-    for key in keys:
-        estimate = min(
-            # Column-major region order: column j holds depth counters.
-            counters[(h(key) % layout.width) * layout.depth + r]
-            for r, h in enumerate(hashes))
-        rows.append({"key": key, "estimate": estimate, "epoch": label})
-    return Plan(LiteralRows(items=tuple(rows)))
+    keys = list(keys)
+    # Column-major region order: column j holds depth counters.
+    estimates = point_estimates(
+        np.array(counters, dtype=np.int64).reshape(layout.width,
+                                                   layout.depth),
+        keys, layout.depth)
+    return Plan(LiteralRows(items=tuple(
+        {"key": key, "estimate": estimate, "epoch": label}
+        for key, estimate in zip(keys, estimates))))

@@ -33,13 +33,9 @@ from __future__ import annotations
 
 import copy
 import mmap
-from dataclasses import dataclass, field
 
-from repro.core.primitives import STORES
+from repro.core import primitives
 from repro.rdma.memory import MemoryRegion
-
-#: Served-store attributes captured by a snapshot, in digest order.
-STORE_ATTRS = STORES
 
 
 def _resident_buffer(length: int):
@@ -78,24 +74,17 @@ def _freeze_store(store, into=None):
 
     Shallow-copies the store (layout objects are immutable and shared),
     swaps in the frozen region — the one ``into``, an earlier clone of
-    this store, already holds, when there is one — and resets per-store
-    query counters so reads against the snapshot never race the live
-    store's accounting.
+    this store, already holds, when there is one — and resets the
+    store's query counters so reads against the snapshot never race the
+    live store's accounting.
     """
     frozen = copy.copy(store)
     frozen.region = _freeze_region(store.region,
                                    getattr(into, "region", None))
-    if hasattr(frozen, "reset_stats"):          # KeyWriteStore
-        frozen.reset_stats()
-    if hasattr(frozen, "queries"):              # KI / Postcarding counters
-        frozen.queries = 0
-    for attr in ("hits", "chunk_reads", "hop_checksums", "entries_read"):
-        if hasattr(frozen, attr):
-            setattr(frozen, attr, 0)
+    frozen.reset_stats()
     return frozen
 
 
-@dataclass(eq=False)
 class CollectorSnapshot:
     """A frozen, queryable view of one collector's served stores.
 
@@ -109,20 +98,18 @@ class CollectorSnapshot:
             when the snapshot was taken outside a stream, or before
             any burst has been applied).  Two snapshots with equal
             ``batch_seq`` taken from a quiesced stream are bit-equal.
-        keywrite / keyincrement / postcarding / append / sketch: The
-            frozen store views (``None`` where the service was never
-            provisioned), answering the exact same query API as the
-            live stores.
+        keywrite / keyincrement / ...: One per
+            ``primitives.REGISTRY`` store — the frozen store view
+            (``None`` where the service was never provisioned),
+            answering the exact same query API as the live store.
     """
 
-    name: str
-    batch_seq: int | None = None
-    keywrite: object | None = None
-    keyincrement: object | None = None
-    postcarding: object | None = None
-    append: object | None = None
-    sketch: object | None = None
-    _digest: list = field(default_factory=list, repr=False, compare=False)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.batch_seq: int | None = None
+        for store in primitives.STORES:
+            setattr(self, store, None)
+        self._digest: list = []
 
     # -- Collector-compatible query surface -----------------------------
 
@@ -180,17 +167,11 @@ def snapshot_of(collector, *, batch_seq: int | None = None,
     returned.  Every array view of its regions shows the new bytes
     from then on.
     """
-    frozen = dict.fromkeys(STORE_ATTRS)
-    for attr in STORE_ATTRS:
-        store = getattr(collector, attr, None)
-        if store is not None and getattr(store, "region", None) is not None:
-            frozen[attr] = _freeze_store(store, getattr(into, attr, None))
-    if into is None:
-        return CollectorSnapshot(
-            name=getattr(collector, "name", "collector"),
-            batch_seq=batch_seq, **frozen)
-    for attr, store in frozen.items():
-        setattr(into, attr, store)
-    into.batch_seq = batch_seq
-    into._digest.clear()
-    return into
+    snapshot = into or CollectorSnapshot(getattr(collector, "name",
+                                                 "collector"))
+    for primitive, store in primitives.served(collector):
+        setattr(snapshot, primitive.store,
+                _freeze_store(store, getattr(snapshot, primitive.store)))
+    snapshot.batch_seq = batch_seq
+    snapshot._digest.clear()
+    return snapshot

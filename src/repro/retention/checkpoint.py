@@ -25,25 +25,16 @@ import itertools
 import json
 import os
 import shutil
+import struct
 import zlib
 from dataclasses import dataclass
 
-from repro.queries.snapshot import STORE_ATTRS
+from repro.core import primitives
 from repro.runtime.engine import store_digest
 
 #: The one manifest schema this build reads and writes.
 CHECKPOINT_SCHEMA = "repro-ckpt/1"
 MANIFEST_NAME = "MANIFEST.json"
-
-#: Layout fields recorded per store — restore refuses a geometry
-#: mismatch before touching any region.
-_LAYOUT_PARAMS = {
-    "keywrite": ("slots", "data_bytes"),
-    "keyincrement": ("slots_per_row", "rows"),
-    "postcarding": ("chunks", "hops", "slot_bits", "pad_to"),
-    "append": ("lists", "capacity", "data_bytes"),
-    "sketch": ("width", "depth"),
-}
 
 #: Monotonic suffix for temp directories (unique within a process).
 _TMP_SEQ = itertools.count()
@@ -72,11 +63,6 @@ def reset_state() -> None:
     """
     global _TMP_SEQ
     _TMP_SEQ = itertools.count()
-
-
-def _layout_params(store, attr: str) -> dict:
-    return {key: getattr(store.layout, key)
-            for key in _LAYOUT_PARAMS[attr]}
 
 
 def _write_blob(path: str, data: bytes) -> None:
@@ -119,18 +105,17 @@ def write_checkpoint(collector, path: str, *, manager=None,
     os.makedirs(tmp)
     try:
         regions = []
-        for attr in STORE_ATTRS:
-            store = getattr(collector, attr, None)
-            region = getattr(store, "region", None)
-            if region is None:
-                continue
-            data = bytes(region.buf)
+        for primitive, store in primitives.served(collector):
+            attr = primitive.store
+            data = bytes(store.region.buf)
             file_name = f"{attr}.bin"
             _write_blob(os.path.join(tmp, file_name), data)
+            # The layout geometry: restore refuses a mismatch before
+            # touching any region.
             regions.append({"attr": attr, "file": file_name,
                             "length": len(data),
                             "crc32": zlib.crc32(data),
-                            "params": _layout_params(store, attr)})
+                            "params": primitives.geometry(store.layout)})
         if not regions:
             raise CheckpointError("collector serves no stores")
         retention = None
@@ -217,24 +202,32 @@ def restore_checkpoint(collector, path: str, *,
     The target collector must already be provisioned with the *same*
     store set and layouts the checkpoint recorded (restore re-populates
     registered regions; it does not provision).  Every byte is staged
-    and CRC-verified before the first region mutation — on any
-    :class:`CheckpointError` the collector is bit-for-bit unchanged.
+    and CRC-verified, the staged regions checked against the manifest's
+    store digest, and with a ``manager`` the epoch state imported,
+    before the first region mutation — on any :class:`CheckpointError`
+    the collector and the manager are bit-for-bit unchanged.  A
+    ``manager`` needs a checkpoint written with one: restoring regions
+    under the manager's own baselines would misread them as new writes.
     """
     path = os.path.abspath(path)
     manifest = read_manifest(path)
-    served = {attr for attr in STORE_ATTRS
-              if getattr(getattr(collector, attr, None), "region", None)
-              is not None}
+    retention = manifest.get("retention")
+    if manager is not None and retention is None:
+        raise CheckpointError(
+            "checkpoint carries no retention state to restore the "
+            "manager from")
+    served = {primitive.store: store
+              for primitive, store in primitives.served(collector)}
     recorded = {entry["attr"] for entry in manifest["regions"]}
-    if served != recorded:
+    if set(served) != recorded:
         raise CheckpointError(
             f"store set mismatch: checkpoint has {sorted(recorded)}, "
             f"collector serves {sorted(served)}")
-    staged = []
+    staged = {}
     for entry in manifest["regions"]:
         attr = entry["attr"]
-        store = getattr(collector, attr)
-        params = _layout_params(store, attr)
+        store = served[attr]
+        params = primitives.geometry(store.layout)
         if params != entry["params"]:
             raise CheckpointError(
                 f"{attr}: layout mismatch (checkpoint {entry['params']}, "
@@ -245,29 +238,29 @@ def restore_checkpoint(collector, path: str, *,
             raise CheckpointError(
                 f"{attr}: region is {store.region.length}B, checkpoint "
                 f"holds {len(data)}B")
-        staged.append((store.region, data))
-    retention = manifest.get("retention")
-    staged_blobs: dict = {}
-    if retention is not None and manager is not None:
-        for entry in retention["blobs"]:
-            staged_blobs[entry["name"]] = _read_blob(
-                os.path.join(path, entry["file"]), entry,
-                f"retention blob '{entry['name']}'")
-    # Every byte validated; mutation starts here and cannot fail short
-    # of the process dying (plain memcpy into registered regions).
-    for region, data in staged:
-        region.buf[:] = data
-    if retention is not None and manager is not None:
-        try:
-            manager.import_state(retention["meta"], staged_blobs)
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(
-                f"retention state rejected: {exc}") from exc
-    digest = store_digest(collector)
+        staged[attr] = data
+    # The manifest carries no CRC of its own: its digest is checked
+    # against what the regions are about to hold, not after.
+    digest = store_digest(collector, staged)
     if digest != manifest["store_digest"]:
         raise CheckpointError(
-            "post-restore digest mismatch (manifest lied about its own "
-            "regions)")
+            "store digest mismatch (manifest lied about its own regions)")
+    if manager is not None:
+        blobs = {entry["name"]: _read_blob(
+            os.path.join(path, entry["file"]), entry,
+            f"retention blob '{entry['name']}'")
+            for entry in retention["blobs"]}
+        # All or nothing (``EpochManager.import_state``): a rejection
+        # leaves the manager as it was.
+        try:
+            manager.import_state(retention["meta"], blobs)
+        except (KeyError, TypeError, ValueError, struct.error) as exc:
+            raise CheckpointError(
+                f"retention state rejected: {exc}") from exc
+    # Every byte validated; mutation starts here and cannot fail short
+    # of the process dying (plain memcpy into registered regions).
+    for attr, data in staged.items():
+        served[attr].region.buf[:] = data
     return RestoreReport(path=path, batch_seq=manifest.get("batch_seq"),
                          attrs=tuple(sorted(recorded)),
                          store_digest=digest,

@@ -11,7 +11,9 @@ region bytes — the stores themselves stay ignorant of epochs, exactly
 as the DTA translator stays ignorant of what the collector CPU does
 with landed data.
 
-Per-store rotation strategies (one tracker each):
+Per-store rotation strategies (one tracker each; which one, with what
+geometry, is the ``TRACKER`` a store module declares — see
+:class:`repro.core.primitives.Tracker`):
 
 Key-Write / Postcarding (``_SlotTracker``)
     Fixed-size cells (slots / chunks) get a *generation tag*: at
@@ -68,6 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import primitives
 from repro.core.stores.append import lap_tag
 
 #: Rotation reports kept for introspection (`repro retain`, tests).
@@ -115,12 +118,12 @@ class _SlotTracker:
 
     kind = "slots"
 
-    def __init__(self, region, cells: int, cell_bytes: int) -> None:
-        self.region = region
-        self.cells = cells
-        self.cell_bytes = cell_bytes
-        self.gens = [0] * cells
-        self._prev = bytes(cells * cell_bytes)
+    def __init__(self, store, declared) -> None:
+        self.region = store.region
+        self.cells = getattr(store.layout, declared.cells)
+        self.cell_bytes = getattr(store.layout, declared.cell_bytes)
+        self.gens = [0] * self.cells
+        self._prev = bytes(self.cells * self.cell_bytes)
 
     def _current(self) -> bytes:
         return bytes(self.region.buf[:self.cells * self.cell_bytes])
@@ -179,14 +182,14 @@ class _DeltaTracker:
 
     kind = "deltas"
 
-    def __init__(self, region, count: int, fmt: str, mod: int, *,
-                 reset_stream: bool = False) -> None:
-        self.region = region
-        self.count = count
-        self.fmt = fmt                     # e.g. "<2048Q" / ">128I"
-        self.mod = mod
-        self.reset_stream = reset_stream
-        self.nbytes = struct.calcsize(fmt)
+    def __init__(self, store, declared) -> None:
+        self.region = store.region
+        self.count = count = getattr(store.layout, declared.cells)
+        order, code = declared.counter
+        self.fmt = f"{order}{count}{code}"    # e.g. "<2048Q" / ">128I"
+        self.mod = 1 << 8 * struct.calcsize(declared.counter)
+        self.reset_stream = declared.reset
+        self.nbytes = struct.calcsize(self.fmt)
         self._prev = (0,) * count
         self.deltas: deque = deque()       # (epoch, tuple of deltas)
         self.merged = (0,) * count         # expired epochs, merged down
@@ -271,7 +274,7 @@ class _SegmentTracker:
 
     kind = "segments"
 
-    def __init__(self, store) -> None:
+    def __init__(self, store, declared) -> None:
         self.store = store
         self.region = store.region
         self.layout = store.layout
@@ -355,6 +358,10 @@ class _SegmentTracker:
                          for per_list in segments]
 
 
+_TRACKERS = {tracker.kind: tracker
+             for tracker in (_SlotTracker, _DeltaTracker, _SegmentTracker)}
+
+
 class EpochManager:
     """Epoch numbering plus the per-store rotation trackers.
 
@@ -372,29 +379,17 @@ class EpochManager:
         self.current_epoch = 1
         self.rotations = 0
         self.reports: list[RotationReport] = []
-        self.trackers: dict = {}
-        kw = collector.keywrite
-        if kw is not None:
-            self.trackers["keywrite"] = _SlotTracker(
-                kw.region, kw.layout.slots, kw.layout.slot_bytes)
-        pc = collector.postcarding
-        if pc is not None:
-            self.trackers["postcarding"] = _SlotTracker(
-                pc.region, pc.layout.chunks, pc.layout.pad_to)
-        ki = collector.keyincrement
-        if ki is not None:
-            count = ki.layout.rows * ki.layout.slots_per_row
-            self.trackers["keyincrement"] = _DeltaTracker(
-                ki.region, count, f"<{count}Q", 1 << 64)
-        sm = collector.sketch
-        if sm is not None:
-            count = sm.layout.width * sm.layout.depth
-            self.trackers["sketch"] = _DeltaTracker(
-                sm.region, count, f">{count}I", 1 << 32,
-                reset_stream=True)
-        ap = collector.append
-        if ap is not None:
-            self.trackers["append"] = _SegmentTracker(ap)
+        self.trackers = self._new_trackers()
+
+    def _new_trackers(self) -> dict:
+        """Fresh trackers, one per served store in registry order, each
+        the kind its store module declares."""
+        trackers = {}
+        for primitive, store in primitives.served(self.collector):
+            declared = primitive.home.TRACKER
+            trackers[primitive.store] = _TRACKERS[declared.kind](
+                store, declared)
+        return trackers
 
     # ------------------------------------------------------------------
     # Rotation
@@ -432,28 +427,30 @@ class EpochManager:
     # Epoch-scoped introspection (the query tier's raw material)
     # ------------------------------------------------------------------
 
+    def _tracker(self, attr: str, kind: type, what: str):
+        tracker = self.trackers[attr]
+        if not isinstance(tracker, kind):
+            raise ValueError(f"'{attr}' has no {what}")
+        return tracker
+
     def cell_epoch(self, attr: str, index: int) -> int:
         """Generation of a Key-Write slot / Postcarding chunk (0 = free)."""
-        tracker = self.trackers[attr]
-        if not isinstance(tracker, _SlotTracker):
-            raise ValueError(f"'{attr}' has no per-cell generations")
-        return tracker.gens[index]
+        return self._tracker(attr, _SlotTracker,
+                             "per-cell generations").gens[index]
 
     def segments(self, list_id: int) -> tuple:
-        tracker = self.trackers["append"]
+        """Sealed ``(epoch, start, end)`` head ranges of one list of the
+        store whose tracker keeps segments."""
+        tracker, = (tracker for tracker in self.trackers.values()
+                    if tracker.kind == "segments")
         return tracker.list_segments(list_id)
 
     def epoch_delta(self, attr: str, epoch: int) -> tuple | None:
-        tracker = self.trackers[attr]
-        if not isinstance(tracker, _DeltaTracker):
-            raise ValueError(f"'{attr}' has no per-epoch deltas")
-        return tracker.epoch_delta(epoch)
+        return self._tracker(attr, _DeltaTracker,
+                             "per-epoch deltas").epoch_delta(epoch)
 
     def merged_counters(self, attr: str) -> tuple:
-        tracker = self.trackers[attr]
-        if not isinstance(tracker, _DeltaTracker):
-            raise ValueError(f"'{attr}' has no merged aggregate")
-        return tracker.merged
+        return self._tracker(attr, _DeltaTracker, "merged aggregate").merged
 
     # ------------------------------------------------------------------
     # Checkpoint state (binary blobs ride in the checkpoint directory)
@@ -472,18 +469,22 @@ class EpochManager:
         return meta, blobs
 
     def import_state(self, meta, blobs) -> None:
-        """Adopt a checkpoint's epoch state; geometry must match."""
+        """Adopt a checkpoint's epoch state; geometry must match.  All
+        or nothing: fresh trackers take the state before the manager
+        does, so a rejection leaves it unchanged."""
         trackers = meta.get("trackers", {})
         if set(trackers) != set(self.trackers):
             raise ValueError(
                 f"tracker set mismatch: checkpoint has "
                 f"{sorted(trackers)}, collector serves "
                 f"{sorted(self.trackers)}")
-        for attr, tracker in self.trackers.items():
+        staged = self._new_trackers()
+        for attr, tracker in staged.items():
             prefix = f"{attr}."
             scoped = {name[len(prefix):]: blob
                       for name, blob in blobs.items()
                       if name.startswith(prefix)}
             tracker.import_state(trackers[attr], scoped)
-        self.current_epoch = int(meta["epoch"])
-        self.rotations = int(meta["rotations"])
+        epoch, rotations = int(meta["epoch"]), int(meta["rotations"])
+        self.trackers = staged
+        self.current_epoch, self.rotations = epoch, rotations

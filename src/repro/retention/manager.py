@@ -135,16 +135,14 @@ class RetentionManager:
         stats = self.stats
         stats.rotations += 1
         stats.cache_rows_aged += aged
-        for attr, count in report.changed.items():
-            if attr == "append":
-                stats.segments_sealed += 1 if count else 0
+        for attr, tracker in self.epochs.trackers.items():
+            changed, expired = report.changed[attr], report.expired[attr]
+            if tracker.kind == "segments":
+                stats.segments_sealed += 1 if changed else 0
+                stats.entries_expired += expired
             else:
-                stats.cells_sealed += count
-        for attr, count in report.expired.items():
-            if attr == "append":
-                stats.entries_expired += count
-            else:
-                stats.cells_expired += count
+                stats.cells_sealed += changed
+                stats.cells_expired += expired
         obs.emit("retention", "rotate", name=self.name,
                  epoch=report.epoch, cutoff=report.cutoff,
                  expired=sum(report.expired.values()))

@@ -88,7 +88,7 @@ import hashlib
 import threading
 
 from repro import obs
-from repro.core.primitives import STORES
+from repro.core import primitives
 from repro.fabric.link import StreamLink
 from repro.runtime.queues import CLOSED, CreditQueue, QueueAborted
 from repro.runtime.shm import PlanWorkerPool, RingPeerDead
@@ -803,14 +803,12 @@ def pipeline_digest(snapshot) -> str:
         obs.to_jsonl(filtered).encode()).hexdigest()
 
 
-def store_digest(collector) -> str:
-    """SHA-256 over every served store's memory region, in fixed order."""
+def store_digest(collector, staged: dict | None = None) -> str:
+    """SHA-256 over every served store's memory region, in fixed order
+    (with ``staged``, over its ``{store: bytes}`` in their place)."""
     digest = hashlib.sha256()
-    for attr in STORES:
-        store = getattr(collector, attr, None)
-        region = getattr(store, "region", None)
-        if region is None:
-            continue
-        digest.update(attr.encode())
-        digest.update(bytes(region.buf))
+    for primitive, store in primitives.served(collector):
+        digest.update(primitive.store.encode())
+        digest.update(bytes(store.region.buf) if staged is None
+                      else staged[primitive.store])
     return "sha256:" + digest.hexdigest()

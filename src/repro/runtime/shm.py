@@ -491,10 +491,11 @@ def _plan_request(msg: ShmMessage, layouts: dict) -> tuple:
     try:
         spec = PlanSpec(int(meta[3]), tuple(int(v) for v in meta[4:7]),
                         int(meta[7]))
-        lane = LANES[BY_CODE[spec.kind].service]
+        primitive = BY_CODE[spec.kind]
+        lane = LANES[primitive.service]
         layout = layouts.get(spec[:2])
         if layout is None:
-            layout = layouts[spec[:2]] = lane.layout_class(*spec.layout)
+            layout = layouts[spec[:2]] = primitive.home.LAYOUT(*spec.layout)
         packed = msg.segments[1].reshape(n, -1)
         lengths = msg.segments[2].view("<i8")
         third = _ring_values(msg.segments[3], lane.value_dtype, n)

@@ -28,14 +28,8 @@ from __future__ import annotations
 
 import socket
 
-from repro import calibration, obs
+from repro import obs
 from repro.core.cluster import ClusterMap
-from repro.core.primitives import STORES
-from repro.core.stores.append import AppendLayout
-from repro.core.stores.keyincrement import KeyIncrementLayout
-from repro.core.stores.keywrite import KeyWriteLayout
-from repro.core.stores.postcarding import PostcardingLayout
-from repro.core.stores.sketchstore import SketchLayout
 from repro.core.translator import Translator
 from repro.runtime.engine import store_digest
 from repro.runtime.shm import _untrack
@@ -51,19 +45,7 @@ from repro.transport.envelope import (
     wrap,
     wrap_ack,
 )
-from repro.workloads.reports import (
-    AP_CAPACITY,
-    AP_DATA_BYTES,
-    AP_LISTS,
-    KI_ROWS,
-    KI_SLOTS_PER_ROW,
-    KW_DATA_BYTES,
-    KW_SLOTS,
-    PC_CHUNKS,
-    PC_HOPS,
-    SM_DEPTH,
-    provision_collector,
-)
+from repro.workloads.reports import provision_collector, serve_params
 
 #: Receiver re-acks at least this often while idle so a lost ACK can
 #: never wedge the reporter's send window.
@@ -92,22 +74,8 @@ def segment_plan(sketch_width: int = 0) -> list:
     regions in exactly this order, so the k-th segment backs the k-th
     store on every process that maps the plan.
     """
-    pc_pad = max(calibration.POSTCARDING_SLOT_PAD_BYTES, PC_HOPS * 4)
-    layouts = [
-        KeyWriteLayout(base_addr=0, slots=KW_SLOTS,
-                       data_bytes=KW_DATA_BYTES),
-        KeyIncrementLayout(base_addr=0, slots_per_row=KI_SLOTS_PER_ROW,
-                           rows=KI_ROWS),
-        PostcardingLayout(base_addr=0, chunks=PC_CHUNKS, hops=PC_HOPS,
-                          slot_bits=32, pad_to=pc_pad),
-        AppendLayout(base_addr=0, lists=AP_LISTS, capacity=AP_CAPACITY,
-                     data_bytes=AP_DATA_BYTES),
-    ]
-    if sketch_width:
-        layouts.append(SketchLayout(base_addr=0, width=sketch_width,
-                                    depth=SM_DEPTH))
-    return [(store, layout.region_bytes)
-            for store, layout in zip(STORES, layouts)]
+    return [(primitive.store, primitive.layout(0, params).region_bytes)
+            for primitive, params in serve_params(sketch_width).items()]
 
 
 def _attach_segments(names, plan):

@@ -31,13 +31,14 @@ import struct
 
 from repro.core.batch import ReportBatch
 from repro.core.collector import Collector
-from repro.core.primitives import BY_SERVICE
+from repro.core.primitives import (APPEND, BY_SERVICE, KEY_INCREMENT,
+                                   KEY_WRITE, POSTCARDING, SKETCH_MERGE)
 
 PRIMITIVES = tuple(BY_SERVICE)
 
 # Store geometry — sized so quick (2 k) and full (200 k) streams both
-# fit without ring wrap-around dominating a run.  transport.daemons
-# sizes its shared-memory segments from the same constants.
+# fit without ring wrap-around dominating a run (served as
+# :func:`serve_params`).
 KW_SLOTS = 1 << 16
 KW_DATA_BYTES = 16
 KI_SLOTS_PER_ROW = 1 << 12
@@ -154,6 +155,25 @@ def wire(primitive: str, reports: int, seed: int) -> list:
     return list(whole.iter_raw())
 
 
+def serve_params(sketch_width: int = 0) -> dict:
+    """``{primitive: Collector.serve_<store> keywords}`` for every
+    primitive :func:`provision_collector` serves, in serve order — the
+    table ``transport.daemons.segment_plan`` sizes its segments from."""
+    params = {
+        KEY_WRITE: {"slots": KW_SLOTS, "data_bytes": KW_DATA_BYTES},
+        KEY_INCREMENT: {"slots_per_row": KI_SLOTS_PER_ROW, "rows": KI_ROWS},
+        POSTCARDING: {"chunks": PC_CHUNKS, "value_set": PC_VALUES,
+                      "hops": PC_HOPS},
+        APPEND: {"lists": AP_LISTS, "capacity": AP_CAPACITY,
+                 "data_bytes": AP_DATA_BYTES, "batch_size": AP_BATCH},
+    }
+    if sketch_width:
+        params[SKETCH_MERGE] = {
+            "width": sketch_width, "depth": SM_DEPTH,
+            "expected_reporters": 1, "batch_columns": SM_BATCH_COLUMNS}
+    return params
+
+
 def provision_collector(name: str, *, sketch_width: int = 0,
                         buffers=None) -> Collector:
     """A collector serving every primitive at the workload's geometry.
@@ -175,16 +195,12 @@ def provision_collector(name: str, *, sketch_width: int = 0,
             return buf
 
         collector.nic.pd.buffer_factory = factory
-    collector.serve_keywrite(slots=KW_SLOTS, data_bytes=KW_DATA_BYTES)
-    collector.serve_keyincrement(slots_per_row=KI_SLOTS_PER_ROW,
-                                 rows=KI_ROWS)
-    collector.serve_postcarding(chunks=PC_CHUNKS, value_set=PC_VALUES,
-                                hops=PC_HOPS)
-    collector.serve_append(lists=AP_LISTS, capacity=AP_CAPACITY,
-                           data_bytes=AP_DATA_BYTES, batch_size=AP_BATCH)
+    params = serve_params(sketch_width)
+    collector.serve_keywrite(**params[KEY_WRITE])
+    collector.serve_keyincrement(**params[KEY_INCREMENT])
+    collector.serve_postcarding(**params[POSTCARDING])
+    collector.serve_append(**params[APPEND])
     if sketch_width:
-        collector.serve_sketch(width=sketch_width, depth=SM_DEPTH,
-                               expected_reporters=1,
-                               batch_columns=SM_BATCH_COLUMNS)
+        collector.serve_sketch(**params[SKETCH_MERGE])
     collector.nic.pd.buffer_factory = None
     return collector

@@ -10,6 +10,8 @@ and the locality rule that keeps primitives out of every other module.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -21,7 +23,10 @@ from repro.core.translator import LANES, Translator, TranslatorStats
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.kernels import wire
-from repro.queries import snapshot
+from repro.queries.snapshot import snapshot_of
+from repro.retention.checkpoint import (read_manifest, restore_checkpoint,
+                                        write_checkpoint)
+from repro.retention.epochs import EpochManager
 from repro.runtime.engine import store_digest
 from repro.transport.daemons import segment_plan
 from repro.workloads import reports
@@ -34,15 +39,12 @@ def test_store_order_is_the_digest_order():
     # segments all depend on this exact sequence.
     assert STORES == ("keywrite", "keyincrement", "postcarding", "append",
                       "sketch")
-    assert snapshot.STORE_ATTRS is STORES
     assert [name for name, _ in segment_plan(8)] == list(STORES)
     assert [name for name, _ in segment_plan()] == list(STORES[:-1])
     assert reports.PRIMITIVES == tuple(BY_SERVICE)
 
 
 def test_store_digest_walks_the_registry_order():
-    import hashlib
-
     collector = reports.provision_collector("order", sketch_width=8)
     digest = hashlib.sha256()
     for attr in STORES:
@@ -88,7 +90,9 @@ def test_configure_builds_lanes_from_adverts():
     for primitive in REGISTRY:
         lane = translator._lanes[primitive.code]
         assert type(lane) is LANES[primitive.service]
-        assert lane.layout == getattr(collector, primitive.store).layout
+        store = getattr(collector, primitive.store)
+        assert type(store) is primitive.home.STORE
+        assert lane.layout == store.layout
     # Sketch storage and the postcard value codes stay lazy: configure
     # allocates nothing a report has not asked for.
     assert translator._lanes[primitives.SKETCH_MERGE.code].columns is None
@@ -121,3 +125,75 @@ def test_no_module_outside_a_primitives_own_names_one():
         [sys.executable, str(ROOT / "tools" / "check_primitive_locality.py")],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+# A toy sixth primitive's collector side, declared here the way a store
+# module declares it; the test module is the toy's store module.
+
+
+@dataclasses.dataclass(frozen=True)
+class ToyLayout:
+    base_addr: int
+    cells: int
+    width: int = 4
+
+    @property
+    def region_bytes(self) -> int:
+        return self.cells * self.width
+
+
+class ToyStore(primitives.Store):
+    def reset_stats(self) -> None:
+        self.reads = 0
+
+
+LAYOUT, STORE = ToyLayout, ToyStore
+TRACKER = primitives.Tracker("slots", cells="cells", cell_bytes="width")
+TOY = dataclasses.replace(primitives.KEY_WRITE, code=0x7F, service="toy",
+                          store="toy", module=__name__)
+
+
+def test_a_sixth_primitive_is_a_store_module_and_a_registry_row(
+        monkeypatch, tmp_path):
+    registry = (*REGISTRY, TOY)
+    monkeypatch.setattr(primitives, "REGISTRY", registry)
+    monkeypatch.setattr(primitives, "BY_SERVICE",
+                        {p.service: p for p in registry})
+    monkeypatch.setattr(primitives, "BY_CODE", {p.code: p for p in registry})
+    monkeypatch.setattr(primitives, "STORES",
+                        tuple(p.store for p in registry))
+
+    collector = Collector()
+    assert collector.toy is None
+    advert = collector._serve(TOY, {"cells": 16, "colour": "red"}, 9990)
+    assert (advert.primitive, advert.params) == (
+        "toy", {"cells": 16, "width": 4, "colour": "red"})
+    toy = collector.toy
+    assert type(toy) is ToyStore and toy.layout.base_addr == advert.addr
+    toy.reads = 3
+    toy.region.local_write(8, b"\x01\x02\x03\x04")       # cell 2
+    digest = store_digest(collector)
+    assert digest == "sha256:" + hashlib.sha256(
+        b"toy" + bytes(toy.region.buf)).hexdigest()
+
+    view = snapshot_of(collector)
+    assert view.toy.reads == 0 and view.toy.region is not toy.region
+    assert view.store_digest() == digest
+
+    manager = EpochManager(collector)
+    assert manager.rotate().changed == {"toy": 1}
+    path = str(tmp_path / "ckpt")
+    write_checkpoint(collector, path, manager=manager)
+    assert read_manifest(path)["regions"][0]["params"] == {"cells": 16,
+                                                           "width": 4}
+
+    twin = Collector()
+    twin._serve(TOY, {"cells": 16}, 9990)
+    twin_manager = EpochManager(twin)
+    assert restore_checkpoint(twin, path,
+                              manager=twin_manager).store_digest == digest
+    twin.toy.region.local_write(0, b"\xff")               # cell 0
+    report = twin_manager.rotate()
+    assert (report.epoch, report.changed, report.live) == (
+        2, {"toy": 1}, {"toy": 2})
+    assert twin_manager.trackers["toy"].gens[:3] == [2, 0, 1]

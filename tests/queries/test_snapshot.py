@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.collector import Collector
+from repro.core.primitives import STORES
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
 from repro.queries import snapshot_of
@@ -220,7 +221,7 @@ class TestServerOwnedView:
             server.tick()
             view = server.view
             buffers = {attr: getattr(view, attr).region.buf
-                       for attr in snapshot_module.STORE_ATTRS}
+                       for attr in STORES}
             assert len(mapped) == len(buffers) == 5
             smallest = min(mapped)
             self._write(engine, b"two")

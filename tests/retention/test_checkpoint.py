@@ -168,34 +168,74 @@ def _corrupt_crc_record(path: str) -> None:
         json.dump(manifest, handle)
 
 
-@pytest.mark.parametrize("corrupt", [
-    _corrupt_truncate_region,
-    _corrupt_bit_flip,
-    _corrupt_version_bump,
-    _corrupt_missing_region,
-    _corrupt_manifest_json,
-    _corrupt_crc_record,
-], ids=["truncated-region", "bit-flip", "version-bump",
-        "missing-region", "manifest-truncated", "crc-mismatch"])
+def _corrupt_retention_meta(path: str) -> None:
+    # The manifest carries no CRC of its own: only importing the
+    # tracker state can tell this geometry is off by one.
+    target = os.path.join(path, MANIFEST_NAME)
+    with open(target, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["retention"]["meta"]["trackers"]["keywrite"]["cells"] += 1
+    with open(target, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+
+def _corrupt_store_digest(path: str) -> None:
+    # Every region still matches its CRC; only the digest lies.
+    target = os.path.join(path, MANIFEST_NAME)
+    with open(target, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["store_digest"] = "sha256:" + "0" * 64
+    with open(target, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+
+_DAMAGE = [("truncated-region", _corrupt_truncate_region),
+           ("bit-flip", _corrupt_bit_flip),
+           ("version-bump", _corrupt_version_bump),
+           ("missing-region", _corrupt_missing_region),
+           ("manifest-truncated", _corrupt_manifest_json),
+           ("crc-mismatch", _corrupt_crc_record),
+           ("store-digest", _corrupt_store_digest)]
+
+
+@pytest.mark.parametrize("corrupt, manager_class", [
+    *(pytest.param(corrupt, None, id=name) for name, corrupt in _DAMAGE),
+    *(pytest.param(corrupt, EpochManager, id=f"{name}-with-manager")
+      for name, corrupt in _DAMAGE),
+    # Only a manager restore reads the tracker state.
+    pytest.param(_corrupt_retention_meta, EpochManager,
+                 id="retention-meta-with-manager"),
+])
 def test_damaged_checkpoints_reject_cleanly(collector, tmp_path,
-                                            corrupt):
+                                            corrupt, manager_class):
     _drive_all_five(collector)
+    manager = EpochManager(collector)
+    manager.rotate()
     path = str(tmp_path / "ckpt")
-    write_checkpoint(collector, path)
+    write_checkpoint(collector, path, manager=manager)
     corrupt(path)
 
     # The target already holds unrelated data: rejection must leave
-    # every byte of it alone (no partial restore, ever).
+    # every byte of it — and of its epoch state — alone (no partial
+    # restore, ever).
     twin = _twin()
     tr = Translator()
     twin.connect_translator(tr)
     rep = Reporter("pre", 1, transmit=tr.handle_report)
     rep.key_write(b"preexisting", b"\xaa\xbb\xcc\xdd", redundancy=2)
-    before = store_digest(twin)
+    twin_manager = None
+    if manager_class is not None:
+        twin_manager = manager_class(twin)
+        twin_manager.rotate()
 
+    def state():
+        return (store_digest(twin),
+                twin_manager and twin_manager.export_state())
+
+    before = state()
     with pytest.raises(CheckpointError):
-        restore_checkpoint(twin, path)
-    assert store_digest(twin) == before
+        restore_checkpoint(twin, path, manager=twin_manager)
+    assert state() == before
     assert twin.keywrite.query(b"preexisting", redundancy=2).value == \
         b"\xaa\xbb\xcc\xdd"
 
@@ -222,3 +262,39 @@ def test_restore_rejects_geometry_and_store_set_mismatch(collector,
                               batch_columns=8)
     with pytest.raises(CheckpointError):
         restore_checkpoint(resized_full, path)
+
+
+#: A ``repro-ckpt/1`` checkpoint written by an earlier build, whose
+#: manifest ``params`` came from a hand-declared table: the
+#: :func:`_tiny` stores with a few reports each, sealed by two rotations
+#: of a window-2 :class:`EpochManager`, at ``batch_seq`` 2.
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "ckpt-v1")
+
+
+def _tiny() -> Collector:
+    """The fixture's geometry: all five stores, a few cells each."""
+    col = Collector("fixture")
+    col.serve_keywrite(slots=32, data_bytes=4)
+    col.serve_keyincrement(slots_per_row=16, rows=2)
+    col.serve_postcarding(chunks=16, value_set=range(16), hops=3,
+                          cache_slots=8)
+    col.serve_append(lists=2, capacity=8, data_bytes=4, batch_size=2)
+    col.serve_sketch(width=8, depth=2, expected_reporters=1,
+                     batch_columns=4)
+    return col
+
+
+def test_an_earlier_builds_checkpoint_restores_and_rewrites_alike(
+        tmp_path):
+    twin = _tiny()
+    manager = EpochManager(twin, policy=RetentionPolicy(window=2))
+    report = restore_checkpoint(twin, FIXTURE, manager=manager)
+    assert report.store_digest == (
+        "sha256:c78eaedf31c592890f97e8fb831463ad69c60fafb6dd00d0e6b4d58b9716fe45")
+    assert (report.batch_seq, manager.current_epoch) == (2, 3)
+    # Written again, it records the same layout params and tracker state.
+    path = str(tmp_path / "again")
+    write_checkpoint(twin, path, manager=manager, batch_seq=2)
+    again, recorded = read_manifest(path), read_manifest(FIXTURE)
+    assert again["regions"] == recorded["regions"]
+    assert again["retention"] == recorded["retention"]

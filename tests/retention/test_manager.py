@@ -18,6 +18,7 @@ from repro.core.collector import Collector
 from repro.core.packets import DtaPrimitive
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
+from repro.retention.checkpoint import CheckpointError, write_checkpoint
 from repro.retention.epochs import RetentionPolicy
 from repro.retention.manager import RetentionManager
 from repro.runtime.engine import StreamEngine, store_digest
@@ -112,6 +113,32 @@ def test_engine_checkpoint_lands_on_the_executed_boundary(tmp_path):
     assert store_digest(twin) == digest
     assert report.batch_seq == 7            # last executed batch seq
     assert twin_manager.current_epoch == manager.current_epoch
+
+
+def test_manager_restore_refuses_a_checkpoint_without_epoch_state(
+        tmp_path):
+    # Restored under the manager's own baselines, a region written
+    # before the last rotation reads as a huge negative delta: the
+    # next rotation would decay the counter below zero (mod 2**64).
+    col = Collector()
+    col.serve_keyincrement(slots_per_row=256, rows=2)
+    tr = Translator()
+    col.connect_translator(tr)
+    rep = Reporter("mgr", 1, transmit=tr.handle_report)
+    manager = RetentionManager(col, translator=tr)
+    rep.key_increment(b"k", 5, redundancy=2)
+    path = str(tmp_path / "plain")
+    write_checkpoint(col, path)                 # regions only
+    rep.key_increment(b"k", 10, redundancy=2)
+    manager.rotate()
+    before = store_digest(col), manager.epochs.export_state()
+
+    with pytest.raises(CheckpointError):
+        manager.restore(path)
+    assert (store_digest(col), manager.epochs.export_state()) == before
+    assert manager.stats.restores_rejected == 1
+    manager.rotate()
+    assert col.query_counter(b"k", redundancy=2) == 15
 
 
 def test_engine_checkpoint_requires_a_retention_manager(tmp_path):

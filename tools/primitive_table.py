@@ -9,7 +9,7 @@ Run from the repo root with ``PYTHONPATH=src``.
 import pathlib
 import sys
 
-from repro.core.primitives import REGISTRY
+from repro.core.primitives import REGISTRY, geometry_fields
 from repro.core.translator import LANES
 
 DOC = pathlib.Path(__file__).resolve().parent.parent / "docs/ARCHITECTURE.md"
@@ -23,11 +23,21 @@ def _wire(wire) -> str:
         + [f"`{t.name}` x{t.item} B" for t in wire.tails])
 
 
+def _tracker(tracker) -> str:
+    if tracker.kind == "slots":
+        return f"slots: `{tracker.cells}` x `{tracker.cell_bytes}` B"
+    if tracker.kind == "deltas":
+        return (f"deltas: `{tracker.cells}` x `{tracker.counter}`"
+                + (", re-streamed" if tracker.reset else ""))
+    return tracker.kind
+
+
 def render() -> str:
-    rows = ["| primitive | lane module | wire sub-header: field, struct "
+    rows = ["| primitive | store module | wire sub-header: field, struct "
             "code, accept (a count field: its tail's) | batch columns "
-            "| route | lane state | plan | store |",
-            "|---|---|---|---|---|---|---|---|"]
+            "| route | lane state | plan | store | geometry (layout "
+            "fields) | retention tracker |",
+            "|---|---|---|---|---|---|---|---|---|---|"]
     for p in REGISTRY:
         lane = LANES[p.service]
         columns = [f"`{c}`" for c in p.columns]
@@ -39,11 +49,14 @@ def render() -> str:
             else "stateful: from a batch"
         rows.append(" | ".join((
             f"| {p.wire.label} (`{p.service}`, code {int(p.code)})",
-            f"`{lane.__module__.removeprefix('repro.')}`", _wire(p.wire),
+            f"`{p.module.removeprefix('repro.')}`", _wire(p.wire),
             ", ".join(columns), f"{p.route} (`{p.routed_by}`)",
             ", ".join(f"`{s}`" for s in lane.__slots__) or "none",
             plan + (", Fetch-and-Add" if p.atomic else ""),
-            f"`{p.store}` |")))
+            f"`{p.store}`",
+            ", ".join(f"`{name}`"
+                      for name in geometry_fields(p.home.LAYOUT)),
+            f"{_tracker(p.home.TRACKER)} |")))
     return "\n".join(rows)
 
 
