@@ -205,6 +205,33 @@ class ReportBatch:
                                 (columns, counter_rows), sketch_id,
                                 essential=essential, immediate=immediate)
 
+    @classmethod
+    def concat(cls, batches) -> "ReportBatch":
+        """One batch of ``batches``' reports, in order.
+
+        The batches share primitive, reporter, flags and run-wide
+        ``extra`` — a run the streaming engine plans as one (every
+        column the primitive's table names is joined; nothing is
+        re-validated).  A single batch is returned as it is.
+        """
+        first = batches[0]
+        if len(batches) == 1:
+            return first
+        spec = primitives.BY_CODE[first.primitive]
+        batch = cls(first.primitive, redundancy=first.redundancy,
+                    essential=first.essential, immediate=first.immediate)
+        batch.reporter_id = first.reporter_id
+        if spec.extra is not None:
+            setattr(batch, spec.extra, getattr(first, spec.extra))
+        for _name, attr, _tail, _accept in spec.column_specs:
+            column: list = []
+            for part in batches:
+                column += getattr(part, attr)
+            setattr(batch, attr, column)
+        sizes = [part._column_bytes for part in batches]
+        batch._column_bytes = None if None in sizes else sum(sizes)
+        return batch
+
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:

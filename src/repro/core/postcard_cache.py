@@ -166,6 +166,9 @@ class PostcardCache:
         shared = {home for home in homes
                   if home in claimed or claimed.add(home)}
         rows = self._rows
+        # One path length for the whole batch (the common case) needs
+        # no per-flow agreement check.
+        uniform = len(set(path_lens)) == 1
         # Emissions a caller left undrained go out with the first
         # insert, so no flow may be assembled ahead of it.
         isolated = not self.pending_evicted
@@ -176,7 +179,8 @@ class PostcardCache:
             need = min(path_len, limit) if path_len > 0 else limit
             if (isolated and len(ats) == need and path_len >= 0
                     and rows[home] is None and home not in shared
-                    and all(path_lens[at] == path_len for at in ats)):
+                    and (uniform or all(path_lens[at] == path_len
+                                        for at in ats))):
                 chunk = [None] * limit
                 for at in ats:
                     chunk[hops[at]] = values[at]

@@ -13,8 +13,8 @@ and which collector store it feeds.  The codecs (``packets``,
 translator's dispatch all read this table instead of naming primitives.
 
 The rest is stated once, in the store module the row names: what a
-primitive *does* at the translator (its :class:`Lane`) and its
-collector side — ``LAYOUT``, ``STORE`` (a :class:`Store`) and
+primitive *does* at the translator — ``LANE`` (a :class:`Lane`) — and
+its collector side — ``LAYOUT``, ``STORE`` (a :class:`Store`) and
 ``TRACKER`` (a :class:`Tracker`).  Adding a sixth primitive is one
 operation class, one row here and one store module.
 """
@@ -117,8 +117,8 @@ class Primitive:
 
     @cached_property
     def home(self):
-        """The store module, declaring ``LAYOUT``, ``STORE`` and
-        ``TRACKER``."""
+        """The store module, declaring ``LANE``, ``LAYOUT``, ``STORE``
+        and ``TRACKER``."""
         return importlib.import_module(self.module)
 
     def layout(self, addr: int, params: dict):

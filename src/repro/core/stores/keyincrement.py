@@ -192,3 +192,7 @@ class KeyIncrementLane(primitives.ColumnLane):
 
     def normalise(self, third, redundancy: int):
         return third, min(redundancy, self.layout.rows)
+
+
+#: The translator side (``primitives.Primitive.home``).
+LANE = KeyIncrementLane

@@ -400,3 +400,7 @@ class KeyWriteLane(primitives.ColumnLane):
             padded[:, :width] = third
             third = padded
         return third, redundancy
+
+
+#: The translator side (``primitives.Primitive.home``).
+LANE = KeyWriteLane

@@ -452,3 +452,7 @@ class PostcardingLane(primitives.Lane):
             rows = np.repeat(rows, copies, axis=0)
         # Emission-major: all copies of one chunk, then the next chunk.
         return chunks.T.reshape(-1), rows
+
+
+#: The translator side (``primitives.Primitive.home``).
+LANE = PostcardingLane

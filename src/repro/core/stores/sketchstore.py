@@ -340,3 +340,7 @@ class SketchMergeLane(primitives.Lane):
         blob = layout.encode_columns_array(self.columns[first:end])
         cuts = [(at - first) * layout.column_bytes for at in (*starts, end)]
         return starts, [blob[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+#: The translator side (``primitives.Primitive.home``).
+LANE = SketchMergeLane

@@ -40,22 +40,12 @@ from repro import calibration, obs
 from repro.core import packets, primitives
 from repro.core.flow_control import LossDetector
 from repro.core.packets import CongestionSignal, DtaFlags
-from repro.core.stores.append import AppendLane
-from repro.core.stores.keyincrement import KeyIncrementLane
-from repro.core.stores.keywrite import KeyWriteLane
-from repro.core.stores.postcarding import PostcardingLane
-from repro.core.stores.sketchstore import SketchMergeLane
 from repro.core.transport import CtrlFrame, DtaFrame, RdmaClient, RoceFrame
 from repro.fabric.topology import Node
 from repro.kernels import MIN_VECTOR_BATCH, burst as kburst
 from repro.rdma.cm import ServiceAdvert
 from repro.rdma.verbs import Opcode
 from repro.switch.meters import Meter, MeterConfig
-
-#: Lane class per primitive service, as CM adverts name them.
-LANES = {lane.primitive.service: lane
-         for lane in (KeyWriteLane, KeyIncrementLane, PostcardingLane,
-                      AppendLane, SketchMergeLane)}
 
 
 class TranslatorStats(obs.InstrumentedStats):
@@ -156,12 +146,11 @@ class Translator(Node):
             self._cuckoo = (CuckooLayout(advert.addr, **advert.params),
                             advert.rkey)
             return
-        try:
-            lane_class = LANES[advert.primitive]
-        except KeyError:
+        primitive = primitives.BY_SERVICE.get(advert.primitive)
+        if primitive is None:
             raise ValueError(
-                f"unknown primitive service '{advert.primitive}'") from None
-        self._lanes[lane_class.primitive.code] = lane_class(self, advert)
+                f"unknown primitive service '{advert.primitive}'")
+        self._lanes[primitive.code] = primitive.home.LANE(self, advert)
 
     def cuckoo_manager(self, max_kicks: int = 32):
         """The Section 6 read-capable aggregation manager, bound to
@@ -369,6 +358,26 @@ class Translator(Node):
             if arrays is None:
                 return None
         return self._charge(lane, reports, *arrays)
+
+    def may_merge(self, batch) -> bool:
+        """Whether ``batch`` may wait to be planned as part of a wider
+        run of its neighbours (``docs/CONCURRENCY.md``, "Plan width is
+        not observable"): a plain batch — no essential or immediate
+        flag — that the configured service accepts (an exception is
+        not a sum), on a running translator that vectorizes and keeps
+        no per-report admission state (meter, tenant quotas).
+        :meth:`plan_batch` still decides for the run.
+        """
+        if not (self.vectorized and self._meter is None
+                and self.tenants is None and not self._crashed
+                and not (batch.essential or batch.immediate)):
+            return False
+        lane = self._lanes.get(batch.primitive)
+        if lane is None:
+            return False
+        primitive = lane.primitive
+        return self.check(primitive.code, primitive.columns_of(batch),
+                          primitive.extra_of(batch)) is None
 
     def plan_columns(self, kind, reports: int, packed, lengths, third,
                      redundancy: int, client=None):

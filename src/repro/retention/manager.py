@@ -115,6 +115,13 @@ class RetentionManager:
         self._next_rotate_seq = (seq // every + 1) * every
         return report
 
+    def rotates_between(self, first: int, seq: int) -> bool:
+        """Whether :meth:`on_batch` may rotate after batch ``first``
+        and by batch ``seq`` — a ``rotate_every`` boundary lies in
+        ``(first, seq]`` — so the two cannot land as one burst."""
+        every = self.epochs.policy.rotate_every
+        return every is not None and first // every != seq // every
+
     def rotate(self, *, age_cache: bool | None = None) -> RotationReport:
         """Seal the current epoch and expire out-of-window state.
 

@@ -56,6 +56,25 @@ mid-stream surfaces as a translate-stage :class:`StageError` (the ring
 waits watch peer liveness), never a hang, and :meth:`StreamEngine.close`
 unlinks every shared segment.
 
+Plans as wide as the next observer
+----------------------------------
+A submit's fixed cost — target resolution, stats, the stage table, a
+dozen numpy calls per plan — does not depend on its width, so the
+translate stage does not plan at the submitted width.  A plain batch
+(``Translator.may_merge``) narrower than :data:`MERGE_CAP` waits in the
+run of its primitive; the run is planned as one ``plan_batch`` call
+over :meth:`ReportBatch.concat <repro.core.batch.ReportBatch.concat>`
+when it reaches the cap, or at the first *cut* — :meth:`snapshot`,
+:meth:`checkpoint`, :attr:`executed_seq`, :meth:`drain`,
+:meth:`close`, a retention rotation boundary, a change of reporter or
+run-wide ``extra``, or any carrier that is not held (essential,
+immediate, per-report raws, plan-worker arrays, at or above the cap,
+rejected by its service).  A cut plans every held run and applies them
+all under one :attr:`store_lock` hold.  Inline, runs persist across
+submits and a reader's snapshot makes the cut itself; the BACK thread
+merges only what is already queued.  ``docs/CONCURRENCY.md`` ("Plan
+width is not observable") says why no digest can tell.
+
 Determinism contract
 --------------------
 ``docs/CONCURRENCY.md`` is the single source of truth for this
@@ -86,9 +105,11 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from contextlib import contextmanager
 
 from repro import obs
 from repro.core import primitives
+from repro.core.batch import ReportBatch
 from repro.fabric.link import StreamLink
 from repro.runtime.queues import CLOSED, CreditQueue, QueueAborted
 from repro.runtime.shm import PlanWorkerPool, RingPeerDead
@@ -101,6 +122,13 @@ FRONT, BACK = STAGES[:2], STAGES[2:]
 #: Sequence number used for end-of-stream finalizer work (epoch
 #: flushes), which belongs to no submitted batch.
 FLUSH_SEQ = -1
+
+#: The widest run of held batches the translate stage plans as one; a
+#: batch this wide or wider passes through as submitted.  Chosen from
+#: 128 / 192 / 256 by paired measurement on ``serve_mixed_queries``:
+#: a wider run speeds ingest further, but every held report is work
+#: the next snapshot's cut pays for inside the query tick.
+MERGE_CAP = 192
 
 #: :meth:`StreamEngine.drain` waits for its stage threads as long as
 #: they keep finishing carriers; a thread still alive after this many
@@ -168,6 +196,18 @@ class _Carrier:
         if self.batch is not None:
             return len(self.batch)
         return len(self.raws or ())
+
+
+class _Run:
+    """Held carriers of one primitive, one reporter and one run-wide
+    ``extra`` (``key``), planned as one batch at the next cut."""
+
+    __slots__ = ("key", "carriers", "reports")
+
+    def __init__(self, key) -> None:
+        self.key = key
+        self.carriers: list = []
+        self.reports = 0
 
 
 class _Burst:
@@ -280,6 +320,15 @@ class StreamEngine:
         #: Serializes store mutation (execute stage) against snapshot
         #: acquisition; see "Determinism contract" above.
         self.store_lock = threading.Lock()
+        #: Serializes the translate and execute stages — and the cuts
+        #: a reader's :meth:`snapshot` makes — over the held runs.
+        self._back_lock = threading.Lock()
+        #: ``primitive code -> _Run`` held for a wider plan.
+        self._runs: dict = {}
+        #: Sequence of the first carrier held since the last cut.
+        self._held_from: int | None = None
+        #: Sequence of the last carrier the BACK stages took in.
+        self._seen_seq: int | None = None
         self._executed_seq: int | None = None
         self._queues: list = []
         self._threads: list = []
@@ -367,11 +416,21 @@ class StreamEngine:
             # does (its stats keep a single writer); the thread
             # executor's FRONT thread takes the carrier as submitted.
             try:
-                items = self._run_stages(
-                    STAGES if self.workers == 0 else FRONT, 0, items)
+                items = self._run_stages(FRONT, 0, items)
+                if self.workers == 0:
+                    with self._back_lock:
+                        # A reader's cut may have failed meanwhile.
+                        if self._error is None:
+                            for item in items:
+                                self._back(item)
             except BaseException as exc:
-                self._fail(getattr(exc, "_repro_stage", "encode"), seq, exc)
+                self._fail(getattr(exc, "_repro_stage", "encode"),
+                           getattr(exc, "_repro_seq", seq), exc)
                 raise self._error from exc
+            if self.workers == 0:
+                if self._error is not None:
+                    raise self._error
+                return seq
         try:
             for item in items:
                 self._ship(item)
@@ -426,10 +485,13 @@ class StreamEngine:
             if not self._drained:
                 self._drained = True
                 try:
-                    self._finalize()
+                    with self._back_lock:
+                        if self._error is None:
+                            self._flush()
+                        self._finalize()
                 except BaseException as exc:
                     self._fail(getattr(exc, "_repro_stage", "translate"),
-                               FLUSH_SEQ, exc)
+                               getattr(exc, "_repro_seq", FLUSH_SEQ), exc)
         else:
             self._drained = True
             self._queues[0].close()
@@ -465,9 +527,20 @@ class StreamEngine:
         exactly as before :meth:`start` — in particular the PR 3
         recovery sweep (:func:`repro.faults.recovery.drain_losses`)
         operates on it normally.  Idempotent; safe after errors.
+        Inline, batches still held land first; a :class:`StageError`
+        they raise is re-raised once the wiring is restored.
         """
         if self._closed:
             return
+        failed = None
+        if self.workers == 0 and self._started:
+            # Inline submit used to apply every batch before it
+            # returned: what is still held lands now.
+            try:
+                with self._observed():
+                    pass
+            except StageError as error:
+                failed = error
         self._closed = True
         for queue in self._queues:
             queue.abort()
@@ -488,6 +561,9 @@ class StreamEngine:
         # a closed engine (and the deployment it names) is reclaimed by
         # reference count, not whenever the cycle collector next runs.
         self._stage_fns = {}
+        self._runs.clear()
+        if failed is not None:
+            raise failed
 
     def __enter__(self) -> "StreamEngine":
         return self.start()
@@ -569,30 +645,153 @@ class StreamEngine:
         return [_Burst(FLUSH_SEQ, ops)]
 
     def _execute_stage(self, burst: _Burst) -> None:
-        """Land the burst through the real RDMA client.
+        """Land the burst through the real RDMA client (:meth:`_apply`)."""
+        self._apply([burst], None if burst.seq == FLUSH_SEQ else burst.seq)
+        return None
 
-        The whole burst applies under :attr:`store_lock`: this stage is
-        the only store writer, so holding the lock per burst makes
-        batch boundaries the only states a :meth:`snapshot` can see.
+    def _apply(self, bursts: list, seq: int | None = None) -> None:
+        """Land ``bursts`` in order under one :attr:`store_lock` hold.
+
+        This stage is the only store writer, so holding the lock per
+        call makes batch boundaries the only states a :meth:`snapshot`
+        can see; ``seq`` is the batch every applied one up to is now
+        fully in the store (None: not known yet, other batches held).
         """
         client = self._real_client
-        stats = self._stage_stats["execute"]
-        stats.carriers += 1
+        self._stage_stats["execute"].carriers += len(bursts)
+        retention = self.retention
         with self.store_lock:
-            # Retention rotation fires *before* this burst applies:
-            # every batch below burst.seq is fully in the store and
-            # nothing of burst.seq is, so the epoch boundary coincides
-            # with a batch boundary (the PR 6 snapshot rule).
-            if self.retention is not None and burst.seq != FLUSH_SEQ:
-                self.retention.on_batch(burst.seq)
-            for op in burst.ops:
-                if isinstance(op, list):
-                    client.post_burst(op)
-                else:
-                    op.apply(client)
-            if burst.seq != FLUSH_SEQ:
-                self._executed_seq = burst.seq
-        return None
+            for burst in bursts:
+                # Retention rotation fires *before* a burst of a later
+                # epoch applies: every batch below burst.seq is fully
+                # in the store and nothing of burst.seq is, so the
+                # epoch boundary coincides with a batch boundary (the
+                # batch-boundary snapshot rule).  Held runs never
+                # straddle one.
+                if retention is not None and burst.seq != FLUSH_SEQ:
+                    retention.on_batch(burst.seq)
+                for op in burst.ops:
+                    if isinstance(op, list):
+                        client.post_burst(op)
+                    else:
+                        op.apply(client)
+            if seq is not None:
+                self._executed_seq = seq
+
+    # ------------------------------------------------------------------
+    # Held runs: plans as wide as the next observer
+    # ------------------------------------------------------------------
+
+    def _back(self, carrier: _Carrier) -> None:
+        """The BACK stages for one carrier, under ``_back_lock``: hold
+        it in its primitive's run, or cut — land everything held — and
+        translate and execute it as submitted."""
+        batch = carrier.batch
+        if (batch is not None and carrier.worker is None
+                and len(batch) < MERGE_CAP
+                and self.translator.may_merge(batch)):
+            self._hold(carrier)
+            return
+        self._flush()
+        self._seen_seq = carrier.seq
+        self._pass(carrier)
+        self._executed_seq = carrier.seq
+
+    def _hold(self, carrier: _Carrier) -> None:
+        """Add a plain batch to its run; plan the run once it is
+        :data:`MERGE_CAP` reports wide."""
+        batch = carrier.batch
+        kind = batch.primitive
+        key = (batch.reporter_id, primitives.BY_CODE[kind].extra_of(batch))
+        run = self._runs.get(kind)
+        if (run is not None and run.key != key) or (
+                self._held_from is not None and self.retention is not None
+                and self.retention.rotates_between(self._held_from,
+                                                   carrier.seq)):
+            self._flush()
+            run = None
+        if run is None:
+            if self._held_from is None:
+                self._held_from = carrier.seq
+            run = self._runs[kind] = _Run(key)
+        self._seen_seq = carrier.seq
+        run.carriers.append(carrier)
+        run.reports += len(batch)
+        if run.reports >= MERGE_CAP:
+            self._flush(kind)
+
+    def _flush(self, kind=None) -> None:
+        """The cut: plan every held run — at the width cap, the run of
+        primitive ``kind`` — and apply them under one
+        :attr:`store_lock` hold."""
+        runs = self._runs
+        if not runs:
+            return
+        planned = list(runs.values()) if kind is None else [runs[kind]]
+        if kind is None:
+            runs.clear()
+        else:
+            del runs[kind]
+        if not runs:
+            self._held_from = None
+        bursts: list = []
+        for run in planned:
+            bursts += self._plan_run(run)
+        try:
+            self._apply(bursts, None if runs else self._seen_seq)
+        except BaseException as exc:
+            exc._repro_stage = "execute"
+            exc._repro_seq = planned[0].carriers[0].seq
+            raise
+
+    def _plan_run(self, run: _Run) -> list:
+        """A run's bursts: one plan of all its batches, or each batch's
+        own where that plan declines."""
+        carriers = run.carriers
+        if len(carriers) > 1:
+            batch = ReportBatch.concat([c.batch for c in carriers])
+            try:
+                plan = self.translator.plan_batch(batch, self._real_client)
+            except BaseException as exc:
+                exc._repro_stage = "translate"
+                exc._repro_seq = carriers[0].seq
+                raise
+            if plan is not None:
+                stats = self._stage_stats["translate"]
+                stats.carriers += len(carriers)
+                stats.reports += run.reports
+                return [_Burst(carriers[0].seq, [plan])]
+        bursts: list = []
+        for carrier in carriers:
+            try:
+                bursts += self._run_stages(BACK[:1], 0, [carrier])
+            except BaseException as exc:
+                exc._repro_seq = carrier.seq
+                raise
+        return bursts
+
+    def _pass(self, carrier: _Carrier) -> None:
+        """Translate and execute one carrier as submitted."""
+        try:
+            self._run_stages(BACK, 0, [carrier])
+        except BaseException as exc:
+            exc._repro_seq = carrier.seq
+            raise
+
+    @contextmanager
+    def _observed(self):
+        """Hold the BACK stages still with every held run landed, so
+        what the body reads is a batch boundary.  Lands nothing once a
+        stage has failed: the held runs died with the stream."""
+        with self._back_lock:
+            if self._error is None:
+                try:
+                    self._flush()
+                except BaseException as exc:
+                    self._fail(getattr(exc, "_repro_stage", "translate"),
+                               getattr(exc, "_repro_seq", FLUSH_SEQ), exc)
+                    raise self._error from exc
+            yield
 
     # ------------------------------------------------------------------
     # Workers
@@ -626,23 +825,30 @@ class StreamEngine:
                 if item is CLOSED:
                     break
                 seq = item.seq
-                if item.worker is None:
-                    self._run_stages(BACK, 0, [item])
-                    continue
-                message = self._pool.result(item.worker)
+                message = None
                 try:
-                    item.arrays = self._pool.arrays(message, item.seq)
-                    self._run_stages(BACK, 0, [item])
+                    if item.worker is not None:
+                        message = self._pool.result(item.worker)
+                        item.arrays = self._pool.arrays(message, item.seq)
+                    with self._back_lock:
+                        self._back(item)
+                        # Merge only what is already queued.
+                        if not len(inq):
+                            self._flush()
                 finally:
-                    # The arrays are views over the result slot.
-                    item.arrays = None
-                    message.release()
+                    if message is not None:
+                        # The arrays are views over the result slot.
+                        item.arrays = None
+                        message.release()
             seq = FLUSH_SEQ
-            self._finalize()
+            with self._back_lock:
+                self._flush()
+                self._finalize()
         except QueueAborted:
             pass
         except BaseException as exc:  # noqa: BLE001 - must reach caller
-            self._fail(getattr(exc, "_repro_stage", "translate"), seq, exc)
+            self._fail(getattr(exc, "_repro_stage", "translate"),
+                       getattr(exc, "_repro_seq", seq), exc)
 
     def _finalize(self) -> None:
         """Input ended: the translate finalizer, then execute."""
@@ -730,8 +936,10 @@ class StreamEngine:
 
     @property
     def executed_seq(self) -> int | None:
-        """Sequence of the last fully applied burst (None before any)."""
-        return self._executed_seq
+        """Sequence of the last batch fully in the store (None before
+        any).  A cut: held runs land first."""
+        with self._observed():
+            return self._executed_seq
 
     def snapshot(self, into=None):
         """Freeze the collector's stores at a batch boundary.
@@ -751,7 +959,7 @@ class StreamEngine:
         """
         from repro.queries.snapshot import snapshot_of
 
-        with self.store_lock:
+        with self._observed(), self.store_lock:
             return snapshot_of(self.collector,
                                batch_seq=self._executed_seq, into=into)
 
@@ -767,7 +975,7 @@ class StreamEngine:
         """
         if self.retention is None:
             raise RuntimeError("engine has no retention manager")
-        with self.store_lock:
+        with self._observed(), self.store_lock:
             return self.retention.checkpoint(
                 path, batch_seq=self._executed_seq, extra=extra,
                 overwrite=overwrite)

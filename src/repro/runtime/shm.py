@@ -7,9 +7,8 @@ substrate for the ``executor="process"`` lane: fixed-slot
 struct-of-arrays ring buffers over :mod:`multiprocessing.shared_memory`
 (the Confluo/BTrDB ingest idiom — see PAPERS.md) and a pool of *plan
 worker* processes that run the translator's pure plan kernels
-(the ``kernel`` of each :data:`repro.core.translator.LANES` entry
-that has one) outside the parent
-interpreter.
+(the ``kernel`` of each store module's ``LANE`` that has one) outside
+the parent interpreter.
 
 Two pieces:
 
@@ -483,8 +482,6 @@ def _plan_request(msg: ShmMessage, layouts: dict) -> tuple:
     slot dies when it returns — the caller can then release the slot
     and, at stream end, detach the mapping without exported pointers.
     """
-    from repro.core.translator import LANES
-
     meta = msg.segments[0].view("<i8")
     seq, n, fanout = int(meta[0]), int(meta[1]), int(meta[2])
     head = np.asarray([seq, meta[3]], dtype="<i8")
@@ -492,7 +489,7 @@ def _plan_request(msg: ShmMessage, layouts: dict) -> tuple:
         spec = PlanSpec(int(meta[3]), tuple(int(v) for v in meta[4:7]),
                         int(meta[7]))
         primitive = BY_CODE[spec.kind]
-        lane = LANES[primitive.service]
+        lane = primitive.home.LANE
         layout = layouts.get(spec[:2])
         if layout is None:
             layout = layouts[spec[:2]] = primitive.home.LAYOUT(*spec.layout)
@@ -683,11 +680,9 @@ class PlanWorkerPool:
                                f"batch {seq}: ring order violated")
         if message.kind == RES_FALLBACK:
             return None
-        from repro.core.translator import LANES
-
         indices = message.segments[1].view("<i8")
         return indices, _ring_values(
-            message.segments[2], LANES[BY_CODE[kind].service].value_dtype,
+            message.segments[2], BY_CODE[kind].home.LANE.value_dtype,
             len(indices))
 
     # ------------------------------------------------------------------

@@ -15,14 +15,18 @@ import hashlib
 import pathlib
 import subprocess
 import sys
+import zlib
+
+import numpy as np
 
 from repro.core import primitives
 from repro.core.collector import Collector
 from repro.core.primitives import BY_CODE, BY_SERVICE, REGISTRY, STORES
-from repro.core.translator import LANES, Translator, TranslatorStats
+from repro.core.translator import Translator, TranslatorStats
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.kernels import wire
+from repro.rdma.verbs import Opcode, WorkRequest
 from repro.queries.snapshot import snapshot_of
 from repro.retention.checkpoint import (read_manifest, restore_checkpoint,
                                         write_checkpoint)
@@ -65,9 +69,8 @@ def test_fault_regions_are_named_by_service():
 
 
 def test_every_primitive_has_exactly_one_lane():
-    assert set(LANES) == set(BY_SERVICE)
     for primitive in REGISTRY:
-        lane = LANES[primitive.service]
+        lane = primitive.home.LANE
         assert lane.primitive is primitive
         assert BY_CODE[primitive.code] is primitive
         # One check, one scalar lane, one plan — and a plan from wire
@@ -89,7 +92,7 @@ def test_configure_builds_lanes_from_adverts():
     assert set(translator._lanes) == set(BY_CODE)
     for primitive in REGISTRY:
         lane = translator._lanes[primitive.code]
-        assert type(lane) is LANES[primitive.service]
+        assert type(lane) is primitive.home.LANE
         store = getattr(collector, primitive.store)
         assert type(store) is primitive.home.STORE
         assert lane.layout == store.layout
@@ -147,14 +150,53 @@ class ToyStore(primitives.Store):
         self.reads = 0
 
 
-LAYOUT, STORE = ToyLayout, ToyStore
-TRACKER = primitives.Tracker("slots", cells="cells", cell_bytes="width")
 TOY = dataclasses.replace(primitives.KEY_WRITE, code=0x7F, service="toy",
                           store="toy", module=__name__)
 
 
-def test_a_sixth_primitive_is_a_store_module_and_a_registry_row(
-        monkeypatch, tmp_path):
+class ToyLane(primitives.Lane):
+    """The toy's translator side: a report writes its data, zero-padded,
+    into the cell its key hashes to — the last writer wins."""
+
+    __slots__ = ()
+    primitive = TOY
+
+    @property
+    def stride(self) -> int:
+        return self.layout.width
+
+    def check(self, cols, extra):
+        if max(map(len, cols[1])) > self.layout.width:
+            return ValueError("data wider than a toy cell")
+        return None
+
+    def _cells(self, keys) -> list:
+        return [zlib.crc32(key) % self.layout.cells for key in keys]
+
+    def scalar(self, cols, extra, reporter_id, control) -> list:
+        keys, datas = cols
+        width, base = self.layout.width, self.layout.base_addr
+        return [WorkRequest(opcode=Opcode.WRITE,
+                            remote_addr=base + cell * width, rkey=self.rkey,
+                            data=data.ljust(width, b"\0"))
+                for cell, data in zip(self._cells(keys), datas)]
+
+    def plan(self, cols, extra, reporter_id, target):
+        if self.check(cols, extra) is not None:
+            return None
+        keys, datas = cols
+        width = self.layout.width
+        rows = np.frombuffer(b"".join(d.ljust(width, b"\0") for d in datas),
+                             dtype=np.uint8).reshape(len(datas), width)
+        return np.array(self._cells(keys), dtype=np.int64), rows
+
+
+LANE, LAYOUT, STORE = ToyLane, ToyLayout, ToyStore
+TRACKER = primitives.Tracker("slots", cells="cells", cell_bytes="width")
+
+
+def install_toy(monkeypatch) -> None:
+    """Register the toy as a sixth registry row for one test."""
     registry = (*REGISTRY, TOY)
     monkeypatch.setattr(primitives, "REGISTRY", registry)
     monkeypatch.setattr(primitives, "BY_SERVICE",
@@ -163,6 +205,10 @@ def test_a_sixth_primitive_is_a_store_module_and_a_registry_row(
     monkeypatch.setattr(primitives, "STORES",
                         tuple(p.store for p in registry))
 
+
+def test_a_sixth_primitive_is_a_store_module_and_a_registry_row(
+        monkeypatch, tmp_path):
+    install_toy(monkeypatch)
     collector = Collector()
     assert collector.toy is None
     advert = collector._serve(TOY, {"cells": 16, "colour": "red"}, 9990)

@@ -12,10 +12,19 @@ plain ``send_batch`` loop the rest of the suite trusts.
 
 from __future__ import annotations
 
+import contextlib
+import threading
+import time
+
 import pytest
 
 from repro import bench
-from repro.runtime import StreamEngine, run_lane, store_digest
+from repro.core.batch import ReportBatch
+from repro.retention.checkpoint import read_manifest
+from repro.retention.epochs import RetentionPolicy
+from repro.retention.manager import RetentionManager
+from repro.runtime import (StageError, StreamEngine, pipeline_digest,
+                           run_lane, store_digest)
 from repro.workloads import reports
 
 REPORTS = 480
@@ -174,3 +183,268 @@ def test_queue_metrics_register_and_exclude_from_digest():
                     if not name.startswith("runtime.")}
     assert "runtime.queue_depth" not in digest_names
     assert pipeline_digest(snapshot)  # digest of the filtered snapshot
+
+
+# ----------------------------------------------------------------------
+# Plans as wide as the next observer: the engine holds plain batches per
+# primitive and plans each run at the next cut (``docs/CONCURRENCY.md``).
+# The reference is the same engine with ``vectorized=False``, which
+# holds nothing and translates every batch as submitted.
+# ----------------------------------------------------------------------
+
+#: The mixed stream: rounds of interleaved primitives (reports each),
+#: one snapshot point after every round.  ``toy`` is the sixth
+#: primitive ``tests/core/test_primitives.py`` declares; nothing in the
+#: engine names it.
+ROUNDS = (
+    {"key_write": 150, "postcarding": 200, "toy": 90, "append": 120},
+    {"key_increment": 400, "sketch_merge": 128, "key_write": 40},
+    {"postcarding": 333, "append": 250, "toy": 300, "key_increment": 70,
+     "sketch_merge": 64},
+    {"key_write": 500, "append": 9, "toy": 1},
+)
+WIDTHS = (1, 7, 64, 4096)
+TOY_PARAMS = {"cells": 512, "width": 16}
+
+
+@pytest.fixture
+def toy(monkeypatch):
+    """The toy as a sixth registry row, for one test."""
+    from tests.core.test_primitives import install_toy
+
+    install_toy(monkeypatch)
+
+
+def _totals() -> dict:
+    totals: dict = {}
+    for rnd in ROUNDS:
+        for primitive, n in rnd.items():
+            totals[primitive] = totals.get(primitive, 0) + n
+    return totals
+
+
+def _works() -> dict:
+    works = {p: reports.columns(p, n, SEED)
+             for p, n in _totals().items() if p != "toy"}
+    works["toy"] = reports.columns("key_write", _totals()["toy"], SEED + 1)
+    return works
+
+
+def _schedule(width: int) -> list:
+    """Per round, ``(primitive, start, stop)`` slices of at most
+    ``width`` reports, round-robin over the round's primitives."""
+    cursor = dict.fromkeys(_totals(), 0)
+    rounds = []
+    for rnd in ROUNDS:
+        left, out = dict(rnd), []
+        while left:
+            for primitive in list(left):
+                start = cursor[primitive]
+                n = min(width, left[primitive])
+                cursor[primitive] = start + n
+                left[primitive] -= n
+                if not left[primitive]:
+                    del left[primitive]
+                out.append((primitive, start, start + n))
+        rounds.append(out)
+    return rounds
+
+
+def _batch(works, primitive, start, stop):
+    from tests.core.test_primitives import TOY
+
+    if primitive == "toy":
+        work = works["toy"]
+        return ReportBatch.from_columns(
+            TOY, (work["keys"][start:stop], work["datas"][start:stop]), 2)
+    return reports.batch(primitive, works[primitive], start, stop)
+
+
+@contextlib.contextmanager
+def _mixed_engine(*, rotate_every=None, **engine_kw):
+    """A deployment serving the five primitives and the toy, and an
+    engine over it; yields ``(registry, collector, engine)``."""
+    from tests.core.test_primitives import TOY
+
+    with bench.deployment(vectorized=False,
+                          sketch_width=_totals()["sketch_merge"]) as (
+            registry, collector, translator, reporter):
+        translator.configure(collector._serve(TOY, TOY_PARAMS, 9990))
+        manager = None
+        if rotate_every is not None:
+            manager = RetentionManager(
+                collector, policy=RetentionPolicy(window=2,
+                                                  rotate_every=rotate_every))
+        engine = StreamEngine(collector, translator, reporter,
+                              retention=manager, **engine_kw)
+        with engine:
+            yield registry, collector, engine
+
+
+def _stream(width: int, *, rotate_every=None, **engine_kw):
+    """The mixed stream at ``width``: per snapshot point ``(store digest,
+    obs digest, snapshot batch_seq, last submitted seq)``, then the
+    drained ``(store digest, obs digest)``."""
+    works = _works()
+    points = []
+    with _mixed_engine(rotate_every=rotate_every, **engine_kw) as (
+            registry, collector, engine):
+        for rnd in _schedule(width):
+            for primitive, start, stop in rnd:
+                seq = engine.submit(_batch(works, primitive, start, stop))
+            snap = engine.snapshot()
+            points.append((snap.store_digest(),
+                           pipeline_digest(registry.snapshot()),
+                           snap.batch_seq, seq))
+        engine.drain()
+        final = (store_digest(collector), pipeline_digest(registry.snapshot()))
+    return points, final
+
+
+@pytest.mark.parametrize("rotating", (False, True),
+                         ids=("no-retention", "rotate_every"))
+def test_merged_runs_match_submit_width_at_every_snapshot_point(
+        toy, rotating):
+    """One mixed stream at batch 1 / 7 / 64 / 4096: the inline engine
+    that merges equals the one that holds nothing on store bytes, obs
+    digest and ``batch_seq`` at every snapshot point, and the threaded
+    engine on the drained result.  Without retention the widths agree
+    with each other too (rotation points are batch numbers, so with it
+    each width is its own stream)."""
+    across = set()
+    for width in WIDTHS:
+        every = None
+        if rotating:
+            every = max(1, sum(map(len, _schedule(width))) // 5)
+        reference = _stream(width, rotate_every=every, workers=0,
+                            vectorized=False)
+        merged = _stream(width, rotate_every=every, workers=0,
+                         vectorized=True)
+        assert merged == reference, width
+        for _store, _obs, batch_seq, last in merged[0]:
+            assert batch_seq == last
+        threaded = _stream(width, rotate_every=every, workers=2,
+                           vectorized=True)
+        assert threaded[1] == reference[1], width
+        across.add(tuple((store, obs) for store, obs, *_ in merged[0])
+                   + (merged[1],))
+    if not rotating:
+        assert len(across) == 1
+
+
+def test_batch_seq_is_the_last_submitted_at_every_tick_point(toy, tmp_path):
+    """After any cut, ``executed_seq``, ``snapshot().batch_seq`` and a
+    checkpoint's ``batch_seq`` name the last batch submitted — what the
+    engine that holds nothing reports at the same points."""
+    works = _works()
+    seen = {}
+    for vectorized in (False, True):
+        seen[vectorized] = got = []
+        with _mixed_engine(rotate_every=40, workers=0,
+                           vectorized=vectorized) as (_r, _c, engine):
+            for rnd in _schedule(64):
+                for primitive, start, stop in rnd:
+                    seq = engine.submit(_batch(works, primitive, start, stop))
+                path = str(tmp_path / f"ckpt-{vectorized}")
+                engine.checkpoint(path, overwrite=True)
+                got.append((seq, engine.snapshot().batch_seq,
+                            engine.executed_seq,
+                            read_manifest(path)["batch_seq"]))
+    assert seen[True] == seen[False]
+    assert all(len(set(point)) == 1 for point in seen[True]), seen[True]
+
+
+def _failing_stream(engine, works):
+    """Submit the mixed stream with a Key-Write batch the scalar lane
+    rejects (data wider than the slot) in the middle of round three;
+    returns the StageError."""
+    bad = ReportBatch.key_writes([b"wide"], [b"\xab" * 40], redundancy=2)
+    rounds = _schedule(64)
+    rounds[2].insert(3, None)
+    try:
+        for rnd in rounds:
+            for item in rnd:
+                engine.submit(bad if item is None else _batch(works, *item))
+        engine.drain()
+    except StageError as error:
+        return error
+    raise AssertionError("the rejected batch did not fail the stream")
+
+
+@pytest.mark.parametrize("workers", (0, 2))
+def test_a_rejected_batch_fails_where_it_did_and_nothing_after_lands(
+        toy, workers):
+    """``docs/CONCURRENCY.md``: an exception is not a sum.  A batch the
+    scalar lane raises for is never held, so every run held before it
+    lands first and nothing after it does: ``StageError.batch_seq`` and
+    the partial store bytes are those of the engine that holds
+    nothing."""
+    works = _works()
+    outcome = {}
+    for vectorized in (False, True):
+        with _mixed_engine(workers=workers, vectorized=vectorized) as (
+                _r, collector, engine):
+            error = _failing_stream(engine, works)
+            outcome[vectorized] = (error.stage, error.batch_seq,
+                                   store_digest(collector))
+    assert outcome[True] == outcome[False]
+    assert outcome[True][0] == "translate"
+
+
+def test_close_without_drain_lands_what_is_held(toy):
+    """Inline submit used to apply every batch before returning, so a
+    ``close()`` with no ``drain()`` must not lose the held runs."""
+    works = _works()
+    digests = {}
+    for vectorized in (False, True):
+        with _mixed_engine(workers=0, vectorized=vectorized) as (
+                _r, collector, engine):
+            for item in _schedule(64)[0]:
+                engine.submit(_batch(works, *item))
+            before = store_digest(collector)
+        digests[vectorized] = store_digest(collector)
+    assert before != digests[True], "nothing was held: the test is moot"
+    assert digests[True] == digests[False]
+
+
+def test_reader_threads_snapshot_batch_boundaries_of_an_inline_engine(toy):
+    """Readers calling ``snapshot()`` on other threads make the cut
+    themselves, racing the submitting thread: every snapshot must be
+    exactly the store state after the batch it names."""
+    works = _works()
+    batches = [item for rnd in _schedule(7) for item in rnd]
+    with _mixed_engine(workers=0, vectorized=False) as (_r, collector,
+                                                        engine):
+        after = [None]      # store digest after batch seq - 1
+        for item in batches:
+            engine.submit(_batch(works, *item))
+            after.append(store_digest(collector))
+
+    views, errors = [], []
+    with _mixed_engine(workers=0, vectorized=True) as (_r, _c, engine):
+        done = threading.Event()
+
+        def read() -> None:
+            try:
+                while not done.is_set():
+                    snap = engine.snapshot()
+                    views.append((snap.batch_seq, snap.store_digest()))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        for reader in readers:
+            reader.start()
+        try:
+            for item in batches:
+                engine.submit(_batch(works, *item))
+                time.sleep(0)       # let a reader in between submits
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join()
+    assert not errors, errors
+    assert len({seq for seq, _digest in views}) > 3, len(views)
+    for seq, digest in views:
+        if seq is not None:
+            assert digest == after[seq + 1], seq

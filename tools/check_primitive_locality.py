@@ -4,8 +4,10 @@
 "Adding a sixth primitive touches one module plus the registry" is only
 true while no other module names a primitive.  This fails if
 
-* a ``DtaPrimitive.<one of the five>`` literal, or an ``isinstance(...,
+* a ``DtaPrimitive.<one of the five>`` literal, an ``isinstance(...,
   (KeyWrite | KeyIncrement | Postcard | Append | SketchColumn))`` arm,
+  or a lane class named outright (``KeyWriteLane`` … — a store module
+  declares its ``LANE``, reached through the registry row's ``home``)
   appears under ``src/repro/`` outside ``core/packets.py`` and
   ``core/primitives.py`` (the wire tables and the registry), a
   primitive's own store module under ``core/stores/``, and ``switch/``
@@ -17,8 +19,9 @@ true while no other module names a primitive.  This fails if
   :data:`DEFAULTS`.
 
 Everything else reads ``repro.core.primitives`` (``REGISTRY``,
-``BY_CODE``, ``BY_SERVICE``, ``STORES``, a row's store module) or asks
-the translator's lane.
+``BY_CODE``, ``BY_SERVICE``, ``STORES``, a row's store module and its
+``column_specs`` — what ``ReportBatch.concat`` joins a held run by) or
+asks the translator's lane.
 
 Usage::
 
@@ -57,7 +60,8 @@ DEFAULTS = (
 _OPS = "KeyWrite|KeyIncrement|Postcard|Append|SketchColumn"
 _OFFENCE = re.compile(
     r"DtaPrimitive\.(KEY_WRITE|KEY_INCREMENT|POSTCARDING|APPEND|SKETCH_MERGE)\b"
-    rf"|isinstance\([^()]*,\s*\(?\s*(?:packets\.)?({_OPS})\b")
+    rf"|isinstance\([^()]*,\s*\(?\s*(?:packets\.)?({_OPS})\b"
+    r"|\b(KeyWrite|KeyIncrement|Postcarding|Append|SketchMerge)Lane\b")
 _NAME = re.compile(
     r"""["'](keywrite|keyincrement|postcarding|append|sketch|key_write"""
     r"""|key_increment|sketch_merge)["']""")

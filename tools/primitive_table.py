@@ -10,7 +10,6 @@ import pathlib
 import sys
 
 from repro.core.primitives import REGISTRY, geometry_fields
-from repro.core.translator import LANES
 
 DOC = pathlib.Path(__file__).resolve().parent.parent / "docs/ARCHITECTURE.md"
 BEGIN, END = "<!-- primitive-table:begin -->", "<!-- primitive-table:end -->"
@@ -39,7 +38,7 @@ def render() -> str:
             "fields) | retention tracker |",
             "|---|---|---|---|---|---|---|---|---|---|"]
     for p in REGISTRY:
-        lane = LANES[p.service]
+        lane = p.home.LANE
         columns = [f"`{c}`" for c in p.columns]
         if p.extra:
             columns.append(f"batch-wide `{p.extra}`")
