@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="thread",
                      help="parallelism substrate of the streamed lane: "
                           "in-process stage threads or plan worker "
-                          "processes over shared-memory rings")
+                          "processes over shared-memory slots")
     run.add_argument("--queue-depth", type=int, default=64,
                      help="credit pool of each inter-stage queue")
     run.add_argument("--batch-size", type=int, default=64,

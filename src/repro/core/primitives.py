@@ -291,7 +291,7 @@ class ColumnLane(Lane):
     workers (:mod:`repro.runtime.shm`) run from the layout's fields and
     the columns alone, and the socket lane feeds straight from a
     receive burst.  ``value_dtype`` is how ``third`` (and the plan's
-    payload) crosses a ring: ``"u1"`` a byte matrix, ``"<i8"`` a
+    payload) crosses a shared slot: ``"u1"`` a byte matrix, ``"<i8"`` a
     vector.  Each such lane says how its value column becomes
     ``third``: ``matrix(values)`` from a batch's list (None where only
     the scalar lane has the semantics), then ``normalise(third,

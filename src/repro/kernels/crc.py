@@ -82,7 +82,7 @@ def pack_keys(keys, pad_to: int | None = None
 #: key width: measured 13 against 27 us at 64 four-byte keys, 33
 #: against 43 us at 256.  Four-byte keys cross near 800 (392 against
 #: 345 us at 4096) and wider keys later, so a large batch keeps the
-#: packed form the rings, the socket columns and the probes hash.
+#: packed form the plan workers, the socket columns and the probes hash.
 PACK_ABOVE = 256
 
 

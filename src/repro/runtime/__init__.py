@@ -6,7 +6,9 @@ credit queues whose blocking hand-off *is* the backpressure protocol
 (lossless-PFC semantics: pressure propagates, nothing drops).  Two
 parallelism substrates share that contract: a FRONT/BACK thread pair
 over an in-process :class:`CreditQueue` hand-off, and plan worker
-*processes* over shared-memory rings (:mod:`repro.runtime.shm`).  See
+*processes* (:class:`PlanWorkerPool`) that take requests in slots of a
+parent-owned shared segment and signal over pipes — the same idiom the
+socket lane's daemons use (:mod:`repro.runtime.shm`).  See
 ``docs/CONCURRENCY.md`` for the full determinism-and-concurrency
 contract, ``docs/ARCHITECTURE.md`` ("One reference, one fast path")
 for the plan/apply pair and the stage diagram, and
@@ -30,26 +32,24 @@ from repro.runtime.queues import (
     QueueStats,
 )
 from repro.runtime.shm import (
-    PlanSpec,
+    Attached,
+    PlanResult,
     PlanWorkerPool,
     RingPeerDead,
-    ShmCreditQueue,
-    ShmMessage,
 )
 from repro.runtime.soak import THROUGHPUT_GATE, run_lane, run_soak
 
 __all__ = [
+    "Attached",
     "CLOSED",
     "CreditQueue",
-    "PlanSpec",
+    "PlanResult",
     "PlanWorkerPool",
     "QueueAborted",
     "QueueClosed",
     "QueueStats",
     "RingPeerDead",
     "STAGES",
-    "ShmCreditQueue",
-    "ShmMessage",
     "StageError",
     "StageStalled",
     "StageStats",

@@ -45,16 +45,16 @@ engine itself contains no per-primitive code.
 Pure-Python stages share the GIL, so the speedup comes from the numpy
 kernels (:mod:`repro.kernels`), which release it.  ``executor="process"``
 moves the heavy half of planning off the GIL altogether: the submit
-thread ships each eligible Key-Write / Key-Increment batch's packed
-columns (``Translator.plan_request``) through a per-worker
-shared-memory ring (:mod:`repro.runtime.shm`), the workers run the same
-pure plan kernels ``plan_batch`` would, and the BACK thread hands the
-returned arrays to ``plan_batch(arrays=...)`` — in strict submit order
-(the stateful plans — Postcarding, Append, Sketch-Merge — are made in
-the BACK thread itself, where their state lives).  A worker dying
-mid-stream surfaces as a translate-stage :class:`StageError` (the ring
-waits watch peer liveness), never a hang, and :meth:`StreamEngine.close`
-unlinks every shared segment.
+thread writes each eligible Key-Write / Key-Increment batch's packed
+columns (``Translator.plan_request``) into a slot of a plan worker's
+shared segment and sends the slot's header down its pipe
+(:mod:`repro.runtime.shm`), the workers run the same pure plan kernels
+``plan_batch`` would, and the BACK thread hands the returned arrays to
+``plan_batch(arrays=...)`` — in strict submit order (the stateful plans
+— Postcarding, Append, Sketch-Merge — are made in the BACK thread
+itself, where their state lives).  A worker dying mid-stream is EOF or
+a broken pipe, surfaced as a translate-stage :class:`StageError`, never
+a hang, and :meth:`StreamEngine.close` unlinks every shared segment.
 
 Plans as wide as the next observer
 ----------------------------------
@@ -265,7 +265,7 @@ class StreamEngine:
             the five primitives) as burst-kernel calls while streaming
             (defaults to the translator's own ``vectorized`` flag).
         executor: ``"thread"`` or ``"process"`` (plan workers as
-            processes over shared-memory rings); see the module
+            processes over shared-memory slots); see the module
             docstring.  Ignored when ``workers=0``.
         retention: Optional
             :class:`~repro.retention.manager.RetentionManager`; its
@@ -352,6 +352,14 @@ class StreamEngine:
             return self
         if self._closed:
             raise RuntimeError("engine already closed")
+        process = self.workers > 0 and self.executor == "process"
+        if process and self._vectorized:
+            # Forked before any engine thread exists, and before the
+            # deployment is rewired: a pool that fails to start has
+            # already cleaned up after itself, and nothing needs undoing.
+            self._pool = PlanWorkerPool(
+                self.workers, depth=min(self.queue_depth, 16),
+                name=self.name)
         translator = self.translator
         reporter = self.reporter
         self._saved = {
@@ -368,12 +376,6 @@ class StreamEngine:
         translator.vectorized = self._vectorized
         translator.control_sink = self._sink_control
         if self.workers > 0:
-            process = self.executor == "process"
-            if process and self._vectorized:
-                # Forked before any engine thread exists.
-                self._pool = PlanWorkerPool(
-                    self.workers, depth=min(self.queue_depth, 16),
-                    name=self.name)
             self._queues = [
                 CreditQueue(self.queue_depth, name=f"{self.name}.{label}")
                 for label in (("apply",) if process
@@ -451,9 +453,9 @@ class StreamEngine:
         """Process executor: send a batch's plan request to a worker.
 
         Round-robin over the plan workers; ``carrier.worker`` tells the
-        BACK thread whose result ring to read.  A batch
-        ``plan_request`` declines, or whose columns do not fit a ring
-        slot, is simply not shipped — ``plan_batch`` still sees it.
+        BACK thread whose result pipe to read.  A batch
+        ``plan_request`` declines, or whose columns do not fit a slot,
+        is simply not shipped — ``plan_batch`` still sees it.
         """
         pool = self._pool
         if pool is None or carrier.batch is None:
@@ -929,9 +931,6 @@ class StreamEngine:
 
     @property
     def queues(self) -> list:
-        if self._pool is not None:
-            return (list(self._queues) + list(self._pool.requests)
-                    + list(self._pool.results))
         return list(self._queues)
 
     @property

@@ -33,10 +33,9 @@ from collections import deque
 from repro import obs
 
 #: The one monotonic time source every runtime measurement shares.
-#: Queue stall seconds (here and in :mod:`repro.runtime.shm`) and the
-#: soak harness's elapsed/pacing clock (:mod:`repro.runtime.soak`) all
-#: read this callable, so stall fractions divide into elapsed seconds
-#: measured on the same clock.
+#: Queue stall seconds and the soak harness's elapsed/pacing clock
+#: (:mod:`repro.runtime.soak`) both read this callable, so stall
+#: fractions divide into elapsed seconds measured on the same clock.
 _clock = time.monotonic
 
 #: Sentinel returned by :meth:`CreditQueue.get` once the queue is

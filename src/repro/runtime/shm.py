@@ -1,113 +1,42 @@
-"""Shared-memory rings: the process lane's stage couplings.
+"""Shared memory for the process lanes: parent-owned segments, pipes.
 
-PR 5's threaded :class:`~repro.runtime.engine.StreamEngine` tops out
-well short of the hardware because every pure-Python stage shares the
-GIL; only the numpy kernels overlap.  This module provides the
-substrate for the ``executor="process"`` lane: fixed-slot
-struct-of-arrays ring buffers over :mod:`multiprocessing.shared_memory`
-(the Confluo/BTrDB ingest idiom — see PAPERS.md) and a pool of *plan
-worker* processes that run the translator's pure plan kernels
-(the ``kernel`` of each store module's ``LANE`` that has one) outside
-the parent interpreter.
+DTA keeps one writer per piece of state and lets everything else move
+bytes (Section 3.1).  Both process lanes follow one idiom for it.  The
+parent creates every shared segment, hands its name to a child, and
+unlinks it at teardown; the child maps it with :class:`Attached` and
+never unlinks, so a crashed child cannot leak a segment.  A
+``multiprocessing`` pipe carries small messages only: bulk data goes
+into the segment first and the message follows — the send is the
+publication fence — and EOF or a broken pipe means the peer died.
 
-Two pieces:
-
-:class:`ShmCreditQueue`
-    A bounded SPSC ring whose slots live in one shared-memory segment.
-    It preserves :class:`~repro.runtime.queues.CreditQueue` semantics
-    exactly — capacity is a credit pool (puts block when it is
-    exhausted), :meth:`~ShmCreditQueue.close` ends the stream (gets
-    drain, then return the :data:`~repro.runtime.queues.CLOSED`
-    sentinel; puts raise :class:`~repro.runtime.queues.QueueClosed`),
-    and :meth:`~ShmCreditQueue.abort` poisons both ends with
-    :class:`~repro.runtime.queues.QueueAborted` so a dead peer can
-    never leave the other side blocked.  Credits are a pair of
-    multiprocessing semaphores; close/abort over-release them so every
-    blocked peer wakes and re-checks the shared flags.  Each slot
-    carries one message as length-prefixed segments under a
-    seqlock-style header (the slot's publish counter is written odd
-    before the payload and even after, and validated on read), and
-    :meth:`~ShmCreditQueue.get` returns **zero-copy numpy views** over
-    the shared segment — the consumer releases the slot's credit only
-    via :meth:`ShmMessage.release`, so a view is never overwritten
-    while live.
-
-:class:`PlanWorkerPool`
-    N worker processes, one request + one result ring each.  The
-    parent serializes a ``Translator.plan_request`` (a
-    :class:`PlanSpec` plus the packed key matrix, lengths and
-    values/data matrix) into a request slot; the worker computes the
-    pure plan half — CRC hash lanes, entry encoding, bounds checks,
-    exactly the kernel ``Translator.plan_batch`` calls — and publishes
-    ``(indices, payload)`` into its result ring, or a ``FALLBACK``
-    marker when there is no plan to return (the parent's
-    ``plan_batch`` then decides locally).  All
-    *stateful* work — reporter/link/translator accounting, store
-    mutation — stays in the parent, applied in submit order, which is
-    what makes the process lane digest-identical to ``workers=0`` by
-    construction (see ``docs/CONCURRENCY.md``).
-
-Worker-side throughput counters (planned/fallback/error counts, busy
-nanoseconds) live in a small shared stats segment; the parent merges
-them into the ``runtime.*`` gauge namespace
-(``runtime.plan_worker_*``), which — like every ``runtime.*``
-series — is excluded from :func:`~repro.runtime.engine.pipeline_digest`
-because it measures scheduling, not computation.
-
-Lifecycle: the creating process owns every segment.  ``shutdown()``
-(and the engine's ``close()``) joins the workers and **unlinks** all
-segments; the leak tests in ``tests/runtime/test_shm.py`` assert that
-re-attaching by name afterwards raises ``FileNotFoundError``.
+The socket lane's daemons (:mod:`repro.transport.daemons`) map store
+regions this way.  :class:`PlanWorkerPool` runs the translator's pure
+plan kernels (a ``ColumnLane``'s ``kernel``) in worker processes for
+``StreamEngine(executor="process")``; all *stateful* work stays in the
+parent, applied in submit order, which makes the process lane
+digest-identical to ``workers=0`` by construction (see
+``docs/CONCURRENCY.md``).
 """
 
 from __future__ import annotations
 
-import struct
-import time
-from dataclasses import astuple
-from typing import NamedTuple
-
 import multiprocessing
+import struct
+import threading
+import time
+from collections import deque
+from dataclasses import astuple
+from functools import partial
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro import obs
 from repro.core.primitives import BY_CODE
-from repro.runtime.queues import (
-    CLOSED,
-    QueueAborted,
-    QueueClosed,
-    QueueStats,
-    _clock,
-)
-
-#: How long a blocked peer sleeps between shared-flag re-checks.  The
-#: semaphore wakes it immediately on a normal hand-off; the spin only
-#: bounds how late it notices close/abort/peer-death.
-_SPIN_S = 0.05
-
-# Control block (one per ring, at segment offset 0): five uint64 words
-# — enqueued, dequeued, closed, aborted, high_watermark — padded to a
-# cache line.  Both ends read them without a lock (``len()`` right
-# after a semaphore wake-up, the depth gauges), so each word is only
-# ever published with one aligned 8-byte store through a numpy view;
-# ``struct.pack_into`` writes byte-wise and lets a reader see a
-# half-written counter.
-_ENQ, _DEQ, _CLOSED, _ABORTED, _HWM = range(5)
-_CTRL_BYTES = 64
-
-#: Most segments a message may carry.
-MAX_SEGMENTS = 6
-_SLOT_HDR = struct.Struct("<3Q6Q")     # publish_seq, kind, nseg, lens[6]
-_SLOT_HDR_BYTES = _SLOT_HDR.size
+from repro.runtime.queues import QueueAborted, QueueClosed
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-def _untrack(shm) -> None:
+def untrack(shm) -> None:
     """Detach an *attached* segment from this process's resource tracker.
 
     Attaching registers the name with :mod:`multiprocessing`'s resource
@@ -119,17 +48,14 @@ def _untrack(shm) -> None:
     unregistering here would strip the owner's entry instead — skip.
     """
     try:
-        # allow_none would report None in a process that never resolved
-        # a start method, and the platform default there IS fork — which
-        # must take the skip branch below, not fall through to unregister.
+        # Resolved, not allow_none: a process that never chose a method
+        # gets the platform default, which on POSIX is fork.
         if multiprocessing.get_start_method() == "fork":
             return
         from multiprocessing import resource_tracker
 
-        # The tracker knows the segment by the name the platform layer
-        # registered: on POSIX that is the shm_open() name, which
-        # carries a leading "/" that the public ``name`` property
-        # strips.  Reconstruct it instead of reaching into ``_name``.
+        # The tracker knows the shm_open() name, with the leading "/"
+        # that the public ``name`` property strips.
         name = shm.name
         if not name.startswith("/"):
             name = "/" + name
@@ -138,315 +64,46 @@ def _untrack(shm) -> None:
         pass
 
 
-class RingPeerDead(RuntimeError):
-    """The process on the other end of a ring died mid-stream."""
+class Attached:
+    """Segments another process created, mapped into this one.
 
-
-class ShmMessage:
-    """One dequeued ring message: zero-copy views + the slot's credit.
-
-    ``segments`` are uint8 numpy views directly over the shared
-    segment; reshape/``.view(dtype)`` them as the message kind
-    dictates.  They stay valid until :meth:`release`, which returns the
-    slot's credit to the producer — after that the producer may
-    overwrite the slot, so drop every view first.
+    ``buffers[i]`` is a memoryview over the first ``lengths[i]`` bytes
+    of segment ``names[i]``.  Call :meth:`release` when done; the owner
+    unlinks.
     """
 
-    __slots__ = ("kind", "ticket", "segments", "_queue", "_released")
-
-    def __init__(self, kind: int, ticket: int, segments: list,
-                 queue: "ShmCreditQueue") -> None:
-        self.kind = kind
-        self.ticket = ticket
-        self.segments = segments
-        self._queue = queue
-        self._released = False
+    def __init__(self, names, lengths) -> None:
+        self.shms: list = []
+        self.buffers: list = []
+        try:
+            for name, length in zip(names, lengths):
+                shm = shared_memory.SharedMemory(name=name)
+                untrack(shm)
+                self.shms.append(shm)
+                self.buffers.append(shm.buf[:length])
+        except BaseException:
+            self.release()
+            raise
 
     def release(self) -> None:
-        """Return the slot credit (idempotent); views die here."""
-        if not self._released:
-            self._released = True
-            self.segments = []
-            self._queue._free.release()
+        """Release the views and close the mappings (never unlink).
 
-
-class ShmCreditQueue:
-    """A bounded SPSC credit ring over one shared-memory segment.
-
-    Cross-process twin of :class:`~repro.runtime.queues.CreditQueue`
-    with identical semantics (see the module docstring); single
-    producer, single consumer.  Create it in the owning process and
-    hand :attr:`descriptor` to the peer, which calls :meth:`attach`.
-
-    Args:
-        capacity: Credit pool size; must be >= 1 (same rule, same
-            reason as ``CreditQueue``).
-        payload_bytes: Per-slot payload capacity; a :meth:`put` whose
-            segments exceed it raises ``ValueError`` before touching
-            the ring.
-        name: Metric label (``runtime.*`` gauges) and error context.
-    """
-
-    def __init__(self, capacity: int, payload_bytes: int = 1 << 18,
-                 name: str = "shmq", *, _attach: tuple | None = None) -> None:
-        if _attach is None and capacity < 1:
-            raise ValueError(
-                f"queue '{name}' capacity must be >= 1 (got {capacity}): "
-                "a zero-capacity credit queue can never transfer a "
-                "carrier")
-        self.capacity = capacity
-        self.payload_bytes = payload_bytes
-        self.name = name
-        self._slot_stride = _SLOT_HDR_BYTES + _align8(payload_bytes)
-        self._owner = _attach is None
-        if _attach is None:
-            size = _CTRL_BYTES + capacity * self._slot_stride
-            self._shm = shared_memory.SharedMemory(create=True, size=size)
-            ctx = multiprocessing.get_context()
-            self._free = ctx.Semaphore(capacity)
-            self._filled = ctx.Semaphore(0)
-            self._shm.buf[:_CTRL_BYTES] = bytes(_CTRL_BYTES)
-            self.stats = QueueStats(labels={"queue": name})
-            registry = obs.get_registry()
-            self._depth_gauge = registry.declare_gauge(
-                "runtime.queue_depth", fn=self.__len__, queue=name)
-            self._hwm_gauge = registry.declare_gauge(
-                "runtime.queue_high_watermark",
-                fn=lambda: self.high_watermark, queue=name)
-        else:
-            shm_name, free, filled = _attach
-            self._shm = shared_memory.SharedMemory(name=shm_name)
-            _untrack(self._shm)
-            self._free = free
-            self._filled = filled
-            self.stats = None
-        self._mem = np.frombuffer(self._shm.buf, dtype=np.uint8)
-        self._ctrl = np.frombuffer(self._shm.buf, dtype=np.uint64, count=5)
-        self._unlinked = False
-
-    # ------------------------------------------------------------------
-    # Cross-process plumbing
-    # ------------------------------------------------------------------
-
-    @property
-    def descriptor(self) -> tuple:
-        """Everything the peer process needs to :meth:`attach`."""
-        return (self.capacity, self.payload_bytes, self.name,
-                (self._shm.name, self._free, self._filled))
-
-    @classmethod
-    def attach(cls, descriptor: tuple) -> "ShmCreditQueue":
-        """Open the peer end of a ring created elsewhere."""
-        capacity, payload_bytes, name, handles = descriptor
-        return cls(capacity, payload_bytes, name, _attach=handles)
-
-    # ------------------------------------------------------------------
-    # Control-block accessors (the semaphore ops around every hand-off
-    # are the cross-process memory fences)
-    # ------------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return bool(self._ctrl[_CLOSED])
-
-    @property
-    def aborted(self) -> bool:
-        return bool(self._ctrl[_ABORTED])
-
-    @property
-    def high_watermark(self) -> int:
-        """Deepest occupancy seen so far."""
-        return int(self._ctrl[_HWM])
-
-    def __len__(self) -> int:
-        return int(self._ctrl[_ENQ]) - int(self._ctrl[_DEQ])
-
-    # ------------------------------------------------------------------
-
-    def put(self, kind: int, segments: list,
-            liveness=None) -> None:
-        """Publish one message, blocking while no credit is available.
-
-        ``segments`` is a list of bytes-like objects and/or contiguous
-        numpy arrays (at most :data:`MAX_SEGMENTS`).  Raises
-        :class:`QueueClosed` after :meth:`close`, :class:`QueueAborted`
-        after :meth:`abort`, and :class:`RingPeerDead` if ``liveness``
-        (an optional callable) reports the consumer gone while we wait.
+        Users of :attr:`buffers` hold them unsliced (the store regions'
+        ``MemoryRegion.buf`` *is* the view) and drop their own slices
+        first, so this drops the only exports and needs neither a
+        ``gc.collect()`` nor a swallowed ``BufferError``.  Idempotent.
         """
-        if len(segments) > MAX_SEGMENTS:
-            raise ValueError(f"message has {len(segments)} segments "
-                             f"(max {MAX_SEGMENTS})")
-        raws = [seg if isinstance(seg, (bytes, bytearray, memoryview))
-                else np.ascontiguousarray(seg).view(np.uint8).reshape(-1)
-                for seg in segments]
-        lens = [len(raw) if isinstance(raw, (bytes, bytearray, memoryview))
-                else raw.nbytes for raw in raws]
-        total = sum(_align8(n) for n in lens)
-        if total > self.payload_bytes:
-            raise ValueError(
-                f"message ({total}B) exceeds slot payload capacity "
-                f"({self.payload_bytes}B) of queue '{self.name}'")
-        self._acquire(self._free, "put", liveness)
-        if self.aborted:
-            raise QueueAborted(self.name)
-        if self.closed:
-            raise QueueClosed(self.name)
-        enq, deq = int(self._ctrl[_ENQ]), int(self._ctrl[_DEQ])
-        base = _CTRL_BYTES + (enq % self.capacity) * self._slot_stride
-        # Seqlock-style publish: odd while writing, even when visible.
-        struct.pack_into("<Q", self._shm.buf, base, 2 * enq + 1)
-        offset = base + _SLOT_HDR_BYTES
-        for raw, n in zip(raws, lens):
-            if isinstance(raw, (bytes, bytearray, memoryview)):
-                self._mem[offset:offset + n] = np.frombuffer(
-                    raw, dtype=np.uint8)
-            else:
-                self._mem[offset:offset + n] = raw
-            offset += _align8(n)
-        lens += [0] * (MAX_SEGMENTS - len(lens))
-        _SLOT_HDR.pack_into(self._shm.buf, base, 2 * enq + 2, kind,
-                            len(raws), *lens)
-        self._ctrl[_ENQ] = enq + 1
-        depth = enq + 1 - deq
-        if depth > self.high_watermark:
-            self._ctrl[_HWM] = depth
-        if self.stats is not None:
-            self.stats.enqueued += 1
-        self._filled.release()
-
-    def get(self, liveness=None):
-        """Take the oldest message, blocking while the ring is empty.
-
-        Returns :data:`CLOSED` once the ring is closed *and* drained;
-        raises :class:`QueueAborted` immediately if poisoned (pending
-        slots are abandoned — the pipeline is dead) and
-        :class:`RingPeerDead` if ``liveness`` reports the producer gone
-        while we wait.  The returned :class:`ShmMessage` holds the
-        slot's credit until its ``release()``.
-        """
-        self._acquire(self._filled, "get", liveness)
-        if self.aborted:
-            raise QueueAborted(self.name)
-        if len(self) == 0:
-            # Woken by close()'s over-release: the stream has ended.
-            return CLOSED
-        deq = int(self._ctrl[_DEQ])
-        base = _CTRL_BYTES + (deq % self.capacity) * self._slot_stride
-        header = _SLOT_HDR.unpack_from(self._shm.buf, base)
-        if header[0] != 2 * deq + 2:
-            raise RuntimeError(
-                f"torn read on queue '{self.name}' slot {deq}: "
-                f"publish seq {header[0]} != {2 * deq + 2}")
-        kind, nseg = header[1], header[2]
-        segments = []
-        offset = base + _SLOT_HDR_BYTES
-        for i in range(nseg):
-            n = header[3 + i]
-            segments.append(self._mem[offset:offset + n])
-            offset += _align8(n)
-        self._ctrl[_DEQ] = deq + 1
-        if self.stats is not None:
-            self.stats.dequeued += 1
-        return ShmMessage(kind, deq, segments, self)
-
-    def _acquire(self, sem, side: str, liveness) -> None:
-        """One credit, with close/abort wake-ups and stall accounting."""
-        if sem.acquire(block=False):
-            return
-        stats = self.stats
-        if stats is not None:
-            if side == "put":
-                stats.put_stalls += 1
-            else:
-                stats.get_stalls += 1
-        started = _clock()
-        try:
-            while True:
-                if self.aborted:
-                    raise QueueAborted(self.name)
-                if side == "put" and self.closed:
-                    raise QueueClosed(self.name)
-                if side == "get" and self.closed and len(self) == 0:
-                    # Re-signal so every later get() also sees the end.
-                    self._filled.release()
-                    if sem.acquire(block=False):
-                        return
-                    continue
-                if sem.acquire(timeout=_SPIN_S):
-                    return
-                if liveness is not None and not liveness():
-                    # A dead peer must not mask a concurrent teardown:
-                    # close()/abort() may have landed while we spun, and
-                    # a torn-down ring surfaces that verdict (CLOSED /
-                    # QueueClosed / QueueAborted at the loop top) rather
-                    # than a spurious peer-death error or a hang.
-                    if self.aborted or self.closed:
-                        continue
-                    raise RingPeerDead(
-                        f"peer of queue '{self.name}' died while "
-                        f"blocked in {side}()")
-        finally:
-            if stats is not None:
-                elapsed = _clock() - started
-                if side == "put":
-                    stats.put_stall_seconds += elapsed
-                else:
-                    stats.get_stall_seconds += elapsed
-
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """End the stream: puts start raising, gets drain then CLOSED.
-
-        Idempotent.  Over-releases both semaphores so every blocked
-        peer wakes and re-checks the shared flag.
-        """
-        self._ctrl[_CLOSED] = 1
-        self._wake()
-
-    def abort(self) -> None:
-        """Poison the ring: every blocked or future put/get raises.
-
-        Idempotent; pending slots are abandoned.
-        """
-        self._ctrl[_ABORTED] = 1
-        self._wake()
-
-    def _wake(self) -> None:
-        for _ in range(self.capacity + 2):
-            self._free.release()
-            self._filled.release()
-
-    def detach(self) -> None:
-        """Drop this process's mapping (leaves the segment alive)."""
-        if self._mem is None:
-            return
-        # A private copy keeps depth/high-watermark introspection
-        # working after the segment is gone.
-        self._ctrl = self._ctrl.copy()
-        self._mem = None
-        try:
-            self._shm.close()
-        except BufferError:      # a live view still pins the mapping
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner side; idempotent)."""
-        if not self._unlinked:
-            self._unlinked = True
-            self.detach()
-            if self.stats is not None:
-                self._depth_gauge.freeze()
-                self._hwm_gauge.freeze()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
+        for buf in self.buffers:
+            buf.release()
+        self.buffers.clear()
+        for shm in self.shms:
+            shm.close()
+        self.shms.clear()
 
 
-# ----------------------------------------------------------------------
-# Plan worker pool
-# ----------------------------------------------------------------------
+class RingPeerDead(RuntimeError):
+    """The process on the other end of a pipe died mid-stream."""
+
 
 #: Message kinds: one request, one result, plus the two ways a worker
 #: says "no arrays" (nothing to plan / it failed).
@@ -455,281 +112,373 @@ RES_PLAN = 2
 RES_FALLBACK = 3
 RES_ERROR = 4
 
+#: ``runtime.plan_worker_<field>``; the first three in ``RES_*`` order.
 _STATS_FIELDS = ("planned", "fallbacks", "errors", "busy_ns")
 
-
-class PlanSpec(NamedTuple):
-    """The static half of a plan request, as it rides in the request
-    header: which kernel, the store layout's three integers, and the
-    region length to bounds-check against."""
-
-    kind: int
-    layout: tuple
-    region_length: int
+#: The one pipe message, both ways: batch seq, slot, kind, the worker's
+#: busy nanoseconds (results only) and the byte lengths of up to
+#: :data:`_SEGMENTS` segments laid out in the slot's area (-1: absent).
+_SEGMENTS = 4
+_HEADER = struct.Struct(f"<qiiq{_SEGMENTS}q")
 
 
-def _ring_values(flat, dtype: str, rows: int):
-    """A value column (or plan payload) as it left the ring: a
-    ``ColumnLane.value_dtype`` ``"u1"`` is a ``rows``-row byte matrix,
-    anything else a vector of that type."""
+def _align8(n: int) -> int:
+    return (n + 7) & ~7
+
+
+def _raw(segment):
+    """A message segment (bytes or a contiguous array) as flat uint8."""
+    if isinstance(segment, bytes):
+        return np.frombuffer(segment, dtype=np.uint8)
+    return np.ascontiguousarray(segment).view(np.uint8).reshape(-1)
+
+
+def _write(area, raws: list) -> list | None:
+    """Copy ``raws`` into ``area`` at 8-byte alignment; returns the
+    header's segment lengths, or None (nothing written) if they do not
+    fit."""
+    if sum(_align8(raw.nbytes) for raw in raws) > len(area):
+        return None
+    offset = 0
+    for raw in raws:
+        area[offset:offset + raw.nbytes] = raw
+        offset += _align8(raw.nbytes)
+    lens = [raw.nbytes for raw in raws]
+    return lens + [-1] * (_SEGMENTS - len(lens))
+
+
+def _read(area, lens) -> list:
+    """Zero-copy views of the segments :func:`_write` laid out."""
+    segments = []
+    offset = 0
+    for n in lens:
+        if n < 0:
+            break
+        segments.append(area[offset:offset + n])
+        offset += _align8(n)
+    return segments
+
+
+def _values(flat, dtype: str, rows: int):
+    """A value column (or plan payload) from a slot: ``value_dtype``
+    ``"u1"`` is a ``rows``-row byte matrix, else a vector."""
     return flat.reshape(rows, -1) if dtype == "u1" else flat.view(dtype)
 
 
-def _plan_request(msg: ShmMessage, layouts: dict) -> tuple:
-    """Compute one request's plan; returns ``(kind, segments)``.
+def _plan(segments: list, layouts: dict) -> tuple:
+    """One request's plan: ``(kind, raws)`` for the result area.
 
-    Isolated in its own frame so every zero-copy view over the request
-    slot dies when it returns — the caller can then release the slot
-    and, at stream end, detach the mapping without exported pointers.
+    The request is ``[meta, packed, lengths, third]`` with ``meta`` =
+    ``(rows, fanout, primitive code, layout[3], region_length)``.
     """
-    meta = msg.segments[0].view("<i8")
-    seq, n, fanout = int(meta[0]), int(meta[1]), int(meta[2])
-    head = np.asarray([seq, meta[3]], dtype="<i8")
+    meta = [int(v) for v in segments[0].view("<i8")]
+    rows, fanout, code = meta[:3]
     try:
-        spec = PlanSpec(int(meta[3]), tuple(int(v) for v in meta[4:7]),
-                        int(meta[7]))
-        primitive = BY_CODE[spec.kind]
+        primitive = BY_CODE[code]
         lane = primitive.home.LANE
-        layout = layouts.get(spec[:2])
+        layout = layouts.get((code, *meta[3:6]))
         if layout is None:
-            layout = layouts[spec[:2]] = primitive.home.LAYOUT(*spec.layout)
-        packed = msg.segments[1].reshape(n, -1)
-        lengths = msg.segments[2].view("<i8")
-        third = _ring_values(msg.segments[3], lane.value_dtype, n)
-        plan = lane.kernel(layout, packed, lengths, third, fanout,
-                           spec.region_length)
+            layout = layouts[(code, *meta[3:6])] = \
+                primitive.home.LAYOUT(*meta[3:6])
+        plan = lane.kernel(layout, segments[1].reshape(rows, -1),
+                           segments[2].view("<i8"),
+                           _values(segments[3], lane.value_dtype, rows),
+                           fanout, meta[6])
         if plan is None:
-            return (RES_FALLBACK, [head])
+            return RES_FALLBACK, []
         indices, payload = plan
-        return (RES_PLAN, [head, indices.astype("<i8", copy=False),
-                           np.ascontiguousarray(payload)])
+        return RES_PLAN, [_raw(indices.astype("<i8", copy=False)),
+                          _raw(payload)]
     except Exception as exc:  # noqa: BLE001 - forwarded upstream
-        return (RES_ERROR, [head, repr(exc).encode()])
+        return RES_ERROR, [_raw(repr(exc).encode())]
 
 
-def _plan_worker_main(index: int, req_desc: tuple, res_desc: tuple,
-                      stats_name: str) -> None:
+def _serve(mem, area: int, header: bytes, layouts: dict) -> bytes:
+    """Plan the request ``header`` announces; returns the result header.
+    Its own frame, so every view over the slot dies on return."""
+    seq, slot, _kind, _busy, *lens = _HEADER.unpack(header)
+    started = time.perf_counter_ns()
+    base = 2 * slot * area
+    kind, raws = _plan(_read(mem[base:base + area], lens), layouts)
+    if kind == RES_ERROR:
+        raws[0] = raws[0][:area]
+    out = mem[base + area:base + 2 * area]
+    lens = _write(out, raws)
+    if lens is None:
+        kind, lens = RES_FALLBACK, _write(out, [])
+    return _HEADER.pack(seq, slot, kind, time.perf_counter_ns() - started,
+                        *lens)
+
+
+def _plan_worker_main(segment: str, size: int, area: int,
+                      requests, results, parent_ends) -> None:
     """Worker process body: pure plans in, plan arrays out.
 
     Touches no deployment state — it rebuilds the store *layouts* from
-    the scalar parameters each request carries (hash families are
-    derived deterministically, Section 3.2, so translator, collector,
-    and this worker all agree without coordination) and runs the same
-    lane ``kernel`` the parent's ``plan_batch`` would.  Every
-    exception is reported as a ``RES_ERROR`` message, never a silent
-    exit, and a plan too large for a result slot goes back as
-    ``RES_FALLBACK``.
+    the integers each request carries (hash families are derived
+    deterministically, Section 3.2) and runs the lane ``kernel`` the
+    parent's ``plan_batch`` would.  An exception is answered as
+    ``RES_ERROR``, a plan too large for the result area as
+    ``RES_FALLBACK``.  Exits at EOF on the request pipe or a broken
+    result pipe; ``parent_ends`` (the parent's ends a forked child
+    inherits, its own among them) are closed first so EOF can arrive.
     """
-    req = ShmCreditQueue.attach(req_desc)
-    res = ShmCreditQueue.attach(res_desc)
-    stats_shm = shared_memory.SharedMemory(name=stats_name)
-    _untrack(stats_shm)
-    counters = np.frombuffer(stats_shm.buf, dtype=np.uint64)
-    base = index * len(_STATS_FIELDS)
+    for conn in parent_ends:
+        conn.close()
+    attached = Attached([segment], [size])
+    mem = np.frombuffer(attached.buffers[0], dtype=np.uint8)
     layouts: dict = {}
     try:
         while True:
-            try:
-                msg = req.get()
-            except QueueAborted:
-                break
-            if msg is CLOSED:
-                break
-            started = time.perf_counter_ns()
-            kind, segments = _plan_request(msg, layouts)
-            msg.release()
-            counters[base + 3] += time.perf_counter_ns() - started
-            try:
-                try:
-                    res.put(kind, segments)
-                except ValueError:
-                    kind = RES_FALLBACK
-                    res.put(kind, segments[:1])
-            except (QueueAborted, QueueClosed):
-                break
-            # planned / fallbacks / errors, in RES_* order.
-            counters[base + kind - RES_PLAN] += 1
-            segments = None
+            results.send_bytes(
+                _serve(mem, area, requests.recv_bytes(), layouts))
+    except (EOFError, OSError):
+        pass
     finally:
-        counters = None
-        stats_shm.close()
-        req.detach()
-        res.detach()
+        del mem
+        attached.release()
+
+
+class PlanResult:
+    """One worker's answer, read back in dispatch order.  ``segments``
+    are uint8 views over the slot's result area, valid until
+    :meth:`release` hands the slot's credit back."""
+
+    __slots__ = ("kind", "seq", "code", "segments", "_free")
+
+    def __init__(self, kind, seq, code, segments, free) -> None:
+        self.kind, self.seq, self.code = kind, seq, code
+        self.segments = segments
+        self._free = free
+
+    def release(self) -> None:
+        """Return the slot's credit (idempotent); views die here."""
+        if self._free is not None:
+            self.segments = []
+            self._free()
+            self._free = None
+
+
+class _Worker:
+    """One plan worker as the parent sees it: its segment, its two
+    pipe ends, its credits and free slots, and its counters."""
+
+    __slots__ = ("shm", "mem", "requests", "results", "credits", "free",
+                 "codes", "stats", "process")
+
+    def __init__(self, depth: int, area: int, stats: dict) -> None:
+        self.shm = shared_memory.SharedMemory(create=True,
+                                              size=2 * depth * area)
+        self.mem = np.frombuffer(self.shm.buf, dtype=np.uint8)
+        self.requests = self.results = self.process = None
+        self.credits = threading.Semaphore(depth)
+        self.free = deque(range(depth))
+        self.codes = [0] * depth        # primitive of each slot's request
+        self.stats = stats
+
+    def release(self, slot: int) -> None:
+        self.free.append(slot)
+        self.credits.release()
 
 
 class PlanWorkerPool:
-    """N plan-worker processes with one request + one result ring each.
+    """N plan-worker processes, one segment of slots and two pipes each.
 
-    Rings are strictly SPSC: the parent's submit side produces
-    requests, one worker consumes them and produces results, the
-    parent's apply side consumes those — in FIFO order on every ring,
-    so results read back in dispatch order, which is all the apply
-    stage needs to preserve submit-order state mutation.  Workers are
-    stateless between requests (each carries its :class:`PlanSpec`),
-    so the pool needs no knowledge of the deployment.
+    The submit side writes a request into a free slot and sends its
+    header; the worker answers in order, and the apply side reads
+    results in dispatch order — all it needs to mutate state in submit
+    order.  Requests carry primitive and layout, so the pool knows
+    nothing of the deployment.  The parent holds one
+    :class:`threading.Semaphore` of ``depth`` credits per worker and
+    counts ``runtime.plan_worker_{planned,fallbacks,errors,busy_ns}``
+    (labels ``engine``, ``worker``; digest-excluded like every
+    ``runtime.*`` series) from the results it reads.
 
     Args:
         workers: Process count (>= 1).
-        depth: Credit pool of each ring.
-        payload_bytes: Slot payload capacity; an over-size batch simply
-            fails :meth:`dispatch` and is planned by the parent.
+        depth: Slots per worker (>= 1): the requests it may hold.
+        payload_bytes: Size of each slot's request area and of its
+            result area; a request too big for one is not shipped
+            (:meth:`dispatch` returns False) and is planned by the
+            parent.
         name: Metric/label prefix (the engine's name).
     """
 
     def __init__(self, workers: int, *, depth: int = 8,
                  payload_bytes: int = 1 << 18,
                  name: str = "stream") -> None:
-        if workers < 1:
-            raise ValueError("a plan pool needs >= 1 worker")
+        if workers < 1 or depth < 1:
+            raise ValueError(f"plan pool '{name}' needs workers >= 1 and "
+                             f"depth >= 1 (got {workers}, {depth})")
         self.workers = workers
         self.name = name
+        self._area = _align8(payload_bytes)
+        self._aborted = False
+        self._finished = False
         self._shutdown = False
-        self.requests = [
-            ShmCreditQueue(depth, payload_bytes,
-                           name=f"{name}.plan{i}.req")
-            for i in range(workers)]
-        self.results = [
-            ShmCreditQueue(depth, payload_bytes,
-                           name=f"{name}.plan{i}.res")
-            for i in range(workers)]
-        self._stats_shm = shared_memory.SharedMemory(
-            create=True, size=workers * len(_STATS_FIELDS) * 8)
-        self._stats_shm.buf[:] = bytes(len(self._stats_shm.buf))
-        self._counters = np.frombuffer(self._stats_shm.buf,
-                                       dtype=np.uint64)
+        self._workers: list = []
         registry = obs.get_registry()
-        self._gauges = [
-            registry.declare_gauge(
-                f"runtime.plan_worker_{field_name}",
-                fn=(lambda i=i, j=j:
-                    int(self._counters[i * len(_STATS_FIELDS) + j])),
-                engine=name, worker=str(i))
-            for i in range(workers)
-            for j, field_name in enumerate(_STATS_FIELDS)]
         ctx = multiprocessing.get_context()
-        self.processes = []
-        for i in range(workers):
-            process = ctx.Process(
-                target=_plan_worker_main,
-                args=(i, self.requests[i].descriptor,
-                      self.results[i].descriptor, self._stats_shm.name),
-                name=f"{name}-plan{i}", daemon=True)
-            process.start()
-            self.processes.append(process)
+        try:
+            for i in range(workers):
+                worker = _Worker(depth, self._area, {
+                    field: registry.declare_counter(
+                        f"runtime.plan_worker_{field}", engine=name,
+                        worker=str(i))
+                    for field in _STATS_FIELDS})
+                self._workers.append(worker)
+                request_in, worker.requests = ctx.Pipe(duplex=False)
+                worker.results, result_out = ctx.Pipe(duplex=False)
+                try:
+                    process = ctx.Process(
+                        target=_plan_worker_main,
+                        args=(worker.shm.name, worker.shm.size,
+                              self._area, request_in, result_out,
+                              [conn for w in self._workers
+                               for conn in (w.requests, w.results)]),
+                        name=f"{name}-plan{i}", daemon=True)
+                    process.start()
+                    worker.process = process
+                finally:
+                    # The child's ends live in the child only: a dead
+                    # worker is then EOF / a broken pipe here.
+                    request_in.close()
+                    result_out.close()
+        except BaseException:
+            self.shutdown()
+            raise
 
-    # ------------------------------------------------------------------
+    @property
+    def processes(self) -> list:
+        return [w.process for w in self._workers if w.process is not None]
 
     def worker_stats(self, index: int) -> dict:
-        """This worker's shared counters, as a plain dict."""
-        base = index * len(_STATS_FIELDS)
-        return {field_name: int(self._counters[base + j])
-                for j, field_name in enumerate(_STATS_FIELDS)}
-
-    def _alive(self, index: int):
-        process = self.processes[index]
-        return lambda: process.is_alive()
+        """This worker's counters, as a plain dict."""
+        return {field: counter.value
+                for field, counter in self._workers[index].stats.items()}
 
     def dispatch(self, index: int, seq: int, request: tuple) -> bool:
-        """Serialize a ``Translator.plan_request`` into worker
-        ``index``'s ring.
+        """Ship a ``Translator.plan_request`` to worker ``index``.
 
-        Returns False when the message is too large for a slot; the
-        caller then leaves the batch to the parent's ``plan_batch``.
+        Blocks while all of the worker's slots are taken.  Returns False
+        when the request does not fit a slot's request area; the caller
+        then leaves the batch to the parent's ``plan_batch``.  Raises
+        :class:`QueueAborted` after :meth:`abort`, :class:`QueueClosed`
+        after :meth:`finish`, and :class:`RingPeerDead` when the worker
+        has died.
         """
-        kind, layout, region_length, packed, lengths, third, fanout = request
-        spec = PlanSpec(int(kind), astuple(layout), region_length)
-        meta = np.asarray(
-            [seq, packed.shape[0], fanout, spec.kind, *spec.layout,
-             spec.region_length], dtype="<i8")
-        try:
-            self.requests[index].put(
-                REQ_PLAN,
-                [meta, packed, lengths.astype("<i8", copy=False), third],
-                liveness=self._alive(index))
-        except ValueError:
+        code, layout, region_length, packed, lengths, third, fanout = request
+        meta = np.asarray([packed.shape[0], fanout, code, *astuple(layout),
+                           region_length], dtype="<i8")
+        raws = [_raw(meta), _raw(packed),
+                _raw(lengths.astype("<i8", copy=False)), _raw(third)]
+        if sum(_align8(raw.nbytes) for raw in raws) > self._area:
             return False
+        worker = self._workers[index]
+        worker.credits.acquire()
+        if self._aborted or self._finished:
+            worker.credits.release()        # pass the wake-up on
+            if self._aborted:
+                raise QueueAborted(self.name)
+            raise QueueClosed(self.name)
+        slot = worker.free.popleft()
+        base = 2 * slot * self._area
+        lens = _write(worker.mem[base:base + self._area], raws)
+        worker.codes[slot] = code
+        try:
+            worker.requests.send_bytes(
+                _HEADER.pack(seq, slot, REQ_PLAN, 0, *lens))
+        except OSError as exc:
+            raise RingPeerDead(f"plan worker {index} of pool "
+                               f"'{self.name}' died") from exc
         return True
 
-    def result(self, index: int) -> ShmMessage:
-        """Blocking read of worker ``index``'s next result.
-
-        Raises :class:`RingPeerDead` if the worker dies while we wait —
-        the engine surfaces that as a translate-stage
-        :class:`~repro.runtime.engine.StageError`.
-        """
-        message = self.results[index].get(liveness=self._alive(index))
-        if message is CLOSED:
-            raise RingPeerDead(
-                f"worker {index} of pool '{self.name}' closed its "
-                "result ring mid-stream")
-        return message
+    def result(self, index: int) -> PlanResult:
+        """Blocking read of worker ``index``'s next result; raises
+        :class:`RingPeerDead` if the worker dies first (the engine's
+        translate-stage :class:`~repro.runtime.engine.StageError`)."""
+        worker = self._workers[index]
+        try:
+            header = worker.results.recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise RingPeerDead(f"plan worker {index} of pool "
+                               f"'{self.name}' died mid-stream") from exc
+        seq, slot, kind, busy_ns, *lens = _HEADER.unpack(header)
+        worker.stats[_STATS_FIELDS[kind - RES_PLAN]].inc()
+        worker.stats["busy_ns"].inc(busy_ns)
+        base = (2 * slot + 1) * self._area
+        return PlanResult(kind, seq, worker.codes[slot],
+                          _read(worker.mem[base:base + self._area], lens),
+                          partial(worker.release, slot))
 
     @staticmethod
-    def arrays(message: ShmMessage, seq: int):
+    def arrays(message: PlanResult, seq: int):
         """A result's ``(indices, payload)`` — zero-copy views, valid
         until the caller releases ``message`` — or None for
         ``RES_FALLBACK``.  Raises on ``RES_ERROR`` and on a result
-        that is not batch ``seq``'s (ring order violated)."""
+        that is not batch ``seq``'s (dispatch order violated)."""
         if message.kind == RES_ERROR:
             raise RuntimeError("plan worker failed: "
-                               + bytes(message.segments[1]).decode(
+                               + bytes(message.segments[0]).decode(
                                    "utf-8", errors="replace"))
-        got, kind = (int(v) for v in message.segments[0].view("<i8"))
-        if got != seq:
-            raise RuntimeError(f"result for batch {got} arrived at "
-                               f"batch {seq}: ring order violated")
+        if message.seq != seq:
+            raise RuntimeError(f"result for batch {message.seq} arrived "
+                               f"at batch {seq}: dispatch order violated")
         if message.kind == RES_FALLBACK:
             return None
-        indices = message.segments[1].view("<i8")
-        return indices, _ring_values(
-            message.segments[2], BY_CODE[kind].home.LANE.value_dtype,
+        indices = message.segments[0].view("<i8")
+        return indices, _values(
+            message.segments[1], BY_CODE[message.code].home.LANE.value_dtype,
             len(indices))
 
-    # ------------------------------------------------------------------
-
     def finish(self, timeout: float = 10.0) -> None:
-        """Graceful end-of-stream: close request rings, join workers."""
-        for ring in self.requests:
-            ring.close()
+        """Graceful end-of-stream: EOF to every worker, join them."""
+        self._finished = True
+        self._wake()
+        for worker in self._workers:
+            if worker.requests is not None:
+                worker.requests.close()
         for process in self.processes:
             process.join(timeout=timeout)
 
     def abort(self) -> None:
-        """Failure path: poison every ring so nobody blocks."""
-        for ring in self.requests:
-            ring.abort()
-        for ring in self.results:
-            ring.abort()
+        """Failure path: wake a dispatcher blocked on credits; every
+        later :meth:`dispatch` raises :class:`QueueAborted`."""
+        self._aborted = True
+        self._wake()
+
+    def _wake(self) -> None:
+        for worker in self._workers:
+            worker.credits.release()
 
     def shutdown(self) -> None:
-        """Tear everything down and unlink the segments.  Idempotent."""
+        """Stop the workers, close the pipes, unlink the segments.
+        Idempotent; the counters stay readable."""
         if self._shutdown:
             return
         self._shutdown = True
         self.abort()
-        for process in self.processes:
-            process.join(timeout=5.0)
-        for process in self.processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-            if not process.is_alive():
-                # Releases the sentinel-pipe fds now, not at the next GC.
-                process.close()
-        self.processes = []
-        # The plan_worker_* gauges and worker_stats() outlive the
-        # segment: they keep their last values, and the frozen gauges
-        # no longer hold the pool.
-        self._counters = self._counters.copy()
-        for gauge in self._gauges:
-            gauge.freeze()
-        for ring in self.requests + self.results:
-            ring.unlink()
-        try:
-            self._stats_shm.close()
-        except BufferError:
-            pass
-        try:
-            self._stats_shm.unlink()
-        except FileNotFoundError:
-            pass
+        self.finish(timeout=5.0)
+        for worker in self._workers:
+            process = worker.process
+            if process is not None:
+                if process.is_alive():
+                    process.terminate()
+                    process.join(timeout=5.0)
+                if not process.is_alive():
+                    # Releases the sentinel-pipe fds now, not at a GC.
+                    process.close()
+                worker.process = None
+            # The worker is gone, so a reader blocked on its result
+            # pipe has seen EOF already.
+            if worker.results is not None:
+                worker.results.close()
+            worker.mem = None
+            try:
+                worker.shm.close()
+            except BufferError:     # a live result view pins the mapping
+                pass
+            try:
+                worker.shm.unlink()
+            except FileNotFoundError:
+                pass

@@ -28,19 +28,12 @@ class CountMinSketch(Sketch):
         depth: Number of rows (independent hash functions).
     """
 
-    def __init__(self, width: int = 2048, depth: int = 4, *,
-                 vectorized: bool = False) -> None:
+    def __init__(self, width: int = 2048, depth: int = 4) -> None:
         if width <= 0 or depth <= 0:
             raise ValueError("width and depth must be positive")
         self.width = width
         self.depth = depth
-        self._vectorized = vectorized
-        if self._vectorized:
-            # Same values, numpy storage: every scalar method indexes
-            # an int64 matrix exactly like the list-of-lists reference.
-            self._rows = np.zeros((depth, width), dtype=np.int64)
-        else:
-            self._rows = [[0] * width for _ in range(depth)]
+        self._rows = [[0] * width for _ in range(depth)]
         self._hashes = hash_family(depth)
         self.total = 0
 
@@ -62,9 +55,9 @@ class CountMinSketch(Sketch):
     def update_many(self, keys, weights=None) -> None:
         """Batched :meth:`update` via the vectorized hash kernels.
 
-        Bit-identical end state to the scalar loop: numpy-backed rows
-        take one scatter-add per row; list rows get the accumulated
-        per-position deltas folded back with Python integer arithmetic.
+        Bit-identical end state to the scalar loop: the rows get the
+        accumulated per-position deltas folded back with Python integer
+        arithmetic.
         Small batches and weights beyond the int64 accumulation guard
         fall back to the reference loop.
         """
@@ -86,13 +79,8 @@ class CountMinSketch(Sketch):
         positions = ksketch.lane_positions(self.depth, packed, lengths,
                                            self.width)
         self.total += total_delta
-        if self._vectorized:
-            for r in range(self.depth):
-                np.add.at(self._rows[r], positions[r], addends)
-        else:
-            for r in range(self.depth):
-                ksketch.fold_add_into_list(self._rows[r], positions[r],
-                                           addends)
+        for r in range(self.depth):
+            ksketch.fold_add_into_list(self._rows[r], positions[r], addends)
 
     def query(self, key: bytes) -> int:
         """Point estimate: min over rows (never underestimates)."""
@@ -104,12 +92,9 @@ class CountMinSketch(Sketch):
         assert isinstance(other, CountMinSketch)
         if (self.width, self.depth) != (other.width, other.depth):
             raise MergeError("CountMin shapes differ")
-        if self._vectorized and getattr(other, "_vectorized", False):
-            self._rows += other._rows
-        else:
-            for mine, theirs in zip(self._rows, other._rows):
-                for i, value in enumerate(theirs):
-                    mine[i] += value
+        for mine, theirs in zip(self._rows, other._rows):
+            for i, value in enumerate(theirs):
+                mine[i] += value
         self.total += other.total
 
     # -- column transport ---------------------------------------------------

@@ -21,17 +21,12 @@ from repro.switch.crc import hash_family
 class CountSketch(Sketch):
     """A depth x width matrix of signed counters."""
 
-    def __init__(self, width: int = 2048, depth: int = 5, *,
-                 vectorized: bool = False) -> None:
+    def __init__(self, width: int = 2048, depth: int = 5) -> None:
         if width <= 0 or depth <= 0:
             raise ValueError("width and depth must be positive")
         self.width = width
         self.depth = depth
-        self._vectorized = vectorized
-        if self._vectorized:
-            self._rows = np.zeros((depth, width), dtype=np.int64)
-        else:
-            self._rows = [[0] * width for _ in range(depth)]
+        self._rows = [[0] * width for _ in range(depth)]
         self._hashes = hash_family(depth)
         self._signs = hash_family(2 * depth)[depth:]
         self.total = 0
@@ -71,14 +66,9 @@ class CountSketch(Sketch):
                                            self.width)
         signs = ksketch.sign_lanes(self.depth, packed, lengths)
         self.total += total_delta
-        if self._vectorized:
-            for r in range(self.depth):
-                np.add.at(self._rows[r], positions[r],
-                          signs[r] * addends)
-        else:
-            for r in range(self.depth):
-                ksketch.fold_add_into_list(self._rows[r], positions[r],
-                                           signs[r] * addends)
+        for r in range(self.depth):
+            ksketch.fold_add_into_list(self._rows[r], positions[r],
+                                       signs[r] * addends)
 
     def query(self, key: bytes) -> int:
         """Unbiased point estimate: median of signed row estimates."""
@@ -93,12 +83,9 @@ class CountSketch(Sketch):
         assert isinstance(other, CountSketch)
         if (self.width, self.depth) != (other.width, other.depth):
             raise MergeError("CountSketch shapes differ")
-        if self._vectorized and getattr(other, "_vectorized", False):
-            self._rows += other._rows
-        else:
-            for mine, theirs in zip(self._rows, other._rows):
-                for i, value in enumerate(theirs):
-                    mine[i] += value
+        for mine, theirs in zip(self._rows, other._rows):
+            for i, value in enumerate(theirs):
+                mine[i] += value
         self.total += other.total
 
     def columns(self) -> Iterable[tuple]:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-import numpy as np
-
 from repro.kernels import MIN_VECTOR_BATCH, crc as kcrc, sketch as ksketch
 from repro.sketches.base import MergeError, Sketch
 from repro.switch.crc import hash_family
@@ -40,17 +38,12 @@ class HyperLogLog(Sketch):
 
     HASH_BITS = 64
 
-    def __init__(self, precision: int = 12, *,
-                 vectorized: bool = False) -> None:
+    def __init__(self, precision: int = 12) -> None:
         if not 4 <= precision <= 18:
             raise ValueError("precision must be in [4, 18]")
         self.precision = precision
         self.m = 1 << precision
-        self._vectorized = vectorized
-        if self._vectorized:
-            self.registers = np.zeros(self.m, dtype=np.int64)
-        else:
-            self.registers = [0] * self.m
+        self.registers = [0] * self.m
         (self._hash,) = hash_family(1, width_bits=self.HASH_BITS)
 
     def update(self, key: bytes, weight: int = 1) -> None:
@@ -80,10 +73,7 @@ class HyperLogLog(Sketch):
         index, rho = ksketch.hll_observations(packed, lengths,
                                               self.precision,
                                               hash_bits=self.HASH_BITS)
-        if self._vectorized:
-            np.maximum.at(self.registers, index, rho)
-        else:
-            ksketch.fold_max_into_list(self.registers, index, rho)
+        ksketch.fold_max_into_list(self.registers, index, rho)
 
     def estimate(self) -> float:
         """Cardinality estimate with small/large-range corrections."""
@@ -100,12 +90,8 @@ class HyperLogLog(Sketch):
         assert isinstance(other, HyperLogLog)
         if self.precision != other.precision:
             raise MergeError("HLL precisions differ")
-        if self._vectorized:
-            self.registers = np.maximum(self.registers,
-                                        np.asarray(other.registers))
-        else:
-            self.registers = [max(a, b) for a, b
-                              in zip(self.registers, other.registers)]
+        self.registers = [max(a, b) for a, b
+                          in zip(self.registers, other.registers)]
 
     # -- column transport (registers chunked into groups of 64) -----------
 

@@ -15,9 +15,10 @@ The process topology mirrors Figure 2 of the paper:
 
 The parent (``repro.transport.serve``) owns the segments: it creates
 them from :func:`segment_plan`, hands the names to both daemon kinds
-(which attach and untrack, like the shm ring workers in
-:mod:`repro.runtime.shm`), and unlinks them on teardown — so a crashed
-daemon can never leak a segment past the lane's context manager.
+(which map them with :class:`~repro.runtime.shm.Attached`, like the
+plan workers of the process lane), and unlinks them on teardown — so a
+crashed daemon can never leak a segment past the lane's context
+manager.
 
 Store geometry and :func:`provision_collector` are the workload's own
 (:mod:`repro.workloads.reports`); this module only sizes the segments
@@ -32,7 +33,7 @@ from repro import obs
 from repro.core.cluster import ClusterMap
 from repro.core.translator import Translator
 from repro.runtime.engine import store_digest
-from repro.runtime.shm import _untrack
+from repro.runtime.shm import Attached
 from repro.transport import mmsg
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import (
@@ -78,43 +79,6 @@ def segment_plan(sketch_width: int = 0) -> list:
             for primitive, params in serve_params(sketch_width).items()]
 
 
-def _attach_segments(names, plan):
-    """Map the parent's segments; returns ``(shms, buffers)``.
-
-    Like the shm ring workers, attaching must not register the segment
-    with this process's resource tracker as if it owned it — the parent
-    is the owner and unlinks on teardown (see :func:`_untrack`).
-    """
-    from multiprocessing import shared_memory
-
-    shms = []
-    buffers = []
-    for name, (_store, length) in zip(names, plan):
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-        shms.append(shm)
-        buffers.append(shm.buf[:length])
-    return shms, buffers
-
-
-def _release_segments(shms, buffers) -> None:
-    """Drop buffer views and close mappings (never unlink — not owner).
-
-    The memoryviews handed out by :func:`_attach_segments` are the
-    *same objects* the stores hold through ``MemoryRegion.buf`` (the
-    ``buffer_factory`` seam passes them through unsliced), and every
-    store access is a transient slice of that one view.  Releasing each
-    view explicitly therefore drops the segment's only export, and
-    ``shm.close()`` unmaps without needing a ``gc.collect()`` sweep to
-    chase reference cycles — and without a swallowed ``BufferError``
-    masking a real leaked view."""
-    for buf in buffers:
-        buf.release()
-    buffers.clear()
-    for shm in shms:
-        shm.close()
-
-
 # ---------------------------------------------------------------------------
 # Collector daemon
 # ---------------------------------------------------------------------------
@@ -134,11 +98,11 @@ def collector_daemon_main(shard: int, sketch_width: int, segment_names,
     ``("stop", None)`` exits.
     """
     obs.set_registry(obs.Registry())
-    plan = segment_plan(sketch_width)
-    shms, buffers = _attach_segments(segment_names, plan)
+    segments = Attached(segment_names, [
+        length for _store, length in segment_plan(sketch_width)])
     collector = provision_collector(f"collector-{shard}",
                                     sketch_width=sketch_width,
-                                    buffers=buffers)
+                                    buffers=segments.buffers)
     conn.send(("ready", shard))
     try:
         while True:
@@ -169,7 +133,7 @@ def collector_daemon_main(shard: int, sketch_width: int, segment_names,
                 conn.send(("error", f"unknown command {command!r}"))
     finally:
         del collector
-        _release_segments(shms, buffers)
+        segments.release()
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +169,22 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     """
     obs.set_registry(obs.Registry())
     shards = len(shard_segment_names)
-    all_shms = []
-    all_buffers = []
+    lengths = [length for _store, length in segment_plan(sketch_width)]
+    segments = Attached([name for names in shard_segment_names
+                         for name in names], lengths * shards)
+    stores = len(lengths)
     collectors = []
     translators = []
-    for shard, names in enumerate(shard_segment_names):
-        plan = segment_plan(sketch_width)
-        shms, buffers = _attach_segments(names, plan)
-        all_shms.extend(shms)
-        all_buffers.extend(buffers)
-        collector = provision_collector(f"collector-{shard}",
-                                        sketch_width=sketch_width,
-                                        buffers=buffers)
+    for shard in range(shards):
+        collector = provision_collector(
+            f"collector-{shard}", sketch_width=sketch_width,
+            buffers=segments.buffers[shard * stores:(shard + 1) * stores])
         translator = Translator(f"translator-{shard}",
                                 vectorized=vectorized)
         collector.connect_translator(translator)
         collectors.append(collector)
         translators.append(translator)
-    del collector, translator, shms, buffers
+    del collector, translator
 
     ctrl_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     ctrl_seq = [0]
@@ -334,7 +296,7 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
         data_sock.close()
         ctrl_sock.close()
         del assembler, translators, collectors
-        _release_segments(all_shms, all_buffers)
+        segments.release()
 
 
 def _drain_stats(assembler, reassembler, translators) -> dict:

@@ -4,10 +4,16 @@ Also the suite's hygiene layer: every test runs against a fresh obs
 registry and cleared hash/CRC memo caches (see ``_fresh_globals``), so
 no test observes state another test left behind and the suite passes
 under any execution order (``pytest -p no:randomly`` not required; try
-``--ff`` or a reversed file list — the digests still agree).
+``--ff`` or a reversed file list — the digests still agree).  A test
+that leaves a shared-memory segment or a child process behind fails
+(see ``_no_leaks``).
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+from multiprocessing import shared_memory
 
 import hypothesis
 import pytest
@@ -53,6 +59,59 @@ def _fresh_globals():
         yield
     finally:
         obs.set_registry(previous)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _created_segments():
+    """Names of the shared-memory segments this process creates.
+
+    ``/dev/shm`` is host-wide, so listing it cannot say what a test
+    left there while other processes use it; recording this process's
+    creations and testing those names afterwards is exact.
+    """
+    names: list = []
+    original = shared_memory.SharedMemory.__init__
+
+    def recording(shm, *args, **kwargs):
+        original(shm, *args, **kwargs)
+        if kwargs.get("create", args[1] if len(args) > 1 else False):
+            names.append(shm.name)
+
+    shared_memory.SharedMemory.__init__ = recording
+    try:
+        yield names
+    finally:
+        shared_memory.SharedMemory.__init__ = original
+
+
+@pytest.fixture(autouse=True)
+def _no_leaks(_created_segments):
+    """Fail a test that leaves a segment it created in ``/dev/shm`` or a
+    child process alive.
+
+    The baseline is taken after every higher-scoped fixture is set up,
+    so what those hold is theirs; the test's own function-scoped
+    fixtures are torn down before the check.  What leaked is reclaimed
+    before failing, so the next test starts clean.
+    """
+    first = len(_created_segments)
+    children = set(multiprocessing.active_children())
+    yield
+    leaked = [name for name in _created_segments[first:]
+              if os.path.exists(os.path.join("/dev/shm", name))]
+    kids = [kid for kid in multiprocessing.active_children()
+            if kid not in children]
+    if not leaked and not kids:
+        return
+    for name in leaked:
+        segment = shared_memory.SharedMemory(name=name)
+        segment.close()
+        segment.unlink()
+    for kid in kids:
+        kid.terminate()
+        kid.join(5.0)
+    pytest.fail(f"test leaked /dev/shm segments {leaked} and child "
+                f"processes {[kid.name for kid in kids]}")
 
 
 @pytest.fixture

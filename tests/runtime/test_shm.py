@@ -1,35 +1,42 @@
-"""Shared-memory rings and the ``executor="process"`` lane.
+"""The plan worker pool and the ``executor="process"`` lane.
 
 Three layers, mirroring the contract in ``docs/CONCURRENCY.md``:
 
-* :class:`ShmCreditQueue` preserves ``CreditQueue`` semantics exactly —
-  bounded credits, FIFO, close -> drain -> ``CLOSED``, abort poisons
-  both ends — and its payloads round-trip as zero-copy views.
+* :class:`PlanWorkerPool` keeps the credit contract of the shared-memory
+  ring it replaced (``ShmCreditQueue``) — bounded slots per worker,
+  results in dispatch order, finish ends the stream, abort poisons the
+  dispatcher — and its results are zero-copy views over the slot.
 * The process lane is digest-identical to the ``workers=0`` serial
-  reference (store bytes + obs sha256) across worker counts, and a
-  worker killed mid-stream surfaces as a first-wins ``StageError``
-  with a clean unwind.
+  reference (store bytes + obs sha256) across worker counts and queue
+  depths, and a worker killed mid-stream surfaces as a first-wins
+  ``StageError`` with a clean unwind.
 * Lifecycle: engine/pool shutdown unlinks every shared segment — no
   leaked ``/dev/shm`` entries, re-attach by name must fail.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import multiprocessing.shared_memory as shared_memory
+import os
+import random
+import struct
 import threading
 import time
 
 import pytest
 
 from repro import bench, obs
+from repro.core.batch import ReportBatch
 from repro.runtime import (
-    CLOSED,
     QueueAborted,
     QueueClosed,
+    RingPeerDead,
     StageError,
     StreamEngine,
     run_lane,
 )
+from repro.runtime.shm import PlanWorkerPool, RES_PLAN
 from repro.workloads import reports
 
 REPORTS = 480
@@ -37,112 +44,141 @@ BATCH = 32
 SEED = 11
 
 
-def _queue(capacity=4, payload=4096, name="t"):
-    from repro.runtime.shm import ShmCreditQueue
+def _request(translator, n=8, seed=2):
+    rng = random.Random(seed)
+    keys = [struct.pack(">I", rng.getrandbits(32)) for _ in range(n)]
+    request = translator.plan_request(
+        ReportBatch.key_increments(keys, [1] * n, redundancy=2))
+    assert request is not None
+    return request
 
-    return ShmCreditQueue(capacity, payload, name=name)
+
+@pytest.fixture
+def pool_and_request():
+    """A one-worker pool of two slots and a batch-8 Key-Increment
+    request for it."""
+    with bench.deployment(vectorized=True) as (
+            _registry, _collector, translator, _reporter):
+        pool = PlanWorkerPool(1, depth=2, name="t")
+        try:
+            yield pool, _request(translator)
+        finally:
+            pool.shutdown()
+
+
+def _segments(pool) -> list:
+    return [worker.shm.name for worker in pool._workers]
+
+
+def _open_fds() -> int:
+    """Open fds of this process, once multiprocessing's resource
+    tracker (started, with its pipe, by the first segment) is up."""
+    warm = shared_memory.SharedMemory(create=True, size=64)
+    warm.close()
+    warm.unlink()
+    return len(os.listdir("/proc/self/fd"))
 
 
 # ----------------------------------------------------------------------
-# ShmCreditQueue semantics
+# The credit contract (the ring's, now the pool's slots)
 # ----------------------------------------------------------------------
 
 
 class TestShmCreditQueue:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity must be >= 1"):
-            _queue(capacity=0)
+    """The contract the retired ``ShmCreditQueue`` ring gave the process
+    lane, as the pool's slots and credits give it now."""
 
-    def test_fifo_zero_copy_roundtrip(self):
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="depth >= 1"):
+            PlanWorkerPool(1, depth=0)
+
+    def test_fifo_zero_copy_roundtrip(self, pool_and_request):
         import numpy as np
 
-        q = _queue()
-        try:
-            for i in range(3):
-                q.put(7, [np.arange(i + 1, dtype="<i8"), b"tail%d" % i])
-            for i in range(3):
-                msg = q.get()
-                assert msg.kind == 7
-                assert list(msg.segments[0].view("<i8")) == list(range(i + 1))
-                assert bytes(msg.segments[1]) == b"tail%d" % i
-                msg.release()
-        finally:
-            q.unlink()
+        pool, request = pool_and_request
+        for seq in range(2):
+            assert pool.dispatch(0, seq, request)
+        for seq in range(2):
+            message = pool.result(0)
+            assert (message.kind, message.seq) == (RES_PLAN, seq)
+            indices, _addends = pool.arrays(message, seq)
+            # A view over the worker's segment, not a copy.
+            assert not indices.flags.owndata
+            assert isinstance(indices.base, (np.ndarray, memoryview))
+            message.release()
+            message.release()                 # idempotent
 
-    def test_credits_bound_occupancy(self):
-        q = _queue(capacity=2)
-        try:
-            q.put(1, [b"a"])
-            q.put(1, [b"b"])
-            blocked = threading.Event()
+    def test_credits_bound_occupancy(self, pool_and_request):
+        pool, request = pool_and_request
+        assert pool.dispatch(0, 0, request)
+        assert pool.dispatch(0, 1, request)
+        blocked = threading.Event()
+        done = threading.Event()
 
-            def overfill():
-                blocked.set()
-                q.put(1, [b"c"])
+        def overfill():
+            blocked.set()
+            pool.dispatch(0, 2, request)
+            done.set()
 
-            thread = threading.Thread(target=overfill, daemon=True)
-            thread.start()
-            blocked.wait(1.0)
-            time.sleep(0.05)
-            assert thread.is_alive()          # third put has no credit
-            q.get().release()                 # hand one credit back
-            thread.join(2.0)
-            assert not thread.is_alive()
-            assert q.high_watermark == 2
-        finally:
-            q.abort()
-            q.unlink()
+        thread = threading.Thread(target=overfill, daemon=True)
+        thread.start()
+        blocked.wait(1.0)
+        time.sleep(0.05)
+        assert not done.is_set()              # third slot does not exist
+        pool.result(0).release()              # hand one credit back
+        thread.join(2.0)
+        assert done.is_set()
+        for _ in range(2):
+            pool.result(0).release()
 
-    def test_close_drains_then_closed_sentinel(self):
-        q = _queue()
-        try:
-            q.put(1, [b"payload"])
-            q.close()
-            msg = q.get()
-            assert bytes(msg.segments[0]) == b"payload"
-            msg.release()
-            assert q.get() is CLOSED
-            assert q.get() is CLOSED          # every later get too
-        finally:
-            q.unlink()
+    def test_close_drains_then_closed_sentinel(self, pool_and_request):
+        pool, request = pool_and_request
+        assert pool.dispatch(0, 0, request)
+        pool.finish()
+        # What was dispatched before finish is still answered...
+        message = pool.result(0)
+        assert message.kind == RES_PLAN
+        message.release()
+        # ...and then the worker has gone: EOF, not a hang.
+        with pytest.raises(RingPeerDead):
+            pool.result(0)
 
-    def test_put_after_close_raises(self):
-        q = _queue()
-        try:
-            q.close()
-            with pytest.raises(QueueClosed):
-                q.put(1, [b"late"])
-        finally:
-            q.unlink()
+    def test_put_after_close_raises(self, pool_and_request):
+        pool, request = pool_and_request
+        pool.finish()
+        with pytest.raises(QueueClosed):
+            pool.dispatch(0, 0, request)
 
-    def test_abort_poisons_both_ends(self):
-        q = _queue()
-        try:
-            q.put(1, [b"pending"])
-            q.abort()
-            with pytest.raises(QueueAborted):
-                q.get()
-            with pytest.raises(QueueAborted):
-                q.put(1, [b"more"])
-        finally:
-            q.unlink()
+    def test_abort_poisons_both_ends(self, pool_and_request):
+        pool, request = pool_and_request
+        assert pool.dispatch(0, 0, request)
+        pool.abort()
+        with pytest.raises(QueueAborted):
+            pool.dispatch(0, 1, request)
+        # A result already on its way still arrives.
+        pool.result(0).release()
 
     def test_oversize_message_rejected_before_ring(self):
-        q = _queue(payload=64)
-        try:
-            with pytest.raises(ValueError, match="exceeds slot payload"):
-                q.put(1, [b"x" * 128])
-            assert len(q) == 0
-        finally:
-            q.unlink()
+        with bench.deployment(vectorized=True) as (
+                _registry, _collector, translator, _reporter):
+            pool = PlanWorkerPool(1, depth=1, payload_bytes=256,
+                                  name="small")
+            try:
+                assert not pool.dispatch(0, 0, _request(translator, n=64))
+                # Not shipped: the only slot is still free.
+                assert pool.dispatch(0, 0, _request(translator, n=4))
+                pool.result(0).release()
+            finally:
+                pool.shutdown()
 
     def test_unlink_destroys_segment(self):
-        q = _queue()
-        segment = q._shm.name
-        q.unlink()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=segment)
-        q.unlink()                            # idempotent
+        pool = PlanWorkerPool(1, depth=1, name="unlink")
+        segments = _segments(pool)
+        pool.shutdown()
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        pool.shutdown()                       # idempotent
 
 
 # ----------------------------------------------------------------------
@@ -156,24 +192,29 @@ def _sketch_width(primitive: str) -> int:
 
 @pytest.mark.parametrize("primitive", reports.PRIMITIVES)
 def test_process_lane_matches_serial_across_workers(primitive):
-    """Store bytes + obs digests at workers 1/2 equal workers=0."""
+    """Store bytes + obs digests at workers 1/2 and queue depths 1/16
+    (one slot per worker, and the most the engine gives) equal
+    workers=0."""
     work = reports.columns(primitive, REPORTS, SEED)
     serial = run_lane(primitive, work, workers=0, vectorized=False,
                       batch_size=BATCH,
                       sketch_width=_sketch_width(primitive))
     reference = (serial["obs_digest"], serial["store_digest"])
     for workers in (1, 2):
-        lane = run_lane(primitive, work, workers=workers,
-                        executor="process", vectorized=True,
-                        batch_size=BATCH,
-                        sketch_width=_sketch_width(primitive))
-        assert lane["zero_loss"], (primitive, workers, lane["drops"])
-        assert (lane["obs_digest"], lane["store_digest"]) == reference, (
-            primitive, workers)
+        for queue_depth in (1, 16):
+            lane = run_lane(primitive, work, workers=workers,
+                            executor="process", vectorized=True,
+                            batch_size=BATCH, queue_depth=queue_depth,
+                            sketch_width=_sketch_width(primitive))
+            key = (primitive, workers, queue_depth)
+            assert lane["zero_loss"], (key, lane["drops"])
+            assert (lane["obs_digest"],
+                    lane["store_digest"]) == reference, key
 
 
 def test_process_lane_exposes_ring_metrics():
-    """Plan rings surface under ``runtime.*`` (digest-excluded)."""
+    """Plan worker counters and the apply queue surface under
+    ``runtime.*`` (digest-excluded)."""
     work = reports.columns("key_increment", REPORTS, SEED)
     with bench.deployment(vectorized=False) as (
             registry, collector, translator, reporter):
@@ -203,18 +244,18 @@ def test_process_lane_exposes_ring_metrics():
 
 def test_worker_crash_mid_stream_surfaces_stage_error():
     """Killing a plan worker yields a first-wins StageError and a clean
-    unwind: close() restores the deployment wiring and unlinks every
-    shared segment."""
+    unwind: close() restores the deployment wiring, unlinks every
+    shared segment and closes every fd the pool opened."""
     work = reports.columns("key_increment", 4096, SEED)
     with bench.deployment(vectorized=False) as (
             registry, collector, translator, reporter):
+        before = _open_fds()
         engine = StreamEngine(collector, translator, reporter, workers=2,
                               queue_depth=4, executor="process",
                               vectorized=True, name="crash")
         try:
             engine.start()
-            segments = [ring._shm.name for ring
-                        in engine._pool.requests + engine._pool.results]
+            segments = _segments(engine._pool)
             for process in engine._pool.processes:
                 process.kill()
             for process in engine._pool.processes:
@@ -224,9 +265,12 @@ def test_worker_crash_mid_stream_surfaces_stage_error():
                     engine.submit(reports.batch("key_increment", work,
                                                 s, s + 64))
                 engine.drain()
-            assert excinfo.value.stage in ("submit", "translate")
+            assert excinfo.value.stage == "translate"
+            assert excinfo.value.batch_seq == 0
+            assert isinstance(excinfo.value.__cause__, RingPeerDead)
         finally:
             engine.close()
+        assert len(os.listdir("/proc/self/fd")) == before
     # wiring restored: the deployment works normally again
     reporter.send_batch(reports.batch("key_increment", work, 0, 64))
     # and no segment leaked
@@ -251,9 +295,8 @@ def test_engine_close_unlinks_every_segment():
         try:
             engine.start()
             pool = engine._pool
-            segments = [ring._shm.name
-                        for ring in pool.requests + pool.results]
-            segments.append(pool._stats_shm.name)
+            segments = _segments(pool)
+            processes = pool.processes
             for s in range(0, REPORTS, BATCH):
                 engine.submit(reports.batch("key_write", work, s,
                                             min(s + BATCH, REPORTS)))
@@ -263,8 +306,10 @@ def test_engine_close_unlinks_every_segment():
     for name in segments:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
-    for process in pool.processes:
-        assert not process.is_alive()
+    assert engine.queues == engine._queues      # only the apply queue
+    for process in processes:
+        with pytest.raises(ValueError):         # joined and closed
+            process.is_alive()
 
 
 def test_pool_shutdown_is_idempotent():
@@ -289,7 +334,7 @@ class _FakeSegment:
 
 
 class TestUntrack:
-    """``_untrack`` must speak the tracker's name dialect (bpo-39959)."""
+    """``untrack`` must speak the tracker's name dialect (bpo-39959)."""
 
     def test_unregisters_platform_name_under_spawn(self, monkeypatch):
         from multiprocessing import resource_tracker
@@ -301,9 +346,9 @@ class TestUntrack:
                             lambda allow_none=True: "spawn")
         monkeypatch.setattr(resource_tracker, "unregister",
                             lambda name, rtype: calls.append((name, rtype)))
-        shm_mod._untrack(_FakeSegment("psm_fake"))
+        shm_mod.untrack(_FakeSegment("psm_fake"))
         # The public ``name`` property strips the shm_open() slash; the
-        # tracker knows the slashed form, so _untrack must restore it.
+        # tracker knows the slashed form, so untrack must restore it.
         assert calls == [("/psm_fake", "shared_memory")]
 
     def test_slashed_name_is_not_double_prefixed(self, monkeypatch):
@@ -316,7 +361,7 @@ class TestUntrack:
                             lambda allow_none=True: "spawn")
         monkeypatch.setattr(resource_tracker, "unregister",
                             lambda name, rtype: calls.append((name, rtype)))
-        shm_mod._untrack(_FakeSegment("/psm_fake"))
+        shm_mod.untrack(_FakeSegment("/psm_fake"))
         assert calls == [("/psm_fake", "shared_memory")]
 
     def test_fork_child_never_strips_owner_registration(self, monkeypatch):
@@ -331,7 +376,7 @@ class TestUntrack:
                             lambda name, rtype: calls.append((name, rtype)))
         # Under fork the child shares the owner's tracker: unregistering
         # the duplicate would strip the owner's entry, so it must no-op.
-        shm_mod._untrack(_FakeSegment("psm_fake"))
+        shm_mod.untrack(_FakeSegment("psm_fake"))
         assert calls == []
 
     def test_unresolved_start_method_resolves_to_platform_default(
@@ -352,59 +397,114 @@ class TestUntrack:
                             get_start_method)
         monkeypatch.setattr(resource_tracker, "unregister",
                             lambda name, rtype: calls.append((name, rtype)))
-        shm_mod._untrack(_FakeSegment("psm_fake"))
+        shm_mod.untrack(_FakeSegment("psm_fake"))
         assert calls == []
 
 
 class TestAcquireTeardown:
-    """close()/abort() landing during a dead-peer wait must win."""
+    """A dispatcher blocked on a credit wakes for finish/abort, and a
+    dead worker is an error, never a hang."""
 
-    def test_close_during_dead_peer_wait_raises_closed(self):
-        from repro.runtime.shm import QueueClosed
+    @staticmethod
+    def _blocked_dispatch(pool, request, teardown):
+        """Fill worker 0's slots, kill it, and run ``teardown`` while a
+        further dispatch waits for a credit; returns what that dispatch
+        raised."""
+        while pool._workers[0].free:
+            assert pool.dispatch(0, 0, request)
+        process = pool.processes[0]
+        process.kill()
+        process.join(5.0)
+        raised = []
 
-        q = _queue(capacity=1, name="teardown-close")
-        try:
-            q.put(0, [b"x"])              # consume the only credit
+        def dispatch():
+            try:
+                pool.dispatch(0, 1, request)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                raised.append(exc)
 
-            def liveness():
-                q.close()                 # teardown lands while we spin
-                return False              # ...and the peer looks dead
+        thread = threading.Thread(target=dispatch, daemon=True)
+        thread.start()
+        time.sleep(0.05)
+        assert thread.is_alive()
+        teardown()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        return raised
 
-            with pytest.raises(QueueClosed):
-                q.put(0, [b"y"], liveness=liveness)
-        finally:
-            q.unlink()
+    def test_close_during_dead_peer_wait_raises_closed(
+            self, pool_and_request):
+        pool, request = pool_and_request
+        raised = self._blocked_dispatch(pool, request, pool.finish)
+        assert [type(exc) for exc in raised] == [QueueClosed]
 
-    def test_abort_during_dead_peer_wait_raises_aborted(self):
-        q = _queue(capacity=1, name="teardown-abort")
-        try:
-            q.put(0, [b"x"])
+    def test_abort_during_dead_peer_wait_raises_aborted(
+            self, pool_and_request):
+        pool, request = pool_and_request
+        raised = self._blocked_dispatch(pool, request, pool.abort)
+        assert [type(exc) for exc in raised] == [QueueAborted]
 
-            def liveness():
-                q.abort()
-                return False
-
-            with pytest.raises(QueueAborted):
-                q.put(0, [b"y"], liveness=liveness)
-        finally:
-            q.unlink()
-
-    def test_dead_peer_without_teardown_still_raises(self):
-        from repro.runtime.shm import RingPeerDead
-
-        q = _queue(capacity=1, name="teardown-dead")
-        try:
-            q.put(0, [b"x"])
-            with pytest.raises(RingPeerDead):
-                q.put(0, [b"y"], liveness=lambda: False)
-        finally:
-            q.abort()
-            q.unlink()
+    def test_dead_peer_without_teardown_still_raises(self, pool_and_request):
+        pool, request = pool_and_request
+        process = pool.processes[0]
+        process.kill()
+        process.join(5.0)
+        with pytest.raises(RingPeerDead):
+            pool.dispatch(0, 0, request)
+        with pytest.raises(RingPeerDead):
+            pool.result(0)
 
 
 def test_stall_clock_is_shared_across_runtime_modules():
     """soak elapsed time and queue stall accounting use one clock."""
-    from repro.runtime import queues, shm, soak
+    from repro.runtime import queues, soak
 
     assert soak._clock is queues._clock
-    assert shm._clock is queues._clock
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc to count fds")
+def test_pool_that_fails_to_start_leaves_nothing_behind(monkeypatch):
+    """The second worker's ``Process.start()`` raises: the first worker,
+    every segment and every pipe of the half-built pool are gone when
+    ``StreamEngine.start()`` re-raises, and the deployment is usable."""
+    created = []
+    original_init = shared_memory.SharedMemory.__init__
+
+    def recording_init(shm, *args, **kwargs):
+        original_init(shm, *args, **kwargs)
+        if kwargs.get("create"):
+            created.append(shm.name)
+
+    process_class = multiprocessing.get_context().Process
+    original_start = process_class.start
+    starts = []
+
+    def failing_start(process):
+        starts.append(process.name)
+        if len(starts) == 2:
+            raise OSError("no more processes")
+        original_start(process)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__",
+                        recording_init)
+    monkeypatch.setattr(process_class, "start", failing_start)
+    work = reports.columns("key_increment", 64, SEED)
+    with bench.deployment(vectorized=False) as (
+            _registry, collector, translator, reporter):
+        before = _open_fds()
+        engine = StreamEngine(collector, translator, reporter, workers=2,
+                              executor="process", vectorized=True,
+                              name="halfbuilt")
+        with pytest.raises(OSError, match="no more processes"):
+            engine.start()
+        engine.close()
+        after = len(os.listdir("/proc/self/fd"))
+        reporter.send_batch(reports.batch("key_increment", work, 0, 64))
+    assert len(starts) == 2
+    assert created
+    for name in created:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+    assert multiprocessing.active_children() == []
+    assert after == before

@@ -1,8 +1,10 @@
 """Regressions for the four process-lane defects ``perf/README.md``
 recorded while building the repo benchmark.
 
-1. ``ShmCreditQueue`` published its control words byte-wise, so with two
-   or more slots in flight a reader could see a half-written ``enq``.
+1. The shared-memory ring the pool used to run on published its control
+   words byte-wise, so with two or more slots in flight a reader could
+   see a half-written counter.  The pool now signals over pipes; the
+   load that exposed the race still runs against it.
 2. A plan too large for a result slot killed the worker instead of
    coming back as ``RES_FALLBACK``.
 3. ``Registry.snapshot()`` after closing a process-lane engine raised
@@ -32,9 +34,9 @@ from repro.workloads import reports
 
 
 def test_control_words_survive_two_slots_in_flight():
-    """>= 20 k batch-8 enqueues at ring depth 2 with a plan worker
-    attached: every request comes back planned — no ``RingPeerDead``,
-    no ``ValueError`` out of ``__len__``."""
+    """>= 20 k batch-8 dispatches at pool depth 2, a producer thread
+    against the result reader: every request comes back planned, in
+    order, with its own seq — no ``RingPeerDead``."""
     rounds = 20_000
     with bench.deployment(vectorized=True) as (
             _registry, _collector, translator, _reporter):
@@ -68,20 +70,24 @@ def test_control_words_survive_two_slots_in_flight():
             producer.join(30.0)
             assert not producer.is_alive()
             assert not errors, errors
-            pool.finish()           # the worker counts a plan after sending it
             assert pool.worker_stats(0)["planned"] == rounds
         finally:
             pool.shutdown()
 
 
+#: Key-Increment at redundancy 2: 240 KiB of request fit a 256 KiB
+#: request area, 384 KiB of plan do not fit the result area.
+OVERSIZE = 12288
+
+
 def test_oversize_plan_result_falls_back_instead_of_killing_worker():
-    """Key-Increment batch 8192 x redundancy 2 fits a request slot but
-    not a result slot: the parent plans it itself, digests unchanged."""
-    work = reports.columns("key_increment", 8192, 9)
+    """A Key-Increment batch that fits a request slot but not a result
+    slot: the parent plans it itself, digests unchanged."""
+    work = reports.columns("key_increment", OVERSIZE, 9)
     serial = run_lane("key_increment", work, workers=0, vectorized=False,
-                      batch_size=8192)
+                      batch_size=OVERSIZE)
     lane = run_lane("key_increment", work, workers=1, executor="process",
-                    vectorized=True, batch_size=8192)
+                    vectorized=True, batch_size=OVERSIZE)
     assert lane["zero_loss"], lane["drops"]
     assert lane["store_digest"] == serial["store_digest"]
     assert lane["obs_digest"] == serial["obs_digest"]
@@ -94,9 +100,10 @@ def test_oversize_plan_result_is_a_fallback_message():
         try:
             rng = random.Random(3)
             keys = [struct.pack(">I", rng.getrandbits(32))
-                    for _ in range(8192)]
+                    for _ in range(OVERSIZE)]
             request = translator.plan_request(
-                ReportBatch.key_increments(keys, [1] * 8192, redundancy=2))
+                ReportBatch.key_increments(keys, [1] * OVERSIZE,
+                                           redundancy=2))
             assert pool.dispatch(0, 0, request)
             message = pool.result(0)
             try:

@@ -18,10 +18,9 @@ from repro import obs
 from repro.core import packets
 from repro.core.cluster import ClusterMap
 from repro.core.translator import Translator
+from repro.runtime.shm import Attached
 from repro.transport.assembler import ReportAssembler
 from repro.transport.daemons import (
-    _attach_segments,
-    _release_segments,
     collector_daemon_main,
     provision_collector,
     segment_plan,
@@ -82,9 +81,10 @@ class TestReleaseSegments:
         """The daemon teardown path: attach, translate real reports
         into the mapped stores, then release — no ``gc.collect()``
         crutch and no ``BufferError`` from a still-exported view."""
-        plan = segment_plan(0)
-        shms, buffers = _attach_segments(segments, plan)
-        collector = provision_collector("release-check", buffers=buffers)
+        lengths = [length for _store, length in segment_plan(0)]
+        attached = Attached(segments, lengths)
+        collector = provision_collector("release-check",
+                                        buffers=attached.buffers)
         translator = Translator("release-check-t", vectorized=False)
         collector.connect_translator(translator)
         assembler = ReportAssembler([translator],
@@ -97,12 +97,11 @@ class TestReleaseSegments:
                 reporter_id=1))
         assembler.finish()
         del assembler, translator, collector
-        _release_segments(shms, buffers)       # must not raise
-        assert buffers == []
+        attached.release()                     # must not raise
+        assert attached.buffers == attached.shms == []
         # A second close is the owner's job; attaching again proves the
         # mapping really was released, not leaked.
-        shms2, buffers2 = _attach_segments(segments, plan)
-        _release_segments(shms2, buffers2)
+        Attached(segments, lengths).release()
 
 
 class TestCollectorDaemonMain:
