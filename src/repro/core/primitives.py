@@ -121,13 +121,18 @@ class Primitive:
         and ``TRACKER``."""
         return importlib.import_module(self.module)
 
+    @cached_property
+    def _layout_geometry(self) -> tuple:
+        """``(LAYOUT, its geometry field names)``, resolved once."""
+        layout_class = self.home.LAYOUT
+        return layout_class, geometry_fields(layout_class)
+
     def layout(self, addr: int, params: dict):
         """The store layout at ``addr`` for a service's ``params``: the
         geometry fields ``params`` holds, the others at their defaults."""
-        layout_class = self.home.LAYOUT
+        layout_class, names = self._layout_geometry
         return layout_class(addr, **{
-            name: params[name] for name in geometry_fields(layout_class)
-            if name in params})
+            name: params[name] for name in names if name in params})
 
 
 @cache

@@ -100,8 +100,10 @@ def write_rows(target: BurstTarget, client, row_indices: np.ndarray,
     ``stride`` bytes apart — ``row_bytes`` by default; a wider stride
     leaves each slot's padding alone).  Duplicate slots resolve
     last-write-wins in arrival order — the deterministic outcome of
-    executing the burst sequentially — via a stable sort instead of
-    relying on numpy's unspecified duplicate-index assignment order.
+    executing the burst sequentially — via one sort of ``slot * n +
+    arrival`` keys (the last key of each run of equal slots wins)
+    instead of relying on numpy's unspecified duplicate-index
+    assignment order.
 
     Returns the message count, or None (nothing touched) when the
     burst does not fit the region — the caller's scalar lane then
@@ -114,22 +116,27 @@ def write_rows(target: BurstTarget, client, row_indices: np.ndarray,
         stride = row_bytes
     region = target.region
     slots = region.length // stride
-    order = row_indices.argsort(kind="stable")
-    sorted_idx = row_indices[order]
-    if row_bytes > stride or sorted_idx[0] < 0 or sorted_idx[-1] >= slots:
+    indices = row_indices.astype(np.int64, copy=False)
+    # Read unsigned, a negative index is out of range as well.
+    if row_bytes > stride or int(indices.view(np.uint64).max()) >= slots:
         return None
+    assert slots * count < 1 << 63, "slot keys would overflow int64"
     view = np.frombuffer(region.buf, dtype=np.uint8,
                          count=slots * stride).reshape(slots, stride)
     if stride != row_bytes:
         view = view[:, :row_bytes]
+    keys = indices * count
+    keys += np.arange(count)
+    keys.sort()
+    sorted_idx = keys // count
     keep = np.empty(count, dtype=bool)
     keep[-1] = True
     np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=keep[:-1])
     if keep.all():
         view[row_indices] = rows
     else:
-        winners = order[keep]
-        view[row_indices[winners]] = rows[winners]
+        winners = keys[keep] - sorted_idx[keep] * count
+        view[sorted_idx[keep]] = rows[winners]
     _commit(target, client, count, row_bytes)
     return count
 

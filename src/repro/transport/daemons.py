@@ -41,6 +41,7 @@ from repro.transport.envelope import (
     KIND_END,
     KIND_FRAME,
     KIND_REPORT,
+    WINDOW,
     Reassembler,
     end_total,
     wrap,
@@ -144,7 +145,7 @@ def collector_daemon_main(shard: int, sketch_width: int, segment_names,
 def translator_daemon_main(shard_segment_names, sketch_width: int,
                            vectorized: bool, batch_size: int,
                            ctrl_addr, conn, *, lane: int = 0,
-                           ack_every: int = ACK_EVERY,
+                           ack_every: int = ACK_EVERY, window: int = WINDOW,
                            use_mmsg=None) -> None:
     """Receive DTA datagrams and translate them into RDMA writes.
 
@@ -165,7 +166,9 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     segments and provisions the full translator set, but the reporter
     only routes shard ``s`` traffic to daemon ``s % N`` — so each
     shard still has exactly one writer and ``lane`` merely stamps this
-    daemon's ACK envelopes.
+    daemon's ACK envelopes.  ``window`` is the reporter's send window:
+    a lane seq that far ahead of in-order delivery cannot be live
+    traffic and counts as malformed.
     """
     obs.set_registry(obs.Registry())
     shards = len(shard_segment_names)
@@ -213,7 +216,7 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     assembler = ReportAssembler(translators,
                                 ClusterMap(collectors=shards),
                                 batch_size=batch_size)
-    reassembler = Reassembler()
+    reassembler = Reassembler(horizon=window)
 
     data_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     data_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)

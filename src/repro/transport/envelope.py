@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 ENVELOPE = struct.Struct(">QB")
 
 KIND_REPORT = 0
@@ -59,8 +61,17 @@ _END_PAYLOAD = struct.Struct(">Q")
 _FRAME_COUNT = struct.Struct(">H")
 _ACK_LANE = struct.Struct(">QB")
 
+#: Envelopes a sender keeps in flight beyond the receiver's last
+#: cumulative ACK unless told otherwise — the reporter's send window and
+#: so the :class:`Reassembler`'s default horizon.
+WINDOW = 512
+
 #: Most reports a single frame may carry (the count field is u16).
 MAX_FRAME_REPORTS = 0xFFFF
+
+#: A frame's envelope and report count as one numpy record.
+_FRAME_HEAD = np.dtype([("seq", ">u8"), ("kind", "u1"), ("count", ">u2")])
+assert _FRAME_HEAD.itemsize == ENVELOPE.size + _FRAME_COUNT.size
 
 
 def wrap(seq: int, payload: bytes, kind: int = KIND_REPORT) -> bytes:
@@ -127,6 +138,54 @@ def wrap_frame(seq: int, reports) -> bytes:
             + lengths + b"".join(reports))
 
 
+def wrap_frames(seq: int, reports: list, sizes, bounds) -> list:
+    """Many :func:`wrap_frame` datagrams cut from one buffer.
+
+    Frame ``i`` holds ``reports[bounds[i]:bounds[i + 1]]`` under lane
+    seq ``seq + i``; ``sizes`` is the int64 column of the reports'
+    lengths and ``bounds`` runs from 0 to ``len(reports)``.  Numpy
+    writes every envelope header, report count and length table in
+    place, the report bytes are copied one frame body at a time from a
+    single join, and each datagram is a memoryview of the frame's span
+    of the buffer — byte-identical to :func:`wrap_frame`'s.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    counts = np.diff(bounds)
+    frames = len(counts)
+    if not frames:
+        return []
+    if counts.max() > MAX_FRAME_REPORTS:
+        raise ValueError("too many reports for one frame")
+    if len(sizes) and sizes.max() > 0xFFFF:
+        raise ValueError("report too long for a frame's length table")
+    ends = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ends[1:])
+    head = _FRAME_HEAD.itemsize + 2 * counts        # envelope + table
+    stop = np.cumsum(head + ends[bounds[1:]] - ends[bounds[:-1]])
+    start = np.empty_like(stop)
+    start[0] = 0
+    start[1:] = stop[:-1]
+    out = np.empty(int(stop[-1]), dtype=np.uint8)
+    heads = np.empty(frames, dtype=_FRAME_HEAD)
+    heads["seq"] = np.arange(seq, seq + frames, dtype=np.uint64)
+    heads["kind"] = KIND_FRAME
+    heads["count"] = counts
+    out[start[:, None] + np.arange(_FRAME_HEAD.itemsize)] = \
+        heads.view(np.uint8).reshape(frames, _FRAME_HEAD.itemsize)
+    frame = np.repeat(np.arange(frames), counts)    # each report's frame
+    entry = (start + _FRAME_HEAD.itemsize - 2 * bounds[:-1])[frame] \
+        + 2 * np.arange(len(frame))
+    out[entry[:, None] + np.arange(2)] = \
+        sizes.astype(">u2").view(np.uint8).reshape(len(frame), 2)
+    view = memoryview(out)
+    joined = memoryview(b"".join(reports))
+    for dst, lo, hi in zip((start + head).tolist(),
+                           ends[bounds[:-1]].tolist(),
+                           ends[bounds[1:]].tolist()):
+        view[dst:dst + hi - lo] = joined[lo:hi]
+    return [view[lo:hi] for lo, hi in zip(start.tolist(), stop.tolist())]
+
+
 def unwrap_frame(payload: bytes) -> list:
     """Split a ``KIND_FRAME`` payload into its report byte strings.
 
@@ -166,9 +225,17 @@ class Reassembler:
     missing datagram lands.  Duplicates (e.g. NACK-triggered
     retransmits of an already-delivered seq) and malformed datagrams
     are counted and discarded.
+
+    ``horizon`` is the sender's window: it never has a seq at or past
+    ``next_seq + horizon`` in flight, so such a datagram is counted
+    malformed instead of being buffered behind a gap that no sender
+    will ever fill.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, horizon: int = WINDOW) -> None:
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        self.horizon = horizon
         self.next_seq = 0
         self.delivered = 0
         self.duplicates = 0
@@ -189,6 +256,9 @@ class Reassembler:
             return []
         if seq < self.next_seq or seq in self._pending:
             self.duplicates += 1
+            return []
+        if seq >= self.next_seq + self.horizon:
+            self.malformed += 1
             return []
         self._pending[seq] = (kind, payload)
         out = []

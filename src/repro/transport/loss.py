@@ -134,6 +134,12 @@ class LossShim:
         self.passed += passed
         return out
 
+    @property
+    def holding(self) -> list:
+        """The datagrams held for reordering, not yet emitted (at most
+        ``reorder_span`` of them)."""
+        return [entry[2] for entry in self._held]
+
     def flush(self) -> list:
         """Release every datagram still held for reordering."""
         out = []

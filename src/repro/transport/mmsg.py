@@ -6,7 +6,9 @@ Linux siblings, so the deployment lane binds ``sendmmsg(2)`` and
 :data:`BATCH_MSGS` datagrams, which matters once the datagrams
 themselves are coalesced frames and the per-syscall cost is the next
 bottleneck.  Both directions work on *connected* UDP sockets so no
-per-message sockaddr needs marshalling.
+per-message sockaddr needs marshalling.  The send side joins a burst
+into one buffer and numpy fills its ``iovec`` / ``mmsghdr`` arrays in
+a few vector stores, at the offsets ctypes computes for the structs.
 
 Feature detection happens once at import: the symbols must exist in
 libc *and* a live loopback probe must round-trip a datagram through
@@ -23,6 +25,8 @@ import ctypes
 import errno
 import select
 import socket
+
+import numpy as np
 
 #: Datagrams moved per syscall on the batched path (and the receive
 #: ring's preallocated buffer count).
@@ -84,22 +88,53 @@ def _probe() -> bool:
         b.close()
 
 
+def _layout(struct_type, **fields) -> np.dtype:
+    """A numpy dtype over ``struct_type``'s memory: each keyword names
+    a ``(field, ctypes member path)`` pair of pointer-width unsigned
+    integers at the offset ctypes computed, itemsize the struct's."""
+    names, offsets = [], []
+    for name, path in fields.items():
+        offset, owner = 0, struct_type
+        for member in path.split("."):
+            descriptor = getattr(owner, member)
+            offset += descriptor.offset
+            owner = dict(owner._fields_)[member]
+        names.append(name)
+        offsets.append(offset)
+    return np.dtype({"names": names, "formats": [np.uintp] * len(names),
+                     "offsets": offsets,
+                     "itemsize": ctypes.sizeof(struct_type)})
+
+
+#: ``struct iovec`` and the ``msg_iov`` / ``msg_iovlen`` of ``struct
+#: mmsghdr``, as numpy sees them: the send path fills whole arrays of
+#: both with a few vector stores instead of per-datagram ctypes calls.
+_IOVEC = _layout(_iovec, base="iov_base", len="iov_len")
+_MMSGHDR = _layout(_mmsghdr, iov="msg_hdr.msg_iov",
+                   iovlen="msg_hdr.msg_iovlen")
+
+
 def _sendmmsg_raw(sock, payloads) -> None:
     n = len(payloads)
-    bufs = [(ctypes.c_char * len(p)).from_buffer_copy(p) if p
-            else (ctypes.c_char * 1)() for p in payloads]
-    iovecs = (_iovec * n)()
-    hdrs = (_mmsghdr * n)()
-    for i, payload in enumerate(payloads):
-        iovecs[i].iov_base = ctypes.cast(bufs[i], ctypes.c_void_p)
-        iovecs[i].iov_len = len(payload)
-        hdrs[i].msg_hdr.msg_iov = ctypes.pointer(iovecs[i])
-        hdrs[i].msg_hdr.msg_iovlen = 1
+    # One contiguous buffer: datagram i is the lengths[i] bytes that
+    # end at the i-th running total of lengths.
+    data = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    lengths = np.fromiter(map(len, payloads), dtype=np.uintp, count=n)
+    iovecs = np.empty(n, dtype=_IOVEC)
+    iovecs["len"] = lengths
+    np.cumsum(lengths, out=iovecs["base"])
+    iovecs["base"] += data.ctypes.data - lengths
+    hdrs = np.zeros(n, dtype=_MMSGHDR)
+    hdrs["iov"] = iovecs.ctypes.data + _IOVEC.itemsize * np.arange(
+        n, dtype=np.uintp)
+    hdrs["iovlen"] = 1
     sent = 0
-    stride = ctypes.sizeof(_mmsghdr)
-    base = ctypes.addressof(hdrs)
+    base = hdrs.ctypes.data
+    # ``data``, ``iovecs`` and ``hdrs`` stay referenced until the loop
+    # ends, so every address the kernel reads is live memory.
     while sent < n:
-        rc = _sendmmsg(sock.fileno(), base + sent * stride, n - sent, 0)
+        rc = _sendmmsg(sock.fileno(), base + sent * _MMSGHDR.itemsize,
+                       n - sent, 0)
         if rc < 0:
             err = ctypes.get_errno()
             if err == errno.EINTR:

@@ -14,10 +14,12 @@ preserved, then travel as plain ``KIND_REPORT`` singles.
 The shim stays strictly per *report* — impairment decision ``n`` still
 rules on report ``n``, so the in-process reference lane (which has no
 frames) sees the identical post-impairment report stream and digest
-equality survives coalescing by construction.  Only survivors are
-packed, and the lane sequence number is assigned per *envelope* after
-packing: the shim, the :class:`Reassembler`, and the ACK window all
-keep seeing one seq per datagram.
+equality survives coalescing by construction.  It rules on ordinals
+(the n-th first transmission is ordinal ``n``); shard and report ride
+beside it as two columns, which the surviving ordinals index.  Only
+survivors are packed, and the lane sequence number is assigned per
+*envelope* after packing: the shim, the :class:`Reassembler`, and the
+ACK window all keep seeing one seq per datagram.
 
 Scale-out: with ``--translators N`` the reporter holds one *lane* per
 translator daemon (socket, seq stream, frame packer, send window) and
@@ -49,12 +51,13 @@ from repro.transport.envelope import (
     KIND_ACK,
     KIND_CTRL,
     MAX_FRAME_REPORTS,
+    WINDOW,
     ack_delivered,
     ack_lane,
     unwrap,
     wrap,
     wrap_end,
-    wrap_frame,
+    wrap_frames,
 )
 from repro.transport.loss import LossSpec
 
@@ -92,11 +95,61 @@ class _Lane:
         self.seq = 0            # lane seq: assigned per envelope, post-shim
         self.sent = 0           # envelopes actually written to the socket
         self.acked = 0          # translator's cumulative in-order delivery
-        self.pending: list = []         # reports of the frame being packed
-        self.pending_bytes = 0
+        self.pending: list = []         # reports of the open frame
+        self.pending_bytes = 0          # its length table + report bytes
         self.outbox: list = []          # finalized envelopes awaiting send
         self.reports_sent = 0
         self.frames_sent = 0
+
+
+def _sizes(reports: list) -> np.ndarray:
+    return np.fromiter(map(len, reports), dtype=np.int64, count=len(reports))
+
+
+class _Stream:
+    """Reports in flight through the shim, as columns.
+
+    The shim rules on ordinals — the reporter's n-th first
+    transmission is ordinal n — and a stream resolves the ordinals it
+    emits back to rows: row ``i`` is the report ``raw[i]`` (``size[i]``
+    bytes) bound for collector ``shard[i]``.  The rows are the reports
+    the shim still held from earlier calls (``carry``: ordinal ->
+    ``(shard, raw)``), in ordinal order, then this call's, ordinals
+    ``base`` onward.
+    """
+
+    __slots__ = ("held", "first", "shard", "raw", "size")
+
+    def __init__(self, carry: dict, base: int, shards, raws) -> None:
+        held = sorted(carry)
+        self.held = np.array(held, dtype=np.int64)
+        self.first = base - len(held)   # row of ordinal >= base: o - first
+        self.shard = np.fromiter(shards, dtype=np.int64, count=len(raws))
+        self.raw = np.fromiter(raws, dtype=object, count=len(raws))
+        self.size = _sizes(raws)
+        if held:
+            shards, raws = zip(*map(carry.get, held))
+            self.shard = np.concatenate((shards, self.shard))
+            self.raw = np.concatenate(
+                (np.fromiter(raws, dtype=object, count=len(raws)),
+                 self.raw))
+            self.size = np.concatenate((_sizes(raws), self.size))
+
+    def rows(self, ordinals) -> np.ndarray:
+        """The rows of ``ordinals``."""
+        at = np.fromiter(ordinals, dtype=np.int64, count=len(ordinals))
+        rows = at - self.first
+        if len(self.held):
+            early = at < self.first + len(self.held)
+            rows[early] = np.searchsorted(self.held, at[early])
+        return rows
+
+    def carry(self, ordinals) -> dict:
+        """``ordinal -> (shard, raw)`` for ``ordinals`` (what the shim
+        still holds when the call ends)."""
+        return {ordinal: (int(self.shard[row]), self.raw[row])
+                for ordinal, row in zip(ordinals,
+                                        self.rows(ordinals).tolist())}
 
 
 class SocketReporter:
@@ -123,7 +176,7 @@ class SocketReporter:
 
     def __init__(self, name: str, reporter_id: int, *, data_addr=None,
                  shards: int = 1, translators: int = 1,
-                 loss: LossSpec | None = None, window: int = 512,
+                 loss: LossSpec | None = None, window: int = WINDOW,
                  frame_bytes: int = 1400, use_mmsg=None) -> None:
         if translators < 1:
             raise ValueError("need at least one translator lane")
@@ -132,6 +185,8 @@ class SocketReporter:
         self.use_mmsg = use_mmsg
         self._frame_budget = max(1, frame_bytes - ENVELOPE.size - 2)
         self.shim = (loss or LossSpec()).shim()
+        self._ordinal = 0       # the next first transmission's shim ordinal
+        self._carry: dict = {}  # ordinal -> (shard, raw) the shim holds
         self._lanes = [_Lane() for _ in range(translators)]
         if data_addr is not None:
             self.set_data_addrs([data_addr])
@@ -222,10 +277,11 @@ class SocketReporter:
 
         Semantically identical to :meth:`transmit_to` over
         ``zip(shards, raws)`` — same shim decisions, same frame
-        boundaries, the same envelope bytes — but the shim runs a
-        hoisted pass and the frame packer finds boundaries by
-        cumulative-size search instead of a per-report budget check.
-        The input is streamed: shim, packer and socket take it a slice
+        boundaries, the same envelope bytes — but shard and report stay
+        two columns end to end: the shim rules on a ``range`` of
+        ordinals, its survivors index the columns, and each lane's
+        frames are sealed by one :func:`wrap_frames` call.  The input is
+        streamed: shim, packer and socket take it a slice
         (``_TRANSMIT_SLICE`` reports) at a time, shim holds and the
         open frame carrying over, so the translator is decoding the
         first slice while the rest is still here.  Callers must not pass
@@ -234,63 +290,18 @@ class SocketReporter:
         flush-first path); workload streams are first transmissions by
         construction.
         """
-        lanes = self._lanes
-        n_lanes = len(lanes)
-        # The shim stream stays (shard, raw) tuples throughout so bulk
-        # and per-report transmits interleave on one shim (reordered
-        # holds and ``end_stream``'s flush see one shape).
-        stream = list(zip(shards, raws))
-        for start in range(0, len(stream), _TRANSMIT_SLICE):
-            survivors = self.shim.step_many(
-                stream[start:start + _TRANSMIT_SLICE])
-            if n_lanes == 1:
-                per_lane = [[raw for _shard, raw in survivors]]
-            else:
-                per_lane = [[] for _ in lanes]
-                for shard, survivor in survivors:
-                    per_lane[shard % n_lanes].append(survivor)
-            for lane, reports in zip(lanes, per_lane):
-                self._pack_lane(lane, reports)
-                # Sealed envelopes leave now (the open frame stays
-                # open), so the translator works while the next slice
-                # is still in the shim.
+        base = self._ordinal
+        stream = _Stream(self._carry, base, shards, raws)
+        self._ordinal = end = base + len(raws)
+        for start in range(base, end, _TRANSMIT_SLICE):
+            self._emit(stream, self.shim.step_many(
+                range(start, min(start + _TRANSMIT_SLICE, end))))
+            # Sealed envelopes leave now (the open frame stays open),
+            # so the translator works while the next slice is still in
+            # the shim.
+            for lane in self._lanes:
                 self._flush_outbox(lane)
-
-    def _pack_lane(self, lane: _Lane, reports) -> None:
-        """Greedy-pack ``reports`` into ``lane``'s frames in order.
-
-        Produces exactly the frames repeated :meth:`_enqueue` calls
-        would: maximal prefixes within the byte budget (an oversize
-        report rides a frame of its own), capped at
-        ``MAX_FRAME_REPORTS``, continuing whatever frame was already
-        pending and leaving the final partial frame pending.
-        """
-        if not reports:
-            return
-        budget = self._frame_budget
-        n = len(reports)
-        sizes = np.fromiter(map(len, reports), dtype=np.int64, count=n)
-        cum = np.cumsum(sizes + 2)
-        start = 0
-        while start < n:
-            prev = int(cum[start - 1]) if start else 0
-            end = int(np.searchsorted(
-                cum, prev + budget - lane.pending_bytes, side="right"))
-            cap = start + MAX_FRAME_REPORTS - len(lane.pending)
-            if end > cap:
-                end = cap
-            if end <= start:
-                if lane.pending:
-                    # The open frame has no room — seal it, retry.
-                    self._finalize_frame(lane)
-                    continue
-                end = start + 1         # oversize single rides alone
-            lane.pending.extend(reports[start:end])
-            lane.pending_bytes += int(cum[end - 1]) - prev
-            start = end
-            if start < n:
-                # More survivors follow, so this frame is full.
-                self._finalize_frame(lane)
+        self._carry = stream.carry(self.shim.holding)
 
     def _transmit_shard(self, shard: int, raw: bytes) -> None:
         if raw[1] & int(DtaFlags.RETRANSMIT):
@@ -301,15 +312,18 @@ class SocketReporter:
             self._append_single(lane, raw)
             self._flush_outbox(lane)
             return
-        # The shim rules on (shard, report) tuples opaquely — decision
-        # n still concerns report n, exactly as in the reference lane.
-        for held_shard, survivor in self.shim.step((shard, raw)):
-            self._enqueue(held_shard, survivor)
+        # Decision n still concerns report n, exactly as in the
+        # reference lane: the shim rules on this report's ordinal.
+        ordinal = self._ordinal
+        self._ordinal += 1
+        carry = self._carry
+        carry[ordinal] = (shard, raw)
+        for released in self.shim.step(ordinal):
+            self._enqueue(*carry.pop(released))
+        self._carry = {held: carry[held] for held in self.shim.holding}
 
     def _enqueue(self, shard: int, raw: bytes) -> None:
-        self._enqueue_lane(self._lanes[shard % len(self._lanes)], raw)
-
-    def _enqueue_lane(self, lane: _Lane, raw: bytes) -> None:
+        lane = self._lanes[shard % len(self._lanes)]
         added = 2 + len(raw)
         if lane.pending and (lane.pending_bytes + added > self._frame_budget
                              or len(lane.pending) >= MAX_FRAME_REPORTS):
@@ -317,15 +331,71 @@ class SocketReporter:
         lane.pending.append(raw)
         lane.pending_bytes += added
 
-    def _finalize_frame(self, lane: _Lane) -> None:
-        if not lane.pending:
+    def _emit(self, stream: "_Stream", ordinals) -> None:
+        """Pack the shim's survivors (ordinals, in wire order) into
+        their lanes' frames."""
+        if not ordinals:
             return
-        lane.outbox.append(wrap_frame(lane.seq, lane.pending))
-        lane.seq += 1
-        lane.frames_sent += 1
-        lane.reports_sent += len(lane.pending)
+        rows = stream.rows(ordinals)
+        lanes = self._lanes
+        if len(lanes) == 1:
+            self._pack(lanes[0], stream, rows)
+            return
+        lane_of = stream.shard[rows] % len(lanes)
+        for index, lane in enumerate(lanes):
+            self._pack(lane, stream, rows[lane_of == index])
+
+    def _pack(self, lane: _Lane, stream: "_Stream", rows) -> None:
+        """Greedy-pack the reports at ``rows`` into ``lane``'s frames.
+
+        Produces exactly the frames repeated :meth:`_enqueue` calls
+        would: maximal prefixes within the byte budget (an oversize
+        report rides a frame of its own), capped at
+        ``MAX_FRAME_REPORTS``, continuing the frame already open; every
+        frame but the last is sealed, the last stays open.
+        """
+        if not len(rows):
+            return
+        reports = lane.pending + stream.raw[rows].tolist()
+        sizes = stream.size[rows]
+        if lane.pending:
+            sizes = np.concatenate((_sizes(lane.pending), sizes))
+        # The frame opening at report i ends before report nxt[i].
+        n = len(reports)
+        cost = sizes + 2
+        cum = np.cumsum(cost)
+        nxt = np.searchsorted(cum, cum - cost + self._frame_budget,
+                              side="right")
+        np.clip(nxt, np.arange(1, n + 1),
+                np.arange(MAX_FRAME_REPORTS, n + MAX_FRAME_REPORTS),
+                out=nxt)
+        bounds = [0]
+        while bounds[-1] < n:
+            bounds.append(int(nxt[bounds[-1]]))
+        sealed = bounds[-2]
+        # Emptied first: a retransmit served while the seal waits on
+        # the window flushes the open frame, which is in this batch.
         lane.pending = []
         lane.pending_bytes = 0
+        if sealed:
+            self._seal(lane, reports[:sealed], sizes[:sealed], bounds[:-1])
+        lane.pending = reports[sealed:]
+        lane.pending_bytes = int(cum[-1] - cum[sealed - 1]) if sealed \
+            else int(cum[-1])
+
+    def _finalize_frame(self, lane: _Lane) -> None:
+        pending = lane.pending
+        if pending:
+            lane.pending = []
+            lane.pending_bytes = 0
+            self._seal(lane, pending, _sizes(pending), (0, len(pending)))
+
+    def _seal(self, lane: _Lane, reports: list, sizes, bounds) -> None:
+        frames = wrap_frames(lane.seq, reports, sizes, bounds)
+        lane.outbox.extend(frames)
+        lane.seq += len(frames)
+        lane.frames_sent += len(frames)
+        lane.reports_sent += len(reports)
         if len(lane.outbox) >= _OUTBOX_FRAMES:
             self._flush_outbox(lane)
 
@@ -382,8 +452,8 @@ class SocketReporter:
         conservation.  May be called again after NACK settle rounds;
         each call emits fresh ENDs covering everything sent to date.
         """
-        for shard, survivor in self.shim.flush():
-            self._enqueue(shard, survivor)
+        for released in self.shim.flush():
+            self._enqueue(*self._carry.pop(released))
         total = 0
         for lane in self._lanes:
             self._finalize_frame(lane)

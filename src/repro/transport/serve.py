@@ -194,6 +194,7 @@ class SocketLane:
                           spec.vectorized, spec.batch_size,
                           self.reporter.ctrl_addr, child_conn),
                     kwargs={"lane": lane, "ack_every": spec.ack_every,
+                            "window": spec.window,
                             "use_mmsg": spec.use_mmsg},
                     daemon=True, name=f"dta-translator-{lane}")
                 proc.start()

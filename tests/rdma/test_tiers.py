@@ -53,14 +53,15 @@ class Deployment:
         }
 
 
-def _uniform_plan(seed: int) -> list:
+def _uniform_plan(seed: int, writes: int = 24) -> list:
     """``(row_bytes | None, slots, payload)`` steps the array tier can
-    run: two write sizes and one fetch-add run, slots repeating."""
+    run: two write sizes of ``writes`` rows each (into at most 64
+    slots) and one fetch-add run, slots repeating."""
     rng = random.Random(seed)
     plan = []
     for row_bytes in (8, 16):
-        slots = [rng.randrange(REGION_BYTES // row_bytes)
-                 for _ in range(24)]
+        slots = [rng.randrange(min(64, REGION_BYTES // row_bytes))
+                 for _ in range(writes)]
         slots[5] = slots[11] = slots[0]         # last write must win
         plan.append((row_bytes, slots,
                      [rng.randbytes(row_bytes) for _ in slots]))
@@ -127,7 +128,13 @@ def test_per_packet_equals_wr_burst_for_every_verb(census):
 
 @pytest.mark.parametrize("census", CENSUSES)
 def test_three_tiers_agree_on_uniform_bursts(census):
-    plan = _uniform_plan(seed=census)
+    # 10 000 writes into at most 64 slots: long runs of duplicate slots.
+    for writes in (24, 10_000):
+        _three_tiers_agree(census, writes)
+
+
+def _three_tiers_agree(census: int, writes: int) -> None:
+    plan = _uniform_plan(seed=census, writes=writes)
     packet, burst, array = (Deployment(census) for _ in range(3))
     for wr in _uniform_requests(plan, packet.region):
         packet.client.post(wr)
@@ -160,7 +167,8 @@ def test_three_tiers_agree_on_uniform_bursts(census):
                    model.t_msg_ns + 16 * model.t_byte_ns,
                    model.t_msg_ns * model.fetch_add_penalty]
     assert reference["nic"]["busy_fs"] == sum(
-        24 * round(t * degradation * FS_PER_NS) for t in per_message)
+        count * round(t * degradation * FS_PER_NS)
+        for count, t in zip((writes, writes, 24), per_message))
 
 
 @pytest.mark.parametrize("census", CENSUSES)
@@ -168,12 +176,20 @@ def test_strided_rows_and_span_writes_agree_with_the_wr_burst(census):
     """The two shapes the stateful plans add: rows narrower than their
     stride (Postcarding: 20 B chunks on 32 B slots — the padding stays
     untouched) and a few contiguous writes of differing sizes (Append
-    flushes, Sketch-Merge transfers), one of which overwrites another."""
+    flushes, Sketch-Merge transfers), one of which overwrites another.
+    Then the same with 10 000 rows on the region's 16 slots."""
+    for writes in (5, 10_000):
+        _strided_rows_and_spans_agree(census, writes)
+
+
+def _strided_rows_and_spans_agree(census: int, writes: int) -> None:
     rng = random.Random(census)
     burst, array = Deployment(census), Deployment(census)
     for dep in (burst, array):
         dep.region.buf[:] = bytes(range(256)) * 2       # visible padding
     slots = [3, 9, 3, 0, 15]                            # slot 3 twice
+    slots[4:] = [rng.randrange(REGION_BYTES // 32)
+                 for _ in range(writes - 5)] + [15]
     rows = [rng.randbytes(20) for _ in slots]
     spans = [(2, rng.randbytes(48)), (10, rng.randbytes(16)),
              (4, rng.randbytes(48)), (3, rng.randbytes(32))]
@@ -189,15 +205,15 @@ def test_strided_rows_and_span_writes_agree_with_the_wr_burst(census):
     target = kburst.resolve_target(array.client, array.region.rkey)
     assert kburst.write_rows(
         target, array.client, np.asarray(slots, dtype=np.int64),
-        np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(5, 20),
-        32) == 5
+        np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(writes, 20),
+        32) == writes
     assert kburst.write_spans(
         target, array.client, [slot for slot, _ in spans],
         [data for _, data in spans], 16) == 4
 
     assert array.state() == burst.state()
     memory = array.state()["memory"]
-    assert memory[32 * 15:32 * 15 + 20] == rows[4]
+    assert memory[32 * 15:32 * 15 + 20] == rows[-1]
     assert memory[32 * 15 + 20:32 * 16] == bytes(range(244, 256))
     assert memory[16 * 3:16 * 5] == spans[3][1]     # the later write won
 
@@ -207,7 +223,8 @@ def test_array_tiers_decline_out_of_bounds_with_nothing_touched():
     before = dep.state()
     target = kburst.resolve_target(dep.client, dep.region.rkey)
     rows = np.zeros((2, 20), dtype=np.uint8)
-    for indices in ([0, REGION_BYTES // 32], [-1, 0]):
+    # 2**62 - 1 is in int64 range, but its ``slot * n`` key is not.
+    for indices in ([0, REGION_BYTES // 32], [-1, 0], [(1 << 62) - 1, 0]):
         assert kburst.write_rows(target, dep.client,
                                  np.asarray(indices, dtype=np.int64),
                                  rows, 32) is None

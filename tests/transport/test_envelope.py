@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.transport.envelope import (
@@ -23,6 +24,7 @@ from repro.transport.envelope import (
     wrap_ack,
     wrap_end,
     wrap_frame,
+    wrap_frames,
 )
 
 
@@ -94,6 +96,27 @@ class TestFrameCodec:
         assert unwrap_frame(payload + b"\xff\xff") == [b"abc"]
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wrap_frames_is_wrap_frame_per_frame(self, seed):
+        rng = random.Random(seed)
+        reports = [rng.randbytes(rng.choice((0, 1, 30, 300)))
+                   for _ in range(rng.randrange(1, 400))]
+        cuts = rng.sample(range(1, len(reports) + 1),
+                          min(len(reports), rng.randrange(1, 30)))
+        bounds = [0] + sorted(set(cuts) | {len(reports)})
+        sizes = np.fromiter(map(len, reports), dtype=np.int64)
+        seq = rng.choice((0, 7, (1 << 64) - 200))
+        frames = wrap_frames(seq, reports, sizes, bounds)
+        assert [bytes(frame) for frame in frames] == [
+            wrap_frame(seq + i, reports[lo:hi])
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        assert wrap_frames(seq, [], sizes[:0], [0]) == []
+        with pytest.raises(ValueError):
+            wrap_frames(0, [b"x"] * (MAX_FRAME_REPORTS + 1),
+                        np.ones(MAX_FRAME_REPORTS + 1, dtype=np.int64),
+                        [0, MAX_FRAME_REPORTS + 1])
+
+
 class TestReassembler:
     def test_in_order_passthrough(self):
         r = Reassembler()
@@ -144,6 +167,19 @@ class TestReassembler:
         assert [p for _k, p in out] == [b"a", b"b", b"c"]
         assert r.waiting == 0
         assert r.delivered == 3
+
+    def test_seqs_past_the_horizon_are_malformed(self):
+        r = Reassembler(horizon=4)
+        assert r.push(wrap(4, b"e")) == []            # 0 + 4: too far
+        assert r.push(wrap(1 << 40, b"x")) == []
+        assert r.push(wrap(3, b"d")) == []            # in reach: held
+        assert (r.malformed, r.waiting) == (2, 1)
+        for seq, payload in enumerate((b"a", b"b", b"c")):
+            r.push(wrap(seq, payload))
+        assert r.push(wrap(7, b"h")) == []            # 4 + 4 - 1: held
+        assert (r.next_seq, r.waiting, r.malformed) == (4, 1, 2)
+        with pytest.raises(ValueError):
+            Reassembler(horizon=0)
 
     def test_kinds_survive_reassembly(self):
         r = Reassembler()

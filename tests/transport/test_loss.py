@@ -120,3 +120,27 @@ class TestStepMany:
         out_mixed.extend(mixed.step_many(data[200:]))
         out_mixed.extend(mixed.flush())
         assert out_mixed == spec.shim().apply(data)
+        # The reporter's shape: ordinals as ``range`` slices, a few
+        # single ``step`` calls between them, then ``flush``.  Heavy
+        # reordering makes holds straddle slice and call boundaries;
+        # what is held between calls is visible in ``holding``.
+        spec = LossSpec(seed=15, drop_rate=0.05, reorder_rate=0.4,
+                        reorder_span=6)
+        n = 20_000
+        for width in (1, 7, 8192):
+            shim = spec.shim()
+            out = []
+            ordinal = straddled = 0
+            while ordinal < n:
+                end = min(ordinal + width, n)
+                out.extend(shim.step_many(range(ordinal, end)))
+                straddled += bool(shim.holding)
+                assert all(held < end for held in shim.holding)
+                ordinal = end
+                for _ in range(min(3, n - ordinal)):
+                    out.extend(shim.step(ordinal))
+                    ordinal += 1
+            out.extend(shim.flush())
+            assert shim.holding == []
+            assert straddled > 0
+            assert out == spec.shim().apply(range(n))

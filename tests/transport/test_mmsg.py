@@ -58,6 +58,25 @@ def test_roundtrip_fast_and_fallback(use_mmsg):
     assert got == payloads
 
 
+@pytest.mark.skipif(not mmsg.HAVE_MMSG, reason="no mmsg syscalls here")
+def test_partial_sendmmsg_continues_where_the_kernel_stopped(monkeypatch):
+    """A kernel that takes at most five messages per call: the send
+    loop resumes at the first unsent header, so every payload, the
+    empty ones included, arrives once and in order."""
+    real = mmsg._sendmmsg
+    calls = []
+
+    def five_at_most(fd, hdrs, count, flags):
+        calls.append(count)
+        return real(fd, hdrs, min(count, 5), flags)
+
+    monkeypatch.setattr(mmsg, "_sendmmsg", five_at_most)
+    payloads = [bytes([i % 256]) * (i * 37 % 1500) for i in range(150)]
+    assert b"" in payloads
+    assert _roundtrip(payloads, True, 256) == payloads
+    assert calls == list(range(150, 0, -5))
+
+
 def test_recv_burst_timeout_returns_empty():
     a, b = _pair()
     try:

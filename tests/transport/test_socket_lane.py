@@ -243,6 +243,66 @@ class TestFramePacking:
                 sink.close()
         assert datagrams[0] == datagrams[1]
 
+    @pytest.mark.parametrize("translators", [1, 2])
+    def test_bulk_calls_interleaved_with_per_report_transmits(
+            self, translators, monkeypatch):
+        """Several ``transmit_many`` calls with per-report ``transmit_to``
+        between them, then ``end_stream``: reports the shim holds across
+        slices and calls, and those its final flush releases, reach the
+        lane of their own shard, and every lane's envelopes are the
+        per-report path's."""
+        from repro.transport import reporter as reporter_mod
+
+        monkeypatch.setattr(reporter_mod, "_TRANSMIT_SLICE", 7)
+        loss = LossSpec(seed=23, drop_rate=0.05, reorder_rate=0.3,
+                        reorder_span=5)
+        rng = random.Random(translators)
+        n = 600
+        raws = [packets.make_report(
+            packets.KeyWrite(key=struct.pack(">I", i),
+                             data=bytes(rng.randrange(1, 40))),
+            reporter_id=1) for i in range(n)]
+        shards = [rng.randrange(3) for _ in range(n)]
+        cuts = [0, 5, 6, 90, 91, 92, 300, 301, 577, n]
+        streams = []
+        for use_bulk in (False, True):
+            sinks = [socket_mod.socket(socket_mod.AF_INET,
+                                       socket_mod.SOCK_DGRAM)
+                     for _ in range(translators)]
+            for sink in sinks:
+                sink.setsockopt(socket_mod.SOL_SOCKET,
+                                socket_mod.SO_RCVBUF, 1 << 22)
+                sink.bind(("127.0.0.1", 0))
+                sink.settimeout(2.0)
+            reporter = SocketReporter(
+                "pack-test", 1, shards=3, translators=translators,
+                loss=loss, window=1 << 20, frame_bytes=160)
+            reporter.set_data_addrs([sink.getsockname() for sink in sinks])
+            try:
+                for index, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                    if use_bulk and index % 2:
+                        reporter.transmit_many(shards[lo:hi], raws[lo:hi])
+                    else:
+                        for shard, raw in zip(shards[lo:hi], raws[lo:hi]):
+                            reporter.transmit_to(shard, raw)
+                reporter.end_stream()
+                assert reporter.shim.reordered > 50
+                streams.append([self._drain(sink, seqs) for sink, seqs
+                                in zip(sinks, reporter.lane_seqs)])
+            finally:
+                reporter.close()
+                for sink in sinks:
+                    sink.close()
+        assert streams[0] == streams[1]
+        # Each lane carries its shards' survivors in the shim's order.
+        survivors = loss.shim().apply(range(n))
+        for lane, datagrams in enumerate(streams[1]):
+            delivered = [report for _seq, kind, payload in datagrams
+                         if kind == KIND_FRAME
+                         for report in unwrap_frame(payload)]
+            assert delivered == [raws[i] for i in survivors
+                                 if shards[i] % translators == lane]
+
     @pytest.mark.parametrize("n", [255, 256, 257, 512, 513, 769])
     def test_sliced_bulk_transmit_streams_the_same_envelopes(
             self, n, monkeypatch):
@@ -428,6 +488,37 @@ class TestDatagramFuzz:
         assert stats["malformed"] >= 4        # the four junk payloads
         assert stats["duplicates"] >= 1
         # Garbage must not have perturbed a single store byte.
+        assert digests == run_reference(spec, raws)
+
+    def test_far_future_lane_seqs_are_malformed_not_buffered(self):
+        """A well-formed envelope whose seq lies past the reporter's send
+        window can never be filled in behind: it counts as malformed
+        instead of waiting forever (which failed conservation and, as a
+        flood of distinct seqs, grew the daemon without bound)."""
+        spec = _spec(reports=300, window=64)
+        raws = reports.wire(spec.primitive, spec.reports, spec.seed)
+        far = 0
+        with SocketLane(spec) as lane:
+            for seq in (1 << 40, (1 << 64) - 1, 10 ** 6):
+                lane.reporter.send_raw_datagram(wrap(seq, b"x"))
+                far += 1
+            for i, raw in enumerate(raws):
+                lane.reporter.transmit(raw)
+                if i % 50 == 0:
+                    # A window past everything emitted so far, hence
+                    # past the horizon of what is delivered.
+                    lane.reporter.flush()
+                    lane.reporter.send_raw_datagram(
+                        wrap(lane.reporter.lane_seqs[0] + spec.window, b"x"))
+                    far += 1
+            lane.reporter.end_stream()
+            stats = lane.drain()
+            digests = lane.digests()
+            emitted = sum(lane.reporter.lane_seqs)
+        assert stats["waiting"] == 0
+        assert stats["malformed"] == far
+        assert stats["delivered"] == emitted
+        assert stats["reports"] == len(raws)
         assert digests == run_reference(spec, raws)
 
     def test_truncated_dta_reports_counted_not_fatal(self):
