@@ -247,15 +247,20 @@ class KeyWriteStore(primitives.Store):
         return result
 
     def query_many(self, keys, *, redundancy: int | None = None,
-                   consensus: int = 1, packed=None) -> list:
-        """:meth:`query` for a whole key batch: one hash pass, one gather.
+                   consensus: int = 1, packed=None) -> tuple:
+        """:meth:`query` for a whole key batch, as columns.
 
-        Returns ``[query(key, ...) for key in keys]`` — equal
-        :class:`QueryResult` objects, in order — and charges
-        :attr:`stats` exactly what that loop would.  The N slot lanes
-        and the checksum lane run once over the packed batch
-        (``packed`` is an optional ``kernels.crc.pack_keys(keys)`` pair
-        for callers that probe the same keys repeatedly), the N x n
+        Returns ``(found, values, matched)``, numpy columns in key
+        order: ``found`` (bool) is each key's ``query(key).found``,
+        ``values`` (``V{data_bytes}``; ``tolist()`` gives bytes) its
+        ``value`` where found and zero bytes elsewhere, ``matched``
+        (int) its ``matched_slots``.  :attr:`stats` is charged exactly
+        what the :meth:`query` loop charges.  No per-key object is
+        built: the candidate lists stay the scalar oracle's.
+
+        The N slot lanes and the checksum lane run once over the packed
+        batch (``packed`` is an optional ``kernels.crc.pack_keys(keys)``
+        pair for callers that probe the same keys repeatedly), the N x n
         slots are read with one fancy index, and the plurality vote is
         array arithmetic for any N and consensus T.
         """
@@ -289,18 +294,8 @@ class KeyWriteStore(primitives.Store):
         found = ((best >= max(consensus, 1))
                  & ((votes == best).sum(axis=0) == best))
         winner = votes.argmax(axis=0)       # first slot of the plurality
-
-        # Each key's candidates are a run of the matched values taken
-        # key-major, in slot order.
-        hits = matched.sum(axis=0)
-        sizes = hits.tolist()
-        landed = value.T[matched.T].tolist()
-        candidates = [landed[end - size:end]
-                      for end, size in zip(hits.cumsum().tolist(), sizes)]
-        answers = value[winner, np.arange(count)].tolist()
-        for k in np.flatnonzero(~found).tolist():
-            answers[k] = None
-        results = list(map(QueryResult, keys, answers, candidates, sizes))
+        values = value[winner, np.arange(count)]
+        values[~found] = bytes(layout.data_bytes)
 
         stats = self.stats
         answered = int(found.sum())
@@ -310,7 +305,7 @@ class KeyWriteStore(primitives.Store):
         stats.memory_reads += count * n_slots
         stats.hits += answered
         stats.empty_returns += count - answered
-        return results
+        return found, values, matched.sum(axis=0)
 
     def local_insert(self, key: bytes, data: bytes,
                      redundancy: int = calibration.DEFAULT_REDUNDANCY

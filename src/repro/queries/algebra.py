@@ -18,14 +18,22 @@ and ``reduce(key="list_id", how="count")`` pass along and fold without
 materialising a dict (see "Read kernels" in ``docs/ARCHITECTURE.md``).
 Every operator that changes cardinality
 (``reduce``, ``distinct``, ``topk``) emits its rows in a *canonical
-order* (see :func:`canon`), which is what makes the algebra's
-determinism claims checkable:
+order*, which is what makes the algebra's determinism claims checkable:
 
 * evaluating a plan twice over the same snapshot is bit-equal;
 * ``reduce`` with a commutative ``how`` (sum/min/max/count) and
   ``distinct`` are insensitive to source row order;
 * ``filter(p).filter(q) == filter(q).filter(p)``;
 * ``topk(k=None)`` is a total ordering — ``topk(k)`` is its prefix.
+
+:func:`canon` is the one definition of that order (and of key equality
+in ``reduce``, ``distinct`` and ``join``).  The operators do not call
+it per row: they key on plain values, derived one column at a time by
+:func:`_column_keys` — a column of one exact type among bytes, int and
+str (or of tuples of one) is its own keys, since ``canon`` compares
+such values as themselves; any other column is keyed by ``canon``.
+Whole dict rows with the same fields are keyed by those columns in
+``str(field)`` order, which is what ``canon(row)`` compares.
 
 Cost accounting flows through the :class:`ExecContext` the sources
 receive: every store probe records rows scanned and bytes touched, so
@@ -37,8 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
+
+import numpy as np
 
 from repro import calibration
 from repro.core.stores.append import entry_data
@@ -79,7 +89,54 @@ def canon(value):
         return (3, bytes(value))
     if isinstance(value, str):
         return (4, value)
+    if isinstance(value, np.generic):   # a numpy scalar: what it holds
+        return canon(value.item())
     return (7, repr(value))
+
+
+_PLAIN = frozenset((bytes, int, str))
+_SEQUENCES = frozenset((tuple, list))
+
+
+def _column_keys(values: list) -> list:
+    """Keys for one column of values: ordered, and equal, exactly as
+    :func:`canon` orders them.
+
+    Values of one exact type among bytes, int and str are their own
+    keys — ``canon`` tags them alike and compares the values.  So are
+    tuples (lists, made tuples) whose items share one such type: ``canon``
+    compares those item by item.  Any other column is keyed by ``canon``.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and kinds <= _PLAIN:
+        return values
+    if kinds and kinds <= _SEQUENCES:
+        items = set(map(type, chain.from_iterable(values)))
+        if len(items) <= 1 and items <= _PLAIN:
+            return values if list not in kinds else list(map(tuple, values))
+    return list(map(canon, values))
+
+
+def _row_keys(rows: list) -> list:
+    """Keys for whole rows, ordered and equal as ``canon(row)``.
+
+    Dict rows with the same str-named fields are keyed by the tuple of
+    their fields' column keys in name order — the pairs ``canon(row)``
+    compares, with the names equal at every position.  Other rows are
+    keyed by ``canon``.
+    """
+    if rows and set(map(type, rows)) == {dict}:
+        names = list(rows[0])
+        if (set(map(type, names)) == {str}
+                and set(map(len, rows)) == {len(names)}):
+            try:
+                columns = [list(map(itemgetter(name), rows))
+                           for name in sorted(names)]
+            except KeyError:            # as many fields, not the same
+                pass
+            else:
+                return list(zip(*map(_column_keys, columns)))
+    return list(map(canon, rows))
 
 
 def _getter(spec):
@@ -87,7 +144,7 @@ def _getter(spec):
     as-is (the escape hatch for computed keys)."""
     if callable(spec):
         return spec
-    return lambda row: row[spec]
+    return itemgetter(spec)
 
 
 # ----------------------------------------------------------------------
@@ -177,16 +234,17 @@ class KeyWriteValues(KeyedSource):
 
     def rows(self, ctx: ExecContext) -> list:
         store = ctx.store("keywrite")
-        results = store.query_many(self.keys, redundancy=self.redundancy,
-                                   consensus=self.consensus,
-                                   packed=self.packed)
+        found, values, matched = store.query_many(
+            self.keys, redundancy=self.redundancy,
+            consensus=self.consensus, packed=self.packed)
         reads = len(self.keys) * (self.redundancy
                                   or calibration.DEFAULT_REDUNDANCY)
         ctx.scanned(reads, reads * store.layout.slot_bytes)
-        return [{"key": result.key, "value": result.value,
-                 "found": result.value is not None,
-                 "matched_slots": result.matched_slots}
-                for result in results]
+        return [{"key": key, "value": value if hit else None,
+                 "found": hit, "matched_slots": slots}
+                for key, value, hit, slots in zip(
+                    self.keys, values.tolist(), found.tolist(),
+                    matched.tolist())]
 
     def describe(self) -> str:
         return f"keywrite[{len(self.keys)}]"
@@ -388,11 +446,12 @@ class Distinct(Operator):
     key: object = None
 
     def apply(self, rows, ctx):
-        key_fn = _getter(self.key) if self.key is not None else canon
-        seen = {}
-        for row in rows:
-            seen.setdefault(canon(key_fn(row)), row)
-        return [seen[k] for k in sorted(seen)]
+        rows = list(rows)
+        keys = (_row_keys(rows) if self.key is None
+                else _column_keys(list(map(_getter(self.key), rows))))
+        # Filled back to front, each key ends on its first-seen row.
+        seen = dict(zip(reversed(keys), reversed(rows)))
+        return list(map(seen.__getitem__, sorted(seen)))
 
     def describe(self) -> str:
         return "distinct"
@@ -430,33 +489,32 @@ class Reduce(Operator):
                 f"(choose from {', '.join(sorted(_REDUCERS))})")
 
     def apply(self, rows, ctx):
-        key_fn = _getter(self.key)
-        value_fn = (_getter(self.value) if self.value is not None
-                    else lambda row: 1)
         fold = _REDUCERS[self.how]
-        groups: dict = {}
+        init = _REDUCE_INIT.get(self.how)
         if (isinstance(rows, AppendRows) and self.how == "count"
                 and self.key == "list_id" and self.value is None):
             # ``list_id`` is constant per part: fold lengths, not rows.
-            for list_id, _start, entries in rows.parts:
-                if len(entries):
-                    slot = canon(list_id)
-                    _group, count = groups.get(slot, (list_id, 0))
-                    groups[slot] = (list_id, count + len(entries))
-            rows = ()
-        for row in rows:
-            group = key_fn(row)
-            value = value_fn(row)
-            slot = canon(group)
-            if slot not in groups:
-                init = _REDUCE_INIT.get(self.how)
+            pairs = [(list_id, len(entries))
+                     for list_id, _start, entries in rows.parts
+                     if len(entries)]
+            fold = _REDUCERS["sum"]
+        else:
+            key_fn = _getter(self.key)
+            value_fn = (_getter(self.value) if self.value is not None
+                        else lambda row: 1)
+            pairs = [(key_fn(row), value_fn(row)) for row in rows]
+        groups: dict = {}
+        slots = _column_keys([group for group, _value in pairs])
+        for slot, (group, value) in zip(slots, pairs):
+            held = groups.get(slot)
+            if held is None:
                 groups[slot] = (group,
                                 fold(init, value) if init is not None
                                 else value)
             else:
-                groups[slot] = (group, fold(groups[slot][1], value))
-        return [{"key": groups[slot][0], "value": groups[slot][1]}
-                for slot in sorted(groups)]
+                groups[slot] = (group, fold(held[1], value))
+        return [{"key": group, "value": value}
+                for group, value in map(groups.__getitem__, sorted(groups))]
 
     def describe(self) -> str:
         return f"reduce[{self.how}]"
@@ -475,18 +533,20 @@ class TopK(Operator):
     reverse: bool = True
 
     def apply(self, rows, ctx):
-        by_fn = _getter(self.by)
-        keyed = sorted(((canon(by_fn(row)), row) for row in rows),
-                       key=itemgetter(0), reverse=self.reverse)
-        # canon(row) — a sorted tuple of every field — only breaks ties,
-        # so it is computed only inside groups tied on the metric.
+        rows = list(rows)
+        metric = _column_keys(list(map(_getter(self.by), rows))).__getitem__
+        order = sorted(range(len(rows)), key=metric, reverse=self.reverse)
+        # The whole-row key only breaks ties, so it is derived only
+        # inside groups tied on the metric.
         ordered = []
-        for _metric, tied in groupby(keyed, key=itemgetter(0)):
+        for _metric, tied in groupby(order, key=metric):
             if self.k is not None and len(ordered) >= self.k:
                 break
-            group = [row for _metric, row in tied]
+            group = list(map(rows.__getitem__, tied))
             if len(group) > 1:
-                group.sort(key=canon, reverse=self.reverse)
+                keys = _row_keys(group).__getitem__
+                group = list(map(group.__getitem__, sorted(
+                    range(len(group)), key=keys, reverse=self.reverse)))
             ordered += group
         if self.k is None:
             return ordered
@@ -516,21 +576,23 @@ class Join(Operator):
 
     def apply(self, rows, ctx):
         on_fn = _getter(self.on)
-        right_rows = _run(self.other, ctx)
+        right_rows = list(_run(self.other, ctx))
+        rows = list(rows)
+        # Both sides' join values are one column, so their keys compare.
+        keys = _column_keys(list(map(on_fn, right_rows))
+                            + list(map(on_fn, rows)))
         right: dict = {}
-        for row in right_rows:
-            right.setdefault(canon(on_fn(row)), []).append(row)
+        for key, row in zip(keys, right_rows):
+            right.setdefault(key, []).append(row)
         out = []
-        for row in rows:
-            matches = right.get(canon(on_fn(row)))
+        for key, row in zip(keys[len(right_rows):], rows):
+            matches = right.get(key)
             if matches is None:
                 if self.how == "left":
                     out.append(dict(row))
                 continue
             for match in matches:
-                merged = dict(match)
-                merged.update(row)
-                out.append(merged)
+                out.append({**match, **row})
         return out
 
     def describe(self) -> str:

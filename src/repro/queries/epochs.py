@@ -85,15 +85,16 @@ class EpochKeyWriteValues(Source):
 
     def rows(self, ctx: ExecContext) -> list:
         store = ctx.store("keywrite")
-        results = store.query_many(
+        found, values, _matched = store.query_many(
             [key for key, _epoch in self.keys_epochs],
             redundancy=self.redundancy, consensus=self.consensus)
-        reads = len(results) * (self.redundancy
-                                or calibration.DEFAULT_REDUNDANCY)
+        reads = len(self.keys_epochs) * (self.redundancy
+                                         or calibration.DEFAULT_REDUNDANCY)
         ctx.scanned(reads, reads * store.layout.slot_bytes)
-        return [{"key": key, "value": result.value,
-                 "found": result.found, "epoch": epoch}
-                for (key, epoch), result in zip(self.keys_epochs, results)]
+        return [{"key": key, "value": value if hit else None,
+                 "found": hit, "epoch": epoch}
+                for (key, epoch), value, hit in zip(
+                    self.keys_epochs, values.tolist(), found.tolist())]
 
     def describe(self) -> str:
         return f"keywrite_epoch[{len(self.keys_epochs)}]"

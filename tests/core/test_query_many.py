@@ -2,10 +2,11 @@
 
 ``query_many`` / ``point_query_many`` must return exactly what a loop
 of the single-key API returns *and* charge the store's own counters
-exactly what that loop charges.  Hypothesis writes slot bytes directly
-— right checksum with the wrong value, split votes, ties, values after
-blanks, ``g(v)`` outside the value set — into tables small enough that
-keys collide all the time.
+exactly what that loop charges.  Key-Write's answers are columns; they
+are compared with the loop's ``QueryResult`` objects field by field.
+Hypothesis writes slot bytes directly — right checksum with the wrong
+value, split votes, ties, values after blanks, ``g(v)`` outside the
+value set — into tables small enough that keys collide all the time.
 """
 
 from __future__ import annotations
@@ -39,6 +40,22 @@ def _store(store_cls, layout_cls, *extra, **geometry):
 # ----------------------------------------------------------------------
 # Key-Write
 # ----------------------------------------------------------------------
+
+
+def _fields(columns) -> list:
+    """``query_many``'s columns as ``(found, value, matched_slots)``
+    per key, ``value`` None where not found."""
+    found, values, matched = columns
+    hits = found.tolist()
+    return list(zip(hits, [value if hit else None for value, hit
+                           in zip(values.tolist(), hits)],
+                    matched.tolist()))
+
+
+def _oracle(results) -> list:
+    return [(result.found, result.value, result.matched_slots)
+            for result in results]
+
 
 #: (key index, redundancy lane, value, whether the checksum is the key's)
 KW_WRITES = st.lists(
@@ -74,7 +91,8 @@ def test_keywrite_query_many_equals_the_query_loop(keys, writes, slots,
             store.reset_stats()
             batched = store.query_many(keys, redundancy=redundancy,
                                        consensus=consensus)
-            assert batched == looped
+            assert _fields(batched) == _oracle(looped)
+            assert batched[0].dtype == bool and len(batched[0]) == len(keys)
             assert store.stats == loop_stats
 
 
@@ -100,18 +118,23 @@ def test_keywrite_vote_cases_by_hand():
     put(b"lonely", 2, b"DDDD")
     keys = [b"plurality", b"tie", b"split", b"lonely", b"absent"]
 
-    at_three = store.query_many(keys, redundancy=3)
-    assert [r.value for r in at_three] == [b"AAAA", b"BBBB", None, b"DDDD",
-                                           None]
-    assert [r.matched_slots for r in at_three] == [3, 3, 3, 1, 0]
-    assert at_three[0].candidates == [b"AAAA", b"BBBB", b"AAAA"]
-    at_four = store.query_many(keys, redundancy=4, consensus=2)
-    assert [r.value for r in at_four] == [b"AAAA", None, None, None, None]
+    at_three = _fields(store.query_many(keys, redundancy=3))
+    assert [value for _hit, value, _n in at_three] \
+        == [b"AAAA", b"BBBB", None, b"DDDD", None]
+    assert [n for _hit, _value, n in at_three] == [3, 3, 3, 1, 0]
+    assert store.query(b"plurality", redundancy=3).candidates \
+        == [b"AAAA", b"BBBB", b"AAAA"]
+    at_four = _fields(store.query_many(keys, redundancy=4, consensus=2))
+    assert [value for _hit, value, _n in at_four] \
+        == [b"AAAA", None, None, None, None]
+    # A miss reads zero bytes in the value column, whatever its slots held.
+    _found, values, _matched = store.query_many(keys, redundancy=3)
+    assert values.tolist()[2:] == [bytes(4), b"DDDD", bytes(4)]
     for redundancy, consensus in ((3, 1), (4, 2), (1, 1)):
-        assert store.query_many(keys, redundancy=redundancy,
-                                consensus=consensus) \
-            == [store.query(key, redundancy=redundancy,
-                            consensus=consensus) for key in keys]
+        assert _fields(store.query_many(keys, redundancy=redundancy,
+                                        consensus=consensus)) \
+            == _oracle(store.query(key, redundancy=redundancy,
+                                   consensus=consensus) for key in keys)
 
 
 def test_packed_keys_are_only_a_shortcut():
@@ -119,8 +142,9 @@ def test_packed_keys_are_only_a_shortcut():
     keys = [bytes([i]) * (1 + i % 5) for i in range(20)]
     for key in keys[::2]:
         store.local_insert(key, key[:4], redundancy=2)
-    assert store.query_many(keys, redundancy=2, packed=pack_keys(keys)) \
-        == store.query_many(keys, redundancy=2)
+    assert _fields(store.query_many(keys, redundancy=2,
+                                    packed=pack_keys(keys))) \
+        == _fields(store.query_many(keys, redundancy=2))
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,16 @@ class TestCanon:
         assert ordered[0] is None          # None sorts first
         assert canon((1, 2)) == canon([1, 2])
 
+    def test_numpy_scalars_order_as_the_values_they_hold(self):
+        import numpy as np
+
+        assert canon(np.int64(9)) < canon(np.int64(10))
+        assert canon(np.int64(10)) == canon(10)
+        assert canon(np.bool_(True)) == canon(True)
+        rows = [{"c": np.int64(9)}, {"c": np.int64(10)}, {"c": np.int64(2)}]
+        top = run_plan(algebra.literal_rows(rows).topk(2, by="c"), None)
+        assert [row["c"] for row in top] == [10, 9]
+
     def test_missing_store_is_a_runtime_error(self):
         ctx = ExecContext(snapshot=object())
         with pytest.raises(RuntimeError, match="'keywrite' service"):

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.queries import algebra
-from repro.queries.algebra import run_plan
+from repro.queries.algebra import canon, run_plan
 
 keys = st.sampled_from(["a", "b", "c", "d"])
 rows = st.lists(
@@ -269,3 +270,121 @@ def test_append_rows_behave_as_the_dict_rows_they_stand_for(
         assert [type(row) for row in got] == [dict] * len(got), name
         assert (columns.rows_scanned, columns.bytes_touched) \
             == (dicts.rows_scanned, dicts.bytes_touched), name
+
+
+# ----------------------------------------------------------------------
+# Plain-value keys order and match exactly as canon
+# ----------------------------------------------------------------------
+
+_MIXED = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False), st.binary(max_size=2),
+    st.binary(max_size=2).map(bytearray), st.text("ab", max_size=2),
+    st.tuples(st.integers(0, 2)), st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=2),
+    st.integers(-3, 3).map(np.int64))
+
+#: What one column holds: one plain type, one other type, or several.
+_COLUMNS = st.sampled_from([
+    st.integers(-3, 3), st.binary(max_size=2), st.text("ab", max_size=2),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.lists(st.binary(max_size=1), max_size=2),
+    st.one_of(st.tuples(st.integers(0, 2)),
+              st.lists(st.integers(0, 2), max_size=2)),
+    st.one_of(st.integers(-3, 3), st.booleans()),
+    st.one_of(st.binary(max_size=2), st.binary(max_size=2).map(bytearray)),
+    st.lists(st.one_of(st.integers(0, 2), st.booleans()), max_size=2),
+    st.lists(st.one_of(st.integers(0, 2), st.binary(max_size=1)),
+             max_size=2),
+    st.integers(-3, 3).map(np.int64),
+    st.floats(-3, 3, allow_nan=False),
+    _MIXED,
+])
+
+#: Extra fields: none, a mixed one, or two whose ``str`` forms collide.
+_SHAPES = st.sampled_from([
+    {}, {"x": _MIXED}, {1: st.integers(0, 1), "1": st.integers(0, 1)}])
+
+
+def _rows_of(data):
+    values, shape = data.draw(_COLUMNS), data.draw(_SHAPES)
+    fixed = {"k": values, "v": st.integers(-3, 3)}
+    if data.draw(st.booleans()):
+        row = st.fixed_dictionaries({**fixed, **shape})
+    else:
+        row = st.fixed_dictionaries(fixed, optional=shape)
+    return data.draw(st.lists(row, max_size=10))
+
+
+def _canon_distinct(rows, key):
+    seen = {}
+    for row in rows:
+        seen.setdefault(canon(row if key is None else row[key]), row)
+    return [seen[slot] for slot in sorted(seen)]
+
+
+def _canon_topk(rows, k, by, reverse):
+    ordered = sorted(rows, key=lambda row: (canon(row[by]), canon(row)),
+                     reverse=reverse)
+    return ordered if k is None else ordered[:k]
+
+
+def _canon_reduce(rows, how):
+    fold = algebra._REDUCERS[how]
+    init = algebra._REDUCE_INIT.get(how)
+    groups = {}
+    for row in rows:
+        slot = canon(row["k"])
+        if slot in groups:
+            groups[slot] = (row["k"], fold(groups[slot][1], row["v"]))
+        else:
+            groups[slot] = (row["k"], row["v"] if init is None
+                            else fold(init, row["v"]))
+    return [{"key": groups[slot][0], "value": groups[slot][1]}
+            for slot in sorted(groups)]
+
+
+def _canon_join(rows, right_rows, how):
+    right = {}
+    for row in right_rows:
+        right.setdefault(canon(row["k"]), []).append(row)
+    out = []
+    for row in rows:
+        matches = right.get(canon(row["k"]))
+        if matches is None:
+            if how == "left":
+                out.append(dict(row))
+            continue
+        for match in matches:
+            out.append({**match, **row})
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_plain_keys_order_and_match_exactly_as_canon(data):
+    """Every keyed operator returns what keying each value with
+    ``canon`` returns: the same rows, in the same order, down to which
+    of two canon-equal values (``1`` and ``1.0``) is kept."""
+    rows, right_rows = _rows_of(data), _rows_of(data)
+    lit, right = algebra.literal_rows(rows), algebra.literal_rows(right_rows)
+    cases = {
+        "distinct-k": (lit.distinct(key="k"), _canon_distinct(rows, "k")),
+        "distinct-row": (lit.distinct(), _canon_distinct(rows, None)),
+    }
+    for k in (None, 3):
+        for by in ("k", "v"):
+            for reverse in (True, False):
+                cases[f"topk-{k}-{by}-{reverse}"] = (
+                    lit.topk(k, by=by, reverse=reverse),
+                    _canon_topk(rows, k, by, reverse))
+    for how in ("sum", "min", "max", "count"):
+        cases[f"reduce-{how}"] = (lit.reduce(key="k", value="v", how=how),
+                                  _canon_reduce(rows, how))
+    for how in ("inner", "left"):
+        cases[f"join-{how}"] = (lit.join(right, on="k", how=how),
+                                _canon_join(rows, right_rows, how))
+    for name, (plan, want) in cases.items():
+        # repr tells 1 from 1.0 and True, bytes from bytearray, a tuple
+        # from a list and np.int64 from int, where == would not.
+        assert repr(run_plan(plan, None)) == repr(want), name
