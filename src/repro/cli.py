@@ -9,9 +9,10 @@
     python -m repro footprint                # Table 3 / Fig. 7 tables
     python -m repro rates                    # Table 1 report rates
     python -m repro stats --loss 0.05        # obs registry after a sim
-    python -m repro bench --quick            # batched-vs-unbatched perf
-    python -m repro run --duration 10        # streaming-runtime soak
     python -m repro faults --seed 7          # chaos run + recovery audit
+    python -m repro query --smoke            # query catalog vs serial
+    python -m repro serve --smoke            # UDP daemons vs in-process
+    python -m repro retain --smoke           # rotation + checkpoint
 """
 
 from __future__ import annotations
@@ -200,38 +201,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Run the bench lane matrix; non-zero exit if a gate fails."""
-    from repro import bench
-
-    reports = min(args.reports, 2000) if args.quick else args.reports
-    document = bench.run_bench(reports=reports, batch_size=args.batch_size,
-                               seed=args.seed, vectorized=args.vectorized)
-    return bench.finish(document, args.history, args.out)
-
-
-def _cmd_run(args) -> int:
-    """Soak the streaming runtime; non-zero exit if a gate fails."""
-    from repro import bench
-    from repro.runtime import run_soak
-    from repro.workloads.reports import PRIMITIVES
-
-    if args.primitive not in PRIMITIVES:
-        print(f"error: unknown primitive '{args.primitive}' "
-              f"(choose from {', '.join(PRIMITIVES)})",
-              file=sys.stderr)
-        return 2
-    reports = min(args.reports, 8000) if args.smoke else args.reports
-    document = run_soak(primitive=args.primitive, reports=reports,
-                        batch_size=args.batch_size,
-                        queue_depth=args.queue_depth,
-                        workers=args.workers, seed=args.seed,
-                        executor=args.executor,
-                        duration=args.duration, rate=args.rate,
-                        smoke=args.smoke)
-    return bench.finish(document, args.history, args.out)
-
-
 def _cmd_faults(args) -> int:
     """Run the chaos scenario and audit recovery; gate on --smoke."""
     from repro.faults import default_plan, run_chaos
@@ -250,7 +219,11 @@ def _cmd_faults(args) -> int:
               + (" ..." if len(result.missing) > 16 else ""))
     if args.smoke:
         # CI gate: every essential report must survive the barrage.
-        return 0 if result.all_recovered else 1
+        from repro import bench
+
+        return bench.verdict({"obs_digest": result.digest}, [
+            bench.gate("every essential report queryable",
+                       result.all_recovered)])
     return 0
 
 
@@ -338,65 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--events", type=int, default=0, metavar="N",
                        help="also print the last N trace events")
     stats.set_defaults(fn=_cmd_stats)
-
-    bench = sub.add_parser(
-        "bench", help="batched-vs-unbatched perf regression matrix")
-    bench.add_argument("--reports", type=int, default=20000,
-                       help="reports per (primitive, mode) cell")
-    bench.add_argument("--batch-size", type=int, default=64,
-                       help="reports per ReportBatch on the batched path")
-    bench.add_argument("--seed", type=int, default=1,
-                       help="workload RNG seed")
-    bench.add_argument("--quick", action="store_true",
-                       help="cap at 2000 reports per cell (CI smoke)")
-    bench.add_argument("--vectorized", action="store_true",
-                       help="also run the numpy kernel path and gate "
-                            "its speedup (>= 3x on KI and Sketch-Merge)")
-    bench.add_argument("--history", default="BENCH_HISTORY.jsonl",
-                       metavar="PATH",
-                       help="JSONL trajectory to append this run to")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="also write the full document to PATH")
-    bench.set_defaults(fn=_cmd_bench)
-
-    run = sub.add_parser(
-        "run", help="streaming-runtime soak (streamed vs serial gates)")
-    run.add_argument("--duration", type=float, default=None, metavar="S",
-                     help="wall-clock cap for the streamed lane (seconds; "
-                          "default: run the whole workload)")
-    run.add_argument("--rate", type=float, default=None, metavar="RPS",
-                     help="pace submission to at most RPS reports/sec")
-    run.add_argument("--reports", type=int, default=120_000,
-                     help="workload size (streamed lane may stop early "
-                          "under --duration)")
-    run.add_argument("--primitive", default="key_write",
-                     help="workload primitive (see repro.workloads.reports)")
-    run.add_argument("--workers", type=int, default=2,
-                     help="0 = every stage inline in the submitting "
-                          "thread; --executor thread: any value >= 1 runs "
-                          "the one [encode link] [translate execute] "
-                          "thread pair; --executor process: the number "
-                          "of plan worker processes")
-    run.add_argument("--executor", choices=("thread", "process"),
-                     default="thread",
-                     help="parallelism substrate of the streamed lane: "
-                          "in-process stage threads or plan worker "
-                          "processes over shared-memory slots")
-    run.add_argument("--queue-depth", type=int, default=64,
-                     help="credit pool of each inter-stage queue")
-    run.add_argument("--batch-size", type=int, default=64,
-                     help="reports per submitted ReportBatch")
-    run.add_argument("--seed", type=int, default=1,
-                     help="workload RNG seed")
-    run.add_argument("--smoke", action="store_true",
-                     help="CI gate: cap the workload, gate on zero drops "
-                          "+ digest match only (skip the throughput gate)")
-    run.add_argument("--history", default="BENCH_HISTORY.jsonl",
-                     metavar="PATH",
-                     help="JSONL trajectory to append this run to")
-    run.add_argument("--out", default=None, metavar="PATH",
-                     help="also write the full document to PATH")
-    run.set_defaults(fn=_cmd_run)
 
     faults = sub.add_parser(
         "faults", help="seeded chaos run with recovery audit")

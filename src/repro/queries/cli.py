@@ -15,7 +15,7 @@ Three modes over one seeded mixed-primitive deployment:
   digests match, and no report was lost.
 
 ``--cost-out`` writes the per-query cost-accounting artifact
-(``repro-query-costs/1``) that CI uploads next to the soak artifact.
+(``repro-query-costs/1``) that CI uploads as a build artifact.
 """
 
 from __future__ import annotations
@@ -148,16 +148,13 @@ def _run_smoke(args, works) -> int:
         gates.append(bench.gate(
             f"plan '{name}' matches serial",
             streamed_results[name] == serial_results[name]))
-    print("\n".join(bench.gate_lines(gates)))
-    passed = all(gate["pass"] for gate in gates)
     if args.cost_out:
         _write_cost_artifact(
             args.cost_out, streamed_cost,
             {"mode": "smoke", "seed": args.seed,
-             "store_digest": streamed_digest,
-             "gates": gates, "pass": passed})
-    print(f"overall: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+             "store_digest": streamed_digest, "gates": gates,
+             "pass": all(gate["pass"] for gate in gates)})
+    return bench.verdict({"store_digest": streamed_digest}, gates)
 
 
 def add_query_parser(sub) -> None:

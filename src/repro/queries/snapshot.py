@@ -137,7 +137,7 @@ class CollectorSnapshot:
         return self.append.poller(list_id)
 
     def store_digest(self) -> str:
-        """The same SHA-256 ``store_digest`` the soak gates compare.
+        """The SHA-256 ``store_digest`` the runtime differentials compare.
 
         A snapshot taken from a quiesced deployment digests identically
         to the live collector — the property the differential suite

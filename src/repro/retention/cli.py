@@ -1,10 +1,10 @@
 """The ``repro retain`` command: the retention tier's CI gate.
 
 ``repro retain --smoke`` runs the seeded bounded-memory +
-checkpoint-round-trip lane (:mod:`repro.retention.smoke`), stores its
-lane record (``--history`` / ``--out``, :func:`repro.bench.finish`),
-and leaves the checkpoint directory behind for artifact upload
-(``--ckpt-dir``).  Exit status is the gate verdict.
+checkpoint-round-trip lane (:mod:`repro.retention.smoke`), prints its
+store digest and gates (:func:`repro.bench.verdict`), and leaves the
+checkpoint directory behind for artifact upload (``--ckpt-dir``).
+Exit status is the gate verdict.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ def _cmd_retain(args) -> int:
     else:
         epochs = args.epochs
         reports_per_epoch = args.reports_per_epoch
-    document = run_retain(epochs=epochs,
-                          reports_per_epoch=reports_per_epoch,
-                          batch_size=args.batch_size,
-                          window=args.window, seed=args.seed,
-                          workers=args.workers,
-                          ckpt_dir=args.ckpt_dir)
-    return bench.finish(document, args.history, args.out)
+    result = run_retain(epochs=epochs,
+                        reports_per_epoch=reports_per_epoch,
+                        batch_size=args.batch_size,
+                        window=args.window, seed=args.seed,
+                        workers=args.workers, ckpt_dir=args.ckpt_dir)
+    return bench.verdict({"store_digest": result["store_digest"]},
+                         result["gates"])
 
 
 def add_retain_parser(sub) -> None:
@@ -51,8 +51,4 @@ def add_retain_parser(sub) -> None:
                         help="engine stage threads (default 0: inline)")
     retain.add_argument("--ckpt-dir", default=None,
                         help="keep the end-of-run checkpoint here")
-    retain.add_argument("--out", default=None, metavar="FILE",
-                        help="write the lane record as JSON")
-    retain.add_argument("--history", default=None, metavar="FILE",
-                        help="append the lane record to this JSONL history")
     retain.set_defaults(fn=_cmd_retain)

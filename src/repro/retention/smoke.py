@@ -7,8 +7,8 @@ that steady-state live state never exceeds two epochs' worth (the
 retention window plus the epoch currently accumulating).  A checkpoint
 round-trip gate writes a ``repro-ckpt/1`` directory at the end and
 restores it into a freshly provisioned collector, asserting bit-exact
-store digests.  The result is one ``retain`` lane record
-(:mod:`repro.bench`) with a single cell.
+store digests.  ``repro retain`` prints the store digest and the gates
+(:func:`repro.bench.verdict`).
 
 The stream is this lane's own, not :mod:`repro.workloads.reports`:
 every epoch writes a disjoint, epoch-tagged keyspace so that expiry is
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 import struct
-import time
 
 from repro import bench
 from repro.core.batch import ReportBatch
@@ -50,7 +49,8 @@ def _serve(slots: int, lists: int, capacity: int) -> Collector:
 def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
                batch_size: int = 32, window: int = 1, seed: int = 11,
                workers: int = 0, ckpt_dir: str | None = None) -> dict:
-    """Run the retention smoke; returns the lane record.
+    """Run the retention smoke; returns its store digest, rotation
+    count, per-store bounds and gates.
 
     Args:
         epochs: Sealed epochs to stream through.
@@ -84,8 +84,6 @@ def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
                           workers=workers, retention=manager,
                           name="retain")
 
-    total_reports = 0
-    started = time.perf_counter()
     with engine:
         for epoch in range(1, epochs + 1):
             keys = [f"e{epoch}k{i}".encode()
@@ -95,24 +93,20 @@ def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
                 chunk = slice(start, start + batch_size)
                 engine.submit(ReportBatch.key_writes(
                     keys[chunk], datas[chunk], redundancy=2))
-                total_reports += len(keys[chunk])
             ki_keys = [f"e{epoch}c{i}".encode()
                        for i in range(ki_keys_per_epoch)]
             ki_values = [rng.randrange(1, 16) for _ in ki_keys]
             engine.submit(ReportBatch.key_increments(ki_keys, ki_values,
                                                      redundancy=2))
-            total_reports += len(ki_keys)
             list_ids = [rng.randrange(lists)
                         for _ in range(appends_per_epoch)]
             entries = [struct.pack("<Q", (epoch << 32) | i)
                        for i in range(appends_per_epoch)]
             engine.submit(ReportBatch.appends(list_ids, entries))
-            total_reports += len(entries)
         engine.drain()
         # Seal the final epoch so its cells are stamped like the rest.
         with engine.store_lock:
             manager.rotate(age_cache=False)
-    elapsed = max(time.perf_counter() - started, 1e-9)
 
     rotations = list(manager.epochs.reports)
     steady = rotations[window + WARMUP_ROTATIONS:]
@@ -135,20 +129,19 @@ def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
 
     digest_before = store_digest(collector)
     if ckpt_dir is not None:
-        manifest = manager.checkpoint(ckpt_dir, overwrite=True)
+        manager.checkpoint(ckpt_dir, overwrite=True)
         ckpt_path = ckpt_dir
         cleanup = None
     else:
         cleanup = tempfile.TemporaryDirectory(prefix="repro-retain-")
         ckpt_path = cleanup.name + "/ckpt"
-        manifest = manager.checkpoint(ckpt_path)
+        manager.checkpoint(ckpt_path)
     twin = _serve(slots, lists, capacity)
     report = restore_checkpoint(twin, ckpt_path)
     roundtrip = (report.store_digest == digest_before
                  == store_digest(twin))
     if cleanup is not None:
         cleanup.cleanup()
-        manifest = None     # the artifact only outlives the run on disk
 
     gates = [
         bench.gate("bounded memory (live <= 2 epochs' cells)", bounded),
@@ -156,13 +149,6 @@ def run_retain(*, epochs: int = 8, reports_per_epoch: int = 256,
         bench.gate(f"rotation cadence ({epochs} epochs sealed)",
                    manager.epochs.rotations == epochs),
     ]
-    config = {"epochs": epochs, "reports_per_epoch": reports_per_epoch,
-              "batch_size": batch_size, "window": window, "seed": seed,
-              "workers": workers, "slots": slots, "lists": lists,
-              "capacity": capacity}
-    cell = bench.cell(total_reports, elapsed, store_digest=digest_before,
-                      rotations=manager.epochs.rotations,
-                      cells_expired=manager.stats.cells_expired,
-                      entries_expired=manager.stats.entries_expired,
-                      stores=per_store, checkpoint=manifest)
-    return bench.record("retain", config, {"retain": cell}, gates)
+    return {"store_digest": digest_before,
+            "rotations": manager.epochs.rotations,
+            "stores": per_store, "gates": gates}

@@ -11,8 +11,10 @@ parent-owned shared segment and signal over pipes — the same idiom the
 socket lane's daemons use (:mod:`repro.runtime.shm`).  See
 ``docs/CONCURRENCY.md`` for the full determinism-and-concurrency
 contract, ``docs/ARCHITECTURE.md`` ("One reference, one fast path")
-for the plan/apply pair and the stage diagram, and
-``docs/BENCHMARKS.md`` for the lane record ``repro run`` writes.
+for the plan/apply pair and the stage diagram.  Outside the tests the
+engine runs under ``repro retain`` and ``repro query`` (inline and the
+thread pair) and ``perf/run.py`` (the only caller of the process
+executor).
 """
 
 from repro.runtime.engine import (
@@ -37,7 +39,6 @@ from repro.runtime.shm import (
     PlanWorkerPool,
     RingPeerDead,
 )
-from repro.runtime.soak import THROUGHPUT_GATE, run_lane, run_soak
 
 __all__ = [
     "Attached",
@@ -54,9 +55,6 @@ __all__ = [
     "StageStalled",
     "StageStats",
     "StreamEngine",
-    "THROUGHPUT_GATE",
     "pipeline_digest",
-    "run_lane",
-    "run_soak",
     "store_digest",
 ]

@@ -993,7 +993,7 @@ def pipeline_digest(snapshot) -> str:
     the host clock; both legitimately differ run to run.  Everything
     else measures the *computation* and must be bit-identical across
     worker counts and queue depths.  This digest is what the
-    differential tests and the soak gate compare.
+    differential tests and the gating commands compare.
     """
     from repro.obs.registry import Snapshot
 

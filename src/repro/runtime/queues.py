@@ -32,10 +32,9 @@ from collections import deque
 
 from repro import obs
 
-#: The one monotonic time source every runtime measurement shares.
-#: Queue stall seconds and the soak harness's elapsed/pacing clock
-#: (:mod:`repro.runtime.soak`) both read this callable, so stall
-#: fractions divide into elapsed seconds measured on the same clock.
+#: The one monotonic time source every runtime measurement shares:
+#: queue stall seconds, the socket lane's drain deadlines and the
+#: runtime tests' duration cap all read this callable.
 _clock = time.monotonic
 
 #: Sentinel returned by :meth:`CreditQueue.get` once the queue is

@@ -1,8 +1,8 @@
 """The ``repro serve`` verb: the deployment lane's differential gate.
 
-Runs the socket lane against the in-process reference and exits
-non-zero unless every gate holds.  ``--smoke`` caps the stream for CI;
-``--history`` / ``--out`` store the lane record (:mod:`repro.bench`).
+Runs the socket lane against the in-process reference, prints the
+store digests and the gates (:func:`repro.bench.verdict`) and exits
+non-zero unless every gate holds.  ``--smoke`` caps the stream for CI.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ def add_transport_parsers(sub) -> None:
                              "paths (plain send loop, recvmsg_into)")
     parser.add_argument("--smoke", action="store_true",
                         help=f"cap reports at {_SMOKE_REPORTS} for CI")
-    parser.add_argument("--history", default=None, metavar="PATH",
-                        help="append the document to this history file")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="also write the document to PATH as JSON")
 
 
 def _spec(args) -> ServeSpec:
@@ -87,5 +83,7 @@ def _spec(args) -> ServeSpec:
 
 
 def _cmd_serve(args) -> int:
-    document = run_serve(_spec(args), smoke=args.smoke)
-    return bench.finish(document, args.history, args.out)
+    result = run_serve(_spec(args))
+    return bench.verdict(
+        {"store_digest": result["socket"]["store_digests"]},
+        result["gates"])

@@ -26,7 +26,7 @@ to the ACK window — rather than of two implementations happening to
 agree.  This is the ``workers=0`` determinism contract of
 docs/CONCURRENCY.md extended across process and socket boundaries.
 
-Beyond digests, the document gates *conservation*: every emitted
+Beyond digests, the lane gates *conservation*: every emitted
 envelope delivered in order, every delivered report decoded, and the
 control channel (ACKs + NACKs) accounted on both ends — bytes received
 by the reporter never exceed bytes the daemons sent.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import multiprocessing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro import bench, obs
 from repro.core.cluster import ClusterMap
@@ -418,8 +418,13 @@ def run_reference(spec: ServeSpec, raws) -> list:
         obs.set_registry(previous)
 
 
-def run_serve(spec: ServeSpec, *, smoke: bool = False) -> dict:
-    """Run the deployment lane end to end; returns the lane record."""
+def run_serve(spec: ServeSpec) -> dict:
+    """Run the deployment lane end to end.
+
+    Returns ``{"socket": ..., "reference": ..., "gates": [...]}``: the
+    socket lane's store digests and counters, the reference lane's
+    store digests, and the gates :func:`repro.bench.verdict` prints.
+    """
     registry = obs.Registry()
     previous = obs.set_registry(registry)
     try:
@@ -427,36 +432,31 @@ def run_serve(spec: ServeSpec, *, smoke: bool = False) -> dict:
         cmap = ClusterMap(collectors=spec.collectors)
         shards = [route_report(cmap, raw) for raw in raws]
         with SocketLane(spec) as lane:
-            start = _clock()
             lane.send(raws, shards)
             sent = lane.end_stream()
             stats = lane.drain()
-            elapsed = _clock() - start
             reporter = lane.reporter
-            socket_cell = bench.cell(
-                stats["reports"], elapsed,
-                store_digests=lane.digests(),
-                reports_sent=sent,
-                datagrams_sent=reporter.datagrams_sent,
-                frames_sent=reporter.frames_sent,
-                lane_seqs=reporter.lane_seqs,
-                acks_received=reporter.acks_received,
-                ctrl_datagrams_received=reporter.ctrl_datagrams_received,
-                ctrl_bytes_received=reporter.ctrl_bytes_received,
-                shim={"dropped": reporter.shim.dropped,
-                      "reordered": reporter.shim.reordered,
-                      "passed": reporter.shim.passed},
-                translator=stats)
-        start = _clock()
+            socket = {
+                "store_digests": lane.digests(),
+                "reports_sent": sent,
+                "datagrams_sent": reporter.datagrams_sent,
+                "frames_sent": reporter.frames_sent,
+                "lane_seqs": reporter.lane_seqs,
+                "acks_received": reporter.acks_received,
+                "ctrl_datagrams_received":
+                    reporter.ctrl_datagrams_received,
+                "ctrl_bytes_received": reporter.ctrl_bytes_received,
+                "shim": {"dropped": reporter.shim.dropped,
+                         "reordered": reporter.shim.reordered,
+                         "passed": reporter.shim.passed},
+                "translator": stats}
         ref_digests = run_reference(spec, raws)
-        reference_cell = bench.cell(sent, _clock() - start,
-                                    store_digests=ref_digests)
     finally:
         obs.set_registry(previous)
 
     gates = [
         bench.gate("every surviving datagram delivered in order",
-                   stats["delivered"] == sum(socket_cell["lane_seqs"])
+                   stats["delivered"] == sum(socket["lane_seqs"])
                    and stats["waiting"] == 0),
         bench.gate("every delivered report decoded",
                    stats["reports"] == sent and stats["malformed"] == 0),
@@ -464,14 +464,12 @@ def run_serve(spec: ServeSpec, *, smoke: bool = False) -> dict:
         # after the reporter stops polling, and UDP may shed control
         # datagrams under pressure — neither may *create* bytes.
         bench.gate("control channel conserved (ACK/NACK bytes accounted)",
-                   socket_cell["ctrl_datagrams_received"]
+                   socket["ctrl_datagrams_received"]
                    <= stats["ctrl_datagrams_sent"]
-                   and socket_cell["ctrl_bytes_received"]
+                   and socket["ctrl_bytes_received"]
                    <= stats["ctrl_bytes_sent"]),
         bench.gate("socket-lane store digests match in-process lane",
-                   socket_cell["store_digests"] == ref_digests),
+                   socket["store_digests"] == ref_digests),
     ]
-    config = {**asdict(spec), "smoke": smoke}
-    return bench.record("serve", config,
-                        {"socket": socket_cell,
-                         "reference": reference_cell}, gates)
+    return {"socket": socket, "reference": {"store_digests": ref_digests},
+            "gates": gates}

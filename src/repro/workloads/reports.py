@@ -2,10 +2,10 @@
 
 The paper evaluates every primitive with one traffic source —
 TRex-generated DTA reports (§7) — against one collector set-up.  This
-module is that set-up for the reproduction: every gated lane
-(``repro bench`` / ``run`` / ``serve`` / ``query``) and every
-differential test draws its reports from :func:`columns` and lands
-them in stores provisioned by :func:`provision_collector`.
+module is that set-up for the reproduction: the gating commands
+(``repro serve`` / ``query``) and every differential test draw their
+reports from :func:`columns` and land them in stores provisioned by
+:func:`provision_collector`.
 
 One seeded stream, three views:
 

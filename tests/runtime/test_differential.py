@@ -24,8 +24,9 @@ from repro.retention.checkpoint import read_manifest
 from repro.retention.epochs import RetentionPolicy
 from repro.retention.manager import RetentionManager
 from repro.runtime import (StageError, StreamEngine, pipeline_digest,
-                           run_lane, store_digest)
+                           store_digest)
 from repro.workloads import reports
+from tests.runtime.lanes import run_lane
 
 REPORTS = 480
 BATCH = 32

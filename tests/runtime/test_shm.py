@@ -34,10 +34,10 @@ from repro.runtime import (
     RingPeerDead,
     StageError,
     StreamEngine,
-    run_lane,
 )
 from repro.runtime.shm import PlanWorkerPool, RES_PLAN
 from repro.workloads import reports
+from tests.runtime.lanes import run_lane
 
 REPORTS = 480
 BATCH = 32
@@ -456,10 +456,13 @@ class TestAcquireTeardown:
 
 
 def test_stall_clock_is_shared_across_runtime_modules():
-    """soak elapsed time and queue stall accounting use one clock."""
-    from repro.runtime import queues, soak
+    """Queue stall accounting, the socket lane's drain deadlines and
+    the runtime tests' duration cap read one clock."""
+    from repro.runtime import queues
+    from repro.transport import serve
+    from tests.runtime import lanes
 
-    assert soak._clock is queues._clock
+    assert serve._clock is lanes._clock is queues._clock
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),

@@ -28,9 +28,10 @@ pytest.importorskip("numpy")
 
 from repro import bench
 from repro.core.batch import ReportBatch
-from repro.runtime import StreamEngine, run_lane, store_digest
+from repro.runtime import StreamEngine, store_digest
 from repro.runtime.shm import PlanWorkerPool, RES_FALLBACK, RES_PLAN
 from repro.workloads import reports
+from tests.runtime.lanes import run_lane
 
 
 def test_control_words_survive_two_slots_in_flight():

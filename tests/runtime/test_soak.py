@@ -1,89 +1,98 @@
-"""The soak harness and its ``repro run`` CLI surface.
+"""Streamed lanes against the serial reference, gated like a run.
 
-Correctness-shaped checks only: gates fire on digest or loss
-violations, the document schema is stable, the history file accretes.
-Throughput numbers are machine-dependent, so the speedup gate is only
-asserted to *exist* outside smoke mode, never to pass here.
+Each streamed lane (the thread pair, plan worker processes, the inline
+vectorized lane) must leave the same store bytes and non-``runtime.*``
+obs digest as the ``workers=0`` scalar reference replaying exactly
+what it submitted, and lose no report — the two gates a streamed run
+is held to.  Throughput is ``perf/``'s business, not these tests'.
 """
 
 from __future__ import annotations
 
-import json
+import pytest
 
 from repro import bench
 from repro.cli import main
-from repro.runtime import run_soak
+from repro.workloads import reports
+from tests.runtime.lanes import run_lane
 
 REPORTS = 1500
 
 
-def test_run_soak_smoke_document_shape_and_gates():
-    document = run_soak(primitive="key_write", reports=REPORTS,
-                        smoke=True, seed=9)
-    assert (document["schema"], document["lane"]) == (bench.SCHEMA, "run")
-    streamed = document["cells"]["streamed"]
-    serial = document["cells"]["serial"]
-    assert streamed["reports"] == REPORTS
-    assert serial["reports"] == REPORTS
-    assert streamed["obs_digest"] == serial["obs_digest"]
-    assert streamed["store_digest"] == serial["store_digest"]
-    gate_names = {gate["gate"] for gate in document["gates"]}
-    assert gate_names == {"streamed digests match serial",
-                          "zero report loss"}
-    assert document["pass"] is True
-    assert "overall: PASS" in bench.render(document)
+def _gates(primitive: str, work: dict, **streamed_kw) -> tuple:
+    """Streamed lane, then the serial replay of what it submitted."""
+    width = reports.sketch_width(primitive, reports.size(work))
+    streamed = run_lane(primitive, work, vectorized=True,
+                        sketch_width=width, **streamed_kw)
+    prefix = {key: column[:streamed["reports"]]
+              for key, column in work.items()}
+    serial = run_lane(primitive, prefix, workers=0, vectorized=False,
+                      sketch_width=width)
+    gates = [
+        bench.gate("streamed digests match serial",
+                   (streamed["obs_digest"], streamed["store_digest"])
+                   == (serial["obs_digest"], serial["store_digest"])),
+        bench.gate("zero report loss", streamed["zero_loss"]),
+    ]
+    return streamed, serial, gates
+
+
+def test_run_soak_smoke_document_shape_and_gates(capsys):
+    """The thread pair (``workers=2``) passes both gates."""
+    work = reports.columns("key_write", REPORTS, 9)
+    streamed, serial, gates = _gates("key_write", work, workers=2)
+    assert streamed["reports"] == serial["reports"] == REPORTS
+    assert (streamed["workers"], streamed["executor"]) == (2, "thread")
+    assert bench.verdict({"store_digest": streamed["store_digest"]},
+                         gates) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
 
 
 def test_run_soak_full_mode_includes_throughput_gate():
-    document = run_soak(primitive="key_write", reports=REPORTS,
-                        smoke=False, seed=9)
-    gate_names = {gate["gate"] for gate in document["gates"]}
-    assert "streamed vs serial speedup" in gate_names
-    assert document["config"]["throughput_gate"] == 1.5
+    """Plan worker processes pass both gates."""
+    work = reports.columns("key_write", REPORTS, 9)
+    streamed, _serial, gates = _gates("key_write", work, workers=1,
+                                      executor="process")
+    assert streamed["executor"] == "process"
+    assert all(gate["pass"] for gate in gates), gates
 
 
 def test_run_soak_duration_truncates_and_serial_replays_prefix():
     """A tiny duration cap stops the streamed lane early; the serial
     lane must replay exactly the submitted prefix (same digests)."""
-    document = run_soak(primitive="key_increment", reports=200_000,
-                        duration=0.05, smoke=True, seed=9)
-    submitted = document["cells"]["streamed"]["reports"]
-    assert 0 < submitted < 200_000
-    assert document["cells"]["serial"]["reports"] == submitted
-    assert document["pass"] is True
+    work = reports.columns("key_increment", 200_000, 9)
+    streamed, serial, gates = _gates("key_increment", work, workers=2,
+                                     duration=0.05)
+    assert 0 < streamed["reports"] < 200_000
+    assert serial["reports"] == streamed["reports"]
+    assert all(gate["pass"] for gate in gates), gates
 
 
-def test_cli_run_smoke_appends_history(tmp_path, capsys):
-    history = tmp_path / "hist.jsonl"
-    out = tmp_path / "soak.json"
-    code = main(["run", "--reports", str(REPORTS), "--smoke",
-                 "--history", str(history), "--out", str(out)])
-    assert code == 0
-    lines = history.read_text().splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert (record["schema"], record["lane"]) == (bench.SCHEMA, "run")
-    assert "commit" in record
-    document = json.loads(out.read_text())
-    assert document["pass"] is True
-    assert "overall: PASS" in capsys.readouterr().out
+def test_cli_run_smoke_appends_history(tmp_path, monkeypatch, capsys):
+    """The CLI's streamed-vs-serial smoke is ``repro query --smoke``:
+    it exits 0 on ``overall: PASS`` and writes nothing it was not
+    asked to."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["query", "--reports", "160", "--smoke"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("store_digest sha256:")
+    assert out.endswith("overall: PASS\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workers_zero_runs_the_inline_vectorized_lane():
-    """``--workers 0`` is honoured: the streamed cell is the inline
-    vectorized lane (not silently bumped to one stage thread), gated
-    against the scalar serial reference like any other."""
-    document = run_soak(primitive="key_increment", reports=REPORTS,
-                        workers=0, smoke=True, seed=9)
-    streamed = document["cells"]["streamed"]
-    assert document["config"]["workers"] == 0
+    """``workers=0`` with vectorization on is the inline vectorized
+    lane (not silently bumped to one stage thread), gated against the
+    scalar serial reference like any other."""
+    work = reports.columns("key_increment", REPORTS, 9)
+    streamed, serial, gates = _gates("key_increment", work, workers=0)
     assert (streamed["workers"], streamed["vectorized"]) == (0, True)
     assert streamed["queue_high_watermarks"] == {}
-    assert document["cells"]["serial"]["vectorized"] is False
-    assert all(gate["pass"] for gate in document["gates"])
-    assert document["pass"] is True
+    assert serial["vectorized"] is False
+    assert all(gate["pass"] for gate in gates), gates
 
 
-def test_cli_run_rejects_unknown_primitive(tmp_path):
-    assert main(["run", "--primitive", "nope", "--smoke",
-                 "--history", str(tmp_path / "h.jsonl")]) == 2
+def test_cli_run_rejects_unknown_primitive():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--primitive", "nope", "--smoke"])
+    assert exit_info.value.code == 2

@@ -26,9 +26,9 @@ from repro.runtime import (
     StageError,
     StageStalled,
     StreamEngine,
-    run_lane,
 )
 from repro.workloads import reports
+from tests.runtime.lanes import run_lane
 
 REPORTS = 320
 BATCH = 32

@@ -2,52 +2,47 @@
 
 from __future__ import annotations
 
-import json
+from repro.cli import build_parser, main
+from repro.transport.cli import _spec
+from repro.transport.serve import run_serve
 
-from repro import bench
-from repro.cli import main
 
-
-def test_serve_smoke_writes_history_and_document(tmp_path, capsys):
-    history = tmp_path / "history.jsonl"
-    out = tmp_path / "serve.json"
+def test_serve_smoke_writes_history_and_document(tmp_path, monkeypatch,
+                                                 capsys):
+    """``repro serve --smoke`` prints one digest per collector shard,
+    its four gates and ``overall: PASS``, exits 0 and leaves no file
+    behind in the working directory."""
+    monkeypatch.chdir(tmp_path)
     assert main(["serve", "--smoke", "--reports", "200",
-                 "--drop", "0.02", "--reorder", "0.02",
-                 "--history", str(history), "--out", str(out)]) == 0
-    rendered = capsys.readouterr().out
-    assert "PASS" in rendered
-    document = json.loads(out.read_text())
-    assert (document["schema"], document["lane"]) == (bench.SCHEMA, "serve")
-    assert document["pass"] is True
-    assert document["config"]["smoke"] is True
-    assert document["config"]["reports"] == 200
-    assert document["config"]["vectorized"] is True
-    assert document["cells"]["socket"]["frames_sent"] >= 1
-    records = [json.loads(line) for line in
-               history.read_text().splitlines()]
-    assert [r["lane"] for r in records] == ["serve"]
-    assert records[0]["commit"] == document["commit"]
+                 "--drop", "0.02", "--reorder", "0.02"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["store_digest"] * 2
+    assert all(line.split()[1].startswith("sha256:") for line in lines[:2])
+    gates = [line for line in lines if line.startswith("  gate: ")]
+    assert len(gates) == 4 and all(g.endswith("-> pass") for g in gates)
+    assert lines[-1] == "overall: PASS"
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_serve_smoke_multi_translator_scalar_fallbacks(tmp_path):
-    out = tmp_path / "serve-mt.json"
-    assert main(["serve", "--smoke", "--reports", "300",
-                 "--collectors", "3", "--translators", "2",
-                 "--scalar-translate", "--no-mmsg",
-                 "--drop", "0.02", "--reorder", "0.02",
-                 "--out", str(out)]) == 0
-    document = json.loads(out.read_text())
-    assert document["pass"] is True
-    assert document["config"]["translators"] == 2
-    assert document["config"]["use_mmsg"] is False
-    sock = document["cells"]["socket"]
+def test_serve_smoke_multi_translator_scalar_fallbacks(capsys):
+    argv = ["serve", "--smoke", "--reports", "300",
+            "--collectors", "3", "--translators", "2",
+            "--scalar-translate", "--no-mmsg",
+            "--drop", "0.02", "--reorder", "0.02"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("store_digest sha256:") == 3
+    assert out.endswith("overall: PASS\n")
+    spec = _spec(build_parser().parse_args(argv))
+    assert (spec.translators, spec.use_mmsg, spec.vectorized) == (
+        2, False, False)
+    sock = run_serve(spec)["socket"]
     assert len(sock["lane_seqs"]) == 2
     assert len(sock["translator"]["per_lane"]) == 2
 
 
 def test_smoke_caps_reports():
-    from repro.transport.cli import _SMOKE_REPORTS, _spec
-    from repro.cli import build_parser
+    from repro.transport.cli import _SMOKE_REPORTS
 
     args = build_parser().parse_args(["serve", "--smoke"])
     assert _spec(args).reports == _SMOKE_REPORTS

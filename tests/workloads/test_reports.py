@@ -1,7 +1,7 @@
 """The seeded report workload: one stream, pinned.
 
-Every recorded digest in the repo — ``BENCH_HISTORY.jsonl``, the
-``perf/`` differential reps, the lane gates — depends on the exact RNG
+Every recorded digest in the repo — the ``perf/`` differential reps,
+the gating commands, the differential tests — depends on the exact RNG
 draws of ``reports.columns`` and on the store geometry.  The golden
 hashes below were computed from the private generator in
 ``repro.bench``, ``serve.encode_workload`` and

@@ -47,14 +47,11 @@ COLLECTOR_HALF = ("core/", "retention/", "runtime/", "transport/",
                   "queries/snapshot.py")
 
 #: User-facing defaults that name a primitive on purpose, as
-#: ``(file, line pattern)``: ``ServeSpec.primitive``, the ``--primitive``
-#: CLI default of ``repro serve``, and ``run_soak``'s, which
-#: ``repro run --primitive`` passes through.
+#: ``(file, line pattern)``: ``ServeSpec.primitive`` and the
+#: ``--primitive`` CLI default of ``repro serve``.
 DEFAULTS = (
     ("transport/serve.py", re.compile(r'^\s*primitive: str = "key_write"$')),
     ("transport/cli.py", re.compile(r'^\s*default="key_write",$')),
-    ("runtime/soak.py",
-     re.compile(r'^def run_soak\(\*, primitive: str = "key_write",')),
 )
 
 _OPS = "KeyWrite|KeyIncrement|Postcard|Append|SketchColumn"
