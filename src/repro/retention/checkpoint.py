@@ -12,11 +12,26 @@ from the classic write-temp/fsync/rename dance:
 
 A crash at any point leaves either the old checkpoint or the new one —
 never a torn mix — and a temp directory that a later overwrite simply
-ignores.  Restore is validate-then-apply: *every* byte of *every*
-region is read and CRC-checked against the manifest before the first
-store mutation, so a corrupt checkpoint is rejected with
-:class:`CheckpointError` and the collector is left untouched — never a
-partial restore.
+ignores.
+
+Step 1 copies each served region once, just before its file is
+written: the file, its CRC-32 and that region's share of the
+manifest's ``store_digest`` all come from that one snapshot, so a
+write landing mid-checkpoint cannot make the digest disagree with the
+files.  The SHA-256 runs on a single worker thread, handed each copy
+in served order, while the calling thread CRCs, writes and fsyncs the
+files (both hashes release the GIL).
+
+Restore is validate-then-apply: *every* byte of *every* region is read
+and length-checked, then CRC-checked on the worker while the calling
+thread hashes the staged regions against the manifest's digest — all
+before the first store mutation, so a corrupt checkpoint is rejected
+with :class:`CheckpointError` and the collector is left untouched —
+never a partial restore.
+
+The worker thread lives for one call: it is created inside
+:func:`write_checkpoint` / :func:`restore_checkpoint`, reads only the
+call's private copies, and is joined before the call returns or raises.
 """
 
 from __future__ import annotations
@@ -24,13 +39,15 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import queue
 import shutil
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core import primitives
-from repro.runtime.engine import store_digest
+from repro.runtime.engine import regions_digest, store_digest
 
 #: The one manifest schema this build reads and writes.
 CHECKPOINT_SCHEMA = "repro-ckpt/1"
@@ -72,6 +89,12 @@ def _write_blob(path: str, data: bytes) -> None:
         os.fsync(handle.fileno())
 
 
+def _worker() -> ThreadPoolExecutor:
+    """The one hashing thread of a call (a ``with`` block joins it)."""
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="checkpoint-hash")
+
+
 def _fsync_dir(path: str) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -104,20 +127,34 @@ def write_checkpoint(collector, path: str, *, manager=None,
     tmp = f"{path}.tmp.{os.getpid()}.{next(_TMP_SEQ)}"
     os.makedirs(tmp)
     try:
-        regions = []
-        for primitive, store in primitives.served(collector):
-            attr = primitive.store
-            data = bytes(store.region.buf)
-            file_name = f"{attr}.bin"
-            _write_blob(os.path.join(tmp, file_name), data)
-            # The layout geometry: restore refuses a mismatch before
-            # touching any region.
-            regions.append({"attr": attr, "file": file_name,
-                            "length": len(data),
-                            "crc32": zlib.crc32(data),
-                            "params": primitives.geometry(store.layout)})
-        if not regions:
+        served = primitives.served(collector)
+        if not served:
             raise CheckpointError("collector serves no stores")
+        with _worker() as worker:
+            # The worker hashes each copy as it is handed over, so about
+            # two copies are alive at once.
+            handoff = queue.SimpleQueue()
+            hashed = worker.submit(regions_digest, iter(handoff.get, None))
+            regions = []
+            try:
+                for primitive, store in served:
+                    attr = primitive.store
+                    # The one copy of this region: its file, its CRC and
+                    # its share of the store digest all read it.
+                    data = bytes(store.region.buf)
+                    handoff.put((attr, data))
+                    file_name = f"{attr}.bin"
+                    _write_blob(os.path.join(tmp, file_name), data)
+                    # The layout geometry: restore refuses a mismatch
+                    # before touching any region.
+                    params = primitives.geometry(store.layout)
+                    regions.append({"attr": attr, "file": file_name,
+                                    "length": len(data),
+                                    "crc32": zlib.crc32(data),
+                                    "params": params})
+            finally:
+                handoff.put(None)
+            digest = hashed.result()
         retention = None
         if manager is not None:
             meta, blobs = manager.export_state()
@@ -132,7 +169,7 @@ def write_checkpoint(collector, path: str, *, manager=None,
             retention = {"meta": meta, "blobs": blob_entries}
         manifest = {"schema": CHECKPOINT_SCHEMA,
                     "batch_seq": batch_seq,
-                    "store_digest": store_digest(collector),
+                    "store_digest": digest,
                     "regions": regions,
                     "retention": retention,
                     "extra": extra}
@@ -178,6 +215,8 @@ def read_manifest(path: str) -> dict:
 
 
 def _read_blob(path: str, entry: dict, what: str) -> bytes:
+    """One checkpoint file, whole and length-checked (its CRC-32 is
+    checked by :func:`_check_crc`)."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -187,12 +226,14 @@ def _read_blob(path: str, entry: dict, what: str) -> bytes:
         raise CheckpointError(
             f"{what}: truncated ({len(data)}B, manifest says "
             f"{entry['length']}B)")
-    crc = zlib.crc32(data)
+    return data
+
+
+def _check_crc(what: str, entry: dict, crc: int) -> None:
     if crc != entry["crc32"]:
         raise CheckpointError(
             f"{what}: CRC mismatch ({crc:#010x} != "
             f"{entry['crc32']:#010x})")
-    return data
 
 
 def restore_checkpoint(collector, path: str, *,
@@ -223,33 +264,44 @@ def restore_checkpoint(collector, path: str, *,
         raise CheckpointError(
             f"store set mismatch: checkpoint has {sorted(recorded)}, "
             f"collector serves {sorted(served)}")
-    staged = {}
-    for entry in manifest["regions"]:
-        attr = entry["attr"]
-        store = served[attr]
-        params = primitives.geometry(store.layout)
-        if params != entry["params"]:
-            raise CheckpointError(
-                f"{attr}: layout mismatch (checkpoint {entry['params']}, "
-                f"collector {params})")
-        data = _read_blob(os.path.join(path, entry["file"]), entry,
-                          f"region '{attr}'")
-        if len(data) != store.region.length:
-            raise CheckpointError(
-                f"{attr}: region is {store.region.length}B, checkpoint "
-                f"holds {len(data)}B")
-        staged[attr] = data
+    with _worker() as worker:
+        # Every file is read and length-checked first; its CRC-32 runs
+        # on the worker while this thread reads on and then hashes the
+        # staged regions.
+        staged, crcs = {}, []
+        for entry in manifest["regions"]:
+            attr = entry["attr"]
+            store = served[attr]
+            params = primitives.geometry(store.layout)
+            if params != entry["params"]:
+                raise CheckpointError(
+                    f"{attr}: layout mismatch (checkpoint "
+                    f"{entry['params']}, collector {params})")
+            what = f"region '{attr}'"
+            data = _read_blob(os.path.join(path, entry["file"]), entry, what)
+            if len(data) != store.region.length:
+                raise CheckpointError(
+                    f"{attr}: region is {store.region.length}B, checkpoint "
+                    f"holds {len(data)}B")
+            staged[attr] = data
+            crcs.append((what, entry, worker.submit(zlib.crc32, data)))
+        blobs = {}
+        if manager is not None:
+            for entry in retention["blobs"]:
+                what = f"retention blob '{entry['name']}'"
+                blob = _read_blob(os.path.join(path, entry["file"]), entry,
+                                  what)
+                blobs[entry["name"]] = blob
+                crcs.append((what, entry, worker.submit(zlib.crc32, blob)))
+        digest = store_digest(collector, staged)
+        for what, entry, crc in crcs:
+            _check_crc(what, entry, crc.result())
     # The manifest carries no CRC of its own: its digest is checked
     # against what the regions are about to hold, not after.
-    digest = store_digest(collector, staged)
     if digest != manifest["store_digest"]:
         raise CheckpointError(
             "store digest mismatch (manifest lied about its own regions)")
     if manager is not None:
-        blobs = {entry["name"]: _read_blob(
-            os.path.join(path, entry["file"]), entry,
-            f"retention blob '{entry['name']}'")
-            for entry in retention["blobs"]}
         # All or nothing (``EpochManager.import_state``): a rejection
         # leaves the manager as it was.
         try:

@@ -1013,9 +1013,17 @@ def pipeline_digest(snapshot) -> str:
 def store_digest(collector, staged: dict | None = None) -> str:
     """SHA-256 over every served store's memory region, in fixed order
     (with ``staged``, over its ``{store: bytes}`` in their place)."""
+    return regions_digest(
+        (primitive.store, bytes(store.region.buf) if staged is None
+         else staged[primitive.store])
+        for primitive, store in primitives.served(collector))
+
+
+def regions_digest(regions) -> str:
+    """:func:`store_digest` over ``(store, region bytes)`` pairs, taken
+    from ``regions`` (served order) one at a time."""
     digest = hashlib.sha256()
-    for primitive, store in primitives.served(collector):
-        digest.update(primitive.store.encode())
-        digest.update(bytes(store.region.buf) if staged is None
-                      else staged[primitive.store])
+    for store, data in regions:
+        digest.update(store.encode())
+        digest.update(data)
     return "sha256:" + digest.hexdigest()

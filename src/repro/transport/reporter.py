@@ -57,6 +57,7 @@ from repro.transport.envelope import (
     unwrap,
     wrap,
     wrap_end,
+    wrap_frame,
     wrap_frames,
 )
 from repro.transport.loss import LossSpec
@@ -378,7 +379,9 @@ class SocketReporter:
         lane.pending = []
         lane.pending_bytes = 0
         if sealed:
-            self._seal(lane, reports[:sealed], sizes[:sealed], bounds[:-1])
+            self._seal(lane, wrap_frames(lane.seq, reports[:sealed],
+                                         sizes[:sealed], bounds[:-1]),
+                       sealed)
         lane.pending = reports[sealed:]
         lane.pending_bytes = int(cum[-1] - cum[sealed - 1]) if sealed \
             else int(cum[-1])
@@ -388,14 +391,15 @@ class SocketReporter:
         if pending:
             lane.pending = []
             lane.pending_bytes = 0
-            self._seal(lane, pending, _sizes(pending), (0, len(pending)))
+            # One frame: the plain join beats numpy's many-frame setup.
+            self._seal(lane, [wrap_frame(lane.seq, pending)], len(pending))
 
-    def _seal(self, lane: _Lane, reports: list, sizes, bounds) -> None:
-        frames = wrap_frames(lane.seq, reports, sizes, bounds)
+    def _seal(self, lane: _Lane, frames: list, reports: int) -> None:
+        """Queue ``frames`` (``reports`` reports, from lane seq on)."""
         lane.outbox.extend(frames)
         lane.seq += len(frames)
         lane.frames_sent += len(frames)
-        lane.reports_sent += len(reports)
+        lane.reports_sent += reports
         if len(lane.outbox) >= _OUTBOX_FRAMES:
             self._flush_outbox(lane)
 

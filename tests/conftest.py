@@ -6,13 +6,15 @@ no test observes state another test left behind and the suite passes
 under any execution order (``pytest -p no:randomly`` not required; try
 ``--ff`` or a reversed file list — the digests still agree).  A test
 that leaves a shared-memory segment or a child process behind fails
-(see ``_no_leaks``).
+(see ``_no_leaks``), as does one that leaves a thread it started alive.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 from multiprocessing import shared_memory
 
 import hypothesis
@@ -84,24 +86,42 @@ def _created_segments():
         shared_memory.SharedMemory.__init__ = original
 
 
+#: How long a thread the test started may take to finish exiting after
+#: the test (one already told to stop, not yet joined).
+THREAD_GRACE_S = 1.0
+
+
+def _live_threads(before: set) -> list:
+    """Threads started since ``before`` that outlive a short grace."""
+    deadline = time.monotonic() + THREAD_GRACE_S
+    threads = [thread for thread in threading.enumerate()
+               if thread not in before]
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    return [thread for thread in threads if thread.is_alive()]
+
+
 @pytest.fixture(autouse=True)
 def _no_leaks(_created_segments):
-    """Fail a test that leaves a segment it created in ``/dev/shm`` or a
-    child process alive.
+    """Fail a test that leaves a segment it created in ``/dev/shm``, a
+    child process or a thread it started alive.
 
     The baseline is taken after every higher-scoped fixture is set up,
     so what those hold is theirs; the test's own function-scoped
-    fixtures are torn down before the check.  What leaked is reclaimed
-    before failing, so the next test starts clean.
+    fixtures are torn down before the check.  Leaked segments and
+    children are reclaimed before failing, so the next test starts
+    clean; a thread cannot be stopped from outside, only named.
     """
     first = len(_created_segments)
     children = set(multiprocessing.active_children())
+    threads = set(threading.enumerate())
     yield
     leaked = [name for name in _created_segments[first:]
               if os.path.exists(os.path.join("/dev/shm", name))]
     kids = [kid for kid in multiprocessing.active_children()
             if kid not in children]
-    if not leaked and not kids:
+    alive = _live_threads(threads)
+    if not leaked and not kids and not alive:
         return
     for name in leaked:
         segment = shared_memory.SharedMemory(name=name)
@@ -110,8 +130,9 @@ def _no_leaks(_created_segments):
     for kid in kids:
         kid.terminate()
         kid.join(5.0)
-    pytest.fail(f"test leaked /dev/shm segments {leaked} and child "
-                f"processes {[kid.name for kid in kids]}")
+    pytest.fail(f"test leaked /dev/shm segments {leaked}, child "
+                f"processes {[kid.name for kid in kids]} and threads "
+                f"{[thread.name for thread in alive]}")
 
 
 @pytest.fixture

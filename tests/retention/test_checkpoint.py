@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
+from repro.core import primitives
 from repro.core.batch import ReportBatch
 from repro.core.collector import Collector
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
+from repro.retention import checkpoint
 from repro.retention.checkpoint import (CHECKPOINT_SCHEMA, MANIFEST_NAME,
                                         CheckpointError, read_manifest,
                                         restore_checkpoint,
@@ -130,13 +133,29 @@ def _corrupt_truncate_region(path: str) -> None:
         handle.truncate(size // 2)
 
 
-def _corrupt_bit_flip(path: str) -> None:
-    target = os.path.join(path, "append.bin")
+def _flip(target: str, offset: int) -> None:
     with open(target, "r+b") as handle:
-        handle.seek(5)
+        handle.seek(offset)
         byte = handle.read(1)
-        handle.seek(5)
+        handle.seek(offset)
         handle.write(bytes([byte[0] ^ 0x40]))
+
+
+def _corrupt_bit_flip(path: str) -> None:
+    _flip(os.path.join(path, "append.bin"), 5)
+
+
+def _flip_file(attr: str):
+    """Flip one bit in the middle of ``attr``'s region file."""
+    def corrupt(path: str) -> None:
+        target = os.path.join(path, f"{attr}.bin")
+        _flip(target, os.path.getsize(target) // 2)
+    return corrupt
+
+
+def _corrupt_retention_blob(path: str) -> None:
+    blob = read_manifest(path)["retention"]["blobs"][0]
+    _flip(os.path.join(path, blob["file"]), blob["length"] // 2)
 
 
 def _corrupt_version_bump(path: str) -> None:
@@ -189,13 +208,27 @@ def _corrupt_store_digest(path: str) -> None:
         json.dump(manifest, handle)
 
 
+def _corrupt_crc_and_truncate(path: str) -> None:
+    # Two faults: the first region's CRC record and the second region's
+    # length.  Every length is checked before any CRC, so the truncation
+    # is what the error names.
+    _corrupt_crc_record(path)
+    target = os.path.join(path, read_manifest(path)["regions"][1]["file"])
+    with open(target, "r+b") as handle:
+        handle.truncate(os.path.getsize(target) // 2)
+
+
 _DAMAGE = [("truncated-region", _corrupt_truncate_region),
            ("bit-flip", _corrupt_bit_flip),
            ("version-bump", _corrupt_version_bump),
            ("missing-region", _corrupt_missing_region),
            ("manifest-truncated", _corrupt_manifest_json),
            ("crc-mismatch", _corrupt_crc_record),
-           ("store-digest", _corrupt_store_digest)]
+           ("store-digest", _corrupt_store_digest),
+           *((f"bit-flip-{attr}", _flip_file(attr)) for attr in
+             ("keywrite", "keyincrement", "postcarding", "append",
+              "sketch")),
+           ("crc-and-truncated", _corrupt_crc_and_truncate)]
 
 
 @pytest.mark.parametrize("corrupt, manager_class", [
@@ -205,6 +238,8 @@ _DAMAGE = [("truncated-region", _corrupt_truncate_region),
     # Only a manager restore reads the tracker state.
     pytest.param(_corrupt_retention_meta, EpochManager,
                  id="retention-meta-with-manager"),
+    pytest.param(_corrupt_retention_blob, EpochManager,
+                 id="bit-flip-retention-blob-with-manager"),
 ])
 def test_damaged_checkpoints_reject_cleanly(collector, tmp_path,
                                             corrupt, manager_class):
@@ -238,6 +273,63 @@ def test_damaged_checkpoints_reject_cleanly(collector, tmp_path,
     assert state() == before
     assert twin.keywrite.query(b"preexisting", redundancy=2).value == \
         b"\xaa\xbb\xcc\xdd"
+
+
+def test_a_write_landing_mid_checkpoint_still_restores(collector, tmp_path,
+                                                       monkeypatch):
+    """The files, their CRCs and the manifest digest come from one copy
+    of each region: a write landing after the first file is on disk
+    cannot make the checkpoint refuse its own restore."""
+    _drive_all_five(collector)
+    first, store = primitives.served(collector)[0]
+    copied = bytes(store.region.buf)
+    real_write_blob = checkpoint._write_blob
+    written = []
+
+    def write_then_flip(target, data):
+        real_write_blob(target, data)
+        if not written:
+            store.region.buf[0] ^= 0xFF        # the live region moves on
+        written.append(os.path.basename(target))
+
+    monkeypatch.setattr(checkpoint, "_write_blob", write_then_flip)
+    path = str(tmp_path / "ckpt")
+    write_checkpoint(collector, path)
+    assert written[0] == f"{first.store}.bin"
+
+    twin = _twin()
+    report = restore_checkpoint(twin, path)
+    for primitive, restored in primitives.served(twin):
+        with open(os.path.join(path, f"{primitive.store}.bin"), "rb") as f:
+            assert bytes(restored.region.buf) == f.read()
+    assert bytes(getattr(twin, first.store).region.buf) == copied
+    assert report.store_digest == store_digest(twin)
+
+
+def test_a_failed_write_leaves_no_thread_and_no_temp_directory(
+        collector, tmp_path, monkeypatch):
+    _drive_all_five(collector)
+    path = str(tmp_path / "ckpt")
+    write_checkpoint(collector, path)
+    kept = store_digest(collector)
+    real_write_blob = checkpoint._write_blob
+    calls = []
+
+    def fail_second(target, data):
+        calls.append(target)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        real_write_blob(target, data)
+
+    monkeypatch.setattr(checkpoint, "_write_blob", fail_second)
+    _drive_all_five(collector)                  # the stores move on
+    with pytest.raises(CheckpointError, match="No space left"):
+        write_checkpoint(collector, path, overwrite=True)
+    assert not [thread.name for thread in threading.enumerate()
+                if thread.name.startswith("checkpoint-hash")]
+    # The temp directory is gone and the old checkpoint still stands.
+    assert os.listdir(tmp_path) == ["ckpt"]
+    assert restore_checkpoint(_twin(), path).store_digest == kept
 
 
 def test_restore_rejects_geometry_and_store_set_mismatch(collector,
