@@ -19,6 +19,7 @@ import pytest
 from conftest import format_table
 from repro.core.collector import Collector
 from repro.core.packets import KeyWrite, make_report
+from repro.core.stores.cuckoo import CuckooLayout, CuckooManager
 from repro.core.translator import Translator
 
 KEYS = 600
@@ -28,10 +29,12 @@ KW_SLOTS = 2048         # same memory budget in slots
 
 def run_cuckoo():
     col = Collector()
-    col.serve_cuckoo(buckets=BUCKETS, key_bytes=8, value_bytes=4)
+    advert = col.serve_cuckoo(buckets=BUCKETS, key_bytes=8, value_bytes=4)
     tr = Translator()
     col.connect_translator(tr)
-    manager = tr.cuckoo_manager()
+    manager = CuckooManager(tr.client, CuckooLayout(advert.addr,
+                                                    **advert.params),
+                            advert.rkey)
     for i in range(KEYS):
         manager.insert(struct.pack(">Q", i), struct.pack(">I", i))
     found = sum(

@@ -29,7 +29,6 @@ PORT_POSTCARDING = 9911
 PORT_APPEND = 9912
 PORT_SKETCH_MERGE = 9913
 PORT_KEY_INCREMENT = 9914
-PORT_CUCKOO = 9915
 
 
 @dataclass(frozen=True)
@@ -153,14 +152,16 @@ class Collector(Node):
             "sketch_id": sketch_id}, port)
 
     def serve_cuckoo(self, *, buckets: int, key_bytes: int,
-                     value_bytes: int,
-                     port: int = PORT_CUCKOO) -> ServiceAdvert:
+                     value_bytes: int) -> ServiceAdvert:
         """Provision a translator-managed cuckoo table (Section 6).
 
         Unlike the write-only primitives, this store is mutated through
         RDMA READ+WRITE sequences issued by a single
         :class:`~repro.core.stores.cuckoo.CuckooManager` at the
         translator — the "enhanced data aggregation" future-work design.
+        No translator lane serves it, so it is not listened on: the
+        returned advert (layout geometry and rkey) is what a manager is
+        built from.
         """
         from repro.core.stores.cuckoo import CuckooLayout, CuckooStore
 
@@ -168,11 +169,9 @@ class Collector(Node):
         region = self.nic.register_memory(probe.region_bytes)
         self.cuckoo = CuckooStore(region,
                                   replace(probe, base_addr=region.addr))
-        advert = ServiceAdvert(
+        return ServiceAdvert(
             primitive="cuckoo", addr=region.addr, rkey=region.rkey,
             length=region.length, params=primitives.geometry(probe))
-        self.cm.listen(port, advert)
-        return advert
 
     # ------------------------------------------------------------------
     # Connection establishment

@@ -109,7 +109,6 @@ class Translator(Node):
         self._crashed = False
         #: ``primitive code -> lane`` for every configured service.
         self._lanes: dict = {}
-        self._cuckoo: tuple | None = None   # a service without a lane
         self._pending_imm: int | None = None
         #: Optional per-tenant quota table
         #: (:class:`repro.retention.tenants.TenantTable`); consulted
@@ -140,28 +139,11 @@ class Translator(Node):
 
     def configure(self, advert: ServiceAdvert) -> None:
         """Install a primitive service from its CM advertisement."""
-        if advert.primitive == "cuckoo":
-            from repro.core.stores.cuckoo import CuckooLayout
-
-            self._cuckoo = (CuckooLayout(advert.addr, **advert.params),
-                            advert.rkey)
-            return
         primitive = primitives.BY_SERVICE.get(advert.primitive)
         if primitive is None:
             raise ValueError(
                 f"unknown primitive service '{advert.primitive}'")
         self._lanes[primitive.code] = primitive.home.LANE(self, advert)
-
-    def cuckoo_manager(self, max_kicks: int = 32):
-        """The Section 6 read-capable aggregation manager, bound to
-        this translator's RDMA connection."""
-        from repro.core.stores.cuckoo import CuckooManager
-
-        if self._cuckoo is None:
-            raise RuntimeError("cuckoo service not configured")
-        if self.client is None:
-            raise RuntimeError("translator has no RDMA connection")
-        return CuckooManager(self.client, *self._cuckoo, max_kicks=max_kicks)
 
     # ------------------------------------------------------------------
     # Fabric-mode entry point

@@ -6,7 +6,7 @@ vectorized paths literally walk the same polynomials), applied one key
 *column* at a time across a whole packed batch instead of one byte at
 a time per key.  ``crc_many`` covers every Rocksoft parameter set the
 scalar :class:`~repro.switch.crc.CrcEngine` accepts (width <= 64,
-refin/refout, init/xorout, custom seeds); ``hash_lane_many`` reproduces
+refin/refout, init/xorout, custom seeds); ``hash_lanes_at`` reproduces
 the :func:`~repro.switch.crc.hash_family` lane construction, including
 the two-pass + splitmix64 finaliser for lanes wider than 32 bits.
 
@@ -259,14 +259,7 @@ def hash_lanes_at(indices, packed, lengths: np.ndarray | None = None,
     return out
 
 
-def hash_lane_many(index: int, packed, lengths: np.ndarray | None = None,
-                   width_bits: int = 32) -> np.ndarray:
-    """One hash-family lane over a packed key batch (``(n,)``)."""
-    return hash_lanes_at((index,), packed, lengths, width_bits)[0]
-
-
 def hash_lanes(count: int, packed, lengths: np.ndarray | None = None,
-               width_bits: int = 32, start: int = 0) -> np.ndarray:
-    """Lanes ``start .. start+count-1`` as a ``(count, n)`` array."""
-    return hash_lanes_at(range(start, start + count), packed, lengths,
-                         width_bits)
+               width_bits: int = 32) -> np.ndarray:
+    """Lanes ``0 .. count-1`` as a ``(count, n)`` array."""
+    return hash_lanes_at(range(count), packed, lengths, width_bits)

@@ -23,12 +23,8 @@ class Sketch(abc.ABC):
         """Account one observation of ``key``."""
 
     def update_many(self, keys, weights=None) -> None:
-        """Account a batch of observations.
-
-        End state identical to calling :meth:`update` per key in order
-        — subclasses with vectorized kernels override this, and their
-        overrides are differentially tested against exactly this loop.
-        """
+        """Account a batch of observations: :meth:`update` per key, in
+        order."""
         if weights is None:
             for key in keys:
                 self.update(key)

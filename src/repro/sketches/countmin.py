@@ -13,9 +13,6 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-import numpy as np
-
-from repro.kernels import MIN_VECTOR_BATCH, crc as kcrc, sketch as ksketch
 from repro.sketches.base import MergeError, Sketch
 from repro.switch.crc import hash_family
 
@@ -51,36 +48,6 @@ class CountMinSketch(Sketch):
         self.total += weight
         for row, h in zip(self._rows, self._hashes):
             row[h(key) % self.width] += weight
-
-    def update_many(self, keys, weights=None) -> None:
-        """Batched :meth:`update` via the vectorized hash kernels.
-
-        Bit-identical end state to the scalar loop: the rows get the
-        accumulated per-position deltas folded back with Python integer
-        arithmetic.
-        Small batches and weights beyond the int64 accumulation guard
-        fall back to the reference loop.
-        """
-        n = len(keys)
-        if n < MIN_VECTOR_BATCH:
-            super().update_many(keys, weights)
-            return
-        if weights is None:
-            addends = np.ones(n, dtype=np.int64)
-            total_delta = n
-        else:
-            weights = list(weights)
-            if not ksketch.int64_safe(weights, n):
-                super().update_many(keys, weights)
-                return
-            addends = np.asarray(weights, dtype=np.int64)
-            total_delta = sum(weights)
-        packed, lengths = kcrc.pack_keys(keys)
-        positions = ksketch.lane_positions(self.depth, packed, lengths,
-                                           self.width)
-        self.total += total_delta
-        for r in range(self.depth):
-            ksketch.fold_add_into_list(self._rows[r], positions[r], addends)
 
     def query(self, key: bytes) -> int:
         """Point estimate: min over rows (never underestimates)."""

@@ -11,9 +11,6 @@ from __future__ import annotations
 import statistics
 from typing import Iterable
 
-import numpy as np
-
-from repro.kernels import MIN_VECTOR_BATCH, crc as kcrc, sketch as ksketch
 from repro.sketches.base import MergeError, Sketch
 from repro.switch.crc import hash_family
 
@@ -38,37 +35,6 @@ class CountSketch(Sketch):
         self.total += weight
         for r, (row, h) in enumerate(zip(self._rows, self._hashes)):
             row[h(key) % self.width] += self._sign(r, key) * weight
-
-    def update_many(self, keys, weights=None) -> None:
-        """Batched :meth:`update` with vectorized position/sign lanes.
-
-        Bit-identical end state to the scalar loop; see
-        :meth:`CountMinSketch.update_many
-        <repro.sketches.countmin.CountMinSketch.update_many>` for the
-        fallback rules (small batches, weights past the int64 guard).
-        """
-        n = len(keys)
-        if n < MIN_VECTOR_BATCH:
-            super().update_many(keys, weights)
-            return
-        if weights is None:
-            addends = np.ones(n, dtype=np.int64)
-            total_delta = n
-        else:
-            weights = list(weights)
-            if not ksketch.int64_safe(weights, n):
-                super().update_many(keys, weights)
-                return
-            addends = np.asarray(weights, dtype=np.int64)
-            total_delta = sum(weights)
-        packed, lengths = kcrc.pack_keys(keys)
-        positions = ksketch.lane_positions(self.depth, packed, lengths,
-                                           self.width)
-        signs = ksketch.sign_lanes(self.depth, packed, lengths)
-        self.total += total_delta
-        for r in range(self.depth):
-            ksketch.fold_add_into_list(self._rows[r], positions[r],
-                                       signs[r] * addends)
 
     def query(self, key: bytes) -> int:
         """Unbiased point estimate: median of signed row estimates."""

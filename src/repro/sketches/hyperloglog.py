@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.kernels import MIN_VECTOR_BATCH, crc as kcrc, sketch as ksketch
 from repro.sketches.base import MergeError, Sketch
 from repro.switch.crc import hash_family
 
@@ -58,22 +57,6 @@ class HyperLogLog(Sketch):
             rho = width + 1
         if rho > self.registers[index]:
             self.registers[index] = rho
-
-    def update_many(self, keys, weights=None) -> None:
-        """Batched :meth:`update` via the vectorized (index, rho) kernel.
-
-        Bit-identical registers to the scalar loop (weights are ignored
-        either way); small batches fall back to it.
-        """
-        n = len(keys)
-        if n < MIN_VECTOR_BATCH:
-            super().update_many(keys, weights)
-            return
-        packed, lengths = kcrc.pack_keys(keys)
-        index, rho = ksketch.hll_observations(packed, lengths,
-                                              self.precision,
-                                              hash_bits=self.HASH_BITS)
-        ksketch.fold_max_into_list(self.registers, index, rho)
 
     def estimate(self) -> float:
         """Cardinality estimate with small/large-range corrections."""

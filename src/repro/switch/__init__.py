@@ -1,17 +1,14 @@
 """Programmable-switch (Tofino-like) substrate.
 
 The paper's reporter and translator are P4_16 programs on Tofino 1
-ASICs.  This package models the ASIC features those programs rely on:
+ASICs.  Their logic runs once, in :mod:`repro.core`; this package
+models the ASIC features that logic relies on and what it costs:
 
 * :mod:`repro.switch.crc` — the hardware CRC engine with configurable
   polynomials, used for hashing keys to slots, key checksums, and the
   hop-specific checksums of Postcarding.
-* :mod:`repro.switch.registers` — SRAM register arrays accessed through
-  stateful ALUs (32-bit bus, one read-modify-write per packet per array).
 * :mod:`repro.switch.meters` — token-bucket rate meters used by DTA's
   telemetry flow control.
-* :mod:`repro.switch.pipeline` — a match-action pipeline skeleton with
-  stage/resource constraints.
 * :mod:`repro.switch.resources` — the resource accounting model that
   turns a program description into utilisation percentages (SRAM, match
   crossbar, table IDs, ternary bus, stateful ALUs), reproducing Fig. 7
@@ -23,8 +20,6 @@ ASICs.  This package models the ASIC features those programs rely on:
 
 from repro.switch.crc import CrcEngine, CrcPoly
 from repro.switch.meters import Meter, MeterColor
-from repro.switch.pipeline import Pipeline, PipelineError, Stage, Table
-from repro.switch.registers import RegisterArray, StatefulAlu
 from repro.switch.resources import Resource, ResourceBudget, ResourceUsage
 
 __all__ = [
@@ -32,12 +27,6 @@ __all__ = [
     "CrcPoly",
     "Meter",
     "MeterColor",
-    "Pipeline",
-    "PipelineError",
-    "Stage",
-    "Table",
-    "RegisterArray",
-    "StatefulAlu",
     "Resource",
     "ResourceBudget",
     "ResourceUsage",

@@ -181,6 +181,8 @@ class SocketReporter:
                  frame_bytes: int = 1400, use_mmsg=None) -> None:
         if translators < 1:
             raise ValueError("need at least one translator lane")
+        if window < 1:
+            raise ValueError("window must be at least 1")
         self.window = window
         self.frame_bytes = frame_bytes
         self.use_mmsg = use_mmsg

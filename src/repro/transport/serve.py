@@ -97,6 +97,8 @@ class ServeSpec:
             raise ValueError("need at least one collector")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if self.window < 1:
+            raise ValueError("window must be at least 1")
         if self.translators <= 0:
             raise ValueError("need at least one translator")
         if self.frame_bytes < 64:

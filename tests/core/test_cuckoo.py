@@ -1,22 +1,24 @@
 """Translator-managed cuckoo table (Section 6 future work)."""
 
+import dataclasses
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.collector import Collector
-from repro.core.stores.cuckoo import CuckooLayout
+from repro.core.stores.cuckoo import CuckooLayout, CuckooManager
 from repro.core.translator import Translator
 
 
 def deploy(buckets=256, key_bytes=8, value_bytes=4):
     col = Collector()
-    col.serve_cuckoo(buckets=buckets, key_bytes=key_bytes,
-                     value_bytes=value_bytes)
+    advert = col.serve_cuckoo(buckets=buckets, key_bytes=key_bytes,
+                              value_bytes=value_bytes)
     tr = Translator()
     col.connect_translator(tr)
-    return col, tr, tr.cuckoo_manager()
+    layout = CuckooLayout(advert.addr, **advert.params)
+    return col, tr, CuckooManager(tr.client, layout, advert.rkey)
 
 
 def key(i: int) -> bytes:
@@ -49,6 +51,23 @@ class TestLayout:
         with pytest.raises(ValueError):
             CuckooLayout(base_addr=0, buckets=1, key_bytes=8,
                          value_bytes=4)
+
+
+class TestAdvert:
+    def test_translator_refuses_a_cuckoo_advert(self):
+        """No translator lane serves the cuckoo table: its advert is
+        an unknown service to ``configure``, like any name outside the
+        primitive registry, and the collector does not listen on it."""
+        col = Collector()
+        advert = col.serve_cuckoo(buckets=16, key_bytes=8, value_bytes=4)
+        assert col.cm.ports() == {}
+        tr = Translator()
+        with pytest.raises(ValueError,
+                           match="unknown primitive service 'cuckoo'"):
+            tr.configure(advert)
+        with pytest.raises(ValueError,
+                           match="unknown primitive service 'bogus'"):
+            tr.configure(dataclasses.replace(advert, primitive="bogus"))
 
 
 class TestInsertQuery:

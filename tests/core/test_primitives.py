@@ -100,7 +100,6 @@ def test_configure_builds_lanes_from_adverts():
     # allocates nothing a report has not asked for.
     assert translator._lanes[primitives.SKETCH_MERGE.code].columns is None
     assert translator._lanes[primitives.POSTCARDING.code].codes is None
-    assert translator._cuckoo is None
 
 
 def test_pinned_decoder_names_are_the_one_decoder():

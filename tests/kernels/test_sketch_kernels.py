@@ -1,12 +1,12 @@
-"""Vectorized sketch updates are bit-exact vs the scalar reference.
+"""Batched sketch updates land exactly what per-key updates land.
 
-``Sketch.update_many`` in :mod:`repro.sketches.base` is the reference
-loop; the overrides hash with numpy and fold the result back into the
-list-backed counters, and must land the exact same counters for every
-batch shape, including negative CountSketch/Count-Min weights.  The
-boolean parameter ``split`` feeds the batch in one ``update_many`` call
-(False) or in two (True), so a fold-back over non-empty counters is
-covered too.
+``Sketch.update_many`` in :mod:`repro.sketches.base` is every sketch's
+one batched update: :meth:`update` per key, in order.  These tests hold
+it to that for every batch shape — weighted (negative CountSketch /
+Count-Min weights included) and unweighted, weights far past 64 bits,
+and merges of sketches filled by batches.  The boolean parameter
+``split`` feeds the batch in one ``update_many`` call (False) or in
+two (True), so a batch landing on non-empty counters is covered too.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ class TestCounterSketches:
             assert sketch.query(key) == ref.query(key)
 
     def test_huge_weights_fall_back_to_reference(self, cls):
+        """Weights past 64 bits are Python integers all the way."""
         kwargs = dict(width=32, depth=2)
         batch = [b"a", b"b", b"c", b"d", b"e"]
         batch_weights = [2**70, -(2**70), 3, 4, 5]
@@ -94,6 +95,8 @@ class TestCounterSketches:
         assert sketch.total == ref.total
 
     def test_vectorized_merge_matches_list_merge(self, cls):
+        """Two sketches filled by batches merge into the sketch that
+        saw every key one at a time."""
         import numpy as np
 
         rng = np.random.default_rng(5)
@@ -137,6 +140,8 @@ class TestHyperLogLog:
         assert [int(r) for r in hll.registers] == list(ref.registers)
 
     def test_vectorized_merge(self):
+        """Register-wise max of two batch-filled HLLs equals one HLL
+        that saw every key."""
         batch = [str(i).encode() for i in range(500)]
         a, b = HyperLogLog(8), HyperLogLog(8)
         a.update_many(batch[:300])

@@ -363,6 +363,22 @@ class TestFramePacking:
 # ----------------------------------------------------------------------
 
 
+class TestWindowCheck:
+    """A send window below one is refused where it is given, before any
+    daemon starts (the translator daemon's reassembler would otherwise
+    raise in the child and the run would end in a dead daemon)."""
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_spec_rejects_a_window_below_one(self, window):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            _spec(window=window)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_reporter_rejects_a_window_below_one(self, window):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            SocketReporter("r", 1, window=window)
+
+
 class TestCrashContainment:
     def test_dead_collector_daemon_is_a_clean_error(self):
         spec = _spec(reports=200)

@@ -14,8 +14,8 @@ store module for ``importlib``) from the entry points:
 Importing ``repro.a.b`` runs the packages ``repro`` and ``repro.a``
 first, so those count as reached too.  Every ``src/repro`` module the
 walk misses is an offence unless :data:`ALLOWED` names it with a
-reason; an allowlisted module that the walk *does* reach is an offence
-as well, so the list only shrinks.
+reason; an allowlisted module that the walk *does* reach, or that does
+not exist, is an offence as well, so the list only shrinks.
 
 Usage::
 
@@ -36,14 +36,7 @@ ENTRY_MODULES = ("repro.__main__", "repro.cli")
 ENTRY_DIRS = ("perf", "tools", "benchmarks", "examples")
 
 #: Modules that may stay unreached, each with why.
-ALLOWED = {
-    "repro.switch.reporter_pipeline":
-        "ROADMAP item 11: the switch model's own reporter path, pending "
-        "its keep-or-delete decision",
-    "repro.switch.translator_pipeline":
-        "ROADMAP item 11: the switch model's own translator path, pending "
-        "its keep-or-delete decision",
-}
+ALLOWED: dict = {}
 
 
 def modules() -> dict:
@@ -117,6 +110,8 @@ def offences() -> list:
              for name in sorted(set(known) - live - set(ALLOWED))]
     found += [f"{name}: allowlisted but reached; drop it from ALLOWED"
               for name in sorted(set(ALLOWED) & live)]
+    found += [f"{name}: allowlisted but no such module; drop it from "
+              "ALLOWED" for name in sorted(set(ALLOWED) - set(known))]
     return found
 
 
