@@ -175,7 +175,7 @@ class ReportAssembler:
         key_len = np.zeros(n, dtype=np.int64)
         keyed = np.zeros(n, dtype=bool)
         sub = {}
-        for prim in np.unique(prims[valid]).tolist():
+        for prim in np.flatnonzero(np.bincount(prims[valid])).tolist():
             primitive = BY_CODE[prim]
             cols = sub[prim] = wire.decode(primitive, buf, offsets, lengths)
             mask = prims == prim
@@ -206,7 +206,7 @@ class ReportAssembler:
             routed = (packed, lens, position)
         per_report = (flags & wire.PER_REPORT_MASK) != 0
         burst = (payload, buf, offsets, lengths, sub, routed)
-        for shard in np.unique(shards[rows]).tolist():
+        for shard in np.flatnonzero(np.bincount(shards[rows])).tolist():
             self._ingest_shard_rows(shard, rows[shards[rows] == shard],
                                     prims, rids, extras, per_report, burst)
 

@@ -7,8 +7,9 @@ Linux siblings, so the deployment lane binds ``sendmmsg(2)`` and
 themselves are coalesced frames and the per-syscall cost is the next
 bottleneck.  Both directions work on *connected* UDP sockets so no
 per-message sockaddr needs marshalling.  The send side joins a burst
-into one buffer and numpy fills its ``iovec`` / ``mmsghdr`` arrays in
-a few vector stores, at the offsets ctypes computes for the structs.
+into one buffer, the receive side reads into one anonymous mapping, and
+numpy fills their ``iovec`` / ``mmsghdr`` arrays in a few vector
+stores, at the offsets ctypes computes for the structs.
 
 Feature detection happens once at import: the symbols must exist in
 libc *and* a live loopback probe must round-trip a datagram through
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import errno
+import mmap
 import select
 import socket
 
@@ -90,9 +92,10 @@ def _probe() -> bool:
 
 def _layout(struct_type, **fields) -> np.dtype:
     """A numpy dtype over ``struct_type``'s memory: each keyword names
-    a ``(field, ctypes member path)`` pair of pointer-width unsigned
-    integers at the offset ctypes computed, itemsize the struct's."""
-    names, offsets = [], []
+    a ``(field, ctypes member path)`` pair, an unsigned integer as wide
+    as the member at the offset ctypes computed, itemsize the
+    struct's."""
+    names, formats, offsets = [], [], []
     for name, path in fields.items():
         offset, owner = 0, struct_type
         for member in path.split("."):
@@ -100,18 +103,30 @@ def _layout(struct_type, **fields) -> np.dtype:
             offset += descriptor.offset
             owner = dict(owner._fields_)[member]
         names.append(name)
+        formats.append(f"u{ctypes.sizeof(owner)}")
         offsets.append(offset)
-    return np.dtype({"names": names, "formats": [np.uintp] * len(names),
+    return np.dtype({"names": names, "formats": formats,
                      "offsets": offsets,
                      "itemsize": ctypes.sizeof(struct_type)})
 
 
-#: ``struct iovec`` and the ``msg_iov`` / ``msg_iovlen`` of ``struct
-#: mmsghdr``, as numpy sees them: the send path fills whole arrays of
-#: both with a few vector stores instead of per-datagram ctypes calls.
+#: ``struct iovec`` and the ``msg_iov`` / ``msg_iovlen`` / ``msg_len``
+#: of ``struct mmsghdr``, as numpy sees them: both directions fill whole
+#: arrays of them with a few vector stores instead of per-datagram
+#: ctypes calls, and the receive side reads every length in one.
 _IOVEC = _layout(_iovec, base="iov_base", len="iov_len")
 _MMSGHDR = _layout(_mmsghdr, iov="msg_hdr.msg_iov",
-                   iovlen="msg_hdr.msg_iovlen")
+                   iovlen="msg_hdr.msg_iovlen", len="msg_len")
+
+
+def _headers(iovecs: np.ndarray) -> np.ndarray:
+    """One ``mmsghdr`` per entry of ``iovecs``, each pointing at its
+    own single ``iovec``."""
+    hdrs = np.zeros(len(iovecs), dtype=_MMSGHDR)
+    hdrs["iov"] = iovecs.ctypes.data + _IOVEC.itemsize * np.arange(
+        len(iovecs), dtype=np.uintp)
+    hdrs["iovlen"] = 1
+    return hdrs
 
 
 def _sendmmsg_raw(sock, payloads) -> None:
@@ -124,10 +139,7 @@ def _sendmmsg_raw(sock, payloads) -> None:
     iovecs["len"] = lengths
     np.cumsum(lengths, out=iovecs["base"])
     iovecs["base"] += data.ctypes.data - lengths
-    hdrs = np.zeros(n, dtype=_MMSGHDR)
-    hdrs["iov"] = iovecs.ctypes.data + _IOVEC.itemsize * np.arange(
-        n, dtype=np.uintp)
-    hdrs["iovlen"] = 1
+    hdrs = _headers(iovecs)
     sent = 0
     base = hdrs.ctypes.data
     # ``data``, ``iovecs`` and ``hdrs`` stay referenced until the loop
@@ -147,35 +159,41 @@ def _sendmmsg_raw(sock, payloads) -> None:
 
 
 class _RecvRing:
-    """Preallocated recvmmsg buffer ring over one non-blocking socket."""
+    """Preallocated recvmmsg buffer ring over one non-blocking socket.
+
+    Message ``i`` lands in the ``i``-th ``buf_bytes`` stretch of one
+    anonymous mapping: the kernel hands out its zeroed pages as
+    datagrams first touch them, so a ring sized for the largest UDP
+    payload costs nothing up front.  A longer datagram is cut to
+    ``buf_bytes``, as ``recvmmsg`` always does.
+    """
 
     def __init__(self, sock, *, max_msgs: int = BATCH_MSGS,
                  buf_bytes: int = 65535) -> None:
         self.sock = sock
         self.max_msgs = max_msgs
-        self._bufs = [ctypes.create_string_buffer(buf_bytes)
-                      for _ in range(max_msgs)]
-        self._iovecs = (_iovec * max_msgs)()
-        self._hdrs = (_mmsghdr * max_msgs)()
-        for i in range(max_msgs):
-            self._iovecs[i].iov_base = ctypes.cast(self._bufs[i],
-                                                   ctypes.c_void_p)
-            self._iovecs[i].iov_len = buf_bytes
-            self._hdrs[i].msg_hdr.msg_iov = ctypes.pointer(self._iovecs[i])
-            self._hdrs[i].msg_hdr.msg_iovlen = 1
+        self._buf_bytes = buf_bytes
+        self._map = mmap.mmap(-1, max_msgs * buf_bytes)
+        # The view pins the mapping (no close while the kernel may
+        # write into it) and gives its address.
+        self._data = np.frombuffer(self._map, dtype=np.uint8)
+        self._iovecs = np.empty(max_msgs, dtype=_IOVEC)
+        self._iovecs["base"] = self._data.ctypes.data + buf_bytes * np.arange(
+            max_msgs, dtype=np.uintp)
+        self._iovecs["len"] = buf_bytes
+        self._hdrs = _headers(self._iovecs)
 
     def recv_now(self) -> list:
-        rc = _recvmmsg(self.sock.fileno(), ctypes.addressof(self._hdrs),
+        rc = _recvmmsg(self.sock.fileno(), self._hdrs.ctypes.data,
                        self.max_msgs, _MSG_DONTWAIT, None)
         if rc < 0:
             err = ctypes.get_errno()
             if err in (errno.EAGAIN, errno.EWOULDBLOCK, errno.EINTR):
                 return []
             raise OSError(err, "recvmmsg failed")
-        # string_at copies msg_len bytes; ``.raw`` would materialise the
-        # whole 64 KiB buffer per datagram before slicing it.
-        return [ctypes.string_at(self._bufs[i], self._hdrs[i].msg_len)
-                for i in range(rc)]
+        ring, size = self._map, self._buf_bytes
+        return [ring[start:start + length] for start, length in zip(
+            range(0, rc * size, size), self._hdrs["len"][:rc].tolist())]
 
 
 try:

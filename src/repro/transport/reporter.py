@@ -68,9 +68,10 @@ from repro.transport.loss import LossSpec
 #: vectorized decode width and its plan width.
 _OUTBOX_FRAMES = 4 * mmsg.BATCH_MSGS
 
-#: Reports a bulk transmit takes through shim, packer and socket at a
-#: time: about one receive burst of ~40-report frames, so the first
-#: datagrams leave after one slice instead of after the whole stream.
+#: Reports a bulk transmit reads and takes through shim, packer and
+#: socket at a time: about one receive burst of ~40-report frames, so
+#: the first datagrams leave after one slice instead of after the whole
+#: stream.
 _TRANSMIT_SLICE = 8192
 
 #: Longest a full send window may go without its lane's cumulative ACK
@@ -108,15 +109,15 @@ def _sizes(reports: list) -> np.ndarray:
 
 
 class _Stream:
-    """Reports in flight through the shim, as columns.
+    """One slice of reports in flight through the shim, as columns.
 
     The shim rules on ordinals — the reporter's n-th first
     transmission is ordinal n — and a stream resolves the ordinals it
     emits back to rows: row ``i`` is the report ``raw[i]`` (``size[i]``
     bytes) bound for collector ``shard[i]``.  The rows are the reports
-    the shim still held from earlier calls (``carry``: ordinal ->
-    ``(shard, raw)``), in ordinal order, then this call's, ordinals
-    ``base`` onward.
+    the shim still held from earlier slices and calls (``carry``:
+    ordinal -> ``(shard, raw)``), in ordinal order, then this slice's,
+    ordinals ``base`` onward.
     """
 
     __slots__ = ("held", "first", "shard", "raw", "size")
@@ -284,27 +285,34 @@ class SocketReporter:
         two columns end to end: the shim rules on a ``range`` of
         ordinals, its survivors index the columns, and each lane's
         frames are sealed by one :func:`wrap_frames` call.  The input is
-        streamed: shim, packer and socket take it a slice
-        (``_TRANSMIT_SLICE`` reports) at a time, shim holds and the
-        open frame carrying over, so the translator is decoding the
-        first slice while the rest is still here.  Callers must not pass
+        streamed: it is read a slice (``_TRANSMIT_SLICE`` reports) at a
+        time — the slice's columns are built, then shim, packer and
+        socket take them, shim holds and the open frame carrying over —
+        so the first datagrams leave once one slice has been read, and
+        the translator is decoding it while the rest of the input is
+        untouched.  ``shards`` and ``raws`` are sliced as given (turning
+        either into one array first would read the whole input before
+        the first send).  Callers must not pass
         ``RETRANSMIT``-flagged reports (retransmissions originate
         inside the control machinery and take :meth:`_transmit_shard`'s
         flush-first path); workload streams are first transmissions by
         construction.
         """
         base = self._ordinal
-        stream = _Stream(self._carry, base, shards, raws)
-        self._ordinal = end = base + len(raws)
-        for start in range(base, end, _TRANSMIT_SLICE):
+        count = len(raws)
+        self._ordinal = base + count
+        for start in range(0, count, _TRANSMIT_SLICE):
+            stop = min(start + _TRANSMIT_SLICE, count)
+            stream = _Stream(self._carry, base + start,
+                             shards[start:stop], raws[start:stop])
             self._emit(stream, self.shim.step_many(
-                range(start, min(start + _TRANSMIT_SLICE, end))))
+                range(base + start, base + stop)))
+            self._carry = stream.carry(self.shim.holding)
             # Sealed envelopes leave now (the open frame stays open),
-            # so the translator works while the next slice is still in
-            # the shim.
+            # so the translator works while the next slice is still
+            # being read.
             for lane in self._lanes:
                 self._flush_outbox(lane)
-        self._carry = stream.carry(self.shim.holding)
 
     def _transmit_shard(self, shard: int, raw: bytes) -> None:
         if raw[1] & int(DtaFlags.RETRANSMIT):

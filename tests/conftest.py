@@ -5,17 +5,19 @@ registry and cleared hash/CRC memo caches (see ``_fresh_globals``), so
 no test observes state another test left behind and the suite passes
 under any execution order (``pytest -p no:randomly`` not required; try
 ``--ff`` or a reversed file list — the digests still agree).  A test
-that leaves a shared-memory segment or a child process behind fails
-(see ``_no_leaks``), as does one that leaves a thread it started alive.
+that leaves a shared-memory segment, a child process or a file
+descriptor behind fails (see ``_no_leaks``), as does one that leaves a
+thread it started alive.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import threading
 import time
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import hypothesis
 import pytest
@@ -86,6 +88,43 @@ def _created_segments():
         shared_memory.SharedMemory.__init__ = original
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _resource_tracker():
+    """multiprocessing's resource tracker, started before any test.
+
+    The first segment or process a test creates would otherwise start
+    it, and its pipe would stay open as that test's fd.
+    """
+    resource_tracker.ensure_running()
+
+
+def _open_fds() -> dict:
+    """``{fd: what it is open on}`` for this process (empty where there
+    is no ``/proc/self/fd``)."""
+    fd_dir = "/proc/self/fd"
+    try:
+        listed = os.listdir(fd_dir)
+    except FileNotFoundError:
+        return {}
+    fds = {}
+    for name in listed:
+        try:
+            fds[int(name)] = os.readlink(os.path.join(fd_dir, name))
+        except FileNotFoundError:     # the listing's own, closed since
+            pass
+    return fds
+
+
+def _new_fds(before: dict) -> dict:
+    """Descriptors opened since ``before`` and still open.  Garbage
+    that holds one (a socket in a reference cycle) is collected first,
+    only when the set grew."""
+    if _open_fds().items() <= before.items():
+        return {}
+    gc.collect()
+    return dict(_open_fds().items() - before.items())
+
+
 #: How long a thread the test started may take to finish exiting after
 #: the test (one already told to stop, not yet joined).
 THREAD_GRACE_S = 1.0
@@ -102,26 +141,30 @@ def _live_threads(before: set) -> list:
 
 
 @pytest.fixture(autouse=True)
-def _no_leaks(_created_segments):
+def _no_leaks(_created_segments, _resource_tracker):
     """Fail a test that leaves a segment it created in ``/dev/shm``, a
-    child process or a thread it started alive.
+    child process, a file descriptor or a thread it started alive.
 
     The baseline is taken after every higher-scoped fixture is set up,
     so what those hold is theirs; the test's own function-scoped
     fixtures are torn down before the check.  Leaked segments and
     children are reclaimed before failing, so the next test starts
-    clean; a thread cannot be stopped from outside, only named.
+    clean; a thread cannot be stopped from outside, only named, and an
+    fd is only named too (closing it under its owner could close a
+    later reuse of the number).
     """
     first = len(_created_segments)
     children = set(multiprocessing.active_children())
     threads = set(threading.enumerate())
+    fds = _open_fds()
     yield
     leaked = [name for name in _created_segments[first:]
               if os.path.exists(os.path.join("/dev/shm", name))]
     kids = [kid for kid in multiprocessing.active_children()
             if kid not in children]
     alive = _live_threads(threads)
-    if not leaked and not kids and not alive:
+    opened = _new_fds(fds)
+    if not leaked and not kids and not alive and not opened:
         return
     for name in leaked:
         segment = shared_memory.SharedMemory(name=name)
@@ -131,8 +174,9 @@ def _no_leaks(_created_segments):
         kid.terminate()
         kid.join(5.0)
     pytest.fail(f"test leaked /dev/shm segments {leaked}, child "
-                f"processes {[kid.name for kid in kids]} and threads "
-                f"{[thread.name for thread in alive]}")
+                f"processes {[kid.name for kid in kids]}, threads "
+                f"{[thread.name for thread in alive]} and fds "
+                f"{sorted(opened.items())}")
 
 
 @pytest.fixture

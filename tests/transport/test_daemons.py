@@ -8,8 +8,12 @@ teardown paths are directly observable (and measurable by coverage).
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pathlib
 import socket
 import struct
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -266,3 +270,51 @@ class TestTranslatorDaemonMain:
             ctrl_sock.close()
             data_sock.close()
         assert not thread.is_alive()
+
+
+#: A fresh interpreter that imports what the translator daemon does,
+#: provisions a two-shard assembler, then feeds it one receive burst of
+#: Key-Write frames spanning both shards; it prints the modules that
+#: burst imported.
+_FIRST_BURST = """
+import sys
+
+import repro.transport.daemons as daemons
+from repro.core.cluster import ClusterMap
+from repro.core.translator import Translator
+from repro.transport.assembler import ReportAssembler
+from repro.transport.envelope import unwrap, wrap_frame
+from repro.transport.serve import route_report
+from repro.workloads import reports
+
+cmap = ClusterMap(collectors=2)
+translators = []
+for shard in range(2):
+    collector = daemons.provision_collector(f"collector-{shard}")
+    translators.append(Translator(f"translator-{shard}"))
+    collector.connect_translator(translators[-1])
+assembler = ReportAssembler(translators, cmap)
+raws = reports.wire("key_write", 400, 7)
+assert {route_report(cmap, raw) for raw in raws} == {0, 1}
+payloads = [unwrap(wrap_frame(seq, raws[seq * 40:(seq + 1) * 40]))[2]
+            for seq in range(10)]
+before = set(sys.modules)
+assembler.feed_frames(payloads)
+assert (assembler.reports, assembler.malformed) == (400, 0)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_the_first_receive_burst_imports_nothing():
+    """The translator daemon's first burst pays no first-use import: a
+    module loaded lazily on the hot path (``numpy.ma``, which
+    ``np.unique`` pulls in) would land inside the stream's wall time."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(src), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", _FIRST_BURST],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -126,3 +126,25 @@ def test_fallback_traffic_decodes_on_fast_receiver():
     finally:
         a.close()
         b.close()
+
+
+@pytest.mark.parametrize("use_mmsg", [None, False])
+def test_a_datagram_longer_than_a_ring_slot_is_cut_to_it(use_mmsg):
+    """Both receive paths keep the first ``buf_bytes`` of an oversize
+    datagram and go on with the next one whole."""
+    a, b = _pair()
+    try:
+        receiver = mmsg.DatagramReceiver(b, max_msgs=4, buf_bytes=64,
+                                         use_mmsg=use_mmsg)
+        payloads = [bytes(range(100)), b"next", bytes(64)]
+        mmsg.send_many(a, payloads)
+        got = []
+        while len(got) < 3:
+            burst = receiver.recv_burst(2.0)
+            if not burst:
+                break
+            got.extend(burst)
+        assert got == [bytes(range(64)), b"next", bytes(64)]
+    finally:
+        a.close()
+        b.close()

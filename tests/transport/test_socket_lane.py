@@ -363,6 +363,62 @@ class TestFramePacking:
 # ----------------------------------------------------------------------
 
 
+    def test_first_datagram_leaves_after_one_slice_is_read(
+            self, monkeypatch):
+        """The columns are built a slice at a time: when the first
+        datagram reaches the socket the reporter has read at most one
+        ``_TRANSMIT_SLICE`` of each input column, not the whole
+        stream (the shim's carry lives in the reporter, not the
+        input)."""
+        from repro.transport import mmsg
+        from repro.transport import reporter as reporter_mod
+
+        width = reporter_mod._TRANSMIT_SLICE
+        n = 3 * width
+        cmap = ClusterMap(collectors=2)
+        raws = reports.wire("key_write", n, 17)
+        shards = _CountingColumn([route_report(cmap, raw) for raw in raws])
+        raws = _CountingColumn(raws)
+        read_at_send = []
+
+        def send_many(sock, payloads, use_mmsg=None):
+            read_at_send.append((shards.read, raws.read))
+            return len(payloads)
+
+        monkeypatch.setattr(mmsg, "send_many", send_many)
+        reporter = SocketReporter(
+            "first-slice", 1, shards=2, translators=2,
+            loss=LossSpec(seed=5, drop_rate=0.02, reorder_rate=0.02),
+            window=1 << 30)
+        try:
+            reporter.transmit_many(shards, raws)
+            assert reporter.shim.reordered > 0
+        finally:
+            reporter.close()
+        shards_read, raws_read = read_at_send[0]
+        assert 0 < shards_read <= width
+        assert 0 < raws_read <= width
+        # Every report is read once, one slice after another.
+        assert shards.read == raws.read == n
+        assert len(read_at_send) > 3
+
+
+class _CountingColumn:
+    """A read-only sequence that counts the elements handed out."""
+
+    def __init__(self, items) -> None:
+        self._items = items
+        self.read = 0
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        got = self._items[index]
+        self.read += len(got) if isinstance(index, slice) else 1
+        return got
+
+
 class TestWindowCheck:
     """A send window below one is refused where it is given, before any
     daemon starts (the translator daemon's reassembler would otherwise
