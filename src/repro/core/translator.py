@@ -19,8 +19,8 @@ What a primitive *does* lives in its lane class, next to its store
 ``plan`` (the vector fast path, returned as a
 :class:`~repro.kernels.burst.VectorPlan`).
 This module is what is per-report and primitive-agnostic: meter,
-tenant quotas, loss detection and NACK, the immediate flag, crash and
-restart, burst accounting, and the one vector-eligibility decision
+loss detection and NACK, the immediate flag, crash and restart, burst
+accounting, and the one vector-eligibility decision
 (:meth:`Translator.plan_batch` / :meth:`Translator.plan_columns`).
 :meth:`Translator.process_batch` consumes a whole
 :class:`~repro.core.batch.ReportBatch` — the hot path that amortises
@@ -110,11 +110,6 @@ class Translator(Node):
         #: ``primitive code -> lane`` for every configured service.
         self._lanes: dict = {}
         self._pending_imm: int | None = None
-        #: Optional per-tenant quota table
-        #: (:class:`repro.retention.tenants.TenantTable`); consulted
-        #: right after the ingress meter, with the same verdict
-        #: mapping.  Installed by the retention tier.
-        self.tenants = None
         self._meter: Meter | None = None
         if rate_limit_mps is not None:
             self._meter = Meter(MeterConfig(
@@ -169,11 +164,10 @@ class Translator(Node):
                       now: float | None = None) -> None:
         """Process one DTA report end to end.
 
-        Everything per-report lives here — decode, ingress meter,
-        tenant quota, loss detection / NACK, the immediate flag — and
-        the report then runs through the scalar reference lanes as a
-        one-row column set, the same code :meth:`process_batch` runs
-        over N rows.
+        Everything per-report lives here — decode, ingress meter, loss
+        detection / NACK, the immediate flag — and the report then runs
+        through the scalar reference lanes as a one-row column set, the
+        same code :meth:`process_batch` runs over N rows.
         """
         if self._crashed:
             self.stats.dropped_while_crashed += 1
@@ -188,16 +182,6 @@ class Translator(Node):
         # is touched, mirroring the ingress meter in hardware.
         if self._meter is not None and not self._admit(
                 self._meter.mark(self.now), header, raw, src):
-            self.stats.reports_in += 1
-            return
-
-        # Tenant quotas: the keyspace partition's own trTCM meter,
-        # consulted after the shared ingress meter with the same
-        # verdict mapping (over-quota essential -> CPU backlog,
-        # over-quota low-priority -> shed).
-        if self.tenants is not None and not self._admit(
-                self.tenants.admit(getattr(op, "key", None), self.now),
-                header, raw, src, self.tenants):
             self.stats.reports_in += 1
             return
 
@@ -253,10 +237,10 @@ class Translator(Node):
         its primitive.
 
         Batches that involve per-report control-plane state — a
-        configured rate meter, tenant quotas, essential sequence
-        tracking, immediate flags — go through :meth:`handle_report`
-        report by report, which keeps their semantics (shedding order,
-        NACK generation, WRITE_IMM conversion) exactly as specified.
+        configured rate meter, essential sequence tracking, immediate
+        flags — go through :meth:`handle_report` report by report,
+        which keeps their semantics (shedding order, NACK generation,
+        WRITE_IMM conversion) exactly as specified.
         Unlike the per-report entry point, a batch is validated whole,
         so a malformed batch raises before any state changes.
         """
@@ -267,8 +251,7 @@ class Translator(Node):
             self.now = now
         if len(batch) == 0:
             return
-        if (self._meter is not None or self.tenants is not None
-                or batch.essential or batch.immediate):
+        if self._meter is not None or batch.essential or batch.immediate:
             for raw in batch.iter_raw():
                 self.handle_report(raw, src=src)
             return
@@ -347,11 +330,10 @@ class Translator(Node):
         not observable"): a plain batch — no essential or immediate
         flag — that the configured service accepts (an exception is
         not a sum), on a running translator that vectorizes and keeps
-        no per-report admission state (meter, tenant quotas).
+        no per-report admission state (a meter).
         :meth:`plan_batch` still decides for the run.
         """
-        if not (self.vectorized and self._meter is None
-                and self.tenants is None and not self._crashed
+        if not (self.vectorized and self._meter is None and not self._crashed
                 and not (batch.essential or batch.immediate)):
             return False
         lane = self._lanes.get(batch.primitive)
@@ -420,14 +402,13 @@ class Translator(Node):
     def _vector_target(self, kind, reports: int, client):
         """``(lane, burst target)`` if ``reports`` plain reports of
         ``kind`` may run as a plan: vectorization on,
-        ``MIN_VECTOR_BATCH`` reports or more, no meter or tenant
-        quotas, translator up, the service configured, and ``client``
-        resolving to a healthy direct-mode burst target whose region is
-        the one the layout describes.
+        ``MIN_VECTOR_BATCH`` reports or more, no meter, translator up,
+        the service configured, and ``client`` resolving to a healthy
+        direct-mode burst target whose region is the one the layout
+        describes.
         """
         if (not self.vectorized or reports < MIN_VECTOR_BATCH
-                or self._meter is not None or self.tenants is not None
-                or self._crashed):
+                or self._meter is not None or self._crashed):
             return None
         lane = self._lanes.get(kind)
         if lane is None:
@@ -478,11 +459,9 @@ class Translator(Node):
 
     # -- flow control --------------------------------------------------
 
-    def _admit(self, color, header, raw: bytes, src: str | None,
-               tenants=None) -> bool:
-        """Apply a trTCM verdict — the ingress meter's, or with
-        ``tenants`` a tenant quota's — to one report: GREEN admits;
-        YELLOW reroutes an essential report through the switch CPU
+    def _admit(self, color, header, raw: bytes, src: str | None) -> bool:
+        """Apply the ingress meter's trTCM verdict to one report: GREEN
+        admits; YELLOW reroutes an essential report through the switch CPU
         path (re-injected when the meter cools down) and sheds any
         other; RED does the same after signalling the reporter to slow
         down."""
@@ -497,12 +476,8 @@ class Translator(Node):
         if header.essential:
             self.cpu_backlog.append(raw)
             self.stats.rerouted_to_cpu += 1
-            if tenants is not None:
-                tenants.stats.deferred += 1
         else:
             self.stats.low_priority_dropped += 1
-            if tenants is not None:
-                tenants.stats.rejected += 1
         return False
 
     def reinject_cpu_backlog(self, now: float, max_reports: int = 1024

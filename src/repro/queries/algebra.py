@@ -1,9 +1,8 @@
 """The compositional query algebra over DTA collector stores.
 
 Sonata (SIGCOMM'18) expresses telemetry questions as chains of dataflow
-operators; :mod:`repro.telemetry.sonata_dataflow` already runs that
-model on the *switch* side.  This module is the collector-side half:
-a :class:`Plan` is a source over one of the five primitive stores
+operators.  This module is the system's one model of them, run on the
+collector side: a :class:`Plan` is a source over one of the five primitive stores
 (Key-Write slots, Key-Increment counters, Postcarding chunks, Append
 lists, the merged sketch) composed with ``filter / map / reduce /
 distinct / topk / join / union`` operators, evaluated lazily against a

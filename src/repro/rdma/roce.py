@@ -24,6 +24,7 @@ class BthOpcode(enum.IntEnum):
     """Base Transport Header opcodes (RC subset the simulator speaks)."""
 
     RC_SEND_ONLY = _RC | 0x04
+    RC_SEND_ONLY_WITH_IMMEDIATE = _RC | 0x05
     RC_RDMA_WRITE_ONLY = _RC | 0x0A
     RC_RDMA_WRITE_ONLY_IMM = _RC | 0x0B
     RC_RDMA_READ_REQUEST = _RC | 0x0C
@@ -43,6 +44,7 @@ _VERB_TO_BTH = {
     Opcode.FETCH_ADD: BthOpcode.RC_FETCH_ADD,
 }
 _BTH_TO_VERB = {v: k for k, v in _VERB_TO_BTH.items()}
+_BTH_TO_VERB[BthOpcode.RC_SEND_ONLY_WITH_IMMEDIATE] = Opcode.SEND
 
 _BTH_FMT = ">BBHII"       # opcode, se/m/pad/tver, pkey, qpn(24)+rsvd, a+psn
 _RETH_FMT = ">QII"        # va, rkey, dma length
@@ -54,6 +56,7 @@ BTH_BYTES = struct.calcsize(_BTH_FMT)
 RETH_BYTES = struct.calcsize(_RETH_FMT)
 ATOMIC_ETH_BYTES = struct.calcsize(_ATOMIC_ETH_FMT)
 AETH_BYTES = struct.calcsize(_AETH_FMT)
+IMMDT_BYTES = struct.calcsize(_IMMDT_FMT)
 ICRC_BYTES = 4
 
 
@@ -122,7 +125,7 @@ class RocePacket:
         if self.verb in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
             size += ATOMIC_ETH_BYTES
         if self.imm is not None:
-            size += struct.calcsize(_IMMDT_FMT)
+            size += IMMDT_BYTES
         if self.syndrome is not None:
             size += AETH_BYTES
         return size
@@ -134,7 +137,10 @@ def encode_request(verb: Opcode, *, dest_qp: int, psn: int,
                    compare: int = 0, swap: int = 0,
                    imm: int | None = None) -> bytes:
     """Serialise a requester-side RoCEv2 packet (what a translator emits)."""
-    bth = Bth(opcode=_VERB_TO_BTH[verb], dest_qp=dest_qp, psn=psn)
+    opcode = _VERB_TO_BTH[verb]
+    if verb == Opcode.SEND and imm is not None:
+        opcode = BthOpcode.RC_SEND_ONLY_WITH_IMMEDIATE
+    bth = Bth(opcode=opcode, dest_qp=dest_qp, psn=psn)
     out = bytearray(bth.pack())
     if verb in (Opcode.WRITE, Opcode.WRITE_IMM):
         out += struct.pack(_RETH_FMT, remote_addr, rkey, len(payload))
@@ -195,7 +201,7 @@ def decode(raw: bytes) -> RocePacket:
         rest = body[RETH_BYTES:]
         if verb == Opcode.WRITE_IMM:
             (pkt.imm,) = struct.unpack_from(_IMMDT_FMT, rest)
-            rest = rest[struct.calcsize(_IMMDT_FMT):]
+            rest = rest[IMMDT_BYTES:]
         pkt.payload = bytes(rest)
     elif verb in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
         if len(body) < ATOMIC_ETH_BYTES:
@@ -203,5 +209,10 @@ def decode(raw: bytes) -> RocePacket:
         pkt.remote_addr, pkt.rkey, pkt.swap, pkt.compare = struct.unpack_from(
             _ATOMIC_ETH_FMT, body)
     else:  # SEND
+        if op == BthOpcode.RC_SEND_ONLY_WITH_IMMEDIATE:
+            if len(body) < IMMDT_BYTES:
+                raise RoceDecodeError("truncated ImmDt")
+            (pkt.imm,) = struct.unpack_from(_IMMDT_FMT, body)
+            body = body[IMMDT_BYTES:]
         pkt.payload = bytes(body)
     return pkt

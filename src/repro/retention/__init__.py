@@ -1,11 +1,9 @@
-"""Multi-tenant retention tier: epochs, checkpoints, quotas.
+"""Retention tier: epochs and checkpoints.
 
 The collector-side answer to "stores grow forever": time-windowed
 epoch rotation over all five DTA primitive stores
 (:mod:`repro.retention.epochs`), crash-consistent ``repro-ckpt/1``
-checkpoint/restore (:mod:`repro.retention.checkpoint`), per-tenant
-keyspace quotas riding the existing meter machinery
-(:mod:`repro.retention.tenants`), and the
+checkpoint/restore (:mod:`repro.retention.checkpoint`), and the
 :class:`~repro.retention.manager.RetentionManager` that the streaming
 engine drives at batch boundaries under ``store_lock``.
 """
@@ -16,7 +14,6 @@ from repro.retention.checkpoint import (CHECKPOINT_SCHEMA, CheckpointError,
 from repro.retention.epochs import (EpochManager, RetentionPolicy,
                                     RotationReport)
 from repro.retention.manager import RetentionManager, RetentionStats
-from repro.retention.tenants import TenantSpec, TenantStats, TenantTable
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -27,9 +24,6 @@ __all__ = [
     "RetentionPolicy",
     "RetentionStats",
     "RotationReport",
-    "TenantSpec",
-    "TenantStats",
-    "TenantTable",
     "read_manifest",
     "reset_state",
     "restore_checkpoint",

@@ -19,16 +19,13 @@ need more than collector memory:
   calls); the engine hook always skips it, keeping the stream's
   single-writer-per-stage contract and the cross-worker digest
   identity intact.
-* **Tenant quotas** — attaching a
-  :class:`~repro.retention.tenants.TenantTable` wires it into the
-  translator's admission path (``translator.tenants``).
 * **Checkpoints** — :meth:`checkpoint`/:meth:`restore` wrap the
   ``repro-ckpt/1`` codec with retention counters and obs events.
 
 All counters here are input-deterministic (rotation points are batch
-sequence numbers, never wall clock), so ``retention.*`` / ``tenant.*``
-series stay *inside* :func:`~repro.runtime.engine.pipeline_digest` —
-the differential suite checks rotation itself for worker-count
+sequence numbers, never wall clock), so ``retention.*`` series stay
+*inside* :func:`~repro.runtime.engine.pipeline_digest` — the
+differential suite checks rotation itself for worker-count
 independence.
 """
 
@@ -59,34 +56,26 @@ class RetentionStats(obs.InstrumentedStats):
 
 
 class RetentionManager:
-    """Rotation + aging + quotas + checkpoints for one deployment.
+    """Rotation + aging + checkpoints for one deployment.
 
     Args:
         collector: The provisioned collector to manage.
         policy: Retention window / engine cadence (defaults applied).
         translator: Optional; enables postcard-cache aging on quiesced
-            rotations and is where a tenant table gets wired.
-        tenants: Optional :class:`~repro.retention.tenants.TenantTable`
-            installed as ``translator.tenants`` (requires a translator).
+            rotations.
         name: Label for this manager's obs series.
     """
 
     def __init__(self, collector, *, policy: RetentionPolicy | None = None,
-                 translator=None, tenants=None,
-                 name: str = "retention") -> None:
+                 translator=None, name: str = "retention") -> None:
         self.collector = collector
         self.translator = translator
-        self.tenants = tenants
         self.name = name
         self.epochs = EpochManager(collector, policy=policy)
         self.stats = RetentionStats(labels={"name": name})
         self._cache_resident_prev: set = set()
         every = self.epochs.policy.rotate_every
         self._next_rotate_seq = every if every is not None else None
-        if tenants is not None:
-            if translator is None:
-                raise ValueError("tenant quotas need a translator")
-            translator.tenants = tenants
 
     @property
     def policy(self) -> RetentionPolicy:

@@ -2,25 +2,19 @@
 
 Section 3.2 ("Sketch-Merge"): sketches summarise traffic in small
 memory with provable guarantees, and the key enabler for network-wide
-views is *mergeability* — Count / Count-Min merge by counter-wise sum,
-HyperLogLog by register-wise max, AROMA by keeping the best-priority
-samples.  Reporter switches run these sketches locally and ship columns
-to the translator, which merges them into a network-wide sketch before
-a single RDMA write per w columns lands them in collector memory.
+views is *mergeability* — Count-Min merges by counter-wise sum.
+Reporter switches run these sketches locally and ship columns to the
+translator, which merges them into a network-wide sketch before a
+single RDMA write per w columns lands them in collector memory.
+Count sketch, HyperLogLog (register-wise max) and AROMA (best-priority
+samples) live in ``tests/table2/``: no entry point runs them.
 """
 
-from repro.sketches.aroma import AromaSample, AromaSketch
 from repro.sketches.base import MergeError, Sketch
 from repro.sketches.countmin import CountMinSketch
-from repro.sketches.countsketch import CountSketch
-from repro.sketches.hyperloglog import HyperLogLog
 
 __all__ = [
-    "AromaSample",
-    "AromaSketch",
     "MergeError",
     "Sketch",
     "CountMinSketch",
-    "CountSketch",
-    "HyperLogLog",
 ]

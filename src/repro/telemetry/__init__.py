@@ -10,20 +10,15 @@ its reports onto DTA primitives exactly as Table 2 prescribes:
   timeout, and flowlet-size queries (→ Append / Key-Write).
 * :mod:`repro.telemetry.netseer` — NetSeer-style loss events
   (→ Append, 18 B records).
-* :mod:`repro.telemetry.sonata` — Sonata-style per-query results
-  (→ Key-Write) and raw tuple transfer (→ Append).
 * :mod:`repro.telemetry.turboflow` — TurboFlow-style evicted microflow
   records (→ Key-Increment).
-* :mod:`repro.telemetry.pint` — PINT-style sampled per-flow reports
-  with packet-ID-derived redundancy (→ Key-Write).
+
+The rest of Table 2 (Sonata, PINT, PacketScope, Trajectory Sampling,
+event detectors, AROMA) has no entry point that runs it; those mappings
+live in ``tests/table2/`` as the fixtures that
+``tests/integration/test_table2_coverage.py`` checks the table with.
 """
 
-from repro.telemetry.events import (
-    MicroburstDetector,
-    MicroburstEvent,
-    SuspiciousFlowDetector,
-    SuspiciousFlowEvent,
-)
 from repro.telemetry.inband import (
     IntMdSink,
     IntXdSwitch,
@@ -45,28 +40,9 @@ from repro.telemetry.marple import (
     TcpTimeoutsQuery,
 )
 from repro.telemetry.netseer import LossEvent, NetSeerSwitch
-from repro.telemetry.packetscope import (
-    PacketScopeSwitch,
-    PipelineLossEvent,
-    TraversalInfo,
-)
-from repro.telemetry.pint import PintSampler
-from repro.telemetry.sonata import SonataQuery
-from repro.telemetry.sonata_dataflow import (
-    DataflowQuery,
-    Distinct,
-    Filter,
-    Map,
-    Reduce,
-)
-from repro.telemetry.trajectory import TrajectorySwitch, consistent_sample
 from repro.telemetry.turboflow import TurboFlowCache
 
 __all__ = [
-    "MicroburstDetector",
-    "MicroburstEvent",
-    "SuspiciousFlowDetector",
-    "SuspiciousFlowEvent",
     "HopMetadata",
     "InFlightInt",
     "IntInstruction",
@@ -74,11 +50,6 @@ __all__ = [
     "TelemetryReport",
     "int_source",
     "report_from_trace",
-    "DataflowQuery",
-    "Distinct",
-    "Filter",
-    "Map",
-    "Reduce",
     "IntMdSink",
     "IntXdSwitch",
     "trace_path",
@@ -88,12 +59,5 @@ __all__ = [
     "TcpTimeoutsQuery",
     "LossEvent",
     "NetSeerSwitch",
-    "PacketScopeSwitch",
-    "PipelineLossEvent",
-    "TraversalInfo",
-    "PintSampler",
-    "SonataQuery",
-    "TrajectorySwitch",
-    "consistent_sample",
     "TurboFlowCache",
 ]

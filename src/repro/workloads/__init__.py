@@ -15,7 +15,6 @@ from repro.workloads.report_rates import (
     int_postcard_rate,
     table1_rows,
 )
-from repro.workloads.queues import BurstyQueueProcess, QueueSample
 from repro.workloads.traffic import Packet, PacketTrace
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "ReportRateModel",
     "int_postcard_rate",
     "table1_rows",
-    "BurstyQueueProcess",
-    "QueueSample",
     "Packet",
     "PacketTrace",
 ]

@@ -13,7 +13,7 @@ from repro.core.collector import Collector
 from repro.core.packets import DtaPrimitive
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
-from repro.sketches.hyperloglog import HyperLogLog
+from tests.table2.hyperloglog import HyperLogLog
 
 PRECISION = 9                     # 512 registers
 COLUMN = HyperLogLog.COLUMN_REGISTERS

@@ -58,7 +58,7 @@ class TestKeyWriteRows:
 
     def test_sonata_per_query_results(self, rig):
         """Sonata: fixed-size query results keyed by queryID."""
-        from repro.telemetry.sonata import SonataQuery
+        from tests.table2.sonata import SonataQuery
         from repro.workloads.traffic import Packet
 
         col, tr, rep = rig
@@ -70,7 +70,7 @@ class TestKeyWriteRows:
 
     def test_pint_per_flow_fragments(self, rig):
         """PINT: 1B reports, redundancy derived from packet ID."""
-        from repro.telemetry.pint import PintSampler
+        from tests.table2.pint import PintSampler
 
         col, tr, rep = rig
         sampler = PintSampler(rep, sample_bits=0)
@@ -81,7 +81,7 @@ class TestKeyWriteRows:
 
     def test_packetscope_flow_troubleshooting(self, rig):
         """PacketScope: traversal info keyed by <switchID, 5-tuple>."""
-        from repro.telemetry.packetscope import (
+        from tests.table2.packetscope import (
             PacketScopeSwitch,
             TraversalInfo,
             traversal_key,
@@ -107,7 +107,7 @@ class TestPostcardingRows:
 
     def test_trajectory_sampling(self, rig):
         """Trajectory Sampling: unique labels from all hops."""
-        from repro.telemetry.trajectory import (
+        from tests.table2.trajectory import (
             TrajectorySwitch,
             consistent_sample,
         )
@@ -160,7 +160,7 @@ class TestAppendRows:
 
     def test_sonata_raw_data_transfer(self, rig):
         """Sonata: raw packet tuples mirrored to stream processors."""
-        from repro.telemetry.sonata import SonataQuery
+        from tests.table2.sonata import SonataQuery
         from repro.workloads.traffic import Packet
 
         col, tr, rep = rig
@@ -173,7 +173,7 @@ class TestAppendRows:
 
     def test_packetscope_pipeline_loss(self, rig):
         """PacketScope: 14B pipeline-loss records."""
-        from repro.telemetry.packetscope import (
+        from tests.table2.packetscope import (
             PacketScopeSwitch,
             PipelineLossEvent,
             PipelineStage,
@@ -216,7 +216,7 @@ class TestSketchMergeRows:
 
         (Sample merging happens in the sketch layer; DTA ships the
         sample sets as opaque columns.)"""
-        from repro.sketches.aroma import AromaSketch
+        from tests.table2.aroma import AromaSketch
 
         parts = [AromaSketch(k=8) for _ in range(3)]
         union = AromaSketch(k=8)

@@ -41,9 +41,9 @@ from repro.core.reporter import Reporter
 from repro.core.translator import Translator
 from repro.kernels import MIN_VECTOR_BATCH, burst as kburst
 from repro.obs.registry import Snapshot
-from repro.retention.tenants import TenantTable
 from repro.runtime import StageError, StreamEngine, pipeline_digest, \
     store_digest
+from repro.switch.meters import Meter, MeterConfig
 from repro.transport import assembler as assembler_mod
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import unwrap, wrap_frame
@@ -169,7 +169,12 @@ def _run(lane: str, condition: str, monkeypatch,
             rate_limit_mps=1e12 if condition == "meter" else None)
         collector.connect_translator(translator)
         if condition == "tenants":
-            translator.tenants = TenantTable([])     # admits every key
+            # Named for the per-keyspace quotas it replaced: a meter
+            # that does mark — two reports GREEN, two YELLOW, the rest
+            # RED; the six non-GREEN ones are shed.
+            translator._meter = Meter(MeterConfig(
+                committed_rate=0.0, committed_burst=2.0,
+                peak_rate=0.0, peak_burst=4.0))
         if condition == "crashed":
             translator.crash()
         revoked = []
@@ -243,6 +248,7 @@ def _run(lane: str, condition: str, monkeypatch,
             "shared_obs": _shared_digest(snapshot),
             "kernel_calls": len(kernel_calls),
             "batches_built": len(batches_built),
+            "shed": translator.stats.low_priority_dropped,
             "rejected": assembler.rejected if assembler else 0}
 
 
@@ -261,6 +267,8 @@ def _routes_like_the_reference(lane, condition, primitive, monkeypatch):
         assert got["shared_obs"] == clean["shared_obs"]
         return got
     assert got["raised"] == reference["raised"] and not got["rejected"]
+    assert got["shed"] == reference["shed"] == (
+        6 if condition == "tenants" else 0)
     assert got["store"] == reference["store"]
     assert got["shared_obs"] == reference["shared_obs"]
     if lane in _ENGINE_KW:

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 pytest.importorskip("numpy")
 
-from repro.sketches import CountMinSketch, CountSketch, HyperLogLog
+from repro.sketches import CountMinSketch
+from tests.table2.countsketch import CountSketch
+from tests.table2.hyperloglog import HyperLogLog
 
 BATCH_SIZES = (1, 7, 64, 1000)
 

@@ -59,6 +59,18 @@ class TestEncodeDecode:
         pkt = roce.decode(raw)
         assert pkt.verb == Opcode.SEND
         assert pkt.payload == b"advert"
+        assert pkt.imm is None
+
+    def test_send_with_immediate_roundtrip(self):
+        raw = roce.encode_request(Opcode.SEND, dest_qp=4, psn=5,
+                                  payload=b"hello", imm=0xBEEF)
+        assert roce.Bth.unpack(raw).opcode == \
+            roce.BthOpcode.RC_SEND_ONLY_WITH_IMMEDIATE
+        pkt = roce.decode(raw)
+        assert pkt.verb == Opcode.SEND
+        assert pkt.imm == 0xBEEF
+        assert pkt.payload == b"hello"
+        assert pkt.wire_size == len(raw)
 
     def test_ack_roundtrip(self):
         raw = roce.encode_ack(dest_qp=9, psn=77, syndrome=0, msn=3)

@@ -102,6 +102,7 @@ def _mixed_requests(region) -> list:
         WorkRequest(Opcode.CMP_SWAP, addr + 128, rkey, compare=7, swap=99),
         WorkRequest(Opcode.CMP_SWAP, addr + 128, rkey, compare=7, swap=1),
         WorkRequest(Opcode.SEND, data=b"hello collector"),
+        WorkRequest(Opcode.SEND, data=b"hello", imm=0xBEEF),
         WorkRequest(Opcode.WRITE, addr, rkey, data=b"wxyz"),
         WorkRequest(Opcode.FETCH_ADD, addr + 128, rkey, swap=(1 << 64) - 1),
         WorkRequest(Opcode.READ, addr + 128, rkey, length=8),
@@ -122,7 +123,7 @@ def test_per_packet_equals_wr_burst_for_every_verb(census):
 
     assert packet.state() == burst.state()
     assert _completions(packet.client) == _completions(burst.client)
-    assert packet.nic.stats.messages == 11
+    assert packet.nic.stats.messages == 12
     assert packet.nic.stats.atomics == 4
 
 

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sketches.aroma import AromaSketch
 from repro.sketches.base import MergeError
+from tests.table2.aroma import AromaSketch
 
 
 class TestSampling:

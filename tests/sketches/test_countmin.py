@@ -82,7 +82,7 @@ class TestMerging:
             CountMinSketch(64, 3).merge(CountMinSketch(32, 3))
 
     def test_merge_type_mismatch_rejected(self):
-        from repro.sketches.hyperloglog import HyperLogLog
+        from tests.table2.hyperloglog import HyperLogLog
         with pytest.raises(MergeError):
             CountMinSketch(64, 3).merge(HyperLogLog(4))
 

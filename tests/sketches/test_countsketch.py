@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sketches.base import MergeError
-from repro.sketches.countsketch import CountSketch
+from tests.table2.countsketch import CountSketch
 
 
 class TestBasics:

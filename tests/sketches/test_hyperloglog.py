@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sketches.base import MergeError
-from repro.sketches.hyperloglog import HyperLogLog
+from tests.table2.hyperloglog import HyperLogLog
 
 
 class TestEstimation:

@@ -5,7 +5,7 @@ empty most of the time and spike to high occupancy for tens to hundreds
 of microseconds.  :class:`BurstyQueueProcess` generates that shape —
 an ON/OFF modulated arrival process drained at line rate — as the
 sampled queue-depth series the Section 3.2 "latency spikes" telemetry
-(:class:`repro.telemetry.events.MicroburstDetector`) consumes.
+(:class:`tests.table2.events.MicroburstDetector`) consumes.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Sonata (Gupta et al., SIGCOMM'18) expresses queries as chains of
 dataflow operators — ``filter``, ``map``, ``distinct``, ``reduce`` —
 compiled onto switches, with per-epoch results streamed to the runtime.
-:mod:`repro.telemetry.sonata` implements the paper's Table 2 mapping
+:mod:`tests.table2.sonata` implements the paper's Table 2 mapping
 for one fixed query shape; this module implements the general operator
 model so arbitrary Sonata-style queries run against packet streams and
 report through DTA:

@@ -6,7 +6,7 @@ from repro.core import packets
 from repro.core.collector import Collector
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
-from repro.telemetry.events import (
+from tests.table2.events import (
     MicroburstDetector,
     MicroburstEvent,
     SuspiciousFlowDetector,

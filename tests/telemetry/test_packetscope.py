@@ -7,7 +7,7 @@ import pytest
 from repro.core.collector import Collector
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
-from repro.telemetry.packetscope import (
+from tests.table2.packetscope import (
     PacketScopeSwitch,
     PipelineLossEvent,
     PipelineStage,

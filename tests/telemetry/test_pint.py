@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import packets
 from repro.core.reporter import Reporter
-from repro.telemetry.pint import PintSampler
+from tests.table2.pint import PintSampler
 
 
 @pytest.fixture

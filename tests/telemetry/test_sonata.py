@@ -6,8 +6,8 @@ import pytest
 
 from repro.core import packets
 from repro.core.reporter import Reporter
-from repro.telemetry.sonata import SonataQuery
 from repro.workloads.traffic import Packet
+from tests.table2.sonata import SonataQuery
 
 
 def pkt(flow=b"S" * 13, size=1500):

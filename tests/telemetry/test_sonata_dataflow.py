@@ -7,14 +7,14 @@ import pytest
 from repro.core.collector import Collector
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
-from repro.telemetry.sonata_dataflow import (
+from repro.workloads.traffic import Packet
+from tests.table2.sonata_dataflow import (
     DataflowQuery,
     Distinct,
     Filter,
     Map,
     Reduce,
 )
-from repro.workloads.traffic import Packet
 
 
 def pkt(src: bytes, dst: bytes, retx=False):

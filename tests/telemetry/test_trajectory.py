@@ -5,7 +5,7 @@ import pytest
 from repro.core.collector import Collector
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
-from repro.telemetry.trajectory import (
+from tests.table2.trajectory import (
     TrajectorySwitch,
     consistent_sample,
     trajectory_of,

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import packets
 from repro.core.reporter import Reporter
-from repro.telemetry.events import MicroburstDetector
-from repro.workloads.queues import BurstyQueueProcess
+from tests.table2.events import MicroburstDetector
+from tests.table2.queues import BurstyQueueProcess
 
 
 class TestQueueProcess:

@@ -9,9 +9,8 @@ true while no other module names a primitive.  This fails if
   or a lane class named outright (``KeyWriteLane`` … — a store module
   declares its ``LANE``, reached through the registry row's ``home``)
   appears under ``src/repro/`` outside ``core/packets.py`` and
-  ``core/primitives.py`` (the wire tables and the registry), a
-  primitive's own store module under ``core/stores/``, and ``switch/``
-  (the independently written ASIC model, ROADMAP item 11); or
+  ``core/primitives.py`` (the wire tables and the registry) and a
+  primitive's own store module under ``core/stores/``; or
 * a quoted store or service name (``"keywrite"`` … ``"sketch_merge"``)
   appears in the collector half — ``core/`` (but those same modules),
   ``retention/``, ``runtime/``, ``transport/`` and
@@ -39,8 +38,7 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
-ALLOWED = ("core/packets.py", "core/primitives.py", "core/stores/",
-           "switch/")
+ALLOWED = ("core/packets.py", "core/primitives.py", "core/stores/")
 
 #: Where a quoted primitive name is an offence too.
 COLLECTOR_HALF = ("core/", "retention/", "runtime/", "transport/",

@@ -12,10 +12,16 @@ store module for ``importlib``) from the entry points:
   ``examples/``.
 
 Importing ``repro.a.b`` runs the packages ``repro`` and ``repro.a``
-first, so those count as reached too.  Every ``src/repro`` module the
-walk misses is an offence unless :data:`ALLOWED` names it with a
-reason; an allowlisted module that the walk *does* reach, or that does
-not exist, is an offence as well, so the list only shrinks.
+first, so those count as reached too, but the walk does not follow
+what their ``__init__.py`` imports: a re-export is not reach.  A
+package's ``__init__.py`` is followed only when a file imports the
+package itself, by ``import repro.a`` or by ``from repro.a import
+Name`` where ``Name`` is not a submodule.  So a module that only its
+package ``__init__`` imports counts as unreached even when a sibling
+is reached.  Every ``src/repro`` module the walk misses is an offence
+unless :data:`ALLOWED` names it with a reason; an allowlisted module
+that the walk *does* reach, or that does not exist, is an offence as
+well, so the list only shrinks.
 
 Usage::
 
@@ -50,22 +56,21 @@ def modules() -> dict:
     return found
 
 
-def _with_packages(name: str, known: dict) -> set:
+def _packages(name: str) -> set:
+    """The packages that importing ``name`` runs first."""
     parts = name.split(".")
-    return {prefix for prefix in (".".join(parts[:i])
-                                  for i in range(1, len(parts) + 1))
-            if prefix in known}
+    return {".".join(parts[:i]) for i in range(1, len(parts))}
 
 
 def imports(path: pathlib.Path, name: str | None, known: dict) -> set:
-    """The ``repro`` modules a file imports or names."""
+    """The ``repro`` modules a file imports or names, each of which
+    the walk follows (their enclosing packages are not)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     is_package = path.name == "__init__.py"
     found = set()
     for node in ast.walk(tree):
-        targets = []
         if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
+            found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level and name is not None:
@@ -74,17 +79,18 @@ def imports(path: pathlib.Path, name: str | None, known: dict) -> set:
                     package.pop()
                 package = package[:len(package) - node.level + 1]
                 base = ".".join(package + ([base] if base else []))
-            targets = [base] + [f"{base}.{alias.name}"
-                                for alias in node.names]
+            for alias in node.names:
+                submodule = f"{base}.{alias.name}"
+                found.add(submodule if submodule in known else base)
         elif (name is not None and isinstance(node, ast.Constant)
               and isinstance(node.value, str) and node.value in known):
-            targets = [node.value]
-        for target in targets:
-            found |= _with_packages(target, known)
-    return found
+            found.add(node.value)
+    return found & set(known)
 
 
 def reached(roots: set, known: dict) -> set:
+    """Every module the walk follows from ``roots``, plus the packages
+    that contain them."""
     seen = set()
     todo = list(roots)
     while todo:
@@ -93,14 +99,12 @@ def reached(roots: set, known: dict) -> set:
             continue
         seen.add(name)
         todo.extend(imports(known[name], name, known) - seen)
-    return seen
+    return seen.union(*map(_packages, seen))
 
 
 def offences() -> list:
     known = modules()
-    roots = set()
-    for name in ENTRY_MODULES:
-        roots |= _with_packages(name, known)
+    roots = set(ENTRY_MODULES) & set(known)
     for directory in ENTRY_DIRS:
         for path in sorted((ROOT / directory).rglob("*.py")):
             roots |= imports(path, None, known)
