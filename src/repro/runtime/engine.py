@@ -270,12 +270,13 @@ class StreamEngine:
         retention: Optional
             :class:`~repro.retention.manager.RetentionManager`; its
             ``on_batch`` hook runs in the execute stage under
-            :attr:`store_lock` *before* the first burst of each
-            ``rotate_every``-th batch applies, so epoch rotation lands
-            exactly on a batch boundary and snapshots never see a
-            half-rotated store.  Rotation points are batch sequence
-            numbers, so the retention counters stay digest-identical
-            across worker counts and executors.
+            :attr:`store_lock` before batch k·``rotate_every`` applies,
+            whether or not that batch emits anything, so epoch
+            rotation lands exactly on a batch boundary and snapshots
+            never see a half-rotated store.  Rotation points are batch
+            sequence numbers, so the retention counters stay
+            digest-identical across worker counts, executors and plan
+            widths.
         name: Label for the engine's link and metric series.
     """
 
@@ -634,8 +635,10 @@ class StreamEngine:
         stats = self._stage_stats["translate"]
         stats.carriers += 1
         stats.reports += len(carrier)
-        if not ops:
+        if not ops and self.retention is None:
             return None
+        # With retention, a batch that emits nothing still reaches
+        # ``on_batch``: rotation points are batch seqs, not emissions.
         return _Burst(carrier.seq, ops)
 
     def _translate_finalize(self) -> list:

@@ -48,15 +48,9 @@ def add_transport_parsers(sub) -> None:
     parser.add_argument("--frame-bytes", type=int, default=1400,
                         help="datagram budget frames are packed "
                              "against (default 1400)")
-    parser.add_argument("--ack-every", type=int, default=64,
-                        help="cumulative-ACK cadence in delivered "
-                             "envelopes (default 64)")
     parser.add_argument("--scalar-translate", action="store_true",
                         help="disable the vectorized translator plan "
                              "halves (vectorized is the default)")
-    parser.add_argument("--no-mmsg", action="store_true",
-                        help="force the sendmmsg/recvmmsg fallback "
-                             "paths (plain send loop, recvmsg_into)")
     parser.add_argument("--smoke", action="store_true",
                         help=f"cap reports at {_SMOKE_REPORTS} for CI")
 
@@ -77,8 +71,6 @@ def _spec(args) -> ServeSpec:
         vectorized=not args.scalar_translate,
         translators=args.translators,
         frame_bytes=args.frame_bytes,
-        ack_every=args.ack_every,
-        use_mmsg=False if args.no_mmsg else None,
     )
 
 

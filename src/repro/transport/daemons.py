@@ -62,10 +62,8 @@ _MAX_DGRAM = 65535
 #: burst is one ``Translator.plan_columns`` call.
 _RECV_BURST = 4 * mmsg.BATCH_MSGS
 
-#: Default cumulative-ACK cadence: one ACK per this many in-order
-#: envelopes (plus the idle re-ack above).  ``translator_daemon_main``
-#: takes it as a parameter so deployments can trade control-channel
-#: bytes against window stalls.
+#: Cumulative-ACK cadence: one ACK per this many in-order envelopes
+#: (plus the idle re-ack above); the daemon's ``ack_every``.
 ACK_EVERY = 64
 
 
@@ -145,8 +143,8 @@ def collector_daemon_main(shard: int, sketch_width: int, segment_names,
 def translator_daemon_main(shard_segment_names, sketch_width: int,
                            vectorized: bool, batch_size: int,
                            ctrl_addr, conn, *, lane: int = 0,
-                           ack_every: int = ACK_EVERY, window: int = WINDOW,
-                           use_mmsg=None) -> None:
+                           ack_every: int = ACK_EVERY,
+                           window: int = WINDOW) -> None:
     """Receive DTA datagrams and translate them into RDMA writes.
 
     Owns the data socket (bound to an ephemeral loopback port reported
@@ -222,8 +220,7 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     data_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
     data_sock.bind(("127.0.0.1", 0))
     receiver = mmsg.DatagramReceiver(data_sock, max_msgs=_RECV_BURST,
-                                     buf_bytes=_MAX_DGRAM,
-                                     use_mmsg=use_mmsg)
+                                     buf_bytes=_MAX_DGRAM)
     conn.send(("ready", data_sock.getsockname()[1]))
 
     last_ack = [0]

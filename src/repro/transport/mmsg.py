@@ -204,18 +204,17 @@ except (OSError, AttributeError):   # pragma: no cover - non-Linux libc
     HAVE_MMSG = False
 
 #: Call-time gate over the batched path; tests flip this to force the
-#: fallback and diff its digests against the fast path.
+#: fallback and diff its digests against the fast path (forked daemons
+#: inherit the flag).
 USE_MMSG = True
 
 
-def _fast(override=None) -> bool:
-    """Resolve the fast-path gate: per-call override beats the module
-    flag; missing kernel support beats both."""
-    enabled = USE_MMSG if override is None else override
-    return HAVE_MMSG and enabled
+def _fast() -> bool:
+    """The fast-path gate: the module flag, and kernel support."""
+    return HAVE_MMSG and USE_MMSG
 
 
-def send_many(sock, payloads, use_mmsg=None) -> int:
+def send_many(sock, payloads) -> int:
     """Send every payload on a *connected* UDP socket; returns count.
 
     One ``sendmmsg`` per :data:`BATCH_MSGS` datagrams on the fast
@@ -224,7 +223,7 @@ def send_many(sock, payloads, use_mmsg=None) -> int:
     """
     if not payloads:
         return 0
-    if _fast(use_mmsg):
+    if _fast():
         _sendmmsg_raw(sock, payloads)
     else:
         for payload in payloads:
@@ -243,10 +242,9 @@ class DatagramReceiver:
     """
 
     def __init__(self, sock, *, max_msgs: int = BATCH_MSGS,
-                 buf_bytes: int = 65535, use_mmsg=None) -> None:
+                 buf_bytes: int = 65535) -> None:
         self.sock = sock
         self.max_msgs = max_msgs
-        self.use_mmsg = use_mmsg
         sock.setblocking(False)
         self._ring = (_RecvRing(sock, max_msgs=max_msgs,
                                 buf_bytes=buf_bytes)
@@ -258,7 +256,7 @@ class DatagramReceiver:
         readable, _, _ = select.select([self.sock], [], [], timeout)
         if not readable:
             return []
-        if _fast(self.use_mmsg) and self._ring is not None:
+        if _fast() and self._ring is not None:
             return self._ring.recv_now()
         out = []
         while len(out) < self.max_msgs:

@@ -179,14 +179,13 @@ class SocketReporter:
     def __init__(self, name: str, reporter_id: int, *, data_addr=None,
                  shards: int = 1, translators: int = 1,
                  loss: LossSpec | None = None, window: int = WINDOW,
-                 frame_bytes: int = 1400, use_mmsg=None) -> None:
+                 frame_bytes: int = 1400) -> None:
         if translators < 1:
             raise ValueError("need at least one translator lane")
         if window < 1:
             raise ValueError("window must be at least 1")
         self.window = window
         self.frame_bytes = frame_bytes
-        self.use_mmsg = use_mmsg
         self._frame_budget = max(1, frame_bytes - ENVELOPE.size - 2)
         self.shim = (loss or LossSpec()).shim()
         self._ordinal = 0       # the next first transmission's shim ordinal
@@ -435,8 +434,7 @@ class SocketReporter:
                         "envelopes in flight")
             room = min(self.window - (lane.sent - lane.acked),
                        len(outbox) - sent)
-            mmsg.send_many(lane.sock, outbox[sent:sent + room],
-                           use_mmsg=self.use_mmsg)
+            mmsg.send_many(lane.sock, outbox[sent:sent + room])
             lane.sent += room
             self.datagrams_sent += room
             sent += room

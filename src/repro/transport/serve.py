@@ -46,7 +46,6 @@ from repro.runtime.engine import store_digest
 from repro.runtime.queues import _clock
 from repro.transport.assembler import ReportAssembler
 from repro.transport.daemons import (
-    ACK_EVERY,
     collector_daemon_main,
     provision_collector,
     segment_plan,
@@ -85,8 +84,6 @@ class ServeSpec:
     window: int = 2048
     translators: int = 1
     frame_bytes: int = 1400
-    ack_every: int = ACK_EVERY
-    use_mmsg: bool | None = None
 
     def __post_init__(self) -> None:
         if self.primitive not in workload.PRIMITIVES:
@@ -103,8 +100,6 @@ class ServeSpec:
             raise ValueError("need at least one translator")
         if self.frame_bytes < 64:
             raise ValueError("frame_bytes must be at least 64")
-        if self.ack_every <= 0:
-            raise ValueError("ack_every must be positive")
 
     @property
     def sketch_width(self) -> int:
@@ -187,7 +182,7 @@ class SocketLane:
                 "serve-reporter", 1,
                 shards=spec.collectors, translators=spec.translators,
                 loss=spec.loss, window=spec.window,
-                frame_bytes=spec.frame_bytes, use_mmsg=spec.use_mmsg)
+                frame_bytes=spec.frame_bytes)
             for lane in range(spec.translators):
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
@@ -195,9 +190,7 @@ class SocketLane:
                     args=(names_per_shard, spec.sketch_width,
                           spec.vectorized, spec.batch_size,
                           self.reporter.ctrl_addr, child_conn),
-                    kwargs={"lane": lane, "ack_every": spec.ack_every,
-                            "window": spec.window,
-                            "use_mmsg": spec.use_mmsg},
+                    kwargs={"lane": lane, "window": spec.window},
                     daemon=True, name=f"dta-translator-{lane}")
                 proc.start()
                 child_conn.close()

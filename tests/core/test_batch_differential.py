@@ -10,7 +10,6 @@ the degenerate batch, 7 a size that never divides the workload evenly,
 64 the bench harness default).
 """
 
-import random
 import struct
 
 import pytest
@@ -25,125 +24,40 @@ from repro.core.translator import Translator
 from repro.fabric.link import Link
 from repro.fabric.simulator import Simulator
 from repro.runtime import store_digest
+from tests import conformance
 
 REPORTS = 320
 BATCH_SIZES = [1, 7, 64]
-PC_HOPS = 5
-AP_LISTS = 3
-
-
-def _deploy():
-    collector = Collector()
-    collector.serve_keywrite(slots=1 << 10, data_bytes=16)
-    collector.serve_keyincrement(slots_per_row=1 << 8, rows=4)
-    collector.serve_postcarding(chunks=1 << 8, value_set=range(64),
-                                hops=PC_HOPS)
-    collector.serve_append(lists=AP_LISTS, capacity=64, data_bytes=16,
-                           batch_size=8)
-    translator = Translator()
-    collector.connect_translator(translator)
-    reporter = Reporter("diff", 1, transmit=translator.handle_report,
-                        transmit_batch=translator.process_batch)
-    return collector, translator, reporter
-
-
-def _workload(seed=7):
-    rng = random.Random(seed)
-    return {
-        "kw_keys": [struct.pack(">I", rng.getrandbits(32))
-                    for _ in range(REPORTS)],
-        "kw_datas": [struct.pack(">QQ", i, rng.getrandbits(63))
-                     for i in range(REPORTS)],
-        "ki_keys": [struct.pack(">I", rng.getrandbits(16))
-                    for _ in range(REPORTS)],
-        "ki_values": [rng.randrange(1, 50) for _ in range(REPORTS)],
-        "pc_keys": [struct.pack(">I", i // PC_HOPS)
-                    for i in range(REPORTS)],
-        "pc_hops": [i % PC_HOPS for i in range(REPORTS)],
-        "pc_values": [rng.randrange(64) for _ in range(REPORTS)],
-        "ap_ids": [i % AP_LISTS for i in range(REPORTS)],
-        "ap_datas": [struct.pack(">QQ", i, rng.getrandbits(63))
-                     for i in range(REPORTS)],
-    }
-
-
-def _store_bytes(collector):
-    out = {}
-    for name in ("keywrite", "keyincrement", "postcarding", "append"):
-        store = getattr(collector, name)
-        out[name] = store.region.local_read(0, store.region.length)
-    return out
-
-
-def _run(batch_size=None):
-    """Drive the workload; ``batch_size=None`` means per-report path.
-
-    Returns (store bytes per primitive, obs snapshot as JSON lines).
-    """
-    work = _workload()
-    registry = obs.Registry()
-    previous = obs.set_registry(registry)
-    try:
-        collector, translator, reporter = _deploy()
-        if batch_size is None:
-            for key, data in zip(work["kw_keys"], work["kw_datas"]):
-                reporter.key_write(key, data, redundancy=2)
-            for key, value in zip(work["ki_keys"], work["ki_values"]):
-                reporter.key_increment(key, value, redundancy=2)
-            for key, hop, value in zip(work["pc_keys"], work["pc_hops"],
-                                       work["pc_values"]):
-                reporter.postcard(key, hop, value, path_length=PC_HOPS,
-                                  redundancy=1)
-            for list_id, data in zip(work["ap_ids"], work["ap_datas"]):
-                reporter.append(list_id, data)
-        else:
-            for s in range(0, REPORTS, batch_size):
-                e = s + batch_size
-                reporter.send_batch(ReportBatch.key_writes(
-                    work["kw_keys"][s:e], work["kw_datas"][s:e],
-                    redundancy=2))
-            for s in range(0, REPORTS, batch_size):
-                e = s + batch_size
-                reporter.send_batch(ReportBatch.key_increments(
-                    work["ki_keys"][s:e], work["ki_values"][s:e],
-                    redundancy=2))
-            for s in range(0, REPORTS, batch_size):
-                e = s + batch_size
-                reporter.send_batch(ReportBatch.postcards(
-                    work["pc_keys"][s:e], work["pc_hops"][s:e],
-                    work["pc_values"][s:e],
-                    path_lengths=[PC_HOPS] * (min(e, REPORTS) - s),
-                    redundancy=1))
-            for s in range(0, REPORTS, batch_size):
-                e = s + batch_size
-                reporter.send_batch(ReportBatch.appends(
-                    work["ap_ids"][s:e], work["ap_datas"][s:e]))
-        translator.flush_appends()
-        stores = _store_bytes(collector)
-        jsonl = obs.to_jsonl(registry.snapshot())
-    finally:
-        obs.set_registry(previous)
-    return stores, jsonl
+ROWS = ("key_write", "key_increment", "postcarding", "append")
 
 
 class TestBatchDifferential:
-    """Same workload, batched vs per-report: identical observable state."""
+    """Same workload, batched vs per-report: identical observable state
+    (the conformance rig's ``batched`` and ``per_report`` lanes)."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        return _run(batch_size=None)
+        return {row: conformance.run(
+                    "per_report", conformance.stream(row, reports=REPORTS))
+                for row in ROWS}
+
+    @staticmethod
+    def _batched(batch_size):
+        return {row: conformance.run(
+                    "batched", conformance.stream(row, reports=REPORTS,
+                                                  batch=batch_size))
+                for row in ROWS}
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_store_bytes_identical(self, baseline, batch_size):
-        stores, _ = _run(batch_size=batch_size)
-        for name, expected in baseline[0].items():
-            assert stores[name] == expected, \
-                f"{name} store diverged at batch size {batch_size}"
+        for row, got in self._batched(batch_size).items():
+            assert got["store"] == baseline[row]["store"], \
+                f"{row} store diverged at batch size {batch_size}"
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_obs_snapshot_identical(self, baseline, batch_size):
-        _, jsonl = _run(batch_size=batch_size)
-        assert jsonl == baseline[1]
+        for row, got in self._batched(batch_size).items():
+            assert got["shared"] == baseline[row]["shared"], row
 
 
 class TestBatchSemantics:

@@ -13,10 +13,8 @@ from __future__ import annotations
 import random
 import struct
 
-from repro import obs
 from repro.core.batch import ReportBatch
-from repro.core.collector import Collector
-from repro.core.translator import Translator
+from tests import conformance
 
 N = 40
 HOPS = 5
@@ -39,7 +37,7 @@ def _batches() -> list:
         ReportBatch.appends(lists, datas),
         ReportBatch.sketch_columns(
             0, list(range(SKETCH_WIDTH)),
-            [(i, i + 1, i + 2) for i in range(SKETCH_WIDTH)]),
+            [(i, i + 1, i + 2, i + 3) for i in range(SKETCH_WIDTH)]),
     ]
     immediate = [
         ReportBatch.key_writes(keys[:7], datas[:7], redundancy=2,
@@ -48,7 +46,7 @@ def _batches() -> list:
                               values[:2 * HOPS],
                               path_lengths=[HOPS] * (2 * HOPS),
                               immediate=True),
-        # Seven entries into batch-of-8 lists: without the
+        # Seven entries into batch-of-16 lists: without the
         # flush-on-immediate nothing would reach the store.
         ReportBatch.appends([0] * 7, datas[:7], immediate=True),
     ]
@@ -58,43 +56,23 @@ def _batches() -> list:
     return batches
 
 
-def _run(per_report: bool) -> tuple:
-    registry = obs.Registry()
-    previous = obs.set_registry(registry)
-    try:
-        collector = Collector()
-        collector.serve_keywrite(slots=512, data_bytes=8)
-        collector.serve_keyincrement(slots_per_row=128, rows=4)
-        collector.serve_postcarding(chunks=128, value_set=range(64),
-                                    hops=HOPS)
-        collector.serve_append(lists=3, capacity=64, data_bytes=8,
-                               batch_size=8)
-        collector.serve_sketch(width=SKETCH_WIDTH, depth=3,
-                               expected_reporters=1, batch_columns=8)
-        translator = Translator()
-        collector.connect_translator(translator)
-        for batch in _batches():
-            if per_report:
-                for raw in batch.iter_raw():
-                    translator.handle_report(raw)
-            else:
-                translator.process_batch(batch)
-        immediate_writes = translator.stats.immediate_writes
-        translator.flush_appends()
-        stores = {name: bytes(getattr(collector, name).region.buf)
-                  for name in ("keywrite", "keyincrement", "postcarding",
-                               "append", "sketch")}
-        return stores, obs.to_jsonl(registry.snapshot()), immediate_writes
-    finally:
-        obs.set_registry(previous)
-
-
 def test_per_report_equals_batched_including_immediates():
-    report_stores, report_obs, report_imm = _run(per_report=True)
-    batch_stores, batch_obs, batch_imm = _run(per_report=False)
-    assert report_stores == batch_stores
-    assert report_obs == batch_obs
+    got, immediate_writes = {}, {}
+    for per_report in (True, False):
+        def feed(translator, _reporter, per_report=per_report):
+            for batch in _batches():
+                if per_report:
+                    for raw in batch.iter_raw():
+                        translator.handle_report(raw)
+                else:
+                    translator.process_batch(batch)
+            # Before the end-of-stream flush the rig runs.
+            immediate_writes[per_report] = translator.stats.immediate_writes
+
+        got[per_report], _refs = conformance.direct(
+            feed, vectorized=False, sketch_width=SKETCH_WIDTH)
+    assert got[True]["store"] == got[False]["store"]
+    assert got[True]["obs"] == got[False]["obs"]
     # The immediates really converted: 7 Key-Writes, 2 completed
     # postcard chunks, 7 flushed Appends — one WRITE_WITH_IMM each.
-    assert report_imm == batch_imm == 7 + 2 + 7
-    assert any(report_stores["append"]), "immediate Appends were flushed"
+    assert immediate_writes[True] == immediate_writes[False] == 7 + 2 + 7

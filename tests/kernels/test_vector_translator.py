@@ -9,52 +9,27 @@ must fall back to the scalar lane with the same end state.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import pytest
 
 pytest.importorskip("numpy")
 
-from repro import obs
 from repro.core.batch import ReportBatch
-from repro.core.collector import Collector
-from repro.core.reporter import Reporter
-from repro.core.translator import Translator
+from tests import conformance
 
 
-def deploy(vectorized: bool):
-    registry = obs.Registry()
-    previous = obs.set_registry(registry)
-    collector = Collector()
-    collector.serve_keywrite(slots=256, data_bytes=16)
-    collector.serve_keyincrement(slots_per_row=128, rows=4)
-    collector.serve_sketch(width=256, depth=4, expected_reporters=1,
-                           batch_columns=16)
-    translator = Translator(vectorized=vectorized)
-    collector.connect_translator(translator)
-    reporter = Reporter("bench", 1, transmit=translator.handle_report,
-                        transmit_batch=translator.process_batch)
-    return registry, previous, collector, translator, reporter
-
-
-def run_lanes(vectorized: bool, drive) -> tuple:
-    """Returns (kw bytes, ki bytes, sketch bytes, obs digest)."""
-    registry, previous, collector, translator, reporter = deploy(vectorized)
-    try:
-        drive(reporter, translator)
-        digest = hashlib.sha256(
-            obs.to_jsonl(registry.snapshot()).encode()).hexdigest()
-    finally:
-        obs.set_registry(previous)
-    return (bytes(collector.keywrite.region.buf),
-            bytes(collector.keyincrement.region.buf),
-            bytes(collector.sketch.region.buf),
-            digest)
+def _digests(vectorized: bool, drive) -> tuple:
+    """``drive(reporter, translator)`` on a rig deployment with a
+    256-column sketch; returns (store digest, obs digest)."""
+    got, _refs = conformance.direct(
+        lambda translator, reporter: drive(reporter, translator),
+        vectorized=vectorized, sketch_width=256)
+    return got["store"], got["obs"]
 
 
 def assert_modes_identical(drive) -> None:
-    assert run_lanes(False, drive) == run_lanes(True, drive)
+    assert _digests(False, drive) == _digests(True, drive)
 
 
 class TestVectorLanesBitExact:
@@ -111,7 +86,7 @@ class TestVectorLanesBitExact:
                 reporter.send_batch(ReportBatch.sketch_columns(
                     0, columns[s:s + 64], rows[s:s + 64]))
 
-        assert run_lanes(False, per_report) == run_lanes(True, batched)
+        assert _digests(False, per_report) == _digests(True, batched)
 
     def test_mixed_batch_sizes_and_remainders(self):
         rng = random.Random(5)
@@ -144,8 +119,8 @@ class TestFallbackEligibility:
         assert_modes_identical(drive)
 
     def test_vector_lane_actually_runs(self):
-        registry, previous, collector, translator, reporter = deploy(True)
-        try:
+        with conformance.deploy(vectorized=True) as (
+                _registry, _collector, translator, reporter):
             hits = []
             original = translator.plan_batch
 
@@ -164,13 +139,11 @@ class TestFallbackEligibility:
             # Tiny batches stay on the scalar lane.
             reporter.send_batch(ReportBatch.key_writes(keys[:2], datas[:2],
                                                        redundancy=2))
-        finally:
-            obs.set_registry(previous)
         assert len(hits) == 1
 
     def test_scalar_translator_never_calls_kernels(self):
-        registry, previous, collector, translator, reporter = deploy(False)
-        try:
+        with conformance.deploy(vectorized=False) as (
+                _registry, _collector, translator, reporter):
             assert translator.vectorized is False
             rng = random.Random(8)
             keys = [rng.randbytes(8) for _ in range(64)]
@@ -182,6 +155,4 @@ class TestFallbackEligibility:
                     original(batch, *a, **kw)) or called[-1]
             reporter.send_batch(ReportBatch.key_writes(keys, datas,
                                                        redundancy=2))
-        finally:
-            obs.set_registry(previous)
         assert called == [None]

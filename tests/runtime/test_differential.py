@@ -12,7 +12,6 @@ plain ``send_batch`` loop the rest of the suite trusts.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 
@@ -22,59 +21,32 @@ from repro import bench
 from repro.core.batch import ReportBatch
 from repro.retention.checkpoint import read_manifest
 from repro.retention.epochs import RetentionPolicy
-from repro.retention.manager import RetentionManager
 from repro.runtime import (StageError, StreamEngine, pipeline_digest,
                            store_digest)
 from repro.workloads import reports
-from tests.runtime.lanes import run_lane
+from tests import conformance
 
 REPORTS = 480
 BATCH = 32
 SEED = 11
-WORKERS = (0, 2)
 DEPTHS = (1, 4, 64)
 
 
-def _sketch_width(primitive: str) -> int:
-    return REPORTS if primitive == "sketch_merge" else 0
+def _seeded(primitive: str, **kw) -> conformance.Stream:
+    return conformance.stream(primitive, reports=REPORTS, batch=BATCH, **kw)
 
 
 @pytest.mark.parametrize("primitive", reports.PRIMITIVES)
 def test_streamed_matches_serial_across_workers_and_depths(primitive):
     """Store bytes + obs digests agree at every (workers, depth)."""
-    work = reports.columns(primitive, REPORTS, SEED)
-    reference = None
-    for workers in WORKERS:
-        for depth in DEPTHS:
-            lane = run_lane(primitive, work, workers=workers,
-                            queue_depth=depth, vectorized=workers > 0,
-                            batch_size=BATCH,
-                            sketch_width=_sketch_width(primitive))
-            assert lane["zero_loss"], (primitive, workers, depth,
-                                       lane["drops"])
-            signature = (lane["obs_digest"], lane["store_digest"])
-            if reference is None:
-                reference = signature
-            assert signature == reference, (primitive, workers, depth)
-
-
-def _engine_snapshot(primitive: str, work: dict, **engine_kw):
-    """Run one engine over the workload; return (snapshot, store)."""
-    with bench.deployment(vectorized=False,
-                          sketch_width=_sketch_width(primitive)) as (
-            registry, collector, translator, reporter):
-        engine = StreamEngine(collector, translator, reporter, **engine_kw)
-        try:
-            engine.start()
-            n = len(next(iter(work.values())))
-            for s in range(0, n, BATCH):
-                engine.submit(reports.batch(primitive, work, s,
-                                            min(s + BATCH, n)))
-            engine.drain()
-            snapshot = registry.snapshot()
-        finally:
-            engine.close()
-    return snapshot, store_digest(collector)
+    # ``workers=0`` runs no queue: one depth stands for all.
+    serial = conformance.run("reference", _seeded(primitive))
+    for depth in DEPTHS:
+        got = conformance.run("thread", _seeded(primitive,
+                                                queue_depth=depth))
+        assert got["zero_loss"], (primitive, depth)
+        assert (got["obs"], got["store"]) == (
+            serial["obs"], serial["store"]), (primitive, depth)
 
 
 @pytest.mark.parametrize("primitive", reports.PRIMITIVES)
@@ -82,25 +54,13 @@ def test_workers0_engine_equals_plain_serial_loop(primitive):
     """The inline fallback adds link/runtime series and changes nothing
     else: every series the plain ``send_batch`` loop produces has the
     identical value under the engine, and the stores are byte-equal."""
-    work = reports.columns(primitive, REPORTS, SEED)
-    with bench.deployment(vectorized=False,
-                          sketch_width=_sketch_width(primitive)) as (
-            registry, collector, translator, reporter):
-        for s in range(0, REPORTS, BATCH):
-            reporter.send_batch(reports.batch(primitive, work, s, s + BATCH))
-        if primitive == "append":
-            translator.flush_appends()
-        plain_snapshot = registry.snapshot()
-        plain_store = store_digest(collector)
-
-    snapshot, store = _engine_snapshot(primitive, work, workers=0,
-                                       vectorized=False)
-    assert store == plain_store
-    for key, value in plain_snapshot.samples.items():
-        assert snapshot.samples.get(key) == value, key
-    extra = set(snapshot.samples) - set(plain_snapshot.samples)
+    plain = conformance.run("batched", _seeded(primitive))
+    engine = conformance.run("reference", _seeded(primitive))
+    assert plain["store"] == engine["store"]
+    # ``unlinked``: the pipeline digest without ``link.*``.
+    assert plain["obs"] == plain["unlinked"] == engine["unlinked"]
     assert all(name.startswith(("runtime.", "link."))
-               for name, _labels in extra), sorted(extra)
+               for name in engine["series"] - plain["series"])
 
 
 @pytest.mark.parametrize("primitive", ("key_write", "key_increment"))
@@ -109,13 +69,11 @@ def test_vectorized_plan_apply_split_matches_scalar(primitive):
     arrays, execute scatters them) digests identically to the scalar
     reference — the PR 4 vectorization guarantee, preserved across the
     stage boundary."""
-    work = reports.columns(primitive, REPORTS, SEED)
-    scalar = run_lane(primitive, work, workers=0, vectorized=False,
-                      batch_size=BATCH)
-    vector = run_lane(primitive, work, workers=2, vectorized=True,
-                      batch_size=BATCH)
-    assert vector["obs_digest"] == scalar["obs_digest"]
-    assert vector["store_digest"] == scalar["store_digest"]
+    scalar = conformance.run("reference", _seeded(primitive))
+    vector = conformance.run("thread", _seeded(primitive))
+    assert vector["kernels"] > 0
+    assert vector["obs"] == scalar["obs"]
+    assert vector["store"] == scalar["store"]
 
 
 def test_a_clean_mixed_stream_never_reaches_the_scalar_burst():
@@ -139,7 +97,6 @@ def test_a_clean_mixed_stream_never_reaches_the_scalar_burst():
                 schedule.append((primitive, turn // 4 * batch))
 
     def run(vectorized: bool):
-        from repro.runtime import pipeline_digest
         with bench.deployment(vectorized=False,
                               sketch_width=sizes["sketch_merge"]) as (
                 registry, collector, translator, reporter):
@@ -172,18 +129,12 @@ def test_queue_metrics_register_and_exclude_from_digest():
     """Queue depth/stall series exist under ``runtime.*`` (so they are
     observable) and are excluded from the pipeline digest (so they do
     not break determinism)."""
-    work = reports.columns("key_write", REPORTS, SEED)
-    snapshot, _store = _engine_snapshot("key_write", work, workers=2,
-                                        queue_depth=4, vectorized=False)
-    names = {name for name, _labels in snapshot.samples}
-    assert "runtime.queue_depth" in names
-    assert "runtime.enqueued" in names
-    assert "runtime.carriers" in names
-    from repro.runtime import pipeline_digest
-    digest_names = {name for name, _labels in snapshot.samples
-                    if not name.startswith("runtime.")}
-    assert "runtime.queue_depth" not in digest_names
-    assert pipeline_digest(snapshot)  # digest of the filtered snapshot
+    got = conformance.run("thread", _seeded("key_write", queue_depth=4))
+    assert {"runtime.queue_depth", "runtime.enqueued",
+            "runtime.carriers"} <= got["series"]
+    # The reference runs no stage queue, and digests the same.
+    assert got["obs"] == conformance.run("reference",
+                                         _seeded("key_write"))["obs"]
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +156,6 @@ ROUNDS = (
     {"key_write": 500, "append": 9, "toy": 1},
 )
 WIDTHS = (1, 7, 64, 4096)
-TOY_PARAMS = {"cells": 512, "width": 16}
 
 
 @pytest.fixture
@@ -261,25 +211,8 @@ def _batch(works, primitive, start, stop):
     return reports.batch(primitive, works[primitive], start, stop)
 
 
-@contextlib.contextmanager
-def _mixed_engine(*, rotate_every=None, **engine_kw):
-    """A deployment serving the five primitives and the toy, and an
-    engine over it; yields ``(registry, collector, engine)``."""
-    from tests.core.test_primitives import TOY
-
-    with bench.deployment(vectorized=False,
-                          sketch_width=_totals()["sketch_merge"]) as (
-            registry, collector, translator, reporter):
-        translator.configure(collector._serve(TOY, TOY_PARAMS, 9990))
-        manager = None
-        if rotate_every is not None:
-            manager = RetentionManager(
-                collector, policy=RetentionPolicy(window=2,
-                                                  rotate_every=rotate_every))
-        engine = StreamEngine(collector, translator, reporter,
-                              retention=manager, **engine_kw)
-        with engine:
-            yield registry, collector, engine
+#: The rig deployment every mixed-stream engine runs on.
+MIXED = {"sketch_width": _totals()["sketch_merge"], "toy": True}
 
 
 def _stream(width: int, *, rotate_every=None, **engine_kw):
@@ -288,8 +221,10 @@ def _stream(width: int, *, rotate_every=None, **engine_kw):
     drained ``(store digest, obs digest)``."""
     works = _works()
     points = []
-    with _mixed_engine(rotate_every=rotate_every, **engine_kw) as (
-            registry, collector, engine):
+    policy = rotate_every and RetentionPolicy(window=2,
+                                              rotate_every=rotate_every)
+    with conformance.engine(**MIXED, policy=policy, **engine_kw) as (
+            registry, engine):
         for rnd in _schedule(width):
             for primitive, start, stop in rnd:
                 seq = engine.submit(_batch(works, primitive, start, stop))
@@ -298,7 +233,8 @@ def _stream(width: int, *, rotate_every=None, **engine_kw):
                            pipeline_digest(registry.snapshot()),
                            snap.batch_seq, seq))
         engine.drain()
-        final = (store_digest(collector), pipeline_digest(registry.snapshot()))
+        final = (store_digest(engine.collector),
+                 pipeline_digest(registry.snapshot()))
     return points, final
 
 
@@ -341,8 +277,9 @@ def test_batch_seq_is_the_last_submitted_at_every_tick_point(toy, tmp_path):
     seen = {}
     for vectorized in (False, True):
         seen[vectorized] = got = []
-        with _mixed_engine(rotate_every=40, workers=0,
-                           vectorized=vectorized) as (_r, _c, engine):
+        with conformance.engine(
+                **MIXED, policy=RetentionPolicy(window=2, rotate_every=40),
+                workers=0, vectorized=vectorized) as (_r, engine):
             for rnd in _schedule(64):
                 for primitive, start, stop in rnd:
                     seq = engine.submit(_batch(works, primitive, start, stop))
@@ -383,11 +320,11 @@ def test_a_rejected_batch_fails_where_it_did_and_nothing_after_lands(
     works = _works()
     outcome = {}
     for vectorized in (False, True):
-        with _mixed_engine(workers=workers, vectorized=vectorized) as (
-                _r, collector, engine):
+        with conformance.engine(**MIXED, workers=workers,
+                                vectorized=vectorized) as (_r, engine):
             error = _failing_stream(engine, works)
             outcome[vectorized] = (error.stage, error.batch_seq,
-                                   store_digest(collector))
+                                   store_digest(engine.collector))
     assert outcome[True] == outcome[False]
     assert outcome[True][0] == "translate"
 
@@ -398,12 +335,12 @@ def test_close_without_drain_lands_what_is_held(toy):
     works = _works()
     digests = {}
     for vectorized in (False, True):
-        with _mixed_engine(workers=0, vectorized=vectorized) as (
-                _r, collector, engine):
+        with conformance.engine(**MIXED, workers=0,
+                                vectorized=vectorized) as (_r, engine):
             for item in _schedule(64)[0]:
                 engine.submit(_batch(works, *item))
-            before = store_digest(collector)
-        digests[vectorized] = store_digest(collector)
+            before = store_digest(engine.collector)
+        digests[vectorized] = store_digest(engine.collector)
     assert before != digests[True], "nothing was held: the test is moot"
     assert digests[True] == digests[False]
 
@@ -414,15 +351,16 @@ def test_reader_threads_snapshot_batch_boundaries_of_an_inline_engine(toy):
     exactly the store state after the batch it names."""
     works = _works()
     batches = [item for rnd in _schedule(7) for item in rnd]
-    with _mixed_engine(workers=0, vectorized=False) as (_r, collector,
-                                                        engine):
+    with conformance.engine(**MIXED, workers=0, vectorized=False) as (
+            _r, engine):
         after = [None]      # store digest after batch seq - 1
         for item in batches:
             engine.submit(_batch(works, *item))
-            after.append(store_digest(collector))
+            after.append(store_digest(engine.collector))
 
     views, errors = [], []
-    with _mixed_engine(workers=0, vectorized=True) as (_r, _c, engine):
+    with conformance.engine(**MIXED, workers=0, vectorized=True) as (
+            _r, engine):
         done = threading.Event()
 
         def read() -> None:

@@ -23,6 +23,7 @@ import random
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -37,7 +38,7 @@ from repro.runtime import (
 )
 from repro.runtime.shm import PlanWorkerPool, RES_PLAN
 from repro.workloads import reports
-from tests.runtime.lanes import run_lane
+from tests import conformance
 
 REPORTS = 480
 BATCH = 32
@@ -186,48 +187,32 @@ class TestShmCreditQueue:
 # ----------------------------------------------------------------------
 
 
-def _sketch_width(primitive: str) -> int:
-    return REPORTS if primitive == "sketch_merge" else 0
-
-
 @pytest.mark.parametrize("primitive", reports.PRIMITIVES)
 def test_process_lane_matches_serial_across_workers(primitive):
     """Store bytes + obs digests at workers 1/2 and queue depths 1/16
     (one slot per worker, and the most the engine gives) equal
     workers=0."""
-    work = reports.columns(primitive, REPORTS, SEED)
-    serial = run_lane(primitive, work, workers=0, vectorized=False,
-                      batch_size=BATCH,
-                      sketch_width=_sketch_width(primitive))
-    reference = (serial["obs_digest"], serial["store_digest"])
-    for workers in (1, 2):
+    stream = conformance.stream(primitive, reports=REPORTS, batch=BATCH)
+    serial = conformance.run("reference", stream)
+    for lane in ("process1", "process2"):
         for queue_depth in (1, 16):
-            lane = run_lane(primitive, work, workers=workers,
-                            executor="process", vectorized=True,
-                            batch_size=BATCH, queue_depth=queue_depth,
-                            sketch_width=_sketch_width(primitive))
-            key = (primitive, workers, queue_depth)
-            assert lane["zero_loss"], (key, lane["drops"])
-            assert (lane["obs_digest"],
-                    lane["store_digest"]) == reference, key
+            got = conformance.run(lane,
+                                  replace(stream, queue_depth=queue_depth))
+            key = (primitive, lane, queue_depth)
+            assert got["zero_loss"], key
+            assert (got["obs"], got["store"]) == (
+                serial["obs"], serial["store"]), key
 
 
 def test_process_lane_exposes_ring_metrics():
     """Plan worker counters and the apply queue surface under
     ``runtime.*`` (digest-excluded)."""
     work = reports.columns("key_increment", REPORTS, SEED)
-    with bench.deployment(vectorized=False) as (
-            registry, collector, translator, reporter):
-        engine = StreamEngine(collector, translator, reporter, workers=2,
-                              executor="process", vectorized=True,
-                              name="ringmetrics")
-        try:
-            engine.start()
-            engine.submit(reports.batch("key_increment", work, 0, BATCH))
-            engine.drain()
-            snapshot = registry.snapshot()
-        finally:
-            engine.close()
+    with conformance.engine(workers=2, executor="process",
+                            vectorized=True) as (registry, engine):
+        engine.submit(reports.batch("key_increment", work, 0, BATCH))
+        engine.drain()
+        snapshot = registry.snapshot()
     names = {name for name, _labels in snapshot.samples}
     assert "runtime.plan_worker_planned" in names
     assert "runtime.queue_depth" in names
@@ -287,22 +272,14 @@ def test_worker_crash_mid_stream_surfaces_stage_error():
 def test_engine_close_unlinks_every_segment():
     """After a normal run + close, re-attach by name must fail."""
     work = reports.columns("key_write", REPORTS, SEED)
-    with bench.deployment(vectorized=False) as (
-            registry, collector, translator, reporter):
-        engine = StreamEngine(collector, translator, reporter, workers=2,
-                              executor="process", vectorized=True,
-                              name="leakcheck")
-        try:
-            engine.start()
-            pool = engine._pool
-            segments = _segments(pool)
-            processes = pool.processes
-            for s in range(0, REPORTS, BATCH):
-                engine.submit(reports.batch("key_write", work, s,
-                                            min(s + BATCH, REPORTS)))
-            engine.drain()
-        finally:
-            engine.close()
+    with conformance.engine(workers=2, executor="process",
+                            vectorized=True) as (_registry, engine):
+        segments = _segments(engine._pool)
+        processes = engine._pool.processes
+        for s in range(0, REPORTS, BATCH):
+            engine.submit(reports.batch("key_write", work, s,
+                                        min(s + BATCH, REPORTS)))
+        engine.drain()
     for name in segments:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -457,12 +434,11 @@ class TestAcquireTeardown:
 
 def test_stall_clock_is_shared_across_runtime_modules():
     """Queue stall accounting, the socket lane's drain deadlines and
-    the runtime tests' duration cap read one clock."""
+    the conformance rig's duration cap read one clock."""
     from repro.runtime import queues
     from repro.transport import serve
-    from tests.runtime import lanes
 
-    assert serve._clock is lanes._clock is queues._clock
+    assert serve._clock is conformance._clock is queues._clock
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),

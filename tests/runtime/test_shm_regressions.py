@@ -31,7 +31,7 @@ from repro.core.batch import ReportBatch
 from repro.runtime import StreamEngine, store_digest
 from repro.runtime.shm import PlanWorkerPool, RES_FALLBACK, RES_PLAN
 from repro.workloads import reports
-from tests.runtime.lanes import run_lane
+from tests import conformance
 
 
 def test_control_words_survive_two_slots_in_flight():
@@ -84,14 +84,14 @@ OVERSIZE = 12288
 def test_oversize_plan_result_falls_back_instead_of_killing_worker():
     """A Key-Increment batch that fits a request slot but not a result
     slot: the parent plans it itself, digests unchanged."""
-    work = reports.columns("key_increment", OVERSIZE, 9)
-    serial = run_lane("key_increment", work, workers=0, vectorized=False,
-                      batch_size=OVERSIZE)
-    lane = run_lane("key_increment", work, workers=1, executor="process",
-                    vectorized=True, batch_size=OVERSIZE)
-    assert lane["zero_loss"], lane["drops"]
-    assert lane["store_digest"] == serial["store_digest"]
-    assert lane["obs_digest"] == serial["obs_digest"]
+    stream = conformance.Stream(
+        "key_increment", reports.columns("key_increment", OVERSIZE, 9),
+        batch=OVERSIZE)
+    serial = conformance.run("reference", stream)
+    lane = conformance.run("process1", stream)
+    assert lane["zero_loss"]
+    assert lane["store"] == serial["store"]
+    assert lane["obs"] == serial["obs"]
 
 
 def test_oversize_plan_result_is_a_fallback_message():

@@ -9,29 +9,33 @@ is held to.  Throughput is ``perf/``'s business, not these tests'.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import bench
 from repro.cli import main
 from repro.workloads import reports
-from tests.runtime.lanes import run_lane
+from tests import conformance
 
 REPORTS = 1500
 
 
-def _gates(primitive: str, work: dict, **streamed_kw) -> tuple:
+def _gates(primitive: str, work: dict, lane: str, **stream_kw) -> tuple:
     """Streamed lane, then the serial replay of what it submitted."""
-    width = reports.sketch_width(primitive, reports.size(work))
-    streamed = run_lane(primitive, work, vectorized=True,
-                        sketch_width=width, **streamed_kw)
+    stream = conformance.Stream(
+        primitive, work,
+        sketch_width=reports.sketch_width(primitive, reports.size(work)),
+        **stream_kw)
+    streamed = conformance.run(lane, stream)
     prefix = {key: column[:streamed["reports"]]
               for key, column in work.items()}
-    serial = run_lane(primitive, prefix, workers=0, vectorized=False,
-                      sketch_width=width)
+    serial = conformance.run("reference",
+                             replace(stream, work=prefix, duration=None))
     gates = [
         bench.gate("streamed digests match serial",
-                   (streamed["obs_digest"], streamed["store_digest"])
-                   == (serial["obs_digest"], serial["store_digest"])),
+                   (streamed["obs"], streamed["store"])
+                   == (serial["obs"], serial["store"])),
         bench.gate("zero report loss", streamed["zero_loss"]),
     ]
     return streamed, serial, gates
@@ -40,20 +44,18 @@ def _gates(primitive: str, work: dict, **streamed_kw) -> tuple:
 def test_run_soak_smoke_document_shape_and_gates(capsys):
     """The thread pair (``workers=2``) passes both gates."""
     work = reports.columns("key_write", REPORTS, 9)
-    streamed, serial, gates = _gates("key_write", work, workers=2)
+    streamed, serial, gates = _gates("key_write", work, "thread")
     assert streamed["reports"] == serial["reports"] == REPORTS
-    assert (streamed["workers"], streamed["executor"]) == (2, "thread")
-    assert bench.verdict({"store_digest": streamed["store_digest"]},
-                         gates) == 0
+    assert streamed["queue_high_watermarks"], "no stage queues: not threaded"
+    assert bench.verdict({"store_digest": streamed["store"]}, gates) == 0
     assert capsys.readouterr().out.endswith("overall: PASS\n")
 
 
 def test_run_soak_full_mode_includes_throughput_gate():
     """Plan worker processes pass both gates."""
     work = reports.columns("key_write", REPORTS, 9)
-    streamed, _serial, gates = _gates("key_write", work, workers=1,
-                                      executor="process")
-    assert streamed["executor"] == "process"
+    streamed, _serial, gates = _gates("key_write", work, "process1")
+    assert streamed["kernels"] > 0
     assert all(gate["pass"] for gate in gates), gates
 
 
@@ -61,7 +63,7 @@ def test_run_soak_duration_truncates_and_serial_replays_prefix():
     """A tiny duration cap stops the streamed lane early; the serial
     lane must replay exactly the submitted prefix (same digests)."""
     work = reports.columns("key_increment", 200_000, 9)
-    streamed, serial, gates = _gates("key_increment", work, workers=2,
+    streamed, serial, gates = _gates("key_increment", work, "thread",
                                      duration=0.05)
     assert 0 < streamed["reports"] < 200_000
     assert serial["reports"] == streamed["reports"]
@@ -85,10 +87,9 @@ def test_workers_zero_runs_the_inline_vectorized_lane():
     lane (not silently bumped to one stage thread), gated against the
     scalar serial reference like any other."""
     work = reports.columns("key_increment", REPORTS, 9)
-    streamed, serial, gates = _gates("key_increment", work, workers=0)
-    assert (streamed["workers"], streamed["vectorized"]) == (0, True)
+    streamed, serial, gates = _gates("key_increment", work, "inline")
     assert streamed["queue_high_watermarks"] == {}
-    assert serial["vectorized"] is False
+    assert streamed["kernels"] > 0 and serial["kernels"] == 0
     assert all(gate["pass"] for gate in gates), gates
 
 

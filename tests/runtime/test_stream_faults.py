@@ -19,6 +19,7 @@ from repro.core.batch import ReportBatch
 from repro.faults import recover_stream
 from repro.runtime import StreamEngine
 from repro.workloads import reports
+from tests import conformance
 
 BATCH = 16
 SEED = 3
@@ -29,25 +30,18 @@ def test_translator_crash_mid_stream_drains_without_hang():
     and every submitted report is either processed or counted dropped —
     conservation, not silence."""
     work = reports.columns("key_write", 480, SEED)
-    with bench.deployment(vectorized=False) as (
-            _registry, collector, translator, reporter):
-        engine = StreamEngine(collector, translator, reporter, workers=2,
-                              queue_depth=4, vectorized=False)
-        try:
-            engine.start()
-            n = len(work["keys"])
-            for s in range(0, n, BATCH):
-                if s == n // 3:
-                    translator.crash()
-                if s == 2 * n // 3:
-                    translator.restart()
-                engine.submit(reports.batch("key_write", work, s,
-                                            s + BATCH))
-            engine.drain()
-        finally:
-            engine.close()
-    stats = translator.stats
-    assert reporter.stats.reports_sent == n
+    n = len(work["keys"])
+    with conformance.engine(workers=2, queue_depth=4,
+                            vectorized=False) as (_registry, engine):
+        for s in range(0, n, BATCH):
+            if s == n // 3:
+                engine.translator.crash()
+            if s == 2 * n // 3:
+                engine.translator.restart()
+            engine.submit(reports.batch("key_write", work, s, s + BATCH))
+        engine.drain()
+    stats = engine.translator.stats
+    assert engine.reporter.stats.reports_sent == n
     assert stats.dropped_while_crashed > 0
     assert stats.reports_in + stats.dropped_while_crashed == n
     for thread in engine._threads:
@@ -61,29 +55,22 @@ def test_link_blackout_drops_whole_carriers_deterministically():
     work = reports.columns("key_write", 320, SEED)
     n = len(work["keys"])
     blacked_out = 0
-    with bench.deployment(vectorized=False) as (
-            _registry, collector, translator, reporter):
-        engine = StreamEngine(collector, translator, reporter, workers=0,
-                              vectorized=False)
-        try:
-            engine.start()
-            for s in range(0, n, BATCH):
-                if n // 4 <= s < n // 2:
-                    engine.link.begin_fault()
-                    blacked_out += BATCH
-                else:
-                    engine.link.end_fault()
-                engine.submit(reports.batch("key_write", work, s,
-                                            s + BATCH))
-            engine.drain()
-        finally:
-            engine.close()
+    with conformance.engine(workers=0, vectorized=False) as (
+            _registry, engine):
+        for s in range(0, n, BATCH):
+            if n // 4 <= s < n // 2:
+                engine.link.begin_fault()
+                blacked_out += BATCH
+            else:
+                engine.link.end_fault()
+            engine.submit(reports.batch("key_write", work, s, s + BATCH))
+        engine.drain()
     link = engine.link.stats
     assert blacked_out > 0
     assert link.fault_drops == blacked_out
     assert link.sent == n
     assert link.delivered == n - blacked_out
-    assert translator.stats.reports_in == n - blacked_out
+    assert engine.translator.stats.reports_in == n - blacked_out
 
 
 def _essential_run(*, crash_window=None):

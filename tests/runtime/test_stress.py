@@ -28,7 +28,7 @@ from repro.runtime import (
     StreamEngine,
 )
 from repro.workloads import reports
-from tests.runtime.lanes import run_lane
+from tests import conformance
 
 REPORTS = 320
 BATCH = 32
@@ -137,12 +137,12 @@ def test_engine_backpressure_engages_and_drops_nothing():
     run stays lossless and digests identically to the unthrottled
     serial reference."""
     work = reports.columns("key_write", REPORTS, SEED)
-    serial = run_lane("key_write", work, workers=0, vectorized=False,
-                      batch_size=BATCH)
-    # Same engine name as run_lane's: the link series carry it as a
+    serial = conformance.run("reference", conformance.Stream(
+        "key_write", work, batch=BATCH))
+    # Same engine name as the rig's: the link series carry it as a
     # label, and the digests must be comparing like with like.
     with _fresh_engine(workers=2, queue_depth=1, vectorized=False,
-                       name="soak") as (registry, engine):
+                       name=conformance.ENGINE_NAME) as (registry, engine):
         real_execute = engine._stage_fns["execute"]
 
         def slow_execute(burst):
@@ -160,7 +160,7 @@ def test_engine_backpressure_engages_and_drops_nothing():
             engine.close()
         assert stalled > 0, "expected the credit pool to run dry"
         from repro.runtime import pipeline_digest
-        assert pipeline_digest(snapshot) == serial["obs_digest"]
+        assert pipeline_digest(snapshot) == serial["obs"]
         assert engine.link.stats.drops == 0
 
 

@@ -9,32 +9,10 @@ with its code.  Speed is ``perf/``'s business, not these tests'.
 
 from __future__ import annotations
 
-import hashlib
-
-from repro import bench, obs
+from repro import bench
 from repro.cli import main
 from repro.workloads import reports
-
-MODES = ("unbatched", "batched", "vectorized")
-
-
-def _obs_digest(primitive: str, mode: str, work: dict,
-                batch_size: int = 32) -> str:
-    """The whole obs registry after one mode of one primitive."""
-    n = reports.size(work)
-    with bench.deployment(vectorized=mode == "vectorized",
-                          sketch_width=reports.sketch_width(primitive, n)) as (
-            registry, _collector, translator, reporter):
-        if mode == "unbatched":
-            reports.emit(reporter, primitive, work)
-        else:
-            for s in range(0, n, batch_size):
-                reporter.send_batch(
-                    reports.batch(primitive, work, s, s + batch_size))
-        if primitive == "append":
-            translator.flush_appends()
-        return hashlib.sha256(
-            obs.to_jsonl(registry.snapshot()).encode()).hexdigest()
+from tests import conformance
 
 
 def test_gate_shapes():
@@ -69,14 +47,14 @@ def test_finish_fails_on_a_failed_gate(capsys):
 
 
 def test_cli_bench_record_gates_and_history():
-    """Per primitive, per-report, batched and vectorized leave the same
-    whole obs registry: batching and vectorization change speed and
-    nothing else."""
+    """Per primitive, per-report (``Reporter.key_write`` and friends),
+    batched and vectorized leave the same whole obs registry: batching
+    and vectorization change speed and nothing else."""
     for primitive in reports.PRIMITIVES:
-        work = reports.columns(primitive, 400, 1)
-        digests = {mode: _obs_digest(primitive, mode, work)
-                   for mode in MODES}
-        assert len(set(digests.values())) == 1, (primitive, digests)
+        stream = conformance.stream(primitive, reports=400, batch=32)
+        digests = {conformance.run(lane, stream)["obs"]
+                   for lane in ("reporter", "batched", "vectorized")}
+        assert len(digests) == 1, (primitive, digests)
 
 
 def test_cli_bench_without_vectorized_has_no_vector_cells(monkeypatch,

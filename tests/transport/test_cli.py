@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.cli import build_parser, main
+from repro.transport import mmsg
 from repro.transport.cli import _spec
 from repro.transport.serve import run_serve
 
@@ -24,18 +25,19 @@ def test_serve_smoke_writes_history_and_document(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_serve_smoke_multi_translator_scalar_fallbacks(capsys):
+def test_serve_smoke_multi_translator_scalar_fallbacks(capsys, monkeypatch):
+    # The daemons are forked: they inherit the cleared flag.
+    monkeypatch.setattr(mmsg, "USE_MMSG", False)
     argv = ["serve", "--smoke", "--reports", "300",
             "--collectors", "3", "--translators", "2",
-            "--scalar-translate", "--no-mmsg",
+            "--scalar-translate",
             "--drop", "0.02", "--reorder", "0.02"]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.count("store_digest sha256:") == 3
     assert out.endswith("overall: PASS\n")
     spec = _spec(build_parser().parse_args(argv))
-    assert (spec.translators, spec.use_mmsg, spec.vectorized) == (
-        2, False, False)
+    assert (spec.translators, spec.vectorized) == (2, False)
     sock = run_serve(spec)["socket"]
     assert len(sock["lane_seqs"]) == 2
     assert len(sock["translator"]["per_lane"]) == 2

@@ -23,6 +23,7 @@ from repro.core import packets
 from repro.core.cluster import ClusterMap
 from repro.core.translator import Translator
 from repro.runtime.shm import Attached
+from repro.transport import mmsg
 from repro.transport.assembler import ReportAssembler
 from repro.transport.daemons import (
     collector_daemon_main,
@@ -201,10 +202,13 @@ class TestTranslatorDaemonMain:
 
     @pytest.mark.parametrize("use_mmsg", [None, False])
     def test_frames_ack_cadence_and_lane_stamp(self, fresh_registry,
-                                               segments, use_mmsg):
+                                               segments, use_mmsg,
+                                               monkeypatch):
         """Coalesced frames drain like singles; ack_every and the lane
         byte are honoured; the fallback receive path decodes the same
-        traffic (use_mmsg=False forces recvmsg_into)."""
+        traffic (``use_mmsg=False`` clears ``mmsg.USE_MMSG``: the
+        daemon receives with recvmsg_into)."""
+        monkeypatch.setattr(mmsg, "USE_MMSG", use_mmsg is not False)
         ctrl_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         ctrl_sock.bind(("127.0.0.1", 0))
         ctrl_sock.settimeout(5.0)
@@ -213,7 +217,7 @@ class TestTranslatorDaemonMain:
             target=translator_daemon_main,
             args=([segments], 0, False, 16,
                   ctrl_sock.getsockname(), child_conn),
-            kwargs={"lane": 3, "ack_every": 4, "use_mmsg": use_mmsg},
+            kwargs={"lane": 3, "ack_every": 4},
             daemon=True)
         thread.start()
         try:

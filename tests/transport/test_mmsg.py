@@ -23,14 +23,20 @@ def _pair():
     return a, b
 
 
-def _roundtrip(payloads, use_mmsg, max_msgs):
+@pytest.fixture
+def gate(monkeypatch):
+    """``gate(use_mmsg)``: ``False`` forces the fallback through the
+    module flag, ``None`` keeps the fast path."""
+    return lambda use_mmsg: monkeypatch.setattr(mmsg, "USE_MMSG",
+                                                use_mmsg is not False)
+
+
+def _roundtrip(payloads, max_msgs):
     a, b = _pair()
     try:
         b.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
-        receiver = mmsg.DatagramReceiver(b, max_msgs=max_msgs,
-                                         use_mmsg=use_mmsg)
-        assert mmsg.send_many(a, payloads,
-                              use_mmsg=use_mmsg) == len(payloads)
+        receiver = mmsg.DatagramReceiver(b, max_msgs=max_msgs)
+        assert mmsg.send_many(a, payloads) == len(payloads)
         got = []
         while len(got) < len(payloads):
             burst = receiver.recv_burst(2.0)
@@ -45,15 +51,16 @@ def _roundtrip(payloads, use_mmsg, max_msgs):
 
 
 @pytest.mark.parametrize("use_mmsg", [None, False])
-def test_roundtrip_fast_and_fallback(use_mmsg):
+def test_roundtrip_fast_and_fallback(use_mmsg, gate):
+    gate(use_mmsg)
     payloads = [bytes([i % 256]) * (i % 60 + 1) for i in range(150)]
-    assert _roundtrip(payloads, use_mmsg, mmsg.BATCH_MSGS) == payloads
+    assert _roundtrip(payloads, mmsg.BATCH_MSGS) == payloads
     # The daemon's ring width, and every size class a ring slot can
     # hold: empty, one byte, a full frame, the largest UDP payload —
     # each datagram comes back at exactly its own length.
     sizes = (0, 1, 1400, 65507)
     payloads = [bytes([65 + i]) * size for i, size in enumerate(sizes * 3)]
-    got = _roundtrip(payloads, use_mmsg, 256)
+    got = _roundtrip(payloads, 256)
     assert [len(p) for p in got] == list(sizes * 3)
     assert got == payloads
 
@@ -73,7 +80,7 @@ def test_partial_sendmmsg_continues_where_the_kernel_stopped(monkeypatch):
     monkeypatch.setattr(mmsg, "_sendmmsg", five_at_most)
     payloads = [bytes([i % 256]) * (i * 37 % 1500) for i in range(150)]
     assert b"" in payloads
-    assert _roundtrip(payloads, True, 256) == payloads
+    assert _roundtrip(payloads, 256) == payloads
     assert calls == list(range(150, 0, -5))
 
 
@@ -97,25 +104,25 @@ def test_empty_send_is_noop():
 
 
 def test_gate_resolution(monkeypatch):
-    # Per-call override beats the module flag; missing kernel support
-    # beats both.
+    # The module flag gates the fast path; missing kernel support
+    # beats it.
     monkeypatch.setattr(mmsg, "USE_MMSG", False)
     assert mmsg._fast() is False
-    assert mmsg._fast(True) == mmsg.HAVE_MMSG
     monkeypatch.setattr(mmsg, "USE_MMSG", True)
-    assert mmsg._fast(False) is False
     assert mmsg._fast() == mmsg.HAVE_MMSG
 
 
 @pytest.mark.skipif(not mmsg.HAVE_MMSG, reason="no mmsg syscalls here")
-def test_fallback_traffic_decodes_on_fast_receiver():
+def test_fallback_traffic_decodes_on_fast_receiver(gate):
     """Sender on the plain-send loop, receiver on recvmmsg: the wire
     format is the datagram itself, so mixing paths must be invisible."""
     a, b = _pair()
     try:
         payloads = [b"frame-%03d" % i for i in range(40)]
-        receiver = mmsg.DatagramReceiver(b, use_mmsg=True)
-        mmsg.send_many(a, payloads, use_mmsg=False)
+        receiver = mmsg.DatagramReceiver(b)
+        gate(False)
+        mmsg.send_many(a, payloads)
+        gate(None)
         got = []
         while len(got) < 40:
             burst = receiver.recv_burst(2.0)
@@ -129,15 +136,15 @@ def test_fallback_traffic_decodes_on_fast_receiver():
 
 
 @pytest.mark.parametrize("use_mmsg", [None, False])
-def test_a_datagram_longer_than_a_ring_slot_is_cut_to_it(use_mmsg):
+def test_a_datagram_longer_than_a_ring_slot_is_cut_to_it(use_mmsg, gate):
     """Both receive paths keep the first ``buf_bytes`` of an oversize
     datagram and go on with the next one whole."""
     a, b = _pair()
     try:
-        receiver = mmsg.DatagramReceiver(b, max_msgs=4, buf_bytes=64,
-                                         use_mmsg=use_mmsg)
+        receiver = mmsg.DatagramReceiver(b, max_msgs=4, buf_bytes=64)
         payloads = [bytes(range(100)), b"next", bytes(64)]
         mmsg.send_many(a, payloads)
+        gate(use_mmsg)
         got = []
         while len(got) < 3:
             burst = receiver.recv_burst(2.0)

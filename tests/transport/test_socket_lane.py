@@ -116,12 +116,16 @@ class TestDifferentialGate:
         per_lane = doc["socket"]["translator"]["per_lane"]
         assert all(stats["reports"] > 0 for stats in per_lane)
 
-    def test_mmsg_fallback_digests_identical(self):
+    def test_mmsg_fallback_digests_identical(self, monkeypatch):
         """Forcing the plain send loop + recvmsg_into fallback must not
-        change a single store byte relative to the sendmmsg path."""
+        change a single store byte relative to the sendmmsg path (the
+        forked daemons inherit the cleared ``mmsg.USE_MMSG``)."""
+        from repro.transport import mmsg
+
         loss = LossSpec(seed=9, drop_rate=0.04, reorder_rate=0.04)
-        fast = run_serve(_spec(loss=loss, reports=400, use_mmsg=None))
-        slow = run_serve(_spec(loss=loss, reports=400, use_mmsg=False))
+        fast = run_serve(_spec(loss=loss, reports=400))
+        monkeypatch.setattr(mmsg, "USE_MMSG", False)
+        slow = run_serve(_spec(loss=loss, reports=400))
         assert _passed(fast), fast["gates"]
         assert _passed(slow), slow["gates"]
         assert (fast["socket"]["store_digests"]
@@ -381,7 +385,7 @@ class TestFramePacking:
         raws = _CountingColumn(raws)
         read_at_send = []
 
-        def send_many(sock, payloads, use_mmsg=None):
+        def send_many(sock, payloads):
             read_at_send.append((shards.read, raws.read))
             return len(payloads)
 
