@@ -122,12 +122,8 @@ class _SlotTracker:
         self.region = store.region
         self.cells = getattr(store.layout, declared.cells)
         self.cell_bytes = getattr(store.layout, declared.cell_bytes)
-        self._gens = np.zeros(self.cells, dtype=np.int64)
+        self.gens = [0] * self.cells
         self._prev = bytes(self.cells * self.cell_bytes)
-
-    @property
-    def gens(self) -> list:
-        return self._gens.tolist()
 
     def _current(self) -> bytes:
         return bytes(self.region.buf[:self.cells * self.cell_bytes])
@@ -135,8 +131,9 @@ class _SlotTracker:
     def observe(self, epoch: int) -> int:
         """Stamp every cell that changed since the last rotation."""
         cur = self._current()
-        changed = [] if cur == self._prev else self._changed_cells(cur)
-        self._gens[changed] = epoch
+        changed = self._changed_cells(cur)
+        for index in changed:
+            self.gens[index] = epoch
         self._prev = cur
         return len(changed)
 
@@ -144,29 +141,31 @@ class _SlotTracker:
         shape = (self.cells, self.cell_bytes)
         a = np.frombuffer(cur, dtype=np.uint8).reshape(shape)
         b = np.frombuffer(self._prev, dtype=np.uint8).reshape(shape)
-        return np.flatnonzero((a != b).any(axis=1))
+        return np.nonzero((a != b).any(axis=1))[0].tolist()
 
     def expire(self, cutoff: int) -> int:
         """Zero every cell whose generation fell out of the window."""
-        stale = np.flatnonzero((self._gens > 0) & (self._gens <= cutoff))
+        recycled = 0
         width = self.cell_bytes
         zero = b"\x00" * width
-        for index in stale.tolist():
-            self.region.local_write(index * width, zero)
-        self._gens[stale] = 0
-        if len(stale):
+        for index, gen in enumerate(self.gens):
+            if gen and gen <= cutoff:
+                self.region.local_write(index * width, zero)
+                self.gens[index] = 0
+                recycled += 1
+        if recycled:
             # Scrubbing must not read back as a fresh write next epoch.
             self._prev = self._current()
-        return len(stale)
+        return recycled
 
     @property
     def live(self) -> int:
-        return int(np.count_nonzero(self._gens))
+        return sum(1 for gen in self.gens if gen)
 
     def export_state(self):
         meta = {"kind": self.kind, "cells": self.cells,
                 "cell_bytes": self.cell_bytes}
-        blobs = {"gens": self._gens.astype("<u4").tobytes(),
+        blobs = {"gens": struct.pack(f"<{self.cells}I", *self.gens),
                  "prev": self._prev}
         return meta, blobs
 
@@ -174,8 +173,7 @@ class _SlotTracker:
         if (meta.get("cells") != self.cells
                 or meta.get("cell_bytes") != self.cell_bytes):
             raise ValueError("slot tracker geometry mismatch")
-        self._gens = np.array(struct.unpack(f"<{self.cells}I",
-                                            blobs["gens"]), dtype=np.int64)
+        self.gens = list(struct.unpack(f"<{self.cells}I", blobs["gens"]))
         self._prev = bytes(blobs["prev"])
 
 
@@ -189,53 +187,59 @@ class _DeltaTracker:
         self.count = count = getattr(store.layout, declared.cells)
         order, code = declared.counter
         self.fmt = f"{order}{count}{code}"    # e.g. "<2048Q" / ">128I"
-        # Unsigned: array arithmetic wraps modulo the counter width.
-        self.dtype = np.dtype(declared.counter)
+        self.mod = 1 << 8 * struct.calcsize(declared.counter)
         self.reset_stream = declared.reset
         self.nbytes = struct.calcsize(self.fmt)
-        self._prev = np.zeros(count, dtype=self.dtype)
+        self._prev = (0,) * count
         self.deltas: deque = deque()       # (epoch, tuple of deltas)
         self.merged = (0,) * count         # expired epochs, merged down
 
-    def _read(self) -> np.ndarray:
-        return np.frombuffer(bytes(self.region.buf[:self.nbytes]),
-                             dtype=self.dtype)
+    def _read(self) -> tuple:
+        return struct.unpack(self.fmt, bytes(self.region.buf[:self.nbytes]))
 
     def observe(self, epoch: int) -> int:
         cur = self._read()
+        mod = self.mod
         if self.reset_stream:
             # The region *is* the sealed epoch's matrix (per-epoch
             # re-streamed sketch); zero it for the next sweep so stale
             # columns can never recount.
-            delta, cur = cur, np.zeros(self.count, dtype=self.dtype)
-        else:
-            delta = cur - self._prev
-        nonzero = int(np.count_nonzero(delta))
-        if nonzero:
-            self.deltas.append((epoch, tuple(delta.tolist())))
-            if self.reset_stream:
+            delta = cur
+            nonzero = sum(1 for d in delta if d)
+            if nonzero:
+                self.deltas.append((epoch, delta))
                 self.region.local_write(0, b"\x00" * self.nbytes)
+            self._prev = (0,) * self.count
+            return nonzero
+        delta = tuple((c - p) % mod for c, p in zip(cur, self._prev))
+        nonzero = sum(1 for d in delta if d)
+        if nonzero:
+            self.deltas.append((epoch, delta))
         self._prev = cur
         return nonzero
 
     def expire(self, cutoff: int) -> int:
         expired = 0
+        mod = self.mod
         while self.deltas and self.deltas[0][0] <= cutoff:
             _epoch, delta = self.deltas.popleft()
-            delta = np.array(delta, dtype=self.dtype)
             if not self.reset_stream:
                 # Decay: the live region still accumulates, subtract
                 # the expired slice out of it.
-                self._prev = (self._read() - delta).astype(self.dtype)
-                self.region.local_write(0, self._prev.tobytes())
-            self.merged = tuple(
-                (np.array(self.merged, dtype=self.dtype) + delta).tolist())
-            expired += int(np.count_nonzero(delta))
+                cur = self._read()
+                decayed = tuple((c - d) % mod
+                                for c, d in zip(cur, delta))
+                self.region.local_write(0,
+                                        struct.pack(self.fmt, *decayed))
+                self._prev = decayed
+            self.merged = tuple((m + d) % mod
+                                for m, d in zip(self.merged, delta))
+            expired += sum(1 for d in delta if d)
         return expired
 
     @property
     def live(self) -> int:
-        return int(np.count_nonzero(self._read()))
+        return sum(1 for value in self._read() if value)
 
     def epoch_delta(self, epoch: int) -> tuple | None:
         for held, delta in self.deltas:
@@ -258,8 +262,7 @@ class _DeltaTracker:
                 or meta.get("fmt") != self.fmt
                 or bool(meta.get("reset", False)) != self.reset_stream):
             raise ValueError("delta tracker geometry mismatch")
-        self._prev = np.array(struct.unpack(self.fmt, blobs["prev"]),
-                              dtype=self.dtype)
+        self._prev = struct.unpack(self.fmt, blobs["prev"])
         self.merged = struct.unpack(self.fmt, blobs["merged"])
         self.deltas = deque(
             (epoch, struct.unpack(self.fmt, blobs[f"delta.{epoch}"]))
@@ -432,8 +435,8 @@ class EpochManager:
 
     def cell_epoch(self, attr: str, index: int) -> int:
         """Generation of a Key-Write slot / Postcarding chunk (0 = free)."""
-        return int(self._tracker(attr, _SlotTracker,
-                                 "per-cell generations")._gens[index])
+        return self._tracker(attr, _SlotTracker,
+                             "per-cell generations").gens[index]
 
     def segments(self, list_id: int) -> tuple:
         """Sealed ``(epoch, start, end)`` head ranges of one list of the

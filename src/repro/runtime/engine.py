@@ -635,10 +635,8 @@ class StreamEngine:
         stats = self._stage_stats["translate"]
         stats.carriers += 1
         stats.reports += len(carrier)
-        if not ops and self.retention is None:
-            return None
-        # With retention, a batch that emits nothing still reaches
-        # ``on_batch``: rotation points are batch seqs, not emissions.
+        # A batch that emits nothing still reaches ``_apply`` (and
+        # ``on_batch``): rotation points are batch seqs, not emissions.
         return _Burst(carrier.seq, ops)
 
     def _translate_finalize(self) -> list:

@@ -50,7 +50,8 @@ from repro.transport.envelope import (
 from repro.workloads.reports import provision_collector, serve_params
 
 #: Receiver re-acks at least this often while idle so a lost ACK can
-#: never wedge the reporter's send window.
+#: never wedge the reporter's send window (a control command ends the
+#: wait at once).
 _SOCK_TIMEOUT_S = 0.05
 
 _MAX_DGRAM = 65535
@@ -248,7 +249,7 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
                 if command == "stop":
                     conn.send(("stopped", stats_now()))
                     break
-            datagrams = receiver.recv_burst(_SOCK_TIMEOUT_S)
+            datagrams = receiver.recv_burst(_SOCK_TIMEOUT_S, conn)
             if not datagrams:
                 # Idle re-ack: a lost ACK must not wedge the window.
                 if reassembler.next_seq and not stream_done:

@@ -234,8 +234,10 @@ def send_many(sock, payloads) -> int:
 class DatagramReceiver:
     """Burst reads from one UDP socket with preallocated buffers.
 
-    ``recv_burst(timeout)`` waits up to ``timeout`` for readability,
-    then drains up to ``max_msgs`` datagrams without further blocking:
+    ``recv_burst(timeout, *wake)`` waits up to ``timeout`` for
+    readability — returning at once, empty-handed, when one of ``wake``
+    (a control pipe, say) becomes readable first — then drains up to
+    ``max_msgs`` datagrams without further blocking:
     one ``recvmmsg`` on the fast path, repeated ``recvmsg_into`` into a
     single reused buffer otherwise.  Either way the caller gets a list
     of ``bytes`` (possibly empty on timeout).
@@ -252,9 +254,9 @@ class DatagramReceiver:
         self._buf = bytearray(buf_bytes)
         self._view = memoryview(self._buf)
 
-    def recv_burst(self, timeout: float) -> list:
-        readable, _, _ = select.select([self.sock], [], [], timeout)
-        if not readable:
+    def recv_burst(self, timeout: float, *wake) -> list:
+        readable, _, _ = select.select([self.sock, *wake], [], [], timeout)
+        if self.sock not in readable:
             return []
         if _fast() and self._ring is not None:
             return self._ring.recv_now()

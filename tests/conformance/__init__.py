@@ -4,8 +4,9 @@ Every lane must leave what the ``workers=0, vectorized=False`` engine
 leaves on the same stream (``docs/CONCURRENCY.md``, "Conformance
 matrix").  The rig is what every differential shares:
 
-* :func:`deploy` — ``bench.deployment``, serving the toy sixth
-  primitive of ``tests/core/test_primitives.py`` when asked;
+* :func:`deploy` — ``bench.deployment`` at the small
+  :data:`GEOMETRY`, serving the toy sixth primitive of
+  ``tests/core/test_primitives.py`` when asked;
 * :data:`LANES` — lane name -> :class:`Lane`, whose ``drive`` feeds a
   :class:`Stream` through that lane on a fresh deployment;
 * :func:`signature` — what lanes are compared on.
@@ -34,7 +35,6 @@ from repro.retention.epochs import RetentionPolicy
 from repro.retention.manager import RetentionManager
 from repro.runtime import StreamEngine, pipeline_digest, store_digest
 from repro.runtime.queues import _clock
-from repro.transport import daemons
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import unwrap, wrap_frame
 from repro.transport.loss import LossSpec
@@ -52,7 +52,16 @@ LOSS = LossSpec(seed=SEED, drop_rate=0.05, reorder_rate=0.05)
 ROTATION = RetentionPolicy(window=2, rotate_every=5)
 #: Frames per ``feed_frames`` call on the frames lane.
 FRAME_BURSTS = (1, 3, 64, 256)
-TOY_PARAMS = {"cells": 512, "width": 16}
+#: Store sizes every rig deployment runs at, in place of
+#: ``workloads.reports``' own (forked daemons and plan workers inherit
+#: them): small enough that one 64-report batch at redundancy 2 lands
+#: ~20 times on a Key-Write slot and ~25 times on a Key-Increment cell
+#: it already wrote, that Postcarding flows share chunks and that
+#: Append rings wrap — last writer wins and add-accumulate within a
+#: batch are what the vector kernels must get right.
+GEOMETRY = {"KW_SLOTS": 256, "KI_SLOTS_PER_ROW": 128, "PC_CHUNKS": 32,
+            "AP_CAPACITY": 16}
+TOY_PARAMS = {"cells": 128, "width": 16}
 #: Every engine the rig builds carries this name in its link series.
 ENGINE_NAME = "lane"
 
@@ -128,12 +137,22 @@ def stream(row: str, *, traffic: str = "clean", reports: int = REPORTS,
 
 
 @contextlib.contextmanager
+def geometry():
+    """:data:`GEOMETRY` in force while open."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in GEOMETRY.items():
+            patch.setattr(workload, name, value)
+        yield
+
+
+@contextlib.contextmanager
 def deploy(*, vectorized: bool = False, sketch_width: int = 0,
            toy: bool = False):
-    """``bench.deployment``, serving the toy too when ``toy`` (the
-    caller has made it a registry row: ``install_toy``)."""
-    with bench.deployment(vectorized=vectorized,
-                          sketch_width=sketch_width) as deployment:
+    """``bench.deployment`` at :data:`GEOMETRY`, serving the toy too
+    when ``toy`` (the caller has made it a registry row:
+    ``install_toy``)."""
+    with geometry(), bench.deployment(
+            vectorized=vectorized, sketch_width=sketch_width) as deployment:
         if toy:
             from tests.core.test_primitives import TOY
 
@@ -170,23 +189,15 @@ def signature(registry, collector, kernels: list) -> dict:
             "series": {name for name, _labels in snapshot.samples}}
 
 
-@contextlib.contextmanager
-def count_kernels():
-    """Count burst-kernel calls — a vector plan landing — while open."""
+def count_kernels(patch) -> list:
+    """Burst-kernel calls — a vector plan landing — one entry each,
+    counted through ``patch`` (a ``pytest.MonkeyPatch``)."""
     calls: list = []
-    real = {name: getattr(kburst, name)
-            for name in ("write_rows", "write_spans", "fetch_add_many")}
-
-    def counted(fn):
-        return lambda *args, **kw: calls.append(1) or fn(*args, **kw)
-
-    for name, fn in real.items():
-        setattr(kburst, name, counted(fn))
-    try:
-        yield calls
-    finally:
-        for name, fn in real.items():
-            setattr(kburst, name, fn)
+    for name in ("write_rows", "write_spans", "fetch_add_many"):
+        real = getattr(kburst, name)
+        patch.setattr(kburst, name, lambda *args, _real=real, **kw:
+                      calls.append(1) or _real(*args, **kw))
+    return calls
 
 
 def _refs(**objects) -> dict:
@@ -195,26 +206,31 @@ def _refs(**objects) -> dict:
 
 @contextlib.contextmanager
 def engine(*, sketch_width: int = 0, toy: bool = False,
-           policy: RetentionPolicy | None = None, **engine_kw):
-    """A started :class:`StreamEngine` on a fresh :func:`deploy`,
-    rotating under ``policy`` if given; yields ``(registry, engine)``
-    and closes the engine on exit."""
+           policy: RetentionPolicy | None = None, start: bool = True,
+           **engine_kw):
+    """A :class:`StreamEngine` on a fresh :func:`deploy`, rotating under
+    ``policy`` if given, started unless ``start`` is false; yields
+    ``(registry, engine)`` and closes the engine on exit."""
     with deploy(sketch_width=sketch_width, toy=toy) as (
             registry, collector, translator, reporter):
         manager = policy and RetentionManager(collector, policy=policy)
-        with StreamEngine(collector, translator, reporter,
-                          retention=manager, name=ENGINE_NAME,
-                          **engine_kw) as started:
-            yield registry, started
+        built = StreamEngine(collector, translator, reporter,
+                             retention=manager, name=ENGINE_NAME,
+                             **engine_kw)
+        try:
+            yield registry, built.start() if start else built
+        finally:
+            built.close()
 
 
 def direct(feed: Callable, *, vectorized: bool = False,
            sketch_width: int = 0, toy: bool = False) -> tuple:
     """``feed(translator, reporter)`` on a fresh :func:`deploy`, then
     the end-of-stream Append flush; returns ``(signature, weakrefs)``."""
-    with deploy(vectorized=vectorized, sketch_width=sketch_width,
-                toy=toy) as (registry, collector, translator, reporter), \
-            count_kernels() as kernels:
+    with pytest.MonkeyPatch.context() as patch, deploy(
+            vectorized=vectorized, sketch_width=sketch_width,
+            toy=toy) as (registry, collector, translator, reporter):
+        kernels = count_kernels(patch)
         feed(translator, reporter)
         translator.flush_appends()
         return signature(registry, collector, kernels), _refs(
@@ -242,10 +258,11 @@ class Lane:
 def _engine_lane(vectorized: bool = True, **engine_kw) -> Callable:
     def drive(stream: Stream):
         submitted = 0
-        with count_kernels() as kernels, engine(
+        with pytest.MonkeyPatch.context() as patch, engine(
                 **stream.deployment, policy=stream.policy,
                 queue_depth=stream.queue_depth, vectorized=vectorized,
                 **engine_kw) as (registry, eng):
+            kernels = count_kernels(patch)
             deadline = stream.duration and _clock() + stream.duration
             for batch in stream.batches():
                 eng.submit(batch)
@@ -328,15 +345,11 @@ def _socket_lane(translators: int) -> Callable:
                          reports=stream.sketch_width or len(stream))
         raws = stream.raws()
         cmap = ClusterMap(collectors=translators)
-        with pytest.MonkeyPatch.context() as patch:
-            # A translator daemon sees ``stop`` between receive waits:
-            # a short wait tears the lane down in ~5 ms, not ~50.
-            patch.setattr(daemons, "_SOCK_TIMEOUT_S", 0.005)
-            with SocketLane(spec) as lane:
-                lane.send(raws, [route_report(cmap, raw) for raw in raws])
-                lane.end_stream()
-                lane.drain()
-                return {"stores": lane.digests()}, {}
+        with geometry(), SocketLane(spec) as lane:
+            lane.send(raws, [route_report(cmap, raw) for raw in raws])
+            lane.end_stream()
+            lane.drain()
+            return {"stores": lane.digests()}, {}
     return drive
 
 

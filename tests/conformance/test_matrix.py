@@ -1,15 +1,16 @@
 """The conformance matrix: every registry row through every lane.
 
-A case is one row on one lane.  It feeds the row's seeded stream —
-batch 1 / 7 / 64; clean, or the survivors of the seeded loss shim; on
-an engine lane with and without ``RetentionPolicy(window=2,
-rotate_every=5)`` — through the lane and holds each run to the
-``workers=0, vectorized=False`` engine on the same stream, computed
-once per key: store bytes, and the lane's digest (a socket lane: each
-shard's store against the reference over that shard's reports).  A
-scalar lane calls no burst kernel; a vector lane on a clean stream at
-batch 64 does.  ``conformance.run`` also requires the deployment freed
-by reference count once closed.
+A case is one row on one lane, deployed at the rig's small
+``GEOMETRY`` (a batch hits a slot more than once).  It feeds the row's
+seeded stream — batch 1 / 7 / 64; clean, or the survivors of the
+seeded loss shim; on an engine lane with and without
+``RetentionPolicy(window=2, rotate_every=5)`` — through the lane and
+holds each run to the ``workers=0, vectorized=False`` engine on the
+same stream, computed once per key: store bytes, and the lane's
+digest (a socket lane: each shard's store against the reference over
+that shard's reports).  A scalar lane calls no burst kernel; a vector
+lane on a clean stream at batch 64 does.  ``conformance.run`` also
+requires the deployment freed by reference count once closed.
 
 A row enrols by being declared: the cases are generated from
 ``primitives.REGISTRY``, plus the toy sixth row on the lanes that take
@@ -90,3 +91,15 @@ def test_the_matrix_covers_every_row_on_every_lane():
         for row in services + ["toy"] * (not spec.wire):
             assert (f"{row}-{lane}" in ids) == (lane != "reference"), (
                 row, lane)
+
+
+def test_a_batch_revisits_slots_at_the_rig_geometry():
+    """The matrix holds vector plans to last-writer-wins and
+    add-accumulate only if its 64-report batches hit a slot twice."""
+    with conformance.deploy() as (_registry, collector, _t, _reporter):
+        slot = collector.keywrite.layout.slot_index
+        cell = collector.keyincrement.layout.counter_index
+        for row, index in (("key_write", slot), ("key_increment", cell)):
+            keys = conformance.stream(row).work["keys"][:64]
+            hits = [index(n, key) for key in keys for n in range(2)]
+            assert len(hits) - len(set(hits)) >= 10, row

@@ -128,99 +128,99 @@ def _run(lane: str, condition: str, monkeypatch,
          primitive: str = "key_write") -> dict:
     """Drive the condition's batch through one lane on a fresh
     deployment; returns what the lanes are compared on."""
-    with conformance.count_kernels() as kernel_calls:
-        registry = obs.Registry()
-        previous = obs.set_registry(registry)
+    kernel_calls = conformance.count_kernels(monkeypatch)
+    registry = obs.Registry()
+    previous = obs.set_registry(registry)
+    try:
+        collector = Collector()
+        collector.serve_keywrite(slots=256, data_bytes=DATA_BYTES)
+        collector.serve_keyincrement(slots_per_row=128, rows=4)
+        collector.serve_postcarding(chunks=64, value_set=range(16),
+                                    hops=PC_HOPS)
+        collector.serve_append(lists=2, capacity=32, data_bytes=DATA_BYTES,
+                               batch_size=2)
+        collector.serve_sketch(width=32, depth=4, expected_reporters=1,
+                               batch_columns=4)
+        translator = Translator(
+            vectorized=lane != "reference",
+            # A meter nothing ever exceeds: all GREEN, but configured.
+            rate_limit_mps=1e12 if condition == "meter" else None)
+        collector.connect_translator(translator)
+        if condition == "tenants":
+            # Named for the per-keyspace quotas it replaced: a meter
+            # that does mark — two reports GREEN, two YELLOW, the rest
+            # RED; the six non-GREEN ones are shed.
+            translator._meter = Meter(MeterConfig(
+                committed_rate=0.0, committed_burst=2.0,
+                peak_rate=0.0, peak_burst=4.0))
+        if condition == "crashed":
+            translator.crash()
+        revoked = []
+        if condition in ("stall", "revoked"):
+            # The fault fires after the plan is made, before it applies.
+            region = getattr(collector, _STORE[primitive]).region
+
+            def fault() -> None:
+                if condition == "stall":
+                    collector.nic.stall()
+                elif not revoked:
+                    revoked.append(region.invalidate())
+
+            for entry in ("plan_batch", "plan_columns"):
+                def faulting(*args, _plan=getattr(translator, entry),
+                             **kwargs):
+                    plan = _plan(*args, **kwargs)
+                    fault()
+                    return plan
+
+                setattr(translator, entry, faulting)
+
+        batches_built = []
+        monkeypatch.setattr(
+            assembler_mod, "ReportBatch",
+            lambda *a, **kw: batches_built.append(1) or ReportBatch(*a, **kw))
+        raws: list = []
+        if lane in ("assembler", "frames"):
+            reporter = Reporter("elig", 1, transmit=raws.append)
+        else:
+            reporter = Reporter("elig", 1,
+                                transmit=translator.handle_report,
+                                transmit_batch=translator.process_batch)
+        batch = _batch(condition, primitive)
+        raised = False
+        assembler = None
         try:
-            collector = Collector()
-            collector.serve_keywrite(slots=256, data_bytes=DATA_BYTES)
-            collector.serve_keyincrement(slots_per_row=128, rows=4)
-            collector.serve_postcarding(chunks=64, value_set=range(16),
-                                        hops=PC_HOPS)
-            collector.serve_append(lists=2, capacity=32, data_bytes=DATA_BYTES,
-                                   batch_size=2)
-            collector.serve_sketch(width=32, depth=4, expected_reporters=1,
-                                   batch_columns=4)
-            translator = Translator(
-                vectorized=lane != "reference",
-                # A meter nothing ever exceeds: all GREEN, but configured.
-                rate_limit_mps=1e12 if condition == "meter" else None)
-            collector.connect_translator(translator)
-            if condition == "tenants":
-                # Named for the per-keyspace quotas it replaced: a meter
-                # that does mark — two reports GREEN, two YELLOW, the rest
-                # RED; the six non-GREEN ones are shed.
-                translator._meter = Meter(MeterConfig(
-                    committed_rate=0.0, committed_burst=2.0,
-                    peak_rate=0.0, peak_burst=4.0))
-            if condition == "crashed":
-                translator.crash()
-            revoked = []
-            if condition in ("stall", "revoked"):
-                # The fault fires after the plan is made, before it applies.
-                region = getattr(collector, _STORE[primitive]).region
-
-                def fault() -> None:
-                    if condition == "stall":
-                        collector.nic.stall()
-                    elif not revoked:
-                        revoked.append(region.invalidate())
-
-                for entry in ("plan_batch", "plan_columns"):
-                    def faulting(*args, _plan=getattr(translator, entry),
-                                 **kwargs):
-                        plan = _plan(*args, **kwargs)
-                        fault()
-                        return plan
-
-                    setattr(translator, entry, faulting)
-
-            batches_built = []
-            monkeypatch.setattr(
-                assembler_mod, "ReportBatch",
-                lambda *a, **kw: batches_built.append(1) or ReportBatch(*a, **kw))
-            raws: list = []
-            if lane in ("assembler", "frames"):
-                reporter = Reporter("elig", 1, transmit=raws.append)
+            if lane == "serial":
+                reporter.send_batch(batch)
+                translator.flush_appends()     # what drain()/finish() do
+            elif lane == "assembler":
+                reporter.send_batch(batch)
+                assembler = ReportAssembler([translator], ClusterMap(1))
+                for raw in raws:
+                    assembler.feed(raw)
+                assembler.finish()
+            elif lane == "frames":
+                reporter.send_batch(batch)
+                assembler = ReportAssembler([translator], ClusterMap(1))
+                assembler.feed_frames([unwrap(wrap_frame(0, raws))[2]])
+                assembler.finish()
             else:
-                reporter = Reporter("elig", 1,
-                                    transmit=translator.handle_report,
-                                    transmit_batch=translator.process_batch)
-            batch = _batch(condition, primitive)
-            raised = False
-            assembler = None
-            try:
-                if lane == "serial":
-                    reporter.send_batch(batch)
-                    translator.flush_appends()     # what drain()/finish() do
-                elif lane == "assembler":
-                    reporter.send_batch(batch)
-                    assembler = ReportAssembler([translator], ClusterMap(1))
-                    for raw in raws:
-                        assembler.feed(raw)
-                    assembler.finish()
-                elif lane == "frames":
-                    reporter.send_batch(batch)
-                    assembler = ReportAssembler([translator], ClusterMap(1))
-                    assembler.feed_frames([unwrap(wrap_frame(0, raws))[2]])
-                    assembler.finish()
-                else:
-                    engine = StreamEngine(collector, translator, reporter,
-                                          name="elig", **_ENGINE_KW[lane])
-                    with engine:
-                        engine.submit(batch)
-                        engine.drain()
-            except (ValueError, IndexError, StageError):
-                raised = True
-            if condition == "stall":
-                # Timeout-driven go-back-N lands what the stall swallowed.
-                collector.nic.resume()
-                translator.client.resend_outstanding()
-            if revoked:
-                region.restore(revoked[0])
-            snapshot = registry.snapshot()
-        finally:
-            obs.set_registry(previous)
+                engine = StreamEngine(collector, translator, reporter,
+                                      name="elig", **_ENGINE_KW[lane])
+                with engine:
+                    engine.submit(batch)
+                    engine.drain()
+        except (ValueError, IndexError, StageError):
+            raised = True
+        if condition == "stall":
+            # Timeout-driven go-back-N lands what the stall swallowed.
+            collector.nic.resume()
+            translator.client.resend_outstanding()
+        if revoked:
+            region.restore(revoked[0])
+        snapshot = registry.snapshot()
+    finally:
+        obs.set_registry(previous)
     return {"store": store_digest(collector), "raised": raised,
             "obs": pipeline_digest(snapshot),
             "shared_obs": conformance.shared_digest(snapshot),

@@ -11,13 +11,11 @@ idempotent.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 
 import pytest
 
-from repro import bench
 from repro.runtime import (
     CLOSED,
     CreditQueue,
@@ -25,7 +23,6 @@ from repro.runtime import (
     QueueClosed,
     StageError,
     StageStalled,
-    StreamEngine,
 )
 from repro.workloads import reports
 from tests import conformance
@@ -33,15 +30,6 @@ from tests import conformance
 REPORTS = 320
 BATCH = 32
 SEED = 5
-
-
-@contextlib.contextmanager
-def _fresh_engine(**engine_kw):
-    """An engine on a fresh deployment; yields ``(registry, engine)``."""
-    with bench.deployment(vectorized=False) as (
-            registry, collector, translator, reporter):
-        yield registry, StreamEngine(collector, translator, reporter,
-                                     **engine_kw)
 
 
 def _submit_all(engine, work, primitive="key_write"):
@@ -139,10 +127,8 @@ def test_engine_backpressure_engages_and_drops_nothing():
     work = reports.columns("key_write", REPORTS, SEED)
     serial = conformance.run("reference", conformance.Stream(
         "key_write", work, batch=BATCH))
-    # Same engine name as the rig's: the link series carry it as a
-    # label, and the digests must be comparing like with like.
-    with _fresh_engine(workers=2, queue_depth=1, vectorized=False,
-                       name=conformance.ENGINE_NAME) as (registry, engine):
+    with conformance.engine(start=False, workers=2, queue_depth=1,
+                            vectorized=False) as (registry, engine):
         real_execute = engine._stage_fns["execute"]
 
         def slow_execute(burst):
@@ -177,8 +163,8 @@ def test_stage_raising_mid_batch_surfaces_with_batch_id(workers):
     ``workers >= 1`` alike — with a clean unwind (join + close, no
     hang)."""
     work = reports.columns("key_write", REPORTS, SEED)
-    with _fresh_engine(workers=workers, queue_depth=4,
-                       vectorized=False) as (_registry, engine):
+    with conformance.engine(start=False, workers=workers, queue_depth=4,
+                            vectorized=False) as (_registry, engine):
         translator = engine.translator
         real = translator.process_batch
         calls = {"n": 0}
@@ -214,7 +200,8 @@ def test_stage_raising_mid_batch_surfaces_with_batch_id(workers):
 
 def test_submit_after_error_raises_immediately():
     work = reports.columns("key_write", REPORTS, SEED)
-    with _fresh_engine(workers=0, vectorized=False) as (_registry, engine):
+    with conformance.engine(start=False, workers=0,
+                            vectorized=False) as (_registry, engine):
         def explode(batch, **kw):
             raise ValueError("dead on arrival")
 
@@ -240,8 +227,8 @@ def test_drain_gives_up_on_a_wedged_stage(monkeypatch):
     monkeypatch.setattr(engine_module, "DRAIN_STALL_S", 0.2)
     work = reports.columns("key_write", REPORTS, SEED)
     release = threading.Event()
-    with _fresh_engine(workers=2, queue_depth=4,
-                       vectorized=False) as (_registry, engine):
+    with conformance.engine(start=False, workers=2, queue_depth=4,
+                            vectorized=False) as (_registry, engine):
         real = engine.translator.process_batch
         calls = {"n": 0}
 
@@ -280,8 +267,8 @@ def test_drain_outwaits_a_slow_stage_that_keeps_progressing(monkeypatch):
 
     monkeypatch.setattr(engine_module, "DRAIN_STALL_S", 0.3)
     work = reports.columns("key_write", REPORTS, SEED)
-    with _fresh_engine(workers=2, queue_depth=8,
-                       vectorized=False) as (_registry, engine):
+    with conformance.engine(start=False, workers=2, queue_depth=8,
+                            vectorized=False) as (_registry, engine):
         real = engine.translator.process_batch
 
         def slow(batch, **kw):
@@ -306,8 +293,8 @@ def test_drain_outwaits_a_slow_stage_that_keeps_progressing(monkeypatch):
 @pytest.mark.parametrize("workers", (0, 2))
 def test_double_drain_and_double_close_are_idempotent(workers):
     work = reports.columns("key_write", REPORTS, SEED)
-    with _fresh_engine(workers=workers, queue_depth=4,
-                       vectorized=False) as (_registry, engine):
+    with conformance.engine(start=False, workers=workers, queue_depth=4,
+                            vectorized=False) as (_registry, engine):
         saved_transmit = engine.reporter.transmit
         try:
             engine.start()
@@ -326,8 +313,8 @@ def test_double_drain_and_double_close_are_idempotent(workers):
 
 def test_context_manager_restores_wiring_on_error():
     work = reports.columns("key_write", REPORTS, SEED)
-    with _fresh_engine(workers=2, queue_depth=4,
-                       vectorized=False) as (_registry, engine):
+    with conformance.engine(start=False, workers=2, queue_depth=4,
+                            vectorized=False) as (_registry, engine):
         transmit = engine.reporter.transmit
         client = engine.translator.client
         with pytest.raises(StageError):

@@ -9,6 +9,7 @@ or absent.
 from __future__ import annotations
 
 import socket
+import time
 
 import pytest
 
@@ -92,6 +93,21 @@ def test_recv_burst_timeout_returns_empty():
     finally:
         a.close()
         b.close()
+
+
+def test_recv_burst_returns_when_a_wake_source_is_readable():
+    """The translator daemon's ``stop`` must not wait out the receive
+    timeout: a readable ``wake`` ends the wait, with no datagram."""
+    a, b = _pair()
+    wake, poke = socket.socketpair()
+    try:
+        poke.send(b"!")
+        start = time.monotonic()
+        assert mmsg.DatagramReceiver(b).recv_burst(5.0, wake) == []
+        assert time.monotonic() - start < 1.0
+    finally:
+        for sock in (a, b, wake, poke):
+            sock.close()
 
 
 def test_empty_send_is_noop():
