@@ -319,7 +319,8 @@ class AppendLane(primitives.Lane):
             sink.append(WorkRequest(
                 opcode=Opcode.WRITE,
                 remote_addr=layout.entry_addr(list_id, slot),
-                rkey=self.rkey, data=layout.encode_batch(chunk, head)))
+                rkey=self.rkey, data=layout.encode_batch(chunk, head),
+                signaled=False))
             head += len(chunk)
             self.stats.append_batches += 1
             self.batch_hist.observe(len(chunk))

@@ -181,7 +181,7 @@ class KeyIncrementLane(primitives.ColumnLane):
             for addr in counter_addrs(key, rows):
                 append(WorkRequest(opcode=Opcode.FETCH_ADD,
                                    remote_addr=addr, rkey=rkey,
-                                   swap=value))
+                                   swap=value, signaled=False))
         return wrs
 
     def matrix(self, values):

@@ -379,7 +379,7 @@ class KeyWriteLane(primitives.ColumnLane):
             entry = encode(key, data)
             for addr in slot_addrs(key, redundancy):
                 append(WorkRequest(opcode=Opcode.WRITE, remote_addr=addr,
-                                   rkey=rkey, data=entry))
+                                   rkey=rkey, data=entry, signaled=False))
         return wrs
 
     def matrix(self, datas):

@@ -413,7 +413,7 @@ class PostcardingLane(primitives.Lane):
             sink.append(WorkRequest(
                 opcode=Opcode.WRITE,
                 remote_addr=layout.chunk_addr(emission.key, j),
-                rkey=self.rkey, data=payload))
+                rkey=self.rkey, data=payload, signaled=False))
 
     def plan(self, cols, redundancy, reporter_id, target):
         """The cache takes the whole batch

@@ -283,7 +283,7 @@ class SketchMergeLane(primitives.Lane):
                 payload = layout.encode_columns(self.columns[start:end])
             sink.append(WorkRequest(
                 opcode=Opcode.WRITE, remote_addr=layout.column_addr(start),
-                rkey=self.rkey, data=payload))
+                rkey=self.rkey, data=payload, signaled=False))
             self.stats.sketch_batches += 1
             self.next_transfer = end
             if self.next_transfer >= layout.width:

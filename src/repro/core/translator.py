@@ -563,31 +563,34 @@ class Translator(Node):
             raise RuntimeError("translator has no RDMA connection")
         if self._pending_imm is not None:
             for wr in wrs:
-                if wr.opcode == Opcode.WRITE:
+                if wr.opcode is Opcode.WRITE:
                     wr.opcode = Opcode.WRITE_IMM
                     wr.imm = self._pending_imm
                     self._pending_imm = None
                     self.stats.immediate_writes += 1
                     break
         client.post_burst(wrs)
-        writes = 0
         atomics = 0
-        sizes = []
-        payload = 0
+        sizes: dict = {}
         for wr in wrs:
-            if wr.opcode.is_atomic:
+            # ``wr.payload_bytes``, inlined: this loop runs per verb.
+            opcode = wr.opcode
+            if opcode.is_atomic:
                 atomics += 1
+                size = wr.atomic_width
             else:
-                writes += 1
-            size = wr.payload_bytes
-            sizes.append(size)
-            payload += size
+                size = 0 if opcode is Opcode.READ else len(wr.data)
+            sizes[size] = sizes.get(size, 0) + 1
+        stats = self.stats
         if atomics:
-            self.stats.rdma_atomics += atomics
-        if writes:
-            self.stats.rdma_writes += writes
-        self.stats.rdma_payload_bytes += payload
-        self._payload_hist.observe_many(sizes)
+            stats.rdma_atomics += atomics
+        if len(wrs) > atomics:
+            stats.rdma_writes += len(wrs) - atomics
+        payload = 0
+        for size, count in sizes.items():
+            payload += size * count
+            self._payload_hist.observe_repeated(size, count)
+        stats.rdma_payload_bytes += payload
 
     # -- per-service helpers the deployment drives ------------------------
 

@@ -114,10 +114,9 @@ def recover_qp(client: "RdmaClient", server_nic: Nic) -> bool:
         if not pending:
             break
         wr = pending.popleft()
-        naks = getattr(wr, "fatal_naks", 0)
-        if naks >= client.retry.wr_replay_cap:
+        if wr.fatal_naks >= client.retry.wr_replay_cap:
             emit("rdma", "wr_abandoned", qpn=qp.qpn,
-                 opcode=wr.opcode.name, fatal_naks=naks)
+                 opcode=wr.opcode.name, fatal_naks=wr.fatal_naks)
             continue
         client.post(wr)
     return True
@@ -228,17 +227,21 @@ class RdmaClient:
 
     def _post_burst_once(self, wrs: list) -> None:
         execute = getattr(self.send_fn, "execute_burst", None)
-        first_psn = self.qp.send_psn
-        try:
-            if execute is not None and execute(self.qp, wrs):
-                return
-        finally:
+        if execute is not None:
             # Posted means "consumed a PSN", as in :meth:`post`: the
             # whole burst, or — when it died mid-flight — the executed
             # prefix plus the offender; none if the transport declined.
-            handed = (self.qp.send_psn - first_psn) % PSN_MOD
-            self.note_posted(handed, sum(wr.payload_bytes
-                                         for wr in wrs[:handed]))
+            first_psn = self.qp.send_psn
+            try:
+                posted = execute(self.qp, wrs)
+            except QpError:
+                handed = (self.qp.send_psn - first_psn) % PSN_MOD
+                self.note_posted(handed, sum(wr.payload_bytes
+                                             for wr in wrs[:handed]))
+                raise
+            if posted is not None:
+                self.note_posted(len(wrs), posted)
+                return
         for wr in wrs:
             self.post(wr)
 
@@ -313,23 +316,24 @@ class DirectRdmaTransport:
             return None
         return server
 
-    def execute_burst(self, qp: QueuePair, wrs: list) -> bool:
+    def execute_burst(self, qp: QueuePair, wrs: list) -> int | None:
         """Execute a verb burst without touching the wire format.
 
         The requester QP is window-checked once, the collector NIC
         charges and executes the whole burst, and completions are
         committed in one pass — the per-report path's encode/decode
         round trip per verb is skipped while every counter, PSN, and
-        memory byte ends up identical.  Returns False (caller falls
-        back to per-packet posts) when :meth:`burst_responder` declines.
+        memory byte ends up identical.  Returns the payload posted
+        (:meth:`QueuePair.requester_complete_burst`), or None (caller
+        falls back to per-packet posts) when :meth:`burst_responder`
+        declines.
         """
         server = self.burst_responder(qp)
         if server is None:
-            return False
+            return None
         qp.requester_begin_burst(len(wrs))
         responses, fault = self.nic.execute_burst(server, wrs)
-        qp.requester_complete_burst(wrs, responses, fault=fault)
-        return True
+        return qp.requester_complete_burst(wrs, responses, fault=fault)
 
     def recover(self, client: RdmaClient) -> bool:
         """Recovery hook picked up by :meth:`RdmaClient._try_recover`.

@@ -8,14 +8,12 @@ the N executed messages goes through the same :meth:`Nic.charge`,
 :meth:`QueuePair.responder_commit` / :meth:`~QueuePair.requester_commit`
 and :meth:`RdmaClient.note_posted` that :meth:`RdmaClient.post_burst`
 reaches, so every obs-visible value equals the scalar burst's over the
-equivalent request list.
-
-Two deliberate divergences, neither obs-visible:
-
-* requester-side :class:`~repro.rdma.verbs.WorkCompletion` records are
-  not materialised (they exist only for callers that drain them, which
-  the batched telemetry lanes never do), and
-* ``WorkRequest.wr_id`` values are never drawn from the global counter.
+equivalent request list.  Neither leaves a requester-side
+:class:`~repro.rdma.verbs.WorkCompletion` on success: the scalar lanes
+post their telemetry verbs unsignaled (``WorkRequest.signaled``) — no
+CPU polls for them — and a kernel burst has no requests to complete.
+The one difference, invisible to stores and obs exports, is that a
+kernel burst draws no ``WorkRequest.wr_id`` from the global counter.
 
 Anything that could take the fault path — stalled NIC, dead/unknown
 QP, revoked or missing memory registration, out-of-bounds addressing,
@@ -31,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.transport import DirectRdmaTransport
-from repro.rdma.memory import AccessFlags, MemoryRegion, RemoteAccessError
+from repro.rdma.memory import (REMOTE_ATOMIC, REMOTE_WRITE, MemoryRegion,
+                               RemoteAccessError)
 from repro.rdma.nic import Nic
 from repro.rdma.qp import QpError, QueuePair
 from repro.rdma.verbs import Opcode, WorkRequest
@@ -69,8 +68,8 @@ def resolve_target(client, rkey: int, *,
     except (QpError, RemoteAccessError):
         return None
     server = transport.burst_responder(qp)
-    needed = AccessFlags.REMOTE_ATOMIC if atomic else AccessFlags.REMOTE_WRITE
-    if server is None or needed not in region.access:
+    needed = REMOTE_ATOMIC if atomic else REMOTE_WRITE
+    if server is None or not region.rights & needed:
         return None
     return BurstTarget(nic=transport.nic, server_qp=server, region=region)
 
@@ -262,21 +261,22 @@ class VectorPlan:
         client.post_burst(self.scalar_burst())
 
     def scalar_burst(self) -> list:
-        """The plan as the work requests the scalar lane would post."""
+        """The plan as the (unsignaled) work requests the scalar lane
+        would post."""
         base, stride, rkey = self.base, self.stride, self.rkey
         payload = self.payload
         if isinstance(payload, list):
             return [WorkRequest(opcode=Opcode.WRITE,
                                 remote_addr=base + slot * stride,
-                                rkey=rkey, data=data)
+                                rkey=rkey, data=data, signaled=False)
                     for slot, data in zip(self.indices, payload)]
         indices = self.indices.tolist()
         if self.atomic:
             return [WorkRequest(opcode=Opcode.FETCH_ADD,
                                 remote_addr=base + index * stride,
-                                rkey=rkey, swap=addend)
+                                rkey=rkey, swap=addend, signaled=False)
                     for index, addend in zip(indices, payload.tolist())]
         return [WorkRequest(opcode=Opcode.WRITE,
                             remote_addr=base + index * stride,
-                            rkey=rkey, data=row.tobytes())
+                            rkey=rkey, data=row.tobytes(), signaled=False)
                 for index, row in zip(indices, payload)]

@@ -24,6 +24,14 @@ class AccessFlags(enum.IntFlag):
     REMOTE_ATOMIC = 0x8
 
 
+#: The rights a remote verb needs, as plain ints: the per-verb check is
+#: one integer ``&`` against :attr:`MemoryRegion.rights`, not a call
+#: into ``enum``.
+REMOTE_WRITE = int(AccessFlags.REMOTE_WRITE)
+REMOTE_READ = int(AccessFlags.REMOTE_READ)
+REMOTE_ATOMIC = int(AccessFlags.REMOTE_ATOMIC)
+
+
 class RemoteAccessError(Exception):
     """A remote operation touched memory it may not (bad rkey, bounds,
     or missing access rights).  On real hardware this tears down the QP
@@ -41,18 +49,23 @@ class MemoryRegion:
         addr: Base virtual address advertised to peers.
         length: Region size in bytes.
         lkey / rkey: Local / remote protection keys.
-        access: Granted access rights.
+        access: Granted access rights; change them through
+            :meth:`invalidate` / :meth:`restore`, which keep
+            :attr:`rights` in step.
         buf: The backing bytearray.
+        rights: ``int(access)``, what the data path checks.
     """
 
     addr: int
     length: int
     access: AccessFlags
-    lkey: int = field(default_factory=lambda: next(_key_counter))
-    rkey: int = field(default_factory=lambda: next(_key_counter))
+    lkey: int = field(default_factory=_key_counter.__next__)
+    rkey: int = field(default_factory=_key_counter.__next__)
     buf: bytearray = field(default=None, repr=False)  # type: ignore[assignment]
+    rights: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.rights = int(self.access)
         if self.buf is None:
             self.buf = bytearray(self.length)
         if len(self.buf) != self.length:
@@ -60,10 +73,10 @@ class MemoryRegion:
 
     # -- bounds ------------------------------------------------------------
 
-    def _check(self, addr: int, length: int, needed: AccessFlags) -> int:
-        if not (self.access & needed):
+    def _check(self, addr: int, length: int, needed: int) -> int:
+        if not self.rights & needed:
             raise RemoteAccessError(
-                f"region rkey={self.rkey:#x} lacks {needed!r}")
+                f"region rkey={self.rkey:#x} lacks {AccessFlags(needed)!r}")
         offset = addr - self.addr
         if offset < 0 or offset + length > self.length:
             raise RemoteAccessError(
@@ -75,12 +88,12 @@ class MemoryRegion:
 
     def write(self, addr: int, data: bytes) -> None:
         """Remote-write ``data`` at virtual address ``addr``."""
-        offset = self._check(addr, len(data), AccessFlags.REMOTE_WRITE)
+        offset = self._check(addr, len(data), REMOTE_WRITE)
         self.buf[offset:offset + len(data)] = data
 
     def read(self, addr: int, length: int) -> bytes:
         """Remote-read ``length`` bytes at virtual address ``addr``."""
-        offset = self._check(addr, length, AccessFlags.REMOTE_READ)
+        offset = self._check(addr, length, REMOTE_READ)
         return bytes(self.buf[offset:offset + length])
 
     def fetch_add(self, addr: int, value: int, width: int = 8) -> int:
@@ -90,7 +103,7 @@ class MemoryRegion:
         them for counter aggregation.  ``width`` is configurable because
         the simulator also supports 4-byte counters for compactness.
         """
-        offset = self._check(addr, width, AccessFlags.REMOTE_ATOMIC)
+        offset = self._check(addr, width, REMOTE_ATOMIC)
         fmt = "<Q" if width == 8 else "<I"
         mask = (1 << (8 * width)) - 1
         (old,) = struct.unpack_from(fmt, self.buf, offset)
@@ -100,7 +113,7 @@ class MemoryRegion:
     def compare_swap(self, addr: int, expected: int, desired: int,
                      width: int = 8) -> int:
         """Atomic compare-and-swap; returns the prior value."""
-        offset = self._check(addr, width, AccessFlags.REMOTE_ATOMIC)
+        offset = self._check(addr, width, REMOTE_ATOMIC)
         fmt = "<Q" if width == 8 else "<I"
         (old,) = struct.unpack_from(fmt, self.buf, offset)
         if old == expected:
@@ -119,6 +132,7 @@ class MemoryRegion:
         """
         revoked = self.access
         self.access = AccessFlags(0)
+        self.rights = 0
         return revoked
 
     def restore(self, access: AccessFlags) -> None:
@@ -128,6 +142,7 @@ class MemoryRegion:
         controller redistributing the (unchanged) rkey.
         """
         self.access = access
+        self.rights = int(access)
 
     # -- local convenience ---------------------------------------------------
 

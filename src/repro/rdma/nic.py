@@ -34,7 +34,6 @@ from repro.obs.views import InstrumentedStats, counter_field
 from repro.rdma import roce
 from repro.rdma.memory import AccessFlags, MemoryRegion, ProtectionDomain
 from repro.rdma.qp import QpState, QueuePair
-from repro.rdma.verbs import Opcode
 
 FS_PER_NS = 1_000_000
 """Busy-time accumulator resolution.  Each message's cost is rounded to
@@ -214,21 +213,14 @@ class Nic:
 
         The cost model samples the QP census once (before any request
         can error the QP out of the census), then the responder executes
-        the burst; every executed message — plus the one that faulted,
-        which the per-packet path also charges before NAKing — is
-        charged, one :meth:`charge` per distinct message shape.
+        the burst, counting message shapes as it goes; every executed
+        message — plus the one that faulted, which the per-packet path
+        also charges before NAKing — is charged, one :meth:`charge` per
+        distinct message shape.
         Returns the responder's ``(responses, fault)`` pair.
         """
         degradation = self.model.qp_degradation(self.active_qps)
-        responses, fault = qp.responder_execute_burst(wrs)
-        charged = len(responses) + fault
-        shapes: dict = {}
-        for wr in wrs if charged == len(wrs) else wrs[:charged]:
-            opcode = wr.opcode
-            atomic = opcode.is_atomic
-            shape = (0 if atomic or opcode is Opcode.READ else len(wr.data),
-                     atomic)
-            shapes[shape] = shapes.get(shape, 0) + 1
+        responses, fault, shapes = qp.responder_execute_burst(wrs)
         for (payload, atomic), count in shapes.items():
             self.charge(count, payload, atomic=atomic,
                         degradation=degradation)

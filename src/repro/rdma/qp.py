@@ -17,6 +17,10 @@ from repro.rdma import roce
 from repro.rdma.memory import ProtectionDomain, RemoteAccessError
 from repro.rdma.verbs import Opcode, WcStatus, WorkCompletion, WorkRequest
 
+WRITE, WRITE_IMM, READ = Opcode.WRITE, Opcode.WRITE_IMM, Opcode.READ
+FETCH_ADD, CMP_SWAP, SEND = Opcode.FETCH_ADD, Opcode.CMP_SWAP, Opcode.SEND
+SUCCESS = WcStatus.SUCCESS
+
 PSN_MOD = 1 << 24
 
 # AETH NAK syndromes (IBTA 9.7.5.2.8, abbreviated).
@@ -65,6 +69,12 @@ class QueuePair:
     :meth:`requester_receive`) is used by translator/benchmark code
     that talks *to* a remote NIC; it numbers packets, holds an unacked
     window, and rewinds on NAK.
+
+    Completions follow ibverbs: a request that succeeds leaves a
+    :class:`~repro.rdma.verbs.WorkCompletion` on :attr:`completions`
+    only if it was posted ``signaled``; one that fails (fatal NAK) or is
+    flushed always leaves one.  Both requester tiers — per packet and
+    per burst — apply the same rule.
     """
 
     def __init__(self, qpn: int, pd: ProtectionDomain, *,
@@ -212,7 +222,7 @@ class QueuePair:
                 # Charge the offender: recovery abandons a request only
                 # once *it* has personally drawn this many fatal NAKs —
                 # innocents flushed alongside it replay for free.
-                wr.fatal_naks = getattr(wr, "fatal_naks", 0) + 1
+                wr.fatal_naks += 1
             self.failed_wrs.append(wr)
             self.completions.append(WorkCompletion(
                 wr_id=wr.wr_id, opcode=wr.opcode, status=status))
@@ -229,10 +239,11 @@ class QueuePair:
             if dist >= self.max_outstanding:
                 break
             self._unacked.popleft()
-            self.completions.append(WorkCompletion(
-                wr_id=wr.wr_id, opcode=wr.opcode, status=WcStatus.SUCCESS,
-                byte_len=len(pkt.payload) or wr.payload_bytes,
-                data=pkt.payload))
+            if wr.signaled:
+                self.completions.append(WorkCompletion(
+                    wr_id=wr.wr_id, opcode=wr.opcode, status=SUCCESS,
+                    byte_len=len(pkt.payload) or wr.payload_bytes,
+                    data=pkt.payload))
 
     @property
     def outstanding(self) -> int:
@@ -269,27 +280,43 @@ class QueuePair:
         self.send_psn = (self.send_psn + count) % PSN_MOD
 
     def requester_complete_burst(self, wrs, responses,
-                                 fault: bool = False) -> None:
+                                 fault: bool = False) -> int:
         """Commit a synchronously-executed burst on the requester side.
 
         ``responses[i]`` is the responder payload for ``wrs[i]`` (empty
-        for writes, old value for atomics, data for reads).  With
-        ``fault`` set, ``wrs[len(responses)]`` hit a remote access error:
-        it completes with ``REM_ACCESS_ERR`` and the QP enters ERROR —
-        exactly what the per-packet fatal-NAK path produces — and a
-        :class:`QpError` is raised if further requests were queued behind
-        it (they could never have been posted on an errored QP).
+        for writes, old value for atomics, data for reads); each
+        ``signaled`` request among them completes with ``SUCCESS``.
+        With ``fault`` set, ``wrs[len(responses)]`` hit a remote access
+        error: it completes with ``REM_ACCESS_ERR`` whether signaled or
+        not, and the QP enters ERROR — exactly what the per-packet
+        fatal-NAK path produces — and a :class:`QpError` is raised if
+        further requests were queued behind it (they could never have
+        been posted on an errored QP).
+
+        Returns the payload the requester posted
+        (``WorkRequest.payload_bytes``) summed over the requests that
+        consumed a PSN: the executed ones and the offender.
         """
         n_ok = len(responses)
         self.requester_commit(n_ok + fault)
         completions = self.completions
+        posted = 0
         for wr, resp in zip(wrs, responses):
-            completions.append(WorkCompletion(
-                wr_id=wr.wr_id, opcode=wr.opcode, status=WcStatus.SUCCESS,
-                byte_len=len(resp) or wr.payload_bytes, data=resp))
+            # ``wr.payload_bytes``, inlined: this loop runs per verb.
+            opcode = wr.opcode
+            if opcode.is_atomic:
+                size = wr.atomic_width
+            else:
+                size = 0 if opcode is READ else len(wr.data)
+            posted += size
+            if wr.signaled:
+                completions.append(WorkCompletion(
+                    wr_id=wr.wr_id, opcode=opcode, status=SUCCESS,
+                    byte_len=len(resp) or size, data=resp))
         if fault:
             wr = wrs[n_ok]
-            wr.fatal_naks = getattr(wr, "fatal_naks", 0) + 1
+            wr.fatal_naks += 1
+            posted += wr.payload_bytes
             completions.append(WorkCompletion(
                 wr_id=wr.wr_id, opcode=wr.opcode,
                 status=WcStatus.REM_ACCESS_ERR))
@@ -302,6 +329,7 @@ class QueuePair:
             self.failed_wrs.extend(wrs[n_ok:])
             if n_ok + 1 < len(wrs):
                 raise QpError(f"post_send in state {self.state}")
+        return posted
 
     # ------------------------------------------------------------------
     # Responder half
@@ -351,38 +379,49 @@ class QueuePair:
                                msn=self.msn, payload=response,
                                atomic=bool(atomics))
 
-    def responder_execute_burst(self, wrs) -> tuple[list[bytes], bool]:
+    def responder_execute_burst(self, wrs) -> tuple[list[bytes], bool, dict]:
         """Execute a burst of requests without wire (de)serialisation.
 
         The burst arrives in PSN order by construction (the requester
         numbered it in one go), so the per-packet sequence check reduces
         to advancing ``expected_psn``/``msn`` by the executed count.
-        Returns ``(responses, fault)``: one response payload per
-        executed request, and ``fault`` true if the next request died
-        with a remote access error (counters and the ERROR transition
-        then match :meth:`responder_receive`'s fatal-NAK path).
+        Returns ``(responses, fault, shapes)``: one response payload per
+        executed request; ``fault`` true if the next request died with a
+        remote access error (counters and the ERROR transition then
+        match :meth:`responder_receive`'s fatal-NAK path); and the
+        messages that reached the responder — the executed ones and the
+        offender — counted by ``(wire payload bytes, atomic)``, what
+        :meth:`Nic.charge <repro.rdma.nic.Nic.charge>` takes.  One pass
+        over the burst makes all three.
         """
         if self.state not in (QpState.RTR, QpState.RTS):
             raise QpError(f"responder_receive in state {self.state}")
         execute = self._execute
         responses: list[bytes] = []
+        append = responses.append
+        shapes: dict = {}
         written = read = atomics = 0
         fault = False
         for wr in wrs:
+            opcode = wr.opcode
+            # READ requests and atomics carry no payload on the wire.
+            shape = ((0, opcode.is_atomic) if opcode.needs_response
+                     else (len(wr.data), False))
+            shapes[shape] = shapes.get(shape, 0) + 1
             try:
                 response, w, r, a = execute(
-                    wr.opcode, wr.rkey, wr.remote_addr, wr.data, wr.length,
+                    opcode, wr.rkey, wr.remote_addr, wr.data, wr.length,
                     wr.compare, wr.swap, wr.imm)
             except RemoteAccessError:
                 fault = True
                 break
-            responses.append(response)
+            append(response)
             written += w
             read += r
             atomics += a
         self.responder_commit(len(responses), written, read, atomics,
                               fault=fault)
-        return responses, fault
+        return responses, fault, shapes
 
     def responder_commit(self, executed: int, written: int = 0,
                          read: int = 0, atomics: int = 0, *,
@@ -420,28 +459,30 @@ class QueuePair:
         payload to send back and the deltas :meth:`responder_commit`
         accounts.  Raises :class:`RemoteAccessError` (nothing applied)
         on a bad rkey, missing rights, or out-of-bounds access.
+        Dispatches by identity, the telemetry verbs (WRITE, FETCH_ADD)
+        first.
         """
-        if verb in (Opcode.WRITE, Opcode.WRITE_IMM):
-            region = self.pd.lookup(rkey)
-            region.write(addr, data)
-            if verb == Opcode.WRITE_IMM:
-                self.completions.append(WorkCompletion(
-                    wr_id=0, opcode=verb, status=WcStatus.SUCCESS,
-                    byte_len=len(data), imm=imm))
+        if verb is WRITE:
+            self.pd.lookup(rkey).write(addr, data)
             return b"", len(data), 0, 0
-        if verb == Opcode.READ:
+        if verb is FETCH_ADD:
+            old = self.pd.lookup(rkey).fetch_add(addr, swap)
+            return old.to_bytes(8, "little"), 0, 0, 1
+        if verb is WRITE_IMM:
+            self.pd.lookup(rkey).write(addr, data)
+            self.completions.append(WorkCompletion(
+                wr_id=0, opcode=verb, status=SUCCESS,
+                byte_len=len(data), imm=imm))
+            return b"", len(data), 0, 0
+        if verb is READ:
             out = self.pd.lookup(rkey).read(addr, length)
             return out, 0, len(out), 0
-        if verb in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
-            region = self.pd.lookup(rkey)
-            if verb == Opcode.FETCH_ADD:
-                old = region.fetch_add(addr, swap)
-            else:
-                old = region.compare_swap(addr, compare, swap)
+        if verb is CMP_SWAP:
+            old = self.pd.lookup(rkey).compare_swap(addr, compare, swap)
             return old.to_bytes(8, "little"), 0, 0, 1
-        if verb == Opcode.SEND:
+        if verb is SEND:
             self.completions.append(WorkCompletion(
-                wr_id=0, opcode=verb, status=WcStatus.SUCCESS,
+                wr_id=0, opcode=verb, status=SUCCESS,
                 byte_len=len(data), data=data, imm=imm))
             return b"", 0, 0, 0
         raise QpError(f"unsupported verb {verb}")

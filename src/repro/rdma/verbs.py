@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 
 class Opcode(enum.Enum):
-    """RDMA verb opcodes supported by the simulated NIC."""
+    """RDMA verb opcodes supported by the simulated NIC.
+
+    Each member carries two traits as plain attributes, set once below
+    (the verb path reads them per request): ``is_atomic`` — FETCH_ADD
+    and CMP_SWAP — and ``needs_response`` — READs and atomics, which
+    require a responder-to-requester payload and carry none on the wire
+    themselves (a READ's length and an atomic's operands ride in their
+    extension headers).
+    """
 
     WRITE = "rdma_write"
     WRITE_IMM = "rdma_write_with_imm"
@@ -24,14 +32,14 @@ class Opcode(enum.Enum):
     CMP_SWAP = "compare_and_swap"
     SEND = "send"
 
-    @property
-    def is_atomic(self) -> bool:
-        return self in (Opcode.FETCH_ADD, Opcode.CMP_SWAP)
+    is_atomic: bool
+    needs_response: bool
 
-    @property
-    def needs_response(self) -> bool:
-        """READs and atomics require a responder-to-requester payload."""
-        return self in (Opcode.READ, Opcode.FETCH_ADD, Opcode.CMP_SWAP)
+
+for _op in Opcode:
+    _op.is_atomic = _op in (Opcode.FETCH_ADD, Opcode.CMP_SWAP)
+    _op.needs_response = _op.is_atomic or _op is Opcode.READ
+del _op
 
 
 class WcStatus(enum.Enum):
@@ -47,7 +55,7 @@ class WcStatus(enum.Enum):
 _wr_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkRequest:
     """A posted verb: what to do, where, and with which payload.
 
@@ -62,6 +70,14 @@ class WorkRequest:
         imm: Optional 32-bit immediate (WRITE_IMM) used by DTA's
             "immediate flag" push notifications (Section 6).
         wr_id: Caller-visible identifier echoed in the completion.
+        signaled: ``IBV_SEND_SIGNALED``: a successful request leaves a
+            :class:`WorkCompletion` on the requester's queue only when
+            set.  A request that errors or is flushed always completes,
+            signaled or not.  Telemetry verbs are posted unsignaled —
+            nothing polls for them.
+        fatal_naks: Fatal NAKs this request has drawn as the offender
+            (not as an innocent flushed alongside it); recovery abandons
+            it at ``RetryPolicy.wr_replay_cap``.
     """
 
     opcode: Opcode
@@ -73,25 +89,28 @@ class WorkRequest:
     swap: int = 0
     imm: int | None = None
     atomic_width: int = 8
-    wr_id: int = field(default_factory=lambda: next(_wr_ids))
+    wr_id: int = field(default_factory=_wr_ids.__next__)
+    signaled: bool = True
+    fatal_naks: int = 0
 
     @property
     def payload_bytes(self) -> int:
-        """Bytes moved requester->responder (what the NIC model charges)."""
-        if self.opcode == Opcode.READ:
-            return 0
-        if self.opcode.is_atomic:
+        """Bytes the requester posts: a write's or send's data, an
+        atomic's operand width, none for a READ.  (On the wire an
+        atomic's operands ride in its header: the NIC model charges it
+        no payload.)"""
+        opcode = self.opcode
+        if opcode.is_atomic:
             return self.atomic_width
-        return len(self.data)
+        return 0 if opcode is Opcode.READ else len(self.data)
 
     @property
     def response_bytes(self) -> int:
         """Bytes moved responder->requester."""
-        if self.opcode == Opcode.READ:
-            return self.length
-        if self.opcode.is_atomic:
+        opcode = self.opcode
+        if opcode.is_atomic:
             return self.atomic_width
-        return 0
+        return self.length if opcode is Opcode.READ else 0
 
 
 @dataclass

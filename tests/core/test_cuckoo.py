@@ -115,6 +115,21 @@ class TestInsertQuery:
         assert not all(results)
         assert manager.stats.failures > 0
 
+    def test_a_read_returns_the_bucket_bytes(self):
+        """The manager's READs stay signaled: each completion carries
+        the bucket's bytes, and the manager drains what it asked for."""
+        col, tr, manager = deploy()
+        assert manager.insert(key(7), b"\x00\x00\x00\x09")
+        layout = manager.layout
+        bucket = layout.bucket_index(0, key(7))
+        raw = manager._read_bucket(bucket)
+        assert raw == col.cuckoo.region.local_read(
+            bucket * layout.bucket_bytes, layout.bucket_bytes)
+        assert (key(7), b"\x00\x00\x00\x09") in [
+            layout.decode_slot(raw[i:i + layout.slot_bytes])
+            for i in range(0, len(raw), layout.slot_bytes)]
+        assert list(tr.client.qp.completions) == []
+
     def test_read_amplification_counted(self):
         """Inserts cost RDMA reads — the cost Key-Write avoids."""
         col, tr, manager = deploy()

@@ -127,6 +127,30 @@ def test_per_packet_equals_wr_burst_for_every_verb(census):
     assert packet.nic.stats.atomics == 4
 
 
+def _mixed_signaling_requests(region) -> list:
+    """:func:`_mixed_requests` with every other verb unsignaled."""
+    wrs = _mixed_requests(region)
+    for wr in wrs[::2]:
+        wr.signaled = False
+    return wrs
+
+
+@pytest.mark.parametrize("census", CENSUSES)
+def test_per_packet_equals_wr_burst_on_mixed_signaling(census):
+    """Both tiers complete exactly the signaled verbs, alike."""
+    packet, burst = Deployment(census), Deployment(census)
+    for wr in _mixed_signaling_requests(packet.region):
+        packet.client.post(wr)
+    burst.client.post_burst(_mixed_signaling_requests(burst.region))
+
+    assert packet.state() == burst.state()
+    completions = _completions(packet.client)
+    assert completions == _completions(burst.client)
+    assert [opcode for opcode, *_ in completions] == [
+        wr.opcode for wr in _mixed_signaling_requests(packet.region)
+        if wr.signaled]
+
+
 @pytest.mark.parametrize("census", CENSUSES)
 def test_three_tiers_agree_on_uniform_bursts(census):
     # 10 000 writes into at most 64 slots: long runs of duplicate slots.
