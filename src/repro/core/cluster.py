@@ -27,8 +27,9 @@ import zlib
 from dataclasses import dataclass
 
 from repro.core.collector import Collector
-from repro.core.reporter import Reporter
+from repro.core.reporter import Reporter, ReporterStats
 from repro.core.translator import Translator
+from repro.obs import Registry
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,12 @@ class ClusterReporter:
             sketch_id, column, counters, **kwargs)
 
     @property
-    def stats(self):
-        """Aggregated emission statistics across all destinations."""
-        from repro.obs import aggregate
-
-        return aggregate([reporter.stats for reporter in self.reporters])
+    def stats(self) -> ReporterStats:
+        """Emission statistics summed across all destinations (a view
+        in a registry of its own: totals are derived data)."""
+        return ReporterStats(registry=Registry(), **{
+            name: sum(getattr(r.stats, name) for r in self.reporters)
+            for name in ReporterStats.fields()})
 
 
 class CollectorCluster:

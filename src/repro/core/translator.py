@@ -44,7 +44,7 @@ from repro.core.transport import CtrlFrame, DtaFrame, RdmaClient, RoceFrame
 from repro.fabric.topology import Node
 from repro.kernels import MIN_VECTOR_BATCH, burst as kburst
 from repro.rdma.cm import ServiceAdvert
-from repro.rdma.verbs import Opcode
+from repro.rdma.verbs import ATOMIC_BYTES, Opcode
 from repro.switch.meters import Meter, MeterConfig
 
 
@@ -577,7 +577,7 @@ class Translator(Node):
             opcode = wr.opcode
             if opcode.is_atomic:
                 atomics += 1
-                size = wr.atomic_width
+                size = ATOMIC_BYTES
             else:
                 size = 0 if opcode is Opcode.READ else len(wr.data)
             sizes[size] = sizes.get(size, 0) + 1

@@ -176,13 +176,6 @@ class Link:
 
         self.sim.at(done, arrive)
 
-    @property
-    def utilisation_until_now(self) -> float:
-        """Fraction of elapsed time the serialiser has been busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self._busy_until / self.sim.now)
-
 
 class StreamLink:
     """Carrier-granular link accounting for the streaming runtime.

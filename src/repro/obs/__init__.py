@@ -46,9 +46,10 @@ from repro.obs.registry import (
     TraceEvent,
     emit,
     get_registry,
+    merge,
     set_registry,
 )
-from repro.obs.views import InstrumentedStats, aggregate, counter_field
+from repro.obs.views import InstrumentedStats, counter_field
 
 __all__ = [
     "Counter",
@@ -60,12 +61,12 @@ __all__ = [
     "Registry",
     "Snapshot",
     "TraceEvent",
-    "aggregate",
     "counter_field",
     "emit",
     "freeze_labels",
     "get_registry",
     "iter_samples",
+    "merge",
     "render_events",
     "render_table",
     "set_registry",

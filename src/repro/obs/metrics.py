@@ -105,17 +105,6 @@ class Gauge(Metric):
             return self.fn()
         return self.value
 
-    def freeze(self) -> None:
-        """Keep the callback's current reading and drop the callback.
-
-        For a source that is going away (a ring being unlinked): the
-        gauge keeps its last value, and the registry no longer keeps
-        the source alive through the callable.
-        """
-        if self.fn is not None:
-            self.value = self.fn()
-            self.fn = None
-
 
 class Histogram(Metric):
     """Fixed log2-bucket histogram for non-negative sizes/counts.
@@ -207,6 +196,11 @@ class HistogramSample:
         self.count = count
         self.total = total
         self.buckets = buckets
+
+    def __add__(self, other: "HistogramSample") -> "HistogramSample":
+        return HistogramSample(
+            self.count + other.count, self.total + other.total,
+            tuple(map(sum, zip(self.buckets, other.buckets))))
 
     def __sub__(self, older: "HistogramSample") -> "HistogramSample":
         return HistogramSample(

@@ -116,6 +116,27 @@ class Snapshot:
                         kinds=dict(self.kinds))
 
 
+def merge(parts) -> Snapshot:
+    """Many snapshots as one: ``parts`` holds ``(labels, snapshot)``.
+
+    Each series gains its part's ``labels``; series that then share a
+    name and labels add up, whatever their kind.  Labelled per process,
+    this is the view of a run that spans processes; with empty labels,
+    the roll-up across them."""
+    parts = list(parts)
+    if not parts:
+        raise ValueError("nothing to merge")
+    samples: dict = {}
+    kinds: dict = {}
+    for labels, snapshot in parts:
+        for (name, own), value in snapshot.samples.items():
+            key = (name, freeze_labels({**dict(own), **labels}))
+            samples[key] = samples[key] + value if key in samples else value
+            kinds[key] = snapshot.kinds.get((name, own), "counter")
+    return Snapshot(max(snapshot.epoch for _l, snapshot in parts),
+                    samples, kinds)
+
+
 class Registry:
     """Holds every metric plus the trace-event ring.
 

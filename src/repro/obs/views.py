@@ -105,31 +105,3 @@ class InstrumentedStats:
         body = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
         return f"{type(self).__name__}({body})"
 
-
-def aggregate(stats_list):
-    """Field-wise sum of same-typed stats views.
-
-    Returns a plain attribute bag (not registered anywhere) — the
-    cluster-wide totals are derived data, not a new metric source.
-    """
-    if not stats_list:
-        raise ValueError("nothing to aggregate")
-    cls = type(stats_list[0])
-    totals = {name: 0 for name in cls.fields()}
-    for stats in stats_list:
-        for name in cls.fields():
-            totals[name] += getattr(stats, name)
-    return _Aggregate(cls.__name__, totals)
-
-
-class _Aggregate:
-    """Read-only field bag returned by :func:`aggregate`."""
-
-    def __init__(self, of: str, totals: dict) -> None:
-        self._of = of
-        self.__dict__.update(totals)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items()
-                         if not k.startswith("_"))
-        return f"<aggregate {self._of} {body}>"

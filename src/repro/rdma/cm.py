@@ -11,21 +11,11 @@ rkey, and layout parameters on a distinct CM port.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 
 from repro.rdma.nic import Nic
 from repro.rdma.qp import QpState, QueuePair
-
-
-class CmEvent(enum.Enum):
-    """Connection-manager event types (subset of ``rdma_cm_event_type``)."""
-
-    CONNECT_REQUEST = "connect_request"
-    ESTABLISHED = "established"
-    REJECTED = "rejected"
-    DISCONNECTED = "disconnected"
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ class Nic:
             return None
         self.charge(1, len(pkt.payload),
                     atomic=pkt.verb is not None and pkt.verb.is_atomic)
-        return qp.responder_receive(raw)
+        return qp.responder_receive(pkt)
 
     def charge(self, count: int, payload_bytes: int, *,
                atomic: bool = False,

@@ -15,7 +15,8 @@ from collections import deque
 from repro.obs.views import InstrumentedStats, counter_field
 from repro.rdma import roce
 from repro.rdma.memory import ProtectionDomain, RemoteAccessError
-from repro.rdma.verbs import Opcode, WcStatus, WorkCompletion, WorkRequest
+from repro.rdma.verbs import (ATOMIC_BYTES, Opcode, WcStatus,
+                              WorkCompletion, WorkRequest)
 
 WRITE, WRITE_IMM, READ = Opcode.WRITE, Opcode.WRITE_IMM, Opcode.READ
 FETCH_ADD, CMP_SWAP, SEND = Opcode.FETCH_ADD, Opcode.CMP_SWAP, Opcode.SEND
@@ -305,7 +306,7 @@ class QueuePair:
             # ``wr.payload_bytes``, inlined: this loop runs per verb.
             opcode = wr.opcode
             if opcode.is_atomic:
-                size = wr.atomic_width
+                size = ATOMIC_BYTES
             else:
                 size = 0 if opcode is READ else len(wr.data)
             posted += size
@@ -335,8 +336,9 @@ class QueuePair:
     # Responder half
     # ------------------------------------------------------------------
 
-    def responder_receive(self, raw: bytes) -> bytes | None:
-        """Execute one inbound request; returns the ACK/NAK packet.
+    def responder_receive(self, pkt: roce.RocePacket) -> bytes | None:
+        """Execute one inbound request, decoded by the NIC that took it
+        off the wire; returns the ACK/NAK packet.
 
         Enforces strict PSN ordering: a gap produces a PSN-sequence NAK
         and the request is *not* executed (this is the behaviour that
@@ -344,7 +346,6 @@ class QueuePair:
         """
         if self.state not in (QpState.RTR, QpState.RTS):
             raise QpError(f"responder_receive in state {self.state}")
-        pkt = roce.decode(raw)
         psn = pkt.bth.psn
 
         dist = (psn - self.expected_psn) % PSN_MOD

@@ -54,6 +54,10 @@ class WcStatus(enum.Enum):
 
 _wr_ids = itertools.count(1)
 
+#: Operand width of every atomic: InfiniBand atomics act on one 8-byte
+#: word, and the RoCE AtomicETH has no width field.
+ATOMIC_BYTES = 8
+
 
 @dataclass(slots=True)
 class WorkRequest:
@@ -88,7 +92,6 @@ class WorkRequest:
     compare: int = 0
     swap: int = 0
     imm: int | None = None
-    atomic_width: int = 8
     wr_id: int = field(default_factory=_wr_ids.__next__)
     signaled: bool = True
     fatal_naks: int = 0
@@ -101,7 +104,7 @@ class WorkRequest:
         no payload.)"""
         opcode = self.opcode
         if opcode.is_atomic:
-            return self.atomic_width
+            return ATOMIC_BYTES
         return 0 if opcode is Opcode.READ else len(self.data)
 
     @property
@@ -109,7 +112,7 @@ class WorkRequest:
         """Bytes moved responder->requester."""
         opcode = self.opcode
         if opcode.is_atomic:
-            return self.atomic_width
+            return ATOMIC_BYTES
         return self.length if opcode is Opcode.READ else 0
 
 

@@ -79,7 +79,7 @@ Determinism contract
 --------------------
 ``docs/CONCURRENCY.md`` is the single source of truth for this
 contract; the short form: the computation — collector store bytes and
-every obs series outside the :func:`pipeline_digest` exclusion list —
+every obs series outside the :func:`pipeline_digest` exclusion rule —
 is identical for any ``workers``/``executor``/queue-depth setting,
 because (a) queues are FIFO, so carriers reach each stage in submit
 order; (b) every stats object has exactly one writer stage (reporter
@@ -987,19 +987,21 @@ class StreamEngine:
 
 
 def pipeline_digest(snapshot) -> str:
-    """SHA-256 over the snapshot minus the wall-clock-dependent series.
+    """SHA-256 over the snapshot minus the series no computation fixes.
 
     Queue depths, stalls, and stall times (``runtime.*``) measure
-    *scheduling*, and query wall time (``queries.wall_ns``) measures
-    the host clock; both legitimately differ run to run.  Everything
-    else measures the *computation* and must be bit-identical across
-    worker counts and queue depths.  This digest is what the
-    differential tests and the gating commands compare.
+    *scheduling*, query wall time (``queries.wall_ns``) the host
+    clock, and the socket lane's datagram path (``transport.*``: no
+    other lane has one; its receive bursts are the kernel's).
+    Everything else measures the *computation* and must be
+    bit-identical across worker counts, queue depths and lanes.  This
+    digest is what the differential tests and the gating commands
+    compare.
     """
     from repro.obs.registry import Snapshot
 
     def _excluded(series: str) -> bool:
-        return (series.startswith("runtime.")
+        return (series.startswith(("runtime.", "transport."))
                 or series == "queries.wall_ns")
 
     samples = {key: value for key, value in snapshot.samples.items()

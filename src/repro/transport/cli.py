@@ -1,8 +1,9 @@
 """The ``repro serve`` verb: the deployment lane's differential gate.
 
 Runs the socket lane against the in-process reference, prints the
-store digests and the gates (:func:`repro.bench.verdict`) and exits
-non-zero unless every gate holds.  ``--smoke`` caps the stream for CI.
+store digests, the daemons' obs digest and the gates
+(:func:`repro.bench.verdict`) and exits non-zero unless every gate
+holds.  ``--smoke`` caps the stream for CI.
 """
 
 from __future__ import annotations
@@ -77,5 +78,6 @@ def _spec(args) -> ServeSpec:
 def _cmd_serve(args) -> int:
     result = run_serve(_spec(args))
     return bench.verdict(
-        {"store_digest": result["socket"]["store_digests"]},
+        {"store_digest": result["socket"]["store_digests"],
+         "obs_digest": result["socket"]["obs_digest"]},
         result["gates"])

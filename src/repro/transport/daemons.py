@@ -28,6 +28,7 @@ to match.
 from __future__ import annotations
 
 import socket
+from functools import partial
 
 from repro import obs
 from repro.core.cluster import ClusterMap
@@ -95,9 +96,11 @@ def collector_daemon_main(shard: int, sketch_width: int, segment_names,
     retransmitted data landed), ``("checkpoint", path)`` writes a
     crash-consistent ``repro-ckpt/1`` directory (translators must be
     quiesced first — the daemon sees only its own shard's stores),
-    ``("stop", None)`` exits.
+    ``("snapshot", None)`` answers its obs registry's snapshot,
+    ``("stop", None)`` answers it too and exits.
     """
-    obs.set_registry(obs.Registry())
+    registry = obs.Registry()
+    obs.set_registry(registry)
     segments = Attached(segment_names, [
         length for _store, length in segment_plan(sketch_width)])
     collector = provision_collector(f"collector-{shard}",
@@ -126,8 +129,10 @@ def collector_daemon_main(shard: int, sketch_width: int, segment_names,
                     conn.send(("checkpoint", manifest_path))
                 except (CheckpointError, OSError) as exc:
                     conn.send(("error", f"checkpoint failed: {exc}"))
+            elif command == "snapshot":
+                conn.send(("snapshot", registry.snapshot()))
             elif command == "stop":
-                conn.send(("stopped", shard))
+                conn.send(("stopped", registry.snapshot()))
                 break
             else:
                 conn.send(("error", f"unknown command {command!r}"))
@@ -158,8 +163,11 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     payloads through the vectorized columnar path, single
     ``KIND_REPORT`` payloads through the scalar reference path.  A
     ``KIND_END`` datagram flushes everything and reports
-    ``("drained", stats)``; the parent may send further traffic and
-    ENDs afterwards (NACK settle rounds).
+    ``("drained", snapshot)`` of the daemon's obs registry, ``stop``
+    answers ``("stopped", snapshot)``; the parent may send further
+    traffic and ENDs afterwards (NACK settle rounds).  The registry's
+    ``transport.*`` series sample the assembler's and reassembler's
+    counts at snapshot time and count the control datagrams sent.
 
     With ``--translators N`` scale-out every daemon maps *all* shard
     segments and provisions the full translator set, but the reporter
@@ -169,7 +177,8 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     a lane seq that far ahead of in-order delivery cannot be live
     traffic and counts as malformed.
     """
-    obs.set_registry(obs.Registry())
+    registry = obs.Registry()
+    obs.set_registry(registry)
     shards = len(shard_segment_names)
     lengths = [length for _store, length in segment_plan(sketch_width)]
     segments = Attached([name for names in shard_segment_names
@@ -189,14 +198,15 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     del collector, translator
 
     ctrl_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    ctrl_seq = [0]
-    ctrl_sent = [0, 0]            # datagrams, bytes
+    # The count of control datagrams sent is the next one's seq.
+    ctrl_seq = registry.counter("transport.ctrl_datagrams_sent")
+    ctrl_bytes = registry.counter("transport.ctrl_bytes_sent")
+    expected_reports = registry.gauge("transport.expected_reports")
 
     def ctrl_send(envelope: bytes) -> None:
         ctrl_sock.sendto(envelope, ctrl_addr)
-        ctrl_seq[0] += 1
-        ctrl_sent[0] += 1
-        ctrl_sent[1] += len(envelope)
+        ctrl_seq.inc()
+        ctrl_bytes.inc(len(envelope))
 
     def make_control_sink(shard: int):
         # The shard byte routes the frame back to the matching per-shard
@@ -204,7 +214,7 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
         prefix = bytes([shard])
 
         def control_sink(_src, raw):
-            ctrl_send(wrap(ctrl_seq[0], prefix + raw, KIND_CTRL))
+            ctrl_send(wrap(ctrl_seq.value, prefix + raw, KIND_CTRL))
 
         return control_sink
 
@@ -216,6 +226,13 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
                                 ClusterMap(collectors=shards),
                                 batch_size=batch_size)
     reassembler = Reassembler(horizon=window)
+    gauge = registry.gauge
+    for name in ("reports", "batches", "per_report", "rejected"):
+        gauge(f"transport.{name}", fn=partial(getattr, assembler, name))
+    for name in ("delivered", "duplicates", "waiting"):
+        gauge(f"transport.{name}", fn=partial(getattr, reassembler, name))
+    gauge("transport.malformed",
+          fn=lambda: assembler.malformed + reassembler.malformed)
 
     data_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     data_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
@@ -225,29 +242,22 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     conn.send(("ready", data_sock.getsockname()[1]))
 
     last_ack = [0]
-    # After END the drained stats snapshot the ctrl counters; going
+    # After END the drained snapshot holds the ctrl counters; going
     # quiet until new traffic arrives keeps that snapshot an upper
     # bound on what the reporter can observe (the serve conservation
     # gate), and an idle finished stream has no window to unwedge.
     stream_done = False
 
     def send_ack():
-        ctrl_send(wrap_ack(ctrl_seq[0], reassembler.next_seq, lane))
+        ctrl_send(wrap_ack(ctrl_seq.value, reassembler.next_seq, lane))
         last_ack[0] = reassembler.next_seq
-
-    def stats_now() -> dict:
-        stats = _drain_stats(assembler, reassembler, translators)
-        stats["lane"] = lane
-        stats["ctrl_datagrams_sent"] = ctrl_sent[0]
-        stats["ctrl_bytes_sent"] = ctrl_sent[1]
-        return stats
 
     try:
         while True:
             if conn.poll():
                 command, _arg = conn.recv()
                 if command == "stop":
-                    conn.send(("stopped", stats_now()))
+                    conn.send(("stopped", registry.snapshot()))
                     break
             datagrams = receiver.recv_burst(_SOCK_TIMEOUT_S, conn)
             if not datagrams:
@@ -284,9 +294,8 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
                             frame_run = []
                         assembler.finish()
                         send_ack()
-                        stats = stats_now()
-                        stats["expected_reports"] = expected
-                        conn.send(("drained", stats))
+                        expected_reports.set(expected)
+                        conn.send(("drained", registry.snapshot()))
                         stream_done = True
                     # Unknown kinds (fuzz) are simply ignored.
             if frame_run:
@@ -296,20 +305,7 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
     finally:
         data_sock.close()
         ctrl_sock.close()
+        registry.reset()    # its gauges hold the assembler
         del assembler, translators, collectors
         segments.release()
 
-
-def _drain_stats(assembler, reassembler, translators) -> dict:
-    return {
-        "reports": assembler.reports,
-        "batches": assembler.batches,
-        "per_report": assembler.per_report,
-        "malformed": assembler.malformed + reassembler.malformed,
-        "rejected": assembler.rejected,
-        "delivered": reassembler.delivered,
-        "duplicates": reassembler.duplicates,
-        "waiting": reassembler.waiting,
-        "rdma_messages": sum(t.stats.rdma_messages for t in translators),
-        "nacks_sent": sum(t.stats.nacks_sent for t in translators),
-    }

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import socket
 import time
+import weakref
 
 import numpy as np
 
@@ -167,8 +168,6 @@ class SocketReporter:
     Args:
         name: Reporter node name.
         reporter_id: 16-bit DTA identity.
-        data_addr: ``(host, port)`` of the translator daemon when
-            there is one lane; use ``set_data_addrs`` for more.
         shards: Collector count (sizes the per-shard seq streams).
         translators: Lane count; shard ``s`` transmits on ``s % N``.
         loss: The seeded impairment applied to first-transmissions.
@@ -176,10 +175,9 @@ class SocketReporter:
         frame_bytes: Datagram budget a frame is packed against.
     """
 
-    def __init__(self, name: str, reporter_id: int, *, data_addr=None,
-                 shards: int = 1, translators: int = 1,
-                 loss: LossSpec | None = None, window: int = WINDOW,
-                 frame_bytes: int = 1400) -> None:
+    def __init__(self, name: str, reporter_id: int, *, shards: int = 1,
+                 translators: int = 1, loss: LossSpec | None = None,
+                 window: int = WINDOW, frame_bytes: int = 1400) -> None:
         if translators < 1:
             raise ValueError("need at least one translator lane")
         if window < 1:
@@ -191,8 +189,6 @@ class SocketReporter:
         self._ordinal = 0       # the next first transmission's shim ordinal
         self._carry: dict = {}  # ordinal -> (shard, raw) the shim holds
         self._lanes = [_Lane() for _ in range(translators)]
-        if data_addr is not None:
-            self.set_data_addrs([data_addr])
         self.cluster = ClusterReporter(
             name, reporter_id,
             cluster_map=ClusterMap(collectors=shards),
@@ -207,9 +203,8 @@ class SocketReporter:
         self.ctrl_sock.setblocking(False)
 
     def _shard_transmit(self, shard: int):
-        def transmit(raw: bytes) -> None:
-            self._transmit_shard(shard, raw)
-        return transmit
+        owner = weakref.ref(self)     # no cycle through the shard reporters
+        return lambda raw: owner()._transmit_shard(shard, raw)
 
     # -- wiring --------------------------------------------------------
 
@@ -220,16 +215,6 @@ class SocketReporter:
         for lane, addr in zip(self._lanes, addrs):
             lane.addr = addr
             lane.sock.connect(addr)
-
-    @property
-    def data_addr(self):
-        """Single-lane convenience view of the first lane's address."""
-        return self._lanes[0].addr
-
-    @data_addr.setter
-    def data_addr(self, addr) -> None:
-        if addr is not None:
-            self.set_data_addrs([addr])
 
     @property
     def ctrl_addr(self):

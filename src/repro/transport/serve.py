@@ -1,7 +1,9 @@
-"""The deployment lane: real processes, real sockets, one digest gate.
+"""The deployment lane: real processes, real sockets, two digest gates.
 
 ``run_serve`` drives a seeded workload through two lanes and demands
-bit-identical collector stores:
+bit-identical collector stores and obs digests (a daemon's counters
+reach the parent only as snapshots of its registry, merged by
+:meth:`SocketLane.view`):
 
 * **socket lane** — a :class:`SocketLane`: N collector daemons over
   shared-memory store segments, ``--translators T`` translator daemons
@@ -42,7 +44,7 @@ from repro import bench, obs
 from repro.core.cluster import ClusterMap
 from repro.core.primitives import BY_CODE
 from repro.core.translator import Translator
-from repro.runtime.engine import store_digest
+from repro.runtime.engine import pipeline_digest, store_digest
 from repro.runtime.queues import _clock
 from repro.transport.assembler import ReportAssembler
 from repro.transport.daemons import (
@@ -58,6 +60,15 @@ from repro.workloads import reports as workload
 _READY_TIMEOUT_S = 30.0
 _DRAIN_TIMEOUT_S = 60.0
 _STOP_TIMEOUT_S = 5.0
+
+
+#: :meth:`SocketLane.drain` key -> the series its roll-up total sums.
+DRAIN_SERIES = {key: (f"transport.{key}",) for key in (
+    "reports", "batches", "per_report", "malformed", "rejected",
+    "delivered", "duplicates", "waiting", "ctrl_datagrams_sent",
+    "ctrl_bytes_sent", "expected_reports")} | {
+    "rdma_messages": ("translator.rdma_writes", "translator.rdma_atomics"),
+    "nacks_sent": ("translator.nacks_sent",)}
 
 
 class ServeError(RuntimeError):
@@ -138,6 +149,8 @@ class SocketLane:
     def __init__(self, spec: ServeSpec) -> None:
         self.spec = spec
         self.reporter: SocketReporter | None = None
+        #: ``(role, label, index)`` -> that daemon's last snapshot.
+        self.snapshots: dict = {}
         self._segments: list = []          # flat list of SharedMemory
         self._collector_procs: list = []
         self._collector_conns: list = []
@@ -265,24 +278,25 @@ class SocketLane:
     def drain(self, timeout: float = _DRAIN_TIMEOUT_S) -> dict:
         """End-of-stream handshake: one ``drained`` per translator.
 
-        Aggregates the per-daemon stats (summed counters, with the raw
-        per-lane list under ``"per_lane"``).  Raises
+        Each reply is that daemon's registry snapshot; returns their
+        roll-up's total per :data:`DRAIN_SERIES` key.  Raises
         :class:`ServeError` if any daemon dies, the drain does not
         complete in ``timeout`` seconds, or a retransmission served
         while waiting stalls on the send window.
         """
         deadline = _clock() + timeout
         pending = dict(enumerate(self._translator_conns))
-        drained: dict = {}
+        drained = []
         while pending:
             self._check_alive()
             for index, conn in list(pending.items()):
                 if conn.poll(0.02):
-                    tag, payload = conn.recv()
+                    tag, snapshot = conn.recv()
                     if tag != "drained":
                         raise ServeError(
                             f"unexpected translator reply {tag!r}")
-                    drained[index] = payload
+                    self.snapshots["translator", "lane", index] = snapshot
+                    drained.append(({}, snapshot))
                     del pending[index]
             # Keep the window/control machinery moving while we wait.
             with self._window_guard():
@@ -291,7 +305,22 @@ class SocketLane:
                 raise ServeError(
                     f"translators {sorted(pending)} did not drain "
                     f"within {timeout:.0f}s")
-        return _merge_stats([drained[i] for i in range(len(drained))])
+        rollup = obs.merge(drained)
+        return {key: sum(rollup.total(name) for name in names)
+                for key, names in DRAIN_SERIES.items()}
+
+    def view(self, *, labelled: bool = True) -> obs.Snapshot:
+        """The daemons' registries as one snapshot: each collector's
+        now, each translator's as of its last END.  Every series is
+        labelled with its daemon's ``role`` and ``lane`` / ``shard``,
+        or, not ``labelled``, summed across daemons (the roll-up)."""
+        for shard, conn in enumerate(self._collector_conns):
+            conn.send(("snapshot", None))
+            self.snapshots["collector", "shard", shard] = self._await(
+                conn, self._collector_procs[shard], expect="snapshot")[1]
+        return obs.merge(
+            ({"role": role, label: index} if labelled else {}, snapshot)
+            for (role, label, index), snapshot in self.snapshots.items())
 
     def digests(self) -> list:
         """Store digests from every collector daemon, in shard order."""
@@ -360,33 +389,24 @@ class SocketLane:
         self._translator_procs.clear()
 
 
-def _merge_stats(per_lane: list) -> dict:
-    """Sum per-daemon drain stats; keep the raw list for forensics."""
-    total = {key: 0 for key in per_lane[0] if key != "lane"}
-    for stats in per_lane:
-        for key, value in stats.items():
-            if key != "lane":
-                total[key] = total.get(key, 0) + value
-    total["per_lane"] = per_lane
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Reference lane + the differential run
 # ---------------------------------------------------------------------------
 
 
-def run_reference(spec: ServeSpec, raws) -> list:
+def run_reference(spec: ServeSpec, raws,
+                  registry: obs.Registry | None = None) -> list:
     """The in-process twin: same bytes, same shim, scalar everything.
 
     Feeds each survivor through the scalar per-report ``feed`` path
     into scalar-translate translators regardless of the socket lane's
     settings, so digest equality is a differential across the frame
     codec, the columnar assembler, *and* the vectorized RDMA lanes.
-    Returns the per-shard store digests the socket lane must match.
+    Returns the per-shard store digests the socket lane must match;
+    its series land in ``registry`` (default: a fresh one, discarded).
     """
-    registry = obs.Registry()
-    previous = obs.set_registry(registry)
+    previous = obs.set_registry(
+        registry if registry is not None else obs.Registry())
     try:
         collectors = []
         translators = []
@@ -417,11 +437,12 @@ def run_serve(spec: ServeSpec) -> dict:
     """Run the deployment lane end to end.
 
     Returns ``{"socket": ..., "reference": ..., "gates": [...]}``: the
-    socket lane's store digests and counters, the reference lane's
-    store digests, and the gates :func:`repro.bench.verdict` prints.
+    socket lane's digests, counters and labelled :meth:`SocketLane.view`,
+    the reference lane's digests, and the gates
+    :func:`repro.bench.verdict` prints.
     """
-    registry = obs.Registry()
-    previous = obs.set_registry(registry)
+    previous = obs.set_registry(obs.Registry())
+    reference = obs.Registry()
     try:
         raws = workload.wire(spec.primitive, spec.reports, spec.seed)
         cmap = ClusterMap(collectors=spec.collectors)
@@ -444,8 +465,11 @@ def run_serve(spec: ServeSpec) -> dict:
                 "shim": {"dropped": reporter.shim.dropped,
                          "reordered": reporter.shim.reordered,
                          "passed": reporter.shim.passed},
-                "translator": stats}
-        ref_digests = run_reference(spec, raws)
+                "translator": stats,
+                "view": lane.view(),
+                "obs_digest": pipeline_digest(lane.view(labelled=False))}
+        ref_digests = run_reference(spec, raws, reference)
+        ref_obs = pipeline_digest(reference.snapshot())
     finally:
         obs.set_registry(previous)
 
@@ -465,6 +489,9 @@ def run_serve(spec: ServeSpec) -> dict:
                    <= stats["ctrl_bytes_sent"]),
         bench.gate("socket-lane store digests match in-process lane",
                    socket["store_digests"] == ref_digests),
+        bench.gate("socket-lane obs digest matches in-process lane",
+                   socket["obs_digest"] == ref_obs),
     ]
-    return {"socket": socket, "reference": {"store_digests": ref_digests},
+    return {"socket": socket,
+            "reference": {"store_digests": ref_digests, "obs_digest": ref_obs},
             "gates": gates}

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import multiprocessing
+import os
 import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import pytest
 
-from repro import bench
+from repro import bench, obs
 from repro.core import primitives
 from repro.core.batch import ReportBatch
 from repro.core.cluster import ClusterMap
@@ -38,7 +40,12 @@ from repro.runtime.queues import _clock
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import unwrap, wrap_frame
 from repro.transport.loss import LossSpec
-from repro.transport.serve import ServeSpec, SocketLane, route_report
+from repro.transport.serve import (
+    ServeSpec,
+    SocketLane,
+    route_report,
+    run_reference,
+)
 from repro.workloads import reports as workload
 
 SEED = 11
@@ -245,7 +252,8 @@ class Lane:
     retention applies.  ``wire``: fed DTA wire bytes, so only rows with
     a wire code ride it.  ``vector``: may plan (a scalar lane calls no
     burst kernel).  ``shards``: a socket lane, whose signature is a
-    store digest per collector shard."""
+    store digest per collector shard and the obs digest its daemons
+    roll up to (:func:`serve_reference`)."""
 
     drive: Callable
     digest: str = "shared"
@@ -337,19 +345,52 @@ def _frames(stream: Stream):
     return seen[-1]
 
 
+def serve_spec(stream: Stream, translators: int) -> ServeSpec:
+    """The socket lane's deployment: one collector shard per
+    translator."""
+    return ServeSpec(primitive=stream.row, collectors=translators,
+                     translators=translators, batch_size=stream.batch,
+                     reports=stream.sketch_width or len(stream))
+
+
+def serve_reference(stream: Stream, translators: int) -> str:
+    """``pipeline_digest`` of ``run_reference``'s registry over
+    ``stream``: what the socket lane's daemons must roll up to."""
+    registry = obs.Registry()
+    with geometry():
+        run_reference(serve_spec(stream, translators), stream.raws(),
+                      registry)
+    return pipeline_digest(registry.snapshot())
+
+
 def _socket_lane(translators: int) -> Callable:
-    """The real socket lane, one collector shard per translator."""
+    """The real socket lane: each shard's store digest and the obs
+    digest of the daemons' roll-up.  No ``/dev/shm`` segment the lane
+    made and no ``dta-*`` daemon may outlive it."""
     def drive(stream: Stream):
-        spec = ServeSpec(primitive=stream.row, collectors=translators,
-                         translators=translators, batch_size=stream.batch,
-                         reports=stream.sketch_width or len(stream))
         raws = stream.raws()
         cmap = ClusterMap(collectors=translators)
-        with geometry(), SocketLane(spec) as lane:
-            lane.send(raws, [route_report(cmap, raw) for raw in raws])
-            lane.end_stream()
-            lane.drain()
-            return {"stores": lane.digests()}, {}
+        registry = obs.Registry()
+        previous = obs.set_registry(registry)
+        try:
+            with geometry(), SocketLane(serve_spec(stream, translators)) \
+                    as lane:
+                segments = [shm.name for shm in lane._segments]
+                reporter = lane.reporter
+                lane.send(raws, [route_report(cmap, raw) for raw in raws])
+                lane.end_stream()
+                lane.drain()
+                stores = lane.digests()
+        finally:
+            obs.set_registry(previous)
+        left = [name for name in segments
+                if os.path.exists(f"/dev/shm/{name}")]
+        left += [proc.name for proc in multiprocessing.active_children()
+                 if proc.name.startswith("dta-")]
+        assert not left, f"the socket lane left {left} behind"
+        return {"stores": stores,
+                "obs": pipeline_digest(lane.view(labelled=False))}, _refs(
+            lane=lane, reporter=reporter, registry=registry)
     return drive
 
 

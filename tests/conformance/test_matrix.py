@@ -8,9 +8,12 @@ seeded loss shim; on an engine lane with and without
 holds each run to the ``workers=0, vectorized=False`` engine on the
 same stream, computed once per key: store bytes, and the lane's
 digest (a socket lane: each shard's store against the reference over
-that shard's reports).  A scalar lane calls no burst kernel; a vector
-lane on a clean stream at batch 64 does.  ``conformance.run`` also
-requires the deployment freed by reference count once closed.
+that shard's reports, and its daemons' obs roll-up against
+``run_reference`` on the same bytes).  A scalar lane calls no burst
+kernel; a vector lane on a clean stream at batch 64 does.
+``conformance.run`` also requires the deployment freed by reference
+count once closed (a socket lane: what the parent holds — the lane,
+its reporter, the parent registry).
 
 A row enrols by being declared: the cases are generated from
 ``primitives.REGISTRY``, plus the toy sixth row on the lanes that take
@@ -54,6 +57,8 @@ def _check(row, lane, batch, traffic, rotating) -> None:
             for i in range(spec.shards)]
         assert got["stores"] == [_reference(*shard)["store"]
                                  for shard in shards]
+        assert got["obs"] == conformance.serve_reference(
+            stream, spec.shards), "obs digest differs"
         return
     want = _reference(stream, key)
     assert got["store"] == want["store"], "store bytes differ"

@@ -5,8 +5,8 @@ import pytest
 from repro.obs import (
     InstrumentedStats,
     Registry,
-    aggregate,
     counter_field,
+    merge,
 )
 
 
@@ -90,17 +90,25 @@ class TestRegistryBacking:
 
 
 class TestAggregate:
+    """``obs.merge``: many registries' snapshots as one, labelled per
+    part or summed across parts."""
+
     def test_field_wise_sum(self):
-        reg = Registry()
-        views = [DemoStats(registry=reg, labels={"node": str(i)})
-                 for i in range(3)]
-        for i, view in enumerate(views):
-            view.hits = i + 1
-        totals = aggregate(views)
-        assert totals.hits == 6
-        assert totals.misses == 0
-        assert "DemoStats" in repr(totals)
+        parts = []
+        for i in range(3):
+            reg = Registry()
+            DemoStats(registry=reg, labels={"node": "x"}).hits = i + 1
+            reg.histogram("demo.sizes").observe(i)
+            parts.append(reg.snapshot())
+        labelled = merge(({"lane": i}, snap) for i, snap in enumerate(parts))
+        assert labelled.value("demo.hits", node="x", lane=2) == 3
+        assert labelled.total("demo.hits") == 6
+        rollup = merge(({}, snap) for snap in parts)
+        assert rollup.value("demo.hits", node="x") == 6
+        assert rollup.value("demo.misses", node="x") == 0
+        assert rollup.value("demo.sizes").count == 3
+        assert rollup.kinds[("demo.sizes", ())] == "histogram"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            merge([])

@@ -17,6 +17,10 @@ import sys
 
 import repro.rdma
 from repro.core import primitives
+from repro.core.transport import make_direct_client
+from repro.rdma import roce
+from repro.rdma.nic import Nic
+from repro.rdma.verbs import Opcode, WorkRequest
 from tests import conformance
 
 #: Reports per registry row: ten batches of 64 each.
@@ -77,3 +81,23 @@ def test_scalar_verb_path_calls_per_message():
     assert left == 0
     # A count, not a timing: a second run counts the same calls.
     assert _count() == (calls, messages, left)
+
+
+def test_one_decode_per_inbound_packet(monkeypatch):
+    """The per-packet tier decodes each packet once where it lands: 100
+    direct-mode ``RdmaClient.post`` WRITEs make 100 request decodes at
+    the collector NIC and 100 ACK decodes at the requester (300 while
+    the responder QP decoded the request a second time)."""
+    decodes = []
+    real = roce.decode
+    monkeypatch.setattr(roce, "decode",
+                        lambda raw: decodes.append(1) or real(raw))
+    nic = Nic("collector")
+    region = nic.register_memory(1024)
+    client = make_direct_client(nic, nic.create_qp())
+    for i in range(100):
+        client.post(WorkRequest(opcode=Opcode.WRITE, rkey=region.rkey,
+                                remote_addr=region.addr + 8 * i,
+                                data=i.to_bytes(8, "little")))
+    assert nic.stats.messages == 100
+    assert len(decodes) == 200

@@ -74,7 +74,7 @@ class TestHappyPath:
         raw = requester.post_send(WorkRequest(
             opcode=Opcode.WRITE, remote_addr=region.addr + 4,
             rkey=region.rkey, data=b"ping"))
-        ack = responder.responder_receive(raw)
+        ack = responder.responder_receive(roce.decode(raw))
         assert roce.decode(ack).syndrome == 0
         assert region.local_read(4, 4) == b"ping"
 
@@ -84,7 +84,7 @@ class TestHappyPath:
             opcode=Opcode.WRITE, remote_addr=region.addr,
             rkey=region.rkey, data=b"a"))
         retransmits = requester.requester_receive(
-            responder.responder_receive(raw))
+            responder.responder_receive(roce.decode(raw)))
         assert retransmits == []
         assert requester.outstanding == 0
         (wc,) = requester.completions
@@ -96,7 +96,8 @@ class TestHappyPath:
         raw = requester.post_send(WorkRequest(
             opcode=Opcode.READ, remote_addr=region.addr,
             rkey=region.rkey, length=9))
-        requester.requester_receive(responder.responder_receive(raw))
+        requester.requester_receive(
+            responder.responder_receive(roce.decode(raw)))
         (wc,) = requester.completions
         assert wc.data == b"telemetry"
 
@@ -106,7 +107,8 @@ class TestHappyPath:
             raw = requester.post_send(WorkRequest(
                 opcode=Opcode.FETCH_ADD, remote_addr=region.addr,
                 rkey=region.rkey, swap=10))
-            requester.requester_receive(responder.responder_receive(raw))
+            requester.requester_receive(
+                responder.responder_receive(roce.decode(raw)))
         assert region.fetch_add(region.addr, 0) == 30
 
     def test_psn_increments_per_request(self):
@@ -116,14 +118,14 @@ class TestHappyPath:
                 opcode=Opcode.WRITE, remote_addr=region.addr,
                 rkey=region.rkey, data=b"x"))
             assert roce.decode(raw).bth.psn == expected_psn
-            responder.responder_receive(raw)
+            responder.responder_receive(roce.decode(raw))
         assert responder.expected_psn == 5
 
     def test_send_queues_receive_completion(self):
         requester, responder, _region = make_pair()
         raw = requester.post_send(WorkRequest(opcode=Opcode.SEND,
                                               data=b"hello"))
-        responder.responder_receive(raw)
+        responder.responder_receive(roce.decode(raw))
         (wc,) = responder.completions
         assert wc.data == b"hello"
 
@@ -139,7 +141,7 @@ class TestSequencing:
             rkey=region.rkey, data=b"B"))
         # Lose `first`; deliver `second` out of order.
         del first
-        nak = responder.responder_receive(second)
+        nak = responder.responder_receive(roce.decode(second))
         assert roce.decode(nak).syndrome == NAK_PSN_SEQUENCE_ERROR
         assert region.local_read(1, 1) == b"\x00"
         assert responder.counters.sequence_errors == 1
@@ -152,12 +154,12 @@ class TestSequencing:
         second = requester.post_send(WorkRequest(
             opcode=Opcode.WRITE, remote_addr=region.addr + 1,
             rkey=region.rkey, data=b"B"))
-        nak = responder.responder_receive(second)
+        nak = responder.responder_receive(roce.decode(second))
         to_retransmit = requester.requester_receive(nak)
         assert to_retransmit == [first, second]
         # Replay in order: both now execute.
         for raw in to_retransmit:
-            responder.responder_receive(raw)
+            responder.responder_receive(roce.decode(raw))
         assert region.local_read(0, 2) == b"AB"
 
     def test_duplicate_is_reacked_not_reexecuted(self):
@@ -165,8 +167,9 @@ class TestSequencing:
         raw = requester.post_send(WorkRequest(
             opcode=Opcode.FETCH_ADD, remote_addr=region.addr,
             rkey=region.rkey, swap=5))
-        responder.responder_receive(raw)
-        ack2 = responder.responder_receive(raw)  # duplicate delivery
+        responder.responder_receive(roce.decode(raw))
+        # Duplicate delivery.
+        ack2 = responder.responder_receive(roce.decode(raw))
         assert roce.decode(ack2).syndrome == 0
         assert responder.counters.duplicates == 1
         # The atomic must not have applied twice.
@@ -177,7 +180,7 @@ class TestSequencing:
         raw = requester.post_send(WorkRequest(
             opcode=Opcode.WRITE, remote_addr=region.addr,
             rkey=0xBAD, data=b"x"))
-        nak = responder.responder_receive(raw)
+        nak = responder.responder_receive(roce.decode(raw))
         assert roce.decode(nak).syndrome == NAK_REMOTE_ACCESS_ERROR
         assert responder.state == QpState.ERROR
 

@@ -18,6 +18,7 @@ from hypothesis.stateful import (
 )
 import hypothesis.strategies as st
 
+from repro.rdma import roce
 from repro.rdma.memory import ProtectionDomain
 from repro.rdma.qp import QpState, QueuePair
 from repro.rdma.verbs import Opcode, WorkRequest
@@ -87,7 +88,7 @@ class QpMachine(RuleBasedStateMachine):
             self.in_flight.append(raw)
 
     def _deliver(self, raw: bytes) -> None:
-        response = self.responder.responder_receive(raw)
+        response = self.responder.responder_receive(roce.decode(raw))
         if response is not None:
             for retransmit in self.requester.requester_receive(response):
                 self.in_flight.append(retransmit)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.transport import make_direct_client
+from repro.rdma.nic import Nic
 from repro.rdma.verbs import Opcode, WcStatus, WorkCompletion, WorkRequest
 
 
@@ -36,8 +38,21 @@ class TestByteAccounting:
         assert wr.response_bytes == 8
 
     def test_narrow_atomic_width(self):
-        wr = WorkRequest(opcode=Opcode.FETCH_ADD, swap=5, atomic_width=4)
-        assert wr.payload_bytes == 4
+        """An atomic is one 8-byte word on both tiers: +1 on two words
+        of ``0xff`` wraps the first and leaves the second, 8 bytes are
+        counted posted, and no request takes a narrower width."""
+        with pytest.raises(TypeError):
+            WorkRequest(opcode=Opcode.FETCH_ADD, swap=1, atomic_width=4)
+        for burst in (False, True):
+            nic = Nic("collector")
+            region = nic.register_memory(16)
+            region.buf[:] = b"\xff" * 16
+            client = make_direct_client(nic, nic.create_qp())
+            wr = WorkRequest(opcode=Opcode.FETCH_ADD, rkey=region.rkey,
+                             remote_addr=region.addr, swap=1)
+            client.post_burst([wr]) if burst else client.post(wr)
+            assert bytes(region.buf).hex() == "00" * 8 + "ff" * 8, burst
+            assert client.payload_bytes == 8, burst
 
     def test_wr_ids_unique(self):
         a = WorkRequest(opcode=Opcode.WRITE)

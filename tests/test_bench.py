@@ -63,7 +63,8 @@ def test_cli_bench_without_vectorized_has_no_vector_cells(monkeypatch,
     from repro.transport import cli as transport_cli
 
     def failing(spec):
-        return {"socket": {"store_digests": ["sha256:x"]},
+        return {"socket": {"store_digests": ["sha256:x"],
+                           "obs_digest": "sha256:y"},
                 "gates": [bench.gate("socket-lane store digests match "
                                      "in-process lane", False)]}
 

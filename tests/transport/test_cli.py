@@ -10,17 +10,19 @@ from repro.transport.serve import run_serve
 
 def test_serve_smoke_writes_history_and_document(tmp_path, monkeypatch,
                                                  capsys):
-    """``repro serve --smoke`` prints one digest per collector shard,
-    its four gates and ``overall: PASS``, exits 0 and leaves no file
-    behind in the working directory."""
+    """``repro serve --smoke`` prints one store digest per collector
+    shard and the daemons' obs digest, its five gates and ``overall:
+    PASS``, exits 0 and leaves no file behind in the working
+    directory."""
     monkeypatch.chdir(tmp_path)
     assert main(["serve", "--smoke", "--reports", "200",
                  "--drop", "0.02", "--reorder", "0.02"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines[:2]] == ["store_digest"] * 2
-    assert all(line.split()[1].startswith("sha256:") for line in lines[:2])
+    assert [line.split()[0] for line in lines[:3]] == [
+        "store_digest", "store_digest", "obs_digest"]
+    assert all(line.split()[1].startswith("sha256:") for line in lines[:3])
     gates = [line for line in lines if line.startswith("  gate: ")]
-    assert len(gates) == 4 and all(g.endswith("-> pass") for g in gates)
+    assert len(gates) == 5 and all(g.endswith("-> pass") for g in gates)
     assert lines[-1] == "overall: PASS"
     assert list(tmp_path.iterdir()) == []
 
@@ -40,7 +42,14 @@ def test_serve_smoke_multi_translator_scalar_fallbacks(capsys, monkeypatch):
     assert (spec.translators, spec.vectorized) == (2, False)
     sock = run_serve(spec)["socket"]
     assert len(sock["lane_seqs"]) == 2
-    assert len(sock["translator"]["per_lane"]) == 2
+    # The labelled view: every daemon under its role and lane / shard.
+    daemons = set()
+    for _name, labels in sock["view"].samples:
+        labels = dict(labels)
+        daemons.add((labels["role"], labels.get("lane", labels.get("shard"))))
+    assert daemons == {("translator", "0"), ("translator", "1"),
+                       ("collector", "0"), ("collector", "1"),
+                       ("collector", "2")}
 
 
 def test_smoke_caps_reports():

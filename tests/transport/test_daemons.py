@@ -31,6 +31,7 @@ from repro.transport.daemons import (
     segment_plan,
     translator_daemon_main,
 )
+from repro.transport.serve import DRAIN_SERIES
 from repro.transport.envelope import (
     KIND_ACK,
     ack_delivered,
@@ -40,6 +41,11 @@ from repro.transport.envelope import (
     wrap_end,
     wrap_frame,
 )
+
+
+def _total(snapshot, key: str):
+    """One ``SocketLane.drain`` key, read off a daemon's snapshot."""
+    return sum(snapshot.total(name) for name in DRAIN_SERIES[key])
 
 
 @pytest.fixture()
@@ -132,8 +138,15 @@ class TestCollectorDaemonMain:
             parent_conn.send(("nonsense", None))
             tag, message = parent_conn.recv()
             assert tag == "error"
-            parent_conn.send(("stop", None))
-            assert parent_conn.recv() == ("stopped", 0)
+            # The daemon's registry, when asked and when it stops.
+            for command, reply in (("snapshot", "snapshot"),
+                                   ("stop", "stopped")):
+                parent_conn.send((command, None))
+                tag, snapshot = parent_conn.recv()
+                assert tag == reply
+                assert snapshot.value("collector.queries_value",
+                                      node="collector-0") == 1
+                assert snapshot.total("collector.queries_counter") == 1
         finally:
             thread.join(timeout=10)
         assert not thread.is_alive()
@@ -177,10 +190,10 @@ class TestTranslatorDaemonMain:
             data_sock.sendto(wrap_end(n, n), ("127.0.0.1", port))
             tag, stats = parent_conn.recv()
             assert tag == "drained"
-            assert stats["reports"] == n
-            assert stats["expected_reports"] == n
-            assert stats["malformed"] == 1
-            assert stats["rdma_messages"] > 0
+            assert _total(stats, "reports") == n
+            assert _total(stats, "expected_reports") == n
+            assert _total(stats, "malformed") == 1
+            assert _total(stats, "rdma_messages") > 0
             # The drain acked cumulative delivery on the control socket.
             acked = 0
             while acked <= n:
@@ -191,9 +204,9 @@ class TestTranslatorDaemonMain:
             parent_conn.send(("stop", None))
             tag, final_stats = parent_conn.recv()
             assert tag == "stopped"
-            assert final_stats["delivered"] == n + 1   # reports + END
-            assert final_stats["ctrl_datagrams_sent"] >= 1
-            assert final_stats["ctrl_bytes_sent"] > 0
+            assert _total(final_stats, "delivered") == n + 1  # + END
+            assert _total(final_stats, "ctrl_datagrams_sent") >= 1
+            assert _total(final_stats, "ctrl_bytes_sent") > 0
         finally:
             thread.join(timeout=10)
             ctrl_sock.close()
@@ -256,10 +269,10 @@ class TestTranslatorDaemonMain:
                              ("127.0.0.1", port))
             tag, stats = parent_conn.recv()
             assert tag == "drained"
-            assert stats["reports"] == count
-            assert stats["expected_reports"] == count
-            assert stats["malformed"] == 0
-            assert stats["lane"] == 3
+            assert _total(stats, "reports") == count
+            assert _total(stats, "expected_reports") == count
+            assert _total(stats, "malformed") == 0
+            assert stats.total("translator.reports_in") == count
             while acked <= n_frames:
                 _seq, kind, payload = unwrap(ctrl_sock.recv(65535))
                 if kind == KIND_ACK:
@@ -268,7 +281,7 @@ class TestTranslatorDaemonMain:
             parent_conn.send(("stop", None))
             tag, final_stats = parent_conn.recv()
             assert tag == "stopped"
-            assert final_stats["delivered"] == n_frames + 1
+            assert _total(final_stats, "delivered") == n_frames + 1
         finally:
             thread.join(timeout=10)
             ctrl_sock.close()

@@ -99,7 +99,8 @@ class TestDifferentialGate:
             "every surviving datagram delivered in order",
             "every delivered report decoded",
             "control channel conserved (ACK/NACK bytes accounted)",
-            "socket-lane store digests match in-process lane"]
+            "socket-lane store digests match in-process lane",
+            "socket-lane obs digest matches in-process lane"]
         sock = doc["socket"]
         assert sock["reports_sent"] == 200
         assert sock["frames_sent"] >= 1
@@ -113,8 +114,26 @@ class TestDifferentialGate:
         assert _passed(doc), doc["gates"]
         assert len(doc["socket"]["lane_seqs"]) == 2
         # Both daemons actually carried traffic (shards 0+2 vs shard 1).
-        per_lane = doc["socket"]["translator"]["per_lane"]
-        assert all(stats["reports"] > 0 for stats in per_lane)
+        view = doc["socket"]["view"]
+        assert all(view.value("transport.reports",
+                              role="translator", lane=lane) > 0
+                   for lane in (0, 1))
+
+    def test_labelled_view_counts_what_each_lane_was_routed(self):
+        """Lane 1's labelled ``translator.reports_in`` is what the
+        reporter routed to lane 1 (collector shard 1 of two); lane 0
+        never translated for that shard."""
+        spec = _spec(translators=2)
+        doc = run_serve(spec)
+        assert _passed(doc), doc["gates"]
+        cmap = ClusterMap(collectors=2)
+        routed = sum(route_report(cmap, raw) == 1 for raw in reports.wire(
+            spec.primitive, spec.reports, spec.seed))
+        view = doc["socket"]["view"]
+        assert 0 < routed < spec.reports
+        for lane, want in ((1, routed), (0, 0)):
+            assert view.value("translator.reports_in", role="translator",
+                              lane=lane, node="translator-1") == want
 
     def test_mmsg_fallback_digests_identical(self, monkeypatch):
         """Forcing the plain send loop + recvmsg_into fallback must not
