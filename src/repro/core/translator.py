@@ -349,10 +349,12 @@ class Translator(Node):
         :class:`~repro.kernels.burst.VectorPlan`, or None (no state
         touched) for the scalar lane.
 
-        ``packed`` / ``lengths`` are the ``reports`` keys as a packed
-        matrix; ``third`` the Key-Write data matrix (zero-padded to any
-        width — one wider than the slot declines, as the scalar lane
-        raises for it) or the Key-Increment int64 addends.  Eligible
+        ``packed`` / ``lengths`` are the ``reports`` keys in any form
+        :func:`~repro.kernels.crc.hash_lanes_at` takes (a packed matrix,
+        or the keys' CRC registers); ``third`` the Key-Write data matrix
+        (zero-padded to any width — one wider than the slot declines, as
+        the scalar lane raises for it) or the Key-Increment int64
+        addends.  Eligible
         means :meth:`_vector_target` resolves a burst target *and*
         the lane's ``plan_columns`` accepts the columns (indices inside
         the region).  Nothing here depends on how many reports one call

@@ -120,10 +120,10 @@ def write_rows(target: BurstTarget, client, row_indices: np.ndarray,
     if row_bytes > stride or int(indices.view(np.uint64).max()) >= slots:
         return None
     assert slots * count < 1 << 63, "slot keys would overflow int64"
-    view = np.frombuffer(region.buf, dtype=np.uint8,
-                         count=slots * stride).reshape(slots, stride)
-    if stride != row_bytes:
-        view = view[:, :row_bytes]
+    # Each slot's first ``row_bytes`` as one record: a row is one copy.
+    view = np.ndarray((slots,), dtype=f"V{row_bytes}", buffer=region.buf,
+                      strides=(stride,))
+    rows = np.ascontiguousarray(rows).view(view.dtype)[:, 0]
     keys = indices * count
     keys += np.arange(count)
     keys.sort()

@@ -184,46 +184,62 @@ def _lane_state(index: int, marked: bool) -> int:
     return zlib.crc32(prefix) ^ 0xFFFFFFFF
 
 
-def _crc32_resume(states, packed: np.ndarray, lengths: np.ndarray,
-                  uniform: bool) -> np.ndarray:
-    """Resume CRC-32 from each of ``states`` over every packed key.
+def key_registers(packed, lengths: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Every key's CRC-32 register stepped from zero over its bytes.
 
-    Returns ``(len(states), n)``: the lanes advance together, one
-    column step for all of them, so a family of L lanes costs the
-    numpy calls of one.
+    ``packed`` / ``lengths`` are a :func:`pack_keys` pair, or with
+    ``lengths`` None the keys themselves.  The register is linear in
+    its starting state, so this one pass is all that any CRC-32 lane of
+    a key needs: a lane resumed from state ``s`` ends at this register
+    XOR the register ``s`` reaches over as many zero bytes
+    (:func:`_crc32_resume`).  uint32, one per key.
     """
+    if lengths is None:
+        return np.fromiter(map(zlib.crc32, packed, repeat(0xFFFFFFFF)),
+                           dtype=np.uint32, count=len(packed)) ^ _MASK32
     n, maxlen = packed.shape
-    reg = np.asarray(states, dtype=np.uint32).repeat(n).reshape(
-        len(states), n)
+    uniform = n == 0 or int(lengths.min()) == maxlen
+    reg = np.zeros(n, dtype=np.uint32)
     for j in range(maxlen):
         # Table index = low register byte ^ key byte, kept in uint8.
         low = reg.astype(np.uint8) ^ packed[:, j]
         step = (reg >> np.uint32(8)) ^ _CRC32_TABLE[low]
         reg = step if uniform else np.where(j < lengths, step, reg)
-    return reg ^ _MASK32
+    return reg
 
 
-def _crc32_resume_keys(states, keys) -> np.ndarray:
-    """:func:`_crc32_resume` over the keys as byte strings.
+@lru_cache(maxsize=4096)
+def _zeros_crc(state: int, size: int) -> int:
+    """CRC-32 resumed from register ``state`` over ``size`` zero bytes."""
+    return zlib.crc32(bytes(size), state ^ 0xFFFFFFFF)
 
-    One ``zlib.crc32`` per key continues the first state; every other
-    lane follows from it, because the CRC register is linear in its
-    starting state: two lanes over the same ``len`` message bytes
-    differ by what their starting states differ by after ``len`` zero
-    bytes — a constant per lane and key length.
+
+def _crc32_resume(states, packed, lengths) -> np.ndarray:
+    """CRC-32 resumed from each of ``states`` over every key:
+    ``(len(states), n)``.
+
+    The keys come in any form :func:`hash_lanes_at` takes; one
+    register pass (:func:`key_registers`) serves every state, each
+    lane adding its constant for the key's length.
     """
-    seed = states[0] ^ 0xFFFFFFFF
-    first = np.fromiter(map(zlib.crc32, keys, repeat(seed)),
-                        dtype=np.uint32, count=len(keys))
-    sizes = sorted(set(map(len, keys)))
-    zeros = [bytes(size) for size in sizes]
-    shifts = np.array([[zlib.crc32(zero, state ^ 0xFFFFFFFF)
-                        ^ zlib.crc32(zero, seed) for zero in zeros]
-                       for state in states], dtype=np.uint32)
-    if len(sizes) <= 1:
-        return first ^ shifts
-    return first ^ shifts[:, np.searchsorted(
-        sizes, np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)))]
+    if lengths is None:
+        reg = key_registers(packed)
+        distinct = sorted(set(map(len, packed)))
+    else:
+        reg = packed if packed.ndim == 1 else key_registers(packed, lengths)
+        distinct = sorted({int(lengths.min()), int(lengths.max())}
+                          if len(lengths) else ())
+        if len(distinct) > 1:
+            distinct = sorted(set(lengths.tolist()))
+    table = np.array([[_zeros_crc(state, size) for size in distinct or (0,)]
+                      for state in states], dtype=np.uint32)
+    if len(distinct) <= 1:
+        return reg ^ table
+    if lengths is None:
+        lengths = np.fromiter(map(len, packed), dtype=np.intp,
+                              count=len(packed))
+    return reg ^ table[:, np.searchsorted(distinct, lengths)]
 
 
 def hash_lanes_at(indices, packed, lengths: np.ndarray | None = None,
@@ -237,18 +253,15 @@ def hash_lanes_at(indices, packed, lengths: np.ndarray | None = None,
     ``lengths`` are a :func:`pack_keys` pair — all rows then step
     through the key columns together — or, with ``lengths`` None, the
     keys themselves (a sequence of ``bytes``), hashed where they lie:
-    a caller holding byte strings need not pack them to hash them.
+    a caller holding byte strings need not pack them to hash them — or,
+    one-dimensional, the keys' :func:`key_registers`, the pass a caller
+    that already hashed the keys (the socket lane routes on it) shares.
     """
     count = len(indices)
     states = [_lane_state(i, False) for i in indices]
     if width_bits > 32:
         states += [_lane_state(i, True) for i in indices]
-    if lengths is None:
-        out = _crc32_resume_keys(states, packed)
-    else:
-        n, maxlen = packed.shape
-        out = _crc32_resume(states, packed, lengths,
-                            n == 0 or int(lengths.min()) == maxlen)
+    out = _crc32_resume(states, packed, lengths)
     if width_bits > 32:
         both = out.astype(np.uint64)
         mixed = splitmix64_many((both[count:] << np.uint64(32))

@@ -20,8 +20,13 @@ numpy arrays instead:
   matching the ``unpack`` + ``__post_init__`` checks
   :mod:`repro.core.packets` derives from the same table;
 * :func:`shards_for_keys` — the :class:`~repro.core.cluster.ClusterMap`
-  key hash (``crc32(b"CL" + key)``) as a resumed table-driven CRC over
-  the packed key matrix, bit-exact with ``zlib.crc32``.
+  key hash (``crc32(b"CL" + key)``) from the keys' one CRC register
+  pass (:func:`repro.kernels.crc.key_registers`), bit-exact with
+  ``zlib.crc32``.
+
+Every fixed-width read is a row gather: the report's header (or key,
+or counter run) as one row of a sliding-window view over the buffer,
+its fields big-endian views of that row's columns.
 
 Bit-exactness contract: for any frame payload — including truncated
 tables, junk bodies, and out-of-range field values — the columnar
@@ -40,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from repro.core import packets, primitives
-from repro.kernels.crc import _CRC32_TABLE
+from repro.kernels.crc import _crc32_resume
 
 BASE = packets.BASE_HEADER_BYTES          # 8: version/prim, flags, rid, seq
 
@@ -55,30 +60,26 @@ PER_REPORT_MASK = int(packets.DtaFlags.ESSENTIAL
 #: CRC-32 register state after the ClusterMap routing prefix b"CL",
 #: so per-key routing resumes mid-stream instead of re-walking the
 #: prefix (standard CRC continuation identity; see kernels.crc).
-_ROUTE_STATE = np.uint32(zlib.crc32(b"\x43\x4C") ^ 0xFFFFFFFF)
+_ROUTE_STATE = zlib.crc32(b"CL") ^ 0xFFFFFFFF
 
 
-def split_frames(payloads):
+def split_frames(data, starts, totals):
     """Decode the report boundaries of a whole receive burst in one pass.
 
-    Returns ``(joined, buf, offsets, lengths, truncated)``: the
-    payloads concatenated, a uint8 view of that, int64 arrays locating
-    every report of every structurally sound frame in delivery order,
-    and how many frames were truncated (count or length table
-    incomplete, body shorter than the table claims) — each of those
-    contributes no rows and the caller counts it as one malformed unit,
-    exactly like the scalar :func:`repro.transport.envelope.unwrap_frame`.
+    Frame ``i`` is the ``totals[i]`` bytes of ``data`` (any buffer:
+    the receive ring, or joined payloads) from ``starts[i]`` on.
+    Returns ``(buf, offsets, lengths, truncated)``: a uint8 view of
+    ``data``, int64 arrays locating every report of every structurally
+    sound frame in delivery order, and how many frames were truncated
+    (count or length table incomplete, body shorter than the table
+    claims) — each of those contributes no rows and the caller counts
+    it as one malformed unit, exactly like the scalar
+    :func:`repro.transport.envelope.unwrap_frame`.
     """
-    frames = len(payloads)
-    joined = payloads[0] if frames == 1 else b"".join(payloads)
-    buf = np.frombuffer(joined, dtype=np.uint8)
-    if not joined:
-        none = np.zeros(0, dtype=np.int64)
-        return joined, buf, none, none, frames
-    totals = np.fromiter(map(len, payloads), dtype=np.int64, count=frames)
-    starts = np.cumsum(totals) - totals
+    buf = np.frombuffer(data, dtype=np.uint8)
+    frames = len(totals)
     # A frame too short to hold its count, or its table, has no rows.
-    counts = _be(buf, starts, 2).astype(np.int64)
+    counts = _field(byte_rows(buf, starts, 2), 0, 2)
     sound = (totals >= 2) & (totals >= 2 + 2 * counts)
     counts = np.where(sound, counts, 0)
     table_end = 2 + 2 * counts
@@ -87,7 +88,7 @@ def split_frames(payloads):
     frame = np.repeat(np.arange(frames), counts)
     first = np.cumsum(counts) - counts
     entry = starts[frame] + 2 * (np.arange(len(frame)) - first[frame] + 1)
-    lengths = _be(buf, entry, 2).astype(np.int64)
+    lengths = _field(byte_rows(buf, entry, 2), 0, 2)
     ends = np.concatenate(([0], np.cumsum(lengths)))
     body = ends[first + counts] - ends[first]
     sound &= table_end + body <= totals
@@ -96,7 +97,7 @@ def split_frames(payloads):
     if truncated:
         keep = sound[frame]
         offsets, lengths = offsets[keep], lengths[keep]
-    return joined, buf, offsets, lengths, truncated
+    return buf, offsets, lengths, truncated
 
 
 def split_frame(payload: bytes):
@@ -130,18 +131,32 @@ def split_frame(payload: bytes):
     return buf, offsets[:count], lengths
 
 
-def _gather(buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Masked byte gather: out-of-range rows read byte 0 (callers mask
-    those rows out via validity, this just keeps the gather in bounds)."""
-    return buf[np.minimum(idx, len(buf) - 1)]
+def byte_rows(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """``(n, width)`` uint8: the ``width`` bytes at each offset.
+
+    One gather over a sliding-window view of ``buf`` whose items are
+    ``width``-byte records starting at every byte, so each row is a
+    single copy.  Bytes past the buffer's end read 0 (a row that runs
+    off the end belongs to a report its length check rejects, or to a
+    short key at the very end)."""
+    if not len(offsets):
+        return np.zeros((0, width), dtype=np.uint8)
+    over = int(offsets.max()) + width - len(buf)
+    if over > 0:
+        start = min(int(offsets.min()), len(buf))
+        buf = np.concatenate((buf[start:], np.zeros(over, dtype=np.uint8)))
+        offsets = offsets - start
+    windows = np.ndarray((len(buf) - width + 1,), dtype=f"V{width}",
+                         buffer=buf, strides=(1,))
+    return windows[offsets].view(np.uint8).reshape(len(offsets), width)
 
 
-def _be(buf: np.ndarray, off: np.ndarray, width: int) -> np.ndarray:
-    """Big-endian unsigned gather of ``width`` bytes at each offset."""
-    out = _gather(buf, off).astype(np.uint64)
-    for k in range(1, width):
-        out = (out << np.uint64(8)) | _gather(buf, off + k)
-    return out
+def _field(rows: np.ndarray, at: int, width: int) -> np.ndarray:
+    """The big-endian unsigned field at column ``at`` of byte rows, as
+    int64 (a ``q`` field comes out two's complement)."""
+    if width == 1:
+        return rows[:, at].astype(np.int64)
+    return rows[:, at:at + width].view(f">u{width}")[:, 0].astype(np.int64)
 
 
 def parse_headers(buf: np.ndarray, offsets: np.ndarray,
@@ -154,13 +169,12 @@ def parse_headers(buf: np.ndarray, offsets: np.ndarray,
     telemetry primitive (NACK/CONGESTION and unknown codes are
     invalid here — the report socket treats them as malformed).
     """
-    ok = lengths >= BASE
-    off = np.where(ok, offsets, 0)
-    ver_prim = _gather(buf, off).astype(np.int64)
-    flags = _gather(buf, off + 1).astype(np.int64)
-    rids = _be(buf, off + 2, 2).astype(np.int64)
+    head = byte_rows(buf, offsets, BASE)
+    ver_prim = _field(head, 0, 1)
+    flags = _field(head, 1, 1)
+    rids = _field(head, 2, 2)
     prims = ver_prim & 0xF
-    valid = (ok & (ver_prim >> 4 == packets.DTA_VERSION)
+    valid = ((lengths >= BASE) & (ver_prim >> 4 == packets.DTA_VERSION)
              & np.isin(prims, _BATCHED_PRIMS))
     return prims, flags, rids, valid
 
@@ -177,12 +191,11 @@ def decode(primitive, buf, offsets, lengths) -> dict:
     """
     wire = primitive.wire
     sub = offsets + BASE
+    head = byte_rows(buf, sub, wire.size)
     cols = {}
     at = 0
     for field in wire.fields:
-        off = sub + at if at else sub
-        cols[field.name] = (_gather(buf, off) if field.width == 1
-                            else _be(buf, off, field.width)).astype(np.int64)
+        cols[field.name] = _field(head, at, field.width)
         at += field.width
     tail_off = sub + wire.size
     need = BASE + wire.size
@@ -238,12 +251,8 @@ def matrix(primitive, name: str, buf, cols, rows):
 
 def gather_counters(buf, counters_off, depth: int) -> np.ndarray:
     """``(n, depth)`` uint32 counter matrix for a uniform-depth run."""
-    idx = counters_off[:, None] + 4 * np.arange(depth, dtype=np.int64)
-    out = _gather(buf, idx).astype(np.uint32) << np.uint32(24)
-    for k in range(1, 4):
-        out |= (_gather(buf, idx + k).astype(np.uint32)
-                << np.uint32(8 * (3 - k)))
-    return out
+    counters = byte_rows(buf, counters_off, 4 * depth)
+    return counters.view(">u4").astype(np.uint32)
 
 
 def slice_column(payload: bytes, offsets, lengths) -> list:
@@ -261,39 +270,31 @@ def pack_column(buf, offsets, lengths):
     """Zero-padded ``(n, maxlen)`` byte matrix of a span column.
 
     The vectorized twin of :func:`repro.kernels.crc.pack_keys` applied
-    to in-frame spans: one fancy-index gather for uniform-length runs
-    (the hot case — fixed flow-key widths), masked for mixed lengths.
-    Returns ``(packed, lengths)`` ready for the hash kernels.
+    to in-frame spans: one row gather for uniform-length runs (the hot
+    case — fixed flow-key widths), masked for mixed lengths.  Returns
+    ``(packed, lengths)`` ready for the hash kernels.
     """
     n = len(offsets)
     maxlen = int(lengths.max()) if n else 0
     if n == 0 or maxlen == 0:
         return np.zeros((n, maxlen), dtype=np.uint8), lengths
-    cols = np.arange(maxlen, dtype=np.int64)
-    idx = offsets[:, None] + cols
-    packed = _gather(buf, idx)
+    packed = byte_rows(buf, offsets, maxlen)
     if int(lengths.min()) != maxlen:
-        packed = np.where(cols < lengths[:, None], packed, 0)
-    return np.ascontiguousarray(packed), lengths
+        packed[np.arange(maxlen) >= lengths[:, None]] = 0
+    return packed, lengths
 
 
-def shards_for_keys(packed: np.ndarray, lengths: np.ndarray,
+def shards_for_keys(packed, lengths: np.ndarray,
                     collectors: int) -> np.ndarray:
-    """Vectorized :meth:`ClusterMap.for_key` over a packed key batch.
+    """Vectorized :meth:`ClusterMap.for_key` over a key batch.
 
-    Resumes CRC-32 from the post-prefix register and table-steps the
-    key bytes, which is bit-exact with ``zlib.crc32(b"CL" + key)`` —
-    same polynomial, same table (see :mod:`repro.kernels.crc`).
+    ``packed`` / ``lengths`` are keys in any form
+    :func:`repro.kernels.crc.hash_lanes_at` takes — a packed matrix,
+    or the keys' :func:`~repro.kernels.crc.key_registers`, which the
+    burst's plans then hash from without another pass.  The route is
+    ``zlib.crc32(b"CL" + key)``, resumed from the post-prefix register.
     """
-    n, maxlen = packed.shape
-    if collectors == 1 or n == 0:
-        return np.zeros(n, dtype=np.int64)
-    reg = np.full(n, _ROUTE_STATE, dtype=np.uint32)
-    uniform = int(lengths.min()) == maxlen
-    for j in range(maxlen):
-        byte = packed[:, j].astype(np.uint32)
-        step = (reg >> np.uint32(8)) ^ _CRC32_TABLE[(reg ^ byte)
-                                                    & np.uint32(0xFF)]
-        reg = step if uniform else np.where(j < lengths, step, reg)
-    crc = reg ^ np.uint32(0xFFFFFFFF)
+    if collectors == 1 or not len(lengths):
+        return np.zeros(len(lengths), dtype=np.int64)
+    (crc,) = _crc32_resume((_ROUTE_STATE,), packed, lengths)
     return (crc % np.uint32(collectors)).astype(np.int64)

@@ -22,7 +22,8 @@ Two ingest paths share one pending-run state:
 
 * :meth:`feed` — the scalar reference: one ``KIND_REPORT`` payload
   through ``packets.decode_report``.
-* :meth:`feed_frames` — the coalesced hot path: a receive burst of
+* :meth:`feed_burst` (and :meth:`feed_frames`, the same over a list of
+  payloads) — the coalesced hot path: a receive burst of
   ``KIND_FRAME`` payloads decoded wholesale by :mod:`repro.kernels.wire`
   into column arrays.  Feeding a frame is *defined* to leave what
   feeding its sub-frames through :meth:`feed` one by one leaves — same
@@ -35,8 +36,8 @@ Two ingest paths share one pending-run state:
     columns (``Primitive.value``: Key-Write, Key-Increment) is offered
     to the translator as columns (:meth:`Translator.plan_columns
     <repro.core.translator.Translator.plan_columns>`, the one
-    eligibility decision): the key matrix routing already gathered, the
-    value column gathered once more, no ``bytes`` objects, no
+    eligibility decision): the key CRC registers routing already
+    stepped, the value column gathered once more, no ``bytes`` objects, no
     :class:`ReportBatch`, and the whole segment in one plan whatever
     its width (plan width is not observable — docs/CONCURRENCY.md).
   - **list** — everything the translator declines, and every other
@@ -62,6 +63,7 @@ from repro.core.batch import ReportBatch
 from repro.core.packets import PacketDecodeError
 from repro.core.primitives import BY_CODE
 from repro.kernels import MIN_VECTOR_BATCH, wire
+from repro.kernels import crc as kcrc
 
 
 class ReportAssembler:
@@ -134,7 +136,17 @@ class ReportAssembler:
         translator.handle_report(raw)
 
     def feed_frames(self, payloads) -> None:
-        """Consume many ``KIND_FRAME`` payloads in one vectorized pass.
+        """Consume many ``KIND_FRAME`` payloads: :meth:`feed_burst`
+        over their join."""
+        totals = np.fromiter(map(len, payloads), dtype=np.int64,
+                             count=len(payloads))
+        self.feed_burst(b"".join(payloads), np.cumsum(totals) - totals,
+                        totals)
+
+    def feed_burst(self, data, starts, totals) -> None:
+        """Consume a burst of ``KIND_FRAME`` payloads in one vectorized
+        pass: payload ``i`` is the ``totals[i]`` bytes of ``data`` (the
+        receive ring, say) from ``starts[i]`` on.
 
         A structurally truncated frame counts as one malformed unit;
         the sub-frames of all the others are located in one pass
@@ -142,16 +154,17 @@ class ReportAssembler:
         single set of columns, so the fixed array-setup cost is paid
         once per receive burst instead of once per datagram (too few
         sub-frames to pay for it go through :meth:`feed` one by one).
-        Sub-report arrival order is preserved: frames are spliced in
-        delivered order and row indices stay ascending across the join.
+        Sub-report arrival order is preserved: row indices ascend in
+        delivered order.
         """
-        joined, buf, offsets, lengths, truncated = wire.split_frames(payloads)
+        buf, offsets, lengths, truncated = wire.split_frames(data, starts,
+                                                            totals)
         self.malformed += truncated
         if len(offsets) >= MIN_VECTOR_BATCH:
-            self._feed_frame_vector(joined, buf, offsets, lengths)
+            self._feed_frame_vector(data, buf, offsets, lengths)
             return
         for off, length in zip(offsets.tolist(), lengths.tolist()):
-            self.feed(joined[off:off + length])
+            self.feed(data[off:off + length])
 
     def finish(self) -> None:
         """End of stream: flush every pending run and append batch."""
@@ -197,13 +210,15 @@ class ReportAssembler:
         routed = None
         if keyed.any():
             at = np.flatnonzero(keyed)
-            packed, lens = wire.pack_column(buf, key_off[at], key_len[at])
-            shards[at] = wire.shards_for_keys(packed, lens, collectors)
-            # Gathered once: the matrix that routed the burst is the
-            # matrix its plans hash (row -> position in ``packed``).
+            lens = key_len[at]
+            registers = kcrc.key_registers(
+                wire.pack_column(buf, key_off[at], lens)[0], lens)
+            shards[at] = wire.shards_for_keys(registers, lens, collectors)
+            # Hashed once: the CRC pass that routed the burst is the one
+            # its plans' lanes derive from (row -> position in it).
             position = np.zeros(n, dtype=np.int64)
             position[at] = np.arange(len(at))
-            routed = (packed, lens, position)
+            routed = (registers, lens, position)
         per_report = (flags & wire.PER_REPORT_MASK) != 0
         burst = (payload, buf, offsets, lengths, sub, routed)
         for shard in np.flatnonzero(np.bincount(shards[rows])).tolist():
@@ -257,12 +272,11 @@ class ReportAssembler:
         it — ``batch_size`` bounds list-path runs only.
         """
         translator = self.translators[shard]
-        _payload, buf, _offsets, _lengths, _sub, (packed, lens, at) = burst
+        _payload, buf, _offsets, _lengths, _sub, (registers, lens, at) = \
+            burst
         pos = at[seg]
-        lens = lens[pos]
-        packed = packed[pos, :int(lens.max())]
         plan = translator.plan_columns(
-            primitive.code, len(seg), packed, lens,
+            primitive.code, len(seg), registers[pos], lens[pos],
             wire.matrix(primitive, primitive.value, buf, cols, seg),
             redundancy)
         if plan is None:

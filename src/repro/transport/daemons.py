@@ -30,6 +30,8 @@ from __future__ import annotations
 import socket
 from functools import partial
 
+import numpy as np
+
 from repro import obs
 from repro.core.cluster import ClusterMap
 from repro.core.translator import Translator
@@ -259,29 +261,32 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
                 if command == "stop":
                     conn.send(("stopped", registry.snapshot()))
                     break
-            datagrams = receiver.recv_burst(_SOCK_TIMEOUT_S, conn)
-            if not datagrams:
+            data, starts, lengths = receiver.recv_burst(_SOCK_TIMEOUT_S,
+                                                        conn)
+            if not len(lengths):
                 # Idle re-ack: a lost ACK must not wedge the window.
                 if reassembler.next_seq and not stream_done:
                     send_ack()
                 continue
-            # Frames delivered by this burst coalesce into one
-            # vectorized decode; anything else (singles, END) flushes
-            # them first so arrival order is preserved.
-            frame_run = []
-            for datagram in datagrams:
-                advanced = reassembler.push(datagram)
-                if advanced:
-                    # New in-order traffic (not a duplicate straggler)
-                    # reopens the stream and its idle re-acks.
+            kinds, data, starts, lengths = reassembler.push_burst(
+                data, starts, lengths)
+            # Each run of frames is one vectorized decode, straight from
+            # the ring; singles and ENDs go one by one, in order.  New
+            # in-order traffic (not a duplicate straggler) reopens the
+            # stream and its idle re-acks until an END closes it.
+            cuts = (np.flatnonzero(kinds[1:] != kinds[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(kinds)]
+                              if len(kinds) else []):
+                kind = int(kinds[lo])
+                stream_done = False
+                if kind == KIND_FRAME:
+                    assembler.feed_burst(data, starts[lo:hi], lengths[lo:hi])
+                    continue
+                for start, length in zip(starts[lo:hi].tolist(),
+                                         lengths[lo:hi].tolist()):
+                    payload = data[start:start + length]
                     stream_done = False
-                for kind, payload in advanced:
-                    if kind == KIND_FRAME:
-                        frame_run.append(payload)
-                    elif kind == KIND_REPORT:
-                        if frame_run:
-                            assembler.feed_frames(frame_run)
-                            frame_run = []
+                    if kind == KIND_REPORT:
                         assembler.feed(payload)
                     elif kind == KIND_END:
                         try:
@@ -289,17 +294,12 @@ def translator_daemon_main(shard_segment_names, sketch_width: int,
                         except ValueError:
                             reassembler.malformed += 1
                             continue
-                        if frame_run:
-                            assembler.feed_frames(frame_run)
-                            frame_run = []
                         assembler.finish()
                         send_ack()
                         expected_reports.set(expected)
                         conn.send(("drained", registry.snapshot()))
                         stream_done = True
                     # Unknown kinds (fuzz) are simply ignored.
-            if frame_run:
-                assembler.feed_frames(frame_run)
             if reassembler.next_seq - last_ack[0] >= ack_every:
                 send_ack()
     finally:

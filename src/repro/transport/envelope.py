@@ -49,6 +49,8 @@ import struct
 
 import numpy as np
 
+from repro.kernels.wire import byte_rows
+
 ENVELOPE = struct.Struct(">QB")
 
 KIND_REPORT = 0
@@ -68,11 +70,6 @@ WINDOW = 512
 
 #: Most reports a single frame may carry (the count field is u16).
 MAX_FRAME_REPORTS = 0xFFFF
-
-#: A frame's envelope and report count as one numpy record.
-_FRAME_HEAD = np.dtype([("seq", ">u8"), ("kind", "u1"), ("count", ">u2")])
-assert _FRAME_HEAD.itemsize == ENVELOPE.size + _FRAME_COUNT.size
-
 
 def wrap(seq: int, payload: bytes, kind: int = KIND_REPORT) -> bytes:
     """Prefix ``payload`` with the lane envelope."""
@@ -139,51 +136,25 @@ def wrap_frame(seq: int, reports) -> bytes:
 
 
 def wrap_frames(seq: int, reports: list, sizes, bounds) -> list:
-    """Many :func:`wrap_frame` datagrams cut from one buffer.
+    """Many :func:`wrap_frame` datagrams at once.
 
     Frame ``i`` holds ``reports[bounds[i]:bounds[i + 1]]`` under lane
     seq ``seq + i``; ``sizes`` is the int64 column of the reports'
-    lengths and ``bounds`` runs from 0 to ``len(reports)``.  Numpy
-    writes every envelope header, report count and length table in
-    place, the report bytes are copied one frame body at a time from a
-    single join, and each datagram is a memoryview of the frame's span
-    of the buffer — byte-identical to :func:`wrap_frame`'s.
+    lengths and ``bounds`` runs from 0 to ``len(reports)``.  Every
+    length table is cut from one big-endian array and each datagram is
+    one join — byte-identical to :func:`wrap_frame`'s.
     """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    counts = np.diff(bounds)
-    frames = len(counts)
-    if not frames:
-        return []
-    if counts.max() > MAX_FRAME_REPORTS:
-        raise ValueError("too many reports for one frame")
     if len(sizes) and sizes.max() > 0xFFFF:
         raise ValueError("report too long for a frame's length table")
-    ends = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ends[1:])
-    head = _FRAME_HEAD.itemsize + 2 * counts        # envelope + table
-    stop = np.cumsum(head + ends[bounds[1:]] - ends[bounds[:-1]])
-    start = np.empty_like(stop)
-    start[0] = 0
-    start[1:] = stop[:-1]
-    out = np.empty(int(stop[-1]), dtype=np.uint8)
-    heads = np.empty(frames, dtype=_FRAME_HEAD)
-    heads["seq"] = np.arange(seq, seq + frames, dtype=np.uint64)
-    heads["kind"] = KIND_FRAME
-    heads["count"] = counts
-    out[start[:, None] + np.arange(_FRAME_HEAD.itemsize)] = \
-        heads.view(np.uint8).reshape(frames, _FRAME_HEAD.itemsize)
-    frame = np.repeat(np.arange(frames), counts)    # each report's frame
-    entry = (start + _FRAME_HEAD.itemsize - 2 * bounds[:-1])[frame] \
-        + 2 * np.arange(len(frame))
-    out[entry[:, None] + np.arange(2)] = \
-        sizes.astype(">u2").view(np.uint8).reshape(len(frame), 2)
-    view = memoryview(out)
-    joined = memoryview(b"".join(reports))
-    for dst, lo, hi in zip((start + head).tolist(),
-                           ends[bounds[:-1]].tolist(),
-                           ends[bounds[1:]].tolist()):
-        view[dst:dst + hi - lo] = joined[lo:hi]
-    return [view[lo:hi] for lo, hi in zip(start.tolist(), stop.tolist())]
+    table = sizes.astype(">u2").tobytes()
+    frames = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo > MAX_FRAME_REPORTS:
+            raise ValueError("too many reports for one frame")
+        frames.append(b"".join((ENVELOPE.pack(seq + len(frames), KIND_FRAME),
+                                _FRAME_COUNT.pack(hi - lo),
+                                table[2 * lo:2 * hi], *reports[lo:hi])))
+    return frames
 
 
 def unwrap_frame(payload: bytes) -> list:
@@ -217,14 +188,14 @@ def unwrap_frame(payload: bytes) -> list:
 class Reassembler:
     """Restores lane-sequence order over an unordered datagram feed.
 
-    ``push`` accepts raw datagrams as they arrive off the socket and
-    returns the ``(kind, payload)`` pairs that are now deliverable in
-    strict sequence order.  Holes never occur by construction — the
-    shim numbers datagrams after dropping — so any gap is transient
-    kernel reordering and the buffered successors drain as soon as the
-    missing datagram lands.  Duplicates (e.g. NACK-triggered
-    retransmits of an already-delivered seq) and malformed datagrams
-    are counted and discarded.
+    :meth:`push_burst` accepts a receive burst of raw datagrams as they
+    arrived off the socket and returns those now deliverable in strict
+    sequence order (:meth:`push` is the burst of one).  Holes never
+    occur by construction — the shim numbers datagrams after dropping —
+    so any gap is transient kernel reordering and the buffered
+    successors drain as soon as the missing datagram lands.
+    Duplicates (e.g. NACK-triggered retransmits of an already-delivered
+    seq) and malformed datagrams are counted and discarded.
 
     ``horizon`` is the sender's window: it never has a seq at or past
     ``next_seq + horizon`` in flight, so such a datagram is counted
@@ -240,30 +211,98 @@ class Reassembler:
         self.delivered = 0
         self.duplicates = 0
         self.malformed = 0
-        self._pending: dict[int, tuple] = {}
+        # seq -> (kind, payload) held behind a gap; within a burst, the
+        # datagram's index in it until the burst ends.
+        self._pending: dict = {}
 
     @property
     def waiting(self) -> int:
         """Datagrams buffered behind a not-yet-arrived sequence."""
         return len(self._pending)
 
-    def push(self, datagram: bytes) -> list:
-        """Ingest one datagram; returns newly deliverable payloads."""
-        try:
-            seq, kind, payload = unwrap(datagram)
-        except (ValueError, struct.error):
+    def push(self, datagram) -> list:
+        """Ingest one datagram; returns newly deliverable
+        ``(kind, payload)`` pairs."""
+        if len(datagram) < ENVELOPE.size:
             self.malformed += 1
             return []
+        seq, kind = ENVELOPE.unpack_from(datagram)
+        return self._admit(seq, (kind, datagram[ENVELOPE.size:]))
+
+    def push_burst(self, data, starts, lengths) -> tuple:
+        """Ingest a burst: datagram ``i`` is the ``lengths[i]`` bytes of
+        ``data`` (the receive ring, say) from ``starts[i]`` on.
+
+        Returns what is now deliverable, in order, as ``(kinds, data,
+        starts, lengths)``: each datagram's kind and the span of its
+        payload — over ``data`` itself, or over a fresh buffer when a
+        datagram held from an earlier burst is among them.  The
+        envelopes are read as arrays and the in-order run the burst
+        opens with is delivered in one step; what follows it goes
+        through :meth:`push`'s rule one datagram at a time.  A datagram
+        still held when the burst ends is copied out (the next burst
+        reuses its slot).
+        """
+        count = len(lengths)
+        sound = lengths >= ENVELOPE.size
+        head = byte_rows(np.frombuffer(data, dtype=np.uint8),
+                         np.where(sound, starts, 0), ENVELOPE.size)
+        seqs = head[:, :8].view(">u8")[:, 0]
+        kinds = head[:, 8].astype(np.int64)
+        # The run stops at the first datagram that breaks it, or at the
+        # first seq already held (a duplicate).
+        first = self.next_seq
+        run = sound & (seqs == np.arange(first, first + count,
+                                         dtype=np.uint64))
+        took = count if run.all() else int(np.argmin(run))
+        if self._pending:
+            took = min(took, min(self._pending) - first)
+        self.next_seq += took
+        self.delivered += took
+        order = self._release()
+        for index in range(took, count):
+            if sound[index]:
+                order += self._admit(int(seqs[index]), index)
+            else:
+                self.malformed += 1
+        spans, sizes = starts + ENVELOPE.size, lengths - ENVELOPE.size
+
+        def copy(row):
+            start = int(spans[row])
+            return int(kinds[row]), bytes(data[start:start + int(sizes[row])])
+
+        for seq, held in self._pending.items():
+            if not isinstance(held, tuple):
+                self._pending[seq] = copy(held)
+        if not any(isinstance(item, tuple) for item in order):
+            rows = np.concatenate((np.arange(took),
+                                   np.array(order, dtype=np.int64)))
+            return kinds[rows], data, spans[rows], sizes[rows]
+        out = [item if isinstance(item, tuple) else copy(item)
+               for item in [*range(took), *order]]
+        sizes = np.array([len(payload) for _kind, payload in out],
+                         dtype=np.int64)
+        return (np.array([kind for kind, _payload in out], dtype=np.int64),
+                b"".join(payload for _kind, payload in out),
+                np.cumsum(sizes) - sizes, sizes)
+
+    def _admit(self, seq: int, item) -> list:
+        """Hold ``item`` (lane seq ``seq``) or count it a duplicate or
+        malformed; returns what that releases, in order."""
         if seq < self.next_seq or seq in self._pending:
             self.duplicates += 1
             return []
         if seq >= self.next_seq + self.horizon:
             self.malformed += 1
             return []
-        self._pending[seq] = (kind, payload)
+        self._pending[seq] = item
+        return self._release()
+
+    def _release(self) -> list:
+        """Deliver the held run that starts at ``next_seq``."""
         out = []
         while self.next_seq in self._pending:
             out.append(self._pending.pop(self.next_seq))
             self.next_seq += 1
-            self.delivered += 1
+        self.delivered += len(out)
         return out

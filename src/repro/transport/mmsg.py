@@ -16,8 +16,8 @@ libc *and* a live loopback probe must round-trip a datagram through
 both calls (struct layouts are kernel ABI; a probe is cheaper than
 trusting them).  :data:`HAVE_MMSG` records the result.  The module
 flag :data:`USE_MMSG` gates the fast path at call time so tests can
-force the fallback (plain ``send`` loops, ``recvmsg_into`` with a
-preallocated buffer) and assert digests identical to the fast path.
+force the fallback (plain ``send`` loops, ``recvmsg_into`` into the
+same receive ring) and assert digests identical to the fast path.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def _probe() -> bool:
         _sendmmsg_raw(a, [b"mmsg-probe"])
         select.select([b], [], [], 1.0)
         ring = _RecvRing(b, buf_bytes=64)
-        return ring.recv_now() == [b"mmsg-probe"]
+        lengths = ring.recv_now()
+        return lengths.tolist() == [10] and ring.data[:10] == b"mmsg-probe"
     except OSError:
         return False
     finally:
@@ -159,41 +160,56 @@ def _sendmmsg_raw(sock, payloads) -> None:
 
 
 class _RecvRing:
-    """Preallocated recvmmsg buffer ring over one non-blocking socket.
+    """Preallocated receive buffer ring over one non-blocking socket.
 
     Message ``i`` lands in the ``i``-th ``buf_bytes`` stretch of one
-    anonymous mapping: the kernel hands out its zeroed pages as
-    datagrams first touch them, so a ring sized for the largest UDP
-    payload costs nothing up front.  A longer datagram is cut to
-    ``buf_bytes``, as ``recvmmsg`` always does.
+    anonymous mapping (:attr:`data`): the kernel hands out its zeroed
+    pages as datagrams first touch them, so a ring sized for the
+    largest UDP payload costs nothing up front.  A longer datagram is
+    cut to ``buf_bytes``, as ``recvmmsg`` always does.
     """
 
     def __init__(self, sock, *, max_msgs: int = BATCH_MSGS,
                  buf_bytes: int = 65535) -> None:
         self.sock = sock
         self.max_msgs = max_msgs
-        self._buf_bytes = buf_bytes
-        self._map = mmap.mmap(-1, max_msgs * buf_bytes)
+        self.buf_bytes = buf_bytes
+        self.data = mmap.mmap(-1, max_msgs * buf_bytes)
         # The view pins the mapping (no close while the kernel may
         # write into it) and gives its address.
-        self._data = np.frombuffer(self._map, dtype=np.uint8)
+        self._view = np.frombuffer(self.data, dtype=np.uint8)
+        self._slots = memoryview(self.data)
         self._iovecs = np.empty(max_msgs, dtype=_IOVEC)
-        self._iovecs["base"] = self._data.ctypes.data + buf_bytes * np.arange(
+        self._iovecs["base"] = self._view.ctypes.data + buf_bytes * np.arange(
             max_msgs, dtype=np.uintp)
         self._iovecs["len"] = buf_bytes
         self._hdrs = _headers(self._iovecs)
 
-    def recv_now(self) -> list:
+    def recv_now(self) -> np.ndarray:
+        """One ``recvmmsg``: the lengths of the datagrams now in slots
+        ``0, 1, ...`` (int64; empty when none was waiting)."""
         rc = _recvmmsg(self.sock.fileno(), self._hdrs.ctypes.data,
                        self.max_msgs, _MSG_DONTWAIT, None)
         if rc < 0:
             err = ctypes.get_errno()
             if err in (errno.EAGAIN, errno.EWOULDBLOCK, errno.EINTR):
-                return []
-            raise OSError(err, "recvmmsg failed")
-        ring, size = self._map, self._buf_bytes
-        return [ring[start:start + length] for start, length in zip(
-            range(0, rc * size, size), self._hdrs["len"][:rc].tolist())]
+                rc = 0
+            else:
+                raise OSError(err, "recvmmsg failed")
+        return self._hdrs["len"][:rc].astype(np.int64)
+
+    def recv_each(self) -> np.ndarray:
+        """:meth:`recv_now` as one ``recvmsg_into`` per slot."""
+        lengths = []
+        while len(lengths) < self.max_msgs:
+            start = len(lengths) * self.buf_bytes
+            try:
+                nbytes, _anc, _flags, _addr = self.sock.recvmsg_into(
+                    [self._slots[start:start + self.buf_bytes]])
+            except BlockingIOError:
+                break
+            lengths.append(nbytes)
+        return np.array(lengths, dtype=np.int64)
 
 
 try:
@@ -232,40 +248,32 @@ def send_many(sock, payloads) -> int:
 
 
 class DatagramReceiver:
-    """Burst reads from one UDP socket with preallocated buffers.
+    """Burst reads from one UDP socket into a preallocated ring.
 
     ``recv_burst(timeout, *wake)`` waits up to ``timeout`` for
     readability — returning at once, empty-handed, when one of ``wake``
     (a control pipe, say) becomes readable first — then drains up to
-    ``max_msgs`` datagrams without further blocking:
-    one ``recvmmsg`` on the fast path, repeated ``recvmsg_into`` into a
-    single reused buffer otherwise.  Either way the caller gets a list
-    of ``bytes`` (possibly empty on timeout).
+    ``max_msgs`` datagrams without further blocking: one ``recvmmsg``
+    on the fast path, repeated ``recvmsg_into`` otherwise, into the
+    same ring either way.  It returns ``(data, starts, lengths)``:
+    datagram ``i`` is the ``lengths[i]`` bytes of ``data`` (the ring)
+    from ``starts[i]`` on, valid until the next call.
     """
 
     def __init__(self, sock, *, max_msgs: int = BATCH_MSGS,
                  buf_bytes: int = 65535) -> None:
         self.sock = sock
-        self.max_msgs = max_msgs
         sock.setblocking(False)
-        self._ring = (_RecvRing(sock, max_msgs=max_msgs,
-                                buf_bytes=buf_bytes)
-                      if HAVE_MMSG else None)
-        self._buf = bytearray(buf_bytes)
-        self._view = memoryview(self._buf)
+        self._ring = _RecvRing(sock, max_msgs=max_msgs, buf_bytes=buf_bytes)
+        self._starts = buf_bytes * np.arange(max_msgs, dtype=np.int64)
 
-    def recv_burst(self, timeout: float, *wake) -> list:
+    def recv_burst(self, timeout: float, *wake) -> tuple:
         readable, _, _ = select.select([self.sock, *wake], [], [], timeout)
+        ring = self._ring
         if self.sock not in readable:
-            return []
-        if _fast() and self._ring is not None:
-            return self._ring.recv_now()
-        out = []
-        while len(out) < self.max_msgs:
-            try:
-                nbytes, _anc, _flags, _addr = self.sock.recvmsg_into(
-                    [self._view])
-            except BlockingIOError:
-                break
-            out.append(bytes(self._view[:nbytes]))
-        return out
+            lengths = np.zeros(0, dtype=np.int64)
+        elif _fast():
+            lengths = ring.recv_now()
+        else:
+            lengths = ring.recv_each()
+        return ring.data, self._starts[:len(lengths)], lengths

@@ -39,6 +39,7 @@ from __future__ import annotations
 import socket
 import time
 import weakref
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,54 +106,11 @@ class _Lane:
         self.frames_sent = 0
 
 
-def _sizes(reports: list) -> np.ndarray:
-    return np.fromiter(map(len, reports), dtype=np.int64, count=len(reports))
-
-
-class _Stream:
-    """One slice of reports in flight through the shim, as columns.
-
-    The shim rules on ordinals — the reporter's n-th first
-    transmission is ordinal n — and a stream resolves the ordinals it
-    emits back to rows: row ``i`` is the report ``raw[i]`` (``size[i]``
-    bytes) bound for collector ``shard[i]``.  The rows are the reports
-    the shim still held from earlier slices and calls (``carry``:
-    ordinal -> ``(shard, raw)``), in ordinal order, then this slice's,
-    ordinals ``base`` onward.
-    """
-
-    __slots__ = ("held", "first", "shard", "raw", "size")
-
-    def __init__(self, carry: dict, base: int, shards, raws) -> None:
-        held = sorted(carry)
-        self.held = np.array(held, dtype=np.int64)
-        self.first = base - len(held)   # row of ordinal >= base: o - first
-        self.shard = np.fromiter(shards, dtype=np.int64, count=len(raws))
-        self.raw = np.fromiter(raws, dtype=object, count=len(raws))
-        self.size = _sizes(raws)
-        if held:
-            shards, raws = zip(*map(carry.get, held))
-            self.shard = np.concatenate((shards, self.shard))
-            self.raw = np.concatenate(
-                (np.fromiter(raws, dtype=object, count=len(raws)),
-                 self.raw))
-            self.size = np.concatenate((_sizes(raws), self.size))
-
-    def rows(self, ordinals) -> np.ndarray:
-        """The rows of ``ordinals``."""
-        at = np.fromiter(ordinals, dtype=np.int64, count=len(ordinals))
-        rows = at - self.first
-        if len(self.held):
-            early = at < self.first + len(self.held)
-            rows[early] = np.searchsorted(self.held, at[early])
-        return rows
-
-    def carry(self, ordinals) -> dict:
-        """``ordinal -> (shard, raw)`` for ``ordinals`` (what the shim
-        still holds when the call ends)."""
-        return {ordinal: (int(self.shard[row]), self.raw[row])
-                for ordinal, row in zip(ordinals,
-                                        self.rows(ordinals).tolist())}
+def _take(items, rows) -> list:
+    """``items`` at ``rows`` (an int64 array), gathered at C level."""
+    if len(rows) < 2:
+        return [items[row] for row in rows.tolist()]
+    return list(itemgetter(*rows.tolist())(items))
 
 
 class SocketReporter:
@@ -266,12 +224,12 @@ class SocketReporter:
         Semantically identical to :meth:`transmit_to` over
         ``zip(shards, raws)`` — same shim decisions, same frame
         boundaries, the same envelope bytes — but shard and report stay
-        two columns end to end: the shim rules on a ``range`` of
-        ordinals, its survivors index the columns, and each lane's
-        frames are sealed by one :func:`wrap_frames` call.  The input is
-        streamed: it is read a slice (``_TRANSMIT_SLICE`` reports) at a
-        time — the slice's columns are built, then shim, packer and
-        socket take them, shim holds and the open frame carrying over —
+        two columns end to end: the shim rules on an array of ordinals,
+        the survivors it returns as one index the columns, and each
+        lane's frames are sealed by one :func:`wrap_frames` call.  The
+        input is streamed: it is read a slice (``_TRANSMIT_SLICE``
+        reports) at a time — shim, packer and socket take the slice,
+        shim holds and the open frame carrying over —
         so the first datagrams leave once one slice has been read, and
         the translator is decoding it while the rest of the input is
         untouched.  ``shards`` and ``raws`` are sliced as given (turning
@@ -287,11 +245,9 @@ class SocketReporter:
         self._ordinal = base + count
         for start in range(0, count, _TRANSMIT_SLICE):
             stop = min(start + _TRANSMIT_SLICE, count)
-            stream = _Stream(self._carry, base + start,
-                             shards[start:stop], raws[start:stop])
-            self._emit(stream, self.shim.step_many(
-                range(base + start, base + stop)))
-            self._carry = stream.carry(self.shim.holding)
+            self._emit(self.shim.step_many(np.arange(base + start,
+                                                     base + stop)),
+                       base + start, shards[start:stop], raws[start:stop])
             # Sealed envelopes leave now (the open frame stays open),
             # so the translator works while the next slice is still
             # being read.
@@ -326,22 +282,39 @@ class SocketReporter:
         lane.pending.append(raw)
         lane.pending_bytes += added
 
-    def _emit(self, stream: "_Stream", ordinals) -> None:
-        """Pack the shim's survivors (ordinals, in wire order) into
-        their lanes' frames."""
-        if not ordinals:
-            return
-        rows = stream.rows(ordinals)
+    def _emit(self, ordinals, first: int, shards, raws) -> None:
+        """Pack the shim's survivors into their lanes' frames.
+
+        ``ordinals`` is what the shim let through, in wire order, of a
+        slice whose reports ``raws`` (bound for ``shards``) are
+        ordinals ``first`` onward; an earlier ordinal is a report the
+        shim held from before (``_carry``).  What the shim holds now
+        of this slice joins the carry.
+        """
+        carry = self._carry
+        for ordinal in self.shim.holding:
+            if ordinal >= first:
+                carry[int(ordinal)] = (shards[ordinal - first],
+                                       raws[ordinal - first])
+        rows = ordinals - first
+        reports = _take(raws, np.maximum(rows, 0))
+        early = np.flatnonzero(rows < 0).tolist()
         lanes = self._lanes
         if len(lanes) == 1:
-            self._pack(lanes[0], stream, rows)
+            for at in early:
+                reports[at] = carry.pop(int(ordinals[at]))[1]
+            self._pack(lanes[0], reports)
             return
-        lane_of = stream.shard[rows] % len(lanes)
+        owner = np.fromiter(shards, dtype=np.int64,
+                            count=len(raws))[np.maximum(rows, 0)]
+        for at in early:
+            owner[at], reports[at] = carry.pop(int(ordinals[at]))
+        owner %= len(lanes)
         for index, lane in enumerate(lanes):
-            self._pack(lane, stream, rows[lane_of == index])
+            self._pack(lane, _take(reports, np.flatnonzero(owner == index)))
 
-    def _pack(self, lane: _Lane, stream: "_Stream", rows) -> None:
-        """Greedy-pack the reports at ``rows`` into ``lane``'s frames.
+    def _pack(self, lane: _Lane, reports: list) -> None:
+        """Greedy-pack ``reports`` into ``lane``'s frames.
 
         Produces exactly the frames repeated :meth:`_enqueue` calls
         would: maximal prefixes within the byte budget (an oversize
@@ -349,14 +322,12 @@ class SocketReporter:
         ``MAX_FRAME_REPORTS``, continuing the frame already open; every
         frame but the last is sealed, the last stays open.
         """
-        if not len(rows):
+        if not reports:
             return
-        reports = lane.pending + stream.raw[rows].tolist()
-        sizes = stream.size[rows]
-        if lane.pending:
-            sizes = np.concatenate((_sizes(lane.pending), sizes))
-        # The frame opening at report i ends before report nxt[i].
+        reports = lane.pending + reports
         n = len(reports)
+        sizes = np.fromiter(map(len, reports), dtype=np.int64, count=n)
+        # The frame opening at report i ends before report nxt[i].
         cost = sizes + 2
         cum = np.cumsum(cost)
         nxt = np.searchsorted(cum, cum - cost + self._frame_budget,
@@ -385,7 +356,6 @@ class SocketReporter:
         if pending:
             lane.pending = []
             lane.pending_bytes = 0
-            # One frame: the plain join beats numpy's many-frame setup.
             self._seal(lane, [wrap_frame(lane.seq, pending)], len(pending))
 
     def _seal(self, lane: _Lane, frames: list, reports: int) -> None:

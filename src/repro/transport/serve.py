@@ -421,11 +421,7 @@ def run_reference(spec: ServeSpec, raws,
         assembler = ReportAssembler(
             translators, ClusterMap(collectors=spec.collectors),
             batch_size=spec.batch_size)
-        shim = spec.loss.shim()
-        for raw in raws:
-            for survivor in shim.step(raw):
-                assembler.feed(survivor)
-        for survivor in shim.flush():
+        for survivor in spec.loss.shim().apply(raws):
             assembler.feed(survivor)
         assembler.finish()
         return [store_digest(collector) for collector in collectors]

@@ -72,15 +72,21 @@ def _counters(asm):
     return (asm.reports, asm.malformed, asm.per_report, asm.batches)
 
 
-def run_both(frames, collectors=3, batch_size=5):
-    """Feed frames through both paths; assert identical observables."""
+def run_both(frames, collectors=3, batch_size=5, burst=False):
+    """Feed frames through both paths; assert identical observables.
+
+    The vector path takes each frame as a burst of its own, or with
+    ``burst`` all of them as one."""
     scalar_sinks, scalar_asm = _assembler(collectors, batch_size)
     vector_sinks, vector_asm = _assembler(collectors, batch_size)
     for reports in frames:
-        payload = _frame_payload(reports)
         for raw in reports:
             scalar_asm.feed(raw)
-        vector_asm.feed_frames((payload,))
+        if not burst:
+            vector_asm.feed_frames((_frame_payload(reports),))
+    if burst:
+        vector_asm.feed_frames([_frame_payload(reports)
+                                for reports in frames])
     scalar_asm.finish()
     vector_asm.finish()
     assert _counters(vector_asm) == _counters(scalar_asm)
@@ -228,6 +234,26 @@ class TestFrameDifferential:
         assert asm.reports == 2 * len(good)
         assert asm.malformed == 2 * (len(bad) + len(cut))
 
+    @pytest.mark.parametrize("burst", [False, True])
+    def test_buffer_end_edges_and_mixed_key_lengths(self, burst):
+        """Reads that run to the buffer's end: the last report ending
+        exactly there with the burst's shortest key as its tail, a
+        truncated last report, and a key matrix of mixed lengths."""
+        def report(key, value=1):
+            return packets.make_report(
+                packets.KeyIncrement(key=key, value=value, redundancy=2),
+                reporter_id=1)
+
+        mixed = [report(bytes([i + 1]) * (1 + i * 7 % 13), i)
+                 for i in range(24)]
+        ends_short = mixed + [report(b"k")]
+        truncated = mixed + [report(b"truncated")[:-1]]
+        cut_header = mixed + [report(b"key")[:wire.BASE + 3]]
+        frames = [ends_short, truncated, cut_header]
+        asm = run_both(frames, collectors=3, batch_size=4, burst=burst)
+        assert asm.reports == 3 * len(mixed) + 1
+        assert asm.malformed == 2
+
     def test_postcard_redundancy_zero_is_accepted(self):
         # Postcard.__post_init__ validates key/hop/value but NOT
         # redundancy, so the scalar decoder accepts red=0 — the
@@ -349,22 +375,34 @@ class TestFrameStructure:
         payloads.insert(9, b"")
         payloads.append(_frame_payload([]))         # sound, no rows
         for burst in (payloads, payloads[:1], payloads[7:8], [b""], []):
-            joined, buf, offsets, lengths, truncated = \
-                wire.split_frames(burst)
-            assert joined == b"".join(burst)
-            assert buf.tobytes() == joined
-            want_off, want_len, bad, base = [], [], 0, 0
-            for payload in burst:
-                parts = wire.split_frame(payload)
-                if parts is None:
-                    bad += 1
+            # Joined end to end, and spaced out in fixed slots the way
+            # the receive ring holds them (stale bytes between).
+            for slot in (None, 1 << 12):
+                if slot is None:
+                    data = b"".join(burst)
+                    placed = np.cumsum([0] + [len(p) for p in burst])[:-1]
                 else:
-                    want_off.extend((parts[1] + base).tolist())
-                    want_len.extend(parts[2].tolist())
-                base += len(payload)
-            assert truncated == bad
-            assert offsets.tolist() == want_off
-            assert lengths.tolist() == want_len
+                    data = bytearray(b"\xee" * (slot * len(burst)))
+                    placed = slot * np.arange(len(burst))
+                    for at, payload in zip(placed.tolist(), burst):
+                        data[at:at + len(payload)] = payload
+                    data = bytes(data)
+                starts = np.asarray(placed, dtype=np.int64)
+                totals = np.array([len(p) for p in burst], dtype=np.int64)
+                buf, offsets, lengths, truncated = \
+                    wire.split_frames(data, starts, totals)
+                assert buf.tobytes() == data
+                want_off, want_len, bad = [], [], 0
+                for payload, base in zip(burst, starts.tolist()):
+                    parts = wire.split_frame(payload)
+                    if parts is None:
+                        bad += 1
+                    else:
+                        want_off.extend((parts[1] + base).tolist())
+                        want_len.extend(parts[2].tolist())
+                assert truncated == bad
+                assert offsets.tolist() == want_off
+                assert lengths.tolist() == want_len
 
 
 # ----------------------------------------------------------------------

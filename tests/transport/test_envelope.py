@@ -186,3 +186,110 @@ class TestReassembler:
         r.push(wrap(0, b"r"))
         out = r.push(wrap_end(1, 1))
         assert out[-1][0] == KIND_END
+
+
+class _ModelReassembler:
+    """The per-datagram reassembly rule, written out plainly: the model
+    a burst must reproduce, delivery by delivery and count by count."""
+
+    def __init__(self, horizon):
+        self.horizon = horizon
+        self.next_seq = self.delivered = 0
+        self.duplicates = self.malformed = 0
+        self.pending = {}
+
+    def push(self, datagram):
+        if len(datagram) < 9:
+            self.malformed += 1
+            return []
+        seq, kind, payload = unwrap(datagram)
+        if seq < self.next_seq or seq in self.pending:
+            self.duplicates += 1
+            return []
+        if seq >= self.next_seq + self.horizon:
+            self.malformed += 1
+            return []
+        self.pending[seq] = (kind, payload)
+        out = []
+        while self.next_seq in self.pending:
+            out.append(self.pending.pop(self.next_seq))
+            self.next_seq += 1
+            self.delivered += 1
+        return out
+
+
+class TestBurstReassembly:
+    SLOT = 64
+
+    def _burst(self, ring, datagrams):
+        """Write ``datagrams`` into the ring's slots, as a receive does."""
+        for index, datagram in enumerate(datagrams):
+            at = index * self.SLOT
+            ring[at:at + self.SLOT] = bytes(self.SLOT)
+            ring[at:at + len(datagram)] = datagram
+        starts = self.SLOT * np.arange(len(datagrams), dtype=np.int64)
+        return starts, np.array([len(d) for d in datagrams], dtype=np.int64)
+
+    def test_edge_corpus_matches_the_per_datagram_rule(self):
+        """One burst with a duplicate, a gap a later burst fills (the
+        held datagrams must outlive their ring slots), a seq past the
+        horizon, a short datagram, a single and an END mid-burst."""
+        bursts = [
+            [wrap(0, b"frame-0", KIND_FRAME), wrap(1, b"single"),
+             wrap_end(2, 2), wrap(2, b"again"),           # duplicate
+             wrap(4, b"held-4", KIND_FRAME),               # gap at 3
+             wrap(9, b"far"),                              # past horizon
+             b"short", wrap(4, b"held-again"),             # dup, pending
+             wrap(5, b"held-5", KIND_FRAME)],
+            [wrap(3, b"fills-3", KIND_FRAME), wrap(6, b"then-6")],
+            [wrap(8, b"held-8"), wrap(6, b"stale")],
+            [wrap(7, b"fills-7", KIND_FRAME), wrap_end(9, 6)],
+        ]
+        model, reassembler = _ModelReassembler(4), Reassembler(horizon=4)
+        ring = bytearray(self.SLOT * 16)
+        for burst in bursts:
+            want = [pair for datagram in burst
+                    for pair in model.push(datagram)]
+            kinds, data, starts, lengths = reassembler.push_burst(
+                ring, *self._burst(ring, burst))
+            got = [(kind, bytes(data[start:start + length]))
+                   for kind, start, length in zip(
+                       kinds.tolist(), starts.tolist(), lengths.tolist())]
+            assert got == want
+            assert (reassembler.delivered, reassembler.duplicates,
+                    reassembler.malformed, reassembler.waiting) == (
+                model.delivered, model.duplicates, model.malformed,
+                len(model.pending))
+        assert reassembler.next_seq == 10
+        assert (model.duplicates, model.malformed) == (3, 2)
+
+    @pytest.mark.parametrize("seed", [2, 19])
+    def test_shuffled_bursts_match_the_per_datagram_rule(self, seed):
+        rng = random.Random(seed)
+        datagrams = [wrap(seq, b"p%d" % seq, rng.choice(
+            [KIND_FRAME, KIND_REPORT])) for seq in range(300)]
+        datagrams += rng.sample(datagrams, 30) + [b"x" * rng.randrange(9)
+                                                  for _ in range(5)]
+        # Kernel-style reordering: mostly in order, local swaps.
+        for _ in range(60):
+            at = rng.randrange(len(datagrams) - 3)
+            datagrams[at], datagrams[at + 3] = datagrams[at + 3], \
+                datagrams[at]
+        model, reassembler = _ModelReassembler(16), Reassembler(horizon=16)
+        ring = bytearray(self.SLOT * 32)
+        at = 0
+        while at < len(datagrams):
+            burst = datagrams[at:at + rng.randrange(1, 33)]
+            at += len(burst)
+            want = [pair for datagram in burst
+                    for pair in model.push(datagram)]
+            kinds, data, starts, lengths = reassembler.push_burst(
+                ring, *self._burst(ring, burst))
+            assert [(kind, bytes(data[start:start + length]))
+                    for kind, start, length in zip(
+                        kinds.tolist(), starts.tolist(),
+                        lengths.tolist())] == want
+        assert (reassembler.delivered, reassembler.duplicates,
+                reassembler.malformed, reassembler.waiting) == (
+            model.delivered, model.duplicates, model.malformed,
+            len(model.pending))

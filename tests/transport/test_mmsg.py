@@ -16,6 +16,13 @@ import pytest
 from repro.transport import mmsg
 
 
+def _datagrams(burst) -> list:
+    """A ``recv_burst`` result as the datagrams' bytes, in order."""
+    data, starts, lengths = burst
+    return [data[start:start + length]
+            for start, length in zip(starts.tolist(), lengths.tolist())]
+
+
 def _pair():
     a = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     b = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -40,7 +47,7 @@ def _roundtrip(payloads, max_msgs):
         assert mmsg.send_many(a, payloads) == len(payloads)
         got = []
         while len(got) < len(payloads):
-            burst = receiver.recv_burst(2.0)
+            burst = _datagrams(receiver.recv_burst(2.0))
             if not burst:
                 break
             assert len(burst) <= max_msgs
@@ -89,7 +96,7 @@ def test_recv_burst_timeout_returns_empty():
     a, b = _pair()
     try:
         receiver = mmsg.DatagramReceiver(b)
-        assert receiver.recv_burst(0.05) == []
+        assert _datagrams(receiver.recv_burst(0.05)) == []
     finally:
         a.close()
         b.close()
@@ -103,7 +110,8 @@ def test_recv_burst_returns_when_a_wake_source_is_readable():
     try:
         poke.send(b"!")
         start = time.monotonic()
-        assert mmsg.DatagramReceiver(b).recv_burst(5.0, wake) == []
+        assert _datagrams(
+            mmsg.DatagramReceiver(b).recv_burst(5.0, wake)) == []
         assert time.monotonic() - start < 1.0
     finally:
         for sock in (a, b, wake, poke):
@@ -141,7 +149,7 @@ def test_fallback_traffic_decodes_on_fast_receiver(gate):
         gate(None)
         got = []
         while len(got) < 40:
-            burst = receiver.recv_burst(2.0)
+            burst = _datagrams(receiver.recv_burst(2.0))
             if not burst:
                 break
             got.extend(burst)
@@ -163,7 +171,7 @@ def test_a_datagram_longer_than_a_ring_slot_is_cut_to_it(use_mmsg, gate):
         gate(use_mmsg)
         got = []
         while len(got) < 3:
-            burst = receiver.recv_burst(2.0)
+            burst = _datagrams(receiver.recv_burst(2.0))
             if not burst:
                 break
             got.extend(burst)
