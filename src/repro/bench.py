@@ -1,9 +1,9 @@
 """Gates and the verdict the ``repro`` run commands print.
 
-``repro serve``, ``retain``, ``query --smoke`` and ``faults --smoke``
-each drive one lane of the system and hold the result to correctness
-gates — digest equality with the scalar reference, conservation, zero
-loss.  They report the same way:
+``repro serve``, ``retain`` and ``faults`` each drive one lane of the
+system and hold the result to correctness gates — digest equality with
+the scalar reference, conservation, zero loss.  They report the same
+way:
 
 * :func:`gate` — ``{gate, value, threshold, pass}``: a boolean must
   equal its threshold, a number must reach it;

@@ -10,9 +10,9 @@
     python -m repro rates                    # Table 1 report rates
     python -m repro stats --loss 0.05        # obs registry after a sim
     python -m repro faults --seed 7          # chaos run + recovery audit
-    python -m repro query --smoke            # query catalog vs serial
-    python -m repro serve --smoke            # UDP daemons vs in-process
-    python -m repro retain --smoke           # rotation + checkpoint
+    python -m repro query                    # query catalog + costs
+    python -m repro serve                    # UDP daemons vs in-process
+    python -m repro retain                   # rotation + checkpoint
 """
 
 from __future__ import annotations
@@ -202,7 +202,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    """Run the chaos scenario and audit recovery; gate on --smoke."""
+    """Run the chaos scenario and audit recovery; exit 1 unless every
+    essential report is queryable."""
+    from repro import bench
     from repro.faults import default_plan, run_chaos
 
     plan = default_plan(seed=args.seed)
@@ -217,14 +219,9 @@ def _cmd_faults(args) -> int:
     if result.missing and not args.quiet:
         print(f"missing: {', '.join(result.missing[:16])}"
               + (" ..." if len(result.missing) > 16 else ""))
-    if args.smoke:
-        # CI gate: every essential report must survive the barrage.
-        from repro import bench
-
-        return bench.verdict({"obs_digest": result.digest}, [
-            bench.gate("every essential report queryable",
-                       result.all_recovered)])
-    return 0
+    return bench.verdict({"obs_digest": result.digest}, [
+        bench.gate("every essential report queryable",
+                   result.all_recovered)])
 
 
 def _cmd_rates(args) -> int:
@@ -325,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--no-failover", action="store_true",
                         help="leave the crashed primary unserved "
                              "(shows what the standby is for)")
-    faults.add_argument("--smoke", action="store_true",
-                        help="exit non-zero unless every essential "
-                             "report is queryable (CI chaos gate)")
     faults.add_argument("--quiet", action="store_true",
                         help="summary line only")
     faults.set_defaults(fn=_cmd_faults)

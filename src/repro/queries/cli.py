@@ -1,6 +1,6 @@
-"""The ``repro query`` command: one-shot plans, a serve loop, CI smoke.
+"""The ``repro query`` command: one-shot plans and a serve loop.
 
-Three modes over one seeded mixed-primitive deployment:
+Two modes over one seeded mixed-primitive deployment:
 
 * **one-shot** (default): stream the workload, evaluate the shipped
   catalog once against the drained stores, print result summaries and
@@ -9,20 +9,17 @@ Three modes over one seeded mixed-primitive deployment:
   the stream is still ingesting — each tick snapshots the stores at a
   batch boundary, so the printed results are torn-free mid-stream
   reads (the long-running query daemon, compressed into N epochs).
-* **--smoke**: the CI differential gate — run the streamed lane and
-  the ``workers=0`` serial reference on the same workload and exit
-  non-zero unless every catalog plan returns identical rows, the store
-  digests match, and no report was lost.
 
 ``--cost-out`` writes the per-query cost-accounting artifact
-(``repro-query-costs/1``) that CI uploads as a build artifact.
+(``repro-query-costs/1``).  That the streamed catalog equals the
+``workers=0`` serial reference is a tier-1 test
+(``tests/queries/test_differential.py``), not a mode of this command.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro import bench
 from repro.queries import catalog
 from repro.queries.serving import QueryServer
 
@@ -59,16 +56,12 @@ def _write_cost_artifact(path: str, report: dict, extra: dict) -> None:
 
 def run_query_command(args) -> int:
     """Entry point behind ``repro query``; returns the exit code."""
-    reports = min(args.reports, 1500) if args.smoke else args.reports
-    works = catalog.demo_workloads(reports, args.seed)
+    works = catalog.demo_workloads(args.reports, args.seed)
 
     if args.list:
         for name, plan in sorted(catalog.shipped_plans(works).items()):
             print(f"{name:<16} {plan.describe()}")
         return 0
-
-    if args.smoke:
-        return _run_smoke(args, works)
 
     if args.serve:
         return _run_serve(args, works)
@@ -77,8 +70,8 @@ def run_query_command(args) -> int:
     _registry, collector, _engine, zero_loss = catalog.stream_mixed(
         works, workers=args.workers, batch_size=args.batch_size)
     results, cost = catalog.run_catalog(collector, works)
-    print(f"query: {reports} reports x {len(catalog.MIXED)} primitives, "
-          f"workers={args.workers}, seed={args.seed}, "
+    print(f"query: {args.reports} reports x {len(catalog.MIXED)} "
+          f"primitives, workers={args.workers}, seed={args.seed}, "
           f"zero_loss={zero_loss}")
     for name in sorted(results):
         print(_summarize(name, results[name]))
@@ -87,7 +80,7 @@ def run_query_command(args) -> int:
     if args.cost_out:
         _write_cost_artifact(args.cost_out, cost,
                              {"mode": "oneshot", "seed": args.seed,
-                              "reports": reports})
+                              "reports": args.reports})
     return 0
 
 
@@ -125,38 +118,6 @@ def _run_serve(args, works) -> int:
     return 0
 
 
-def _run_smoke(args, works) -> int:
-    """CI gate: streamed catalog == serial catalog, digests equal."""
-    _sreg, s_collector, _seng, s_zero = catalog.stream_mixed(
-        works, workers=max(args.workers, 1), batch_size=args.batch_size)
-    streamed_results, streamed_cost = catalog.run_catalog(
-        s_collector, works)
-    streamed_digest = catalog.lane_digest(s_collector)
-
-    _rreg, r_collector, _reng, r_zero = catalog.stream_mixed(
-        works, workers=0, batch_size=args.batch_size)
-    serial_results, _serial_cost = catalog.run_catalog(
-        r_collector, works)
-    serial_digest = catalog.lane_digest(r_collector)
-
-    gates = [
-        bench.gate("store digests match",
-                   streamed_digest == serial_digest),
-        bench.gate("zero report loss", s_zero and r_zero),
-    ]
-    for name in sorted(serial_results):
-        gates.append(bench.gate(
-            f"plan '{name}' matches serial",
-            streamed_results[name] == serial_results[name]))
-    if args.cost_out:
-        _write_cost_artifact(
-            args.cost_out, streamed_cost,
-            {"mode": "smoke", "seed": args.seed,
-             "store_digest": streamed_digest, "gates": gates,
-             "pass": all(gate["pass"] for gate in gates)})
-    return bench.verdict({"store_digest": streamed_digest}, gates)
-
-
 def add_query_parser(sub) -> None:
     """Register the ``query`` subcommand on the main CLI parser."""
     query = sub.add_parser(
@@ -172,10 +133,6 @@ def add_query_parser(sub) -> None:
     query.add_argument("--serve", type=int, default=0, metavar="EPOCHS",
                        help="re-evaluate the catalog each of EPOCHS "
                             "ingest epochs, live (the query daemon)")
-    query.add_argument("--smoke", action="store_true",
-                       help="CI gate: streamed catalog results + store "
-                            "digest must equal the workers=0 serial "
-                            "reference")
     query.add_argument("--list", action="store_true",
                        help="print the shipped catalog and exit")
     query.add_argument("--cost-out", default=None, metavar="PATH",

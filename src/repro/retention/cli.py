@@ -1,10 +1,10 @@
-"""The ``repro retain`` command: the retention tier's CI gate.
+"""The ``repro retain`` command: the retention tier's gates.
 
-``repro retain --smoke`` runs the seeded bounded-memory +
+``repro retain`` runs the seeded bounded-memory +
 checkpoint-round-trip lane (:mod:`repro.retention.smoke`), prints its
-store digest and gates (:func:`repro.bench.verdict`), and leaves the
-checkpoint directory behind for artifact upload (``--ckpt-dir``).
-Exit status is the gate verdict.
+store digest and gates (:func:`repro.bench.verdict`), and keeps the
+checkpoint directory when asked (``--ckpt-dir``).  Exit status is the
+gate verdict.
 """
 
 from __future__ import annotations
@@ -14,15 +14,8 @@ def _cmd_retain(args) -> int:
     from repro import bench
     from repro.retention.smoke import run_retain
 
-    if args.smoke:
-        # CI-scale parameters: a couple of seconds, deterministic.
-        epochs = min(args.epochs, 8)
-        reports_per_epoch = min(args.reports_per_epoch, 256)
-    else:
-        epochs = args.epochs
-        reports_per_epoch = args.reports_per_epoch
-    result = run_retain(epochs=epochs,
-                        reports_per_epoch=reports_per_epoch,
+    result = run_retain(epochs=args.epochs,
+                        reports_per_epoch=args.reports_per_epoch,
                         batch_size=args.batch_size,
                         window=args.window, seed=args.seed,
                         workers=args.workers, ckpt_dir=args.ckpt_dir)
@@ -34,9 +27,7 @@ def add_retain_parser(sub) -> None:
     """Install ``repro retain`` on the main CLI's subparsers."""
     retain = sub.add_parser(
         "retain",
-        help="retention tier: rotation smoke + checkpoint gate")
-    retain.add_argument("--smoke", action="store_true",
-                        help="CI-scale run (caps epochs/reports)")
+        help="retention tier: rotation + checkpoint gates")
     retain.add_argument("--epochs", type=int, default=8,
                         help="sealed epochs to stream (default 8)")
     retain.add_argument("--reports-per-epoch", type=int, default=256,

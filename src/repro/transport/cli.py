@@ -3,7 +3,7 @@
 Runs the socket lane against the in-process reference, prints the
 store digests, the daemons' obs digest and the gates
 (:func:`repro.bench.verdict`) and exits non-zero unless every gate
-holds.  ``--smoke`` caps the stream for CI.
+holds.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from repro import bench
 from repro.transport.loss import LossSpec
 from repro.transport.serve import ServeSpec, run_serve
 from repro.workloads.reports import PRIMITIVES
-
-_SMOKE_REPORTS = 4000
 
 
 def add_transport_parsers(sub) -> None:
@@ -52,17 +50,12 @@ def add_transport_parsers(sub) -> None:
     parser.add_argument("--scalar-translate", action="store_true",
                         help="disable the vectorized translator plan "
                              "halves (vectorized is the default)")
-    parser.add_argument("--smoke", action="store_true",
-                        help=f"cap reports at {_SMOKE_REPORTS} for CI")
 
 
 def _spec(args) -> ServeSpec:
-    reports = args.reports
-    if args.smoke:
-        reports = min(reports, _SMOKE_REPORTS)
     return ServeSpec(
         primitive=args.primitive,
-        reports=reports,
+        reports=args.reports,
         collectors=args.collectors,
         batch_size=args.batch_size,
         seed=args.seed,

@@ -429,6 +429,27 @@ def run_reference(spec: ServeSpec, raws,
         obs.set_registry(previous)
 
 
+def transport_gates(reporter, sent: int, stats: dict) -> list:
+    """The socket lane's own conservation gates, once ``reporter``'s
+    ``sent`` reports are drained into ``stats`` (:meth:`SocketLane.drain`).
+    """
+    return [
+        bench.gate("every surviving datagram delivered in order",
+                   stats["delivered"] == sum(reporter.lane_seqs)
+                   and stats["waiting"] == 0),
+        bench.gate("every delivered report decoded",
+                   stats["reports"] == sent and stats["malformed"] == 0),
+        # Received ≤ sent, not ==: the daemons keep idle re-ACKing
+        # after the reporter stops polling, and UDP may shed control
+        # datagrams under pressure — neither may *create* bytes.
+        bench.gate("control channel conserved (ACK/NACK bytes accounted)",
+                   reporter.ctrl_datagrams_received
+                   <= stats["ctrl_datagrams_sent"]
+                   and reporter.ctrl_bytes_received
+                   <= stats["ctrl_bytes_sent"]),
+    ]
+
+
 def run_serve(spec: ServeSpec) -> dict:
     """Run the deployment lane end to end.
 
@@ -469,20 +490,7 @@ def run_serve(spec: ServeSpec) -> dict:
     finally:
         obs.set_registry(previous)
 
-    gates = [
-        bench.gate("every surviving datagram delivered in order",
-                   stats["delivered"] == sum(socket["lane_seqs"])
-                   and stats["waiting"] == 0),
-        bench.gate("every delivered report decoded",
-                   stats["reports"] == sent and stats["malformed"] == 0),
-        # Received ≤ sent, not ==: the daemons keep idle re-ACKing
-        # after the reporter stops polling, and UDP may shed control
-        # datagrams under pressure — neither may *create* bytes.
-        bench.gate("control channel conserved (ACK/NACK bytes accounted)",
-                   socket["ctrl_datagrams_received"]
-                   <= stats["ctrl_datagrams_sent"]
-                   and socket["ctrl_bytes_received"]
-                   <= stats["ctrl_bytes_sent"]),
+    gates = transport_gates(reporter, sent, stats) + [
         bench.gate("socket-lane store digests match in-process lane",
                    socket["store_digests"] == ref_digests),
         bench.gate("socket-lane obs digest matches in-process lane",

@@ -6,7 +6,8 @@ matrix").  The rig is what every differential shares:
 
 * :func:`deploy` — ``bench.deployment`` at the small
   :data:`GEOMETRY`, serving the toy sixth primitive of
-  ``tests/core/test_primitives.py`` when asked;
+  ``tests/core/test_primitives.py`` when asked, or (``serve=``) only
+  the stores a test provisions itself;
 * :data:`LANES` — lane name -> :class:`Lane`, whose ``drive`` feeds a
   :class:`Stream` through that lane on a fresh deployment;
 * :func:`signature` — what lanes are compared on.
@@ -18,6 +19,7 @@ other differentials :func:`run` the lanes they need.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import multiprocessing
 import os
@@ -31,6 +33,7 @@ from repro import bench, obs
 from repro.core import primitives
 from repro.core.batch import ReportBatch
 from repro.core.cluster import ClusterMap
+from repro.core.collector import Collector
 from repro.kernels import burst as kburst
 from repro.obs.registry import Snapshot
 from repro.retention.epochs import RetentionPolicy
@@ -45,6 +48,7 @@ from repro.transport.serve import (
     SocketLane,
     route_report,
     run_reference,
+    transport_gates,
 )
 from repro.workloads import reports as workload
 
@@ -144,21 +148,32 @@ def stream(row: str, *, traffic: str = "clean", reports: int = REPORTS,
 
 
 @contextlib.contextmanager
-def geometry():
-    """:data:`GEOMETRY` in force while open."""
+def geometry(serve: Callable | None = None):
+    """:data:`GEOMETRY` in force while open, and ``serve`` if given
+    (:func:`deploy`)."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in GEOMETRY.items():
             patch.setattr(workload, name, value)
+        if serve is not None:
+            patch.setattr(workload, "provision_collector",
+                          functools.partial(_served, serve))
         yield
+
+
+def _served(serve: Callable, name: str, **_kw) -> Collector:
+    collector = Collector(name)
+    serve(collector)
+    return collector
 
 
 @contextlib.contextmanager
 def deploy(*, vectorized: bool = False, sketch_width: int = 0,
-           toy: bool = False):
+           toy: bool = False, serve: Callable | None = None):
     """``bench.deployment`` at :data:`GEOMETRY`, serving the toy too
     when ``toy`` (the caller has made it a registry row:
-    ``install_toy``)."""
-    with geometry(), bench.deployment(
+    ``install_toy``); ``serve(collector)``, if given, provisions a bare
+    collector in place of the workload's stores."""
+    with geometry(serve), bench.deployment(
             vectorized=vectorized, sketch_width=sketch_width) as deployment:
         if toy:
             from tests.core.test_primitives import TOY
@@ -231,18 +246,19 @@ def engine(*, sketch_width: int = 0, toy: bool = False,
 
 
 def direct(feed: Callable, *, vectorized: bool = False,
-           sketch_width: int = 0, toy: bool = False) -> tuple:
+           sketch_width: int = 0, toy: bool = False,
+           serve: Callable | None = None) -> tuple:
     """``feed(translator, reporter)`` on a fresh :func:`deploy`, then
     the end-of-stream Append flush; returns ``(signature, weakrefs)``."""
     with pytest.MonkeyPatch.context() as patch, deploy(
-            vectorized=vectorized, sketch_width=sketch_width,
-            toy=toy) as (registry, collector, translator, reporter):
+            vectorized=vectorized, sketch_width=sketch_width, toy=toy,
+            serve=serve) as (registry, collector, translator, reporter):
         kernels = count_kernels(patch)
         feed(translator, reporter)
         translator.flush_appends()
         return signature(registry, collector, kernels), _refs(
             registry=registry, collector=collector,
-            region=collector.keywrite.region)
+            region=primitives.served(collector)[0][1].region)
 
 
 @dataclass(frozen=True)
@@ -353,20 +369,22 @@ def serve_spec(stream: Stream, translators: int) -> ServeSpec:
                      reports=stream.sketch_width or len(stream))
 
 
-def serve_reference(stream: Stream, translators: int) -> str:
-    """``pipeline_digest`` of ``run_reference``'s registry over
-    ``stream``: what the socket lane's daemons must roll up to."""
+def serve_reference(stream: Stream, translators: int) -> dict:
+    """``run_reference`` over ``stream``: each shard's store digest and
+    the ``pipeline_digest`` of its registry — the socket lane's
+    signature, what its daemons must leave and roll up to."""
     registry = obs.Registry()
     with geometry():
-        run_reference(serve_spec(stream, translators), stream.raws(),
-                      registry)
-    return pipeline_digest(registry.snapshot())
+        stores = run_reference(serve_spec(stream, translators),
+                               stream.raws(), registry)
+    return {"stores": stores, "obs": pipeline_digest(registry.snapshot())}
 
 
 def _socket_lane(translators: int) -> Callable:
     """The real socket lane: each shard's store digest and the obs
-    digest of the daemons' roll-up.  No ``/dev/shm`` segment the lane
-    made and no ``dta-*`` daemon may outlive it."""
+    digest of the daemons' roll-up, once ``transport_gates`` (what
+    ``repro serve`` gates on besides digests) hold.  No ``/dev/shm``
+    segment the lane made and no ``dta-*`` daemon may outlive it."""
     def drive(stream: Stream):
         raws = stream.raws()
         cmap = ClusterMap(collectors=translators)
@@ -378,11 +396,13 @@ def _socket_lane(translators: int) -> Callable:
                 segments = [shm.name for shm in lane._segments]
                 reporter = lane.reporter
                 lane.send(raws, [route_report(cmap, raw) for raw in raws])
-                lane.end_stream()
-                lane.drain()
+                sent = lane.end_stream()
+                gates = transport_gates(reporter, sent, lane.drain())
                 stores = lane.digests()
         finally:
             obs.set_registry(previous)
+        failed = [gate["gate"] for gate in gates if not gate["pass"]]
+        assert not failed, f"the socket lane failed {failed}"
         left = [name for name in segments
                 if os.path.exists(f"/dev/shm/{name}")]
         left += [proc.name for proc in multiprocessing.active_children()

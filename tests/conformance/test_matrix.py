@@ -22,13 +22,24 @@ batches (its code does not fit the wire's four-bit primitive field).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 pytest.importorskip("numpy")
 
 from repro.core import primitives
+from repro.transport import reporter as reporter_mod
+from repro.transport.loss import LossSpec
 from tests import conformance
 from tests.conformance import BATCHES, LANES, ROTATION, TRAFFIC
+
+#: The heavy-reorder case: a shim inside the socket lane holding ~30 %
+#: of reports for up to five sends, and a transmit slice that cuts the
+#: stream into three.
+HEAVY = LossSpec(seed=conformance.SEED, drop_rate=0.05, reorder_rate=0.3,
+                 reorder_span=5)
+SLICE = 32
 
 CASES = [pytest.param(row, lane, id=f"{row}-{lane}")
          for row in conformance.rows()
@@ -58,7 +69,7 @@ def _check(row, lane, batch, traffic, rotating) -> None:
         assert got["stores"] == [_reference(*shard)["store"]
                                  for shard in shards]
         assert got["obs"] == conformance.serve_reference(
-            stream, spec.shards), "obs digest differs"
+            stream, spec.shards)["obs"], "obs digest differs"
         return
     want = _reference(stream, key)
     assert got["store"] == want["store"], "store bytes differ"
@@ -108,3 +119,28 @@ def test_a_batch_revisits_slots_at_the_rig_geometry():
             keys = conformance.stream(row).work["keys"][:64]
             hits = [index(n, key) for key in keys for n in range(2)]
             assert len(hits) - len(set(hits)) >= 10, row
+
+
+def test_heavy_reorder_holds_cross_the_reporters_slices(monkeypatch):
+    """The socket lane with :data:`HEAVY` inside it, its reporter
+    reading :data:`SLICE` reports at a time: a report the shim holds at
+    a slice's end leaves from the carry in a later slice, and the lane
+    still leaves what ``run_reference`` leaves behind the same shim."""
+    stream = conformance.stream("key_write")
+    assert len(stream) >= 3 * SLICE
+    spec = conformance.serve_spec
+    monkeypatch.setattr(conformance, "serve_spec",
+                        lambda *args: replace(spec(*args), loss=HEAVY))
+    monkeypatch.setattr(reporter_mod, "_TRANSMIT_SLICE", SLICE)
+    carried = []
+    emit = reporter_mod.SocketReporter._emit
+
+    def spy(self, ordinals, first, *args):
+        carried.append(int((ordinals < first).sum()))
+        return emit(self, ordinals, first, *args)
+
+    monkeypatch.setattr(reporter_mod.SocketReporter, "_emit", spy)
+    got = conformance.run("socket2", stream)
+    assert len(carried) >= 3 and sum(carried) > 0, (
+        f"no hold crossed a slice boundary: {carried}")
+    assert got == conformance.serve_reference(stream, 2)

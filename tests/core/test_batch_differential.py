@@ -16,11 +16,8 @@ import pytest
 
 from repro import obs
 from repro.core.batch import ReportBatch
-from repro.core.collector import Collector
 from repro.core.packets import DtaPrimitive
 from repro.core.primitives import BY_CODE
-from repro.core.reporter import Reporter
-from repro.core.translator import Translator
 from repro.fabric.link import Link
 from repro.fabric.simulator import Simulator
 from repro.runtime import store_digest
@@ -60,45 +57,32 @@ class TestBatchDifferential:
             assert got["shared"] == baseline[row]["shared"], row
 
 
+def _serve_append(batch_size: int):
+    return lambda collector: collector.serve_append(
+        lists=1, capacity=64, data_bytes=4, batch_size=batch_size)
+
+
 class TestBatchSemantics:
     def test_append_partial_batch_flushes_like_per_report(self):
         # 5 appends against batch_size=8: nothing commits until the
         # explicit flush, exactly as on the per-report path.
-        registry = obs.Registry()
-        previous = obs.set_registry(registry)
-        try:
-            collector = Collector()
-            collector.serve_append(lists=1, capacity=64, data_bytes=4,
-                                   batch_size=8)
-            translator = Translator()
-            collector.connect_translator(translator)
-            reporter = Reporter("ap", 1,
-                                transmit=translator.handle_report,
-                                transmit_batch=translator.process_batch)
+        with conformance.deploy(serve=_serve_append(8)) as (
+                _registry, _collector, translator, reporter):
             reporter.send_batch(ReportBatch.appends(
                 [0] * 5, [struct.pack(">I", i) for i in range(5)]))
             assert translator.append_head(0) == 0
             translator.flush_appends()
             assert translator.append_head(0) == 5
-        finally:
-            obs.set_registry(previous)
 
     def test_batched_postcarding_evicts_like_per_report(self):
         # Two flows through a single-slot-per-key workload with full
         # paths: completed paths must emit whether driven one report at
         # a time or as one batch.
         def drive(batched):
-            registry = obs.Registry()
-            previous = obs.set_registry(registry)
-            try:
-                collector = Collector()
-                collector.serve_postcarding(chunks=1 << 6,
-                                            value_set=range(16), hops=3)
-                translator = Translator()
-                collector.connect_translator(translator)
-                reporter = Reporter(
-                    "pc", 1, transmit=translator.handle_report,
-                    transmit_batch=translator.process_batch)
+            with conformance.deploy(
+                    serve=lambda collector: collector.serve_postcarding(
+                        chunks=1 << 6, value_set=range(16), hops=3)) as (
+                    _registry, collector, translator, reporter):
                 keys = [struct.pack(">I", f) for f in (1, 2)
                         for _ in range(3)]
                 hops = [0, 1, 2, 0, 1, 2]
@@ -114,8 +98,6 @@ class TestBatchSemantics:
                 store = collector.postcarding
                 return (translator.stats.rdma_messages,
                         store.region.local_read(0, store.region.length))
-            finally:
-                obs.set_registry(previous)
 
         assert drive(batched=True) == drive(batched=False)
         messages, raw = drive(batched=True)
@@ -125,14 +107,8 @@ class TestBatchSemantics:
         # process_batch validates the whole batch before touching any
         # state (documented difference from per-report prefix
         # processing): an unknown list id anywhere rejects everything.
-        registry = obs.Registry()
-        previous = obs.set_registry(registry)
-        try:
-            collector = Collector()
-            collector.serve_append(lists=1, capacity=64, data_bytes=4,
-                                   batch_size=2)
-            translator = Translator()
-            collector.connect_translator(translator)
+        with conformance.deploy(serve=_serve_append(2)) as (
+                _registry, _collector, translator, _reporter):
             batch = ReportBatch.appends(
                 [0, 0, 9], [struct.pack(">I", i) for i in range(3)])
             before = translator.stats.reports_in
@@ -141,8 +117,6 @@ class TestBatchSemantics:
             translator.flush_appends()
             assert translator.append_head(0) == 0
             assert translator.stats.reports_in == before
-        finally:
-            obs.set_registry(previous)
 
 
 class TestMalformedReportsTouchNothing:
@@ -151,56 +125,58 @@ class TestMalformedReportsTouchNothing:
     batched (the whole batch) and per report (that report)."""
 
     @staticmethod
-    def _deploy():
-        collector = Collector()
+    def _serve(collector) -> None:
         collector.serve_postcarding(chunks=1 << 6, value_set=range(16),
                                     hops=5)
         collector.serve_append(lists=2, capacity=64, data_bytes=4,
                                batch_size=16)
-        translator = Translator()
-        collector.connect_translator(translator)
-        reporter = Reporter("bad", 1, transmit=translator.handle_report,
-                            transmit_batch=translator.process_batch)
-        return collector, translator, reporter
 
     def test_hop_beyond_the_cache(self):
         keys = [struct.pack(">I", 1)] * 3
-        collector, translator, reporter = self._deploy()
-        cache = translator._lanes[DtaPrimitive.POSTCARDING].cache
-        with pytest.raises(IndexError):
-            translator.process_batch(ReportBatch.postcards(
-                keys, [0, 7, 1], [3, 4, 5], path_lengths=[5] * 3))
-        assert translator.stats.reports_in == 0
-        assert translator.stats.postcards == 0
-        assert cache.stats.postcards == 0 and cache.occupancy == 0
+        with conformance.deploy(serve=self._serve) as (
+                _registry, _collector, translator, reporter):
+            cache = translator._lanes[DtaPrimitive.POSTCARDING].cache
+            with pytest.raises(IndexError):
+                translator.process_batch(ReportBatch.postcards(
+                    keys, [0, 7, 1], [3, 4, 5], path_lengths=[5] * 3))
+            assert translator.stats.reports_in == 0
+            assert translator.stats.postcards == 0
+            assert cache.stats.postcards == 0 and cache.occupancy == 0
 
-        reporter.postcard(keys[0], 0, 3, path_length=5)
-        with pytest.raises(IndexError):
-            reporter.postcard(keys[0], 7, 4, path_length=5)
-        reporter.postcard(keys[0], 1, 5, path_length=5)
-        assert translator.stats.postcards == 2
-        assert cache.stats.postcards == 2 and cache.occupancy == 1
+            reporter.postcard(keys[0], 0, 3, path_length=5)
+            with pytest.raises(IndexError):
+                reporter.postcard(keys[0], 7, 4, path_length=5)
+            reporter.postcard(keys[0], 1, 5, path_length=5)
+            assert translator.stats.postcards == 2
+            assert cache.stats.postcards == 2 and cache.occupancy == 1
 
     def test_append_datum_wider_than_the_entries(self):
         good = [struct.pack(">I", i) for i in range(40)]
-        collector, translator, reporter = self._deploy()
-        with pytest.raises(ValueError, match="too wide"):
-            translator.process_batch(ReportBatch.appends(
-                [0] * 3, [good[0], b"12345", good[1]]))
-        assert translator.stats.reports_in == 0
-        assert translator.stats.appends == 0
-        assert not translator._lanes[DtaPrimitive.APPEND].batches.get(0)
+        with conformance.deploy(serve=self._serve) as (
+                _registry, collector, translator, reporter):
+            with pytest.raises(ValueError, match="too wide"):
+                translator.process_batch(ReportBatch.appends(
+                    [0] * 3, [good[0], b"12345", good[1]]))
+            assert translator.stats.reports_in == 0
+            assert translator.stats.appends == 0
+            assert not translator._lanes[DtaPrimitive.APPEND].batches.get(0)
 
-        reporter.append(0, good[0])
-        with pytest.raises(ValueError, match="too wide"):
-            reporter.append(0, b"12345")
-        # The list is not poisoned: it fills, flushes and drains.
-        for data in good[1:]:
-            reporter.append(0, data)
-        translator.flush_appends()
-        assert translator.append_head(0) == 40
-        assert collector.append.poller(0).poll() == good
+            reporter.append(0, good[0])
+            with pytest.raises(ValueError, match="too wide"):
+                reporter.append(0, b"12345")
+            # The list is not poisoned: it fills, flushes and drains.
+            for data in good[1:]:
+                reporter.append(0, data)
+            translator.flush_appends()
+            assert translator.append_head(0) == 40
+            assert collector.append.poller(0).poll() == good
 
+    @staticmethod
+    def _serve_every(collector) -> None:
+        collector.serve_keywrite(slots=64, data_bytes=4)
+        collector.serve_postcarding(chunks=64, value_set=range(16), hops=5)
+        collector.serve_append(lists=2, capacity=64, data_bytes=4)
+        collector.serve_sketch(width=16, depth=4, expected_reporters=1)
 
     # Every lane's ``check``: eight reports, the third of which the
     # provisioned service cannot hold.
@@ -233,41 +209,37 @@ class TestMalformedReportsTouchNothing:
     def test_every_check_rejects_before_anything_moves(self, case,
                                                        vectorized):
         error, build = self._REJECTED[case]
-        collector = Collector()
-        collector.serve_keywrite(slots=64, data_bytes=4)
-        collector.serve_postcarding(chunks=64, value_set=range(16), hops=5)
-        collector.serve_append(lists=2, capacity=64, data_bytes=4)
-        collector.serve_sketch(width=16, depth=4, expected_reporters=1)
-        translator = Translator(vectorized=vectorized)
-        collector.connect_translator(translator)
-        batch = build()
+        with conformance.deploy(vectorized=vectorized,
+                                serve=self._serve_every) as (
+                _registry, collector, translator, _reporter):
+            batch = build()
 
-        def state():
-            lanes = translator._lanes
-            return (translator.stats.as_dict(), store_digest(collector),
-                    lanes[DtaPrimitive.POSTCARDING].cache.occupancy,
-                    dict(lanes[DtaPrimitive.APPEND].batches),
-                    lanes[DtaPrimitive.SKETCH_MERGE].columns,
-                    dict(lanes[DtaPrimitive.SKETCH_MERGE].next_column))
+            def state():
+                lanes = translator._lanes
+                return (translator.stats.as_dict(), store_digest(collector),
+                        lanes[DtaPrimitive.POSTCARDING].cache.occupancy,
+                        dict(lanes[DtaPrimitive.APPEND].batches),
+                        lanes[DtaPrimitive.SKETCH_MERGE].columns,
+                        dict(lanes[DtaPrimitive.SKETCH_MERGE].next_column))
 
-        before = state()
-        assert translator.plan_batch(batch) is None      # declines
-        with pytest.raises(error):
-            translator.process_batch(batch)              # scalar raises
-        spec = BY_CODE[batch.primitive]
-        assert isinstance(translator.check(
-            batch.primitive, spec.columns_of(batch), spec.extra_of(batch)),
-            error)
-        assert state() == before
-        # Report by report, only the offending ones raise.
-        raised = 0
-        for raw in batch.iter_raw():
-            try:
-                translator.handle_report(raw)
-            except error:
-                raised += 1
-        assert 1 <= raised
-        assert translator.stats.reports_in == len(batch) - raised
+            before = state()
+            assert translator.plan_batch(batch) is None      # declines
+            with pytest.raises(error):
+                translator.process_batch(batch)              # scalar raises
+            spec = BY_CODE[batch.primitive]
+            assert isinstance(translator.check(
+                batch.primitive, spec.columns_of(batch), spec.extra_of(batch)),
+                error)
+            assert state() == before
+            # Report by report, only the offending ones raise.
+            raised = 0
+            for raw in batch.iter_raw():
+                try:
+                    translator.handle_report(raw)
+                except error:
+                    raised += 1
+            assert 1 <= raised
+            assert translator.stats.reports_in == len(batch) - raised
 
 
 class TestLinkBatchDeterminism:

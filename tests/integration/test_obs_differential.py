@@ -13,24 +13,18 @@ import struct
 
 import pytest
 
-from repro.core.collector import Collector
-from repro.core.reporter import Reporter
-from repro.core.translator import Translator
+from repro import obs
+from tests import conformance
 
 LISTS = 4
 REDUNDANCY = 4
 
 
-def build():
-    collector = Collector()
+def serve(collector) -> None:
     collector.serve_keywrite(slots=1 << 16, data_bytes=4)
     collector.serve_append(lists=LISTS, capacity=4096, data_bytes=4,
                            batch_size=8)
     collector.serve_keyincrement(slots_per_row=1 << 14, rows=4)
-    translator = Translator()
-    collector.connect_translator(translator)
-    reporter = Reporter("r0", 0, transmit=translator.handle_report)
-    return collector, translator, reporter
 
 
 def run_workload(reporter, rng, ops=600):
@@ -60,10 +54,10 @@ def run_workload(reporter, rng, ops=600):
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
 class TestCountersMatchStores:
-    def test_per_primitive_counters_match_ground_truth(self, obs_probe,
-                                                       seed):
-        with obs_probe as p:
-            _, translator, reporter = build()
+    def test_per_primitive_counters_match_ground_truth(self, seed):
+        with conformance.deploy(serve=serve) as (
+                registry, _collector, translator, reporter), \
+                obs.ObsProbe(registry) as p:
             writes, increments, appended = run_workload(
                 reporter, random.Random(seed))
             translator.flush_appends()
@@ -79,10 +73,10 @@ class TestCountersMatchStores:
                                                 * REDUNDANCY)
         assert p["translator.rdma_writes"] >= keywrites * REDUNDANCY
 
-    def test_append_lists_hold_exactly_what_was_sent(self, obs_probe,
-                                                     seed):
-        with obs_probe as p:
-            collector, translator, reporter = build()
+    def test_append_lists_hold_exactly_what_was_sent(self, seed):
+        with conformance.deploy(serve=serve) as (
+                registry, collector, translator, reporter), \
+                obs.ObsProbe(registry) as p:
             _, _, appended = run_workload(reporter, random.Random(seed))
             translator.flush_appends()
             polled = {list_id: collector.list_poller(list_id).poll()
@@ -93,10 +87,10 @@ class TestCountersMatchStores:
         assert (sum(len(v) for v in polled.values())
                 == p["translator.appends"])
 
-    def test_keywrite_store_serves_every_write_back(self, obs_probe,
-                                                    seed):
-        with obs_probe as p:
-            collector, translator, reporter = build()
+    def test_keywrite_store_serves_every_write_back(self, seed):
+        with conformance.deploy(serve=serve) as (
+                registry, collector, _translator, reporter), \
+                obs.ObsProbe(registry) as p:
             writes, _, _ = run_workload(reporter, random.Random(seed))
             hits = sum(
                 collector.query_value(key, redundancy=REDUNDANCY).value
@@ -109,10 +103,10 @@ class TestCountersMatchStores:
         assert hits >= 0.98 * len(writes)
         assert p["collector.queries_value"] == len(writes)
 
-    def test_keyincrement_estimates_bound_ground_truth(self, obs_probe,
-                                                       seed):
-        with obs_probe as p:
-            collector, translator, reporter = build()
+    def test_keyincrement_estimates_bound_ground_truth(self, seed):
+        with conformance.deploy(serve=serve) as (
+                registry, collector, _translator, reporter), \
+                obs.ObsProbe(registry) as p:
             _, increments, _ = run_workload(reporter, random.Random(seed))
             total = sum(increments.values())
             for key, exact in increments.items():

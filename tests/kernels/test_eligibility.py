@@ -32,13 +32,9 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro import obs
 from repro.core.batch import ReportBatch
 from repro.core.cluster import ClusterMap
-from repro.core.collector import Collector
 from repro.core.primitives import BY_SERVICE
-from repro.core.reporter import Reporter
-from repro.core.translator import Translator
 from repro.kernels import MIN_VECTOR_BATCH
 from repro.runtime import StageError, StreamEngine, pipeline_digest, \
     store_digest
@@ -59,6 +55,15 @@ STATEFUL_INELIGIBLE = ("essential", "immediate", "meter", "tenants", "tiny",
 PC_HOPS = 3
 _STORE = {"key_write": "keywrite", "postcarding": "postcarding",
           "append": "append", "sketch_merge": "sketch"}
+
+#: ``meter``: a meter nothing ever exceeds — all GREEN, but configured.
+#: ``tenants``, named for the per-keyspace quotas it replaced: one that
+#: does mark — two reports GREEN, two YELLOW, the rest RED; the six
+#: non-GREEN ones are shed.
+_METERS = {"meter": MeterConfig(committed_rate=1e12, committed_burst=1e9,
+                                peak_rate=1.25e12, peak_burst=2e9),
+           "tenants": MeterConfig(committed_rate=0.0, committed_burst=2.0,
+                                  peak_rate=0.0, peak_burst=4.0)}
 
 _ENGINE_KW = {
     "reference": {"workers": 0, "vectorized": False},
@@ -124,35 +129,27 @@ def _batch(condition: str, primitive: str = "key_write") -> ReportBatch:
                                   immediate=condition == "immediate")
 
 
+def _serve(collector) -> None:
+    collector.serve_keywrite(slots=256, data_bytes=DATA_BYTES)
+    collector.serve_keyincrement(slots_per_row=128, rows=4)
+    collector.serve_postcarding(chunks=64, value_set=range(16),
+                                hops=PC_HOPS)
+    collector.serve_append(lists=2, capacity=32, data_bytes=DATA_BYTES,
+                           batch_size=2)
+    collector.serve_sketch(width=32, depth=4, expected_reporters=1,
+                           batch_columns=4)
+
+
 def _run(lane: str, condition: str, monkeypatch,
          primitive: str = "key_write") -> dict:
-    """Drive the condition's batch through one lane on a fresh
+    """Drive the condition's batch through one lane on a fresh rig
     deployment; returns what the lanes are compared on."""
     kernel_calls = conformance.count_kernels(monkeypatch)
-    registry = obs.Registry()
-    previous = obs.set_registry(registry)
-    try:
-        collector = Collector()
-        collector.serve_keywrite(slots=256, data_bytes=DATA_BYTES)
-        collector.serve_keyincrement(slots_per_row=128, rows=4)
-        collector.serve_postcarding(chunks=64, value_set=range(16),
-                                    hops=PC_HOPS)
-        collector.serve_append(lists=2, capacity=32, data_bytes=DATA_BYTES,
-                               batch_size=2)
-        collector.serve_sketch(width=32, depth=4, expected_reporters=1,
-                               batch_columns=4)
-        translator = Translator(
-            vectorized=lane != "reference",
-            # A meter nothing ever exceeds: all GREEN, but configured.
-            rate_limit_mps=1e12 if condition == "meter" else None)
-        collector.connect_translator(translator)
-        if condition == "tenants":
-            # Named for the per-keyspace quotas it replaced: a meter
-            # that does mark — two reports GREEN, two YELLOW, the rest
-            # RED; the six non-GREEN ones are shed.
-            translator._meter = Meter(MeterConfig(
-                committed_rate=0.0, committed_burst=2.0,
-                peak_rate=0.0, peak_burst=4.0))
+    with conformance.deploy(vectorized=lane != "reference",
+                            serve=_serve) as (
+            registry, collector, translator, reporter):
+        if condition in _METERS:
+            translator._meter = Meter(_METERS[condition])
         if condition == "crashed":
             translator.crash()
         revoked = []
@@ -181,11 +178,7 @@ def _run(lane: str, condition: str, monkeypatch,
             lambda *a, **kw: batches_built.append(1) or ReportBatch(*a, **kw))
         raws: list = []
         if lane in ("assembler", "frames"):
-            reporter = Reporter("elig", 1, transmit=raws.append)
-        else:
-            reporter = Reporter("elig", 1,
-                                transmit=translator.handle_report,
-                                transmit_batch=translator.process_batch)
+            reporter.transmit, reporter.transmit_batch = raws.append, None
         batch = _batch(condition, primitive)
         raised = False
         assembler = None
@@ -219,8 +212,6 @@ def _run(lane: str, condition: str, monkeypatch,
         if revoked:
             region.restore(revoked[0])
         snapshot = registry.snapshot()
-    finally:
-        obs.set_registry(previous)
     return {"store": store_digest(collector), "raised": raised,
             "obs": pipeline_digest(snapshot),
             "shared_obs": conformance.shared_digest(snapshot),

@@ -24,30 +24,25 @@ pytest.importorskip("numpy")
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.core import primitives
 from repro.core.batch import ReportBatch
-from repro.core.collector import Collector
 from repro.core.packets import DtaPrimitive
 from repro.core.postcard_cache import PostcardCache
-from repro.core.translator import Translator
 from repro.kernels import MIN_VECTOR_BATCH
-from repro.runtime import pipeline_digest, store_digest
+from tests import conformance
 
 BATCH_SIZES = [1, 7, 64, 256]
 
 
 def _lane(vectorized: bool, serve, drive) -> dict:
-    """``drive(translator, send)`` on a fresh deployment; ``send`` is
-    ``process_batch`` with the plans it took counted."""
-    registry = obs.Registry()
-    previous = obs.set_registry(registry)
-    try:
-        collector = Collector()
-        serve(collector)
-        translator = Translator(vectorized=vectorized)
-        collector.connect_translator(translator)
-        controls = []
+    """``drive(translator, send)`` on a rig deployment of what ``serve``
+    provisions, ``send`` being ``process_batch``: the rig's signature,
+    plus the NACKs, plans and scalar bursts ``drive`` made."""
+    counts = {}
+
+    def feed(translator, _reporter):
+        controls, planned, posted = [], [], []
         translator.control_sink = lambda src, raw: controls.append(raw)
-        planned = []
         plan_batch = translator.plan_batch
 
         def counting(batch, *args, **kwargs):
@@ -56,17 +51,16 @@ def _lane(vectorized: bool, serve, drive) -> dict:
             return plan
 
         translator.plan_batch = counting
-        posted = []
         post_burst = translator.client.post_burst
         translator.client.post_burst = \
             lambda wrs: posted.append(len(wrs)) or post_burst(wrs)
         drive(translator, translator.process_batch)
-        return {"store": store_digest(collector),
-                "obs": pipeline_digest(registry.snapshot()),
-                "controls": controls, "planned": sum(planned),
-                "scalar_bursts": len(posted)}
-    finally:
-        obs.set_registry(previous)
+        counts.update(controls=controls, planned=sum(planned),
+                      scalar_bursts=len(posted))
+
+    got, _refs = conformance.direct(feed, vectorized=vectorized,
+                                    serve=serve)
+    return {**got, **counts}
 
 
 def assert_plan_matches_scalar(serve, drive, *, planned: bool = True):
@@ -570,21 +564,17 @@ class TestSketchMergePlan:
 
 
 def test_sketch_storage_is_allocated_by_the_first_column():
-    previous = obs.set_registry(obs.Registry())
-    try:
-        collector = Collector()
-        collector.serve_sketch(width=64, depth=4, expected_reporters=1)
-        translator = Translator()
-        collector.connect_translator(translator)
-        assert translator._lanes[DtaPrimitive.SKETCH_MERGE].columns is None
+    with conformance.deploy(serve=lambda collector: collector.serve_sketch(
+            width=64, depth=4, expected_reporters=1)) as (
+                _registry, _collector, translator, _reporter):
+        lane = translator._lanes[DtaPrimitive.SKETCH_MERGE]
+        assert lane.columns is None
         batch = ReportBatch.sketch_columns(0, [0], [(1, 2, 3, 4)])
         batch.reporter_id = 1
         translator.process_batch(batch)
-        assert translator._lanes[DtaPrimitive.SKETCH_MERGE].columns[0] == [1, 2, 3, 4]
+        assert lane.columns[0] == [1, 2, 3, 4]
         translator.reset_sketch_epoch()
-        assert translator._lanes[DtaPrimitive.SKETCH_MERGE].columns is None
-    finally:
-        obs.set_registry(previous)
+        assert lane.columns is None
 
 
 # ----------------------------------------------------------------------
@@ -597,16 +587,10 @@ def _posted(vectorized: bool, serve, batches) -> list:
     ``(opcode, offset, data)`` lists — the scalar lane's own bursts,
     or each plan's ``scalar_burst()`` (what ``apply`` posts when the
     target went bad after planning)."""
-    previous = obs.set_registry(obs.Registry())
-    try:
-        collector = Collector()
-        serve(collector)
-        translator = Translator(vectorized=vectorized)
-        collector.connect_translator(translator)
+    with conformance.deploy(vectorized=vectorized, serve=serve) as (
+            _registry, collector, translator, _reporter):
         bursts = []
-        base = next(store.region.addr for store in (
-            collector.postcarding, collector.append, collector.sketch)
-            if store is not None)
+        base = primitives.served(collector)[0][1].region.addr
 
         def record(wrs):
             if wrs:
@@ -626,8 +610,6 @@ def _posted(vectorized: bool, serve, batches) -> list:
                 translator.process_batch(batch)
                 translator.client.post_burst = real
         return bursts
-    finally:
-        obs.set_registry(previous)
 
 
 @pytest.mark.parametrize("primitive", ["postcarding", "append",

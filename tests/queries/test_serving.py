@@ -97,15 +97,18 @@ class TestCli:
 
     def test_smoke_gate_passes_and_writes_artifact(self, tmp_path,
                                                    capsys):
+        """One-shot ``--cost-out`` writes the ``repro-query-costs/1``
+        artifact: every catalog query's costs, the mode and the run."""
         artifact = tmp_path / "query-costs.json"
-        assert main(["query", "--reports", "160", "--smoke",
+        assert main(["query", "--reports", "160",
                      "--cost-out", str(artifact)]) == 0
-        out = capsys.readouterr().out
-        assert "overall: PASS" in out
+        assert f"wrote {artifact}" in capsys.readouterr().out
         document = json.loads(artifact.read_text())
         assert document["schema"] == "repro-query-costs/1"
-        assert document["mode"] == "smoke"
-        assert document["pass"] is True
-        assert document["store_digest"].startswith("sha256:")
-        assert {gate["gate"] for gate in document["gates"]} \
-            >= {"store digests match", "zero report loss"}
+        assert (document["mode"], document["seed"],
+                document["reports"]) == ("oneshot", 1, 160)
+        assert set(document["queries"]) == {
+            "value_table", "top_counters", "heavy_keys", "append_volume",
+            "paths", "health_join"}
+        assert all(entry["rows_scanned"] > 0
+                   for entry in document["queries"].values())

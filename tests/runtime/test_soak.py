@@ -71,14 +71,14 @@ def test_run_soak_duration_truncates_and_serial_replays_prefix():
 
 
 def test_cli_run_smoke_appends_history(tmp_path, monkeypatch, capsys):
-    """The CLI's streamed-vs-serial smoke is ``repro query --smoke``:
-    it exits 0 on ``overall: PASS`` and writes nothing it was not
-    asked to."""
+    """``repro query`` streams with stage threads, loses no report and
+    writes nothing it was not asked to (streamed == serial is
+    ``tests/queries/test_differential.py``'s)."""
     monkeypatch.chdir(tmp_path)
-    assert main(["query", "--reports", "160", "--smoke"]) == 0
+    assert main(["query", "--reports", "160"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("store_digest sha256:")
-    assert out.endswith("overall: PASS\n")
+    assert out.startswith("query: 160 reports")
+    assert "workers=2" in out and "zero_loss=True" in out
     assert list(tmp_path.iterdir()) == []
 
 
@@ -95,5 +95,5 @@ def test_workers_zero_runs_the_inline_vectorized_lane():
 
 def test_cli_run_rejects_unknown_primitive():
     with pytest.raises(SystemExit) as exit_info:
-        main(["serve", "--primitive", "nope", "--smoke"])
+        main(["serve", "--primitive", "nope"])
     assert exit_info.value.code == 2

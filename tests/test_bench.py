@@ -1,10 +1,10 @@
 """The gate/verdict helper the ``repro`` run commands share, and the
 per-mode digest agreement on the seeded report workload.
 
-Every command that gates (``serve``, ``retain``, ``query --smoke``,
-``faults --smoke``) prints its digests, one line per gate and
-``overall: PASS|FAIL`` through :func:`repro.bench.verdict`, and exits
-with its code.  Speed is ``perf/``'s business, not these tests'.
+Every command that gates (``serve``, ``retain``, ``faults``) prints
+its digests, one line per gate and ``overall: PASS|FAIL`` through
+:func:`repro.bench.verdict`, and exits with its code.  Speed is
+``perf/``'s business, not these tests'.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def test_cli_bench_without_vectorized_has_no_vector_cells(monkeypatch,
                                      "in-process lane", False)]}
 
     monkeypatch.setattr(transport_cli, "run_serve", failing)
-    assert main(["serve", "--smoke"]) == 1
+    assert main(["serve"]) == 1
     out = capsys.readouterr().out
     assert "store_digest sha256:x" in out and "-> FAIL" in out
     assert out.endswith("overall: FAIL\n")

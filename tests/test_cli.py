@@ -117,10 +117,26 @@ class TestSubcommands:
         assert "failover=yes" in out
 
     def test_faults_smoke_gate_passes_on_default_seed(self, capsys):
-        assert main(["faults", "--smoke", "--quiet"]) == 0
+        assert main(["faults", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("[OK]")
         assert "fault plan" not in out   # --quiet
+        assert "gate: every essential report queryable" in out
+        assert out.endswith("overall: PASS\n")
+
+    def test_faults_exits_1_on_a_missing_essential_report(self,
+                                                          monkeypatch,
+                                                          capsys):
+        from repro.faults import ChaosResult
+
+        monkeypatch.setattr("repro.faults.run_chaos", lambda **_kw:
+                            ChaosResult(seed=7, total_essential=2,
+                                        queryable=1, missing=["k1"],
+                                        digest="sha256:x"))
+        assert main(["faults", "--quiet"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("[FAIL]")
+        assert out.endswith("overall: FAIL\n")
 
     def test_faults_does_not_pollute_default_registry(self):
         from repro import obs

@@ -1,4 +1,5 @@
-"""Calls the socket lane makes per datagram received and per report sent.
+"""Calls the socket lane makes per datagram received and per report
+sent, and per shim call that decides nothing.
 
 A count, not a clock: ``sys.setprofile`` counts every call that enters
 ``repro.transport`` or ``repro.kernels`` code, and every builtin such
@@ -44,6 +45,9 @@ SEND_BOUND = 3.04 / 10
 #: datagram out of the ring and reassembled them one at a time; the
 #: guard holds it to a quarter of that (0.93 now).
 RECEIVE_BOUND = 6.73 / 4
+#: Calls per :meth:`LossShim.step` that drops, holds and releases
+#: nothing: 15 while it built a call's event arrays anyway, 6 now.
+QUIET_STEP_BOUND = 8
 
 DIRS = tuple(os.path.dirname(package.__file__) + os.sep
              for package in (repro.transport, repro.kernels))
@@ -136,3 +140,21 @@ def test_receive_calls_per_datagram(monkeypatch):
         f"{counter.calls} calls for {len(datagrams)} datagrams: "
         f"{counter.calls / len(datagrams):.2f} per datagram "
         f"> {RECEIVE_BOUND}")
+
+
+def test_quiet_shim_step_calls():
+    """A ``step`` that decides no event and releases no hold (most
+    steps of ``transmit_to``'s per-report path) returns its datagram
+    without building the event arrays."""
+    shim = LOSS.shim()
+    shim.step(0)        # decides the first block of ordinals ahead
+    quiet = []
+    for ordinal in range(1, 400):
+        holding = shim.holding
+        events = (shim.dropped, shim.reordered)
+        with _Counter() as counter:
+            out = shim.step(ordinal)
+        if not holding and events == (shim.dropped, shim.reordered):
+            assert out == [ordinal]
+            quiet.append(counter.calls)
+    assert len(quiet) > 300 and max(quiet) <= QUIET_STEP_BOUND, quiet

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.transport import mmsg
 from repro.transport.cli import _spec
@@ -10,12 +12,12 @@ from repro.transport.serve import run_serve
 
 def test_serve_smoke_writes_history_and_document(tmp_path, monkeypatch,
                                                  capsys):
-    """``repro serve --smoke`` prints one store digest per collector
+    """``repro serve`` prints one store digest per collector
     shard and the daemons' obs digest, its five gates and ``overall:
     PASS``, exits 0 and leaves no file behind in the working
     directory."""
     monkeypatch.chdir(tmp_path)
-    assert main(["serve", "--smoke", "--reports", "200",
+    assert main(["serve", "--reports", "200",
                  "--drop", "0.02", "--reorder", "0.02"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:3]] == [
@@ -30,7 +32,7 @@ def test_serve_smoke_writes_history_and_document(tmp_path, monkeypatch,
 def test_serve_smoke_multi_translator_scalar_fallbacks(capsys, monkeypatch):
     # The daemons are forked: they inherit the cleared flag.
     monkeypatch.setattr(mmsg, "USE_MMSG", False)
-    argv = ["serve", "--smoke", "--reports", "300",
+    argv = ["serve", "--reports", "300",
             "--collectors", "3", "--translators", "2",
             "--scalar-translate",
             "--drop", "0.02", "--reorder", "0.02"]
@@ -52,8 +54,13 @@ def test_serve_smoke_multi_translator_scalar_fallbacks(capsys, monkeypatch):
                        ("collector", "2")}
 
 
-def test_smoke_caps_reports():
-    from repro.transport.cli import _SMOKE_REPORTS
-
-    args = build_parser().parse_args(["serve", "--smoke"])
-    assert _spec(args).reports == _SMOKE_REPORTS
+def test_smoke_caps_reports(capsys):
+    """No command has a capped ``--smoke`` run: the switch is a usage
+    error, and ``serve --reports`` reaches the spec as given."""
+    for command in ("serve", "retain", "query", "faults"):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--smoke"])
+        assert exit_info.value.code == 2
+    assert "unrecognized arguments: --smoke" in capsys.readouterr().err
+    args = build_parser().parse_args(["serve", "--reports", "12345"])
+    assert _spec(args).reports == 12345
