@@ -152,8 +152,8 @@ def epoch_catalog(manager) -> Plan:
                "current": epoch == manager.current_epoch}
         for attr, tracker in manager.trackers.items():
             if tracker.kind == "slots":
-                row[f"{attr}_cells"] = sum(
-                    1 for gen in tracker.gens if gen == epoch)
+                row[f"{attr}_cells"] = int(
+                    np.count_nonzero(tracker.gens == epoch))
             elif tracker.kind == "segments":
                 row[f"{attr}_entries"] = sum(
                     end - start

@@ -96,6 +96,10 @@ class QueuePair:
         # recovery-time replay; drained with :meth:`take_failed`.
         self.failed_wrs: list[WorkRequest] = []
         self.dest_qpn: int | None = None
+        # Responder replay cache: psn -> the response an executed
+        # atomic returned, the last ``max_outstanding`` of them (no
+        # requester window reaches further back).
+        self._atomic_replies: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
     # State machine
@@ -142,6 +146,7 @@ class QueuePair:
         self._unacked.clear()
         self.failed_wrs.clear()
         self.dest_qpn = None
+        self._atomic_replies.clear()
 
     def _flush(self) -> None:
         """Complete all in-flight requests with a flush error.
@@ -351,13 +356,7 @@ class QueuePair:
         dist = (psn - self.expected_psn) % PSN_MOD
         if dist != 0:
             if dist > PSN_MOD // 2:
-                # Duplicate (retransmitted) packet: re-ACK, do not re-execute
-                # non-idempotent ops.  Plain writes are idempotent; atomics
-                # on real HW use a responder cache — we skip re-execution.
-                self.counters.duplicates += 1
-                self.counters.acks_sent += 1
-                return roce.encode_ack(dest_qp=pkt.bth.dest_qp, psn=psn,
-                                       syndrome=0, msn=self.msn)
+                return self._duplicate(pkt)
             # Future PSN: a packet was lost -> NAK sequence error.
             self.counters.sequence_errors += 1
             self.counters.naks_sent += 1
@@ -371,14 +370,45 @@ class QueuePair:
                 pkt.verb, pkt.rkey, pkt.remote_addr, pkt.payload,
                 pkt.dma_length, pkt.compare, pkt.swap, pkt.imm)
         except RemoteAccessError:
-            self.responder_commit(0, fault=True)
-            return roce.encode_ack(dest_qp=pkt.bth.dest_qp, psn=psn,
-                                   syndrome=NAK_REMOTE_ACCESS_ERROR,
-                                   msn=self.msn)
+            return self._access_nak(pkt)
+        if atomics:
+            replies = self._atomic_replies
+            replies[psn] = response
+            if len(replies) > self.max_outstanding:
+                del replies[next(iter(replies))]
         self.responder_commit(1, written, read, atomics)
         return roce.encode_ack(dest_qp=pkt.bth.dest_qp, psn=psn, syndrome=0,
                                msn=self.msn, payload=response,
                                atomic=bool(atomics))
+
+    def _duplicate(self, pkt: roce.RocePacket) -> bytes:
+        """Answer a retransmitted request as an RC responder does: an
+        atomic gets the value it returned the first time, from the
+        replay cache and never re-executed; a READ, idempotent,
+        executes again; anything else is re-ACKed.  Nothing is
+        accounted as executed."""
+        self.counters.duplicates += 1
+        verb, psn = pkt.verb, pkt.bth.psn
+        payload = b""
+        if verb.is_atomic:
+            payload = self._atomic_replies.get(psn, b"")
+        elif verb is READ:
+            try:
+                payload = self.pd.lookup(pkt.rkey).read(pkt.remote_addr,
+                                                        pkt.dma_length)
+            except RemoteAccessError:
+                return self._access_nak(pkt)
+        self.counters.acks_sent += 1
+        return roce.encode_ack(dest_qp=pkt.bth.dest_qp, psn=psn, syndrome=0,
+                               msn=self.msn, payload=payload,
+                               atomic=verb.is_atomic and bool(payload))
+
+    def _access_nak(self, pkt: roce.RocePacket) -> bytes:
+        """NAK a request that drew a remote access error; the QP errors."""
+        self.responder_commit(0, fault=True)
+        return roce.encode_ack(dest_qp=pkt.bth.dest_qp, psn=pkt.bth.psn,
+                               syndrome=NAK_REMOTE_ACCESS_ERROR,
+                               msn=self.msn)
 
     def responder_execute_burst(self, wrs) -> tuple[list[bytes], bool, dict]:
         """Execute a burst of requests without wire (de)serialisation.

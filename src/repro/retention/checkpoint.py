@@ -41,7 +41,6 @@ import json
 import os
 import queue
 import shutil
-import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -306,7 +305,7 @@ def restore_checkpoint(collector, path: str, *,
         # leaves the manager as it was.
         try:
             manager.import_state(retention["meta"], blobs)
-        except (KeyError, TypeError, ValueError, struct.error) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"retention state rejected: {exc}") from exc
     # Every byte validated; mutation starts here and cannot fail short

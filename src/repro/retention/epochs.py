@@ -64,14 +64,12 @@ only collector memory, which is why the engine can call
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import primitives
-from repro.core.stores.append import lap_tag
 
 #: Rotation reports kept for introspection (`repro retain`, tests).
 MAX_REPORTS = 256
@@ -113,6 +111,19 @@ class RotationReport:
     live: dict = field(default_factory=dict)      # attr -> live cells after
 
 
+def _array(blob, dtype, count: int) -> np.ndarray:
+    """A writable copy of a checkpoint blob holding ``count`` items."""
+    array = np.frombuffer(blob, dtype=dtype)
+    if array.size != count:
+        raise ValueError(f"blob holds {array.size} items, not {count}")
+    return array.copy()
+
+
+# Every tracker reads and writes its region through an ``np.frombuffer``
+# view built inside the call and never kept: a kept view would pin a
+# shared-memory segment past its ``close()``.
+
+
 class _SlotTracker:
     """Generation tags per fixed-size cell, derived by byte diffing."""
 
@@ -122,63 +133,60 @@ class _SlotTracker:
         self.region = store.region
         self.cells = getattr(store.layout, declared.cells)
         self.cell_bytes = getattr(store.layout, declared.cell_bytes)
-        self.gens = [0] * self.cells
-        self._prev = bytes(self.cells * self.cell_bytes)
+        self.gens = np.zeros(self.cells, dtype="<u4")
+        # One ``cell_bytes``-wide item per cell: a cell compares and is
+        # zeroed whole, at a cost that does not depend on how many of
+        # its bytes changed.
+        self._prev = np.zeros(self.cells,
+                              dtype=np.dtype((np.void, self.cell_bytes)))
 
-    def _current(self) -> bytes:
-        return bytes(self.region.buf[:self.cells * self.cell_bytes])
+    def _view(self) -> np.ndarray:
+        return np.frombuffer(self.region.buf, dtype=self._prev.dtype,
+                             count=self.cells)
 
     def observe(self, epoch: int) -> int:
         """Stamp every cell that changed since the last rotation."""
-        cur = self._current()
-        changed = self._changed_cells(cur)
-        for index in changed:
-            self.gens[index] = epoch
-        self._prev = cur
-        return len(changed)
-
-    def _changed_cells(self, cur: bytes) -> list:
-        shape = (self.cells, self.cell_bytes)
-        a = np.frombuffer(cur, dtype=np.uint8).reshape(shape)
-        b = np.frombuffer(self._prev, dtype=np.uint8).reshape(shape)
-        return np.nonzero((a != b).any(axis=1))[0].tolist()
+        cur = self._view()
+        changed = cur != self._prev
+        self.gens[changed] = epoch
+        self._prev[:] = cur
+        return int(np.count_nonzero(changed))
 
     def expire(self, cutoff: int) -> int:
         """Zero every cell whose generation fell out of the window."""
-        recycled = 0
-        width = self.cell_bytes
-        zero = b"\x00" * width
-        for index, gen in enumerate(self.gens):
-            if gen and gen <= cutoff:
-                self.region.local_write(index * width, zero)
-                self.gens[index] = 0
-                recycled += 1
-        if recycled:
-            # Scrubbing must not read back as a fresh write next epoch.
-            self._prev = self._current()
-        return recycled
+        stale = (self.gens != 0) & (self.gens <= cutoff)
+        zero = bytes(self.cell_bytes)
+        self._view()[stale] = zero
+        self.gens[stale] = 0
+        # Scrubbing must not read back as a fresh write next epoch.
+        self._prev[stale] = zero
+        return int(np.count_nonzero(stale))
 
     @property
     def live(self) -> int:
-        return sum(1 for gen in self.gens if gen)
+        return int(np.count_nonzero(self.gens))
 
     def export_state(self):
         meta = {"kind": self.kind, "cells": self.cells,
                 "cell_bytes": self.cell_bytes}
-        blobs = {"gens": struct.pack(f"<{self.cells}I", *self.gens),
-                 "prev": self._prev}
-        return meta, blobs
+        return meta, {"gens": self.gens.tobytes(),
+                      "prev": self._prev.tobytes()}
 
     def import_state(self, meta, blobs) -> None:
         if (meta.get("cells") != self.cells
                 or meta.get("cell_bytes") != self.cell_bytes):
             raise ValueError("slot tracker geometry mismatch")
-        self.gens = list(struct.unpack(f"<{self.cells}I", blobs["gens"]))
-        self._prev = bytes(blobs["prev"])
+        self.gens = _array(blobs["gens"], self.gens.dtype, self.cells)
+        self._prev = _array(blobs["prev"], self._prev.dtype, self.cells)
 
 
 class _DeltaTracker:
-    """Per-epoch counter deltas; expiry subtracts, merge-down keeps sums."""
+    """Per-epoch counter deltas; expiry subtracts, merge-down keeps sums.
+
+    Counters, baseline, deltas and the merged aggregate are arrays of
+    the store's declared counter type, so unsigned wraparound is the
+    modular arithmetic the counters do in the region.
+    """
 
     kind = "deltas"
 
@@ -187,74 +195,57 @@ class _DeltaTracker:
         self.count = count = getattr(store.layout, declared.cells)
         order, code = declared.counter
         self.fmt = f"{order}{count}{code}"    # e.g. "<2048Q" / ">128I"
-        self.mod = 1 << 8 * struct.calcsize(declared.counter)
+        self.dtype = np.dtype(declared.counter)
         self.reset_stream = declared.reset
-        self.nbytes = struct.calcsize(self.fmt)
-        self._prev = (0,) * count
-        self.deltas: deque = deque()       # (epoch, tuple of deltas)
-        self.merged = (0,) * count         # expired epochs, merged down
+        self._prev = np.zeros(count, dtype=self.dtype)
+        self.deltas: deque = deque()       # (epoch, array of deltas)
+        self.merged = np.zeros(count, dtype=self.dtype)   # expired epochs
 
-    def _read(self) -> tuple:
-        return struct.unpack(self.fmt, bytes(self.region.buf[:self.nbytes]))
+    def _view(self) -> np.ndarray:
+        return np.frombuffer(self.region.buf, dtype=self.dtype,
+                             count=self.count)
 
     def observe(self, epoch: int) -> int:
-        cur = self._read()
-        mod = self.mod
+        cur = self._view()
+        delta = (cur - self._prev).astype(self.dtype, copy=False)
         if self.reset_stream:
             # The region *is* the sealed epoch's matrix (per-epoch
-            # re-streamed sketch); zero it for the next sweep so stale
-            # columns can never recount.
-            delta = cur
-            nonzero = sum(1 for d in delta if d)
-            if nonzero:
-                self.deltas.append((epoch, delta))
-                self.region.local_write(0, b"\x00" * self.nbytes)
-            self._prev = (0,) * self.count
-            return nonzero
-        delta = tuple((c - p) % mod for c, p in zip(cur, self._prev))
-        nonzero = sum(1 for d in delta if d)
+            # re-streamed sketch; the baseline stays zero); zero it for
+            # the next sweep so stale columns can never recount.
+            cur[:] = 0
+        else:
+            self._prev[:] = cur
+        nonzero = int(np.count_nonzero(delta))
         if nonzero:
             self.deltas.append((epoch, delta))
-        self._prev = cur
         return nonzero
 
     def expire(self, cutoff: int) -> int:
         expired = 0
-        mod = self.mod
         while self.deltas and self.deltas[0][0] <= cutoff:
             _epoch, delta = self.deltas.popleft()
             if not self.reset_stream:
                 # Decay: the live region still accumulates, subtract
                 # the expired slice out of it.
-                cur = self._read()
-                decayed = tuple((c - d) % mod
-                                for c, d in zip(cur, delta))
-                self.region.local_write(0,
-                                        struct.pack(self.fmt, *decayed))
-                self._prev = decayed
-            self.merged = tuple((m + d) % mod
-                                for m, d in zip(self.merged, delta))
-            expired += sum(1 for d in delta if d)
+                cur = self._view()
+                cur -= delta
+                self._prev[:] = cur
+            self.merged += delta
+            expired += int(np.count_nonzero(delta))
         return expired
 
     @property
     def live(self) -> int:
-        return sum(1 for value in self._read() if value)
-
-    def epoch_delta(self, epoch: int) -> tuple | None:
-        for held, delta in self.deltas:
-            if held == epoch:
-                return delta
-        return None
+        return int(np.count_nonzero(self._view()))
 
     def export_state(self):
         meta = {"kind": self.kind, "count": self.count, "fmt": self.fmt,
                 "reset": self.reset_stream,
                 "epochs": [epoch for epoch, _ in self.deltas]}
-        blobs = {"prev": struct.pack(self.fmt, *self._prev),
-                 "merged": struct.pack(self.fmt, *self.merged)}
+        blobs = {"prev": self._prev.tobytes(),
+                 "merged": self.merged.tobytes()}
         for epoch, delta in self.deltas:
-            blobs[f"delta.{epoch}"] = struct.pack(self.fmt, *delta)
+            blobs[f"delta.{epoch}"] = delta.tobytes()
         return meta, blobs
 
     def import_state(self, meta, blobs) -> None:
@@ -262,10 +253,10 @@ class _DeltaTracker:
                 or meta.get("fmt") != self.fmt
                 or bool(meta.get("reset", False)) != self.reset_stream):
             raise ValueError("delta tracker geometry mismatch")
-        self._prev = struct.unpack(self.fmt, blobs["prev"])
-        self.merged = struct.unpack(self.fmt, blobs["merged"])
+        self._prev = _array(blobs["prev"], self.dtype, self.count)
+        self.merged = _array(blobs["merged"], self.dtype, self.count)
         self.deltas = deque(
-            (epoch, struct.unpack(self.fmt, blobs[f"delta.{epoch}"]))
+            (epoch, _array(blobs[f"delta.{epoch}"], self.dtype, self.count))
             for epoch in meta.get("epochs", ()))
 
 
@@ -276,7 +267,6 @@ class _SegmentTracker:
 
     def __init__(self, store, declared) -> None:
         self.store = store
-        self.region = store.region
         self.layout = store.layout
         self.heads = [0] * self.layout.lists
         self.segments: list[list] = [[] for _ in range(self.layout.lists)]
@@ -307,29 +297,23 @@ class _SegmentTracker:
         return sealed
 
     def expire(self, cutoff: int) -> int:
+        """Scrub an expired segment's entries its lap still owns — a
+        later lap owns the slots whose tag no longer matches."""
         expired = 0
         layout = self.layout
-        capacity = layout.capacity
-        entry_bytes = layout.entry_bytes
-        zero = b"\x00" * entry_bytes
-        for list_id in range(layout.lists):
-            base = layout.list_base(list_id) - layout.base_addr
-            keep = []
-            for segment in self.segments[list_id]:
-                epoch, start, end = segment
-                if epoch > cutoff:
-                    keep.append(segment)
-                    continue
-                for position in range(start, end):
-                    slot = position % capacity
-                    offset = base + slot * entry_bytes
-                    # Only scrub if this segment's write is still the
-                    # resident one — a later lap owns the slot now.
-                    if self.region.buf[offset] == lap_tag(
-                            position // capacity):
-                        self.region.local_write(offset, zero)
-                        expired += 1
-            self.segments[list_id] = keep
+        rings = np.frombuffer(
+            self.store.region.buf, dtype=np.uint8,
+            count=layout.region_bytes).reshape(
+                layout.lists, layout.capacity, layout.entry_bytes)
+        for list_id, per_list in enumerate(self.segments):
+            for epoch, start, end in per_list:
+                if epoch <= cutoff:
+                    positions, _entries = self.store.published_in(
+                        list_id, start, end)
+                    rings[list_id, positions % layout.capacity] = 0
+                    expired += len(positions)
+            self.segments[list_id] = [segment for segment in per_list
+                                      if segment[0] > cutoff]
         return expired
 
     @property
@@ -435,8 +419,8 @@ class EpochManager:
 
     def cell_epoch(self, attr: str, index: int) -> int:
         """Generation of a Key-Write slot / Postcarding chunk (0 = free)."""
-        return self._tracker(attr, _SlotTracker,
-                             "per-cell generations").gens[index]
+        return int(self._tracker(attr, _SlotTracker,
+                                 "per-cell generations").gens[index])
 
     def segments(self, list_id: int) -> tuple:
         """Sealed ``(epoch, start, end)`` head ranges of one list of the
@@ -446,11 +430,15 @@ class EpochManager:
         return tracker.list_segments(list_id)
 
     def epoch_delta(self, attr: str, epoch: int) -> tuple | None:
-        return self._tracker(attr, _DeltaTracker,
-                             "per-epoch deltas").epoch_delta(epoch)
+        for held, delta in self._tracker(attr, _DeltaTracker,
+                                         "per-epoch deltas").deltas:
+            if held == epoch:
+                return tuple(delta.tolist())
+        return None
 
     def merged_counters(self, attr: str) -> tuple:
-        return self._tracker(attr, _DeltaTracker, "merged aggregate").merged
+        return tuple(self._tracker(attr, _DeltaTracker,
+                                   "merged aggregate").merged.tolist())
 
     # ------------------------------------------------------------------
     # Checkpoint state (binary blobs ride in the checkpoint directory)

@@ -986,28 +986,32 @@ class StreamEngine:
 # ----------------------------------------------------------------------
 
 
-def pipeline_digest(snapshot) -> str:
-    """SHA-256 over the snapshot minus the series no computation fixes.
+def pipeline_series(series: str) -> bool:
+    """Whether :func:`pipeline_digest` hashes ``series``: every one but
+    those no computation fixes.
 
     Queue depths, stalls, and stall times (``runtime.*``) measure
     *scheduling*, query wall time (``queries.wall_ns``) the host
     clock, and the socket lane's datagram path (``transport.*``: no
     other lane has one; its receive bursts are the kernel's).
-    Everything else measures the *computation* and must be
-    bit-identical across worker counts, queue depths and lanes.  This
-    digest is what the differential tests and the gating commands
-    compare.
+    """
+    return not (series.startswith(("runtime.", "transport."))
+                or series == "queries.wall_ns")
+
+
+def pipeline_digest(snapshot) -> str:
+    """SHA-256 over the snapshot's :func:`pipeline_series`.
+
+    They measure the *computation* and must be bit-identical across
+    worker counts, queue depths and lanes.  This digest is what the
+    differential tests and the gating commands compare.
     """
     from repro.obs.registry import Snapshot
 
-    def _excluded(series: str) -> bool:
-        return (series.startswith(("runtime.", "transport."))
-                or series == "queries.wall_ns")
-
     samples = {key: value for key, value in snapshot.samples.items()
-               if not _excluded(key[0])}
+               if pipeline_series(key[0])}
     kinds = {key: kind for key, kind in snapshot.kinds.items()
-             if not _excluded(key[0])}
+             if pipeline_series(key[0])}
     filtered = Snapshot(epoch=snapshot.epoch, samples=samples, kinds=kinds)
     return "sha256:" + hashlib.sha256(
         obs.to_jsonl(filtered).encode()).hexdigest()

@@ -21,6 +21,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import hashlib
+import json
 import multiprocessing
 import os
 import weakref
@@ -35,10 +37,10 @@ from repro.core.batch import ReportBatch
 from repro.core.cluster import ClusterMap
 from repro.core.collector import Collector
 from repro.kernels import burst as kburst
-from repro.obs.registry import Snapshot
 from repro.retention.epochs import RetentionPolicy
 from repro.retention.manager import RetentionManager
 from repro.runtime import StreamEngine, pipeline_digest, store_digest
+from repro.runtime.engine import pipeline_series
 from repro.runtime.queues import _clock
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import unwrap, wrap_frame
@@ -183,19 +185,27 @@ def deploy(*, vectorized: bool = False, sketch_width: int = 0,
         yield deployment
 
 
-def shared_digest(snapshot, drop: tuple = ("link.", "reporter.")) -> str:
-    """``pipeline_digest`` of the series outside ``drop`` — by default
-    the engine's ``link.*`` and the reporter's ``reporter.*``: what a
-    lane with no engine, or no reporter before its translator (or one
-    whose ``send_batch`` a rejected batch never got through), shares
-    with one that has both."""
-    def keep(key):
-        return not key[0].startswith(drop)
+#: The series a lane with no engine (``link.*``), or no reporter before
+#: its translator (``reporter.*``, or one whose ``send_batch`` a
+#: rejected batch never got through), lacks beside one that has both.
+SHARED_DROP = ("link.", "reporter.")
 
-    return pipeline_digest(Snapshot(
-        epoch=snapshot.epoch,
-        samples={k: v for k, v in snapshot.samples.items() if keep(k)},
-        kinds={k: v for k, v in snapshot.kinds.items() if keep(k)}))
+
+def _digests(snapshot, *drops: tuple) -> list:
+    """``pipeline_digest`` of ``snapshot`` without the series under
+    each prefix tuple of ``drops``, from one serialisation of it."""
+    lines = [(record["name"], json.dumps(record, sort_keys=True))
+             for record in obs.iter_samples(snapshot)
+             if pipeline_series(record["name"])]
+    return ["sha256:" + hashlib.sha256("\n".join(
+        line for name, line in lines
+        if not name.startswith(drop)).encode()).hexdigest()
+        for drop in drops]
+
+
+def shared_digest(snapshot, drop: tuple = SHARED_DROP) -> str:
+    """``pipeline_digest`` of the series outside ``drop``."""
+    return _digests(snapshot, drop)[0]
 
 
 def signature(registry, collector, kernels: list) -> dict:
@@ -203,10 +213,12 @@ def signature(registry, collector, kernels: list) -> dict:
     ``link.*`` (``unlinked``) and without ``reporter.*`` too
     (``shared``); burst-kernel calls; the series recorded."""
     snapshot = registry.snapshot()
+    whole, unlinked, shared = _digests(snapshot, (), ("link.",),
+                                       SHARED_DROP)
     return {"store": store_digest(collector),
-            "obs": pipeline_digest(snapshot),
-            "unlinked": shared_digest(snapshot, ("link.",)),
-            "shared": shared_digest(snapshot),
+            "obs": whole,
+            "unlinked": unlinked,
+            "shared": shared,
             "kernels": len(kernels),
             "series": {name for name, _labels in snapshot.samples}}
 

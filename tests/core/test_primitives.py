@@ -241,4 +241,4 @@ def test_a_sixth_primitive_is_a_store_module_and_a_registry_row(
     report = twin_manager.rotate()
     assert (report.epoch, report.changed, report.live) == (
         2, {"toy": 1}, {"toy": 2})
-    assert twin_manager.trackers["toy"].gens[:3] == [2, 0, 1]
+    assert np.array_equal(twin_manager.trackers["toy"].gens[:3], [2, 0, 1])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import itertools
 import os
-import sys
 
 import repro.rdma
 from repro.core import primitives
@@ -22,6 +21,7 @@ from repro.rdma import roce
 from repro.rdma.nic import Nic
 from repro.rdma.verbs import Opcode, WorkRequest
 from tests import conformance
+from tests.calls import CallCounter
 
 #: Reports per registry row: ten batches of 64 each.
 REPORTS = 640
@@ -49,26 +49,16 @@ def _batches() -> tuple[list, int]:
 def _count() -> tuple[int, int, int]:
     """``(calls, NIC messages, completions left)`` for one stream."""
     batches, sketch_width = _batches()
-    calls = 0
-
-    def profile(frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            name = frame.f_code.co_filename
-            if name.startswith(RDMA_DIR) or name == enum.__file__:
-                calls += 1
-
+    counter = CallCounter((RDMA_DIR, enum.__file__))
     with conformance.engine(sketch_width=sketch_width, workers=0,
                             vectorized=False) as (_registry, engine):
-        sys.setprofile(profile)
-        try:
+        with counter:
             for batch in batches:
                 engine.submit(batch)
             engine.drain()
-        finally:
-            sys.setprofile(None)
     messages = engine.collector.nic.stats.messages
-    return calls, messages, len(engine.translator.client.qp.completions)
+    return (counter.calls, messages,
+            len(engine.translator.client.qp.completions))
 
 
 def test_scalar_verb_path_calls_per_message():

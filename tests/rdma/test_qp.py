@@ -175,6 +175,60 @@ class TestSequencing:
         # The atomic must not have applied twice.
         assert region.fetch_add(region.addr, 0) == 5
 
+    @pytest.mark.parametrize("opcode, compare, swap, after", (
+        (Opcode.FETCH_ADD, 0, 5, 12),
+        (Opcode.CMP_SWAP, 7, 9, 9),
+    ))
+    def test_duplicate_atomic_replays_its_first_response(
+            self, opcode, compare, swap, after):
+        """A signaled atomic whose ACK is lost is resent: the word moves
+        once and the completion holds the value it held before."""
+        requester, responder, region = make_pair()
+        region.local_write(0, (7).to_bytes(8, "little"))
+        raw = requester.post_send(WorkRequest(
+            opcode=opcode, remote_addr=region.addr, rkey=region.rkey,
+            compare=compare, swap=swap))
+        responder.responder_receive(roce.decode(raw))      # ACK lost
+        requester.requester_receive(
+            responder.responder_receive(roce.decode(raw)))
+        assert region.fetch_add(region.addr, 0) == after
+        (wc,) = requester.completions
+        assert wc.status is WcStatus.SUCCESS
+        assert wc.data == (7).to_bytes(8, "little")
+        assert (responder.counters.atomics,
+                responder.counters.duplicates) == (1, 1)
+
+    def test_duplicate_read_executes_again(self):
+        requester, responder, region = make_pair()
+        region.local_write(0, b"before")
+        raw = requester.post_send(WorkRequest(
+            opcode=Opcode.READ, remote_addr=region.addr,
+            rkey=region.rkey, length=6))
+        responder.responder_receive(roce.decode(raw))      # response lost
+        region.local_write(0, b"after!")
+        requester.requester_receive(
+            responder.responder_receive(roce.decode(raw)))
+        (wc,) = requester.completions
+        assert wc.data == b"after!"
+        assert (responder.counters.requests_executed,
+                responder.counters.duplicates) == (1, 1)
+
+    def test_atomic_replay_cache_is_bounded_by_the_window(self):
+        requester, responder, region = make_pair()
+        responder.max_outstanding = 4
+        raws = []
+        for _ in range(10):
+            raws.append(requester.post_send(WorkRequest(
+                opcode=Opcode.FETCH_ADD, remote_addr=region.addr,
+                rkey=region.rkey, swap=1)))
+            requester.requester_receive(
+                responder.responder_receive(roce.decode(raws[-1])))
+        assert len(responder._atomic_replies) == 4
+        # The newest four replay; the word still moved ten times.
+        ack = roce.decode(responder.responder_receive(roce.decode(raws[-1])))
+        assert ack.payload == (9).to_bytes(8, "little")
+        assert region.fetch_add(region.addr, 0) == 10
+
     def test_access_error_naks_and_errors_qp(self):
         requester, responder, region = make_pair()
         raw = requester.post_send(WorkRequest(

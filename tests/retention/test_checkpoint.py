@@ -14,6 +14,7 @@ import json
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core import primitives
@@ -107,10 +108,14 @@ def test_roundtrip_carries_epoch_state(collector, tmp_path):
     assert em2.current_epoch == em.current_epoch
     assert em2.retained_epochs() == em.retained_epochs()
     kw = em.trackers["keywrite"]
-    assert em2.trackers["keywrite"].gens == kw.gens
+    assert np.array_equal(em2.trackers["keywrite"].gens, kw.gens)
     assert em2.trackers["append"].segments == \
         em.trackers["append"].segments
-    assert em2.trackers["sketch"].deltas == em.trackers["sketch"].deltas
+    deltas, deltas2 = em.trackers["sketch"].deltas, \
+        em2.trackers["sketch"].deltas
+    assert [epoch for epoch, _ in deltas2] == [epoch for epoch, _ in deltas]
+    assert all(np.array_equal(a, b)
+               for (_, a), (_, b) in zip(deltas2, deltas))
     # The restored manager keeps rotating correctly from here.
     before = em2.current_epoch
     em2.rotate()

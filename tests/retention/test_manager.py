@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core.batch import ReportBatch
@@ -68,8 +69,9 @@ def test_rotation_is_worker_count_independent(workers):
             _drive(engineN)
             assert store_digest(colN) == store_digest(col0)
             assert managerN.epochs.rotations == manager0.epochs.rotations
-            assert managerN.epochs.trackers["keywrite"].gens == \
-                manager0.epochs.trackers["keywrite"].gens
+            assert np.array_equal(
+                managerN.epochs.trackers["keywrite"].gens,
+                manager0.epochs.trackers["keywrite"].gens)
 
 
 def test_manual_rotation_left_manual_without_cadence():

@@ -14,7 +14,6 @@ host's load.
 from __future__ import annotations
 
 import os
-import sys
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from repro.transport.envelope import KIND_FRAME, Reassembler
 from repro.transport.loss import LossSpec
 from repro.transport.serve import route_report
 from repro.workloads import reports
+from tests.calls import CallCounter
 
 REPORTS = 40_000
 LOSS = LossSpec(seed=5, drop_rate=0.02, reorder_rate=0.02)
@@ -53,24 +53,9 @@ DIRS = tuple(os.path.dirname(package.__file__) + os.sep
              for package in (repro.transport, repro.kernels))
 
 
-class _Counter:
-    """A ``sys.setprofile`` hook counting calls into the lane's code and
-    the builtins it calls."""
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def __call__(self, frame, event, _arg) -> None:
-        if event in ("call", "c_call") \
-                and frame.f_code.co_filename.startswith(DIRS):
-            self.calls += 1
-
-    def __enter__(self):
-        sys.setprofile(self)
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        sys.setprofile(None)
+def _counter() -> CallCounter:
+    """Calls into the lane's code and the builtins it calls."""
+    return CallCounter(DIRS, ("call", "c_call"))
 
 
 def _stream() -> tuple:
@@ -100,7 +85,7 @@ def _transmit(monkeypatch, shards, raws, counter=None) -> list:
 
 def test_transmit_calls_per_report(monkeypatch):
     shards, raws = _stream()
-    counter = _Counter()
+    counter = _counter()
     datagrams = _transmit(monkeypatch, shards, raws, counter)
     assert len(datagrams) > REPORTS // 50
     assert counter.calls / REPORTS <= SEND_BOUND, (
@@ -122,7 +107,7 @@ def test_receive_calls_per_datagram(monkeypatch):
     reassembler = Reassembler()
     slot = 2048
     ring = bytearray(BURST * slot)
-    counter = _Counter()
+    counter = _counter()
     for first in range(0, len(datagrams), BURST):
         burst = datagrams[first:first + BURST]
         for index, datagram in enumerate(burst):
@@ -152,7 +137,7 @@ def test_quiet_shim_step_calls():
     for ordinal in range(1, 400):
         holding = shim.holding
         events = (shim.dropped, shim.reordered)
-        with _Counter() as counter:
+        with _counter() as counter:
             out = shim.step(ordinal)
         if not holding and events == (shim.dropped, shim.reordered):
             assert out == [ordinal]

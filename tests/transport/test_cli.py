@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.transport import cli as serve_cli
 from repro.transport import mmsg
 from repro.transport.cli import _spec
 from repro.transport.serve import run_serve
@@ -32,6 +33,13 @@ def test_serve_smoke_writes_history_and_document(tmp_path, monkeypatch,
 def test_serve_smoke_multi_translator_scalar_fallbacks(capsys, monkeypatch):
     # The daemons are forked: they inherit the cleared flag.
     monkeypatch.setattr(mmsg, "USE_MMSG", False)
+    runs = []       # (spec, result) of the run ``main`` makes
+
+    def recorded(spec):
+        runs.append((spec, run_serve(spec)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(serve_cli, "run_serve", recorded)
     argv = ["serve", "--reports", "300",
             "--collectors", "3", "--translators", "2",
             "--scalar-translate",
@@ -40,9 +48,9 @@ def test_serve_smoke_multi_translator_scalar_fallbacks(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count("store_digest sha256:") == 3
     assert out.endswith("overall: PASS\n")
-    spec = _spec(build_parser().parse_args(argv))
+    (spec, result), = runs
     assert (spec.translators, spec.vectorized) == (2, False)
-    sock = run_serve(spec)["socket"]
+    sock = result["socket"]
     assert len(sock["lane_seqs"]) == 2
     # The labelled view: every daemon under its role and lane / shard.
     daemons = set()
