@@ -78,10 +78,5 @@ class BtrdbCollector(CpuCollector):
 
     # -- queries -------------------------------------------------------------
 
-    def window_stats(self, key: bytes, level: int,
-                     window_index: int) -> _Aggregate:
-        """Pre-computed (count, min, max, sum) for one window."""
-        return self.aggregates[key][level][window_index]
-
     def series(self, key: bytes) -> list:
         return list(self.streams.get(key, []))

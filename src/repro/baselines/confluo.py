@@ -67,10 +67,6 @@ class ConfluoCollector(CpuCollector):
 
     # -- queries -------------------------------------------------------------
 
-    def query_key(self, key: bytes) -> list:
-        """All values recorded for a key, oldest first."""
-        return [self.log[i][1] for i in self.index.get(key, [])]
-
     def latest(self, key: bytes):
         """Most recent value for a key, or None."""
         offsets = self.index.get(key)

@@ -14,7 +14,7 @@ The pieces mirror Figure 1's data flow:
 * :mod:`repro.core.translator` — the collector's ToR switch: converts
   DTA reports into standard RDMA verbs, owning all aggregation state
   (Key-Write redundancy fan-out, the Postcarding hop cache, Append
-  batching, sketch merging, per-reporter loss detection, rate meters).
+  batching, sketch merging, per-reporter loss detection).
 * :mod:`repro.core.collector` — the collector host: registers memory,
   accepts the translator's RDMA connection, and answers queries against
   the primitive stores without having touched a single report with its

@@ -211,10 +211,3 @@ def longevity_success(storage_bytes: float, age_reports: float, *,
         raise ValueError("storage too small for a single slot")
     alpha = age_reports / slots
     return keywrite_success(alpha, redundancy, checksum_bits)
-
-
-def longevity_curve(storage_bytes: float, ages, **kwargs) -> list:
-    """Fig. 20: success vs age for one storage size."""
-    return [LongevityPoint(storage_bytes, age,
-                           longevity_success(storage_bytes, age, **kwargs))
-            for age in ages]

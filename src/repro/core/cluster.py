@@ -191,9 +191,6 @@ class CollectorCluster:
         return self.collectors[self.map.for_list(list_id)].list_poller(
             list_id)
 
-    def sketch_store(self):
-        return self.collectors[self.map.sketch_home].sketch
-
     def flush_appends(self) -> None:
         for translator in self.translators:
             translator.flush_appends()

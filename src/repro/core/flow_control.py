@@ -18,6 +18,7 @@ exactly like RoCE PSNs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 
 from repro.core.packets import Nack
@@ -35,6 +36,13 @@ def seq_distance(seq: int, reference: int) -> int:
     reference (a stale/duplicate report), mirroring RoCE PSN rules.
     """
     return (seq - reference) % SEQ_MOD
+
+
+def _holding(runs: list, seq: int) -> int:
+    """Index of the ``(start, stop)`` run in sorted ``runs`` that holds
+    ``seq``, or -1."""
+    i = bisect_right(runs, (seq, SEQ_MOD)) - 1
+    return i if i >= 0 and seq < runs[i][1] else -1
 
 
 class LossDetectorStats(InstrumentedStats):
@@ -64,8 +72,10 @@ class LossDetector:
         self._expected: dict[int, int] = {}
         # Seqs NACKed and awaiting retransmission, per reporter — the
         # ledger that lets duplicate retransmits be told apart from
-        # first-time recoveries (duplicate-accounting fix).
-        self._awaiting: dict[int, set[int]] = {}
+        # first-time recoveries (duplicate-accounting fix).  Held as
+        # sorted, disjoint ``(start, stop)`` runs within ``SEQ_MOD``,
+        # so one gap costs one run whatever it spans.
+        self._awaiting: dict[int, list[tuple[int, int]]] = {}
         self.stats = LossDetectorStats(labels=labels)
 
     def check(self, reporter_id: int, seq: int,
@@ -80,11 +90,7 @@ class LossDetector:
         self.stats.reports_checked += 1
         if retransmit:
             # Re-sent reports bypass sequencing (they fill old gaps).
-            awaiting = self._awaiting.get(reporter_id)
-            if awaiting is not None and seq in awaiting:
-                awaiting.discard(seq)
-                if not awaiting:
-                    del self._awaiting[reporter_id]
+            if self._take(reporter_id, seq):
                 self.stats.retransmits_accepted += 1
             else:
                 # A retransmit nobody asked for (duplicated NACK or a
@@ -122,33 +128,67 @@ class LossDetector:
         missing = distance + 1
         self.stats.losses_detected += missing - 1
         self.stats.nacks_sent += 1
-        awaiting = self._awaiting.setdefault(reporter_id, set())
-        for i in range(missing):
-            awaiting.add((expected + i) % SEQ_MOD)
+        stop = expected + missing
+        self._await(reporter_id, expected, min(stop, SEQ_MOD))
+        if stop > SEQ_MOD:
+            self._await(reporter_id, 0, stop - SEQ_MOD)
         self._expected[reporter_id] = (seq + 1) % SEQ_MOD
         return Nack(expected_seq=expected, missing=missing)
 
     def expected_seq(self, reporter_id: int) -> int | None:
         return self._expected.get(reporter_id)
 
+    # -- the awaiting ledger -----------------------------------------------
+
+    def _await(self, reporter_id: int, start: int, stop: int) -> None:
+        """Add ``[start, stop)`` to a reporter's runs, merging any run
+        it overlaps or touches."""
+        runs = self._awaiting.setdefault(reporter_id, [])
+        i = bisect_left(runs, (start,))
+        if i and runs[i - 1][1] >= start:
+            i -= 1
+            start = runs[i][0]
+        j = i
+        while j < len(runs) and runs[j][0] <= stop:
+            stop = max(stop, runs[j][1])
+            j += 1
+        runs[i:j] = [(start, stop)]
+
+    def _take(self, reporter_id: int, seq: int) -> bool:
+        """Strike ``seq`` off a reporter's runs; False if not awaited."""
+        runs = self._awaiting.get(reporter_id, [])
+        i = _holding(runs, seq)
+        if i < 0:
+            return False
+        start, stop = runs[i]
+        runs[i:i + 1] = [run for run in ((start, seq), (seq + 1, stop))
+                         if run[0] < run[1]]
+        if not runs:
+            del self._awaiting[reporter_id]
+        return True
+
     # -- recovery support --------------------------------------------------
 
-    def all_awaiting(self) -> dict[int, list[int]]:
-        """NACKed-but-unfilled seqs per reporter (recovery sweep input)."""
-        return {rid: sorted(seqs) for rid, seqs in self._awaiting.items()}
+    def awaiting_runs(self) -> dict[int, list[tuple[int, int]]]:
+        """NACKed-but-unfilled seqs per reporter, as ``[start, stop)``
+        runs in ascending order (recovery sweep input)."""
+        return {rid: list(runs) for rid, runs in self._awaiting.items()}
 
-    def abandon(self, reporter_id: int, seq: int) -> None:
-        """Give up on an awaited seq (its backup copy was evicted).
+    def settle(self, reporter_id: int, held) -> list[int]:
+        """Keep awaiting only the seqs in ``held`` (what the reporter's
+        backup still holds) and give up on the rest of the reporter's
+        ledger: their backup copies were evicted.  Returns the seqs
+        kept, ascending — the ones a recovery sweep re-sends.
 
-        Keeps the awaiting ledger from pinning permanently-lost reports
-        across recovery sweeps; the loss itself is already accounted by
-        the reporter (``lost_forever``).
+        Walks ``held``, never the runs, so a huge gap costs what the
+        backup holds; the loss itself is already accounted by the
+        reporter (``lost_forever``).
         """
-        awaiting = self._awaiting.get(reporter_id)
-        if awaiting is not None:
-            awaiting.discard(seq)
-            if not awaiting:
-                del self._awaiting[reporter_id]
+        runs = self._awaiting.pop(reporter_id, [])
+        kept = sorted(seq for seq in held if _holding(runs, seq) >= 0)
+        for seq in kept:
+            self._await(reporter_id, seq, seq + 1)
+        return kept
 
     def force_expected(self, reporter_id: int, seq: int) -> None:
         """Recovery override: declare everything before ``seq`` settled.
@@ -168,18 +208,15 @@ class LossDetector:
         without re-running first-contact acceptance — which would
         silently forgive any report lost in the gap.
         """
-        return {
-            "expected": dict(self._expected),
-            "awaiting": {rid: sorted(seqs)
-                         for rid, seqs in self._awaiting.items()},
-        }
+        return {"expected": dict(self._expected),
+                "awaiting": self.awaiting_runs()}
 
     def import_state(self, state: dict) -> None:
         """Adopt a peer's :meth:`export_state` snapshot (failover)."""
         self._expected = dict(state["expected"])
-        self._awaiting = {rid: set(seqs)
-                          for rid, seqs in state["awaiting"].items()
-                          if seqs}
+        self._awaiting = {rid: [tuple(run) for run in runs]
+                          for rid, runs in state["awaiting"].items()
+                          if runs}
 
 
 class BackupStats(InstrumentedStats):
@@ -227,19 +264,19 @@ class ReportBackup:
     def fetch(self, nack: Nack) -> list:
         """Reports to re-send for a NACK; missing ones are counted lost.
 
-        The NACKed range may straddle the 32-bit wrap; iteration is
-        modular so ``expected_seq`` near ``SEQ_MOD`` still resolves the
-        post-wrap sequences.
+        The NACKed range may straddle the 32-bit wrap; order is modular
+        from ``expected_seq``, so post-wrap sequences come last.  The
+        walk is over the held reports (at most ``capacity``), never the
+        range, and the rest of the range is counted unavailable in one
+        step.
         """
-        out = []
-        for i in range(nack.missing):
-            seq = (nack.expected_seq + i) % SEQ_MOD
-            raw = self._buf.get(seq)
-            if raw is None:
-                self.stats.unavailable += 1
-            else:
-                out.append((seq, raw))
-                self.stats.retransmitted += 1
+        def offset(item) -> int:
+            return seq_distance(item[0], nack.expected_seq)
+
+        out = sorted((item for item in self._buf.items()
+                      if offset(item) < nack.missing), key=offset)
+        self.stats.retransmitted += len(out)
+        self.stats.unavailable += nack.missing - len(out)
         return out
 
     def get(self, seq: int) -> bytes | None:

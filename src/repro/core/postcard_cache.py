@@ -45,12 +45,6 @@ class CacheStats(InstrumentedStats):
     emissions_early = counter_field()
     duplicates = counter_field()
 
-    @property
-    def aggregated_fraction(self) -> float:
-        """Fraction of emissions that carried a full path."""
-        total = self.emissions_complete + self.emissions_early
-        return self.emissions_complete / total if total else 0.0
-
 
 class _Row:
     __slots__ = ("key", "values", "count", "path_len")

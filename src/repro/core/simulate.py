@@ -67,19 +67,6 @@ def simulate_keywrite(slots: int, keys: int, redundancy: int, *,
                             success_rate=success, success_by_age=by_age)
 
 
-def success_vs_load(slots: int, load_factors, redundancies=(1, 2, 4), *,
-                    seed: int = 0) -> dict:
-    """Fig. 18's grid: {(load, N): average success rate}."""
-    out = {}
-    for load in load_factors:
-        keys = max(1, int(round(load * slots)))
-        for n in redundancies:
-            result = simulate_keywrite(slots, keys, n,
-                                       seed=seed + n + int(load * 1000))
-            out[(load, n)] = result.success_rate
-    return out
-
-
 def success_at_age(slots: int, age: int, redundancy: int, *,
                    seed: int = 0, probes: int = 2000) -> float:
     """P(success | exactly ``age`` keys written after ours) — Fig. 20.

@@ -91,9 +91,6 @@ class CuckooLayout:
         value = raw[1 + self.key_bytes:self.slot_bytes]
         return key, value
 
-    def empty_slot(self) -> bytes:
-        return b"\x00" * self.slot_bytes
-
 
 class CuckooStore(primitives.Store):
     """Collector-side exact-match queries over the cuckoo region."""

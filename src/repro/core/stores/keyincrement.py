@@ -123,17 +123,6 @@ class KeyIncrementStore(primitives.Store):
         indices = layout.counter_indices_many(matrix, lengths, n_rows)
         return counters[indices].min(axis=0).tolist()
 
-    def local_increment(self, key: bytes, value: int = 1, *,
-                        redundancy: int | None = None) -> None:
-        """Testing/analysis helper: increment without the RDMA path."""
-        n_rows = min(redundancy or self.layout.rows, self.layout.rows)
-        for n in range(n_rows):
-            offset = self.layout.counter_index(n, key) * COUNTER_BYTES
-            raw = self.region.local_read(offset, COUNTER_BYTES)
-            current = struct.unpack("<Q", raw)[0]
-            self.region.local_write(
-                offset, struct.pack("<Q", current + value))
-
     def reset(self) -> None:
         """Zero the counters ("memory may be reset periodically")."""
         self.region.local_write(0, b"\x00" * self.layout.region_bytes)

@@ -223,25 +223,6 @@ class PostcardingStore(primitives.Store):
     def reset_stats(self) -> None:
         self.queries = self.hits = self.chunk_reads = self.hop_checksums = 0
 
-    def modelled_query_time_ns(self) -> float:
-        """Per-query CPU time implied by the Fig. 9 cost constants.
-
-        A Postcarding query is one chunk hash + one *contiguous* read
-        plus B hop-checksum CRCs — versus Key-Write's N random reads
-        per hop.  This is the Section 3.2 query-speed argument made
-        measurable.
-        """
-        from repro import calibration
-
-        if self.queries == 0:
-            return 0.0
-        total = (self.chunk_reads
-                 * (calibration.QUERY_T_CRC_SLOT_NS
-                    + calibration.QUERY_T_MEM_READ_NS)
-                 + self.hop_checksums * calibration.QUERY_T_CRC_CSUM_NS
-                 + self.queries * calibration.QUERY_T_OVERHEAD_NS)
-        return total / self.queries
-
     def query(self, key: bytes, *, redundancy: int = 1) -> list | None:
         """Return the postcard values v_0..v_{ℓ-1} for flow ``key``.
 

@@ -8,17 +8,14 @@ This is the system's centrepiece (Sections 3.1 and 4.2).  The translator
   Postcarding cache, Append batching, sketch merging — in that
   primitive's lane,
 * detects lost essential reports via per-reporter counters and bounces
-  NACKs (Figure 5), and
-* meters its own RDMA generation rate, shedding low-priority reports
-  and signalling congestion upstream when the collector saturates
-  (Section 3.3).
+  NACKs (Figure 5).
 
 What a primitive *does* lives in its lane class, next to its store
 (``core/stores/<primitive>.py``): one ``check`` (the validation), one
 ``scalar`` reference (which every digest gate anchors to) and one
 ``plan`` (the vector fast path, returned as a
 :class:`~repro.kernels.burst.VectorPlan`).
-This module is what is per-report and primitive-agnostic: meter,
+This module is what is per-report and primitive-agnostic:
 loss detection and NACK, the immediate flag, crash and restart, burst
 accounting, and the one vector-eligibility decision
 (:meth:`Translator.plan_batch` / :meth:`Translator.plan_columns`).
@@ -33,19 +30,17 @@ and collector memory by construction as well as by differential test.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 
 from repro import calibration, obs
 from repro.core import packets, primitives
 from repro.core.flow_control import LossDetector
-from repro.core.packets import CongestionSignal, DtaFlags
+from repro.core.packets import DtaFlags
 from repro.core.transport import CtrlFrame, DtaFrame, RdmaClient, RoceFrame
 from repro.fabric.topology import Node
 from repro.kernels import MIN_VECTOR_BATCH, burst as kburst
 from repro.rdma.cm import ServiceAdvert
 from repro.rdma.verbs import ATOMIC_BYTES, Opcode
-from repro.switch.meters import Meter, MeterConfig
 
 
 class TranslatorStats(obs.InstrumentedStats):
@@ -68,9 +63,6 @@ class TranslatorStats(obs.InstrumentedStats):
     sketch_column_nacks = obs.counter_field()
     sketch_batches = obs.counter_field()
     nacks_sent = obs.counter_field()
-    congestion_signals = obs.counter_field()
-    low_priority_dropped = obs.counter_field()
-    rerouted_to_cpu = obs.counter_field()
     immediate_writes = obs.counter_field()
     dropped_while_crashed = obs.counter_field()
 
@@ -84,14 +76,10 @@ class Translator(Node):
 
     Args:
         name: Node name (fabric mode addressing).
-        rate_limit_mps: Collector saturation point in RDMA messages/s;
-            enables the flow-control meter when set (reports arriving
-            above this rate trigger shedding + congestion signals).
         max_reporters: Loss-detector provisioning (Section 5.3: 65K).
     """
 
     def __init__(self, name: str = "translator", *,
-                 rate_limit_mps: float | None = None,
                  max_reporters: int = calibration.RETRANSMIT_MAX_REPORTERS,
                  vectorized: bool = False) -> None:
         super().__init__(name)
@@ -105,19 +93,10 @@ class Translator(Node):
         self.stats = TranslatorStats(labels={"node": name})
         self.loss = LossDetector(max_reporters, labels={"node": name})
         self.control_sink = None   # callable(src, raw) in direct mode
-        self.cpu_backlog: deque = deque()
         self._crashed = False
         #: ``primitive code -> lane`` for every configured service.
         self._lanes: dict = {}
         self._pending_imm: int | None = None
-        self._meter: Meter | None = None
-        if rate_limit_mps is not None:
-            self._meter = Meter(MeterConfig(
-                committed_rate=rate_limit_mps,
-                committed_burst=max(64.0, rate_limit_mps / 1000),
-                peak_rate=rate_limit_mps * 1.25,
-                peak_burst=max(128.0, rate_limit_mps / 500)),
-                name=name)
         self._payload_hist = obs.get_registry().declare_histogram(
             "translator.rdma_payload_hist", node=name)
         self.append_batch_hist = obs.get_registry().declare_histogram(
@@ -164,7 +143,7 @@ class Translator(Node):
                       now: float | None = None) -> None:
         """Process one DTA report end to end.
 
-        Everything per-report lives here — decode, ingress meter, loss
+        Everything per-report lives here — decode, loss
         detection / NACK, the immediate flag — and the report then runs
         through the scalar reference lanes as a one-row column set, the
         same code :meth:`process_batch` runs over N rows.
@@ -175,15 +154,8 @@ class Translator(Node):
         if now is not None:
             self.now = now
         header, op = packets.decode_report(raw)
-        # A report shed, deferred or NACKed below was still received;
-        # every other report is counted by the lane that translates it.
-
-        # Flow control: congestion shedding happens before any state
-        # is touched, mirroring the ingress meter in hardware.
-        if self._meter is not None and not self._admit(
-                self._meter.mark(self.now), header, raw, src):
-            self.stats.reports_in += 1
-            return
+        # A report NACKed below was still received; every other report
+        # is counted by the lane that translates it.
 
         # Loss detection for essential reports.
         if header.essential:
@@ -236,11 +208,11 @@ class Translator(Node):
         decides); every other batch takes the scalar reference lane of
         its primitive.
 
-        Batches that involve per-report control-plane state — a
-        configured rate meter, essential sequence tracking, immediate
-        flags — go through :meth:`handle_report` report by report,
-        which keeps their semantics (shedding order, NACK generation,
-        WRITE_IMM conversion) exactly as specified.
+        Batches that involve per-report control-plane state — essential
+        sequence tracking, immediate flags — go through
+        :meth:`handle_report` report by report, which keeps their
+        semantics (NACK generation, WRITE_IMM conversion) exactly as
+        specified.
         Unlike the per-report entry point, a batch is validated whole,
         so a malformed batch raises before any state changes.
         """
@@ -251,7 +223,7 @@ class Translator(Node):
             self.now = now
         if len(batch) == 0:
             return
-        if self._meter is not None or batch.essential or batch.immediate:
+        if batch.essential or batch.immediate:
             for raw in batch.iter_raw():
                 self.handle_report(raw, src=src)
             return
@@ -329,11 +301,10 @@ class Translator(Node):
         run of its neighbours (``docs/CONCURRENCY.md``, "Plan width is
         not observable"): a plain batch — no essential or immediate
         flag — that the configured service accepts (an exception is
-        not a sum), on a running translator that vectorizes and keeps
-        no per-report admission state (a meter).
+        not a sum), on a running translator that vectorizes.
         :meth:`plan_batch` still decides for the run.
         """
-        if not (self.vectorized and self._meter is None and not self._crashed
+        if not (self.vectorized and not self._crashed
                 and not (batch.essential or batch.immediate)):
             return False
         lane = self._lanes.get(batch.primitive)
@@ -404,13 +375,13 @@ class Translator(Node):
     def _vector_target(self, kind, reports: int, client):
         """``(lane, burst target)`` if ``reports`` plain reports of
         ``kind`` may run as a plan: vectorization on,
-        ``MIN_VECTOR_BATCH`` reports or more, no meter, translator up,
+        ``MIN_VECTOR_BATCH`` reports or more, translator up,
         the service configured, and ``client`` resolving to a healthy
         direct-mode burst target whose region is the one the layout
         describes.
         """
         if (not self.vectorized or reports < MIN_VECTOR_BATCH
-                or self._meter is not None or self._crashed):
+                or self._crashed):
             return None
         lane = self._lanes.get(kind)
         if lane is None:
@@ -458,57 +429,6 @@ class Translator(Node):
             batch.reporter_id, target)
 
     plan_vector_keyincrement = plan_vector_keywrite
-
-    # -- flow control --------------------------------------------------
-
-    def _admit(self, color, header, raw: bytes, src: str | None) -> bool:
-        """Apply the ingress meter's trTCM verdict to one report: GREEN
-        admits; YELLOW reroutes an essential report through the switch CPU
-        path (re-injected when the meter cools down) and sheds any
-        other; RED does the same after signalling the reporter to slow
-        down."""
-        if color.name == "GREEN":
-            return True
-        if color.name == "RED":
-            self.stats.congestion_signals += 1
-            obs.emit("translator", "congestion_signal", node=self.name,
-                     reporter=header.reporter_id, level=2)
-            self._send_control(src, header.reporter_id,
-                               CongestionSignal(level=2))
-        if header.essential:
-            self.cpu_backlog.append(raw)
-            self.stats.rerouted_to_cpu += 1
-        else:
-            self.stats.low_priority_dropped += 1
-        return False
-
-    def reinject_cpu_backlog(self, now: float, max_reports: int = 1024
-                             ) -> int:
-        """Switch-CPU re-injection of rerouted essential reports.
-
-        Drains in arrival order and stops at the first report the meter
-        rejects *again*: re-admission goes through :meth:`handle_report`
-        (and therefore :meth:`_admit`), so a still-hot meter would
-        otherwise bounce the same report back to the backlog tail inside
-        the drain loop — spinning until ``max_reports`` while inflating
-        ``rerouted_to_cpu`` once per lap.  A re-rejected report is moved
-        back to the *head* so backlog order is preserved for the next
-        drain.  Returns the number of reports actually re-admitted.
-        """
-        if self._crashed:
-            return 0
-        self.now = now
-        count = 0
-        while self.cpu_backlog and count < max_reports:
-            raw = self.cpu_backlog.popleft()
-            self.handle_report(raw, now=self.now)
-            if self.cpu_backlog and self.cpu_backlog[-1] is raw:
-                # The meter is still hot: restore the report's place at
-                # the front and give the meter time to cool down.
-                self.cpu_backlog.appendleft(self.cpu_backlog.pop())
-                break
-            count += 1
-        return count
 
     # -- fault injection: fail-stop crash --------------------------------
 

@@ -88,10 +88,6 @@ class Link:
         """Close the fault window; the baseline loss process resumes."""
         self._fault_loss = None
 
-    @property
-    def fault_active(self) -> bool:
-        return self._fault_loss is not None
-
     def _drop_decision(self) -> tuple[bool, bool]:
         """Decide one packet's fate: ``(dropped, in_fault_window)``.
 
@@ -205,10 +201,6 @@ class StreamLink:
     def end_fault(self) -> None:
         """Close the blackout window; delivery resumes."""
         self._fault = False
-
-    @property
-    def fault_active(self) -> bool:
-        return self._fault
 
     def transmit(self, reports: int, size_bytes: int) -> bool:
         """Charge one carrier crossing the hop; False means dropped.

@@ -25,13 +25,11 @@ from repro.faults.recovery import (
     ha_star,
     recover_stream,
 )
-from repro.faults.retention import CrashRestoreResult, run_crash_restore
 from repro.faults.scenarios import ChaosResult, default_plan, run_chaos
 
 __all__ = [
     "KINDS",
     "ChaosResult",
-    "CrashRestoreResult",
     "FailoverManager",
     "FaultEvent",
     "FaultInjector",
@@ -43,5 +41,4 @@ __all__ = [
     "ha_star",
     "recover_stream",
     "run_chaos",
-    "run_crash_restore",
 ]

@@ -9,7 +9,7 @@ chaos suite pin obs-snapshot digests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 #: Every fault kind the injector can dispatch.
@@ -96,16 +96,6 @@ class FaultPlan:
 
     def of_kind(self, kind: str) -> list[FaultEvent]:
         return [ev for ev in self.events if ev.kind == kind]
-
-    def to_dicts(self) -> list[dict]:
-        """Serialisable form (CLI output, golden files)."""
-        return [asdict(ev) for ev in self.events]
-
-    @classmethod
-    def from_dicts(cls, records: Iterable[dict], *, seed: int = 0,
-                   name: str = "plan") -> "FaultPlan":
-        return cls((FaultEvent(**rec) for rec in records), seed=seed,
-                   name=name)
 
     def describe(self) -> str:
         """Human-readable one-line-per-event rendering."""

@@ -216,15 +216,13 @@ def drain_losses(translators: list, reporters: list, *,
         for translator in translators:
             if translator.crashed:
                 continue
-            for rid, seqs in translator.loss.all_awaiting().items():
+            for rid in translator.loss.awaiting_runs():
                 reporter = by_id.get(rid)
                 if reporter is None:
                     continue
-                for seq in seqs:
-                    if reporter.resend_from_backup(seq):
-                        work += 1
-                    else:
-                        translator.loss.abandon(rid, seq)
+                for seq in translator.loss.settle(rid,
+                                                  reporter.backup.seqs()):
+                    work += reporter.resend_from_backup(seq)
             for reporter in by_id.values():
                 work += _reconcile_tail(translator, reporter)
             client = translator.client

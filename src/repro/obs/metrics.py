@@ -97,9 +97,6 @@ class Gauge(Metric):
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
     def sample(self):
         if self.fn is not None:
             return self.fn()
@@ -172,15 +169,6 @@ class Histogram(Metric):
         self.buckets[min(v.bit_length(), self.NUM_BUCKETS - 1)] += times
         self.count += times
         self.total += value * times
-
-    @staticmethod
-    def bucket_bounds(index: int) -> tuple[int, float]:
-        """[lo, hi) value range covered by bucket ``index``."""
-        if index == 0:
-            return (0, 1)
-        if index >= Histogram.NUM_BUCKETS - 1:
-            return (1 << (index - 1), float("inf"))
-        return (1 << (index - 1), 1 << index)
 
     def sample(self):
         return HistogramSample(count=self.count, total=self.total,

@@ -100,13 +100,6 @@ class ObsProbe:
             (msg or "metric conservation violated")
             + f": {lhs_total} != {rhs_total}\n{ledger}")
 
-    def assert_zero(self, *names) -> None:
-        """Assert every named metric stayed flat across the window."""
-        busy = {name: self.delta(name) for name in names
-                if self.delta(name) != 0}
-        if busy:
-            raise AssertionError(f"expected zero deltas, got {busy}")
-
     def _side(self, terms):
         total = 0
         parts = []

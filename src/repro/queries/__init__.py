@@ -46,12 +46,6 @@ from repro.queries.library import (
     PathTracer,
     TraceResult,
 )
-from repro.queries.epochs import (
-    append_epoch_entries,
-    epoch_catalog,
-    keywrite_epoch_values,
-    sketch_epoch_estimates,
-)
 from repro.queries.serving import EpochResults, QueryServer
 from repro.queries.snapshot import CollectorSnapshot, snapshot_of
 
@@ -66,11 +60,6 @@ __all__ = [
     "sketch_estimates",
     "postcard_paths",
     "append_entries",
-    # epoch-scoped sources (retention tier)
-    "append_epoch_entries",
-    "epoch_catalog",
-    "keywrite_epoch_values",
-    "sketch_epoch_estimates",
     # execution
     "QueryEngine",
     "QueryResult",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro import bench
 from repro.queries import algebra
-from repro.runtime.engine import StreamEngine, store_digest
+from repro.runtime.engine import StreamEngine
 from repro.workloads import reports as workload
 
 #: Primitives of the mixed stream, in submission order.
@@ -134,8 +134,3 @@ def run_catalog(collector_or_snapshot, works: dict):
     tick = server.tick()
     results = {name: result.rows for name, result in tick.results.items()}
     return results, server.cost_report()
-
-
-def lane_digest(collector) -> str:
-    """Store digest of a lane, for the differential gate."""
-    return store_digest(collector)

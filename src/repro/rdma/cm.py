@@ -33,15 +33,6 @@ class ServiceAdvert:
     params: dict = field(default_factory=dict, hash=False)
 
 
-@dataclass
-class Connection:
-    """An established translator<->collector RDMA connection."""
-
-    local_qp: QueuePair
-    remote_qp: QueuePair
-    advert: ServiceAdvert
-
-
 class CmListener:
     """Collector-side CM endpoint: one listening port per primitive."""
 
@@ -50,7 +41,6 @@ class CmListener:
     def __init__(self, nic: Nic) -> None:
         self.nic = nic
         self._services: dict[int, ServiceAdvert] = {}
-        self.connections: list[Connection] = []
 
     def listen(self, port: int, advert: ServiceAdvert) -> None:
         """Bind a primitive's advertisement to a CM port."""
@@ -60,30 +50,6 @@ class CmListener:
 
     def ports(self) -> dict[int, ServiceAdvert]:
         return dict(self._services)
-
-    def handle_connect(self, port: int,
-                       client_nic: Nic) -> tuple[Connection, ServiceAdvert]:
-        """Accept a REQ on ``port``: create QPs both sides, wire them up.
-
-        Returns the established connection (client perspective is the
-        ``local_qp`` of the returned Connection's *remote* NIC) and the
-        advert so the client learns the memory layout.
-        """
-        advert = self._services.get(port)
-        if advert is None:
-            raise ConnectionRefusedError(f"no service on CM port {port}")
-        server_qp = self.nic.create_qp()
-        client_qp = client_nic.create_qp()
-        psn_a = next(self._psn_seed)
-        psn_b = next(self._psn_seed)
-        self.nic.connect_qp(server_qp, client_qp.qpn,
-                            send_psn=psn_a, expected_psn=psn_b)
-        client_nic.connect_qp(client_qp, server_qp.qpn,
-                              send_psn=psn_b, expected_psn=psn_a)
-        conn = Connection(local_qp=client_qp, remote_qp=server_qp,
-                          advert=advert)
-        self.connections.append(conn)
-        return conn, advert
 
 
 def reestablish(server_nic: Nic, server_qp: QueuePair,

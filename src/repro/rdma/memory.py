@@ -196,10 +196,6 @@ class ProtectionDomain:
         self._regions[region.rkey] = region
         return region
 
-    def deregister(self, region: MemoryRegion) -> None:
-        """Invalidate the region's rkey (``ibv_dereg_mr``)."""
-        self._regions.pop(region.rkey, None)
-
     def lookup(self, rkey: int) -> MemoryRegion:
         """Resolve an rkey; raises :class:`RemoteAccessError` if stale."""
         try:

@@ -69,12 +69,6 @@ class NicStats(InstrumentedStats):
             return 0.0
         return self.messages * 1e9 / self.busy_ns
 
-    def goodput_gbps(self) -> float:
-        """Payload goodput in Gbit/s implied by the cost model."""
-        if self.busy_ns == 0:
-            return 0.0
-        return self.payload_bytes * 8 / self.busy_ns
-
 
 class Nic:
     """An RDMA-capable NIC attached to a collector host.
@@ -114,9 +108,6 @@ class Nic:
         qp = QueuePair(qpn, self.pd)
         self.qps[qpn] = qp
         return qp
-
-    def destroy_qp(self, qp: QueuePair) -> None:
-        self.qps.pop(qp.qpn, None)
 
     def connect_qp(self, qp: QueuePair, dest_qpn: int, *,
                    send_psn: int = 0, expected_psn: int = 0) -> None:

@@ -116,20 +116,6 @@ class RocePacket:
         return self.bth.opcode in (BthOpcode.RC_ACKNOWLEDGE,
                                    BthOpcode.RC_ATOMIC_ACKNOWLEDGE)
 
-    @property
-    def wire_size(self) -> int:
-        """Transport-layer bytes (BTH + ETHs + payload + ICRC)."""
-        size = BTH_BYTES + ICRC_BYTES + len(self.payload)
-        if self.verb in (Opcode.WRITE, Opcode.WRITE_IMM, Opcode.READ):
-            size += RETH_BYTES
-        if self.verb in (Opcode.FETCH_ADD, Opcode.CMP_SWAP):
-            size += ATOMIC_ETH_BYTES
-        if self.imm is not None:
-            size += IMMDT_BYTES
-        if self.syndrome is not None:
-            size += AETH_BYTES
-        return size
-
 
 def encode_request(verb: Opcode, *, dest_qp: int, psn: int,
                    remote_addr: int = 0, rkey: int = 0,

@@ -107,14 +107,6 @@ class WorkRequest:
             return ATOMIC_BYTES
         return 0 if opcode is Opcode.READ else len(self.data)
 
-    @property
-    def response_bytes(self) -> int:
-        """Bytes moved responder->requester."""
-        opcode = self.opcode
-        if opcode.is_atomic:
-            return ATOMIC_BYTES
-        return self.length if opcode is Opcode.READ else 0
-
 
 @dataclass
 class WorkCompletion:

@@ -352,11 +352,6 @@ class PlanWorkerPool:
     def processes(self) -> list:
         return [w.process for w in self._workers if w.process is not None]
 
-    def worker_stats(self, index: int) -> dict:
-        """This worker's counters, as a plain dict."""
-        return {field: counter.value
-                for field, counter in self._workers[index].stats.items()}
-
     def dispatch(self, index: int, seq: int, request: tuple) -> bool:
         """Ship a ``Translator.plan_request`` to worker ``index``.
 

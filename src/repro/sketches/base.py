@@ -22,16 +22,6 @@ class Sketch(abc.ABC):
     def update(self, key: bytes, weight: int = 1) -> None:
         """Account one observation of ``key``."""
 
-    def update_many(self, keys, weights=None) -> None:
-        """Account a batch of observations: :meth:`update` per key, in
-        order."""
-        if weights is None:
-            for key in keys:
-                self.update(key)
-        else:
-            for key, weight in zip(keys, weights):
-                self.update(key, weight)
-
     @abc.abstractmethod
     def merge(self, other: "Sketch") -> None:
         """Fold ``other`` into ``self`` (the network-wide aggregation)."""
@@ -39,10 +29,6 @@ class Sketch(abc.ABC):
     @abc.abstractmethod
     def columns(self) -> Iterable[tuple]:
         """Yield transportable columns (index, counter tuple)."""
-
-    @abc.abstractmethod
-    def merge_column(self, index: int, column: tuple) -> None:
-        """Merge one received column into this sketch."""
 
     def check_compatible(self, other: "Sketch") -> None:
         """Raise :class:`MergeError` unless shapes match."""

@@ -10,7 +10,6 @@ semantics in the test suite.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from repro.sketches.base import MergeError, Sketch
@@ -33,16 +32,6 @@ class CountMinSketch(Sketch):
         self._rows = [[0] * width for _ in range(depth)]
         self._hashes = hash_family(depth)
         self.total = 0
-
-    @classmethod
-    def from_error_bounds(cls, epsilon: float, delta: float
-                          ) -> "CountMinSketch":
-        """Size the sketch for an (epsilon, delta) guarantee."""
-        if not 0 < epsilon < 1 or not 0 < delta < 1:
-            raise ValueError("epsilon and delta must be in (0, 1)")
-        width = math.ceil(math.e / epsilon)
-        depth = math.ceil(math.log(1.0 / delta))
-        return cls(width=width, depth=depth)
 
     def update(self, key: bytes, weight: int = 1) -> None:
         self.total += weight
@@ -70,14 +59,6 @@ class CountMinSketch(Sketch):
         """Yield (column index, (row0, row1, ...)) for DTA transport."""
         for j in range(self.width):
             yield j, tuple(row[j] for row in self._rows)
-
-    def merge_column(self, index: int, column: tuple) -> None:
-        if not 0 <= index < self.width:
-            raise IndexError("column index out of range")
-        if len(column) != self.depth:
-            raise MergeError("column depth mismatch")
-        for row, value in zip(self._rows, column):
-            row[index] += value
 
     def counters(self) -> list[list[int]]:
         """Copy of the raw counter matrix (for serialisation/tests)."""

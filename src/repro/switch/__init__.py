@@ -7,8 +7,6 @@ models the ASIC features that logic relies on and what it costs:
 * :mod:`repro.switch.crc` — the hardware CRC engine with configurable
   polynomials, used for hashing keys to slots, key checksums, and the
   hop-specific checksums of Postcarding.
-* :mod:`repro.switch.meters` — token-bucket rate meters used by DTA's
-  telemetry flow control.
 * :mod:`repro.switch.resources` — the resource accounting model that
   turns a program description into utilisation percentages (SRAM, match
   crossbar, table IDs, ternary bus, stateful ALUs), reproducing Fig. 7
@@ -19,14 +17,11 @@ models the ASIC features that logic relies on and what it costs:
 """
 
 from repro.switch.crc import CrcEngine, CrcPoly
-from repro.switch.meters import Meter, MeterColor
 from repro.switch.resources import Resource, ResourceBudget, ResourceUsage
 
 __all__ = [
     "CrcEngine",
     "CrcPoly",
-    "Meter",
-    "MeterColor",
     "Resource",
     "ResourceBudget",
     "ResourceUsage",

@@ -147,25 +147,6 @@ class CrcEngine:
     def __call__(self, data: bytes) -> int:
         return self.compute(data)
 
-    def compute_many(self, keys) -> list:
-        """CRCs of many keys; vectorized past ``MIN_VECTOR_BATCH``.
-
-        Same results as ``[self.compute(k) for k in keys]`` — the
-        vectorized path (:func:`repro.kernels.crc.crc_many`) walks the
-        identical lookup table and is differentially tested bit-exact,
-        so callers may treat the two paths as interchangeable.
-        """
-        from repro.kernels import MIN_VECTOR_BATCH
-
-        if len(keys) >= MIN_VECTOR_BATCH:
-            from repro.kernels import crc as kcrc
-
-            packed, lengths = kcrc.pack_keys(keys)
-            seed = None if self._is_zlib else self._seed
-            return [int(v) for v in
-                    kcrc.crc_many(self.poly, packed, lengths, seed=seed)]
-        return [self.compute(key) for key in keys]
-
 
 @lru_cache(maxsize=1024)
 def _hash_lane(index: int, width_bits: int):

@@ -266,16 +266,6 @@ class InFlightInt:
         return cls(instructions=IntInstruction(md.instructions),
                    remaining_hops=md.remaining_hops, hops=hops)
 
-    def to_report(self, *, hw_id: int = 0, seq: int = 0,
-                  sink_node: int = 0, tstamp: int = 0) -> "IntReport":
-        """Sink-side conversion: strip the in-flight state into a
-        telemetry report ready for export."""
-        return IntReport(
-            report=TelemetryReport(hw_id=hw_id, seq=seq,
-                                   node_id=sink_node,
-                                   ingress_tstamp=tstamp),
-            instructions=self.instructions, hops=list(self.hops))
-
 
 def int_source(instructions: IntInstruction,
                max_hops: int) -> InFlightInt:

@@ -402,15 +402,6 @@ class SocketReporter:
             self._finalize_frame(lane)
             self._flush_outbox(lane)
 
-    def _send(self, payload: bytes) -> None:
-        """Fuzz hook: envelope arbitrary payload as a ``KIND_REPORT``
-        single on lane 0, after flushing the pending frame so lane
-        order still matches emission order."""
-        lane = self._lanes[0]
-        self._finalize_frame(lane)
-        self._append_single(lane, payload)
-        self._flush_outbox(lane)
-
     def end_stream(self) -> int:
         """Flush the shim and mark end-of-stream on every lane.
 
@@ -429,11 +420,6 @@ class SocketReporter:
             self._flush_outbox(lane)
             total += lane.reports_sent
         return total
-
-    def send_raw_datagram(self, datagram: bytes) -> None:
-        """Fuzz hook: put arbitrary bytes on the wire, bypassing shim,
-        envelope, and window accounting alike."""
-        self._lanes[0].sock.send(datagram)
 
     # ------------------------------------------------------------------
     # Control path

@@ -2,8 +2,6 @@
 
 import struct
 
-import pytest
-
 from repro import calibration
 from repro.baselines.btrdb import BtrdbCollector
 
@@ -32,8 +30,7 @@ class TestAggregates:
         col = BtrdbCollector(window=4)
         for value in (5, 1, 9, 3):
             col.ingest(report(1, value))
-        agg = col.window_stats(struct.pack(">I", 1), level=0,
-                               window_index=0)
+        agg = col.aggregates[struct.pack(">I", 1)][0][0]
         assert agg.count == 4
         assert agg.minimum == 1.0
         assert agg.maximum == 9.0
@@ -44,8 +41,8 @@ class TestAggregates:
         for value in (1, 2, 3, 4):
             col.ingest(report(1, value))
         key = struct.pack(">I", 1)
-        assert col.window_stats(key, 0, 0).total == 3.0
-        assert col.window_stats(key, 0, 1).total == 7.0
+        assert col.aggregates[key][0][0].total == 3.0
+        assert col.aggregates[key][0][1].total == 7.0
 
     def test_higher_levels_aggregate_doubled_spans(self):
         col = BtrdbCollector(window=2, levels=2)
@@ -53,8 +50,8 @@ class TestAggregates:
             col.ingest(report(1, value))
         key = struct.pack(">I", 1)
         # Level 1 window covers 4 points.
-        assert col.window_stats(key, 1, 0).count == 4
-        assert col.window_stats(key, 1, 0).total == 10.0
+        assert col.aggregates[key][1][0].count == 4
+        assert col.aggregates[key][1][0].total == 10.0
 
 
 class TestRates:

@@ -18,8 +18,8 @@ class TestIngestion:
         col.ingest(report(1, 100))
         col.ingest(report(1, 200))
         col.ingest(report(2, 300))
-        assert col.query_key(struct.pack(">I", 1)) == [
-            struct.pack(">I", 100), struct.pack(">I", 200)]
+        assert [col.log[i][1] for i in col.index[struct.pack(">I", 1)]] \
+            == [struct.pack(">I", 100), struct.pack(">I", 200)]
 
     def test_latest_returns_most_recent(self):
         col = ConfluoCollector()

@@ -109,7 +109,7 @@ class TestClusterDataPath:
             reporter.sketch_column(0, column, (column, column))
         home = cluster.map.sketch_home
         assert cluster.translators[home].stats.sketch_columns == 8
-        assert cluster.sketch_store().column(3) == (3, 3)
+        assert cluster.collectors[home].sketch.column(3) == (3, 3)
 
     def test_per_translator_sequence_streams(self, cluster):
         """Essential counters are per destination translator."""

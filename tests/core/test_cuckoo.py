@@ -39,7 +39,7 @@ class TestLayout:
                               value_bytes=4)
         raw = layout.encode_slot(key(7), b"val!")
         assert layout.decode_slot(raw) == (key(7), b"val!")
-        assert layout.decode_slot(layout.empty_slot()) is None
+        assert layout.decode_slot(bytes(layout.slot_bytes)) is None
 
     def test_key_width_enforced(self):
         layout = CuckooLayout(base_addr=0, buckets=64, key_bytes=8,

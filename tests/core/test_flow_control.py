@@ -1,7 +1,13 @@
 """Flow control: loss detection, NACKs, report backup."""
 
-import pytest
+import contextlib
+import signal
+import time
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.collector import Collector
 from repro.core.flow_control import (
     SEQ_MOD,
     LossDetector,
@@ -9,6 +15,28 @@ from repro.core.flow_control import (
     seq_distance,
 )
 from repro.core.packets import Nack
+from repro.core.reporter import Reporter
+from repro.core.translator import Translator
+from repro.core.transport import CtrlFrame
+from repro.faults.recovery import drain_losses
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the block once it runs past ``seconds``: a gap walked seq
+    by seq would run for minutes and fill memory instead."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < seconds
 
 
 class TestLossDetector:
@@ -137,6 +165,68 @@ class TestSequenceWraparound:
         assert got == [(SEQ_MOD - 1, b"pre-wrap"), (0, b"post-wrap")]
         assert backup.stats.unavailable == 0
 
+    def test_half_the_sequence_space_ahead_is_a_gap(self):
+        """``seq_distance``: only a distance *above* ``SEQ_MOD // 2``
+        is behind, so exactly half the space ahead is still a gap."""
+        det = LossDetector()
+        det.check(1, 0)
+        with deadline(1.0):
+            nack = det.check(1, 1 + SEQ_MOD // 2)
+        assert nack == Nack(expected_seq=1, missing=SEQ_MOD // 2 + 1)
+        assert det.stats.losses_detected == SEQ_MOD // 2
+        assert det.stats.stale_duplicates == 0
+        assert det.expected_seq(1) == 2 + SEQ_MOD // 2
+
+    def test_one_past_half_the_sequence_space_is_stale(self):
+        det = LossDetector()
+        det.check(1, 0)
+        assert det.check(1, 2 + SEQ_MOD // 2) is None
+        assert det.stats.stale_duplicates == 1
+        assert det.stats.nacks_sent == 0
+        assert det.expected_seq(1) == 1
+
+
+class TestHugeGap:
+    """One essential report far ahead costs what the backup holds, not
+    what the gap spans."""
+
+    JUMP = SEQ_MOD // 2 - 1          # the gap a wire seq may open
+
+    def test_a_jump_of_2_31_minus_1_nacks_within_a_second(self):
+        col = Collector()
+        col.serve_keywrite(slots=64, data_bytes=4)
+        tr = Translator()
+        col.connect_translator(tr)
+        rep = Reporter("r", 0, transmit=tr.handle_report)
+        tr.control_sink = lambda _src, raw: rep.receive(
+            CtrlFrame(src=tr.name, raw=raw))
+        rep.key_write(b"a", b"\x00" * 4, redundancy=1, essential=True)
+        rep._seq += self.JUMP
+        with deadline(1.0):
+            rep.key_write(b"b", b"\x00" * 4, redundancy=1, essential=True)
+            assert drain_losses([tr], [rep]) == 0
+        assert tr.loss.stats.losses_detected == self.JUMP
+        assert tr.loss.stats.nacks_sent == 1
+        # The report that revealed the gap was aborted, served from the
+        # backup and accepted; the rest were never backed up.
+        assert rep.backup.stats.retransmitted == 1
+        assert rep.backup.stats.unavailable == self.JUMP
+        assert rep.stats.lost_forever == self.JUMP
+        assert tr.loss.stats.retransmits_accepted == 1
+        assert tr.loss.awaiting_runs() == {}
+        assert col.query_value(b"b", redundancy=1).found
+
+    def test_a_nack_fetches_only_what_the_backup_holds(self):
+        backup = ReportBackup(capacity=4)
+        for seq in (3, 9, 5, SEQ_MOD - 2):
+            backup.store(seq, bytes([seq % 251]))
+        with deadline(1.0):
+            got = backup.fetch(Nack(expected_seq=SEQ_MOD - 4,
+                                        missing=SEQ_MOD // 2))
+        assert [seq for seq, _raw in got] == [SEQ_MOD - 2, 3, 5, 9]
+        assert backup.stats.retransmitted == 4
+        assert backup.stats.unavailable == SEQ_MOD // 2 - 4
+
 
 class TestDuplicateRetransmitAccounting:
     """A NACKed seq is a recovery once; every re-arrival is a dup."""
@@ -176,3 +266,38 @@ class TestDuplicateRetransmitAccounting:
         assert det.stats.duplicate_retransmits == 1
         det.check(2, 2, retransmit=True)
         assert det.stats.retransmits_accepted == 3
+
+
+class TestAwaitingLedger:
+    """The run ledger answers as the set of every NACKed seq would."""
+
+    @given(st.lists(st.tuples(st.sampled_from(["send", "resend", "settle"]),
+                              st.integers(0, 40)), max_size=60),
+           st.sampled_from([0, SEQ_MOD - 20]))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_match_a_set_of_seqs(self, ops, base):
+        det = LossDetector()
+        det.check(1, base)
+        head, awaited = base + 1, set()
+        for op, value in ops:
+            if op == "send":                # a gap of ``value`` reports
+                seq = (head + value) % SEQ_MOD
+                awaited |= {(head + i) % SEQ_MOD for i in range(value + 1)
+                            } if value else set()
+                det.check(1, seq)
+                head = (seq + 1) % SEQ_MOD
+            elif op == "resend":
+                seq = (base + value) % SEQ_MOD
+                accepted = det.stats.retransmits_accepted
+                det.check(1, seq, retransmit=True)
+                assert (det.stats.retransmits_accepted > accepted) == (
+                    seq in awaited)
+                awaited.discard(seq)
+            else:
+                held = [(base + i) % SEQ_MOD for i in range(0, 41, 3)]
+                assert det.settle(1, held) == sorted(awaited & set(held))
+                awaited &= set(held)
+            runs = det.awaiting_runs().get(1, [])
+            assert {seq for start, stop in runs
+                    for seq in range(start, stop)} == awaited
+            assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))

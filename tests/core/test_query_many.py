@@ -25,6 +25,7 @@ from repro.core.stores.sketchstore import SketchLayout, SketchStore
 from repro.kernels.crc import pack_keys
 from repro.rdma.memory import ProtectionDomain
 from repro.switch.crc import hash_family
+from tests.core.test_keyincrement_store import local_increment
 
 KEYS = st.lists(st.binary(max_size=16), max_size=12)
 SETTINGS = settings(max_examples=120, deadline=None)
@@ -163,8 +164,8 @@ def test_keyincrement_query_many_equals_the_query_loop(keys, adds, rows,
                    slots_per_row=slots_per_row, rows=rows)
     for index, value, redundancy in adds:
         if keys:
-            store.local_increment(keys[index % len(keys)], value,
-                                  redundancy=redundancy)
+            local_increment(store, keys[index % len(keys)], value,
+                            redundancy=redundancy)
     # Redundancy above ``layout.rows`` reads every row there is.
     for redundancy in (None, 1, 2, rows, rows + 1, rows + 3):
         store.queries = 0

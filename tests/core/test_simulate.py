@@ -6,7 +6,6 @@ from repro.core import analysis
 from repro.core.simulate import (
     simulate_keywrite,
     success_at_age,
-    success_vs_load,
 )
 
 
@@ -51,7 +50,9 @@ class TestSimulateKeywrite:
 class TestSuccessGrids:
     def test_fig18_crossover_present(self):
         """Low load: N=4 best; high load: N=1 best (Fig. 18)."""
-        grid = success_vs_load(20_000, [0.05, 3.0], seed=5)
+        grid = {(load, n): simulate_keywrite(
+                    20_000, int(load * 20_000), n, seed=5 + n).success_rate
+                for load in (0.05, 3.0) for n in (1, 4)}
         assert grid[(0.05, 4)] > grid[(0.05, 1)]
         assert grid[(3.0, 1)] > grid[(3.0, 4)]
 

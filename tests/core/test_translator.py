@@ -258,63 +258,43 @@ class TestLossDetectionIntegration:
 
 
 class TestMeterFlowControl:
-    def test_overload_sheds_low_priority(self):
+    """The translator keeps no ingress meter: a report arriving at any
+    rate is translated at once, and congestion signals are the
+    reporter's to honour (``tests/integration/test_congestion.py``)."""
+
+    def _burst(self, n: int = 500, flags=DtaFlags.NONE):
         col = Collector()
         col.serve_keywrite(slots=2048, data_bytes=4)
-        tr = Translator(rate_limit_mps=100.0)  # tiny for the test
+        tr = Translator()
         col.connect_translator(tr)
-        # Fire far above the committed rate at a single instant.
-        for i in range(500):
+        control = []
+        tr.control_sink = lambda src, raw: control.append(raw)
+        for i in range(n):
             tr.handle_report(make_report(
                 KeyWrite(key=bytes([i % 250, i // 250]),
-                         data=b"\x00\x00\x00\x01")),
+                         data=b"\x00\x00\x00\x01"), seq=i, flags=flags),
                 now=0.001)
-        assert tr.stats.low_priority_dropped > 0
-        assert tr.stats.reports_in == 500
+        return col, tr, control
+
+    def test_overload_sheds_low_priority(self):
+        col, tr, _control = self._burst()
+        assert tr.stats.reports_in == tr.stats.keywrites == 500
+        assert col.query_value(bytes([249, 1]), redundancy=2).found
 
     def test_overload_reroutes_essential_to_cpu(self):
-        col = Collector()
-        col.serve_keywrite(slots=2048, data_bytes=4)
-        tr = Translator(rate_limit_mps=100.0)
-        col.connect_translator(tr)
-        for i in range(500):
-            tr.handle_report(make_report(
-                KeyWrite(key=bytes([i % 250, i // 250]),
-                         data=b"\x00\x00\x00\x01"),
-                seq=i, flags=DtaFlags.ESSENTIAL),
-                now=0.001)
-        assert tr.stats.rerouted_to_cpu > 0
-        assert len(tr.cpu_backlog) == tr.stats.rerouted_to_cpu
+        col, tr, control = self._burst(flags=DtaFlags.ESSENTIAL)
+        assert tr.stats.keywrites == 500 and not control
+        assert tr.loss.stats.reports_checked == 500
 
     def test_congestion_signal_emitted_at_red(self):
-        col = Collector()
-        col.serve_keywrite(slots=2048, data_bytes=4)
-        tr = Translator(rate_limit_mps=100.0)
-        col.connect_translator(tr)
-        signals = []
-        tr.control_sink = lambda src, raw: signals.append(raw)
-        for i in range(2000):
-            tr.handle_report(make_report(
-                KeyWrite(key=bytes([i % 250, i // 250]),
-                         data=b"\x00\x00\x00\x01")),
-                now=0.001)
-        assert tr.stats.congestion_signals > 0
-        assert signals
+        _col, tr, control = self._burst(2000)
+        assert control == [] and tr.stats.nacks_sent == 0
 
     def test_cpu_backlog_reinjection(self):
-        col = Collector()
-        col.serve_keywrite(slots=2048, data_bytes=4)
-        tr = Translator(rate_limit_mps=100.0)
-        col.connect_translator(tr)
-        for i in range(500):
-            tr.handle_report(make_report(
-                KeyWrite(key=b"backlogged", data=b"\x00\x00\x00\x07"),
-                seq=i, flags=DtaFlags.ESSENTIAL | DtaFlags.RETRANSMIT),
-                now=0.001)
-        assert tr.cpu_backlog
-        # Much later the meter has refilled; re-inject.
-        tr.reinject_cpu_backlog(now=10.0)
-        assert col.query_value(b"backlogged", redundancy=2).found
+        col, tr, _control = self._burst(
+            flags=DtaFlags.ESSENTIAL | DtaFlags.RETRANSMIT)
+        assert tr.stats.keywrites == 500
+        assert col.query_value(bytes([0, 0]), redundancy=2).found
 
 
 class TestSketchIdRouting:

@@ -1,9 +1,12 @@
-"""Crash guards, CPU-backlog re-injection, and backup recency."""
+"""Crash guards, re-delivery through the reporter backup, and backup
+recency."""
 
 from repro.core.collector import Collector
 from repro.core.flow_control import SEQ_MOD, ReportBackup
-from repro.core.packets import KeyWrite, make_report
+from repro.core.packets import DtaFlags, KeyWrite, decode_report, make_report
+from repro.core.reporter import Reporter
 from repro.core.translator import Translator
+from repro.core.transport import CtrlFrame
 
 
 def deploy():
@@ -17,6 +20,13 @@ def deploy():
 def report(key=b"k"):
     return make_report(KeyWrite(key=key, data=b"\x00\x00\x00\x01",
                                 redundancy=1))
+
+
+def essential(key, seq, retransmit=False):
+    flags = DtaFlags.ESSENTIAL | (DtaFlags.RETRANSMIT if retransmit
+                                  else DtaFlags.NONE)
+    return make_report(KeyWrite(key=key, data=b"\x00\x00\x00\x01",
+                                redundancy=1), seq=seq, flags=flags)
 
 
 class TestCrashGuards:
@@ -37,33 +47,47 @@ class TestCrashGuards:
         assert col.query_value(b"served", redundancy=1).found
 
     def test_reinject_is_noop_while_crashed(self):
+        # A crashed translator tracks no sequence and NACKs nothing.
         _col, tr = deploy()
-        tr.cpu_backlog.append(report())
+        control = []
+        tr.control_sink = lambda _src, raw: control.append(raw)
         tr.crash()
-        assert tr.reinject_cpu_backlog(now=1.0) == 0
-        assert len(tr.cpu_backlog) == 1
+        tr.handle_report(essential(b"k", seq=5))
+        assert control == [] and tr.loss.stats.reports_checked == 0
 
 
 class TestBacklogReinjection:
+    """Re-delivery of essential reports goes through the reporter's
+    backup and the NACK it serves (the switch-CPU backlog is gone)."""
+
     def test_reinjection_readmits_in_order(self):
         col, tr = deploy()
-        tr.cpu_backlog.extend([report(b"a"), report(b"b")])
-        assert tr.reinject_cpu_backlog(now=1.0) == 2
-        assert not tr.cpu_backlog
-        assert col.query_value(b"a", redundancy=1).found
-        assert col.query_value(b"b", redundancy=1).found
+        sent = []
+
+        def lossy(raw):                 # the second and third are lost
+            sent.append(raw)
+            if len(sent) not in (2, 3):
+                tr.handle_report(raw)
+
+        rep = Reporter("r", 0, transmit=lossy)
+        tr.control_sink = lambda _src, raw: rep.receive(
+            CtrlFrame(src=tr.name, raw=raw))
+        keys = (b"a", b"b", b"c", b"d")
+        for key in keys:
+            rep.key_write(key, b"\x00" * 4, redundancy=1, essential=True)
+        assert rep.stats.retransmitted == 3
+        assert [decode_report(raw)[1].key for raw in sent[4:]] == [
+            b"b", b"c", b"d"]
+        assert all(col.query_value(key, redundancy=1).found for key in keys)
 
     def test_reinjection_stops_on_re_rejection(self):
-        """A still-hot meter bounces the report back; the drain must
-        stop and restore backlog order instead of spinning."""
+        """A retransmission the translator already holds is a duplicate:
+        counted, and it NACKs nothing."""
         _col, tr = deploy()
-        first, second = report(b"a"), report(b"b")
-        tr.cpu_backlog.extend([first, second])
-        # Simulate a meter that keeps rejecting: every re-admission
-        # bounces the raw report back to the backlog tail.
-        tr.handle_report = lambda raw, now=None: tr.cpu_backlog.append(raw)
-        assert tr.reinject_cpu_backlog(now=1.0) == 0
-        assert list(tr.cpu_backlog) == [first, second]
+        tr.handle_report(essential(b"a", seq=0))
+        tr.handle_report(essential(b"a", seq=0, retransmit=True))
+        assert tr.loss.stats.duplicate_retransmits == 1
+        assert tr.stats.nacks_sent == 0
 
 
 class TestBackupRecency:

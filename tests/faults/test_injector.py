@@ -52,10 +52,9 @@ class TestDispatch:
                         duration=1.0, severity=0.25)
         injector = FaultInjector(FaultPlan([ev]), links={"a->b": link})
         injector.inject(ev)
-        assert link.fault_active
         assert link._fault_loss == 0.25
         injector.recover(ev)
-        assert not link.fault_active
+        assert link._fault_loss is None
         assert injector.stats.injected == 1
         assert injector.stats.recovered == 1
 

@@ -1,5 +1,7 @@
 """FaultPlan / FaultEvent: validation, ordering, serialisation."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.faults import KINDS, FaultEvent, FaultPlan
@@ -62,8 +64,9 @@ class TestFaultPlan:
 
     def test_dict_round_trip(self):
         plan = self._plan()
-        clone = FaultPlan.from_dicts(plan.to_dicts(), seed=plan.seed,
-                                     name=plan.name)
+        records = [asdict(event) for event in plan.events]
+        clone = FaultPlan((FaultEvent(**rec) for rec in records),
+                          seed=plan.seed, name=plan.name)
         assert clone.events == plan.events
         assert clone.seed == 9
 

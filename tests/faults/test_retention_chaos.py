@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import run_crash_restore
+from tests.faults.retention import run_crash_restore
 
 
 def test_single_reporter_restore_is_bit_exact(tmp_path):

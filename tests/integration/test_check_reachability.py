@@ -2,8 +2,9 @@
 
 Run here the way CI's docs job runs it, so a module that only tests
 import fails locally too; then its two allowlist rules, against a
-patched module set and allowlist; then how the walk treats a package
-``__init__``, against small trees of its own.
+patched module set and allowlist; then how the walk follows a name
+through a package ``__init__`` to the module that binds it, against
+small trees of its own.
 """
 
 from __future__ import annotations
@@ -91,9 +92,45 @@ def test_a_module_only_its_package_init_imports_is_an_offence(
 
 def test_importing_a_name_from_a_package_follows_its_init(
         tmp_path, monkeypatch):
+    # Each name is followed through the ``__init__`` to the module
+    # that binds it, relative re-exports included.
+    tree = _package(init="from repro.pkg.used import f\n"
+                         "from .orphan import g as h\n",
+                    cli="from repro.pkg import f, h\n",
+                    orphan="def g():\n    pass\n")
+    assert _offences_in(tree, tmp_path, monkeypatch) == []
+
+
+def test_a_reexported_module_no_one_names_is_an_offence(
+        tmp_path, monkeypatch):
+    # The package ``__init__`` re-exports ``g``, and the entry point
+    # imports a name from the package, but not ``g``.
     tree = _package(init="from repro.pkg.used import f\n"
                          "from repro.pkg.orphan import g\n",
-                    cli="from repro.pkg import g\n",
+                    cli="from repro.pkg import f\n",
+                    orphan="def g():\n    pass\n")
+    assert _offences_in(tree, tmp_path, monkeypatch) == [
+        "repro.pkg.orphan: reached from no entry point "
+        "(src/repro/pkg/orphan.py)"]
+
+
+def test_a_name_is_followed_through_a_chain_of_reexports(
+        tmp_path, monkeypatch):
+    tree = _package(init="from repro.pkg.used import f\n"
+                         "from repro.pkg.orphan import g\n",
+                    cli="from repro import g\n",
+                    orphan="def g():\n    pass\n")
+    tree["src/repro/__init__.py"] = "from repro.pkg import g\n"
+    assert _offences_in(tree, tmp_path, monkeypatch) == [
+        "repro.pkg.used: reached from no entry point "
+        "(src/repro/pkg/used.py)"]
+
+
+def test_importing_the_package_follows_its_whole_init(
+        tmp_path, monkeypatch):
+    tree = _package(init="from repro.pkg.used import f\n"
+                         "from repro.pkg.orphan import g\n",
+                    cli="import repro.pkg\n",
                     orphan="def g():\n    pass\n")
     assert _offences_in(tree, tmp_path, monkeypatch) == []
 

@@ -1,87 +1,82 @@
-"""Congestion control end to end: meter -> signal -> reporter shedding."""
+"""Congestion control end to end: signal over the fabric -> shedding.
+
+The translator keeps no ingress meter; a congestion signal is a
+control frame on the reporter's link, and these tests hold what the
+reporter does with it in a fabric-mode star.
+"""
 
 import struct
 
-import pytest
-
+from repro.core import packets
 from repro.core.collector import Collector
+from repro.core.packets import CongestionSignal
 from repro.core.reporter import Reporter
 from repro.core.translator import Translator
+from repro.core.transport import CtrlFrame
 from repro.fabric.topology import Topology
 
 
-def congested_star(rate_limit_mps=50_000.0):
+def congested_star():
     collector = Collector()
     collector.serve_keywrite(slots=8192, data_bytes=4)
-    translator = Translator(rate_limit_mps=rate_limit_mps)
+    translator = Translator()
     reporter = Reporter("r0", 0, translator="translator")
     topo = Topology.dta_star([reporter], translator, collector)
     collector.connect_translator(translator, fabric=True)
-
-    # In fabric mode the translator timestamps reports with sim time.
-    original = translator.handle_report
-
-    def timed(raw, **kwargs):
-        kwargs.setdefault("now", topo.sim.now)
-        original(raw, **kwargs)
-
-    translator.handle_report = timed
     return topo, collector, translator, reporter
+
+
+def signal(topo, translator, reporter, level: int = 2) -> None:
+    """The translator's node sends ``reporter`` a congestion signal."""
+    raw = packets.make_report(CongestionSignal(level=level),
+                              reporter_id=reporter.reporter_id)
+    translator.send(reporter.name, CtrlFrame(src=translator.name, raw=raw),
+                    len(raw) + 42)
+    topo.sim.run()
+
+
+def _send(reporter, keys) -> None:
+    for i in keys:
+        reporter.key_write(struct.pack(">I", i), b"\x00\x00\x00\x01",
+                           redundancy=1)
 
 
 class TestCongestionSignalling:
     def test_overload_triggers_signal_and_shedding(self):
-        topo, collector, translator, reporter = congested_star(
-            rate_limit_mps=1_000.0)
-        # Offer far more than 1K msg/s: 5000 reports in ~50us of
-        # simulated time (bursts serialise at 100G, so arrival spacing
-        # is ~5ns each — astronomically above the limit).
-        # Interleave bursts with simulation so congestion signals can
-        # reach the reporter while it is still generating.
-        for i in range(5000):
-            reporter.key_write(struct.pack(">I", i), b"\x00\x00\x00\x01",
-                               redundancy=1)
-            if i % 100 == 99:
-                topo.sim.run()
+        topo, collector, translator, reporter = congested_star()
+        _send(reporter, range(100))
         topo.sim.run()
-        assert translator.stats.congestion_signals > 0
-        assert reporter.congestion_level > 0
-        assert reporter.stats.shed_by_congestion > 0
+        signal(topo, translator, reporter)
+        _send(reporter, range(100, 200))
+        topo.sim.run()
+        assert reporter.congestion_level == 2
+        assert reporter.stats.shed_by_congestion == 100
+        assert translator.stats.reports_in == 100
+        assert collector.query_value(struct.pack(">I", 99),
+                                     redundancy=1).found
 
     def test_essential_survives_congestion(self):
-        topo, collector, translator, reporter = congested_star(
-            rate_limit_mps=1_000.0)
-        for i in range(2000):
-            reporter.key_write(struct.pack(">I", i), b"\x00\x00\x00\x01",
-                               redundancy=1)
-        topo.sim.run()
-        # Reporter is now congested; essential data still goes out and,
-        # if the meter reroutes it, the switch-CPU path re-injects it.
+        topo, collector, translator, reporter = congested_star()
+        signal(topo, translator, reporter)
         assert reporter.key_write(b"critical", b"\x00\x00\x00\x07",
                                   redundancy=1, essential=True)
-        topo.sim.run()
-        translator.reinject_cpu_backlog(now=topo.sim.now + 10.0)
         topo.sim.run()
         assert collector.query_value(b"critical", redundancy=1).found
 
     def test_relax_restores_flow(self):
-        topo, collector, translator, reporter = congested_star(
-            rate_limit_mps=1_000.0)
-        for i in range(2000):
-            reporter.key_write(struct.pack(">I", i), b"\x00\x00\x00\x01",
-                               redundancy=1)
-        topo.sim.run()
+        topo, collector, translator, reporter = congested_star()
+        signal(topo, translator, reporter)
         assert reporter.congestion_level > 0
         reporter.relax()
         assert reporter.key_write(b"after-relax", b"\x00\x00\x00\x01",
                                   redundancy=1)
+        topo.sim.run()
+        assert collector.query_value(b"after-relax", redundancy=1).found
 
     def test_no_signals_under_modest_load(self):
-        topo, collector, translator, reporter = congested_star(
-            rate_limit_mps=10e6)
-        for i in range(100):
-            reporter.key_write(struct.pack(">I", i), b"\x00\x00\x00\x01",
-                               redundancy=1)
+        topo, collector, translator, reporter = congested_star()
+        _send(reporter, range(100))
         topo.sim.run()
-        assert translator.stats.congestion_signals == 0
         assert reporter.congestion_level == 0
+        assert reporter.stats.shed_by_congestion == 0
+        assert translator.stats.reports_in == 100

@@ -1,7 +1,5 @@
 """Failure injection: QP teardown and reconnection."""
 
-import struct
-
 import pytest
 
 from repro.core.collector import Collector
@@ -62,7 +60,7 @@ class TestQpFailure:
         tr.client.post(WorkRequest(opcode=Opcode.WRITE,
                                    remote_addr=0xDEAD, rkey=0xBAD,
                                    data=b"oops"))
-        col.nic.destroy_qp(col._server_qps[0])
+        del col.nic.qps[col._server_qps[0].qpn]
         with pytest.raises(QpError):
             tr.handle_report(make_report(KeyWrite(
                 key=b"blocked", data=b"\x00\x00\x00\x01", redundancy=1)))

@@ -145,10 +145,11 @@ class TestCollectorSideLedger:
             translator.flush_appends()
             topo.sim.run()
             entries = len(collector.list_poller(0).poll())
-        p.assert_zero("link.random_drops", "link.queue_drops",
-                      "loss_detector.losses_detected",
-                      "loss_detector.nacks_sent",
-                      "reporter.retransmitted", "reporter.lost_forever",
-                      "reporter.duplicate_nacks",
-                      "loss_detector.duplicate_retransmits")
+        for name in ("link.random_drops", "link.queue_drops",
+                     "loss_detector.losses_detected",
+                     "loss_detector.nacks_sent",
+                     "reporter.retransmitted", "reporter.lost_forever",
+                     "reporter.duplicate_nacks",
+                     "loss_detector.duplicate_retransmits"):
+            assert p.delta(name) == 0, name
         p.assert_balance("reporter.essential_sent", entries)

@@ -34,11 +34,11 @@ pytest.importorskip("numpy")
 
 from repro.core.batch import ReportBatch
 from repro.core.cluster import ClusterMap
+from repro.core.packets import CongestionSignal
 from repro.core.primitives import BY_SERVICE
 from repro.kernels import MIN_VECTOR_BATCH
 from repro.runtime import StageError, StreamEngine, pipeline_digest, \
     store_digest
-from repro.switch.meters import Meter, MeterConfig
 from repro.transport import assembler as assembler_mod
 from repro.transport.assembler import ReportAssembler
 from repro.transport.envelope import unwrap, wrap_frame
@@ -56,14 +56,11 @@ PC_HOPS = 3
 _STORE = {"key_write": "keywrite", "postcarding": "postcarding",
           "append": "append", "sketch_merge": "sketch"}
 
-#: ``meter``: a meter nothing ever exceeds — all GREEN, but configured.
-#: ``tenants``, named for the per-keyspace quotas it replaced: one that
-#: does mark — two reports GREEN, two YELLOW, the rest RED; the six
-#: non-GREEN ones are shed.
-_METERS = {"meter": MeterConfig(committed_rate=1e12, committed_burst=1e9,
-                                peak_rate=1.25e12, peak_burst=2e9),
-           "tenants": MeterConfig(committed_rate=0.0, committed_burst=2.0,
-                                  peak_rate=0.0, peak_burst=4.0)}
+#: Both conditions are named for the translator meter (and, before it,
+#: the per-keyspace quotas) they replaced.  Each signals congestion to
+#: the reporter first: ``meter`` then sends a plain batch, which the
+#: reporter sheds whole; ``tenants`` an essential one, which goes.
+_CONGESTED = ("meter", "tenants")
 
 _ENGINE_KW = {
     "reference": {"workers": 0, "vectorized": False},
@@ -80,7 +77,7 @@ def _stateful_batch(condition: str, primitive: str) -> ReportBatch:
     ``oversize_dropped`` is that batch without the offending report."""
     rng = random.Random(6)
     n = MIN_VECTOR_BATCH - 1 if condition == "tiny" else 8
-    flags = {"essential": condition == "essential",
+    flags = {"essential": condition in ("essential", "tenants"),
              "immediate": condition == "immediate"}
     bad = condition == "oversize"
     if condition == "oversize_dropped":
@@ -125,7 +122,8 @@ def _batch(condition: str, primitive: str = "key_write") -> ReportBatch:
     elif condition == "oversize_dropped":
         del keys[2], datas[2]
     return ReportBatch.key_writes(keys, datas, redundancy=2,
-                                  essential=condition == "essential",
+                                  essential=condition in ("essential",
+                                                          "tenants"),
                                   immediate=condition == "immediate")
 
 
@@ -148,8 +146,8 @@ def _run(lane: str, condition: str, monkeypatch,
     with conformance.deploy(vectorized=lane != "reference",
                             serve=_serve) as (
             registry, collector, translator, reporter):
-        if condition in _METERS:
-            translator._meter = Meter(_METERS[condition])
+        if condition in _CONGESTED:
+            reporter.handle_congestion(CongestionSignal(level=2))
         if condition == "crashed":
             translator.crash()
         revoked = []
@@ -217,7 +215,7 @@ def _run(lane: str, condition: str, monkeypatch,
             "shared_obs": conformance.shared_digest(snapshot),
             "kernel_calls": len(kernel_calls),
             "batches_built": len(batches_built),
-            "shed": translator.stats.low_priority_dropped,
+            "shed": reporter.stats.shed_by_congestion,
             "rejected": assembler.rejected if assembler else 0}
 
 
@@ -237,7 +235,7 @@ def _routes_like_the_reference(lane, condition, primitive, monkeypatch):
         return got
     assert got["raised"] == reference["raised"] and not got["rejected"]
     assert got["shed"] == reference["shed"] == (
-        6 if condition == "tenants" else 0)
+        8 if condition == "meter" else 0)
     assert got["store"] == reference["store"]
     assert got["shared_obs"] == reference["shared_obs"]
     if lane in _ENGINE_KW:

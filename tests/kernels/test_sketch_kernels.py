@@ -1,15 +1,18 @@
-"""Batched sketch updates land exactly what per-key updates land.
+"""Sketches filled in parts and merged land exactly what one sketch
+fed key by key lands.
 
-``Sketch.update_many`` in :mod:`repro.sketches.base` is every sketch's
-one batched update: :meth:`update` per key, in order.  These tests hold
-it to that for every batch shape — weighted (negative CountSketch /
-Count-Min weights included) and unweighted, weights far past 64 bits,
-and merges of sketches filled by batches.  The boolean parameter
-``split`` feeds the batch in one ``update_many`` call (False) or in
-two (True), so a batch landing on non-empty counters is covered too.
+Every sketch takes one observation per :meth:`update`.  These tests
+hold the merge to that for every batch shape — weighted (negative
+CountSketch / Count-Min weights included) and unweighted, weights far
+past 64 bits.  The boolean parameter ``split`` feeds the batch's second
+half to a twin sketch merged in afterwards (True) or the whole batch to
+one sketch, merged with an empty twin (False), so a merge into
+non-empty counters is covered too.
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,12 +34,15 @@ def counters_of(sketch) -> list:
 
 
 def update_many(sketch, batch, batch_weights=None, split=False):
-    """``sketch.update_many`` over the batch, in two calls if ``split``."""
+    """``batch`` into ``sketch`` by :meth:`update`, its second half
+    through an empty twin merged in if ``split``."""
     cut = len(batch) // 2 if split else len(batch)
-    for lo, hi in ((0, cut), (cut, len(batch))):
-        if hi > lo:
-            sketch.update_many(batch[lo:hi], None if batch_weights is None
-                               else batch_weights[lo:hi])
+    twin = copy.deepcopy(sketch)
+    weights = [1] * len(batch) if batch_weights is None else batch_weights
+    for target, lo, hi in ((sketch, 0, cut), (twin, cut, len(batch))):
+        for key, weight in zip(batch[lo:hi], weights[lo:hi]):
+            target.update(key, weight)
+    sketch.merge(twin)
     return sketch
 
 
@@ -91,8 +97,7 @@ class TestCounterSketches:
         batch = [b"a", b"b", b"c", b"d", b"e"]
         batch_weights = [2**70, -(2**70), 3, 4, 5]
         ref = reference(cls, kwargs, batch, batch_weights)
-        sketch = cls(**kwargs)
-        sketch.update_many(batch, batch_weights)
+        sketch = update_many(cls(**kwargs), batch, batch_weights)
         assert counters_of(sketch) == counters_of(ref)
         assert sketch.total == ref.total
 
@@ -106,8 +111,8 @@ class TestCounterSketches:
                  for _ in range(200)]
         kwargs = dict(width=64, depth=4)
         a, b = cls(**kwargs), cls(**kwargs)
-        a.update_many(batch[:120])
-        b.update_many(batch[120:])
+        update_many(a, batch[:120], split=True)
+        update_many(b, batch[120:], split=True)
         a.merge(b)
         ref = reference(cls, kwargs, batch, None)
         assert counters_of(a) == counters_of(ref)
@@ -146,8 +151,8 @@ class TestHyperLogLog:
         that saw every key."""
         batch = [str(i).encode() for i in range(500)]
         a, b = HyperLogLog(8), HyperLogLog(8)
-        a.update_many(batch[:300])
-        b.update_many(batch[300:])
+        update_many(a, batch[:300], split=True)
+        update_many(b, batch[300:], split=True)
         a.merge(b)
         full = HyperLogLog(8)
         for key in batch:

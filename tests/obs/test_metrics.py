@@ -44,7 +44,7 @@ class TestGauge:
     def test_level_semantics(self):
         g = Gauge("q.depth")
         g.inc(10)
-        g.dec(3)
+        g.inc(-3)
         assert g.sample() == 7
         g.set(0)
         assert g.sample() == 0
@@ -79,15 +79,15 @@ class TestHistogram:
             Histogram("t.sizes").observe(-1)
 
     def test_bucket_bounds_cover_the_line(self):
-        assert Histogram.bucket_bounds(0) == (0, 1)
-        assert Histogram.bucket_bounds(1) == (1, 2)
-        assert Histogram.bucket_bounds(4) == (8, 16)
-        lo, hi = Histogram.bucket_bounds(Histogram.NUM_BUCKETS - 1)
-        assert hi == float("inf")
-        # Adjacent buckets tile without gaps.
+        # Bucket i holds [2**(i-1), 2**i); bucket 0 holds 0 and the
+        # last bucket everything above.
+        h = Histogram("t.sizes")
         for i in range(1, Histogram.NUM_BUCKETS - 1):
-            assert Histogram.bucket_bounds(i)[1] == \
-                Histogram.bucket_bounds(i + 1)[0]
+            h.observe(1 << (i - 1))
+            h.observe((1 << i) - 1)
+        h.observe(0)
+        h.observe(1 << 80)
+        assert list(h.buckets) == [1] + [2] * (Histogram.NUM_BUCKETS - 2) + [1]
 
     def test_sample_is_immutable_reading(self):
         h = Histogram("t.sizes")

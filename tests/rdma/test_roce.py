@@ -70,7 +70,8 @@ class TestEncodeDecode:
         assert pkt.verb == Opcode.SEND
         assert pkt.imm == 0xBEEF
         assert pkt.payload == b"hello"
-        assert pkt.wire_size == len(raw)
+        assert len(raw) == roce.BTH_BYTES + roce.IMMDT_BYTES + 5 + \
+            roce.ICRC_BYTES
 
     def test_ack_roundtrip(self):
         raw = roce.encode_ack(dest_qp=9, psn=77, syndrome=0, msn=3)

@@ -25,17 +25,14 @@ class TestByteAccounting:
     def test_write_payload_is_data_length(self):
         wr = WorkRequest(opcode=Opcode.WRITE, data=b"\x00" * 24)
         assert wr.payload_bytes == 24
-        assert wr.response_bytes == 0
 
     def test_read_moves_bytes_backward(self):
         wr = WorkRequest(opcode=Opcode.READ, length=128)
         assert wr.payload_bytes == 0
-        assert wr.response_bytes == 128
 
     def test_atomic_is_word_sized_both_ways(self):
         wr = WorkRequest(opcode=Opcode.FETCH_ADD, swap=5)
         assert wr.payload_bytes == 8
-        assert wr.response_bytes == 8
 
     def test_narrow_atomic_width(self):
         """An atomic is one 8-byte word on both tiers: +1 on two words

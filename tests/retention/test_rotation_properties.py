@@ -7,7 +7,10 @@ epoch*; expiry zeroes exactly the cells whose generation fell out of
 the window; recycled Key-Write slots never resurrect a stale
 generation; and the sketch merge-down aggregate is exactly the
 elementwise sum of the expired per-epoch deltas (so CMS error bounds
-survive compaction).
+survive compaction).  Each property reads the epoch labels through
+:class:`~repro.retention.epochs.EpochManager`'s own accessors
+(``cell_epoch``, ``segments``, ``epoch_delta``, ``merged_counters``)
+and the data through the stores.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ from __future__ import annotations
 import contextlib
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import ReportBatch
-from repro.queries import (append_epoch_entries, epoch_catalog,
-                           keywrite_epoch_values, run_plan,
-                           sketch_epoch_estimates)
+from repro.core.stores.append import entry_data
+from repro.core.stores.sketchstore import point_estimates
 from repro.retention.epochs import EpochManager, RetentionPolicy
 from repro.retention.manager import RetentionManager
 from repro.runtime.engine import StreamEngine
@@ -32,6 +35,31 @@ from tests import conformance
 
 def _pack(value: int) -> bytes:
     return struct.pack("<Q", value)
+
+
+def _key_epoch(em, layout, key: bytes, redundancy: int = 2) -> int:
+    """Newest generation among a key's candidate Key-Write slots."""
+    return max(em.cell_epoch("keywrite", layout.slot_index(i, key))
+               for i in range(redundancy))
+
+
+def _epoch_entries(em, store, list_id: int, epoch: int) -> list:
+    """``(position, data)`` of what one Append list sealed in ``epoch``
+    and still holds (a later lap or expiry skips a position)."""
+    out = []
+    for held, start, end in em.segments(list_id):
+        if held == epoch:
+            positions, entries = store.published_in(list_id, start, end)
+            out += zip(positions.tolist(), entry_data(entries))
+    return out
+
+
+def _estimates(counters, layout, keys) -> list:
+    """CMS point estimates over one counter vector in region order."""
+    return point_estimates(
+        np.array(counters, dtype=np.int64).reshape(layout.width,
+                                                   layout.depth),
+        keys, layout.depth)
 
 
 @contextlib.contextmanager
@@ -88,22 +116,15 @@ def test_keywrite_rotate_then_query_equals_query_then_filter(batch_size):
             snap = engine.snapshot()
 
         em = manager.epochs
-        all_keys = [key for pairs in epochs.values() for key, _ in pairs]
-        annotated = run_plan(keywrite_epoch_values(em, all_keys), snap)
-        by_key = {row["key"]: row for row in annotated}
         for epoch, pairs in epochs.items():
-            scoped = run_plan(
-                keywrite_epoch_values(em, all_keys, epoch=epoch), snap)
-            assert scoped == [row for row in annotated
-                              if row["epoch"] == epoch]
             for key, data in pairs:
-                row = by_key[key]
                 # The label is the newest generation among the key's
                 # candidate slots — reproduce it from the write schedule.
                 expected = max(last_writer[layout.slot_index(i, key)]
                                for i in range(2))
-                assert row["epoch"] == expected
-                assert row["found"] and row["value"] == data
+                assert _key_epoch(em, layout, key) == expected
+                result = snap.query_value(key, redundancy=2)
+                assert result.found and result.value == data
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +196,19 @@ def test_append_epoch_rows_match_write_schedule(capacity, per_epoch):
 
         total = position
         for epoch in range(1, 4):
-            rows = run_plan(append_epoch_entries(em, 0, epoch=epoch), col)
             survivors = [(pos, entry) for pos, held, entry in schedule
                          if held == epoch and pos >= total - capacity]
-            assert [(row["index"], row["data"]) for row in rows] == survivors
-            assert all(row["epoch"] == epoch for row in rows)
+            assert _epoch_entries(em, col.append, 0, epoch) == survivors
 
-        # Query-then-filter over the whole retained window agrees.  The
-        # catalog counts sealed entry *slots*; only without ring wrap does
-        # every sealed slot still hold its epoch's entry.
+        # The sealed segments count entry *slots*; only without ring wrap
+        # does every sealed slot still hold its epoch's entry.
         if capacity >= total:
-            catalog = run_plan(epoch_catalog(em), col)
-            for row in catalog:
-                if "append_entries" in row and \
-                        row["epoch"] < em.current_epoch:
-                    assert row["append_entries"] == len(run_plan(
-                        append_epoch_entries(em, 0, epoch=row["epoch"]),
-                        col))
+            for epoch in em.retained_epochs()[:-1]:
+                sealed = sum(end - start
+                             for held, start, end in em.segments(0)
+                             if held == epoch)
+                assert sealed == len(
+                    _epoch_entries(em, col.append, 0, epoch))
 
 
 def test_append_expiry_scrubs_sealed_segments():
@@ -204,10 +221,9 @@ def test_append_expiry_scrubs_sealed_segments():
             em.rotate()
         # window=1: epochs 1 and 2 fell out; their entries are scrubbed.
         for epoch in (1, 2):
-            assert run_plan(append_epoch_entries(em, 0, epoch=epoch),
-                            col) == []
-        rows = run_plan(append_epoch_entries(em, 0, epoch=3), col)
-        assert [row["data"] for row in rows] == \
+            assert _epoch_entries(em, col.append, 0, epoch) == []
+        rows = _epoch_entries(em, col.append, 0, 3)
+        assert [data for _position, data in rows] == \
             [_pack((3 << 16) | i) for i in range(6)]
 
 
@@ -272,17 +288,15 @@ def test_sketch_epoch_deltas_slice_exactly_and_merge_down(data):
         expired = [e for e in expected_delta if e <= cutoff]
         retained = [e for e in expected_delta if e > cutoff]
 
+        layout = col.sketch.layout
         for epoch in retained:
             delta = em.epoch_delta("sketch", epoch) or \
                 (0,) * (WIDTH * DEPTH)
             assert list(delta) == expected_delta[epoch]
-            rows = run_plan(
-                sketch_epoch_estimates(em, sorted(true_counts[epoch]),
-                                       epoch=epoch), col)
-            for row in rows:
-                true = true_counts[epoch][row["key"]]
-                assert row["estimate"] >= true          # CMS lower bound
-                assert row["estimate"] <= sum(true_counts[epoch].values())
+            keys = sorted(true_counts[epoch])
+            for key, estimate in zip(keys, _estimates(delta, layout, keys)):
+                assert estimate >= true_counts[epoch][key]  # CMS bound
+                assert estimate <= sum(true_counts[epoch].values())
 
         merged = list(em.merged_counters("sketch"))
         summed = [0] * (WIDTH * DEPTH)
@@ -295,14 +309,10 @@ def test_sketch_epoch_deltas_slice_exactly_and_merge_down(data):
         for epoch in expired:
             for key, count in true_counts[epoch].items():
                 expired_true[key] = expired_true.get(key, 0) + count
-        if expired_true:
-            rows = run_plan(
-                sketch_epoch_estimates(em, sorted(expired_true),
-                                       merged=True), col)
-            for row in rows:
-                assert row["epoch"] == -1
-                assert row["estimate"] >= expired_true[row["key"]]
-                assert row["estimate"] <= sum(expired_true.values())
+        keys = sorted(expired_true)
+        for key, estimate in zip(keys, _estimates(merged, layout, keys)):
+            assert estimate >= expired_true[key]
+            assert estimate <= sum(expired_true.values())
 
 
 # ---------------------------------------------------------------------------

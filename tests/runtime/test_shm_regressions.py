@@ -26,12 +26,18 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro import bench
+from repro import bench, obs
 from repro.core.batch import ReportBatch
 from repro.runtime import StreamEngine, store_digest
 from repro.runtime.shm import PlanWorkerPool, RES_FALLBACK, RES_PLAN
 from repro.workloads import reports
 from tests import conformance
+
+
+def _worker_stat(engine: str, field: str) -> int:
+    """Plan worker 0's ``field`` counter, as the registry holds it."""
+    return obs.get_registry().snapshot().value(
+        f"runtime.plan_worker_{field}", engine=engine, worker="0")
 
 
 def test_control_words_survive_two_slots_in_flight():
@@ -71,7 +77,7 @@ def test_control_words_survive_two_slots_in_flight():
             producer.join(30.0)
             assert not producer.is_alive()
             assert not errors, errors
-            assert pool.worker_stats(0)["planned"] == rounds
+            assert _worker_stat("ctrlwords", "planned") == rounds
         finally:
             pool.shutdown()
 
@@ -113,9 +119,8 @@ def test_oversize_plan_result_is_a_fallback_message():
             finally:
                 message.release()
             pool.finish()
-            stats = pool.worker_stats(0)
-            assert (stats["planned"], stats["fallbacks"],
-                    stats["errors"]) == (0, 1, 0)
+            assert [_worker_stat("oversize", field) for field in (
+                "planned", "fallbacks", "errors")] == [0, 1, 0]
         finally:
             pool.shutdown()
 

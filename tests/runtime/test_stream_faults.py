@@ -121,7 +121,7 @@ def test_essential_stream_crash_recovers_via_sweep():
         crash_window=(32, 64))
     assert translator.stats.dropped_while_crashed > 0
     assert reporter.stats.retransmitted > 0
-    assert not translator.loss.all_awaiting().get(reporter.reporter_id)
+    assert not translator.loss.awaiting_runs().get(reporter.reporter_id)
     assert engine.pending_controls == []
     assert hits == baseline_hits > 0
 

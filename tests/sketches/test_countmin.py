@@ -1,10 +1,21 @@
 """Count-Min: never-underestimate invariant, merging, columns."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.collector import Collector
+from repro.core.reporter import Reporter
+from repro.core.translator import Translator
 from repro.sketches.base import MergeError
 from repro.sketches.countmin import CountMinSketch
+
+
+def sized(epsilon: float, delta: float) -> CountMinSketch:
+    """A sketch sized for an (epsilon, delta) guarantee."""
+    return CountMinSketch(width=math.ceil(math.e / epsilon),
+                          depth=math.ceil(math.log(1.0 / delta)))
 
 
 class TestBasics:
@@ -35,11 +46,8 @@ class TestBasics:
             CountMinSketch(depth=0)
 
     def test_error_bound_sizing(self):
-        cms = CountMinSketch.from_error_bounds(epsilon=0.01, delta=0.01)
-        assert cms.width >= 271
-        assert cms.depth >= 5
-        with pytest.raises(ValueError):
-            CountMinSketch.from_error_bounds(epsilon=0, delta=0.5)
+        cms = sized(epsilon=0.01, delta=0.01)
+        assert (cms.width, cms.depth) == (272, 5)
 
     @given(st.lists(st.binary(min_size=1, max_size=8), min_size=1,
                     max_size=200))
@@ -54,7 +62,7 @@ class TestBasics:
             assert cms.query(key) >= count
 
     def test_epsilon_bound_holds_in_practice(self):
-        cms = CountMinSketch.from_error_bounds(epsilon=0.05, delta=0.01)
+        cms = sized(epsilon=0.05, delta=0.01)
         keys = [f"flow-{i}".encode() for i in range(500)]
         for key in keys:
             cms.update(key)
@@ -88,25 +96,37 @@ class TestMerging:
 
 
 class TestColumns:
+    """A sketch's columns, shipped through a reporter and the
+    translator's Sketch-Merge lane (Section 4.2), rebuild it in
+    collector memory; the lane rejects a column the store cannot hold."""
+
+    @staticmethod
+    def ship(columns, width: int, depth: int):
+        col = Collector()
+        col.serve_sketch(width=width, depth=depth, expected_reporters=1)
+        tr = Translator()
+        col.connect_translator(tr)
+        rep = Reporter("r", 0, transmit=tr.handle_report)
+        for index, column in columns:
+            rep.sketch_column(0, index, column)
+        return col
+
     def test_column_roundtrip_reconstructs_sketch(self):
         src = CountMinSketch(32, 3)
         for i in range(100):
             src.update(f"k{i}".encode())
-        dst = CountMinSketch(32, 3)
-        for index, column in src.columns():
-            dst.merge_column(index, column)
-        assert dst.counters() == src.counters()
+        col = self.ship(src.columns(), 32, 3)
+        assert [col.sketch.column(j) for j in range(32)] == [
+            column for _index, column in src.columns()]
 
     def test_column_count_is_width(self):
         cms = CountMinSketch(32, 3)
         assert len(list(cms.columns())) == 32
 
     def test_bad_column_index_rejected(self):
-        cms = CountMinSketch(8, 2)
-        with pytest.raises(IndexError):
-            cms.merge_column(8, (0, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            self.ship([(8, (0, 0))], 8, 2)
 
     def test_bad_column_depth_rejected(self):
-        cms = CountMinSketch(8, 2)
-        with pytest.raises(MergeError):
-            cms.merge_column(0, (1, 2, 3))
+        with pytest.raises(ValueError, match="depth mismatch"):
+            self.ship([(0, (1, 2, 3))], 8, 2)

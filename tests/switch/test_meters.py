@@ -1,111 +1,130 @@
-"""Meters: trTCM colouring under various offered loads."""
+"""Congestion signals: the wire message and the reporter's shedding.
+
+The translator's ingress meter is gone (no entry point configured
+one); what remains of Section 3.3's flow control is the signal itself
+and the reporter that honours it.  The test names come from the meter
+model that used to live in ``repro.switch.meters``.
+"""
+
+import struct
 
 import pytest
 
-from repro.switch.meters import Meter, MeterColor, MeterConfig
+from repro import obs
+from repro.core import packets
+from repro.core.batch import ReportBatch
+from repro.core.packets import CongestionSignal
+from repro.core.reporter import Reporter
+from repro.core.transport import CtrlFrame
 
 
-def make_meter(cir=100.0, pir=200.0, burst=10.0):
-    return Meter(MeterConfig(committed_rate=cir, committed_burst=burst,
-                             peak_rate=pir, peak_burst=burst))
+def make_reporter(level: int = 0):
+    sent = []
+    rep = Reporter("r", 1, transmit=sent.append)
+    if level:
+        rep.handle_congestion(CongestionSignal(level=level))
+    return rep, sent
+
+
+def _signal(level: int) -> bytes:
+    return packets.make_report(CongestionSignal(level=level), reporter_id=1)
 
 
 class TestConfig:
     def test_peak_below_committed_rejected(self):
-        with pytest.raises(ValueError):
-            MeterConfig(committed_rate=100, committed_burst=1,
-                        peak_rate=50, peak_burst=1)
+        with pytest.raises(struct.error):
+            _signal(256)
 
     def test_time_going_backwards_rejected(self):
-        meter = make_meter()
-        meter.mark(1.0)
-        with pytest.raises(ValueError):
-            meter.mark(0.5)
+        # A milder signal never lowers the level: only relax() does.
+        rep, _sent = make_reporter(level=2)
+        rep.handle_congestion(CongestionSignal(level=1))
+        assert rep.congestion_level == 2
 
     def test_negative_rates_and_bursts_rejected(self):
-        for bad in ({"committed_rate": -1}, {"committed_burst": -1},
-                    {"peak_rate": -1, "committed_rate": -2},
-                    {"peak_burst": -1}):
-            kwargs = {"committed_rate": 10, "committed_burst": 1,
-                      "peak_rate": 20, "peak_burst": 1, **bad}
-            with pytest.raises(ValueError):
-                MeterConfig(**kwargs)
+        with pytest.raises(struct.error):
+            _signal(-1)
 
     def test_zero_rate_config_is_legal(self):
-        MeterConfig(committed_rate=0, committed_burst=0,
-                    peak_rate=0, peak_burst=0)
+        assert packets.decode_report(_signal(0))[1] == CongestionSignal(0)
+        rep, sent = make_reporter(level=0)
+        assert rep.key_write(b"k", b"\x01\x00\x00\x00") and sent
 
 
 class TestColouring:
     def test_below_committed_is_green(self):
-        meter = make_meter(cir=100, pir=200)
-        colors = {meter.mark(t) for t in
-                  (i / 50 for i in range(1, 51))}  # 50 pkt/s offered
-        assert colors == {MeterColor.GREEN}
+        rep, sent = make_reporter()
+        assert all(rep.key_write(bytes([i]), b"\x00" * 4)
+                   for i in range(50))
+        assert len(sent) == 50 and rep.stats.shed_by_congestion == 0
 
     def test_between_rates_goes_yellow(self):
-        meter = make_meter(cir=10, pir=1000, burst=1)
-        # Offer ~100 pkt/s: way above CIR, below PIR.
-        colors = [meter.mark(i / 100) for i in range(1, 101)]
-        assert MeterColor.YELLOW in colors
-        assert MeterColor.RED not in colors
+        rep, sent = make_reporter(level=1)
+        assert not rep.key_write(b"low", b"\x00" * 4)
+        assert rep.key_write(b"high", b"\x00" * 4, essential=True)
+        assert len(sent) == 1
 
     def test_above_peak_goes_red(self):
-        meter = make_meter(cir=10, pir=20, burst=1)
-        colors = [meter.mark(i / 1000) for i in range(1, 1001)]
-        assert MeterColor.RED in colors
+        rep, sent = make_reporter(level=2)
+        assert not rep.append(0, b"\x00" * 4)
+        assert sent == [] and rep.stats.shed_by_congestion == 1
 
     def test_burst_tolerated(self):
-        meter = make_meter(cir=10, pir=20, burst=5)
-        # 5-packet burst at t=1 fits the burst budget.
-        colors = [meter.mark(1.0) for _ in range(5)]
-        assert all(c == MeterColor.GREEN for c in colors)
+        # Batches are homogeneous: a plain one is shed whole, an
+        # essential one goes whole.
+        rep, sent = make_reporter(level=1)
+        keys, datas = [b"a", b"b", b"c"], [b"\x00" * 4] * 3
+        assert rep.send_batch(ReportBatch.key_writes(keys, datas)) == 0
+        assert rep.send_batch(ReportBatch.key_writes(
+            keys, datas, essential=True)) == 3
+        assert len(sent) == 3 and len(rep.backup) == 3
 
     def test_counters_track_marks(self):
-        meter = make_meter(cir=1, pir=2, burst=1)
+        rep, sent = make_reporter(level=1)
         for i in range(100):
-            meter.mark(i / 100)
-        total = sum(meter.marked.values())
-        assert total == 100
+            rep.key_write(bytes([i]), b"\x00" * 4, essential=i % 4 == 0)
+        assert rep.stats.shed_by_congestion + len(sent) == 100
+        assert rep.stats.essential_sent == len(sent) == 25
 
     def test_idle_refills_buckets(self):
-        meter = make_meter(cir=10, pir=20, burst=2)
-        for _ in range(2):
-            meter.mark(0.0)
-        assert meter.mark(0.0) != MeterColor.GREEN  # bucket drained
-        assert meter.mark(10.0) == MeterColor.GREEN  # long idle refilled
+        rep, sent = make_reporter(level=2)
+        assert not rep.key_write(b"k", b"\x00" * 4)
+        rep.relax()
+        assert rep.congestion_level == 0
+        assert rep.key_write(b"k", b"\x00" * 4) and len(sent) == 1
 
 
 class TestEdgeCases:
     def test_zero_rate_meter_drains_burst_then_goes_red(self):
-        """An administratively closed meter: the pre-loaded burst is
-        honoured, then everything is RED forever — idle time must not
-        refill a bucket whose rate is zero."""
-        meter = Meter(MeterConfig(committed_rate=0, committed_burst=3,
-                                  peak_rate=0, peak_burst=3))
-        assert [meter.mark(0.0) for _ in range(3)] == (
-            [MeterColor.GREEN] * 3)
-        assert meter.mark(0.0) == MeterColor.RED
-        assert meter.mark(1e9) == MeterColor.RED  # eons of idle: still shut
-        assert meter.stats.marked_red == 2
+        """Once signalled, a reporter sheds until it is relaxed, however
+        long it keeps sending."""
+        rep, sent = make_reporter(level=3)
+        assert not any(rep.key_write(i.to_bytes(2, "big"), b"\x00" * 4)
+                       for i in range(1000))
+        assert sent == [] and rep.stats.shed_by_congestion == 1000
 
     def test_burst_exactly_at_capacity_is_green(self):
-        """size == remaining tokens must pass (strict < comparison)."""
-        meter = make_meter(cir=10, pir=20, burst=5)
-        assert meter.mark(0.0, size=5.0) == MeterColor.GREEN
-        # The bucket is now exactly empty; the next byte is not green.
-        assert meter.mark(0.0, size=1.0) != MeterColor.GREEN
+        """The widest level the one-byte field holds round-trips."""
+        assert packets.decode_report(_signal(255))[1].level == 255
 
     def test_oversized_packet_red_even_on_full_buckets(self):
-        meter = make_meter(cir=10, pir=20, burst=5)
-        assert meter.mark(0.0, size=6.0) == MeterColor.RED
+        """An essential report is never shed, at any level."""
+        rep, sent = make_reporter(level=255)
+        assert rep.key_write(b"k", b"\x00" * 4, essential=True)
+        assert len(sent) == 1 and rep.backup.get(0) == sent[0]
 
     def test_stats_and_legacy_marked_view_agree(self):
-        meter = make_meter(cir=10, pir=20, burst=1)
-        for i in range(50):
-            meter.mark(i / 100)
-        assert meter.marked == {
-            MeterColor.GREEN: meter.stats.marked_green,
-            MeterColor.YELLOW: meter.stats.marked_yellow,
-            MeterColor.RED: meter.stats.marked_red}
-        assert sum(meter.marked.values()) == 50
+        """A signal delivered as a control frame raises the level once
+        (one ``congestion_raised`` event), and the registry counter
+        agrees with the stats view."""
+        rep, _sent = make_reporter()
+        for _ in range(2):
+            rep.receive(CtrlFrame(src="translator", raw=_signal(2)))
+        for i in range(5):
+            rep.key_write(bytes([i]), b"\x00" * 4)
+        reg = obs.get_registry()
+        assert rep.congestion_level == 2
+        assert [e.event for e in reg.events] == ["congestion_raised"]
+        assert reg.snapshot().value("reporter.shed_by_congestion",
+                                    node="r") == 5
+        assert rep.stats.shed_by_congestion == 5

@@ -198,7 +198,10 @@ class TestInFlightTransit:
         state = int_source(self.INSTR, max_hops=5)
         for node in (11, 22, 33):
             state.push(HopMetadata(node_id=node, hop_latency=5))
-        report = state.to_report(sink_node=33, seq=9)
+        report = IntReport(report=TelemetryReport(hw_id=0, seq=9, node_id=33,
+                                                  ingress_tstamp=0),
+                           instructions=state.instructions,
+                           hops=list(state.hops))
         payload = report.pack()
 
         col = Collector()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.transport.envelope import (
+    ENVELOPE,
     KIND_ACK,
     KIND_CTRL,
     KIND_END,
@@ -115,6 +116,61 @@ class TestFrameCodec:
             wrap_frames(0, [b"x"] * (MAX_FRAME_REPORTS + 1),
                         np.ones(MAX_FRAME_REPORTS + 1, dtype=np.int64),
                         [0, MAX_FRAME_REPORTS + 1])
+
+
+class TestBoundaries:
+    """Each size check at its edge: exactly enough passes, one byte (or
+    one report) more or less than allowed fails."""
+
+    def test_datagram_of_exactly_the_envelope(self):
+        datagram = wrap(9, b"")
+        assert len(datagram) == ENVELOPE.size
+        assert unwrap(datagram) == (9, KIND_REPORT, b"")
+        with pytest.raises(ValueError):
+            unwrap(datagram[:-1])
+
+    def test_end_and_ack_payloads_of_exactly_eight_bytes(self):
+        payload = (77).to_bytes(8, "big")
+        assert end_total(payload) == 77
+        assert ack_delivered(payload) == 77
+        for decode in (end_total, ack_delivered):
+            with pytest.raises(ValueError):
+                decode(payload[:-1])
+
+    def test_reassembler_takes_a_bare_envelope(self):
+        r = Reassembler()
+        assert r.push(wrap(0, b"", KIND_END)) == [(KIND_END, b"")]
+        assert r.push(wrap(1, b"")[:-1]) == []
+        assert (r.delivered, r.malformed) == (1, 1)
+
+    def test_frame_of_exactly_max_frame_reports(self):
+        reports = [b"r"] * MAX_FRAME_REPORTS
+        sizes = np.ones(MAX_FRAME_REPORTS + 1, dtype=np.int64)
+        frame = wrap_frame(0, reports)
+        assert wrap_frames(0, reports, sizes[:-1],
+                           [0, MAX_FRAME_REPORTS]) == [frame]
+        assert unwrap_frame(unwrap(frame)[2]) == reports
+        with pytest.raises(ValueError):
+            wrap_frame(0, reports + [b"r"])
+        with pytest.raises(ValueError):
+            wrap_frames(0, reports + [b"r"], sizes,
+                        [0, MAX_FRAME_REPORTS + 1])
+
+    def test_report_of_exactly_0xffff_bytes(self):
+        report = b"x" * 0xFFFF
+        frame, = wrap_frames(0, [report], np.array([0xFFFF]), [0, 1])
+        assert frame == wrap_frame(0, [report])
+        assert unwrap_frame(unwrap(frame)[2]) == [report]
+        with pytest.raises(ValueError):
+            wrap_frames(0, [report + b"x"], np.array([0x10000]), [0, 1])
+
+    def test_horizon_of_one_accepted_and_zero_rejected(self):
+        r = Reassembler(horizon=1)
+        assert r.push(wrap(1, b"ahead")) == []
+        assert r.malformed == 1
+        assert r.push(wrap(0, b"next")) == [(KIND_REPORT, b"next")]
+        with pytest.raises(ValueError):
+            Reassembler(horizon=0)
 
 
 class TestReassembler:

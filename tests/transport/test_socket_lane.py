@@ -558,6 +558,22 @@ class TestCrashContainment:
 # ----------------------------------------------------------------------
 
 
+def send_raw_datagram(reporter, datagram: bytes) -> None:
+    """Put arbitrary bytes on lane 0's wire, bypassing shim, envelope
+    and window accounting alike."""
+    reporter._lanes[0].sock.send(datagram)
+
+
+def send_payload(reporter, payload: bytes) -> None:
+    """Envelope arbitrary payload as a ``KIND_REPORT`` single on lane 0,
+    after flushing the pending frame so lane order still matches
+    emission order."""
+    lane = reporter._lanes[0]
+    reporter._finalize_frame(lane)
+    reporter._append_single(lane, payload)
+    reporter._flush_outbox(lane)
+
+
 class TestDatagramFuzz:
     def test_garbage_datagrams_do_not_kill_the_daemon(self):
         spec = _spec(reports=300)
@@ -568,19 +584,19 @@ class TestDatagramFuzz:
                 lane.reporter.transmit(raw)
                 if i % 23 == 0:
                     # Truncated: shorter than the lane envelope.
-                    lane.reporter.send_raw_datagram(b"\x00\x01")
+                    send_raw_datagram(lane.reporter, b"\x00\x01")
                     garbage += 1
                 if i % 31 == 0:
                     # Valid envelope, stale seq: counted as duplicate.
                     # Flush first so the real seq-0 frame is already on
                     # the wire ahead of this replay of it.
                     lane.reporter.flush()
-                    lane.reporter.send_raw_datagram(wrap(0, b"\xff" * 12))
+                    send_raw_datagram(lane.reporter, wrap(0, b"\xff" * 12))
                     garbage += 1
             # Garbage *payloads* on live lane seqs: the envelope
             # delivers them, the DTA decoder must reject them.
             for junk in (b"", b"\xff", b"\x01\x63\x00\x00", b"\x00" * 64):
-                lane.reporter._send(junk)
+                send_payload(lane.reporter, junk)
                 garbage += 1
             lane.reporter.end_stream()
             stats = lane.drain()
@@ -601,7 +617,7 @@ class TestDatagramFuzz:
         far = 0
         with SocketLane(spec) as lane:
             for seq in (1 << 40, (1 << 64) - 1, 10 ** 6):
-                lane.reporter.send_raw_datagram(wrap(seq, b"x"))
+                send_raw_datagram(lane.reporter, wrap(seq, b"x"))
                 far += 1
             for i, raw in enumerate(raws):
                 lane.reporter.transmit(raw)
@@ -609,8 +625,8 @@ class TestDatagramFuzz:
                     # A window past everything emitted so far, hence
                     # past the horizon of what is delivered.
                     lane.reporter.flush()
-                    lane.reporter.send_raw_datagram(
-                        wrap(lane.reporter.lane_seqs[0] + spec.window, b"x"))
+                    send_raw_datagram(lane.reporter, wrap(
+                        lane.reporter.lane_seqs[0] + spec.window, b"x"))
                     far += 1
             lane.reporter.end_stream()
             stats = lane.drain()
@@ -629,7 +645,7 @@ class TestDatagramFuzz:
             for i, raw in enumerate(raws):
                 lane.reporter.transmit(raw)
                 if i % 17 == 0:
-                    lane.reporter._send(raw[:5])  # truncated DTA report
+                    send_payload(lane.reporter, raw[:5])  # truncated DTA report
             lane.reporter.end_stream()
             stats = lane.drain()
             digests = lane.digests()

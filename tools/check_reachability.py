@@ -11,17 +11,20 @@ store module for ``importlib``) from the entry points:
 * every file under ``perf/``, ``tools/``, ``benchmarks/`` and
   ``examples/``.
 
-Importing ``repro.a.b`` runs the packages ``repro`` and ``repro.a``
-first, so those count as reached too, but the walk does not follow
-what their ``__init__.py`` imports: a re-export is not reach.  A
-package's ``__init__.py`` is followed only when a file imports the
-package itself, by ``import repro.a`` or by ``from repro.a import
-Name`` where ``Name`` is not a submodule.  So a module that only its
-package ``__init__`` imports counts as unreached even when a sibling
-is reached.  Every ``src/repro`` module the walk misses is an offence
-unless :data:`ALLOWED` names it with a reason; an allowlisted module
-that the walk *does* reach, or that does not exist, is an offence as
-well, so the list only shrinks.
+The walk is name-level.  ``from repro.pkg import Name`` reaches the
+submodule ``repro.pkg.Name`` if there is one, and otherwise only the
+module that binds ``Name`` in ``repro/pkg/__init__.py`` (followed
+through further package re-exports; a name the ``__init__`` defines
+itself, or does not bind, reaches the whole ``__init__``).
+``import repro.pkg`` follows the whole ``__init__``.  Importing
+``repro.a.b`` runs the packages ``repro`` and ``repro.a`` first, so
+those count as reached too, but their ``__init__`` is not followed: a
+re-export is not reach.  So a module that only its package ``__init__``
+names, or whose names no one imports, counts as unreached.  Every
+``src/repro`` module the walk misses is an offence unless
+:data:`ALLOWED` names it with a reason; an allowlisted module that the
+walk *does* reach, or that does not exist, is an offence as well, so
+the list only shrinks.
 
 Usage::
 
@@ -62,26 +65,52 @@ def _packages(name: str) -> set:
     return {".".join(parts[:i]) for i in range(1, len(parts))}
 
 
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _base(node: ast.ImportFrom, name: str | None, is_package: bool) -> str:
+    """The absolute module a ``from … import`` names."""
+    base = node.module or ""
+    if node.level and name is not None:
+        package = name.split(".")
+        if not is_package:
+            package.pop()
+        package = package[:len(package) - node.level + 1]
+        base = ".".join(package + ([base] if base else []))
+    return base
+
+
+def _target(base: str, name: str, known: dict, seen: frozenset) -> str:
+    """The module ``from base import name`` reaches: the submodule, or
+    for a package the module its ``__init__`` binds ``name`` from."""
+    submodule = f"{base}.{name}"
+    if submodule in known:
+        return submodule
+    if (base not in known or known[base].name != "__init__.py"
+            or base in seen):
+        return base
+    for node in ast.walk(_tree(known[base])):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return _target(_base(node, base, True), alias.name,
+                                   known, seen | {base})
+    return base
+
+
 def imports(path: pathlib.Path, name: str | None, known: dict) -> set:
     """The ``repro`` modules a file imports or names, each of which
     the walk follows (their enclosing packages are not)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
     is_package = path.name == "__init__.py"
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level and name is not None:
-                package = name.split(".")
-                if not is_package:
-                    package.pop()
-                package = package[:len(package) - node.level + 1]
-                base = ".".join(package + ([base] if base else []))
-            for alias in node.names:
-                submodule = f"{base}.{alias.name}"
-                found.add(submodule if submodule in known else base)
+            base = _base(node, name, is_package)
+            found.update(_target(base, alias.name, known, frozenset())
+                         for alias in node.names)
         elif (name is not None and isinstance(node, ast.Constant)
               and isinstance(node.value, str) and node.value in known):
             found.add(node.value)
